@@ -21,7 +21,7 @@ from ..index.batch import BatchQueryExecutor
 from ..index.options import QueryOptions, warn_deprecated_kwargs
 from ..index.s3 import S3Index
 from ..video.synthetic import VideoClip
-from .voting import QueryMatches, Vote, vote
+from .voting import Vote, vote
 
 
 @dataclass(frozen=True)
@@ -148,28 +148,12 @@ class CopyDetector:
         # Per-run determinism: the index's warm-start cache is scoped to
         # one candidate clip (still warm across its ~hundreds of queries).
         self.index.reset_threshold_cache()
-        matches: list[QueryMatches] = []
-        rows_scanned = 0
-        search_seconds = 0.0
         with BatchQueryExecutor(
             self.index, model=self.model, options=cfg.options,
         ) as executor:
-            for result, tc in zip(
-                executor.query_all(fingerprints.astype(np.float64)),
-                timecodes,
-            ):
-                rows_scanned += result.stats.rows_scanned
-                search_seconds += result.stats.total_seconds
-                if len(result):
-                    matches.append(
-                        QueryMatches(
-                            timecode=float(tc),
-                            ids=result.ids,
-                            timecodes=result.timecodes,
-                        )
-                    )
+            results = executor.query_all(fingerprints.astype(np.float64))
         votes = vote(
-            matches,
+            ((tc, r.ids, r.timecodes) for tc, r in zip(timecodes, results)),
             tolerance=cfg.vote_tolerance,
             tukey_c=cfg.tukey_c,
             min_matches=cfg.min_matches,
@@ -188,8 +172,8 @@ class CopyDetector:
             detections=detections,
             votes=votes,
             num_queries=int(fingerprints.shape[0]),
-            rows_scanned=rows_scanned,
-            search_seconds=search_seconds,
+            rows_scanned=sum(r.stats.rows_scanned for r in results),
+            search_seconds=sum((r.stats.total_seconds for r in results), 0.0),
         )
 
     def detect_clip(self, clip: VideoClip) -> DetectionReport:

@@ -40,7 +40,7 @@ from ..index.options import QueryOptions, warn_deprecated_kwargs
 from ..index.s3 import S3Index
 from ..video.synthetic import VideoClip
 from .detector import Detection
-from .voting import QueryMatches, vote
+from .voting import vote
 
 
 @dataclass
@@ -168,7 +168,8 @@ class StreamMonitor:
         self._frames: np.ndarray | None = None
         self._stream_pos = 0          # absolute index of buffer start
         self._next_analysis = 0       # absolute frame where next window ends
-        self._matches: deque[QueryMatches] = deque()
+        # Matches of the most recent key-frames, on the stream's time axis.
+        self._matches: deque[tuple] = deque(maxlen=self.config.buffer_keyframes)
         self._reported: list[StreamDetection] = []
         self._frames_seen = 0
         self._ingest_horizon = 0.0    # stream time already referenced
@@ -256,11 +257,7 @@ class StreamMonitor:
         )):
             if len(result):
                 self._matches.append(
-                    QueryMatches(
-                        timecode=float(tc) + window_start,  # stream time
-                        ids=result.ids,
-                        timecodes=result.timecodes,
-                    )
+                    (float(tc) + window_start, result.ids, result.timecodes)
                 )
             if len(result) <= cfg.ingest_match_threshold:
                 unmatched_rows.append(row)
@@ -268,12 +265,9 @@ class StreamMonitor:
             self._ingest_unmatched(
                 extraction.store, unmatched_rows, window_start
             )
-        # Bound the buffer to the most recent key-frame matches.
-        while len(self._matches) > cfg.buffer_keyframes:
-            self._matches.popleft()
 
         votes = vote(
-            list(self._matches),
+            self._matches,
             tolerance=cfg.vote_tolerance,
             tukey_c=cfg.tukey_c,
             min_matches=cfg.min_matches,

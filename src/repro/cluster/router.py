@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..cbcd.voting import QueryMatches, vote
+from ..cbcd.voting import vote
 from ..distortion.model import NormalDistortionModel
 from ..errors import ConfigurationError, ReproError
 from ..hilbert.butz import HilbertCurve
@@ -627,33 +627,15 @@ class ClusterRouter(SocketFrameServer):
             request.get("threshold", self.config.decision_threshold)
         )
         merged = await self._scatter_queries(request, fingerprints, False)
-        matches = [
-            QueryMatches(
-                timecode=float(tc),
-                ids=np.asarray(wire["ids"], dtype=np.int64),
-                timecodes=np.asarray(wire["timecodes"], dtype=np.float64),
-            )
-            for wire, tc in zip(merged, timecodes)
-            if wire["count"]
-        ]
         votes = vote(
-            matches,
+            ((tc, w["ids"], w["timecodes"]) for tc, w in zip(timecodes, merged)),
             tolerance=self.config.vote_tolerance,
             tukey_c=self.config.tukey_c,
             min_matches=self.config.min_matches,
         )
         return {
             "num_queries": int(fingerprints.shape[0]),
-            "detections": [
-                {
-                    "video_id": int(v.video_id),
-                    "offset": float(v.offset),
-                    "nsim": int(v.nsim),
-                    "num_candidates": int(v.num_candidates),
-                }
-                for v in votes
-                if v.nsim >= threshold
-            ],
+            "detections": protocol.detections_to_wire(votes, threshold),
         }
 
     # ------------------------------------------------------------------

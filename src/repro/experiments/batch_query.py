@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..cbcd.voting import QueryMatches, vote
+from ..cbcd.voting import vote
 from ..corpus.builder import build_reference_corpus
 from ..corpus.filler import scale_store
 from ..distortion.model import NormalDistortionModel
@@ -168,14 +168,12 @@ class BatchQueryBenchResult:
 
 def _detections(results, timecodes, decision_threshold=5):
     """Run the temporal voting stage and report comparable detections."""
-    matches = [
-        QueryMatches(timecode=float(tc), ids=r.ids, timecodes=r.timecodes)
-        for r, tc in zip(results, timecodes)
-        if len(r)
-    ]
+    votes = vote(
+        (tc, r.ids, r.timecodes) for tc, r in zip(timecodes, results)
+    )
     return [
         (v.video_id, round(v.offset, 9), v.nsim)
-        for v in vote(matches, tolerance=2.0, tukey_c=6.0, min_matches=2)
+        for v in votes
         if v.nsim >= decision_threshold
     ]
 

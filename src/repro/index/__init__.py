@@ -44,6 +44,7 @@ from .filtering import (
     BlockSelection,
     best_first_blocks,
     grid_probability,
+    grid_probability_multi,
     range_blocks,
     select_blocks_threshold,
     select_blocks_threshold_multi,
@@ -152,6 +153,7 @@ __all__ = [
     "clustering_summary",
     "coalesce_ranges",
     "grid_probability",
+    "grid_probability_multi",
     "knn_query",
     "occupancy_summary",
     "profile_depths",

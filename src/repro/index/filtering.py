@@ -937,14 +937,14 @@ def statistical_blocks_multi(
     t0 = min(max(t0, 1e-12), 1.0 - 1e-12)
     searches = [
         _ThresholdSearch(
-            target=alpha * grid_probability(queries[i], model, curve),
+            target=alpha * mass,
             initial_threshold=t0,
             shrink=shrink,
             refine_steps=refine_steps,
             grow_steps=grow_steps,
             max_descents=max_descents,
         )
-        for i in range(num)
+        for mass in grid_probability_multi(queries, model, curve).tolist()
     ]
 
     while True:
@@ -1015,9 +1015,30 @@ def grid_probability(
 ) -> float:
     """Return ``P(Q + ΔS ∈ [0, 2^K)^D)`` — the in-grid distortion mass."""
     query = _check_query(query, curve)
-    lo = np.zeros(curve.ndims)
-    hi = np.full(curve.ndims, float(curve.side))
-    return model.box_probability(lo, hi, query)
+    return float(grid_probability_multi(query[None, :], model, curve)[0])
+
+
+def grid_probability_multi(
+    queries: np.ndarray,
+    model: IndependentDistortionModel,
+    curve: HilbertCurve,
+) -> np.ndarray:
+    """:func:`grid_probability` of each row of a ``(B, D)`` query matrix.
+
+    One ``cdf_multi`` evaluation per grid face, then the per-dimension
+    interval probabilities are multiplied left to right — the order
+    ``model.box_probability`` multiplies them in, so each entry equals
+    the scalar evaluation bit for bit.
+    """
+    queries = _check_queries(queries, curve)
+    dims = np.broadcast_to(np.arange(curve.ndims), queries.shape)
+    intervals = model.cdf_multi(dims, float(curve.side) - queries) - (
+        model.cdf_multi(dims, 0.0 - queries)
+    )
+    mass = np.ones(queries.shape[0])
+    for j in range(curve.ndims):
+        mass = mass * intervals[:, j]
+    return mass
 
 
 def _check_query(query: np.ndarray, curve: HilbertCurve) -> np.ndarray:

@@ -305,3 +305,17 @@ def result_to_wire(
     if include_fingerprints:
         wire["fingerprints"] = result.fingerprints.tolist()
     return wire
+
+
+def detections_to_wire(votes, threshold: int) -> list[dict]:
+    """The votes reaching *threshold*, strongest first, as JSON-safe dicts."""
+    return [
+        {
+            "video_id": int(v.video_id),
+            "offset": float(v.offset),
+            "nsim": int(v.nsim),
+            "num_candidates": int(v.num_candidates),
+        }
+        for v in votes
+        if v.nsim >= threshold
+    ]

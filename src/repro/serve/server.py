@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..cbcd.voting import QueryMatches, vote
+from ..cbcd.voting import vote
 from ..errors import (
     ColdFetchError,
     ConfigurationError,
@@ -708,29 +708,15 @@ class DetectionServer(SocketFrameServer):
         results = await self.batcher.submit_many(
             fingerprints, deadline=self._deadline(request)
         )
-        matches = [
-            QueryMatches(timecode=float(tc), ids=r.ids, timecodes=r.timecodes)
-            for r, tc in zip(results, timecodes)
-            if len(r)
-        ]
         votes = vote(
-            matches,
+            ((tc, r.ids, r.timecodes) for tc, r in zip(timecodes, results)),
             tolerance=self.config.vote_tolerance,
             tukey_c=self.config.tukey_c,
             min_matches=self.config.min_matches,
         )
         return {
             "num_queries": int(fingerprints.shape[0]),
-            "detections": [
-                {
-                    "video_id": int(v.video_id),
-                    "offset": float(v.offset),
-                    "nsim": int(v.nsim),
-                    "num_candidates": int(v.num_candidates),
-                }
-                for v in votes
-                if v.nsim >= threshold
-            ],
+            "detections": protocol.detections_to_wire(votes, threshold),
         }
 
     async def _op_ingest(self, request: dict) -> dict:

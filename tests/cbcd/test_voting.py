@@ -145,7 +145,20 @@ class TestVotingProperties:
 
     def test_match_order_invariance(self):
         base = matches_for(3, true_b=-4.0, num=10, noise_ids=(1, 2))
+        # Two identifiers tied on (nsim, cost), first met in opposite
+        # orders by the two buffers: the tie must break on the id.
+        for uid, start in ((9, 40.0), (8, 50.0)):
+            for tc in (start, start + 2.0):
+                base.append(
+                    QueryMatches(
+                        timecode=tc,
+                        ids=np.array([uid], dtype=np.uint32),
+                        timecodes=np.array([tc - 100.0]),
+                    )
+                )
         reordered = list(reversed(base))
-        a = {v.video_id: (v.nsim, round(v.offset, 3)) for v in vote(base)}
-        b = {v.video_id: (v.nsim, round(v.offset, 3)) for v in vote(reordered)}
+        a = [(v.video_id, v.nsim, round(v.offset, 3)) for v in vote(base)]
+        b = [(v.video_id, v.nsim, round(v.offset, 3)) for v in vote(reordered)]
         assert a == b
+        tied = [entry for entry in a if entry[0] in (8, 9)]
+        assert tied == [(8, 2, 100.0), (9, 2, 100.0)]

@@ -5,13 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distortion.model import NormalDistortionModel, PerComponentNormalModel
+from repro.distortion.empirical import EmpiricalDistortionModel
+from repro.distortion.model import (
+    IndependentDistortionModel,
+    NormalDistortionModel,
+    PerComponentNormalModel,
+)
 from repro.errors import ConfigurationError
 from repro.hilbert.butz import HilbertCurve
 from repro.hilbert.partition import blocks_at_depth
 from repro.index.filtering import (
     best_first_blocks,
     grid_probability,
+    grid_probability_multi,
     range_blocks,
     select_blocks_threshold,
     statistical_blocks,
@@ -32,6 +38,51 @@ def small_setup():
     curve = HilbertCurve(3, 4)
     model = NormalDistortionModel(3, sigma=2.5)
     return curve, model
+
+
+class _LaplaceModel(IndependentDistortionModel):
+    """A model with only ``component_cdf``: the base ``cdf_multi`` loop."""
+
+    def __init__(self, ndims, scale):
+        self.ndims, self.scale = ndims, scale
+
+    def component_cdf(self, dim, x):
+        x = np.asarray(x, dtype=np.float64) / self.scale
+        return np.where(x < 0, 0.5 * np.exp(x), 1.0 - 0.5 * np.exp(-x))
+
+
+class TestGridProbabilityMulti:
+    """The batched grid mass is the scalar ``box_probability``, bit for bit."""
+
+    @pytest.mark.parametrize("model", [
+        NormalDistortionModel(20, sigma=6.0),
+        PerComponentNormalModel(np.linspace(2.0, 30.0, 20)),
+        EmpiricalDistortionModel(
+            np.random.default_rng(5).normal(0.0, 9.0, size=(2_000, 20))
+        ),
+        _LaplaceModel(20, scale=7.0),
+    ], ids=lambda m: type(m).__name__)
+    def test_equals_box_probability(self, model):
+        curve = HilbertCurve(20, 8)
+        rng = np.random.default_rng(11)
+        # Queries inside the grid, on its faces and outside it.
+        queries = rng.uniform(-20.0, curve.side + 20.0, size=(200, 20))
+        queries[:40] = rng.integers(0, curve.side, size=(40, 20))
+        queries[0, :5] = 0.0
+        lo, hi = np.zeros(20), np.full(20, float(curve.side))
+        expected = np.array([model.box_probability(lo, hi, q) for q in queries])
+        assert np.array_equal(
+            grid_probability_multi(queries, model, curve), expected
+        )
+        assert [grid_probability(q, model, curve) for q in queries[:20]] == (
+            expected[:20].tolist()
+        )
+
+    def test_rejects_wrong_width(self):
+        with pytest.raises(ConfigurationError):
+            grid_probability_multi(
+                np.zeros((2, 4)), NormalDistortionModel(3, 2.0), HilbertCurve(3, 4)
+            )
 
 
 class TestThresholdSelection:
