@@ -26,6 +26,7 @@ import numpy as np
 from ..distortion.model import IndependentDistortionModel
 from ..errors import ConfigurationError
 from ..index.batch import BatchQueryExecutor
+from ..index.options import QueryOptions
 from ..index.s3 import S3Index
 from ..index.store import FingerprintStore
 from .mestimator import estimate_offset, tukey_weight
@@ -238,9 +239,9 @@ class SpatialSearchIndex:
         identical to per-query :meth:`query` from the same warm-start
         cache state.
         """
-        executor = BatchQueryExecutor(
-            self.index, alpha, batch_size=batch_size, workers=workers
-        )
+        executor = BatchQueryExecutor(self.index, options=QueryOptions(
+            alpha=alpha, batch_size=batch_size, workers=workers
+        ))
         results = executor.query_all(
             np.asarray(fingerprints, dtype=np.float64)
         )

@@ -125,6 +125,36 @@ class ShardMap:
         return parts
 
 
+# Columns of a per-query wire result and the dtype each packs to.
+_WIRE_COLUMNS = (
+    ("rows", np.int64),
+    ("ids", np.int64),
+    ("timecodes", np.float64),
+    ("fingerprints", np.uint8),
+)
+
+
+def pack_wire(wire: dict) -> tuple:
+    """A per-query wire result as numpy columns — what a cache should hold.
+
+    Parsed JSON is lists of boxed numbers, several times the bytes of the
+    columns they spell; :func:`unpack_wire` gives back an equal dict.
+    """
+    return tuple(
+        None if wire.get(name) is None else np.asarray(wire[name], dtype=dtype)
+        for name, dtype in _WIRE_COLUMNS
+    )
+
+
+def unpack_wire(columns: tuple) -> dict:
+    """The wire result :func:`pack_wire` was given."""
+    wire = {"count": int(columns[0].shape[0])}
+    for (name, _), column in zip(_WIRE_COLUMNS, columns):
+        if column is not None:
+            wire[name] = column.tolist()
+    return wire
+
+
 def build_shard_maps(manifest: ClusterManifest) -> list[ShardMap]:
     return [ShardMap.from_spec(spec) for spec in manifest.shards]
 

@@ -60,7 +60,7 @@ from ..serve.cache import (
 )
 from ..serve.metrics import Counter, LatencyWindow
 from ..serve.server import NotReady, SocketFrameServer, WireOpError
-from .merge import ShardMap, merge_query_wires
+from .merge import ShardMap, merge_query_wires, pack_wire, unpack_wire
 from .plan import ClusterManifest
 
 _FAILOVER_CODES = frozenset({
@@ -371,7 +371,10 @@ class ClusterRouter(SocketFrameServer):
         # hit skips the round trip entirely.  Dirty shards bypass the
         # cache — their indexes can change without the router seeing an
         # invalidation point — and a router-routed ingest clears the
-        # target shard's entries before marking it dirty.
+        # target shard's entries before marking it dirty.  Entries are
+        # packed columns (`pack_wire`), not the parsed JSON: the cache
+        # is capped in entries, and boxed lists cost several times the
+        # bytes on unique-query traffic that never hits.
         self.cache_stats = CacheStats()
         self._shard_caches: dict[int, QueryResultCache] = {
             spec.shard: QueryResultCache(
@@ -547,7 +550,7 @@ class ClusterRouter(SocketFrameServer):
                     if hit is None:
                         missed_pos.append(pos)
                     else:
-                        wires[pos] = hit
+                        wires[pos] = unpack_wire(hit)
                 missed = np.asarray(missed_pos, dtype=np.int64)
                 if missed.size == 0:
                     return {"results": wires}
@@ -572,7 +575,7 @@ class ClusterRouter(SocketFrameServer):
                             queries[int(indices[int(pos)])].tobytes(),
                             include_fp,
                         ),
-                        wire,
+                        pack_wire(wire),
                         token,
                     )
             return {"results": wires}

@@ -9,7 +9,9 @@ the Hilbert curve and filters queries through the hyper-rectangular
 * :func:`~repro.hilbert.vectorized.encode_batch` — numpy bulk computation of
   truncated curve keys for index builds;
 * :class:`~repro.hilbert.partition.PartitionNode` — the lazily explored
-  p-block tree with exact box geometry.
+  p-block tree with exact box geometry;
+* :class:`~repro.hilbert.walk.PartitionWalk` — the same tree walked level
+  by level on whole node arrays, which block selection runs.
 """
 
 from .butz import HilbertCurve

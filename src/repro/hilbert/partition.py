@@ -21,8 +21,7 @@ half are derived in :meth:`PartitionNode.split_info`.
 
 The scalar tree here is the readable reference used by the tests and the
 exact best-first block selection; the throughput-critical statistical
-filtering re-implements the same descent with numpy frontiers in
-:mod:`repro.index.filtering`.
+filtering walks the same tree on node arrays (:mod:`repro.hilbert.walk`).
 """
 
 from __future__ import annotations

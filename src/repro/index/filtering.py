@@ -3,11 +3,10 @@
 Given a candidate fingerprint ``Q``, the filtering step selects a set of
 p-blocks of the Hilbert partition.  Three selectors are provided:
 
-* :func:`select_blocks_threshold` — one descent of the partition tree
-  keeping every depth-``p`` block whose probability under the distortion
-  model exceeds a threshold ``t`` (the paper's set ``B(t)``); sub-trees are
-  pruned as soon as their box probability falls to ``t`` or below, which is
-  sound because a box's probability upper-bounds every descendant's.
+* :func:`select_blocks_threshold` — the paper's set ``B(t)``: every
+  depth-``p`` block whose probability under the distortion model exceeds a
+  threshold ``t``; sub-trees are pruned as soon as their box probability
+  falls to ``t`` or below.
 * :func:`statistical_blocks` — the statistical query of expectation α:
   searches the largest ``t_max`` with ``P_sup(t_max) >= α`` (eq. (4)) by a
   bracketing iteration in the spirit of the paper's "method inspired by
@@ -17,15 +16,18 @@ p-blocks of the Hilbert partition.  Three selectors are provided:
   α.  Costlier (priority queue, scalar); used as the optimality reference
   in the ablation benchmarks.
 
-For the ε-range baseline, :func:`range_blocks` runs the same descent with
-the probabilistic rule replaced by the geometric one (keep blocks whose
+The first two (and their ``_multi`` / ``_cached`` forms) are one kernel,
+:class:`_Descent`: the partition tree is descended **once** per batch of
+queries and eq. (4)'s probes are answered from the retained leaves.
+
+For the ε-range baseline, :func:`range_blocks` runs a descent with the
+probabilistic rule replaced by the geometric one (keep blocks whose
 minimal distance to ``Q`` is at most ε) — the classical filtering the paper
 compares against.
 
-The descent is level-synchronous and numpy-vectorised: the frontier of
-surviving nodes is held in flat arrays (Hamilton state, box bounds,
-per-dimension CDF values) and both children of every node are produced by
-one batched step.  The geometry matches
+Every descent is level-synchronous and numpy-vectorised: the frontier of
+surviving nodes is held in flat arrays and both children of every node are
+produced by one batched step.  The geometry matches
 :class:`repro.hilbert.partition.PartitionNode` bit for bit (cross-checked in
 the tests).
 """
@@ -33,7 +35,8 @@ the tests).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections.abc import Generator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from ..distortion.model import IndependentDistortionModel
 from ..errors import ConfigurationError
 from ..hilbert.butz import HilbertCurve
 from ..hilbert.partition import PartitionNode
-from ..hilbert.vectorized import update_state_batch
+from ..hilbert.walk import PartitionWalk, WalkNodes, curve_order
 
 _U64 = np.uint64
 
@@ -65,10 +68,13 @@ class BlockSelection:
     total_probability:
         ``P_sup(t)`` — the cumulative mass of the selection.
     nodes_visited:
-        Number of tree nodes expanded across all descents (filtering cost).
+        Tree nodes the probes cover: for each probe ``t``, the nodes a
+        descent pruned at ``t`` expands, summed over the probes (the
+        filtering cost of a descent-per-probe search; the statistical
+        kernel expands each node once and counts it per probe).
     descents:
-        Number of full tree descents performed (1 unless the threshold had
-        to be searched).
+        Probes ``P_sup(t)`` answered (1 unless the threshold had to be
+        searched).  The tree itself is descended once per batch.
     """
 
     prefixes: np.ndarray
@@ -83,127 +89,323 @@ class BlockSelection:
         return int(self.prefixes.size)
 
 
+# ----------------------------------------------------------------------
+# Statistical filtering: one tree descent per batch.
+#
+# A box's mass does not depend on the probe threshold t, so eq. (4)'s
+# search needs every mass once.  `_Descent` expands the partition tree for
+# a whole (B, D) query matrix down to a per-query *floor* threshold and
+# keeps what it met.  A descent pruned at t reaches a node iff every mass
+# on its path exceeds t, i.e. iff the node's running path minimum does, so
+# any probe t >= floor is a mask on retained columns.  The membership test
+# is `path_min > t`, not `mass > t`: child masses are computed
+# incrementally (parent mass x interval ratio) and rounding can lift a
+# child a few ulps above its parent, so "a box's mass bounds its
+# descendants'" holds exactly only for the path minimum.
+
+_TABLE_ENTRIES = 1 << 22  # B * D * cuts CDF entries per descent (32 MB)
+# Shrink steps a descent answers below the probe it was started for: a
+# cold first probe sits ~4 steps above t_max, a warm one (1.5x the last
+# t_max) 0-2, and a resume is for stragglers.  A step too few costs a
+# resume (one more pass of the level loop), a step too many ~1.5x the nodes.
+_COLD_REACH, _REACH = 3, 2
+
+
 @dataclass
-class _Frontier:
-    """Mutable node-array state of one vectorised descent."""
+class _Nodes(WalkNodes):
+    """Tree nodes with their box mass under the distortion model."""
 
-    entry: np.ndarray
-    direction: np.ndarray
-    partial_w: np.ndarray
-    prefix: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    extra: dict[str, np.ndarray] = field(default_factory=dict)
+    mass: np.ndarray | None = None
+    path_min: np.ndarray | None = None  # min mass below the root, self included
 
 
-def _root_frontier(curve: HilbertCurve) -> _Frontier:
-    n = curve.ndims
-    return _Frontier(
-        entry=np.zeros(1, dtype=_U64),
-        direction=np.zeros(1, dtype=_U64),
-        partial_w=np.zeros(1, dtype=_U64),
-        prefix=np.zeros(1, dtype=_U64),
-        lo=np.zeros((1, n), dtype=np.float64),
-        hi=np.full((1, n), float(curve.side), dtype=np.float64),
-    )
+@dataclass
+class _Split:
+    """The nodes expanded at one level and the mass of both children of each."""
+
+    parents: _Nodes
+    dims: np.ndarray | int
+    upper_first: np.ndarray
+    q: np.ndarray  # per child, in `curve_order`
+    mass: np.ndarray
+    path_min: np.ndarray
 
 
-def _split_geometry(
-    fr: _Frontier, curve: HilbertCurve, depth: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Return ``(dims, mid, value_child0, rows)`` for the next split.
+class _Descent:
+    """One batch's statistical descent, kept so that probes are masks.
 
-    Mirrors :meth:`PartitionNode.split_info` on the whole frontier: *dims*
-    is the dimension each node splits, *mid* the split coordinate and
-    *value_child0* whether curve-child 0 takes the lower (0) or upper (1)
-    half.
+    Per node only scalar columns travel down the tree, plus small-integer
+    per-axis cell indices addressing one ``(B, D, cuts)`` table of the
+    model CDF at every dyadic cut the depth can reach (one ``cdf_multi``
+    call; the level loop evaluates no CDF).  Every floating-point
+    expression is the one the descent-per-probe code evaluated
+    (``tests/index/reference_selection.py``), so masses are bit-identical.
     """
-    n = curve.ndims
-    q = depth % n
-    dims = ((_U64(n - q) + fr.direction) % _U64(n)).astype(np.int64)
-    rows = np.arange(dims.size)
-    mid = 0.5 * (fr.lo[rows, dims] + fr.hi[rows, dims])
-    if q > 0:
-        prev_w_bit = fr.partial_w & _U64(1)
-    else:
-        prev_w_bit = np.zeros(dims.size, dtype=_U64)
-    e_bit = (fr.entry >> dims.astype(_U64)) & _U64(1)
-    value_child0 = (prev_w_bit ^ e_bit).astype(np.int64)
-    return dims, mid, value_child0, rows
+
+    def __init__(
+        self,
+        queries: np.ndarray,
+        model: IndependentDistortionModel,
+        curve: HilbertCurve,
+        depth: int,
+    ):
+        num, n = queries.shape
+        self.num = num
+        self.tree = tree = PartitionWalk(curve, depth)
+        self.cuts = (1 << tree.bits) + 1
+        x = (np.arange(self.cuts) * tree.unit)[None, None, :] - queries[:, :, None]
+        table = model.cdf_multi(
+            np.broadcast_to(np.arange(n)[None, :, None], x.shape), x
+        )
+        self.root_mass = np.prod(table[:, :, -1] - table[:, :, 0], axis=1)
+        self.table = table.ravel()
+        self.floor = np.full(num, np.inf)
+        self.splits: list[list[_Split]] = [[] for _ in range(depth)]
+        self.leaves = _Nodes(
+            np.empty(0, np.int64), np.empty(0, _U64),
+            mass=np.empty(0), path_min=np.empty(0),
+        )
+        self.starts = np.zeros(num + 1, dtype=np.int64)  # of each query's leaves
+
+    def _split(self, nodes: _Nodes, level: int) -> _Split:
+        """Masses of both children of *nodes*."""
+        dims, upper_first, lower_cut = self.tree.axis(nodes, level)
+        half = self.tree.half(level)
+        at = (nodes.q * self.tree.ndims + dims) * self.cuts + lower_cut
+        philo_j = self.table[at]
+        phimid = self.table[at + half]
+        phihi_j = self.table[at + 2 * half]
+        old = phihi_j - philo_j
+        prob_low = np.zeros(at.size)
+        prob_high = np.zeros(at.size)
+        ok = old > 0  # a zero-width interval has zero-mass children
+        np.divide(nodes.mass * (phimid - philo_j), old, out=prob_low, where=ok)
+        np.divide(nodes.mass * (phihi_j - phimid), old, out=prob_high, where=ok)
+        mass = curve_order(prob_low, prob_high, upper_first)
+        return _Split(
+            parents=nodes,
+            dims=dims,
+            upper_first=upper_first,
+            q=np.repeat(nodes.q, 2),
+            mass=mass,
+            path_min=np.minimum(mass, np.repeat(nodes.path_min, 2)),
+        )
+
+    def _children(self, split: _Split, level: int, at: np.ndarray) -> _Nodes:
+        kids = self.tree.children(
+            split.parents, level, split.dims, split.upper_first, at
+        )
+        kids.mass, kids.path_min = split.mass[at], split.path_min[at]
+        return kids
+
+    def lower(self, floor: np.ndarray) -> None:
+        """Expand every retained node whose path minimum exceeds *floor*.
+
+        The first call is the descent; a later call with lower floors
+        resumes the pruned frontier — children computed but not expanded —
+        of the queries that moved, level-synchronously for all of them.
+        """
+        old, self.floor = self.floor, floor
+        first = not self.splits[0]
+        nodes = []
+        if first:
+            roots = self.tree.roots(self.num, _Nodes)
+            roots.mass = self.root_mass
+            roots.path_min = np.full(self.num, np.inf)  # the root is never pruned
+            nodes = [roots]
+        for level, splits in enumerate(self.splits):
+            kids = [
+                self._children(split, level, np.nonzero(
+                    (split.path_min <= old[split.q])
+                    & (split.path_min > floor[split.q])
+                )[0])
+                for split in splits
+            ]
+            if nodes:
+                split = self._split(_Nodes.concat(nodes), level)
+                splits.append(split)
+                kids.append(self._children(
+                    split, level, np.nonzero(split.path_min > floor[split.q])[0]
+                ))
+            nodes = [k for k in kids if k.q.size]
+        if nodes:
+            leaves = _Nodes.concat(nodes if first else [self.leaves] + nodes)
+            if not first:
+                order = np.lexsort((leaves.prefix, leaves.q))
+                leaves = _Nodes(
+                    leaves.q[order], leaves.prefix[order],
+                    mass=leaves.mass[order], path_min=leaves.path_min[order],
+                )
+            self.leaves = leaves
+            self.starts = np.searchsorted(leaves.q, np.arange(self.num + 1))
+        inner = [split.parents for splits in self.splits for split in splits]
+        self.inner_q = np.concatenate([p.q for p in inner])
+        self.inner_min = np.concatenate([p.path_min for p in inner])
+
+    def probe(
+        self, t: np.ndarray, active: list[int]
+    ) -> tuple[list[float], list[int]]:
+        """``(P_sup(t_i), nodes_visited(t_i))`` of each active query *i*.
+
+        What a descent pruned at ``t_i >= floor_i`` returns: its leaves are
+        the retained leaves with ``path_min > t_i``, its
+        ``total_probability`` the sum of their masses as one prefix-ordered
+        array (the same pairwise summation), and the nodes it expands are
+        the retained internal nodes with ``path_min > t_i``.
+        """
+        leaves = self.leaves
+        keep = leaves.path_min > t[leaves.q]
+        mass = leaves.mass[keep]
+        ends = np.cumsum(np.bincount(leaves.q[keep], minlength=self.num)).tolist()
+        totals = [
+            float(mass[ends[i - 1] if i else 0:ends[i]].sum()) for i in active
+        ]
+        above = self.inner_q[self.inner_min > t[self.inner_q]]
+        nodes = np.bincount(above, minlength=self.num).tolist()
+        return totals, [nodes[i] for i in active]
+
+    def selection(self, i: int, t: float, nodes: int, probes: int) -> BlockSelection:
+        """Query *i*'s block set ``B(t)`` as a :class:`BlockSelection`."""
+        window = slice(int(self.starts[i]), int(self.starts[i + 1]))
+        keep = self.leaves.path_min[window] > t
+        probs = self.leaves.mass[window][keep]
+        return BlockSelection(
+            prefixes=self.leaves.prefix[window][keep],
+            probabilities=probs,
+            depth=self.tree.depth,
+            threshold=t,
+            total_probability=float(probs.sum()),
+            nodes_visited=nodes,
+            descents=probes,
+        )
 
 
-def _advance(
-    fr: _Frontier,
+def _threshold_search(
+    t: float, shrink: float, refine_steps: int, grow_steps: int, max_descents: int
+) -> Generator[float, bool, None]:
+    """Yield one query's probes of eq. (4); is sent ``P_sup(t) >= target``.
+
+    Shrinks ``t`` geometrically until a probe succeeds; if the very first
+    one does, grows it instead (so an over-generous start does not inflate
+    the block set); then bisects inside whatever bracket exists.  The
+    answer is the last probe that succeeded — or, when ``t`` bottoms out
+    first, the last probe: the closest achievable set.
+    """
+    probes = 1
+    t_fail = None  # smallest t observed with P_sup < target
+    while not (yield t):
+        t_fail = t
+        t *= shrink
+        if t < 1e-12 or probes >= max_descents:
+            return
+        probes += 1
+    for _ in range(grow_steps):
+        if t_fail is not None or probes >= max_descents or t * 4.0 >= 1.0:
+            break
+        probes += 1
+        if (yield t * 4.0):
+            t *= 4.0
+        else:
+            t_fail = t * 4.0
+    if t_fail is not None:
+        for _ in range(refine_steps):
+            t_mid = 0.5 * (t + t_fail)
+            if (yield t_mid):
+                t = t_mid
+            else:
+                t_fail = t_mid
+
+
+def _search(
+    queries: np.ndarray,
+    model: IndependentDistortionModel,
     curve: HilbertCurve,
     depth: int,
-    dims: np.ndarray,
-    mid: np.ndarray,
-    value_child0: np.ndarray,
-    keep0: np.ndarray,
-    keep1: np.ndarray,
-) -> _Frontier:
-    """Materialise the surviving children of the frontier.
+    alpha: float,
+    first_probes: np.ndarray,
+    reach: float,
+    shrink: float,
+    refine_steps: int,
+    grow_steps: int,
+    max_descents: int,
+) -> list[BlockSelection]:
+    """One :func:`_threshold_search` per query, all on one `_Descent`.
 
-    ``keep0`` / ``keep1`` select which lower-half / upper-half children
-    survive pruning.  Returns the next frontier (curve order is *not*
-    preserved here; selections are sorted at the end).
+    The descent starts at floor ``first_probes * reach``; a search that
+    shrinks under its floor resumes it, together with every other query in
+    that position.  Probes and the nodes they cover are counted as if each
+    probe had been its own descent.
     """
-    n = curve.ndims
-    q = depth % n
+    num, n = queries.shape
+    limits = (refine_steps, grow_steps, max_descents)
+    step = max(1, _TABLE_ENTRIES // (n * ((1 << -(-depth // n)) + 1)))
+    if num > step:  # bound the CDF table: chunks are independent
+        return [
+            sel for rows in (slice(i, i + step) for i in range(0, num, step))
+            for sel in _search(
+                queries[rows], model, curve, depth, alpha, first_probes[rows],
+                reach, shrink, *limits,
+            )
+        ]
+    descent = _Descent(queries, model, curve, depth)
+    targets = (alpha * grid_probability_multi(queries, model, curve)).tolist()
+    searches = [
+        _threshold_search(t, shrink, *limits) for t in first_probes.tolist()
+    ]
+    probes = np.array([next(search) for search in searches])
+    best = [(0.0, False)] * num  # (answer so far, did it succeed)
+    cost = np.zeros((num, 2), dtype=np.int64)  # nodes covered, probes
+    active = list(range(num))
+    descent.lower(probes * reach)
+    while active:
+        missing = probes < descent.floor
+        if missing.any():
+            descent.lower(np.where(missing, probes * shrink**_REACH, descent.floor))
+        still = []
+        for i, total, nodes in zip(active, *descent.probe(probes, active)):
+            success = total >= targets[i]
+            cost[i] += (nodes, 1)
+            if success or not best[i][1]:
+                best[i] = (float(probes[i]), success)
+            try:
+                probes[i] = searches[i].send(success)
+                still.append(i)
+            except StopIteration:
+                probes[i] = np.inf
+        active = still
+    return [
+        descent.selection(i, best[i][0], *cost[i].tolist()) for i in range(num)
+    ]
 
-    parts = []
-    for value, keep in ((0, keep0), (1, keep1)):
-        idx = np.nonzero(keep)[0]
-        if idx.size == 0:
-            continue
-        b = (np.int64(value) ^ value_child0[idx]).astype(_U64)
-        lo = fr.lo[idx].copy()
-        hi = fr.hi[idx].copy()
-        if value == 0:
-            hi[np.arange(idx.size), dims[idx]] = mid[idx]
-        else:
-            lo[np.arange(idx.size), dims[idx]] = mid[idx]
-        part = _Frontier(
-            entry=fr.entry[idx],
-            direction=fr.direction[idx],
-            partial_w=(fr.partial_w[idx] << _U64(1)) | b,
-            prefix=(fr.prefix[idx] << _U64(1)) | b,
-            lo=lo,
-            hi=hi,
-            extra={k: v[idx] for k, v in fr.extra.items()},
-        )
-        parts.append((value, idx, part))
 
-    if not parts:
-        out = _Frontier(
-            entry=np.empty(0, dtype=_U64),
-            direction=np.empty(0, dtype=_U64),
-            partial_w=np.empty(0, dtype=_U64),
-            prefix=np.empty(0, dtype=_U64),
-            lo=np.empty((0, n)),
-            hi=np.empty((0, n)),
-            extra={k: v[:0] for k, v in fr.extra.items()},
-        )
-    else:
-        out = _Frontier(
-            entry=np.concatenate([p.entry for _, _, p in parts]),
-            direction=np.concatenate([p.direction for _, _, p in parts]),
-            partial_w=np.concatenate([p.partial_w for _, _, p in parts]),
-            prefix=np.concatenate([p.prefix for _, _, p in parts]),
-            lo=np.concatenate([p.lo for _, _, p in parts]),
-            hi=np.concatenate([p.hi for _, _, p in parts]),
-            extra={
-                k: np.concatenate([p.extra[k] for _, _, p in parts])
-                for k in fr.extra
-            },
-        )
+def select_blocks_threshold_multi(
+    queries: np.ndarray,
+    model: IndependentDistortionModel,
+    curve: HilbertCurve,
+    depth: int,
+    thresholds: np.ndarray,
+) -> list[BlockSelection]:
+    """The paper's ``B(t)`` for B queries: depth-``p`` blocks with mass > t.
 
-    if q + 1 == n and out.prefix.size:
-        out.entry, out.direction = update_state_batch(
-            out.entry, out.direction, out.partial_w, n
+    *queries* is ``(B, D)``; *thresholds* carries one pruning threshold
+    per query.  The fixed-floor case of the kernel: a descent pruned at
+    ``t`` and a single probe at ``t``; each query's selection is
+    bit-identical to a batch of one.
+    """
+    queries = _check_queries(queries, curve)
+    thresholds = np.asarray(thresholds, dtype=np.float64).ravel()
+    if thresholds.size != queries.shape[0]:
+        raise ConfigurationError(
+            f"got {queries.shape[0]} queries but {thresholds.size} thresholds"
         )
-        out.partial_w = np.zeros_like(out.partial_w)
-    return out
+    if thresholds.size and not np.all((thresholds > 0.0) & (thresholds < 1.0)):
+        raise ConfigurationError("thresholds must be in (0, 1)")
+    _check_depth(depth, curve)
+    # Target 0 and one probe allowed: the search ends on its first probe.
+    return _search(
+        queries, model, curve, depth, alpha=0.0, first_probes=thresholds,
+        reach=1.0, shrink=0.5, refine_steps=0, grow_steps=0, max_descents=1,
+    )
 
 
 def select_blocks_threshold(
@@ -213,86 +415,63 @@ def select_blocks_threshold(
     depth: int,
     threshold: float,
 ) -> BlockSelection:
-    """Return the paper's ``B(t)``: depth-``p`` blocks with probability > t.
-
-    One vectorised descent; a sub-tree is pruned as soon as its box
-    probability drops to *threshold* or below.
-    """
+    """:func:`select_blocks_threshold_multi` for one query (B = 1)."""
     query = _check_query(query, curve)
     if not 0.0 < threshold < 1.0:
         raise ConfigurationError(f"threshold must be in (0, 1), got {threshold}")
+    return select_blocks_threshold_multi(
+        query[None, :], model, curve, depth, [threshold]
+    )[0]
+
+
+def statistical_blocks_multi(
+    queries: np.ndarray,
+    model: IndependentDistortionModel,
+    curve: HilbertCurve,
+    depth: int,
+    alpha: float,
+    initial_threshold: float | None = None,
+    shrink: float = 0.25,
+    refine_steps: int = 1,
+    grow_steps: int = 2,
+    max_descents: int = 40,
+) -> list[BlockSelection]:
+    """Statistical query block sets of expectation *alpha* for B queries.
+
+    Searches, per query, ``t_max`` of eq. (4): the largest threshold whose
+    block set ``B(t)`` still carries probability mass at least *alpha*.
+    ``P_sup(t)`` is monotone non-increasing in ``t``, so the search
+    (:func:`_threshold_search`) shrinks ``t`` by *shrink* from
+    *initial_threshold*, grows it up to *grow_steps* times if the first
+    probe succeeds, and bisects *refine_steps* times.
+
+    The tree is descended **once** for the whole batch, to a floor a few
+    shrink steps under the first probe, and every probe is answered from
+    the retained leaves (:func:`_search`).  ``descents`` counts the probes
+    (at most *max_descents* before refinement), and each query's selection
+    is bit-identical to a batch of one.
+
+    The expectation is conditioned on the referenced fingerprint lying in
+    the byte grid: the distortion model leaks mass outside ``[0, 2^K)^D``
+    where no fingerprint can exist, so the effective target is
+    ``alpha * P(Q + ΔS ∈ grid)``.  Without this conditioning, queries near
+    the grid boundary could make eq. (4) infeasible and degenerate into a
+    full scan.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0.0 < shrink < 1.0:
+        raise ConfigurationError(f"shrink must be in (0, 1), got {shrink}")
+    queries = _check_queries(queries, curve)
+    if queries.shape[0] == 0:
+        return []
     _check_depth(depth, curve)
-
-    n = curve.ndims
-    fr = _root_frontier(curve)
-    dims_all = np.arange(n)
-    philo = model.cdf_multi(
-        np.broadcast_to(dims_all, (1, n)), fr.lo - query[None, :]
-    )
-    phihi = model.cdf_multi(
-        np.broadcast_to(dims_all, (1, n)), fr.hi - query[None, :]
-    )
-    fr.extra["philo"] = philo
-    fr.extra["phihi"] = phihi
-    fr.extra["prob"] = np.prod(phihi - philo, axis=1)
-
-    nodes = 0
-    for d in range(depth):
-        m = fr.prefix.size
-        if m == 0:
-            break
-        nodes += m
-        dims, mid, v0, rows = _split_geometry(fr, curve, d)
-        phimid = model.cdf_multi(dims, mid - query[dims])
-        philo_j = fr.extra["philo"][rows, dims]
-        phihi_j = fr.extra["phihi"][rows, dims]
-        old = phihi_j - philo_j
-        prob = fr.extra["prob"]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            prob_low = np.where(old > 0, prob * (phimid - philo_j) / old, 0.0)
-            prob_high = np.where(old > 0, prob * (phihi_j - phimid) / old, 0.0)
-        keep0 = prob_low > threshold
-        keep1 = prob_high > threshold
-
-        # Stash child CDF values before _advance copies rows around.
-        child_prob = {0: prob_low, 1: prob_high}
-        nxt = _advance(fr, curve, d, dims, mid, v0, keep0, keep1)
-        # Rebuild the per-child extras in the same concatenation order.
-        extras_prob = []
-        extras_philo = []
-        extras_phihi = []
-        for value, keep in ((0, keep0), (1, keep1)):
-            idx = np.nonzero(keep)[0]
-            if idx.size == 0:
-                continue
-            pl = fr.extra["philo"][idx].copy()
-            ph = fr.extra["phihi"][idx].copy()
-            if value == 0:
-                ph[np.arange(idx.size), dims[idx]] = phimid[idx]
-            else:
-                pl[np.arange(idx.size), dims[idx]] = phimid[idx]
-            extras_philo.append(pl)
-            extras_phihi.append(ph)
-            extras_prob.append(child_prob[value][idx])
-        if extras_prob:
-            nxt.extra["philo"] = np.concatenate(extras_philo)
-            nxt.extra["phihi"] = np.concatenate(extras_phihi)
-            nxt.extra["prob"] = np.concatenate(extras_prob)
-        else:
-            nxt.extra["philo"] = np.empty((0, n))
-            nxt.extra["phihi"] = np.empty((0, n))
-            nxt.extra["prob"] = np.empty(0)
-        fr = nxt
-
-    order = np.argsort(fr.prefix, kind="stable")
-    probs = fr.extra.get("prob", np.empty(0))[order]
-    return BlockSelection(
-        prefixes=fr.prefix[order],
-        probabilities=probs,
-        depth=depth,
-        threshold=threshold,
-        total_probability=float(probs.sum()),
-        nodes_visited=nodes,
+    t0 = initial_threshold if initial_threshold is not None else (1.0 - alpha) / 4.0
+    t0 = min(max(t0, 1e-12), 1.0 - 1e-12)
+    return _search(
+        queries, model, curve, depth, alpha, np.full(queries.shape[0], t0),
+        shrink ** (_COLD_REACH if initial_threshold is None else _REACH),
+        shrink, refine_steps, grow_steps, max_descents,
     )
 
 
@@ -308,98 +487,86 @@ def statistical_blocks(
     grow_steps: int = 2,
     max_descents: int = 40,
 ) -> BlockSelection:
-    """Compute the statistical query block set of expectation *alpha*.
-
-    Searches ``t_max`` of eq. (4): the largest threshold whose block set
-    ``B(t)`` still carries probability mass at least *alpha*.  ``P_sup(t)``
-    is monotone non-increasing in ``t``, so the search first shrinks ``t``
-    geometrically (factor *shrink*) from *initial_threshold* until
-    ``P_sup >= alpha``; if the very first probe succeeds with no failure
-    bracket it instead *grows* ``t`` up to *grow_steps* times (so an
-    over-generous start does not inflate the block set), and finally
-    bisects *refine_steps* times inside whatever bracket exists to push
-    ``t`` back up (fewer, higher-probability blocks).  Every probe is one
-    full descent; probes are counted in ``descents`` / ``nodes_visited``.
-
-    The expectation is conditioned on the referenced fingerprint lying in
-    the byte grid: the distortion model leaks mass outside ``[0, 2^K)^D``
-    where no fingerprint can exist, so the effective target is
-    ``alpha * P(Q + ΔS ∈ grid)``.  Without this conditioning, queries near
-    the grid boundary could make eq. (4) infeasible and degenerate into a
-    full scan.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
-    if not 0.0 < shrink < 1.0:
-        raise ConfigurationError(f"shrink must be in (0, 1), got {shrink}")
+    """:func:`statistical_blocks_multi` for one query (B = 1)."""
     query = _check_query(query, curve)
-    alpha_target = alpha * grid_probability(query, model, curve)
-    t = initial_threshold if initial_threshold is not None else (1.0 - alpha) / 4.0
-    t = min(max(t, 1e-12), 1.0 - 1e-12)
+    return statistical_blocks_multi(
+        query[None, :], model, curve, depth, alpha, initial_threshold,
+        shrink, refine_steps, grow_steps, max_descents,
+    )[0]
 
-    nodes = 0
-    descents = 0
-    t_fail = None  # smallest t observed with P_sup < alpha_target
-    best: BlockSelection | None = None
-    while descents < max_descents:
-        sel = select_blocks_threshold(query, model, curve, depth, t)
-        descents += 1
-        nodes += sel.nodes_visited
-        if sel.total_probability >= alpha_target:
-            best = sel
-            break
-        t_fail = t
-        t *= shrink
-        if t < 1e-12:
-            best = sel  # cannot go lower; accept the closest achievable set
-            break
-    if best is None:  # pragma: no cover - max_descents is generous
-        best = sel
 
-    # A cold start can succeed immediately, leaving no failure bracket; try
-    # growing t so an over-generous initial threshold does not inflate the
-    # block set (larger t => fewer blocks).  Warm-started callers manage
-    # this drift themselves and pass grow_steps=0.
-    grow = 0
-    while (
-        t_fail is None
-        and best.total_probability >= alpha_target
-        and grow < grow_steps
-        and descents < max_descents
-        and best.threshold * 4.0 < 1.0
-    ):
-        t_up = best.threshold * 4.0
-        sel = select_blocks_threshold(query, model, curve, depth, t_up)
-        descents += 1
-        nodes += sel.nodes_visited
-        grow += 1
-        if sel.total_probability >= alpha_target:
-            best = sel
-        else:
-            t_fail = t_up
+def threshold_cache_key(
+    alpha: float, depth: int, model: IndependentDistortionModel
+) -> tuple:
+    """Key of the warm-start threshold cache for one query family.
 
-    if best.total_probability >= alpha_target and t_fail is not None:
-        t_ok = best.threshold
-        for _ in range(refine_steps):
-            t_mid = 0.5 * (t_ok + t_fail)
-            sel = select_blocks_threshold(query, model, curve, depth, t_mid)
-            descents += 1
-            nodes += sel.nodes_visited
-            if sel.total_probability >= alpha_target:
-                best = sel
-                t_ok = t_mid
-            else:
-                t_fail = t_mid
+    A usable warm start is specific to ``(alpha, depth)`` *and* to the
+    distortion model: a threshold tuned for a narrow model selects far too
+    few blocks under a wide one, so callers that alternate models per
+    query must not poison each other's warm starts.  The model contributes
+    a value-based identity token (:meth:`IndependentDistortionModel.cache_token`).
+    """
+    return (round(alpha, 6), depth, model.cache_token())
 
-    return BlockSelection(
-        prefixes=best.prefixes,
-        probabilities=best.probabilities,
-        depth=depth,
-        threshold=best.threshold,
-        total_probability=best.total_probability,
-        nodes_visited=nodes,
-        descents=descents,
+
+def statistical_blocks_batch_cached(
+    queries: np.ndarray,
+    model: IndependentDistortionModel,
+    curve: HilbertCurve,
+    depth: int,
+    alpha: float,
+    cache: dict[tuple, float],
+) -> list[BlockSelection]:
+    """:func:`statistical_blocks_multi` with a self-regulating warm start.
+
+    Queries of one workload share ``(alpha, depth, model)``, so the
+    previous query's ``t_max`` (ratcheted up by 1.5×) is an excellent
+    first probe: successes push the cached threshold toward minimal block
+    sets while failures fall back through the shrink loop.
+
+    The warm-start cache is read **once** before the batch (every query in
+    it shares the same initial probe threshold) and written **once**
+    after it (the last query's converged ``t_max``, mirroring the
+    sequential chain's "previous query" semantics).  A batch of size 1
+    therefore reproduces the sequential cached loop bit for bit; larger
+    batches are bit-identical to a sequential loop in which each query
+    starts from the same cache state (see docs/batch-query.md).
+    """
+    cache_key = threshold_cache_key(alpha, depth, model)
+    warm = cache.get(cache_key)
+    selections = statistical_blocks_multi(
+        queries,
+        model,
+        curve,
+        depth,
+        alpha,
+        initial_threshold=None if warm is None else warm * 1.5,
+        grow_steps=0 if warm is not None else 2,
     )
+    for selection in selections:
+        if np.isfinite(selection.threshold) and selection.threshold > 0:
+            cache[cache_key] = selection.threshold
+    return selections
+
+
+def statistical_blocks_cached(
+    query: np.ndarray,
+    model: IndependentDistortionModel,
+    curve: HilbertCurve,
+    depth: int,
+    alpha: float,
+    cache: dict[tuple, float],
+) -> BlockSelection:
+    """:func:`statistical_blocks_batch_cached` for one query (B = 1).
+
+    Both :class:`~repro.index.s3.S3Index` and the pseudo-disk searcher
+    route through here, so equal cache histories give bit-identical
+    selections.
+    """
+    query = _check_query(query, curve)
+    return statistical_blocks_batch_cached(
+        query[None, :], model, curve, depth, alpha, cache
+    )[0]
 
 
 def best_first_blocks(
@@ -464,6 +631,22 @@ def best_first_blocks(
     )
 
 
+# ----------------------------------------------------------------------
+# Geometric filtering (ε-range and window queries): the same walk, pruned
+# by distance or overlap instead of probability mass.
+
+
+def _geometric_selection(nodes: WalkNodes, depth: int, visited: int) -> BlockSelection:
+    return BlockSelection(
+        prefixes=nodes.prefix,
+        probabilities=np.zeros(nodes.prefix.size),
+        depth=depth,
+        threshold=float("nan"),
+        total_probability=float("nan"),
+        nodes_visited=visited,
+    )
+
+
 def range_blocks(
     query: np.ndarray,
     epsilon: float,
@@ -480,67 +663,27 @@ def range_blocks(
         raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
     _check_depth(depth, curve)
 
-    n = curve.ndims
-    fr = _root_frontier(curve)
-    gap = np.maximum(fr.lo - query[None, :], 0.0) ** 2 + np.maximum(
-        query[None, :] - fr.hi, 0.0
-    ) ** 2
-    fr.extra["contrib"] = gap
-    fr.extra["sumsq"] = gap.sum(axis=1)
+    def gap(lo, hi, q):  # squared distance from q to [lo, hi) on one axis
+        return np.maximum(lo - q, 0.0) ** 2 + np.maximum(q - hi, 0.0) ** 2
+
+    tree = PartitionWalk(curve, depth)
+    nodes, visited = tree.roots(1), 0
+    sumsq = gap(0.0, float(curve.side), query[None, :]).sum(axis=1)
     eps_sq = float(epsilon) ** 2
-
-    nodes = 0
-    for d in range(depth):
-        m = fr.prefix.size
-        if m == 0:
-            break
-        nodes += m
-        dims, mid, v0, rows = _split_geometry(fr, curve, d)
+    for level in range(depth):
+        visited += nodes.q.size
+        dims, upper_first, lower_cut = tree.axis(nodes, level)
+        lo, mid, hi = tree.bounds(lower_cut, level)
         qj = query[dims]
-        contrib_old = fr.extra["contrib"][rows, dims]
-        sumsq = fr.extra["sumsq"]
         # Lower child: box [lo, mid); upper child: box [mid, hi).
-        contrib_low = np.maximum(qj - mid, 0.0) ** 2 + np.maximum(
-            fr.lo[rows, dims] - qj, 0.0
-        ) ** 2
-        contrib_high = np.maximum(mid - qj, 0.0) ** 2 + np.maximum(
-            qj - fr.hi[rows, dims], 0.0
-        ) ** 2
-        sumsq_low = sumsq - contrib_old + contrib_low
-        sumsq_high = sumsq - contrib_old + contrib_high
-        keep0 = sumsq_low <= eps_sq
-        keep1 = sumsq_high <= eps_sq
-
-        child_sumsq = {0: sumsq_low, 1: sumsq_high}
-        child_contrib = {0: contrib_low, 1: contrib_high}
-        nxt = _advance(fr, curve, d, dims, mid, v0, keep0, keep1)
-        sq_parts = []
-        contrib_parts = []
-        for value, keep in ((0, keep0), (1, keep1)):
-            idx = np.nonzero(keep)[0]
-            if idx.size == 0:
-                continue
-            c = fr.extra["contrib"][idx].copy()
-            c[np.arange(idx.size), dims[idx]] = child_contrib[value][idx]
-            contrib_parts.append(c)
-            sq_parts.append(child_sumsq[value][idx])
-        if sq_parts:
-            nxt.extra["sumsq"] = np.concatenate(sq_parts)
-            nxt.extra["contrib"] = np.concatenate(contrib_parts)
-        else:
-            nxt.extra["sumsq"] = np.empty(0)
-            nxt.extra["contrib"] = np.empty((0, n))
-        fr = nxt
-
-    order = np.argsort(fr.prefix, kind="stable")
-    return BlockSelection(
-        prefixes=fr.prefix[order],
-        probabilities=np.zeros(fr.prefix.size),
-        depth=depth,
-        threshold=float("nan"),
-        total_probability=float("nan"),
-        nodes_visited=nodes,
-    )
+        rest = sumsq - gap(lo, hi, qj)
+        child_sumsq = curve_order(
+            rest + gap(lo, mid, qj), rest + gap(mid, hi, qj), upper_first
+        )
+        kept = np.nonzero(child_sumsq <= eps_sq)[0]
+        nodes = tree.children(nodes, level, dims, upper_first, kept)
+        sumsq = child_sumsq[kept]
+    return _geometric_selection(nodes, depth, visited)
 
 
 def window_blocks(
@@ -565,438 +708,26 @@ def window_blocks(
     if np.any(lo > hi):
         raise ConfigurationError("window must satisfy lo <= hi per dimension")
     _check_depth(depth, curve)
-    if np.any(lo == hi):
-        # Half-open window with an empty side contains nothing.
-        return BlockSelection(
-            prefixes=np.empty(0, dtype=_U64),
-            probabilities=np.empty(0),
-            depth=depth,
-            threshold=float("nan"),
-            total_probability=float("nan"),
-            nodes_visited=0,
-        )
 
-    n = curve.ndims
-    fr = _root_frontier(curve)
-    nodes = 0
-    for d in range(depth):
-        m = fr.prefix.size
-        if m == 0:
-            break
-        nodes += m
-        dims, mid, v0, rows = _split_geometry(fr, curve, d)
+    tree = PartitionWalk(curve, depth)
+    # A half-open window with an empty side contains nothing.
+    nodes, visited = tree.roots(0 if np.any(lo == hi) else 1), 0
+    for level in range(depth):
+        visited += nodes.q.size
+        dims, upper_first, lower_cut = tree.axis(nodes, level)
+        box_lo, mid, box_hi = tree.bounds(lower_cut, level)
         # Child intersects the window iff its interval on the split
         # dimension overlaps [lo_j, hi_j); other dimensions are unchanged.
-        keep0 = (fr.lo[rows, dims] < hi[dims]) & (mid > lo[dims])
-        keep1 = (mid < hi[dims]) & (fr.hi[rows, dims] > lo[dims])
-        fr = _advance(fr, curve, d, dims, mid, v0, keep0, keep1)
-
-    order = np.argsort(fr.prefix, kind="stable")
-    return BlockSelection(
-        prefixes=fr.prefix[order],
-        probabilities=np.zeros(fr.prefix.size),
-        depth=depth,
-        threshold=float("nan"),
-        total_probability=float("nan"),
-        nodes_visited=nodes,
-    )
-
-
-def threshold_cache_key(
-    alpha: float, depth: int, model: IndependentDistortionModel
-) -> tuple:
-    """Key of the warm-start threshold cache for one query family.
-
-    A usable warm start is specific to ``(alpha, depth)`` *and* to the
-    distortion model: a threshold tuned for a narrow model selects far too
-    few blocks under a wide one, so callers that alternate models per
-    query must not poison each other's warm starts.  The model contributes
-    a value-based identity token (:meth:`IndependentDistortionModel.cache_token`).
-    """
-    return (round(alpha, 6), depth, model.cache_token())
-
-
-def statistical_blocks_cached(
-    query: np.ndarray,
-    model: IndependentDistortionModel,
-    curve: HilbertCurve,
-    depth: int,
-    alpha: float,
-    cache: dict[tuple, float],
-) -> BlockSelection:
-    """:func:`statistical_blocks` with a self-regulating warm-start cache.
-
-    Queries of one workload share ``(alpha, depth, model)``, so the
-    previous query's ``t_max`` (ratcheted up by 1.5×) is an excellent
-    first probe: successes push the cached threshold toward minimal block
-    sets while failures fall back through the shrink loop.  Typically
-    saves 2–4 descents per query.  Both :class:`~repro.index.s3.S3Index`
-    and the pseudo-disk searcher route through here, so equal cache
-    histories give bit-identical selections.
-    """
-    cache_key = threshold_cache_key(alpha, depth, model)
-    warm = cache.get(cache_key)
-    selection = statistical_blocks(
-        query,
-        model,
-        curve,
-        depth,
-        alpha,
-        initial_threshold=None if warm is None else warm * 1.5,
-        grow_steps=0 if warm is not None else 2,
-    )
-    if np.isfinite(selection.threshold) and selection.threshold > 0:
-        cache[cache_key] = selection.threshold
-    return selection
+        keep = curve_order(
+            (box_lo < hi[dims]) & (mid > lo[dims]),
+            (mid < hi[dims]) & (box_hi > lo[dims]),
+            upper_first,
+        )
+        nodes = tree.children(nodes, level, dims, upper_first, np.nonzero(keep)[0])
+    return _geometric_selection(nodes, depth, visited)
 
 
 # ----------------------------------------------------------------------
-# Multi-query (batched) statistical filtering.
-#
-# The batched selectors run the same descent as their single-query
-# counterparts over a whole (B, D) query matrix at once: the frontier
-# holds (query, node) pairs tagged with a `qidx` column, so every tree
-# level is one set of numpy operations shared by all B queries instead of
-# B independent descents.  All per-element arithmetic is the *same
-# expression* as the single-query path, so each query's selection is
-# bit-identical to what `select_blocks_threshold` / `statistical_blocks`
-# would return for it alone (property-tested in tests/index/test_batch.py).
-
-
-def select_blocks_threshold_multi(
-    queries: np.ndarray,
-    model: IndependentDistortionModel,
-    curve: HilbertCurve,
-    depth: int,
-    thresholds: np.ndarray,
-) -> list[BlockSelection]:
-    """Batched :func:`select_blocks_threshold`: one descent for B queries.
-
-    *queries* is ``(B, D)``; *thresholds* carries one pruning threshold
-    per query.  Returns one :class:`BlockSelection` per query, each
-    bit-identical to the single-query selector's output.
-    """
-    queries = _check_queries(queries, curve)
-    thresholds = np.asarray(thresholds, dtype=np.float64).ravel()
-    if thresholds.size != queries.shape[0]:
-        raise ConfigurationError(
-            f"got {queries.shape[0]} queries but {thresholds.size} thresholds"
-        )
-    if thresholds.size and not np.all((thresholds > 0.0) & (thresholds < 1.0)):
-        raise ConfigurationError("thresholds must be in (0, 1)")
-    _check_depth(depth, curve)
-
-    num = queries.shape[0]
-    if num == 0:
-        return []
-    n = curve.ndims
-    fr = _Frontier(
-        entry=np.zeros(num, dtype=_U64),
-        direction=np.zeros(num, dtype=_U64),
-        partial_w=np.zeros(num, dtype=_U64),
-        prefix=np.zeros(num, dtype=_U64),
-        lo=np.zeros((num, n), dtype=np.float64),
-        hi=np.full((num, n), float(curve.side), dtype=np.float64),
-    )
-    dims_all = np.arange(n)
-    philo = model.cdf_multi(np.broadcast_to(dims_all, (num, n)), fr.lo - queries)
-    phihi = model.cdf_multi(np.broadcast_to(dims_all, (num, n)), fr.hi - queries)
-    fr.extra["philo"] = philo
-    fr.extra["phihi"] = phihi
-    fr.extra["prob"] = np.prod(phihi - philo, axis=1)
-    fr.extra["qidx"] = np.arange(num, dtype=np.int64)
-
-    nodes = np.zeros(num, dtype=np.int64)
-    for d in range(depth):
-        if fr.prefix.size == 0:
-            break
-        qidx = fr.extra["qidx"]
-        nodes += np.bincount(qidx, minlength=num)
-        dims, mid, v0, rows = _split_geometry(fr, curve, d)
-        phimid = model.cdf_multi(dims, mid - queries[qidx, dims])
-        philo_j = fr.extra["philo"][rows, dims]
-        phihi_j = fr.extra["phihi"][rows, dims]
-        old = phihi_j - philo_j
-        prob = fr.extra["prob"]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            prob_low = np.where(old > 0, prob * (phimid - philo_j) / old, 0.0)
-            prob_high = np.where(old > 0, prob * (phihi_j - phimid) / old, 0.0)
-        t_row = thresholds[qidx]
-        keep0 = prob_low > t_row
-        keep1 = prob_high > t_row
-
-        child_prob = {0: prob_low, 1: prob_high}
-        nxt = _advance(fr, curve, d, dims, mid, v0, keep0, keep1)
-        # Rebuild the CDF extras child-by-child in _advance's order; qidx
-        # rides along automatically through the frontier's extra dict.
-        extras_prob = []
-        extras_philo = []
-        extras_phihi = []
-        for value, keep in ((0, keep0), (1, keep1)):
-            idx = np.nonzero(keep)[0]
-            if idx.size == 0:
-                continue
-            pl = fr.extra["philo"][idx].copy()
-            ph = fr.extra["phihi"][idx].copy()
-            if value == 0:
-                ph[np.arange(idx.size), dims[idx]] = phimid[idx]
-            else:
-                pl[np.arange(idx.size), dims[idx]] = phimid[idx]
-            extras_philo.append(pl)
-            extras_phihi.append(ph)
-            extras_prob.append(child_prob[value][idx])
-        if extras_prob:
-            nxt.extra["philo"] = np.concatenate(extras_philo)
-            nxt.extra["phihi"] = np.concatenate(extras_phihi)
-            nxt.extra["prob"] = np.concatenate(extras_prob)
-        else:
-            nxt.extra["philo"] = np.empty((0, n))
-            nxt.extra["phihi"] = np.empty((0, n))
-            nxt.extra["prob"] = np.empty(0)
-        fr = nxt
-
-    qidx = fr.extra["qidx"]
-    order = np.lexsort((fr.prefix, qidx))
-    prefixes = fr.prefix[order]
-    probs = fr.extra["prob"][order]
-    q_sorted = qidx[order]
-    bounds = np.searchsorted(q_sorted, np.arange(num + 1))
-    selections = []
-    for i in range(num):
-        s, e = int(bounds[i]), int(bounds[i + 1])
-        p = probs[s:e]
-        selections.append(BlockSelection(
-            prefixes=prefixes[s:e],
-            probabilities=p,
-            depth=depth,
-            threshold=float(thresholds[i]),
-            total_probability=float(p.sum()),
-            nodes_visited=int(nodes[i]),
-        ))
-    return selections
-
-
-class _ThresholdSearch:
-    """Per-query replay of :func:`statistical_blocks`'s threshold search.
-
-    The search is a tiny scalar state machine (shrink → grow → refine);
-    only the *probes* — full tree descents — are expensive, and those are
-    batched across all still-active queries by
-    :func:`statistical_blocks_multi`.  The transitions mirror the
-    single-query control flow statement for statement, so each query's
-    probe sequence (and hence its final selection) is bit-identical.
-    """
-
-    __slots__ = (
-        "target", "shrink", "grow_steps", "max_descents", "t", "t_fail",
-        "t_ok", "t_probe", "best", "descents", "nodes", "grow",
-        "refine_left", "phase",
-    )
-
-    def __init__(
-        self,
-        target: float,
-        initial_threshold: float,
-        shrink: float,
-        refine_steps: int,
-        grow_steps: int,
-        max_descents: int,
-    ):
-        self.target = target
-        self.shrink = shrink
-        self.grow_steps = grow_steps
-        self.max_descents = max_descents
-        self.t = initial_threshold
-        self.t_fail: float | None = None
-        self.t_ok = float("nan")
-        self.best: BlockSelection | None = None
-        self.descents = 0
-        self.nodes = 0
-        self.grow = 0
-        self.refine_left = refine_steps
-        self.phase = "shrink"
-        self.t_probe = self.t
-
-    @property
-    def active(self) -> bool:
-        return self.phase != "done"
-
-    def consume(self, sel: BlockSelection) -> None:
-        """Account one probe at ``t_probe`` and advance the state machine."""
-        self.descents += 1
-        self.nodes += sel.nodes_visited
-        if self.phase == "shrink":
-            if sel.total_probability >= self.target:
-                self.best = sel
-                self._enter_grow()
-            else:
-                self.t_fail = self.t
-                self.t *= self.shrink
-                if self.t < 1e-12:
-                    self.best = sel  # closest achievable set
-                    self.phase = "done"
-                elif self.descents >= self.max_descents:
-                    self.best = sel
-                    self.phase = "done"
-                else:
-                    self.t_probe = self.t
-        elif self.phase == "grow":
-            self.grow += 1
-            if sel.total_probability >= self.target:
-                self.best = sel
-                self._enter_grow()
-            else:
-                self.t_fail = self.t_probe
-                self._enter_refine()
-        elif self.phase == "refine":
-            if sel.total_probability >= self.target:
-                self.best = sel
-                self.t_ok = self.t_probe
-            else:
-                self.t_fail = self.t_probe
-            self.refine_left -= 1
-            if self.refine_left > 0:
-                self.t_probe = 0.5 * (self.t_ok + self.t_fail)
-            else:
-                self.phase = "done"
-        else:  # pragma: no cover - defensive
-            raise AssertionError("probe consumed after convergence")
-
-    def _enter_grow(self) -> None:
-        assert self.best is not None
-        if (
-            self.t_fail is None
-            and self.best.total_probability >= self.target
-            and self.grow < self.grow_steps
-            and self.descents < self.max_descents
-            and self.best.threshold * 4.0 < 1.0
-        ):
-            self.phase = "grow"
-            self.t_probe = self.best.threshold * 4.0
-        else:
-            self._enter_refine()
-
-    def _enter_refine(self) -> None:
-        assert self.best is not None
-        if (
-            self.best.total_probability >= self.target
-            and self.t_fail is not None
-            and self.refine_left > 0
-        ):
-            self.phase = "refine"
-            self.t_ok = self.best.threshold
-            self.t_probe = 0.5 * (self.t_ok + self.t_fail)
-        else:
-            self.phase = "done"
-
-    def result(self, depth: int) -> BlockSelection:
-        assert self.best is not None
-        return BlockSelection(
-            prefixes=self.best.prefixes,
-            probabilities=self.best.probabilities,
-            depth=depth,
-            threshold=self.best.threshold,
-            total_probability=self.best.total_probability,
-            nodes_visited=self.nodes,
-            descents=self.descents,
-        )
-
-
-def statistical_blocks_multi(
-    queries: np.ndarray,
-    model: IndependentDistortionModel,
-    curve: HilbertCurve,
-    depth: int,
-    alpha: float,
-    initial_threshold: float | None = None,
-    shrink: float = 0.25,
-    refine_steps: int = 1,
-    grow_steps: int = 2,
-    max_descents: int = 40,
-) -> list[BlockSelection]:
-    """Batched :func:`statistical_blocks`: B threshold searches, shared descents.
-
-    Every round performs **one** multi-query descent covering all queries
-    whose search is still active (each at its own current probe
-    threshold), so B queries share one pass per tree level instead of B
-    independent descents.  Each query's probe sequence replays the
-    single-query search exactly, so the returned selections are
-    bit-identical to calling :func:`statistical_blocks` per query with the
-    same parameters.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
-    if not 0.0 < shrink < 1.0:
-        raise ConfigurationError(f"shrink must be in (0, 1), got {shrink}")
-    queries = _check_queries(queries, curve)
-    num = queries.shape[0]
-    if num == 0:
-        return []
-
-    t0 = initial_threshold if initial_threshold is not None else (1.0 - alpha) / 4.0
-    t0 = min(max(t0, 1e-12), 1.0 - 1e-12)
-    searches = [
-        _ThresholdSearch(
-            target=alpha * mass,
-            initial_threshold=t0,
-            shrink=shrink,
-            refine_steps=refine_steps,
-            grow_steps=grow_steps,
-            max_descents=max_descents,
-        )
-        for mass in grid_probability_multi(queries, model, curve).tolist()
-    ]
-
-    while True:
-        active = [i for i in range(num) if searches[i].active]
-        if not active:
-            break
-        idx = np.asarray(active, dtype=np.int64)
-        probes = np.array([searches[i].t_probe for i in active])
-        sels = select_blocks_threshold_multi(
-            queries[idx], model, curve, depth, probes
-        )
-        for i, sel in zip(active, sels):
-            searches[i].consume(sel)
-
-    return [search.result(depth) for search in searches]
-
-
-def statistical_blocks_batch_cached(
-    queries: np.ndarray,
-    model: IndependentDistortionModel,
-    curve: HilbertCurve,
-    depth: int,
-    alpha: float,
-    cache: dict[tuple, float],
-) -> list[BlockSelection]:
-    """Batched :func:`statistical_blocks_cached`: one warm start per batch.
-
-    The warm-start cache is read **once** before the batch (every query in
-    it shares the same initial probe threshold) and written **once**
-    after it (the last query's converged ``t_max``, mirroring the
-    sequential chain's "previous query" semantics).  A batch of size 1
-    therefore reproduces the sequential cached loop bit for bit; larger
-    batches are bit-identical to a sequential loop in which each query
-    starts from the same cache state (see docs/batch-query.md).
-    """
-    cache_key = threshold_cache_key(alpha, depth, model)
-    warm = cache.get(cache_key)
-    selections = statistical_blocks_multi(
-        queries,
-        model,
-        curve,
-        depth,
-        alpha,
-        initial_threshold=None if warm is None else warm * 1.5,
-        grow_steps=0 if warm is not None else 2,
-    )
-    for selection in selections:
-        if np.isfinite(selection.threshold) and selection.threshold > 0:
-            cache[cache_key] = selection.threshold
-    return selections
-
-
 def _check_queries(queries: np.ndarray, curve: HilbertCurve) -> np.ndarray:
     """Validate a ``(B, D)`` query matrix against *curve*."""
     queries = np.asarray(queries, dtype=np.float64)
@@ -1007,7 +738,6 @@ def _check_queries(queries: np.ndarray, curve: HilbertCurve) -> np.ndarray:
     return queries
 
 
-# ----------------------------------------------------------------------
 def grid_probability(
     query: np.ndarray,
     model: IndependentDistortionModel,

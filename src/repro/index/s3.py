@@ -153,7 +153,7 @@ class S3Index:
         self.model = model
         # Warm-start cache for the threshold search of eq. (4): queries of
         # one workload share (alpha, depth, model), so the previous query's
-        # t_max is an excellent first probe, typically saving 2-4 descents.
+        # t_max is an excellent first probe, typically saving 2-4 probes.
         self._threshold_cache: dict[tuple, float] = {}
 
     # ------------------------------------------------------------------

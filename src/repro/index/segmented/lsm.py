@@ -1183,8 +1183,8 @@ class SegmentedS3Index:
     ) -> list[SearchResult]:
         """Answer a batch of statistical queries in one fan-out pass.
 
-        Block selections are computed once for the whole batch (shared
-        descents, one warm-start cache read/write), then each sealed
+        Block selections are computed once for the whole batch (one shared
+        descent, one warm-start cache read/write), then each sealed
         segment is scanned with a single coalesced pass over the union of
         the batch's curve sections — segments in parallel when
         ``workers > 1`` — and the memtable by block membership.  Each

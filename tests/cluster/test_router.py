@@ -162,6 +162,21 @@ class TestBitIdentity:
             assert np.array_equal(e.ids, g.ids)
             assert np.array_equal(e.timecodes, g.timecodes)
 
+    def test_cached_repeat_equals_single_node(
+        self, routed, single_node, corpus
+    ):
+        """A repeat is served from packed columns, and is the same answer."""
+        fp, _, _ = corpus
+        rng = np.random.default_rng(23)
+        queries = fp[rng.integers(0, TOTAL_ROWS, 4)].astype(np.float64)
+        base = single_node.query(queries, include_fingerprints=True)
+        first = routed.query(queries, include_fingerprints=True)
+        hits = routed.stats()["cluster"]["cache"]["hits"]
+        again = routed.query(queries, include_fingerprints=True)
+        assert routed.stats()["cluster"]["cache"]["hits"] > hits
+        _assert_results_equal(base, first)
+        _assert_results_equal(base, again)
+
     def test_detect_equals_single_node(self, routed, single_node, corpus):
         fp, _, _ = corpus
         rng = np.random.default_rng(5)

@@ -30,6 +30,7 @@ from repro.index.filtering import (
     statistical_blocks_multi,
     threshold_cache_key,
 )
+from repro.index.options import QueryOptions
 from repro.index.s3 import S3Index
 from repro.index.segmented import SegmentedS3Index
 from repro.index.store import FingerprintStore
@@ -340,7 +341,9 @@ class TestMonolithicBatch:
     def test_executor_chunks_match_single_batches(self, index):
         queries = self.batch_queries(index, 10, seed=13)
         index.reset_threshold_cache()
-        ex = BatchQueryExecutor(index, 0.8, batch_size=4, workers=2)
+        ex = BatchQueryExecutor(index, options=QueryOptions(
+            alpha=0.8, batch_size=4, workers=2
+        ))
         chunked = ex.query_all(queries)
         assert ex.stats.batches == 3 and ex.stats.queries == 10
         index.reset_threshold_cache()
@@ -354,9 +357,9 @@ class TestMonolithicBatch:
 
     def test_executor_validates_config(self, index):
         with pytest.raises(ConfigurationError):
-            BatchQueryExecutor(index, 0.8, batch_size=0)
+            BatchQueryExecutor(index, options=QueryOptions(alpha=0.8, batch_size=0))
         with pytest.raises(ConfigurationError):
-            BatchQueryExecutor(index, 0.8, workers=0)
+            BatchQueryExecutor(index, options=QueryOptions(alpha=0.8, workers=0))
 
     def test_supports_coalesced_scans(self, index):
         assert index.supports_coalesced_scans is True
@@ -444,7 +447,7 @@ class TestSegmentedBatch:
         seg, fp = self.build_segmented(tmp_path / "seg", [1500])
         queries = fp[:8].astype(np.float64)
         seg.reset_threshold_cache()
-        ex = BatchQueryExecutor(seg, 0.8, batch_size=8)
+        ex = BatchQueryExecutor(seg, options=QueryOptions(alpha=0.8, batch_size=8))
         got = ex.query_all(queries)
         seg.reset_threshold_cache()
         _, batch = query_batch_segmented(seg, queries, 0.8)

@@ -79,9 +79,10 @@ def make_executor(index, **kwargs):
     """Build an executor, silencing the 1-CPU oversubscription warning."""
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("parallel_gather_min_rows", 0)
+    options = QueryOptions(alpha=ALPHA, **kwargs)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return BatchQueryExecutor(index, ALPHA, **kwargs)
+        return BatchQueryExecutor(index, options=options)
 
 
 # ----------------------------------------------------------------------
@@ -353,7 +354,9 @@ class TestExecutorResolution:
         if cpus is None:
             pytest.skip("cpu count unknown")
         with pytest.warns(RuntimeWarning, match="exceeds os.cpu_count"):
-            BatchQueryExecutor(index, ALPHA, workers=cpus + 1)
+            BatchQueryExecutor(
+                index, options=QueryOptions(alpha=ALPHA, workers=cpus + 1)
+            )
 
     @needs_shm
     def test_runtime_failure_falls_back_to_threads(self, index):

@@ -9,6 +9,7 @@ import pytest
 from repro.distortion.model import NormalDistortionModel
 from repro.errors import ConfigurationError
 from repro.index.batch import BatchQueryExecutor
+from repro.index.options import QueryOptions
 from repro.index.s3 import S3Index
 from repro.index.store import FingerprintStore
 from repro.serve.batcher import (
@@ -35,9 +36,9 @@ def index():
 
 
 def make_batcher(index, engine, **config):
-    executor = BatchQueryExecutor(
-        index, ALPHA, batch_size=config.get("max_batch", 32)
-    )
+    executor = BatchQueryExecutor(index, options=QueryOptions(
+        alpha=ALPHA, batch_size=config.get("max_batch", 32)
+    ))
     return MicroBatcher(executor, engine, BatcherConfig(**config))
 
 

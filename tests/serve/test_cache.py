@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.distortion.model import NormalDistortionModel
 from repro.errors import ConfigurationError
 from repro.index.batch import BatchQueryExecutor
+from repro.index.options import QueryOptions
 from repro.index.s3 import S3Index
 from repro.index.segmented import SegmentedS3Index
 from repro.index.store import FingerprintStore
@@ -228,9 +229,9 @@ class TestServeCache:
 
 # ----------------------------------------------------------------------
 def make_cached_batcher(index, engine, **config):
-    executor = BatchQueryExecutor(
-        index, ALPHA, batch_size=config.get("max_batch", 32)
-    )
+    executor = BatchQueryExecutor(index, options=QueryOptions(
+        alpha=ALPHA, batch_size=config.get("max_batch", 32)
+    ))
     cache = ServeCache(token=index_cache_token(index))
     executor.gather_cache = cache.gather
     batcher = MicroBatcher(
