@@ -31,7 +31,6 @@ def test_batch_query_speedup(benchmark, capsys):
             db_rows=50_000,
             num_queries=256,
             batch_size=64,
-            workers=1,
             alpha=0.8,
             seed=0,
             json_path=REPO_ROOT / "BENCH_batch_query.json",
@@ -59,7 +58,6 @@ def _smoke() -> int:
         db_rows=8_000,
         num_queries=96,
         batch_size=32,
-        workers=1,
         alpha=0.8,
         seed=0,
     )

@@ -18,7 +18,7 @@ from ..distortion.model import IndependentDistortionModel
 from ..errors import ConfigurationError, ExtractionError
 from ..fingerprint.extractor import ExtractorConfig, FingerprintExtractor
 from ..index.batch import BatchQueryExecutor
-from ..index.options import QueryOptions, warn_deprecated_kwargs
+from ..index.options import QueryOptions
 from ..index.s3 import S3Index
 from ..video.synthetic import VideoClip
 from .voting import Vote, vote
@@ -44,14 +44,9 @@ class Detection:
 class DetectorConfig:
     """Decision-layer parameters.
 
-    Engine tuning (batching, sharding, executor, prefilter mode) lives
-    in ``options``, the unified
-    :class:`~repro.index.options.QueryOptions`.  The flat
-    ``batch_size``/``workers``/``executor`` fields are the deprecated
-    spelling: they still work (with a ``DeprecationWarning``) and are
-    folded into ``options``; passing both raises.  After construction
-    the flat fields always mirror the effective options, so existing
-    reads keep working.
+    Engine tuning (batching, prefilter mode) lives in ``options``, the
+    unified :class:`~repro.index.options.QueryOptions`; when given, its
+    ``alpha`` wins.  After construction ``options`` is always populated.
     """
 
     alpha: float = 0.8
@@ -59,9 +54,6 @@ class DetectorConfig:
     tukey_c: float = 6.0
     decision_threshold: int = 5
     min_matches: int = 2
-    batch_size: Optional[int] = None
-    workers: Optional[int] = None
-    executor: Optional[str] = None
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     options: Optional[QueryOptions] = None
 
@@ -70,32 +62,12 @@ class DetectorConfig:
             raise ConfigurationError(
                 f"decision_threshold must be >= 1, got {self.decision_threshold}"
             )
-        legacy = {
-            name: value
-            for name in ("batch_size", "workers", "executor")
-            if (value := getattr(self, name)) is not None
-        }
         if self.options is not None:
-            if legacy:
-                raise ConfigurationError(
-                    "DetectorConfig: pass either options= or the legacy "
-                    f"keyword(s) {sorted(legacy)}, not both"
-                )
             self.alpha = self.options.alpha
         else:
-            if legacy:
-                warn_deprecated_kwargs("DetectorConfig", legacy)
-            self.options = QueryOptions(
-                alpha=self.alpha,
-                batch_size=legacy.get("batch_size", 32),
-                workers=legacy.get("workers", 1),
-                executor=legacy.get("executor", "auto"),
-            )
+            self.options = QueryOptions(alpha=self.alpha)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"alpha must be in (0, 1), got {self.alpha}")
-        self.batch_size = self.options.batch_size
-        self.workers = self.options.workers
-        self.executor = self.options.executor
 
 
 @dataclass
@@ -148,10 +120,10 @@ class CopyDetector:
         # Per-run determinism: the index's warm-start cache is scoped to
         # one candidate clip (still warm across its ~hundreds of queries).
         self.index.reset_threshold_cache()
-        with BatchQueryExecutor(
+        executor = BatchQueryExecutor(
             self.index, model=self.model, options=cfg.options,
-        ) as executor:
-            results = executor.query_all(fingerprints.astype(np.float64))
+        )
+        results = executor.query_all(fingerprints.astype(np.float64))
         votes = vote(
             ((tc, r.ids, r.timecodes) for tc, r in zip(timecodes, results)),
             tolerance=cfg.vote_tolerance,

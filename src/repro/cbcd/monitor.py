@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 from ..errors import ConfigurationError, ExtractionError
 from ..fingerprint.extractor import ExtractorConfig, FingerprintExtractor
 from ..index.batch import BatchQueryExecutor
-from ..index.options import QueryOptions, warn_deprecated_kwargs
+from ..index.options import QueryOptions
 from ..index.s3 import S3Index
 from ..video.synthetic import VideoClip
 from .detector import Detection
@@ -47,14 +47,9 @@ from .voting import vote
 class MonitorConfig:
     """Knobs of the continuous monitor.
 
-    Engine tuning (batching, sharding, executor, prefilter mode) lives
-    in ``options``, the unified
-    :class:`~repro.index.options.QueryOptions` — historically the
-    monitor carried its own ``batch_size``/``workers`` copies (and never
-    grew an ``executor`` knob at all, a drift the unified options
-    removes).  The flat fields remain as deprecated shims: they warn,
-    are folded into ``options``, and mirror the effective values after
-    construction; passing both raises.
+    Engine tuning (batching, prefilter mode) lives in ``options``, the
+    unified :class:`~repro.index.options.QueryOptions`; when given, its
+    ``alpha`` wins.  After construction ``options`` is always populated.
     """
 
     alpha: float = 0.8
@@ -69,34 +64,14 @@ class MonitorConfig:
     ingest_new: bool = False
     ingest_video_id: int = 1_000_000
     ingest_match_threshold: int = 0
-    batch_size: Optional[int] = None
-    workers: Optional[int] = None
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     options: Optional[QueryOptions] = None
 
     def __post_init__(self) -> None:
-        legacy = {
-            name: value
-            for name in ("batch_size", "workers")
-            if (value := getattr(self, name)) is not None
-        }
         if self.options is not None:
-            if legacy:
-                raise ConfigurationError(
-                    "MonitorConfig: pass either options= or the legacy "
-                    f"keyword(s) {sorted(legacy)}, not both"
-                )
             self.alpha = self.options.alpha
         else:
-            if legacy:
-                warn_deprecated_kwargs("MonitorConfig", legacy)
-            self.options = QueryOptions(
-                alpha=self.alpha,
-                batch_size=legacy.get("batch_size", 32),
-                workers=legacy.get("workers", 1),
-            )
-        self.batch_size = self.options.batch_size
-        self.workers = self.options.workers
+            self.options = QueryOptions(alpha=self.alpha)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.window_frames < 8:

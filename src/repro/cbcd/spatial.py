@@ -230,7 +230,6 @@ class SpatialSearchIndex:
         positions: np.ndarray,
         alpha: float,
         batch_size: int = 32,
-        workers: int = 1,
     ) -> list[SpatioTemporalMatch]:
         """Batched statistical queries joined with positions.
 
@@ -240,7 +239,7 @@ class SpatialSearchIndex:
         cache state.
         """
         executor = BatchQueryExecutor(self.index, options=QueryOptions(
-            alpha=alpha, batch_size=batch_size, workers=workers
+            alpha=alpha, batch_size=batch_size
         ))
         results = executor.query_all(
             np.asarray(fingerprints, dtype=np.float64)
@@ -263,7 +262,6 @@ class SpatialSearchIndex:
         positions: np.ndarray,
         alpha: float = 0.8,
         batch_size: int = 32,
-        workers: int = 1,
         **vote_kwargs,
     ) -> list[SpatioTemporalVote]:
         """Search a candidate's fingerprints and run the extended voting."""
@@ -284,7 +282,7 @@ class SpatialSearchIndex:
             match
             for match in self.query_batch(
                 fingerprints, timecodes, positions, alpha,
-                batch_size=batch_size, workers=workers,
+                batch_size=batch_size,
             )
             if match.ids.size
         ]

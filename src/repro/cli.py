@@ -51,12 +51,10 @@ from .errors import ConfigurationError, ReproError
 from .fingerprint.extractor import FingerprintExtractor
 from .index.batch import BatchQueryExecutor
 from .index.options import (
-    EXECUTOR_STRATEGIES,
     PREFILTER_MODES,
     QueryOptions,
     validate_durability,
 )
-from .index.planner import PLANNER_MODES
 from .index.s3 import S3Index
 from .index.segmented import CompactionPolicy, Manifest, SegmentedS3Index
 from .index.store import FingerprintStore, expected_file_size, read_header
@@ -75,21 +73,6 @@ def _validate_common_args(args: argparse.Namespace) -> None:
     if batch_size is not None and batch_size < 1:
         raise ConfigurationError(
             f"--batch-size must be >= 1, got {batch_size}"
-        )
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        raise ConfigurationError(f"--workers must be >= 1, got {workers}")
-    executor = getattr(args, "executor", None)
-    if executor is not None and executor not in EXECUTOR_STRATEGIES:
-        raise ConfigurationError(
-            f"--executor must be one of {', '.join(EXECUTOR_STRATEGIES)}, "
-            f"got {executor!r}"
-        )
-    planner = getattr(args, "planner", None)
-    if planner is not None and planner not in PLANNER_MODES:
-        raise ConfigurationError(
-            f"--planner must be one of {', '.join(PLANNER_MODES)}, "
-            f"got {planner!r}"
         )
     alpha = getattr(args, "alpha", None)
     if alpha is not None and not 0.0 < alpha <= 1.0:
@@ -141,21 +124,10 @@ def _storage_config(args: argparse.Namespace):
 
 
 def _query_options(args: argparse.Namespace) -> QueryOptions:
-    """The unified :class:`QueryOptions` a subcommand's flags describe.
-
-    Built directly (rather than through the per-class legacy kwargs) so
-    CLI runs never trip the deprecation shims.
-    """
+    """The unified :class:`QueryOptions` a subcommand's flags describe."""
     fields = {}
-    for name, attr in (
-        ("alpha", "alpha"),
-        ("batch_size", "batch_size"),
-        ("workers", "workers"),
-        ("executor", "executor"),
-        ("prefilter", "prefilter"),
-        ("planner", "planner"),
-    ):
-        value = getattr(args, attr, None)
+    for name in ("alpha", "batch_size", "prefilter"):
+        value = getattr(args, name, None)
         if value is not None:
             fields[name] = value
     return QueryOptions(**fields)
@@ -211,8 +183,8 @@ def _load_index(
     """Open *path* as a segmented directory or a static index prefix.
 
     ``mmap=True`` maps fingerprint bytes from disk instead of reading
-    them — long-lived consumers (the service) get zero-copy file-backed
-    stores that scan worker processes attach without any duplication.
+    them — long-lived consumers (the service) keep sealed stores out of
+    the process's private memory.
     ``storage`` (a :class:`repro.storage.StorageConfig`) attaches tiered
     segment storage; directories whose manifest already records a
     storage block attach it automatically even when ``storage=None``.
@@ -248,18 +220,18 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         print("error: pass --queries FILE or --from-row N", file=sys.stderr)
         return 2
-    with BatchQueryExecutor(index, options=_query_options(args)) as executor:
-        for i, result in enumerate(executor.query_all(queries)):
-            stats = result.stats
+    executor = BatchQueryExecutor(index, options=_query_options(args))
+    for i, result in enumerate(executor.query_all(queries)):
+        stats = result.stats
+        print(
+            f"query {i}: {len(result)} results, "
+            f"{stats.blocks_selected} blocks, "
+            f"{stats.total_seconds * 1e3:.2f} ms"
+        )
+        for row in range(min(len(result), args.limit)):
             print(
-                f"query {i}: {len(result)} results, "
-                f"{stats.blocks_selected} blocks, "
-                f"{stats.total_seconds * 1e3:.2f} ms"
+                f"  id={result.ids[row]} tc={result.timecodes[row]:.1f}"
             )
-            for row in range(min(len(result), args.limit)):
-                print(
-                    f"  id={result.ids[row]} tc={result.timecodes[row]:.1f}"
-                )
     return 0
 
 
@@ -482,8 +454,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.server import DetectionServer, ServeConfig
 
     _validate_common_args(args)
-    # mmap: the server is long-lived, and file-backed stores let the
-    # scan worker processes attach segments without copying them.
+    # mmap: the server is long-lived; sealed stores stay file-backed.
     storage = _storage_config(args)
     index = _load_index(
         args.index, mmap=True, storage=storage,
@@ -522,8 +493,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"serving {args.index} on {config.host}:{server.port} "
             f"(alpha={config.alpha}, max_batch={config.max_batch}, "
             f"max_wait_ms={config.max_wait_ms}, "
-            f"queue_limit={config.queue_limit}, "
-            f"executor={config.executor})",
+            f"queue_limit={config.queue_limit})",
             flush=True,
         )
         try:
@@ -806,25 +776,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="matches to print per query")
     p.add_argument("--batch-size", type=int, default=32,
                    help="queries per batched engine call")
-    p.add_argument("--workers", type=int, default=1,
-                   help="scan shards (threads or processes)")
-    p.add_argument("--executor", choices=list(EXECUTOR_STRATEGIES),
-                   default="auto",
-                   help="scan execution strategy: threads shard inside "
-                        "the GIL, processes attach the store zero-copy "
-                        "and scan in parallel, auto picks by index size")
     p.add_argument("--prefilter", choices=list(PREFILTER_MODES),
                    default="auto",
                    help="segment-sketch pre-filter: skip segments the "
                         "always-resident sketches prove empty for the "
                         "query (admissible — results are bit-identical); "
                         "off disables, auto/on enable")
-    p.add_argument("--planner", choices=list(PLANNER_MODES),
-                   default="auto",
-                   help="executor planning for --executor auto: measured "
-                        "uses the host's micro-calibrated cost model, "
-                        "fixed keeps the legacy row/cpu thresholds, auto "
-                        "prefers measured and falls back to fixed")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("detect", help="detect copies in a candidate video")
@@ -834,20 +791,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=32,
                    help="queries per batched engine call")
-    p.add_argument("--workers", type=int, default=1,
-                   help="scan shards (threads or processes)")
-    p.add_argument("--executor", choices=list(EXECUTOR_STRATEGIES),
-                   default="auto",
-                   help="scan execution strategy (see `query --help`)")
     p.add_argument("--prefilter", choices=list(PREFILTER_MODES),
                    default="auto",
                    help="segment-sketch pre-filter (see `query --help`)")
-    p.add_argument("--planner", choices=list(PLANNER_MODES),
-                   default="auto",
-                   help="executor planning for --executor auto: measured "
-                        "uses the host's micro-calibrated cost model, "
-                        "fixed keeps the legacy row/cpu thresholds, auto "
-                        "prefers measured and falls back to fixed")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser(
@@ -876,21 +822,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="micro-batching window")
     p.add_argument("--queue-limit", type=int, default=1024,
                    help="queued fingerprints before requests are shed")
-    p.add_argument("--workers", type=int, default=1,
-                   help="scan shards (threads or processes)")
-    p.add_argument("--executor", choices=list(EXECUTOR_STRATEGIES),
-                   default="auto",
-                   help="scan execution strategy (see `query --help`); "
-                        "the scan pool is warmed before the socket opens")
     p.add_argument("--prefilter", choices=list(PREFILTER_MODES),
                    default="auto",
                    help="segment-sketch pre-filter (see `query --help`)")
-    p.add_argument("--planner", choices=list(PLANNER_MODES),
-                   default="auto",
-                   help="executor planning for --executor auto: measured "
-                        "uses the host's micro-calibrated cost model, "
-                        "fixed keeps the legacy row/cpu thresholds, auto "
-                        "prefers measured and falls back to fixed")
     p.add_argument("--cache", choices=["auto", "on", "off"],
                    default="auto",
                    help="serve-path caching: result LRU, in-flight "

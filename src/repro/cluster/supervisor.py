@@ -212,9 +212,6 @@ class ClusterSupervisor:
             handle.directory, auto_compact=False, mmap=True
         )
         base = self.serve_config
-        # Rebuild rather than dataclasses.replace: ServeConfig mirrors
-        # options into its legacy flat fields, and passing both back
-        # trips its either/or guard.
         config = ServeConfig(
             host=handle.host,
             port=handle.port,  # 0 first launch, pinned after

@@ -31,12 +31,6 @@ from .ingest_pipeline import (
     run_ingest_pipeline,
     write_ingest_pipeline_json,
 )
-from .parallel_scan import (
-    ParallelScanBenchResult,
-    ParallelScanSuiteResult,
-    run_parallel_scan,
-    run_parallel_scan_suite,
-)
 from .prefilter import (
     PrefilterBenchResult,
     run_prefilter,
@@ -93,8 +87,6 @@ __all__ = [
     "run_fig8",
     "run_fig9",
     "run_ingest_pipeline",
-    "run_parallel_scan",
-    "run_parallel_scan_suite",
     "run_prefilter",
     "run_query_cache",
     "run_segmented_ingest",

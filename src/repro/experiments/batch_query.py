@@ -3,10 +3,9 @@
 The paper's deployment answers one statistical query per candidate
 key-frame.  The batched engine (:mod:`repro.index.batch`) amortises that
 work across a frame batch: one shared multi-query descent per threshold
-probe, one coalesced scan of the union of the selected curve sections,
-and an optional thread pool over the scan.  This experiment quantifies
-the trade on a synthetic corpus and **verifies bit-identity** where the
-engine promises it:
+probe and one coalesced scan of the union of the selected curve
+sections.  This experiment quantifies the trade on a synthetic corpus
+and **verifies bit-identity** where the engine promises it:
 
 * **sequential (warm)** — the legacy production loop: one
   ``statistical_query`` per fingerprint, warm-start threshold cache
@@ -44,6 +43,7 @@ from ..corpus.builder import build_reference_corpus
 from ..corpus.filler import scale_store
 from ..distortion.model import NormalDistortionModel
 from ..index.batch import BatchQueryExecutor
+from ..index.options import QueryOptions
 from ..index.s3 import S3Index
 from ..rng import SeedLike, resolve_rng
 from .common import format_table, host_block
@@ -58,7 +58,6 @@ class BatchQueryBenchResult:
     db_rows: int
     num_queries: int
     batch_size: int
-    workers: int
     alpha: float
     depth: int
     sigma: float
@@ -102,7 +101,7 @@ class BatchQueryBenchResult:
                  self.sequential_deterministic_seconds,
                  self.sequential_deterministic_seconds * per_q,
                  f"{self.sequential_warm_seconds / max(self.sequential_deterministic_seconds, 1e-9):.2f}x"),
-                (f"batched (B={self.batch_size}, workers={self.workers})",
+                (f"batched (B={self.batch_size})",
                  self.batched_seconds, self.batched_seconds * per_q,
                  f"{self.speedup_vs_warm:.2f}x"),
             ],
@@ -134,7 +133,6 @@ class BatchQueryBenchResult:
                 "db_rows": self.db_rows,
                 "num_queries": self.num_queries,
                 "batch_size": self.batch_size,
-                "workers": self.workers,
                 "alpha": self.alpha,
                 "depth": self.depth,
                 "sigma": self.sigma,
@@ -182,7 +180,6 @@ def run_batch_query(
     db_rows: int = 50_000,
     num_queries: int = 256,
     batch_size: int = 64,
-    workers: int = 1,
     alpha: float = 0.8,
     sigma: float = 10.0,
     seed: SeedLike = 0,
@@ -231,7 +228,7 @@ def run_batch_query(
     # same cold search the deterministic loop ran, so results must be
     # bit-identical.
     executor = BatchQueryExecutor(
-        index, alpha, batch_size=batch_size, workers=workers
+        index, options=QueryOptions(alpha=alpha, batch_size=batch_size)
     )
     t0 = time.perf_counter()
     batch_results = []
@@ -256,7 +253,6 @@ def run_batch_query(
         db_rows=len(store),
         num_queries=num_queries,
         batch_size=batch_size,
-        workers=workers,
         alpha=alpha,
         depth=index.depth,
         sigma=sigma,

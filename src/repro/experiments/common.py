@@ -14,32 +14,19 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 
-def host_block(include_calibration: bool = True) -> dict:
+def host_block() -> dict:
     """The shared ``host`` block every ``BENCH_*.json`` record embeds.
 
     Benchmark numbers are meaningless without the host that produced
     them: a 1-core container's "speedup" and a 16-core bare-metal run
-    must be distinguishable from the JSON alone.  Includes the measured
-    planner calibration (see :mod:`repro.index.planner`) so readers can
-    reconstruct *why* the executor planner chose what it chose.
+    must be distinguishable from the JSON alone.
     """
-    from ..index.parallel import shared_memory_available
-
-    block = {
+    return {
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": platform.python_version(),
-        "shared_memory": shared_memory_available(),
     }
-    if include_calibration:
-        try:
-            from ..index.planner import get_calibration
-
-            block["calibration"] = get_calibration().to_json()
-        except Exception:  # pragma: no cover - defensive
-            block["calibration"] = None
-    return block
 
 
 @dataclass

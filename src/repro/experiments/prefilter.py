@@ -4,8 +4,8 @@ Every sealed segment of a :class:`~repro.index.segmented.SegmentedS3Index`
 carries an always-resident sketch (coarse Hilbert-key occupancy bitmap +
 per-block component bounds, see :mod:`repro.index.segmented.sketch`).  A
 query's selected curve prefixes are intersected with each segment's
-bitmap *before* the segment's store, mmap or scan-pool route is touched;
-segments (or block runs) the sketch proves empty are skipped outright.
+bitmap *before* the segment's store or mmap is touched; segments (or
+block runs) the sketch proves empty are skipped outright.
 The skip is admissible — an empty prefix contributes no rows, so the
 merged results are bit-identical with the pre-filter off (the property
 verified both here and in ``tests/index/test_prefilter.py``).
@@ -266,20 +266,20 @@ def run_prefilter(
                 opts = QueryOptions(
                     alpha=alpha, batch_size=batch_size, prefilter=mode
                 )
-                with BatchQueryExecutor(index, options=opts) as executor:
-                    t0 = time.perf_counter()
-                    out = []
-                    for start in range(0, num_queries, batch_size):
-                        index.reset_threshold_cache()
-                        out.extend(executor.query_batch(
-                            queries[start:start + batch_size]
-                        ))
-                    timings[mode] = time.perf_counter() - t0
-                    stats[mode] = (
-                        executor.stats.segments_skipped,
-                        executor.stats.blocks_skipped,
-                    )
-                    results[mode] = out
+                executor = BatchQueryExecutor(index, options=opts)
+                t0 = time.perf_counter()
+                out = []
+                for start in range(0, num_queries, batch_size):
+                    index.reset_threshold_cache()
+                    out.extend(executor.query_batch(
+                        queries[start:start + batch_size]
+                    ))
+                timings[mode] = time.perf_counter() - t0
+                stats[mode] = (
+                    executor.stats.segments_skipped,
+                    executor.stats.blocks_skipped,
+                )
+                results[mode] = out
             bit_identical = all(
                 _results_equal(a, b)
                 for a, b in zip(results["off"], results["on"])

@@ -304,12 +304,11 @@ def _results_equal(a, b) -> bool:
 def _query_batch(index, queries, options):
     """One timed batched-engine pass; returns (results, stats, seconds)."""
     index.reset_threshold_cache()
-    with BatchQueryExecutor(index, options=options) as executor:
-        t0 = time.perf_counter()
-        out = executor.query_batch(queries)
-        seconds = time.perf_counter() - t0
-        stats = executor.stats
-    return out, stats, seconds
+    executor = BatchQueryExecutor(index, options=options)
+    t0 = time.perf_counter()
+    out = executor.query_batch(queries)
+    seconds = time.perf_counter() - t0
+    return out, executor.stats, seconds
 
 
 def run_storage_tiers(

@@ -58,7 +58,6 @@ from .filtering import (
 from .knn import knn_query
 from .options import (
     DURABILITY_MODES,
-    EXECUTOR_STRATEGIES,
     PREFILTER_MODES,
     QueryOptions,
     resolve_options,
@@ -127,7 +126,6 @@ __all__ = [
     "CompactionResult",
     "DURABILITY_MODES",
     "DepthProfile",
-    "EXECUTOR_STRATEGIES",
     "FingerprintStore",
     "HilbertLayout",
     "IndexProtocol",

@@ -17,9 +17,9 @@ work across a frame batch:
    exactly once, and rows are demultiplexed back to per-query
    :class:`~repro.index.s3.SearchResult`s.  O(B·overlap) I/O becomes
    O(union).
-3. **Parallel execution** — ``workers=N`` shards the coalesced gather
-   (monolithic index) or the per-segment fan-out (segmented index) across
-   a thread pool; sharding is by position, so results stay deterministic.
+
+The coalesced gather is the only scan path (``docs/batch-query.md``,
+"Why there is one scan path").
 
 Per-query results are **bit-identical** to the sequential
 ``statistical_query`` path started from the same warm-start cache state
@@ -29,11 +29,9 @@ Per-query results are **bit-identical** to the sequential
 
 from __future__ import annotations
 
-import os
 import time
-import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,56 +39,16 @@ import numpy as np
 from ..distortion.model import IndependentDistortionModel
 from ..errors import ConfigurationError
 from .filtering import statistical_blocks_batch_cached
-from .options import EXECUTOR_STRATEGIES, QueryOptions, resolve_options
-from .parallel import (
-    MONOLITHIC_STORE,
-    ParallelScanError,
-    ProcessScanPool,
-    can_process_scan,
-    segment_store_name,
-)
-from .planner import (
-    Calibration,
-    ExecutorPlan,
-    PlannerStats,
-    choose_executor,
-    get_calibration,
-    set_calibration,
-)
+from .options import QueryOptions, resolve_options
 from .s3 import QueryStats, S3Index, SearchResult
 from .store import FingerprintStore
 from .table import HilbertLayout
 
 RowRange = tuple[int, int]
 
-#: Minimum gathered rows before the column gather is sharded across the
-#: thread pool.  Below this, thread startup and result concatenation
-#: cost more than the fancy-index gather they parallelise (measured on
-#: the 20-byte fingerprints of the paper's workload); above it, shards
-#: amortise.  Callers can override per executor via
-#: :class:`BatchQueryExecutor`'s ``parallel_gather_min_rows`` (the
-#: serving layer's batcher exposes it as a config knob).
-PARALLEL_GATHER_MIN_ROWS = 4096
-
-#: Index size below which ``executor="auto"`` stays on threads: a
-#: process pool's startup and per-call arena round-trips only pay for
-#: themselves once the scan volume escapes the GIL-bound regime.
-PROCESS_EXECUTOR_MIN_ROWS = 100_000
-
-#: Hosts with this many cores or fewer never auto-select processes:
-#: BENCH_parallel_scan shows the pool 0.67-0.86x *slower* than threads
-#: when workers contend for one or two cores, on top of its startup
-#: cost.  An explicit ``executor="processes"`` still overrides.  Unlike
-#: the row threshold this survives as a hard guard under the measured
-#: planner too — contended cores are a structural loss, not a cost
-#: trade-off.
-PROCESS_EXECUTOR_MIN_CPUS = 3
-
-#: Cold-start estimate of the fraction of the index one batch's
-#: coalesced union scans, used by the planner before the first batch
-#: has produced real per-batch row counts (the statistical query is
-#: sub-linear; a few percent is typical at laptop scale).
-COLD_SCAN_FRACTION = 0.02
+#: Gather-cache key of a monolithic index's single store (a segment's
+#: key is its manifest name).
+MONOLITHIC_STORE = "store"
 
 
 @dataclass
@@ -193,42 +151,6 @@ def coalesce_ranges(
     ]
 
 
-def _gather_columns(
-    store: FingerprintStore,
-    rows: np.ndarray,
-    workers: int,
-    min_rows: Optional[int] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gather ``(ids, timecodes, fingerprints)`` at *rows*, optionally sharded.
-
-    Shards are contiguous position chunks and are concatenated back in
-    order, so the output is identical for any worker count.  *min_rows*
-    overrides :data:`PARALLEL_GATHER_MIN_ROWS`, the cutoff below which
-    sharding is skipped.
-    """
-    if min_rows is None:
-        min_rows = PARALLEL_GATHER_MIN_ROWS
-    if workers > 1 and rows.size >= min_rows:
-        chunks = np.array_split(rows, workers)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda c: (
-                        store.ids[c],
-                        store.timecodes[c],
-                        store.fingerprints[c],
-                    ),
-                    chunks,
-                )
-            )
-        return (
-            np.concatenate([p[0] for p in parts]),
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
-        )
-    return store.ids[rows], store.timecodes[rows], store.fingerprints[rows]
-
-
 def _demux_union(
     layout: HilbertLayout,
     per_query_ranges: Sequence[list[RowRange]],
@@ -240,8 +162,7 @@ def _demux_union(
     """Split union columns back into per-query ``(rows, ids, tcs, fps)``.
 
     Fancy indexing copies, so the returned arrays never alias the union
-    buffers — required when those buffers live in a shared-memory arena
-    that is released right after the demux.
+    buffers (which the gather cache may hand to later batches).
     """
     if union:
         u_starts = np.array([s for s, _ in union], dtype=np.int64)
@@ -267,9 +188,6 @@ def _scan_coalesced(
     layout: HilbertLayout,
     store: FingerprintStore,
     per_query_ranges: Sequence[list[RowRange]],
-    workers: int = 1,
-    min_rows: Optional[int] = None,
-    pool: Optional[ProcessScanPool] = None,
     store_name: str = MONOLITHIC_STORE,
     gather_cache=None,
 ) -> tuple[list[tuple], int, int]:
@@ -280,11 +198,6 @@ def _scan_coalesced(
     exactly the columns the sequential ``_scan_blocks`` would have
     gathered for that query alone, in the same (curve) order.
 
-    With *pool*, the union gather runs sharded across the scan worker
-    processes into a shared-memory arena (no fingerprint bytes cross a
-    pipe); the demux copies out of the arena, so results are plain
-    arrays either way, byte-for-byte identical.
-
     With *gather_cache* (a :class:`~repro.serve.cache.GatherCache`),
     recurring ``(store, union)`` gathers are answered from cached
     column copies.  Fancy indexing copies, so cached columns are
@@ -293,35 +206,24 @@ def _scan_coalesced(
     """
     union = coalesce_ranges(per_query_ranges)
     total = sum(e - s for s, e in union)
-    threshold = PARALLEL_GATHER_MIN_ROWS if min_rows is None else min_rows
     cached = (
         gather_cache.get(store_name, union)
         if gather_cache is not None else None
     )
     if cached is not None:
         u_ids, u_tcs, u_fps = cached
-        per_query = _demux_union(
-            layout, per_query_ranges, union, u_ids, u_tcs, u_fps
-        )
-    elif pool is not None and total >= max(threshold, 1):
-        with pool.scan_union(store_name, union) as arena:
-            u_ids, u_tcs, u_fps = arena.columns(0)
-            per_query = _demux_union(
-                layout, per_query_ranges, union, u_ids, u_tcs, u_fps
-            )
-            del u_ids, u_tcs, u_fps
     else:
         u_rows = layout.gather_rows(union)
-        u_ids, u_tcs, u_fps = _gather_columns(
-            store, u_rows, workers, min_rows
-        )
+        u_ids = store.ids[u_rows]
+        u_tcs = store.timecodes[u_rows]
+        u_fps = store.fingerprints[u_rows]
         if gather_cache is not None:
             gather_cache.put(
                 store_name, union, (u_ids, u_tcs, u_fps), total
             )
-        per_query = _demux_union(
-            layout, per_query_ranges, union, u_ids, u_tcs, u_fps
-        )
+    per_query = _demux_union(
+        layout, per_query_ranges, union, u_ids, u_tcs, u_fps
+    )
     return per_query, len(union), total
 
 
@@ -345,9 +247,6 @@ def query_batch_monolithic(
     alpha: float,
     model: Optional[IndependentDistortionModel] = None,
     depth: Optional[int] = None,
-    workers: int = 1,
-    parallel_gather_min_rows: Optional[int] = None,
-    pool: Optional[ProcessScanPool] = None,
     gather_cache=None,
 ) -> tuple[list[SearchResult], BatchQueryStats]:
     """Answer a batch of statistical queries against a monolithic index.
@@ -355,8 +254,6 @@ def query_batch_monolithic(
     Per-query results are bit-identical to ``index.statistical_query``
     called per query from the same warm-start cache state.  Per-query
     timing fields carry an equal share of the batch's filter/scan time.
-    With *pool*, the coalesced gather runs on the process pool instead
-    of threads (same results, see :mod:`repro.index.parallel`).
     """
     queries = _check_batch(queries, index.ndims)
     resolved = index._resolve_model(model)
@@ -375,8 +272,7 @@ def query_batch_monolithic(
     t1 = time.perf_counter()
     per_ranges = [index.row_ranges(sel) for sel in selections]
     scans, union_sections, unique_rows = _scan_coalesced(
-        index.layout, index.store, per_ranges, workers,
-        parallel_gather_min_rows, pool=pool, gather_cache=gather_cache,
+        index.layout, index.store, per_ranges, gather_cache=gather_cache,
     )
     t2 = time.perf_counter()
 
@@ -415,9 +311,6 @@ def query_batch_segmented(
     alpha: float,
     model: Optional[IndependentDistortionModel] = None,
     depth: Optional[int] = None,
-    workers: int = 1,
-    parallel_gather_min_rows: Optional[int] = None,
-    pool: Optional[ProcessScanPool] = None,
     prefilter: bool = True,
     gather_cache=None,
     prefetch: bool = True,
@@ -425,34 +318,28 @@ def query_batch_segmented(
     """Answer a batch of statistical queries against a segmented index.
 
     The block selections are computed once per batch and fanned out:
-    each sealed segment is scanned with one coalesced pass (segments run
-    in parallel when ``workers > 1``), the memtable by block membership
-    per query.  Merge order matches the sequential ``_fan_out`` —
-    segments in manifest order, then the memtable — so per-query results
-    are bit-identical to ``index.statistical_query`` from the same
-    warm-start cache state.
+    each sealed segment is scanned with one coalesced pass, the memtable
+    by block membership per query.  Merge order matches the sequential
+    ``_fan_out`` — segments in manifest order, then the memtable — so
+    per-query results are bit-identical to ``index.statistical_query``
+    from the same warm-start cache state.
 
     With *prefilter* (the default), each segment's sketch drops the
     selected blocks the segment provably holds no rows of **per query**,
     before the per-query ranges enter :func:`coalesce_ranges` — so the
-    unions shrink, the pool/thread shards shrink with them, and a
-    (query, segment) pair whose whole selection is pruned never reaches
-    the gather at all.  The prune is admissible: dropped blocks hold no
-    rows, so the surviving ranges — and the results — are identical.
+    unions shrink, and a (query, segment) pair whose whole selection is
+    pruned never reaches the gather at all.  The prune is admissible:
+    dropped blocks hold no rows, so the surviving ranges — and the
+    results — are identical.
 
-    With *pool*, every sealed segment's union gather is submitted in a
-    single :meth:`~repro.index.parallel.ProcessScanPool.scan_stores`
-    call with per-worker segment affinity; the memtable (small, mutable)
-    is always scanned in-process.
-
-    **Cold segments** (tiered storage) never enter the pool or thread
-    shards: block selection runs on their resident ``.keys`` sidecar,
-    and exactly the coalesced union's byte ranges are fetched from the
-    blob backend.  With *prefetch* (the default, when the index has a
-    tier manager), those fetches are submitted **before** the resident
-    scans start and collected after — backend latency overlaps local
-    gathering.  Either way the fetched columns are the same bytes a
-    resident gather would have produced, so results stay bit-identical.
+    For **cold segments** (tiered storage) block selection runs on their
+    resident ``.keys`` sidecar, and exactly the coalesced union's byte
+    ranges are fetched from the blob backend.  With *prefetch* (the
+    default, when the index has a tier manager), those fetches are
+    submitted **before** the resident scans start and collected after —
+    backend latency overlaps local gathering.  Either way the fetched
+    columns are the same bytes a resident gather would have produced,
+    so results stay bit-identical.
     """
     from .segmented.lsm import SegmentedQueryStats
 
@@ -506,9 +393,6 @@ def query_batch_segmented(
     # their coalesced unions — are known before a single row is read.
     seg_pruned = [seg_query_ranges(seg) for seg in segments]
     seg_unions = [coalesce_ranges(p[0]) for p in seg_pruned]
-    resident = [
-        (i, seg) for i, seg in enumerate(segments) if seg.index is not None
-    ]
 
     # Cold fetches start *now*, before the resident scans, so backend
     # latency overlaps the local gathers below.
@@ -520,47 +404,13 @@ def query_batch_segmented(
             if seg.index is None and seg_unions[i]:
                 cold_handles[i] = storage.prefetch(seg, seg_unions[i])
 
-    def scan_resident(item):
-        i, seg = item
-        per_ranges = seg_pruned[i][0]
-        scans, sections, unique = _scan_coalesced(
-            seg.index.layout, seg.index.store, per_ranges, workers=1,
-            min_rows=parallel_gather_min_rows,
-            store_name=segment_store_name(seg.meta.name),
-            gather_cache=gather_cache,
-        )
-        return i, (scans, sections, unique)
-
     seg_scans: list = [None] * len(segments)
-    if pool is not None and resident:
-        # One pool call covers every resident segment: each segment's
-        # coalesced union is one work item, routed to the worker that
-        # owns that segment's store attachment.  Pruned unions are
-        # smaller work items; a fully pruned segment's union is empty
-        # and produces no worker task at all (see scan_stores).
-        with pool.scan_stores([
-            (segment_store_name(seg.meta.name), seg_unions[i])
-            for i, seg in resident
-        ]) as arena:
-            for k, (i, seg) in enumerate(resident):
-                u_ids, u_tcs, u_fps = arena.columns(k)
-                scans = _demux_union(
-                    seg.index.layout, seg_pruned[i][0], seg_unions[i],
-                    u_ids, u_tcs, u_fps,
-                )
-                del u_ids, u_tcs, u_fps
-                seg_scans[i] = (
-                    scans, len(seg_unions[i]),
-                    sum(e - s for s, e in seg_unions[i]),
-                )
-    elif workers > 1 and len(resident) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as thread_pool:
-            for i, scanned in thread_pool.map(scan_resident, resident):
-                seg_scans[i] = scanned
-    else:
-        for item in resident:
-            i, scanned = scan_resident(item)
-            seg_scans[i] = scanned
+    for i, seg in enumerate(segments):
+        if seg.index is not None:
+            seg_scans[i] = _scan_coalesced(
+                seg.index.layout, seg.index.store, seg_pruned[i][0],
+                store_name=seg.meta.name, gather_cache=gather_cache,
+            )
 
     # Collect the cold fetches (or fetch synchronously when the
     # prefetcher is off) and demux them exactly like a resident union.
@@ -705,42 +555,11 @@ class BatchQueryExecutor:
     :class:`~repro.index.segmented.lsm.SegmentedS3Index` are supported;
     the right engine is picked by duck-typing on the fan-out internals.
 
-    Parameters
-    ----------
-    batch_size:
-        Queries per engine call.  Larger batches amortise descent
-        overhead and coalesce more aggressively but delay the warm-start
-        cache update (it happens once per batch).
-    workers:
-        Shard count for the coalesced gather (monolithic) or the
-        per-segment fan-out (segmented) — threads or processes depending
-        on *executor*.  Results are identical for any value; 1 disables
-        threading (but an explicit ``executor="processes"`` still runs
-        a one-worker pool).
-    parallel_gather_min_rows:
-        Override of :data:`PARALLEL_GATHER_MIN_ROWS`, the row count
-        below which the gather is never sharded.  ``None`` keeps the
-        module default.
-    executor:
-        ``"threads"`` keeps the GIL-bound thread sharding.
-        ``"processes"`` runs gathers on a
-        :class:`~repro.index.parallel.ProcessScanPool` (zero-copy
-        attach, no fingerprint bytes on pipes).  ``"auto"`` (default)
-        asks the measured cost-model planner
-        (:mod:`repro.index.planner`) to pick
-        ``serial``/``threads``/``processes`` per batch from calibrated
-        per-host costs — subject to the hard guards (never processes
-        below :data:`PROCESS_EXECUTOR_MIN_CPUS` cores, below two
-        workers, or without zero-copy backing), with the legacy
-        fixed-threshold rule as the ``planner="fixed"`` opt-out and
-        missing-calibration fallback — and falls back to threads
-        cleanly whenever the pool cannot be built or dies mid-flight.
-
-    The tuning parameters above are the **deprecated spelling**: pass a
-    :class:`~repro.index.options.QueryOptions` via ``options=`` instead
-    (it also carries the ``prefilter`` mode of the segment-sketch
-    tier).  The old keywords keep working behind a
-    ``DeprecationWarning``; mixing them with ``options=`` raises.
+    *options* carries the tuning (:class:`~repro.index.options.QueryOptions`):
+    ``batch_size`` is the queries per engine call — larger batches
+    amortise descent overhead and coalesce more aggressively but delay
+    the warm-start cache update (it happens once per batch).  *alpha*
+    and *depth*, when given, override the options' values.
     """
 
     def __init__(
@@ -749,322 +568,64 @@ class BatchQueryExecutor:
         alpha: Optional[float] = None,
         model: Optional[IndependentDistortionModel] = None,
         depth: Optional[int] = None,
-        batch_size: Optional[int] = None,
-        workers: Optional[int] = None,
-        parallel_gather_min_rows: Optional[int] = None,
-        executor: Optional[str] = None,
         options: Optional[QueryOptions] = None,
     ):
         if options is None and alpha is None:
             raise ConfigurationError(
                 "BatchQueryExecutor: pass alpha= or options="
             )
-        opts = resolve_options(
-            "BatchQueryExecutor", options,
-            alpha=alpha, depth=depth,
-            batch_size=batch_size, workers=workers,
-            executor=executor,
-            parallel_gather_min_rows=parallel_gather_min_rows,
-        )
-        cpus = os.cpu_count()
-        if cpus is not None and opts.workers > cpus:
-            warnings.warn(
-                f"workers={opts.workers} exceeds os.cpu_count()={cpus}; "
-                "scan shards will contend for cores instead of using "
-                "more of them",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        opts = resolve_options(options, alpha=alpha, depth=depth)
         self.index = index
         self.options = opts
         self.alpha = opts.alpha
         self.model = model
         self.depth = opts.depth
         self.batch_size = opts.batch_size
-        self.workers = opts.workers
-        self.parallel_gather_min_rows = opts.parallel_gather_min_rows
-        self.executor = opts.executor
-        self.prefilter = opts.prefilter
-        self.planner_mode = opts.planner
         self.stats = BatchQueryStats()
-        self.planner_stats = PlannerStats()
         #: Optional :class:`~repro.serve.cache.GatherCache` the serving
         #: layer plugs in; ``None`` keeps every gather cold.
         self.gather_cache = None
         self._segmented = hasattr(index, "_fan_out")
-        self._engine = (
-            query_batch_segmented if self._segmented
-            else query_batch_monolithic
-        )
-        self._calibration: Optional[Calibration] = None
-        self._pool: Optional[ProcessScanPool] = None
-        self._pool_key: Optional[tuple] = None
-        self._pool_failed = False
 
-    # ------------------------------------------------------------------
-    # process-pool lifecycle
-    # ------------------------------------------------------------------
-    def _pool_stores(self) -> dict[str, FingerprintStore]:
-        """Current ``name -> store`` mapping the pool must cover.
-
-        Cold segments are excluded — their bytes live in the blob
-        backend, not in anything a worker process could attach.  A tier
-        transition changes the resident name set, so the pool key
-        changes and :meth:`_ensure_pool` rebuilds naturally.
-        """
-        if self._segmented:
-            return {
-                segment_store_name(seg.meta.name): seg.index.store
-                for seg in self.index._segments
-                if seg.index is not None
-            }
-        return {MONOLITHIC_STORE: self.index.store}
-
-    def planner_calibration(self) -> Optional[Calibration]:
-        """This executor's cost calibration (``None`` in fixed mode)."""
-        if self.planner_mode == "fixed":
-            return None
-        if self._calibration is None:
-            self._calibration = get_calibration()
-        return self._calibration
-
-    def _rows_estimate(self) -> int:
-        """Expected coalesced rows of the next batch.
-
-        Rolling average of past batches once any have run; before that,
-        a :data:`COLD_SCAN_FRACTION` share of the index (the planner's
-        ``observe`` loop corrects any cold-start error within a few
-        batches).
-        """
-        if self.stats.batches:
-            return max(1, round(self.stats.unique_rows / self.stats.batches))
-        return max(1, int(len(self.index) * COLD_SCAN_FRACTION))
-
-    def _cold_bytes_estimate(self) -> int:
-        """Expected blob-backend bytes of the next batch (0 untiered).
-
-        Rolling average like :meth:`_rows_estimate`; before the first
-        batch, the cold fraction of the index scaled by
-        :data:`COLD_SCAN_FRACTION` — the same cold-start heuristic.
-        """
-        storage = getattr(self.index, "storage", None)
-        if storage is None:
-            return 0
-        if self.stats.batches:
-            return max(0, round(self.stats.cold_bytes / self.stats.batches))
-        per_row = self.index.ndims + 4 + 8
-        cold_rows = sum(
-            seg.meta.count for seg in self.index._segments
-            if seg.index is None
-        )
-        return int(cold_rows * per_row * COLD_SCAN_FRACTION)
-
-    def plan_batch(self, record: bool = False) -> ExecutorPlan:
-        """Plan the next batch's strategy (``serial|threads|processes``).
-
-        An explicit ``executor=`` setting bypasses the planner, exactly
-        as before; ``"auto"`` asks :func:`~repro.index.planner.choose_executor`
-        under the configured planner mode.  With *record*, the decision
-        is counted into :attr:`planner_stats` (one call per batch).
-        """
-        rows = self._rows_estimate()
-        if self.executor == "threads" or self._pool_failed:
-            plan = ExecutorPlan(
-                "threads", rows, source="explicit",
-                reason=(
-                    "pool failed earlier" if self._pool_failed
-                    else "executor=threads"
-                ),
-            )
-        elif self.executor == "processes":
-            plan = ExecutorPlan(
-                "processes", rows, source="explicit",
-                reason="executor=processes",
-            )
-        else:
-            workers = self.workers
-            can = (
-                workers >= 2
-                and can_process_scan(list(self._pool_stores().values()))
-            )
-            plan = choose_executor(
-                rows, self.batch_size, os.cpu_count() or 1,
-                workers=workers,
-                index_rows=len(self.index),
-                can_processes=can,
-                calibration=self.planner_calibration(),
-                mode=self.planner_mode,
-                min_rows=PROCESS_EXECUTOR_MIN_ROWS,
-                min_cpus=PROCESS_EXECUTOR_MIN_CPUS,
-                cold_bytes=self._cold_bytes_estimate(),
-            )
-        if record:
-            self.planner_stats.record(plan)
-        return plan
-
-    def resolve_executor(self) -> str:
-        """The strategy the next batch will use (``threads``/``processes``).
-
-        The planner's ``"serial"`` maps to ``"threads"`` here — both run
-        in-process without the pool; serial just skips thread sharding.
-        """
-        plan = self.plan_batch()
-        return "processes" if plan.strategy == "processes" else "threads"
-
-    def planner_snapshot(self) -> dict:
-        """Planner block of the serve ``stats`` op / ``info --json``."""
-        cal = self._calibration
-        return {
-            "mode": self.planner_mode,
-            "executor": self.executor,
-            "rows_estimate": self._rows_estimate(),
-            "calibration": cal.to_json() if cal is not None else None,
-            **self.planner_stats.snapshot(),
-        }
-
-    def _ensure_pool(self) -> Optional[ProcessScanPool]:
-        """Build (or rebuild, after segment turnover) the scan pool.
-
-        Returns ``None`` — and remembers the failure — when the pool
-        cannot be built, so callers silently keep the thread path.
-        """
-        stores = self._pool_stores()
-        if not stores:
-            return None
-        key = tuple(sorted(stores))
-        if self._pool is not None and self._pool_key == key:
-            return self._pool
-        self._teardown_pool()
-        try:
-            self._pool = ProcessScanPool(stores, self.workers)
-            self._pool_key = key
-        except Exception as exc:
-            self._pool_failed = True
-            if self.executor == "processes":
-                raise
-            warnings.warn(
-                f"process scan pool unavailable ({exc}); "
-                "falling back to threads",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-        return self._pool
-
-    def _teardown_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self._pool_key = None
-
-    def warm(self) -> str:
-        """Pre-build the scan pool (serve startup); returns the strategy."""
-        strategy = self.resolve_executor()
-        if strategy == "processes":
-            pool = self._ensure_pool()
-            if pool is None:
-                return "threads"
-            pool.ping()
-        return strategy
-
-    def pool_stats(self) -> Optional[dict]:
-        """Snapshot of the live pool's transport counters, if any."""
-        if self._pool is None:
-            return None
-        return self._pool.stats.snapshot()
-
+    # Perf-compat: the frozen perf/workloads/{stat_scan,tiered_scan}.py
+    # call these five names and pass QueryOptions(executor="auto") — the
+    # one value options.py accepts; nothing else does.  All six are
+    # deleted at the next benchmark revision.
+    def warm(self) -> None:
+        pass
+    def plan_batch(self) -> str:
+        return "serial"
+    def pool_stats(self) -> None:
+        return None
     def close(self) -> None:
-        """Release the process pool (no-op on the thread path)."""
-        self._teardown_pool()
-
+        pass
     def __enter__(self) -> "BatchQueryExecutor":
         return self
-
     def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC safety net
-        try:
-            self._teardown_pool()
-        except Exception:
-            pass
+        pass
+    @property
+    def planner_stats(self) -> SimpleNamespace:
+        return SimpleNamespace(decisions={"serial": self.stats.batches})
 
     # ------------------------------------------------------------------
     def query_batch(self, queries: np.ndarray) -> list[SearchResult]:
         """Run one engine call over *queries* (no chunking)."""
-        plan = self.plan_batch(record=True)
-        pool = None
-        if plan.strategy == "processes":
-            pool = self._ensure_pool()
-            if pool is None:
-                plan = replace(
-                    plan, strategy="threads",
-                    reason=plan.reason + "; pool unavailable",
-                )
-        executed = plan.strategy
-        kwargs = dict(
-            model=self.model, depth=self.depth,
-            workers=1 if plan.strategy == "serial" else self.workers,
-            parallel_gather_min_rows=self.parallel_gather_min_rows,
-        )
         if self._segmented:
-            kwargs["prefilter"] = self.options.prefilter_enabled
-            kwargs["prefetch"] = self.options.prefetch_enabled
-        if self.gather_cache is not None:
-            kwargs["gather_cache"] = self.gather_cache
-        try:
-            results, batch = self._engine(
-                self.index, queries, self.alpha, pool=pool, **kwargs
+            results, batch = query_batch_segmented(
+                self.index, queries, self.alpha,
+                model=self.model, depth=self.depth,
+                prefilter=self.options.prefilter_enabled,
+                prefetch=self.options.prefetch_enabled,
+                gather_cache=self.gather_cache,
             )
-        except ParallelScanError as exc:
-            # The pool could not finish the batch (workers kept dying,
-            # shared memory vanished, ...).  The batch is retried on the
-            # thread path — the caller sees a result, never the error.
-            warnings.warn(
-                f"process scan pool failed ({exc}); "
-                "retrying batch on threads",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self._teardown_pool()
-            self._pool_failed = True
-            executed = "threads"
-            results, batch = self._engine(
-                self.index, queries, self.alpha, pool=None, **kwargs
+        else:
+            results, batch = query_batch_monolithic(
+                self.index, queries, self.alpha,
+                model=self.model, depth=self.depth,
+                gather_cache=self.gather_cache,
             )
         self.stats.merge(batch)
-        self._observe_batch(plan, executed, batch, pool)
         return results
-
-    def _observe_batch(
-        self,
-        plan: ExecutorPlan,
-        executed: str,
-        batch: BatchQueryStats,
-        pool: Optional[ProcessScanPool],
-    ) -> None:
-        """Fold one finished batch into the planner's rolling state."""
-        self.planner_stats.observe(plan, batch.scan_seconds)
-        if executed == "processes" and pool is not None:
-            pool.stats.planner_predicted_ns += plan.predicted_chosen_ns
-            pool.stats.planner_actual_ns += batch.scan_seconds * 1e9
-        cal = self._calibration
-        # Cached gathers don't pay the per-row cost the calibration
-        # models, so their timings must not be folded back in.
-        if cal is not None and self.gather_cache is None:
-            updated = cal.observe(
-                executed, batch.unique_rows, batch.scan_seconds
-            )
-            # Real cold-fetch traffic corrects the planner's per-byte
-            # backend cost the same EMA way.
-            refined = updated.observe_cold(
-                batch.cold_bytes, batch.cold_fetch_seconds
-            )
-            if refined is not cal:
-                self._calibration = refined
-                # Rolling refresh: later executors in this process plan
-                # from the traffic-corrected constants.
-                set_calibration(refined)
 
     def query_all(self, queries: np.ndarray) -> list[SearchResult]:
         """Run *queries* through the engine in ``batch_size`` chunks."""

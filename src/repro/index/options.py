@@ -1,36 +1,24 @@
 """The unified query-options surface of every index front-end.
 
-Query tuning used to drift across entry points: ``alpha``,
-``batch_size``, ``workers``, ``executor`` and the gather threshold were
-passed as ad-hoc keywords with different spellings to
+:class:`QueryOptions` is the one dataclass
 :class:`~repro.index.batch.BatchQueryExecutor`,
 :class:`~repro.cbcd.detector.CopyDetector`,
 :class:`~repro.cbcd.monitor.StreamMonitor`, the CLI and
-:class:`~repro.serve.server.ServeConfig`.  :class:`QueryOptions` is the
-one dataclass they all accept now (``options=``), carrying the query
-expectation, the batching/sharding knobs and the pre-filter mode of the
-segment-sketch tier (:mod:`repro.index.segmented.sketch`).
+:class:`~repro.serve.server.ServeConfig` all accept (``options=``),
+carrying the query expectation, the batch size and the pre-filter /
+prefetch modes of the segmented index's tiers
+(:mod:`repro.index.segmented.sketch`, :mod:`repro.storage`).
 
 ``alpha`` and ``depth`` remain first-class method parameters too — they
-are query *semantics* from the paper, not engine tuning — but every
-tuning keyword outside ``options=`` is deprecated: the old spellings
-keep working through :func:`warn_deprecated_kwargs` shims that emit
-``DeprecationWarning`` (CI lints internal use; see ``docs/prefilter.md``
-for the migration note).
+are query *semantics* from the paper, not engine tuning.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..errors import ConfigurationError
-from .planner import PLANNER_MODES
-
-#: Executor strategies accepted by the batched engine (canonical home;
-#: re-exported by :mod:`repro.index.batch` for compatibility).
-EXECUTOR_STRATEGIES = ("auto", "threads", "processes")
 
 #: Pre-filter modes of the segment-sketch tier.  ``"auto"`` consults a
 #: segment's sketch whenever one is loaded (always, for segmented
@@ -85,36 +73,22 @@ class QueryOptions:
         Partition depth override; ``None`` keeps the index default.
     batch_size:
         Queries per batched-engine call.
-    workers:
-        Shard count for the coalesced gather / segment fan-out.
     executor:
-        ``"auto"`` | ``"threads"`` | ``"processes"`` — see
-        :class:`~repro.index.batch.BatchQueryExecutor`.
-    parallel_gather_min_rows:
-        Override of the row count below which gathers are never sharded
-        (``None`` keeps the module default).
+        Only ``"auto"`` — see the perf-compat note in
+        :mod:`repro.index.batch`.
     prefilter:
         Segment-sketch pre-filter mode (:data:`PREFILTER_MODES`).
     prefetch:
         Cold-segment prefetch mode (:data:`PREFETCH_MODES`); only
         meaningful on a tiered segmented index.
-    planner:
-        How ``executor="auto"`` decides
-        (:data:`~repro.index.planner.PLANNER_MODES`): ``"auto"`` uses
-        the measured cost model with a fixed-rule fallback,
-        ``"measured"`` insists on the cost model, ``"fixed"`` keeps the
-        legacy row-threshold rule.  Ignored when *executor* is explicit.
     """
 
     alpha: float = 0.8
     depth: Optional[int] = None
     batch_size: int = 32
-    workers: int = 1
     executor: str = "auto"
-    parallel_gather_min_rows: Optional[int] = None
     prefilter: str = "auto"
     prefetch: str = "auto"
-    planner: str = "auto"
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha <= 1.0:
@@ -129,20 +103,9 @@ class QueryOptions:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
-        if self.workers < 1:
+        if self.executor != "auto":
             raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
-        if self.executor not in EXECUTOR_STRATEGIES:
-            raise ConfigurationError(
-                f"executor must be one of {EXECUTOR_STRATEGIES!r}, "
-                f"got {self.executor!r}"
-            )
-        if self.parallel_gather_min_rows is not None \
-                and self.parallel_gather_min_rows < 0:
-            raise ConfigurationError(
-                "parallel_gather_min_rows must be >= 0, got "
-                f"{self.parallel_gather_min_rows}"
+                f"executor must be 'auto', got {self.executor!r}"
             )
         if self.prefilter not in PREFILTER_MODES:
             raise ConfigurationError(
@@ -153,11 +116,6 @@ class QueryOptions:
             raise ConfigurationError(
                 f"prefetch must be one of {PREFETCH_MODES!r}, "
                 f"got {self.prefetch!r}"
-            )
-        if self.planner not in PLANNER_MODES:
-            raise ConfigurationError(
-                f"planner must be one of {PLANNER_MODES!r}, "
-                f"got {self.planner!r}"
             )
 
     # ------------------------------------------------------------------
@@ -176,56 +134,22 @@ class QueryOptions:
         return replace(self, **changes)
 
 
-def warn_deprecated_kwargs(api: str, names: Iterable[str]) -> None:
-    """Emit the one ``DeprecationWarning`` of the legacy-kwargs shims.
-
-    ``stacklevel=3`` points at the caller of the shimmed API, not the
-    shim itself.
-    """
-    listed = ", ".join(sorted(set(names)))
-    warnings.warn(
-        f"{api}: passing {listed} as ad-hoc keyword(s) is deprecated; "
-        "pass a repro.index.QueryOptions via options= instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 def resolve_options(
-    api: str,
     options: Optional[QueryOptions],
     *,
     alpha: Optional[float] = None,
     depth: Optional[int] = None,
-    **legacy,
 ) -> QueryOptions:
-    """Fold one call's ``options=`` and legacy keywords into QueryOptions.
+    """Fold one call's ``options=`` and ``alpha``/``depth`` together.
 
-    *legacy* holds the deprecated tuning keywords (``batch_size``,
-    ``workers``, ``executor``, ``parallel_gather_min_rows``) with
-    ``None`` meaning "not passed".  Passing any of them without
-    ``options=`` works but warns; passing them *alongside* ``options=``
-    is ambiguous and raises.  ``alpha``/``depth`` stay first-class: with
-    ``options=`` they act as per-call overrides, without it they seed
-    the constructed options.
+    ``alpha``/``depth`` stay first-class: with ``options=`` they act as
+    per-call overrides, without it they seed the constructed options.
     """
-    passed = {k: v for k, v in legacy.items() if v is not None}
-    if options is not None:
-        if passed:
-            raise ConfigurationError(
-                f"{api}: pass either options= or the legacy keyword(s) "
-                f"{sorted(passed)}, not both"
-            )
-        changes = {}
-        if alpha is not None:
-            changes["alpha"] = alpha
-        if depth is not None:
-            changes["depth"] = depth
-        return options.replace(**changes) if changes else options
-    if passed:
-        warn_deprecated_kwargs(api, passed)
+    changes = {}
     if alpha is not None:
-        passed["alpha"] = alpha
+        changes["alpha"] = alpha
     if depth is not None:
-        passed["depth"] = depth
-    return QueryOptions(**passed)
+        changes["depth"] = depth
+    if options is None:
+        return QueryOptions(**changes)
+    return options.replace(**changes) if changes else options

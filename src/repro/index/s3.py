@@ -138,8 +138,8 @@ class S3Index:
                 layout.permutation, np.arange(len(store), dtype=np.int64)
             ):
                 # Already curve-ordered (stores written by save() / sealed
-                # segments): keep the caller's store object, preserving any
-                # zero-copy backing (mmap/shm) for process-parallel scans.
+                # segments): keep the caller's store object, so an mmap-ed
+                # store stays on disk instead of being copied into RAM.
                 self.store = store
             else:
                 self.store = store.take(layout.permutation)
@@ -270,7 +270,6 @@ class S3Index:
         alpha: float,
         model: Optional[IndependentDistortionModel] = None,
         depth: Optional[int] = None,
-        workers: int = 1,
         options: Optional["QueryOptions"] = None,
     ) -> list[SearchResult]:
         """Answer a batch of statistical queries in one engine pass.
@@ -287,7 +286,7 @@ class S3Index:
         if options is not None:
             depth = depth if depth is not None else options.depth
         results, _ = query_batch_monolithic(
-            self, queries, alpha, model=model, depth=depth, workers=workers
+            self, queries, alpha, model=model, depth=depth
         )
         return results
 
@@ -444,8 +443,7 @@ class S3Index:
 
         With ``mmap=True`` the store columns are memory-mapped read-only;
         since :meth:`save` writes in curve order, the index keeps the
-        mapped store as-is (zero-copy) — the file-backed half of the
-        process-parallel scan path (see :mod:`repro.index.parallel`).
+        mapped store as-is (zero-copy).
         """
         prefix = Path(prefix)
         meta = json.loads(prefix.with_suffix(".meta.json").read_text())

@@ -401,8 +401,7 @@ class SegmentedS3Index:
         from the manifest, mirroring :meth:`repro.index.s3.S3Index.load`.
         With ``mmap=True`` sealed segment stores are memory-mapped
         instead of read into RAM — segment files are curve-ordered on
-        disk, so the mapping survives index construction and gives scan
-        worker processes zero-copy file-backed attachment.
+        disk, so the mapping survives index construction.
 
         WALs a background freeze parked (``manifest.frozen_wals``) are
         replayed *before* the active WAL, oldest first — a crash at any
@@ -1178,7 +1177,6 @@ class SegmentedS3Index:
         alpha: float,
         model: Optional[IndependentDistortionModel] = None,
         depth: Optional[int] = None,
-        workers: int = 1,
         options: Optional[QueryOptions] = None,
     ) -> list[SearchResult]:
         """Answer a batch of statistical queries in one fan-out pass.
@@ -1186,15 +1184,14 @@ class SegmentedS3Index:
         Block selections are computed once for the whole batch (one shared
         descent, one warm-start cache read/write), then each sealed
         segment is scanned with a single coalesced pass over the union of
-        the batch's curve sections — segments in parallel when
-        ``workers > 1`` — and the memtable by block membership.  Each
-        result is bit-identical to :meth:`statistical_query` on that
+        the batch's curve sections, and the memtable by block membership.
+        Each result is bit-identical to :meth:`statistical_query` on that
         query from the same warm-start cache state.
         """
         from ..batch import query_batch_segmented
 
         results, _ = query_batch_segmented(
-            self, queries, alpha, model=model, depth=depth, workers=workers,
+            self, queries, alpha, model=model, depth=depth,
             prefilter=self._prefilter_on(options),
         )
         return results

@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -31,29 +31,6 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIQII")
 
 PathLike = Union[str, Path]
-
-
-@dataclass(frozen=True)
-class StoreHandle:
-    """A zero-copy reference to a store another process can attach.
-
-    ``kind`` is ``"file"`` (the single-file ``save()`` layout, attached
-    with :func:`numpy.memmap`) or ``"shm"`` (the same byte layout inside
-    a POSIX shared-memory block, attached with
-    :mod:`multiprocessing.shared_memory`).  ``ref`` is the file path or
-    the shared-memory name.  Handles are plain picklable metadata — a few
-    dozen bytes — so shipping one to a worker never serialises
-    fingerprint data.
-    """
-
-    kind: str
-    ref: str
-    count: int
-    ndims: int
-
-    def nbytes(self) -> int:
-        """Payload + header size of the referenced block."""
-        return expected_file_size(self.count, self.ndims)
 
 
 @dataclass
@@ -89,21 +66,8 @@ class FingerprintStore:
         object.__setattr__(self, "fingerprints", fp)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "timecodes", tcs)
-        object.__setattr__(self, "_handle", None)
-        object.__setattr__(self, "_shm", None)
 
     # ------------------------------------------------------------------
-    @property
-    def shared_handle(self) -> Optional["StoreHandle"]:
-        """The zero-copy handle of this store, if it has shareable backing.
-
-        Non-``None`` only for stores attached via :meth:`load` with
-        ``mmap=True``, :meth:`to_shared`, or :meth:`open_shared`; derived
-        stores (``take``, slices, concatenations) own their memory and
-        return ``None``.
-        """
-        return getattr(self, "_handle", None)
-
     @property
     def ndims(self) -> int:
         """Dimension ``D`` of the fingerprint space."""
@@ -210,11 +174,6 @@ class FingerprintStore:
             object.__setattr__(store, "fingerprints", fp)
             object.__setattr__(store, "ids", ids)
             object.__setattr__(store, "timecodes", tcs)
-            object.__setattr__(store, "_handle", StoreHandle(
-                kind="file", ref=str(path.resolve()),
-                count=count, ndims=ndims,
-            ))
-            object.__setattr__(store, "_shm", None)
             return store
         with open(path, "rb") as fh:
             fh.seek(offsets["fingerprints"])
@@ -231,84 +190,6 @@ class FingerprintStore:
         ids = np.frombuffer(raw_ids, dtype=np.uint32)
         tcs = np.frombuffer(raw_tcs, dtype=np.float64)
         return cls(fingerprints=fp.copy(), ids=ids.copy(), timecodes=tcs.copy())
-
-    # ------------------------------------------------------------------
-    # zero-copy sharing (process-parallel scans, repro.index.parallel)
-    # ------------------------------------------------------------------
-    def to_shared(self) -> tuple["FingerprintStore", "object"]:
-        """Copy this store into POSIX shared memory, once.
-
-        Returns ``(store, shm)``: a store whose columns are views into a
-        fresh :class:`multiprocessing.shared_memory.SharedMemory` block
-        holding the exact ``save()`` byte layout (header included, so
-        attachers validate the same magic/version), plus the block itself
-        — the caller owns it and must ``close()``/``unlink()`` it when
-        the last attacher is done.
-        """
-        from multiprocessing import shared_memory
-
-        size = expected_file_size(len(self), self.ndims)
-        shm = shared_memory.SharedMemory(create=True, size=max(size, 1))
-        buf = shm.buf
-        buf[:_HEADER.size] = _HEADER.pack(
-            _MAGIC, _VERSION, len(self), self.ndims, 0
-        )
-        offsets = column_offsets(len(self), self.ndims)
-        fp_v, ids_v, tcs_v = _column_views(buf, len(self), self.ndims, offsets)
-        fp_v[:] = self.fingerprints
-        ids_v[:] = self.ids
-        tcs_v[:] = self.timecodes
-        store = _attached_store(
-            fp_v, ids_v, tcs_v,
-            StoreHandle(kind="shm", ref=shm.name,
-                        count=len(self), ndims=self.ndims),
-            shm,
-        )
-        return store, shm
-
-    @classmethod
-    def open_shared(cls, handle: StoreHandle) -> "FingerprintStore":
-        """Attach the store a :class:`StoreHandle` references, zero-copy.
-
-        ``"file"`` handles memory-map the saved store read-only (the
-        pseudo-disk path); ``"shm"`` handles attach the shared-memory
-        block by name.  Either way no fingerprint byte is copied — the
-        columns are views over the shared pages.
-        """
-        if handle.kind == "file":
-            store = cls.load(handle.ref, mmap=True)
-            if len(store) != handle.count or store.ndims != handle.ndims:
-                raise StoreError(
-                    f"store file {handle.ref} does not match its handle: "
-                    f"{len(store)}x{store.ndims} vs "
-                    f"{handle.count}x{handle.ndims}"
-                )
-            return store
-        if handle.kind != "shm":
-            raise StoreError(f"unknown store handle kind {handle.kind!r}")
-        try:
-            shm = attach_shm(handle.ref)
-        except FileNotFoundError as exc:
-            raise StoreError(
-                f"shared-memory store {handle.ref} is gone: {exc}"
-            ) from exc
-        magic, version, count, ndims, _pad = _HEADER.unpack(
-            bytes(shm.buf[:_HEADER.size])
-        )
-        if magic != _MAGIC or version != _VERSION:
-            shm.close()
-            raise StoreError(
-                f"bad header in shared-memory store {handle.ref}"
-            )
-        if count != handle.count or ndims != handle.ndims:
-            shm.close()
-            raise StoreError(
-                f"shared-memory store {handle.ref} does not match its "
-                f"handle: {count}x{ndims} vs {handle.count}x{handle.ndims}"
-            )
-        offsets = column_offsets(count, ndims)
-        fp_v, ids_v, tcs_v = _column_views(shm.buf, count, ndims, offsets)
-        return _attached_store(fp_v, ids_v, tcs_v, handle, shm)
 
 
 class StoreBuilder:
@@ -448,56 +329,3 @@ def column_offsets(count: int, ndims: int) -> dict[str, int]:
     ids_off = fp_off + count * ndims
     tcs_off = ids_off + count * 4
     return {"fingerprints": fp_off, "ids": ids_off, "timecodes": tcs_off}
-
-
-def _column_views(
-    buf, count: int, ndims: int, offsets: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column arrays over a save()-layout buffer (no copies)."""
-    fp = np.ndarray(
-        (count, ndims), dtype=np.uint8, buffer=buf,
-        offset=offsets["fingerprints"],
-    )
-    ids = np.ndarray(
-        (count,), dtype=np.uint32, buffer=buf, offset=offsets["ids"]
-    )
-    tcs = np.ndarray(
-        (count,), dtype=np.float64, buffer=buf, offset=offsets["timecodes"]
-    )
-    return fp, ids, tcs
-
-
-def _attached_store(fp, ids, tcs, handle, shm) -> "FingerprintStore":
-    """Assemble a store over externally owned column views.
-
-    Bypasses ``__post_init__`` (which would re-contiguify and copy) and
-    pins *shm* on the instance so the mapping outlives the views.
-    """
-    store = FingerprintStore.__new__(FingerprintStore)
-    object.__setattr__(store, "fingerprints", fp)
-    object.__setattr__(store, "ids", ids)
-    object.__setattr__(store, "timecodes", tcs)
-    object.__setattr__(store, "_handle", handle)
-    object.__setattr__(store, "_shm", shm)
-    return store
-
-
-def attach_shm(name: str):
-    """Attach an existing shared-memory block, bypassing the tracker.
-
-    ``SharedMemory(name=...)`` registers with the per-process resource
-    tracker even when merely attaching (bpo-39959): an attaching worker
-    exiting would unlink a block its creator still owns, and under the
-    ``fork`` start method (shared tracker) the duplicate registration
-    produces KeyError noise when the creator finally unlinks.  Ownership
-    is explicit in this codebase — only the creator unlinks — so
-    attachers suppress registration entirely.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original

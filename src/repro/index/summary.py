@@ -9,55 +9,10 @@ the same fields for the same index.
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
-from .parallel import shared_memory_available
-from .planner import choose_executor, get_calibration
 from .s3 import S3Index
 from .store import PathLike, read_header
-
-
-def planner_summary(rows: int = 0) -> dict:
-    """Describe the measured cost-model planner on this host.
-
-    Reports the current calibration (measuring one on first call) and
-    the strategy the planner would pick for a cold scan over *rows*
-    index rows.  Calibration failures degrade to ``calibrated: False``
-    rather than failing the summary — ``info`` must work everywhere.
-    """
-    cpus = os.cpu_count() or 1
-    try:
-        cal = get_calibration()
-    except Exception:  # pragma: no cover - defensive
-        return {"calibrated": False, "cpu_count": cpus}
-    plan = choose_executor(
-        rows, 1, cpus, workers=cpus, index_rows=rows, can_processes=True,
-        calibration=cal,
-    )
-    return {
-        "calibrated": True,
-        "source": cal.source,
-        "cpu_count": cpus,
-        "cold_strategy": plan.strategy,
-        "calibration": cal.to_json(),
-    }
-
-
-def _executor_capabilities(mmap_backed: bool) -> dict:
-    """How a store/index can feed the process-parallel scan pool.
-
-    ``mmap`` — workers can attach the bytes straight off disk;
-    ``shm`` — the host can copy in-RAM stores into shared memory;
-    ``processes`` — at least one zero-copy attachment route exists, so
-    ``--executor processes`` (or ``auto``) can escape the GIL here.
-    """
-    shm = shared_memory_available()
-    return {
-        "mmap": bool(mmap_backed),
-        "shm": shm,
-        "processes": bool(mmap_backed) or shm,
-    }
 
 
 def store_file_summary(path: PathLike) -> dict:
@@ -70,8 +25,6 @@ def store_file_summary(path: PathLike) -> dict:
         "rows": count,
         "ndims": ndims,
         "bytes": path.stat().st_size,
-        # A save()-layout file is mmap-attachable by definition.
-        "executor": _executor_capabilities(mmap_backed=True),
     }
 
 
@@ -82,7 +35,6 @@ def index_summary(index) -> dict:
     and ``repro-s3 info --json`` both embed it verbatim.
     """
     if isinstance(index, S3Index):
-        handle = index.store.shared_handle
         return {
             "kind": "monolithic",
             "rows": len(index),
@@ -92,19 +44,8 @@ def index_summary(index) -> dict:
             "depth": index.depth,
             "sigma": getattr(index.model, "sigma", None),
             "coalesced_scans": index.supports_coalesced_scans,
-            "executor": _executor_capabilities(
-                mmap_backed=handle is not None and handle.kind == "file"
-            ),
-            "planner": planner_summary(len(index)),
         }
     manifest = index.manifest
-    # Cold segments have no resident store; executor capabilities are
-    # judged on the resident set the scan pool could actually attach.
-    seg_handles = [
-        seg.index.store.shared_handle
-        for seg in index._segments
-        if seg.index is not None
-    ]
     return {
         "kind": "segmented",
         "rows": len(index),
@@ -121,12 +62,6 @@ def index_summary(index) -> dict:
             {"name": seg.name, "count": seg.count, "tier": seg.tier}
             for seg in index.segments
         ],
-        "executor": _executor_capabilities(
-            mmap_backed=bool(seg_handles) and all(
-                h is not None and h.kind == "file" for h in seg_handles
-            )
-        ),
-        "planner": planner_summary(len(index)),
         "storage": index.storage_info(),
         # Ingest-pipeline pressure: durability mode, WAL bytes, unsealed
         # memtables, compaction debt and maintenance-queue activity —

@@ -51,11 +51,7 @@ from ..errors import (
     ReproError,
 )
 from ..index.batch import BatchQueryExecutor
-from ..index.options import (
-    QueryOptions,
-    validate_durability,
-    warn_deprecated_kwargs,
-)
+from ..index.options import QueryOptions, validate_durability
 from ..index.segmented import MaintenanceConfig
 from ..index.summary import index_summary
 from . import protocol
@@ -106,14 +102,11 @@ INGEST_DEDUPE_CAPACITY = 4096
 class ServeConfig:
     """Everything the service needs beyond the index itself.
 
-    Engine tuning (sharding, executor, prefilter mode) lives in
-    ``options``, the unified
-    :class:`~repro.index.options.QueryOptions`; the flat
-    ``workers``/``executor`` fields are the deprecated spelling (they
-    warn and are folded in; passing both raises).  ``max_batch`` is the
-    service's micro-batching knob and always wins as the engine batch
-    size.  After construction ``options`` is always populated and the
-    flat fields mirror it.
+    Engine tuning (prefilter and prefetch modes) lives in ``options``,
+    the unified :class:`~repro.index.options.QueryOptions`; when given,
+    its ``alpha`` wins.  ``max_batch`` is the service's micro-batching
+    knob and always wins as the engine batch size.  After construction
+    ``options`` is always populated.
 
     ``cache`` controls the serve-path caching stack
     (:mod:`repro.serve.cache`): ``"auto"``/``"on"`` enable the result
@@ -149,8 +142,6 @@ class ServeConfig:
     max_batch: int = 32
     max_wait_ms: float = 2.0
     queue_limit: int = 1024
-    workers: Optional[int] = None
-    executor: Optional[str] = None
     max_frame: int = protocol.MAX_FRAME_BYTES
     vote_tolerance: float = 2.0
     tukey_c: float = 6.0
@@ -202,38 +193,16 @@ class ServeConfig:
                 "gather_cache_rows must be >= 0, got "
                 f"{self.gather_cache_rows}"
             )
-        legacy = {
-            name: value
-            for name in ("workers", "executor")
-            if (value := getattr(self, name)) is not None
-        }
         if self.options is not None:
-            if legacy:
-                raise ConfigurationError(
-                    "ServeConfig: pass either options= or the legacy "
-                    f"keyword(s) {sorted(legacy)}, not both"
-                )
             opts = self.options
             object.__setattr__(self, "alpha", opts.alpha)
         else:
-            if legacy:
-                warn_deprecated_kwargs("ServeConfig", legacy)
-            if not 0.0 < self.alpha <= 1.0:
-                raise ConfigurationError(
-                    f"alpha must be in (0, 1], got {self.alpha}"
-                )
-            opts = QueryOptions(
-                alpha=self.alpha,
-                workers=legacy.get("workers", 1),
-                executor=legacy.get("executor", "auto"),
-            )
+            opts = QueryOptions(alpha=self.alpha)
         # The micro-batcher owns batching: its max_batch is the engine
         # batch size, whatever the options said.
         object.__setattr__(
             self, "options", opts.replace(batch_size=self.max_batch)
         )
-        object.__setattr__(self, "workers", self.options.workers)
-        object.__setattr__(self, "executor", self.options.executor)
 
     @property
     def cache_enabled(self) -> bool:
@@ -539,18 +508,13 @@ class DetectionServer(SocketFrameServer):
     async def start(self) -> None:
         """Bind the socket, then warm the engine and flip to ready.
 
-        The listener opens *before* the (potentially slow) scan-pool
-        warm-up, so liveness/readiness probes are answerable from the
-        first moment the port exists: ``health`` reports
-        ``status="loading"`` and work ops get ``not_ready`` until the
-        warm-up finishes.  The warm-up runs off-loop, keeping the loop
-        free to answer those probes.
+        ``health`` reports ``status="loading"`` and work ops get
+        ``not_ready`` until the engine and batcher are up.
         """
         cfg = self.config
         self._loop = asyncio.get_running_loop()
         # One engine lane serialises the query batches (deterministic
-        # threshold-cache behaviour, one descent at a time); the
-        # BatchQueryExecutor may still fan the scan out internally.
+        # threshold-cache behaviour, one descent at a time).
         self._engine = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-engine"
         )
@@ -582,12 +546,6 @@ class DetectionServer(SocketFrameServer):
         )
         self.batcher.start()
         await self._bind()
-        # Warm the scan pool before admitting traffic: workers attach
-        # every store now, so the first request never pays the spawn.
-        # (On worker death mid-flight the pool respawns and retries; if
-        # it cannot recover, the executor falls back to threads — a
-        # request sees a result either way.)
-        await asyncio.get_running_loop().run_in_executor(None, executor.warm)
         self._ready = True
 
     async def stop(self) -> None:
@@ -605,8 +563,6 @@ class DetectionServer(SocketFrameServer):
             self._ingest_lane.shutdown(wait=True)
         if self._engine is not None:
             self._engine.shutdown(wait=True)
-        if self._executor is not None:
-            self._executor.close()  # stops scan workers, frees shm
         if hasattr(self.index, "close"):
             # Drains and stops the maintenance worker, then closes the
             # segmented WAL handle.
@@ -882,30 +838,12 @@ class DetectionServer(SocketFrameServer):
             "prefilter": prefilter,
             "cache": cache,
             "storage": storage,
-            "planner": (
-                self._executor.planner_snapshot()
-                if self._executor else None
-            ),
-            "parallel": {
-                "strategy": self.config.executor,
-                "resolved": (
-                    self._executor.resolve_executor()
-                    if self._executor else None
-                ),
-                "pool": (
-                    self._executor.pool_stats()
-                    if self._executor else None
-                ),
-            },
             "config": {
                 "alpha": self.config.alpha,
                 "max_batch": self.config.max_batch,
                 "max_wait_ms": self.config.max_wait_ms,
                 "queue_limit": self.config.queue_limit,
-                "workers": self.config.workers,
-                "executor": self.config.executor,
                 "prefilter": self.config.options.prefilter,
-                "planner": self.config.options.planner,
                 "cache": self.config.cache,
                 "cache_capacity": self.config.cache_capacity,
                 "storage_budget": self.config.storage_budget,

@@ -7,6 +7,10 @@ warm-start cache state.  Hypothesis drives random batches (with
 duplicates), alphas and depths through both paths and compares exactly.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -298,13 +302,12 @@ class TestMonolithicBatch:
         n=st.integers(min_value=1, max_value=12),
         seed=st.integers(min_value=0, max_value=50),
         alpha=st.sampled_from([0.5, 0.8, 0.95]),
-        workers=st.sampled_from([1, 3]),
     )
     @settings(max_examples=15, deadline=None)
-    def test_equals_sequential(self, index, n, seed, alpha, workers):
+    def test_equals_sequential(self, index, n, seed, alpha):
         queries = self.batch_queries(index, n, seed)
         index.reset_threshold_cache()
-        batch = index.statistical_query_batch(queries, alpha, workers=workers)
+        batch = index.statistical_query_batch(queries, alpha)
         for i in range(n):
             index.reset_threshold_cache()
             solo = index.statistical_query(queries[i], alpha)
@@ -342,7 +345,7 @@ class TestMonolithicBatch:
         queries = self.batch_queries(index, 10, seed=13)
         index.reset_threshold_cache()
         ex = BatchQueryExecutor(index, options=QueryOptions(
-            alpha=0.8, batch_size=4, workers=2
+            alpha=0.8, batch_size=4
         ))
         chunked = ex.query_all(queries)
         assert ex.stats.batches == 3 and ex.stats.queries == 10
@@ -358,8 +361,6 @@ class TestMonolithicBatch:
     def test_executor_validates_config(self, index):
         with pytest.raises(ConfigurationError):
             BatchQueryExecutor(index, options=QueryOptions(alpha=0.8, batch_size=0))
-        with pytest.raises(ConfigurationError):
-            BatchQueryExecutor(index, options=QueryOptions(alpha=0.8, workers=0))
 
     def test_supports_coalesced_scans(self, index):
         assert index.supports_coalesced_scans is True
@@ -394,12 +395,11 @@ class TestSegmentedBatch:
         seed=st.integers(min_value=0, max_value=50),
         alpha=st.sampled_from([0.5, 0.8, 0.95]),
         depth=st.sampled_from([None, 8, 12]),
-        workers=st.sampled_from([1, 3]),
     )
     @settings(max_examples=12, deadline=None)
     def test_query_batch_equals_per_query(
         self, tmp_path_factory, cuts, leave_pending, n, seed, alpha,
-        depth, workers,
+        depth,
     ):
         tmp = tmp_path_factory.mktemp("batchseg")
         seg, fp = self.build_segmented(tmp / "seg", cuts, leave_pending)
@@ -413,9 +413,7 @@ class TestSegmentedBatch:
             queries[0] = queries[n - 1]  # duplicates in the batch
 
         seg.reset_threshold_cache()
-        batch = seg.statistical_query_batch(
-            queries, alpha, depth=depth, workers=workers
-        )
+        batch = seg.statistical_query_batch(queries, alpha, depth=depth)
         for i in range(n):
             seg.reset_threshold_cache()
             solo = seg.statistical_query(queries[i], alpha, depth=depth)
@@ -455,3 +453,43 @@ class TestSegmentedBatch:
         assert len(got) == 8
         assert batch.queries == 8
         seg.close()
+
+
+# ----------------------------------------------------------------------
+NO_SPAWN_SCRIPT = r"""
+import sys
+import numpy as np
+sys.path.insert(0, {src!r})
+import repro.index
+from repro.distortion.model import NormalDistortionModel
+from repro.experiments.common import host_block
+from repro.index.summary import index_summary
+
+rng = np.random.default_rng(0)
+store = repro.index.FingerprintStore(
+    rng.integers(0, 256, size=(200, 8)).astype(np.uint8),
+    np.zeros(200, dtype=np.uint32), np.zeros(200),
+)
+index = repro.index.S3Index(store, model=NormalDistortionModel(8, 10.0))
+engine = repro.index.BatchQueryExecutor(
+    index, options=repro.index.QueryOptions(alpha=0.8)
+)
+assert len(engine.query_batch(store.fingerprints[:4].astype(np.float64))) == 4
+assert index_summary(index)["rows"] == 200
+assert host_block()["cpu_count"]
+
+from multiprocessing import resource_tracker
+assert "multiprocessing.shared_memory" not in sys.modules
+assert resource_tracker._resource_tracker._pid is None
+"""
+
+
+def test_query_path_and_host_info_spawn_no_process():
+    """A batch, ``index_summary()`` and ``host_block()`` must not start
+    multiprocessing's resource tracker or touch shared memory."""
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SPAWN_SCRIPT.format(src=src)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

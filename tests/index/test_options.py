@@ -1,12 +1,11 @@
-"""Tests for the unified QueryOptions API and its deprecation shims.
+"""Tests for the unified QueryOptions API.
 
 Three contracts:
 
 * :class:`QueryOptions` validates once, at construction, with the same
-  messages the scattered per-class checks used to raise;
-* every front-end that grew ``options=`` keeps its legacy tuning kwargs
-  working behind a ``DeprecationWarning`` (and refuses ambiguous calls
-  passing both), with behaviour identical to the options spelling;
+  messages the scattered per-class checks used to raise — and the
+  removed executor knobs are gone, not ignored;
+* every front-end config carries its engine tuning in ``options=``;
 * all four index classes satisfy :class:`repro.index.IndexProtocol`.
 """
 
@@ -57,20 +56,29 @@ class TestQueryOptionsValidation:
         ("alpha", 0.0),
         ("alpha", 1.5),
         ("batch_size", 0),
-        ("workers", 0),
         ("executor", "gpu"),
+        ("executor", "threads"),
+        ("executor", "processes"),
         ("prefilter", "maybe"),
-        ("parallel_gather_min_rows", -1),
         ("depth", 0),
     ])
     def test_rejects_out_of_domain(self, field, value):
         with pytest.raises(ConfigurationError):
             QueryOptions(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("workers", 2),
+        ("planner", "fixed"),
+        ("parallel_gather_min_rows", 0),
+    ])
+    def test_removed_fields_are_gone_not_ignored(self, field, value):
+        with pytest.raises(TypeError):
+            QueryOptions(**{field: value})
+
     def test_replace(self):
-        opts = QueryOptions(alpha=0.5).replace(workers=4, prefilter="off")
+        opts = QueryOptions(alpha=0.5).replace(batch_size=4, prefilter="off")
         assert opts.alpha == 0.5
-        assert opts.workers == 4
+        assert opts.batch_size == 4
         assert not opts.prefilter_enabled
 
     def test_replace_validates(self):
@@ -83,23 +91,13 @@ class TestQueryOptionsValidation:
 
 
 class TestResolveOptions:
-    def test_options_and_legacy_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            resolve_options("API", QueryOptions(), workers=2)
-
-    def test_legacy_only_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="API"):
-            opts = resolve_options("API", None, workers=3, batch_size=16)
-        assert opts.workers == 3
-        assert opts.batch_size == 16
-
     def test_alpha_depth_stay_first_class(self):
         # alpha/depth are paper semantics, not engine tuning: passing
         # them never warns, and they override the options' values.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             opts = resolve_options(
-                "API", QueryOptions(alpha=0.5), alpha=0.9, depth=6
+                QueryOptions(alpha=0.5), alpha=0.9, depth=6
             )
         assert opts.alpha == 0.9
         assert opts.depth == 6
@@ -107,26 +105,6 @@ class TestResolveOptions:
 
 # ----------------------------------------------------------------------
 class TestExecutorShims:
-    def test_legacy_kwargs_warn_but_work(self):
-        index = S3Index(
-            make_store(), model=NormalDistortionModel(NDIMS, SIGMA)
-        )
-        with pytest.warns(DeprecationWarning, match="BatchQueryExecutor"):
-            legacy = BatchQueryExecutor(index, 0.8, batch_size=16, workers=2)
-        modern = BatchQueryExecutor(
-            index, options=QueryOptions(alpha=0.8, batch_size=16, workers=2)
-        )
-        assert legacy.options == modern.options
-
-        queries = make_store(8, seed=3).fingerprints.astype(np.float64)
-        index.reset_threshold_cache()
-        a = legacy.query_batch(queries)
-        index.reset_threshold_cache()
-        b = modern.query_batch(queries)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.rows, rb.rows)
-            assert np.array_equal(ra.ids, rb.ids)
-
     def test_needs_alpha_or_options(self):
         index = S3Index(
             make_store(), model=NormalDistortionModel(NDIMS, SIGMA)
@@ -139,64 +117,27 @@ class TestExecutorShims:
             make_store(), model=NormalDistortionModel(NDIMS, SIGMA)
         )
         executor = BatchQueryExecutor(
-            index, 0.9, options=QueryOptions(alpha=0.5, workers=2)
+            index, 0.9, options=QueryOptions(alpha=0.5, batch_size=2)
         )
         assert executor.alpha == 0.9
-        assert executor.workers == 2
+        assert executor.batch_size == 2
 
 
 class TestConfigShims:
-    def test_detector_legacy_warns_and_mirrors(self):
-        with pytest.warns(DeprecationWarning, match="DetectorConfig"):
-            cfg = DetectorConfig(alpha=0.7, batch_size=16, executor="threads")
-        assert cfg.options.alpha == 0.7
-        assert cfg.options.batch_size == 16
-        assert cfg.options.executor == "threads"
-        assert cfg.batch_size == 16  # flat reads keep working
-        assert cfg.workers == 1
-
     def test_detector_options_spelling_is_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cfg = DetectorConfig(
-                options=QueryOptions(alpha=0.7, workers=2, prefilter="off")
+                options=QueryOptions(alpha=0.7, batch_size=2, prefilter="off")
             )
         assert cfg.alpha == 0.7  # synced from the options
-        assert cfg.workers == 2
-
-    def test_detector_both_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            DetectorConfig(options=QueryOptions(), workers=2)
+        assert cfg.options.batch_size == 2
 
     def test_detector_still_validates_alpha_domain(self):
         # The detector's stricter alpha < 1 holds for options-carried
         # alphas too (QueryOptions itself allows alpha == 1).
         with pytest.raises(ConfigurationError, match="alpha"):
             DetectorConfig(options=QueryOptions(alpha=1.0))
-
-    def test_monitor_legacy_warns_and_mirrors(self):
-        with pytest.warns(DeprecationWarning, match="MonitorConfig"):
-            cfg = MonitorConfig(batch_size=8, workers=2)
-        assert cfg.options.batch_size == 8
-        assert cfg.options.workers == 2
-        assert cfg.batch_size == 8
-
-    def test_monitor_gains_executor_via_options(self):
-        # MonitorConfig historically had no executor knob at all; the
-        # unified options close that drift.
-        cfg = MonitorConfig(options=QueryOptions(executor="threads"))
-        assert cfg.options.executor == "threads"
-
-    def test_monitor_both_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            MonitorConfig(options=QueryOptions(), batch_size=8)
-
-    def test_serve_legacy_warns_and_mirrors(self):
-        with pytest.warns(DeprecationWarning, match="ServeConfig"):
-            cfg = ServeConfig(workers=2, executor="threads")
-        assert cfg.options.workers == 2
-        assert cfg.options.executor == "threads"
-        assert cfg.workers == 2
 
     def test_serve_max_batch_wins_engine_batch_size(self):
         cfg = ServeConfig(
@@ -205,9 +146,18 @@ class TestConfigShims:
         assert cfg.options.batch_size == 64
         assert cfg.alpha == 0.6
 
-    def test_serve_both_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            ServeConfig(options=QueryOptions(), workers=2)
+    @pytest.mark.parametrize("config,field", [
+        (DetectorConfig, "batch_size"),
+        (DetectorConfig, "workers"),
+        (DetectorConfig, "executor"),
+        (MonitorConfig, "batch_size"),
+        (MonitorConfig, "workers"),
+        (ServeConfig, "workers"),
+        (ServeConfig, "executor"),
+    ])
+    def test_flat_engine_fields_are_gone(self, config, field):
+        with pytest.raises(TypeError):
+            config(**{field: 1})
 
 
 # ----------------------------------------------------------------------

@@ -316,10 +316,10 @@ class TestBatchedPrefilter:
         skips = {}
         for mode in ("off", "on"):
             opts = QueryOptions(alpha=0.8, batch_size=8, prefilter=mode)
-            with BatchQueryExecutor(index, options=opts) as executor:
-                index.reset_threshold_cache()
-                outputs[mode] = executor.query_batch(queries)
-                skips[mode] = executor.stats.segments_skipped
+            executor = BatchQueryExecutor(index, options=opts)
+            index.reset_threshold_cache()
+            outputs[mode] = executor.query_batch(queries)
+            skips[mode] = executor.stats.segments_skipped
         for off, on in zip(outputs["off"], outputs["on"]):
             assert_bit_identical(off, on)
         assert skips["off"] == 0

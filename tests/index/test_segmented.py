@@ -249,6 +249,21 @@ class TestLifecycle:
             index.record(40)
         index.close()
 
+    def test_mmap_opened_segments_are_file_backed(self, tmp_path):
+        index = make_index(tmp_path / "idx")
+        index.add(*make_records(300, seed=9))
+        index.flush()
+        index.close()
+        reopened = SegmentedS3Index.open(tmp_path / "idx", mmap=True)
+        try:
+            assert reopened.num_segments >= 1
+            for seg in reopened._segments:
+                # Curve-ordered on disk, so index construction keeps the
+                # mapping instead of copying the columns into RAM.
+                assert isinstance(seg.index.store.fingerprints, np.memmap)
+        finally:
+            reopened.close()
+
 
 class TestCrashRecovery:
     def test_unflushed_records_survive_reopen(self, tmp_path):

@@ -101,6 +101,7 @@ class TestPersistence:
         path = tmp_path / "db.store"
         small_store.save(path)
         mapped = FingerprintStore.load(path, mmap=True)
+        assert isinstance(mapped.fingerprints, np.memmap)
         assert np.array_equal(
             np.asarray(mapped.fingerprints), small_store.fingerprints
         )

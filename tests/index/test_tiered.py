@@ -152,13 +152,13 @@ class TestBitIdentity:
         tiered.storage.demote(tiered._segments[2])
         queries = make_records(24, seed=7)[0].astype(np.float64)
         options = QueryOptions(alpha=0.8, prefetch=prefetch)
-        with BatchQueryExecutor(tiered, options=options) as te, \
-                BatchQueryExecutor(plain, options=options) as pe:
-            for rt, rp in zip(te.query_all(queries), pe.query_all(queries)):
-                assert_identical(rt, rp)
-            if prefetch == "auto":
-                assert te.stats.cold_segments > 0
-                assert te.stats.cold_bytes > 0
+        te = BatchQueryExecutor(tiered, options=options)
+        pe = BatchQueryExecutor(plain, options=options)
+        for rt, rp in zip(te.query_all(queries), pe.query_all(queries)):
+            assert_identical(rt, rp)
+        if prefetch == "auto":
+            assert te.stats.cold_segments > 0
+            assert te.stats.cold_bytes > 0
         tiered.close()
         plain.close()
 

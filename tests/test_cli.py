@@ -230,8 +230,6 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize("argv_extra, needle", [
         (["--batch-size", "0"], "--batch-size must be >= 1"),
-        (["--workers", "0"], "--workers must be >= 1"),
-        (["--workers", "-3"], "--workers must be >= 1"),
         (["--alpha", "0"], "--alpha must be in (0, 1]"),
         (["--alpha", "1.5"], "--alpha must be in (0, 1]"),
     ])
@@ -244,6 +242,13 @@ class TestArgumentValidation:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert needle in err
+
+    def test_query_rejects_removed_workers_flag(self, workspace, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["query", str(workspace["index"]),
+                  "--from-row", "0", "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_detect_rejects_bad_alpha(self, workspace, capsys):
         code = main(["detect", str(workspace["index"]),
