@@ -147,7 +147,7 @@ class StreamMonitor:
         self._matches: deque[tuple] = deque(maxlen=self.config.buffer_keyframes)
         self._reported: list[StreamDetection] = []
         self._frames_seen = 0
-        self._ingest_horizon = 0.0    # stream time already referenced
+        self._horizon = 0.0           # stream time already voted/referenced
         self._ingested_rows = 0
 
     # ------------------------------------------------------------------
@@ -226,17 +226,23 @@ class StreamMonitor:
         results = executor.query_all(
             extraction.store.fingerprints.astype(np.float64)
         )
+        # Only the slice of stream time the next window will not revisit,
+        # ``[horizon, window_start + hop)``, is voted and ingested, so a
+        # key-frame seen by two overlapping windows counts once.
+        upper = float(window_start + cfg.hop_frames)
         unmatched_rows: list[int] = []
         for row, (result, tc) in enumerate(zip(
             results, extraction.store.timecodes
         )):
+            stream_tc = float(tc) + window_start
+            if not self._horizon <= stream_tc < upper:
+                continue
             if len(result):
-                self._matches.append(
-                    (float(tc) + window_start, result.ids, result.timecodes)
-                )
+                self._matches.append((stream_tc, result.ids, result.timecodes))
             if len(result) <= cfg.ingest_match_threshold:
                 unmatched_rows.append(row)
-        if cfg.ingest_new:
+        self._horizon = upper
+        if cfg.ingest_new and unmatched_rows:
             self._ingest_unmatched(
                 extraction.store, unmatched_rows, window_start
             )
@@ -266,27 +272,16 @@ class StreamMonitor:
     def _ingest_unmatched(
         self,
         store,
-        unmatched_rows: list[int],
+        rows: list[int],
         window_start: int,
     ) -> None:
         """Reference this window's new material in the live index.
 
-        Only the slice of stream time the *next* window will not revisit
-        (``[ingest_horizon, window_start + hop)``) is ingested, so
-        overlapping analysis windows never reference the same material
-        twice.  Key-frames with more than ``ingest_match_threshold``
-        archive matches are skipped — they are copies, not new material.
+        *rows* are already limited to the window's unrevisited slice of
+        stream time; key-frames with more than ``ingest_match_threshold``
+        archive matches were skipped — they are copies, not new material.
         """
         cfg = self.config
-        upper = float(window_start + cfg.hop_frames)
-        rows = [
-            row for row in unmatched_rows
-            if self._ingest_horizon
-            <= float(store.timecodes[row]) + window_start < upper
-        ]
-        self._ingest_horizon = upper
-        if not rows:
-            return
         idx = np.asarray(rows, dtype=np.int64)
         self._ingested_rows += int(idx.size)
         self.index.add(

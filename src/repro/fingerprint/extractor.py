@@ -17,7 +17,7 @@ from ..errors import ExtractionError
 from ..index.store import FingerprintStore
 from ..video.synthetic import VideoClip
 from .descriptor import DescriptorConfig, DescriptorExtractor
-from .harris import HarrisConfig, detect_interest_points
+from .harris import HarrisConfig, detect_interest_points_many
 from .motion import detect_keyframes
 
 
@@ -76,32 +76,27 @@ class FingerprintExtractor:
             margin=cfg.keyframe_margin(),
             max_keyframes=cfg.max_keyframes,
         )
-        descriptor = DescriptorExtractor(clip, cfg.descriptor)
-
-        fingerprints: list[np.ndarray] = []
-        positions: list[tuple[int, int, int]] = []
-        timecodes: list[float] = []
-        for t in keyframes:
-            points = detect_interest_points(clip.frames[t], cfg.harris)
-            for y, x in points:
-                if not descriptor.valid_position(int(t), int(y), int(x)):
-                    continue
-                fingerprints.append(descriptor.describe(int(t), int(y), int(x)))
-                positions.append((int(t), int(y), int(x)))
-                timecodes.append(timecode_offset + float(t))
-
-        if not fingerprints:
+        detections = detect_interest_points_many(clip.frames[keyframes], cfg.harris)
+        candidates = np.array(
+            [(t, y, x) for t, points in zip(keyframes, detections) for y, x in points],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        fingerprints, kept = DescriptorExtractor(
+            clip, cfg.descriptor
+        ).describe_many(candidates)
+        positions = candidates[kept]
+        if not len(positions):
             raise ExtractionError(
                 "no fingerprints extracted; clip too small or featureless"
             )
         store = FingerprintStore(
-            fingerprints=np.stack(fingerprints),
+            fingerprints=fingerprints,
             ids=np.full(len(fingerprints), video_id, dtype=np.uint32),
-            timecodes=np.array(timecodes, dtype=np.float64),
+            timecodes=timecode_offset + positions[:, 0].astype(np.float64),
         )
         return ExtractionResult(
             store=store,
-            positions=np.array(positions, dtype=np.int64),
+            positions=positions,
             keyframes=keyframes,
         )
 

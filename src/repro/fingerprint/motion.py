@@ -11,22 +11,25 @@ which act frame-wise and therefore preserve the motion profile's shape.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from ..errors import ConfigurationError, ExtractionError
 from ..video.synthetic import VideoClip
+from .gaussian import filter_axis
 
 
 def intensity_of_motion(clip: VideoClip) -> np.ndarray:
     """Return the mean absolute frame difference, one value per frame.
 
     Index ``t`` holds ``mean |I_t − I_{t−1}|``; index 0 repeats index 1 so
-    the signal has the clip's length.
+    the signal has the clip's length.  The differences are summed as
+    integers, which is exact, so the float mean does not depend on the
+    summation order.
     """
-    frames = clip.frames.astype(np.float64)
+    frames = clip.frames.astype(np.int16)
     if frames.shape[0] < 2:
         raise ExtractionError("need at least 2 frames for a motion signal")
-    diffs = np.abs(np.diff(frames, axis=0)).mean(axis=(1, 2))
+    _, h, w = frames.shape
+    diffs = np.abs(np.diff(frames, axis=0)).sum(axis=(1, 2)) / (h * w)
     return np.concatenate(([diffs[0]], diffs))
 
 
@@ -34,7 +37,7 @@ def smooth_signal(signal: np.ndarray, sigma: float = 2.0) -> np.ndarray:
     """Gaussian smoothing of the motion signal."""
     if sigma <= 0:
         raise ConfigurationError(f"sigma must be > 0, got {sigma}")
-    return ndimage.gaussian_filter1d(np.asarray(signal, dtype=np.float64), sigma)
+    return filter_axis(np.asarray(signal, dtype=np.float64), sigma, 0, axis=0)
 
 
 def local_extrema(signal: np.ndarray, margin: int = 0) -> np.ndarray:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.cbcd.detector import CopyDetector, DetectorConfig
 from repro.cbcd.monitor import MonitorConfig, StreamMonitor
+from repro.cbcd.voting import vote
 from repro.corpus.builder import build_reference_corpus
 from repro.corpus.filler import scale_store
 from repro.distortion.model import NormalDistortionModel
@@ -132,6 +134,46 @@ class TestDetection:
             return (d.video_id, round(d.stream_offset, 1))
 
         assert sorted(map(key, got_big)) == sorted(map(key, got_small))
+
+    def test_overlapping_windows_vote_each_keyframe_once(self, setup):
+        """A key-frame seen by two overlapping windows enters the vote
+        buffer from one of them only, so the monitor's count of a planted
+        copy never exceeds the offline detector's over the same frames."""
+        corpus, index = setup
+        copy_clip, truth = corpus.candidate(1, 20, 120)
+
+        class Recording(StreamMonitor):
+            def _analyse(self, window_start):
+                before = len(self._matches)
+                out = super()._analyse(window_start)
+                self.voted.append(
+                    {entry[0] for entry in list(self._matches)[before:]}
+                )
+                return out
+
+        monitor = Recording(index, MonitorConfig(
+            alpha=0.8, window_frames=60, hop_frames=30,
+            buffer_keyframes=100_000, decision_threshold=12,
+        ))
+        monitor.voted = []
+        monitor.feed(copy_clip.frames)
+        assert len(monitor.voted) >= 3
+        timecodes = [tc for window in monitor.voted for tc in window]
+        assert timecodes
+        assert len(timecodes) == len(set(timecodes))
+
+        cfg = monitor.config
+        streamed = {
+            v.video_id: v.nsim for v in vote(
+                monitor._matches, tolerance=cfg.vote_tolerance,
+                tukey_c=cfg.tukey_c, min_matches=cfg.min_matches,
+            )
+        }
+        offline = CopyDetector(
+            index, DetectorConfig(alpha=cfg.alpha, decision_threshold=1)
+        ).detect_clip(copy_clip)
+        counted = {v.video_id: v.nsim for v in offline.votes}
+        assert 0 < streamed[truth.video_id] <= counted[truth.video_id]
 
     def test_clean_stream_stays_quiet(self, setup):
         _, index = setup

@@ -126,12 +126,12 @@ class TestExtractor:
         with pytest.raises(ConfigurationError):
             ex.describe_many(np.zeros((3, 2)))
 
-    def test_cache_reused_across_points(self, clip):
+    def test_describe_calls_match_one_describe_many(self, clip):
         ex = DescriptorExtractor(clip)
-        ex.describe(10, 30, 30)
-        cached = set(ex._cache)
-        ex.describe(10, 32, 28)  # same key-frame: no new stacks
-        assert set(ex._cache) == cached
+        one_by_one = np.stack([ex.describe(10, 30, 30), ex.describe(10, 32, 28)])
+        batch, kept = ex.describe_many(np.array([[10, 30, 30], [10, 32, 28]]))
+        assert kept.all()
+        assert np.array_equal(one_by_one, batch)
 
     def test_illumination_offset_invariance(self):
         """Adding a constant to the image leaves derivatives unchanged."""
