@@ -20,6 +20,7 @@ import numpy as np
 
 from ..distortion.model import IndependentDistortionModel
 from ..errors import ConfigurationError, GeometryError
+from ..index.table import expand_ranges, key_row_ranges
 
 _U64 = np.uint64
 
@@ -204,25 +205,6 @@ class MortonIndex:
     def __len__(self) -> int:
         return len(self.store)
 
-    def block_row_ranges(self, prefixes: np.ndarray, depth: int):
-        """Merged contiguous row ranges of the given key-prefix blocks."""
-        if prefixes.size == 0:
-            return []
-        shift = np.uint64(self.key_bits - depth)
-        starts = np.searchsorted(self.keys, prefixes << shift, side="left")
-        ends = np.searchsorted(
-            self.keys, (prefixes + np.uint64(1)) << shift, side="left"
-        )
-        ranges: list[tuple[int, int]] = []
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            if s >= e:
-                continue
-            if ranges and s <= ranges[-1][1]:
-                ranges[-1] = (ranges[-1][0], max(e, ranges[-1][1]))
-            else:
-                ranges.append((s, e))
-        return ranges
-
     def statistical_query(self, query: np.ndarray, alpha: float):
         """Statistical query returning ``(rows, num_blocks, num_sections)``."""
         if self.model is None:
@@ -230,11 +212,7 @@ class MortonIndex:
         prefixes, _ = self.selector.statistical_blocks_alpha(
             query, self.model, self.depth, alpha
         )
-        ranges = self.block_row_ranges(prefixes, self.depth)
-        if ranges:
-            rows = np.concatenate(
-                [np.arange(s, e, dtype=np.int64) for s, e in ranges]
-            )
-        else:
-            rows = np.empty(0, dtype=np.int64)
-        return rows, int(prefixes.size), len(ranges)
+        starts, ends, _ = key_row_ranges(
+            self.keys, self.key_bits, [prefixes], self.depth
+        )
+        return expand_ranges(starts, ends), int(prefixes.size), starts.size

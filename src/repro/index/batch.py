@@ -1,4 +1,4 @@
-"""Batched multi-query engine: shared filtering, coalesced scans, demux.
+"""Batched multi-query engine: shared filtering, one-copy scans.
 
 The paper's deployed system answers one statistical query per key-frame
 fingerprint; the detection paths originally reproduced that literally — a
@@ -11,15 +11,20 @@ work across a frame batch:
    (:func:`~repro.index.filtering.statistical_blocks_batch_cached`): all
    still-active searches share one vectorised pass per tree level, and
    the warm-start ``t_max`` cache is read/written once per batch.
-2. **Scan coalescing** — temporally adjacent key-frames select heavily
-   overlapping p-blocks, so the selected curve sections of a batch are
-   merged into their disjoint union, each physical section is gathered
-   exactly once, and rows are demultiplexed back to per-query
-   :class:`~repro.index.s3.SearchResult`s.  O(B·overlap) I/O becomes
-   O(union).
+2. **Array-wide ranges, one copy per row** — the curve sections of the
+   whole batch come from one ``searchsorted`` pair and one vectorised
+   merge (:meth:`~repro.index.table.HilbertLayout.batch_row_ranges`).
+   The store is in curve order, so a query's answer is a concatenation
+   of contiguous store slices, gathered straight into arrays its
+   :class:`~repro.index.s3.SearchResult` owns: each returned row is
+   copied exactly once, and a resident scan moves the batch's logical
+   rows, however much the queries overlap.  The batch's disjoint union
+   is materialised only where something reuses it — the gather cache
+   keeps it, and a cold segment fetches exactly it from the blob
+   backend, so backend I/O is O(union) rather than O(sum over queries).
 
-The coalesced gather is the only scan path (``docs/batch-query.md``,
-"Why there is one scan path").
+Every scan runs in the calling thread (``docs/batch-query.md``, "Why
+there is one scan path").
 
 Per-query results are **bit-identical** to the sequential
 ``statistical_query`` path started from the same warm-start cache state
@@ -30,9 +35,9 @@ Per-query results are **bit-identical** to the sequential
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -42,7 +47,7 @@ from .filtering import statistical_blocks_batch_cached
 from .options import QueryOptions, resolve_options
 from .s3 import QueryStats, S3Index, SearchResult
 from .store import FingerprintStore
-from .table import HilbertLayout
+from .table import RangeBatch, expand_ranges, merge_ranges
 
 RowRange = tuple[int, int]
 
@@ -55,10 +60,10 @@ MONOLITHIC_STORE = "store"
 class BatchQueryStats:
     """Aggregate cost of one or more batched queries.
 
-    ``logical_rows`` is what a sequential per-query loop would have
-    scanned (the sum of every query's selected rows); ``unique_rows`` is
-    what the coalesced scan actually gathered.  Their ratio is the I/O
-    saved by coalescing.
+    ``logical_rows`` is the sum of every query's selected rows, which a
+    resident scan copies once each; ``unique_rows`` is the rows of the
+    per-store unions, which a gather-cache miss or a cold fetch reads.
+    Their ratio is what reading the union saves.
     """
 
     queries: int = 0
@@ -95,136 +100,98 @@ class BatchQueryStats:
 
     def merge(self, other: "BatchQueryStats") -> None:
         """Accumulate *other* into this (used when chunking a workload)."""
-        self.queries += other.queries
-        self.batches += other.batches
-        self.blocks_selected += other.blocks_selected
-        self.sections_scanned += other.sections_scanned
-        self.logical_rows += other.logical_rows
-        self.unique_rows += other.unique_rows
-        self.results += other.results
-        self.segments_skipped += other.segments_skipped
-        self.blocks_skipped += other.blocks_skipped
-        self.filter_seconds += other.filter_seconds
-        self.scan_seconds += other.scan_seconds
-        self.cold_segments += other.cold_segments
-        self.cold_rows += other.cold_rows
-        self.cold_bytes += other.cold_bytes
-        self.cold_fetch_seconds += other.cold_fetch_seconds
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 # ----------------------------------------------------------------------
-# Scan coalescing
+# The scan
 # ----------------------------------------------------------------------
 def coalesce_ranges(
-    range_lists: Sequence[list[RowRange]],
-) -> list[RowRange]:
-    """Merge every query's row ranges into their disjoint sorted union.
+    starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge a batch's row ranges into their disjoint sorted union.
 
-    Each input list is the merged "curve sections" of one query (sorted,
-    disjoint — as produced by
-    :meth:`~repro.index.table.HilbertLayout.block_row_ranges`).  Touching
-    ranges merge, so every input range lies **entirely inside exactly
-    one** union range — the invariant the demux step relies on.
+    The inputs are every query's curve sections, flattened (a
+    :class:`~repro.index.table.RangeBatch`'s ``starts``/``ends``).
+    Touching ranges merge, so every input range lies **entirely inside
+    exactly one** union range — what :func:`_gather` maps ranges by.
     """
-    total = sum(len(ranges) for ranges in range_lists)
-    if total == 0:
-        return []
-    starts = np.empty(total, dtype=np.int64)
-    ends = np.empty(total, dtype=np.int64)
-    at = 0
-    for ranges in range_lists:
-        for s, e in ranges:
-            starts[at] = s
-            ends[at] = e
-            at += 1
     order = np.argsort(starts, kind="stable")
-    starts = starts[order]
-    ends = ends[order]
-    running = np.maximum.accumulate(ends)
-    new_group = np.empty(total, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = starts[1:] > running[:-1]
-    first = np.nonzero(new_group)[0]
-    last = np.append(first[1:] - 1, total - 1)
+    return merge_ranges(starts[order], ends[order])
+
+
+def _pairs(union: tuple[np.ndarray, np.ndarray]) -> list[RowRange]:
+    """*union* as ``(start, end)`` pairs: gather-cache key, fetch ranges."""
+    return list(zip(union[0].tolist(), union[1].tolist()))
+
+
+def _rows(union: tuple[np.ndarray, np.ndarray]) -> int:
+    """Rows covered by *union*."""
+    return int((union[1] - union[0]).sum())
+
+
+def _gather(
+    sections: RangeBatch, columns: tuple, union=None
+) -> list[tuple]:
+    """Per-query ``(rows, ids, timecodes, fingerprints)`` of *sections*.
+
+    *columns* are a store's ``(ids, timecodes, fingerprints)``, or — with
+    *union* — the columns of that union, gathered once.  A query range
+    then sits inside exactly one union range ``k``, at buffer offset
+    ``offsets[k] + (start - u_starts[k])``: one ``searchsorted`` per
+    range, none per row.  Either way each row is copied once, by one
+    ``take`` per column per query, into arrays the result owns.
+    """
+    starts, ends, bounds = sections
+    lengths = ends - starts
+    rows = pos = expand_ranges(starts, ends)
+    if union is not None:
+        u_starts, u_ends = union
+        u_lengths = u_ends - u_starts
+        k = np.searchsorted(u_starts, starts, side="right") - 1
+        src = (np.cumsum(u_lengths) - u_lengths)[k] + (starts - u_starts[k])
+        pos = expand_ranges(src, src + lengths)
+    # ``take`` on the base class: 3x a 2-D fancy index, and a memory-
+    # mapped column yields a plain array, as indexing it does.
+    columns = [np.asarray(column) for column in columns]
+    cuts = np.append(0, np.cumsum(lengths))[bounds].tolist()
     return [
-        (int(s), int(e)) for s, e in zip(starts[first], running[last])
+        (rows[a:b].copy(), *(c.take(pos[a:b], axis=0) for c in columns))
+        for a, b in zip(cuts[:-1], cuts[1:])
     ]
 
 
-def _demux_union(
-    layout: HilbertLayout,
-    per_query_ranges: Sequence[list[RowRange]],
-    union: list[RowRange],
-    u_ids: np.ndarray,
-    u_tcs: np.ndarray,
-    u_fps: np.ndarray,
-) -> list[tuple]:
-    """Split union columns back into per-query ``(rows, ids, tcs, fps)``.
-
-    Fancy indexing copies, so the returned arrays never alias the union
-    buffers (which the gather cache may hand to later batches).
-    """
-    if union:
-        u_starts = np.array([s for s, _ in union], dtype=np.int64)
-        lengths = np.array([e - s for s, e in union], dtype=np.int64)
-        offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(lengths)]
-        )
-    per_query = []
-    for ranges in per_query_ranges:
-        rows_q = layout.gather_rows(ranges)
-        if rows_q.size:
-            # Each per-query range sits inside exactly one union range, so
-            # its rows map to positions by offsetting within that range.
-            k = np.searchsorted(u_starts, rows_q, side="right") - 1
-            pos = offsets[k] + (rows_q - u_starts[k])
-        else:
-            pos = np.empty(0, dtype=np.int64)
-        per_query.append((rows_q, u_ids[pos], u_tcs[pos], u_fps[pos]))
-    return per_query
-
-
-def _scan_coalesced(
-    layout: HilbertLayout,
+def _scan(
     store: FingerprintStore,
-    per_query_ranges: Sequence[list[RowRange]],
+    sections: RangeBatch,
+    union: tuple[np.ndarray, np.ndarray],
     store_name: str = MONOLITHIC_STORE,
     gather_cache=None,
-) -> tuple[list[tuple], int, int]:
-    """Scan the union of all queries' sections once and demultiplex.
+) -> list[tuple]:
+    """Gather every query of *sections* from a resident store.
 
-    Returns ``(per_query, union_sections, unique_rows)`` where each
-    ``per_query`` entry is ``(rows, ids, timecodes, fingerprints)`` —
-    exactly the columns the sequential ``_scan_blocks`` would have
-    gathered for that query alone, in the same (curve) order.
-
-    With *gather_cache* (a :class:`~repro.serve.cache.GatherCache`),
-    recurring ``(store, union)`` gathers are answered from cached
-    column copies.  Fancy indexing copies, so cached columns are
-    byte-identical to a fresh gather of the same immutable store rows;
-    the serving layer invalidates the cache whenever the index mutates.
+    Without *gather_cache* each query gathers straight from the store
+    columns and *union* is never materialised.  With one (a
+    :class:`~repro.serve.cache.GatherCache`), the union's columns are
+    what the cache keeps: gathered once, or replayed on a hit, and each
+    query is carved out of them.  ``take`` copies, so cached columns are
+    byte-identical to a fresh gather of the same immutable store rows
+    and never alias a result; the serving layer invalidates the cache
+    whenever the index mutates.
     """
-    union = coalesce_ranges(per_query_ranges)
-    total = sum(e - s for s, e in union)
-    cached = (
-        gather_cache.get(store_name, union)
-        if gather_cache is not None else None
-    )
-    if cached is not None:
-        u_ids, u_tcs, u_fps = cached
-    else:
-        u_rows = layout.gather_rows(union)
-        u_ids = store.ids[u_rows]
-        u_tcs = store.timecodes[u_rows]
-        u_fps = store.fingerprints[u_rows]
-        if gather_cache is not None:
-            gather_cache.put(
-                store_name, union, (u_ids, u_tcs, u_fps), total
-            )
-    per_query = _demux_union(
-        layout, per_query_ranges, union, u_ids, u_tcs, u_fps
-    )
-    return per_query, len(union), total
+    columns = (store.ids, store.timecodes, store.fingerprints)
+    if gather_cache is None:
+        return _gather(sections, columns)
+    key = _pairs(union)
+    cached = gather_cache.get(store_name, key)
+    if cached is None:
+        u_rows = expand_ranges(*union)
+        cached = tuple(
+            np.asarray(column).take(u_rows, axis=0) for column in columns
+        )
+        gather_cache.put(store_name, key, cached, int(u_rows.size))
+    return _gather(sections, cached, union)
 
 
 # ----------------------------------------------------------------------
@@ -270,19 +237,20 @@ def query_batch_monolithic(
         cache=index._threshold_cache,
     )
     t1 = time.perf_counter()
-    per_ranges = [index.row_ranges(sel) for sel in selections]
-    scans, union_sections, unique_rows = _scan_coalesced(
-        index.layout, index.store, per_ranges, gather_cache=gather_cache,
+    sections = index.layout.batch_row_ranges(
+        [sel.prefixes for sel in selections], depth
     )
+    union = coalesce_ranges(sections.starts, sections.ends)
+    scans = _scan(index.store, sections, union, gather_cache=gather_cache)
     t2 = time.perf_counter()
 
     results = []
-    for sel, ranges, (rows_q, ids, tcs, fps) in zip(
-        selections, per_ranges, scans
+    for sel, count, (rows_q, ids, tcs, fps) in zip(
+        selections, np.diff(sections.bounds).tolist(), scans
     ):
         stats = QueryStats(
             blocks_selected=len(sel),
-            sections_scanned=len(ranges),
+            sections_scanned=count,
             rows_scanned=int(rows_q.size),
             results=int(rows_q.size),
             nodes_visited=sel.nodes_visited,
@@ -296,9 +264,9 @@ def query_batch_monolithic(
         ))
 
     batch.blocks_selected = sum(len(s) for s in selections)
-    batch.sections_scanned = union_sections
+    batch.sections_scanned = int(union[0].size)
     batch.logical_rows = sum(len(r) for r in results)
-    batch.unique_rows = unique_rows
+    batch.unique_rows = _rows(union)
     batch.results = batch.logical_rows
     batch.filter_seconds = t1 - t0
     batch.scan_seconds = t2 - t1
@@ -318,11 +286,11 @@ def query_batch_segmented(
     """Answer a batch of statistical queries against a segmented index.
 
     The block selections are computed once per batch and fanned out:
-    each sealed segment is scanned with one coalesced pass, the memtable
-    by block membership per query.  Merge order matches the sequential
-    ``_fan_out`` — segments in manifest order, then the memtable — so
-    per-query results are bit-identical to ``index.statistical_query``
-    from the same warm-start cache state.
+    each sealed segment's ranges and union are computed once for the
+    batch, the memtable is scanned by block membership per query.  Merge
+    order matches the sequential ``_fan_out`` — segments in manifest
+    order, then the memtable — so per-query results are bit-identical to
+    ``index.statistical_query`` from the same warm-start cache state.
 
     With *prefilter* (the default), each segment's sketch drops the
     selected blocks the segment provably holds no rows of **per query**,
@@ -360,26 +328,15 @@ def query_batch_segmented(
 
     def seg_query_ranges(seg):
         """Per-query ranges of *seg*, sketch-pruned, plus skip counters."""
-        sketch = seg.sketch if prefilter else None
-        per_ranges = []
-        skipped_q = []
-        blocks_q = []
-        for sel in selections:
-            prefixes = sel.prefixes
-            dropped = 0
-            skipped = False
-            if sketch is not None and len(prefixes):
-                pruned = sketch.prune_prefixes(prefixes, sel.depth)
-                dropped = len(prefixes) - len(pruned)
-                skipped = len(pruned) == 0
-                prefixes = pruned
-            blocks_q.append(dropped)
-            skipped_q.append(skipped)
-            per_ranges.append(
-                seg.layout.block_row_ranges(prefixes, sel.depth)
-                if len(prefixes) else []
-            )
-        return per_ranges, skipped_q, blocks_q
+        kept = [sel.prefixes for sel in selections]
+        if prefilter and seg.sketch is not None:
+            kept = [seg.sketch.prune_prefixes(p, depth) for p in kept]
+        sizes = [(len(sel), len(p)) for sel, p in zip(selections, kept)]
+        return (
+            seg.layout.batch_row_ranges(kept, depth),
+            [n > 0 and m == 0 for n, m in sizes],  # every block pruned
+            [n - m for n, m in sizes],  # blocks pruned
+        )
 
     # Pin one snapshot view for the whole batch: the segment set, the
     # frozen memtables and the active-memtable length all come from the
@@ -392,7 +349,12 @@ def query_batch_segmented(
     # cold segments), so every segment's pruned per-query ranges — and
     # their coalesced unions — are known before a single row is read.
     seg_pruned = [seg_query_ranges(seg) for seg in segments]
-    seg_unions = [coalesce_ranges(p[0]) for p in seg_pruned]
+    seg_unions = [
+        coalesce_ranges(sections.starts, sections.ends)
+        for sections, _, _ in seg_pruned
+    ]
+    seg_rows = [_rows(union) for union in seg_unions]
+    seg_counts = [np.diff(p[0].bounds).tolist() for p in seg_pruned]
 
     # Cold fetches start *now*, before the resident scans, so backend
     # latency overlaps the local gathers below.
@@ -401,43 +363,38 @@ def query_batch_segmented(
     cold_handles: dict[int, object] = {}
     if storage is not None and prefetch:
         for i, seg in enumerate(segments):
-            if seg.index is None and seg_unions[i]:
-                cold_handles[i] = storage.prefetch(seg, seg_unions[i])
+            if seg.index is None and seg_rows[i]:
+                cold_handles[i] = storage.prefetch(seg, _pairs(seg_unions[i]))
 
     seg_scans: list = [None] * len(segments)
     for i, seg in enumerate(segments):
         if seg.index is not None:
-            seg_scans[i] = _scan_coalesced(
-                seg.index.layout, seg.index.store, seg_pruned[i][0],
+            seg_scans[i] = _scan(
+                seg.index.store, seg_pruned[i][0], seg_unions[i],
                 store_name=seg.meta.name, gather_cache=gather_cache,
             )
 
     # Collect the cold fetches (or fetch synchronously when the
-    # prefetcher is off) and demux them exactly like a resident union.
+    # prefetcher is off): the fetched union is carved up exactly like a
+    # cached one.
     cold_segments_scanned = 0
     for i, seg in enumerate(segments):
         if seg.index is not None:
             continue
-        union = seg_unions[i]
-        total = sum(e - s for s, e in union)
-        if total == 0:
-            u_ids = np.empty(0, dtype=np.uint32)
-            u_tcs = np.empty(0, dtype=np.float64)
-            u_fps = np.empty((0, index.ndims), dtype=np.uint8)
-        elif i in cold_handles:
-            u_ids, u_tcs, u_fps = storage.collect(cold_handles[i])
-            cold_segments_scanned += 1
+        if seg_rows[i] == 0:
+            columns = (np.empty(0, np.uint32), np.empty(0, np.float64),
+                       np.empty((0, index.ndims), np.uint8))
         else:
-            u_ids, u_tcs, u_fps = storage.fetch_ranges(seg, union)
+            columns = (
+                storage.collect(cold_handles[i]) if i in cold_handles
+                else storage.fetch_ranges(seg, _pairs(seg_unions[i]))
+            )
             cold_segments_scanned += 1
-        scans = _demux_union(
-            seg.layout, seg_pruned[i][0], union, u_ids, u_tcs, u_fps
-        )
-        seg_scans[i] = (scans, len(union), total)
+        seg_scans[i] = _gather(seg_pruned[i][0], columns, seg_unions[i])
 
     if storage is not None:
         for i, seg in enumerate(segments):
-            if seg_unions[i]:
+            if seg_rows[i]:
                 storage.touch(seg)
 
     # Memtable scans — frozen memtables (oldest first) then the active
@@ -467,13 +424,13 @@ def query_batch_segmented(
         )
         rows_parts, ids_parts, tcs_parts, fps_parts = [], [], [], []
         base = 0
-        for seg, (per_ranges, skipped_q, blocks_q), (scans, _, _) in zip(
-            segments, seg_pruned, seg_scans
+        for seg, (_, skipped_q, blocks_q), counts, scans in zip(
+            segments, seg_pruned, seg_counts, seg_scans
         ):
             rows_q, ids, tcs, fps = scans[qi]
             seg_stats = QueryStats(
                 blocks_selected=len(sel),
-                sections_scanned=len(per_ranges[qi]),
+                sections_scanned=counts[qi],
                 rows_scanned=int(rows_q.size),
                 results=int(rows_q.size),
             )
@@ -514,10 +471,10 @@ def query_batch_segmented(
         results.append(merged)
 
     batch.blocks_selected = sum(len(s) for s in selections)
-    batch.sections_scanned = sum(s[1] for s in seg_scans)
+    batch.sections_scanned = sum(int(u[0].size) for u in seg_unions)
     batch.logical_rows = sum(len(r) for r in results)
     batch.unique_rows = (
-        sum(s[2] for s in seg_scans)
+        sum(seg_rows)
         + sum(
             int(r.size) for rows_q, _, _ in mem_scans for r in rows_q
         )
@@ -532,8 +489,8 @@ def query_batch_segmented(
     if storage is not None:
         batch.cold_segments = cold_segments_scanned
         batch.cold_rows = sum(
-            s[2] for i, s in enumerate(seg_scans)
-            if segments[i].index is None
+            rows for seg, rows in zip(segments, seg_rows)
+            if seg.index is None
         )
         batch.cold_bytes = storage.stats.fetch_bytes - cold_bytes0
         batch.cold_fetch_seconds = storage.stats.fetch_seconds - cold_secs0

@@ -12,12 +12,96 @@ step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import ConfigurationError
 from ..hilbert.butz import HilbertCurve
 from ..hilbert.vectorized import encode_batch
+
+
+class RangeBatch(NamedTuple):
+    """The merged row ranges of several prefix lists, flattened.
+
+    List ``i`` owns ``starts[bounds[i]:bounds[i + 1]]`` and the same slice
+    of ``ends``: sorted, disjoint, non-touching ``[start, end)`` ranges —
+    the curve sections of one query.
+    """
+
+    starts: np.ndarray
+    ends: np.ndarray
+    bounds: np.ndarray
+
+
+def merge_ranges(
+    starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Join touching or overlapping ranges of sorted *starts*; drop empties.
+
+    A range opens a new section where its start lies beyond every end
+    before it (``maximum.accumulate``), so each input range ends up inside
+    exactly one output range.
+    """
+    keep = starts < ends
+    starts, ends = starts[keep], ends[keep]
+    if starts.size == 0:
+        return starts, ends
+    running = np.maximum.accumulate(ends)
+    first = np.flatnonzero(np.append(True, starts[1:] > running[:-1]))
+    return starts[first], running[np.append(first[1:], starts.size) - 1]
+
+
+def expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Every position of the ranges ``[s, e)``, concatenated in order.
+
+    One ``repeat`` of each range's start-minus-offset over its length plus
+    one ``arange`` of the total: no ``arange`` per range.
+    """
+    lengths = ends - starts
+    heads = np.cumsum(lengths) - lengths
+    return np.arange(lengths.sum(), dtype=np.int64) + np.repeat(
+        starts - heads, lengths
+    )
+
+
+def key_row_ranges(
+    keys: np.ndarray,
+    key_bits: int,
+    prefix_lists: Sequence[np.ndarray],
+    depth: int,
+) -> RangeBatch:
+    """Row ranges of the blocks of each prefix list, merged per list.
+
+    *keys* are a store's sorted curve keys (*key_bits* significant bits);
+    each list holds block prefixes at *depth* in curve order.  One
+    ``searchsorted`` pair locates every block of every list.  List ``i``
+    is lifted by ``i * (len(keys) + 1)`` rows, so a single
+    :func:`merge_ranges` pass merges adjacent blocks within a list and
+    never across two.
+    """
+    if depth > key_bits:
+        raise ConfigurationError(
+            f"depth {depth} exceeds key resolution {key_bits}"
+        )
+    counts = [len(p) for p in prefix_lists]
+    prefixes = np.concatenate(
+        [np.asarray(p, dtype=np.uint64) for p in prefix_lists]
+    )
+    shift = np.uint64(key_bits - depth)
+    hi_keys = (prefixes + np.uint64(1)) << shift
+    # (prefix + 1) << shift wraps to 0 only for the partition's very last
+    # block when key_bits == 64: that block ends at the end of the keys.
+    starts = np.searchsorted(keys, prefixes << shift, side="left")
+    ends = np.where(
+        hi_keys == 0, keys.size, np.searchsorted(keys, hi_keys, side="left")
+    )
+    base = np.arange(len(counts) + 1, dtype=np.int64) * (keys.size + 1)
+    lift = np.repeat(base[:-1], counts)
+    starts, ends = merge_ranges(starts + lift, ends + lift)
+    bounds = np.searchsorted(starts, base)
+    lift = np.repeat(base[:-1], np.diff(bounds))
+    return RangeBatch(starts - lift, ends - lift, bounds)
 
 
 @dataclass
@@ -90,6 +174,12 @@ class HilbertLayout:
         shift = self.key_bits - depth
         return int(prefix) << shift, (int(prefix) + 1) << shift
 
+    def batch_row_ranges(
+        self, prefix_lists: Sequence[np.ndarray], depth: int
+    ) -> RangeBatch:
+        """Merged row ranges of every prefix list (see :func:`key_row_ranges`)."""
+        return key_row_ranges(self.keys, self.key_bits, prefix_lists, depth)
+
     def block_row_ranges(
         self, prefixes: np.ndarray, depth: int
     ) -> list[tuple[int, int]]:
@@ -99,43 +189,13 @@ class HilbertLayout:
         filtering step).  Blocks adjacent on the curve merge into a single
         section — the Hilbert clustering property at work.
         """
-        if depth > self.key_bits:
-            raise ConfigurationError(
-                f"depth {depth} exceeds key resolution {self.key_bits}"
-            )
-        if len(prefixes) == 0:
-            return []
-        prefixes = np.asarray(prefixes, dtype=np.uint64)
-        shift = np.uint64(self.key_bits - depth)
-        lo_keys = prefixes << shift
-        hi_keys = (prefixes + np.uint64(1)) << shift
-        # (prefix + 1) << shift overflows to 0 only for the very last block
-        # of the partition when key_bits == 64; keys never reach 2^64 - 1
-        # in that configuration because depth <= 64 is enforced upstream,
-        # so map the wrapped 0 to the maximum sentinel.
-        starts = np.searchsorted(self.keys, lo_keys, side="left")
-        ends = np.empty_like(starts)
-        wrapped = hi_keys == 0
-        ends[~wrapped] = np.searchsorted(self.keys, hi_keys[~wrapped], side="left")
-        ends[wrapped] = self.keys.size
-
-        ranges: list[tuple[int, int]] = []
-        for s, e in zip(starts.tolist(), ends.tolist()):
-            if s >= e:
-                continue
-            if ranges and s <= ranges[-1][1]:
-                ranges[-1] = (ranges[-1][0], max(e, ranges[-1][1]))
-            else:
-                ranges.append((s, e))
-        return ranges
+        starts, ends, _ = self.batch_row_ranges([prefixes], depth)
+        return list(zip(starts.tolist(), ends.tolist()))
 
     def gather_rows(self, ranges: list[tuple[int, int]]) -> np.ndarray:
         """Return the row indices covered by *ranges*, in curve order."""
-        if not ranges:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(
-            [np.arange(s, e, dtype=np.int64) for s, e in ranges]
-        )
+        bounds = np.array(ranges, dtype=np.int64).reshape(-1, 2)
+        return expand_ranges(bounds[:, 0], bounds[:, 1])
 
     # ------------------------------------------------------------------
     def curve_sections(self, r: int) -> list[tuple[int, int]]:

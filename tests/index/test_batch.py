@@ -75,21 +75,30 @@ def selection_key(sel):
     )
 
 
+def union_of(range_lists):
+    """``coalesce_ranges`` over per-query range lists, as ``(s, e)`` pairs."""
+    pairs = np.array(
+        [r for ranges in range_lists for r in ranges], dtype=np.int64
+    ).reshape(-1, 2)
+    starts, ends = coalesce_ranges(pairs[:, 0], pairs[:, 1])
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
 # ----------------------------------------------------------------------
 class TestCoalesceRanges:
     def test_empty(self):
-        assert coalesce_ranges([]) == []
-        assert coalesce_ranges([[], []]) == []
+        assert union_of([]) == []
+        assert union_of([[], []]) == []
 
     def test_disjoint_stay_separate(self):
-        assert coalesce_ranges([[(0, 3)], [(10, 12)]]) == [(0, 3), (10, 12)]
+        assert union_of([[(0, 3)], [(10, 12)]]) == [(0, 3), (10, 12)]
 
     def test_overlap_and_touch_merge(self):
-        assert coalesce_ranges([[(0, 5), (8, 9)], [(3, 8)]]) == [(0, 9)]
-        assert coalesce_ranges([[(0, 5)], [(5, 9)]]) == [(0, 9)]
+        assert union_of([[(0, 5), (8, 9)], [(3, 8)]]) == [(0, 9)]
+        assert union_of([[(0, 5)], [(5, 9)]]) == [(0, 9)]
 
     def test_containment(self):
-        assert coalesce_ranges([[(0, 100)], [(10, 20), (30, 40)]]) == [(0, 100)]
+        assert union_of([[(0, 100)], [(10, 20), (30, 40)]]) == [(0, 100)]
 
     @given(
         st.lists(
@@ -117,7 +126,7 @@ class TestCoalesceRanges:
                 else:
                     merged.append((s, e))
             range_lists.append(merged)
-        union = coalesce_ranges(range_lists)
+        union = union_of(range_lists)
         # Exact cover of the union of all rows.
         rows = set()
         for ranges in range_lists:
