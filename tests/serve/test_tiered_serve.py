@@ -6,6 +6,8 @@ The satellite contract: a cold-fetch failure surfaces as the retryable
 faults transparently.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,12 @@ from repro.distortion.model import NormalDistortionModel
 from repro.index.segmented import SegmentedS3Index
 from repro.serve import ServeClient, ServeConfig, ServerThread, protocol
 from repro.serve.client import ServerError
-from repro.storage import FakeBlobBackend, StorageConfig
+from repro.storage import (
+    BLOB_SUFFIX,
+    FakeBlobBackend,
+    FileBlobBackend,
+    StorageConfig,
+)
 
 NDIMS = 8
 SIGMA = 20.0
@@ -94,6 +101,28 @@ class TestTieredServe:
             assert storage["tiers"]["cold"]["segments"] == 3
             assert storage["manager"]["counters"]["cold_errors"] >= 3
             assert stats["config"]["storage_budget"] == 1
+
+    def test_truncated_blob_is_retryable_unavailable(self, archive, tmp_path):
+        """Torn data on a real file: a blob cut short under
+        ``FileBlobBackend`` must come back as the retryable wire code."""
+        q, _ = reference_query(archive)
+        cold = tmp_path / "cold"
+        index = SegmentedS3Index.open(
+            archive,
+            storage=StorageConfig(budget_bytes=1, cold_dir=str(cold)),
+        )
+        assert isinstance(index.storage.backend, FileBlobBackend)
+        assert all(s.meta.tier == "cold" for s in index._segments)
+        for blob in cold.glob("*" + BLOB_SUFFIX):
+            os.truncate(blob, blob.stat().st_size // 2)
+        with ServerThread(index, ServeConfig(port=0, cache="off")) as srv:
+            with ServeClient(port=srv.port, retries=0) as raw:
+                with pytest.raises(ServerError) as err:
+                    raw.query(q)
+                stats = raw.stats()
+        assert err.value.code == protocol.ERR_UNAVAILABLE
+        assert err.value.code in protocol.RETRYABLE_CODES
+        assert stats["storage"]["manager"]["counters"]["cold_errors"] >= 1
 
     def test_health_reports_tiers(self, archive):
         backend = FakeBlobBackend()
