@@ -213,6 +213,6 @@ class MortonIndex:
             query, self.model, self.depth, alpha
         )
         starts, ends, _ = key_row_ranges(
-            self.keys, self.key_bits, [prefixes], self.depth
+            self.keys, self.key_bits, prefixes, [len(prefixes)], self.depth
         )
         return expand_ranges(starts, ends), int(prefixes.size), starts.size

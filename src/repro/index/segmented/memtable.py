@@ -151,6 +151,15 @@ class MemTable:
         keep = np.flatnonzero(dist_sq <= float(epsilon) ** 2).astype(np.int64)
         return keep, np.sqrt(dist_sq[keep])
 
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Views of the buffered ``(ids, timecodes, fingerprints)``.
+
+        Read-only by contract; a concurrent ``add`` may move the buffers,
+        but these views keep the rows a pinned snapshot bounds.
+        """
+        b = self._builder
+        return b.ids, b.timecodes, b.fingerprints
+
     def take(self, rows: np.ndarray) -> FingerprintStore:
         """The buffered records at *rows*, as a store (query gather)."""
         return FingerprintStore(

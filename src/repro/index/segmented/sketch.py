@@ -211,6 +211,22 @@ class SegmentSketch:
     # ------------------------------------------------------------------
     # Pruning
     # ------------------------------------------------------------------
+    def occupancy_mask(
+        self, prefixes: np.ndarray, depth: int
+    ) -> np.ndarray:
+        """Keep-mask of the selected *prefixes* this segment holds rows in.
+
+        *prefixes* are ``depth``-bit curve prefixes, sorted within each
+        query's selection; a batch's selections may be passed
+        concatenated, since each prefix is tested on its own.  The test
+        is exact (not probabilistic) in both directions of the depth
+        mismatch (:func:`occupancy_keep`).
+        """
+        prefixes = np.asarray(prefixes, dtype=np.uint64)
+        if self.rows == 0:
+            return np.zeros(prefixes.size, dtype=bool)
+        return occupancy_keep(self.occupied, self.depth, prefixes, depth)
+
     def prune_prefixes(
         self, prefixes: np.ndarray, depth: int
     ) -> np.ndarray:
@@ -218,17 +234,12 @@ class SegmentSketch:
 
         *prefixes* are sorted ``depth``-bit curve prefixes from a
         :class:`~repro.index.filtering.BlockSelection`.  Keeps a prefix
-        iff the segment's occupancy intersects its key interval, which
-        is exact (not probabilistic) in both directions of the depth
-        mismatch — so the surviving prefixes yield row ranges identical
-        to the full selection's.
+        iff the segment's occupancy intersects its key interval — so the
+        surviving prefixes yield row ranges identical to the full
+        selection's.
         """
         prefixes = np.asarray(prefixes, dtype=np.uint64)
-        if prefixes.size == 0 or self.rows == 0:
-            return prefixes[:0]
-        return prefixes[
-            occupancy_keep(self.occupied, self.depth, prefixes, depth)
-        ]
+        return prefixes[self.occupancy_mask(prefixes, depth)]
 
     def ball_lower_bounds_sq(self, query: np.ndarray) -> np.ndarray:
         """``(B,)`` exact squared lower bounds of each block to *query*."""

@@ -68,13 +68,15 @@ def expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 def key_row_ranges(
     keys: np.ndarray,
     key_bits: int,
-    prefix_lists: Sequence[np.ndarray],
+    prefixes: np.ndarray,
+    counts,
     depth: int,
 ) -> RangeBatch:
-    """Row ranges of the blocks of each prefix list, merged per list.
+    """Row ranges of the blocks of several prefix lists, merged per list.
 
-    *keys* are a store's sorted curve keys (*key_bits* significant bits);
-    each list holds block prefixes at *depth* in curve order.  One
+    *keys* are a store's sorted curve keys (*key_bits* significant bits).
+    *prefixes* are the lists concatenated: list ``i`` is the next
+    ``counts[i]`` block prefixes at *depth*, in curve order.  One
     ``searchsorted`` pair locates every block of every list.  List ``i``
     is lifted by ``i * (len(keys) + 1)`` rows, so a single
     :func:`merge_ranges` pass merges adjacent blocks within a list and
@@ -84,10 +86,8 @@ def key_row_ranges(
         raise ConfigurationError(
             f"depth {depth} exceeds key resolution {key_bits}"
         )
-    counts = [len(p) for p in prefix_lists]
-    prefixes = np.concatenate(
-        [np.asarray(p, dtype=np.uint64) for p in prefix_lists]
-    )
+    counts = np.asarray(counts, dtype=np.int64)
+    prefixes = np.asarray(prefixes, dtype=np.uint64)
     shift = np.uint64(key_bits - depth)
     hi_keys = (prefixes + np.uint64(1)) << shift
     # (prefix + 1) << shift wraps to 0 only for the partition's very last
@@ -96,7 +96,7 @@ def key_row_ranges(
     ends = np.where(
         hi_keys == 0, keys.size, np.searchsorted(keys, hi_keys, side="left")
     )
-    base = np.arange(len(counts) + 1, dtype=np.int64) * (keys.size + 1)
+    base = np.arange(counts.size + 1, dtype=np.int64) * (keys.size + 1)
     lift = np.repeat(base[:-1], counts)
     starts, ends = merge_ranges(starts + lift, ends + lift)
     bounds = np.searchsorted(starts, base)
@@ -174,11 +174,22 @@ class HilbertLayout:
         shift = self.key_bits - depth
         return int(prefix) << shift, (int(prefix) + 1) << shift
 
+    def row_ranges(
+        self, prefixes: np.ndarray, counts, depth: int
+    ) -> RangeBatch:
+        """Merged row ranges of concatenated prefix lists (see
+        :func:`key_row_ranges`)."""
+        return key_row_ranges(self.keys, self.key_bits, prefixes, counts, depth)
+
     def batch_row_ranges(
         self, prefix_lists: Sequence[np.ndarray], depth: int
     ) -> RangeBatch:
         """Merged row ranges of every prefix list (see :func:`key_row_ranges`)."""
-        return key_row_ranges(self.keys, self.key_bits, prefix_lists, depth)
+        prefixes = [np.asarray(p, dtype=np.uint64) for p in prefix_lists]
+        return self.row_ranges(
+            np.concatenate(prefixes) if prefixes else np.empty(0, np.uint64),
+            [p.size for p in prefixes], depth,
+        )
 
     def block_row_ranges(
         self, prefixes: np.ndarray, depth: int

@@ -3,8 +3,9 @@
 A blob backend stores **opaque segment blobs** — the exact bytes of a
 segment's ``save()``-layout store file — under string keys (the segment
 name).  The protocol is deliberately tiny (``put`` / ``get`` /
-``get_range`` / ``delete``) so an S3/GCS/object-store adapter is a page
-of code; the repo ships two implementations:
+``get_ranges`` / ``delete`` / ``exists`` / ``keys``) so an
+S3/GCS/object-store adapter is a page of code; the repo ships two
+implementations:
 
 * :class:`FileBlobBackend` — a local directory, one file per blob,
   written atomically (tmp + fsync + rename).  This is the production
@@ -14,9 +15,11 @@ of code; the repo ships two implementations:
   tests: a cold fetch must surface as a retryable per-segment error,
   never a crash or a silent wrong answer.
 
-``get_range`` is the hot call: the tier manager fetches exactly the
-coalesced byte ranges the block selection will scan, so a query touches
-``O(selected rows)`` backend bytes, not ``O(segment)``.
+``get_ranges`` is the hot call: the tier manager fetches exactly the
+coalesced byte spans the block selection will scan, all of one cold
+segment's in one call, so a query touches ``O(selected rows)`` backend
+bytes, not ``O(segment)``, and pays one round trip per segment, not one
+per span.
 """
 
 from __future__ import annotations
@@ -25,12 +28,15 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from ..errors import StorageError
 
 #: Suffix of blob files inside a :class:`FileBlobBackend` directory.
 BLOB_SUFFIX = ".blob"
+
+#: ``(offset, length)`` of one byte span of a blob.
+Span = tuple[int, int]
 
 
 @runtime_checkable
@@ -42,13 +48,18 @@ class BlobBackend(Protocol):
     partial blob) and may raise any exception on failure — the tier
     manager wraps every backend error into a retryable
     :class:`~repro.errors.ColdFetchError`.
+
+    ``get_ranges`` returns the bytes of *spans* concatenated in the
+    order given.  A reply shorter than the spans' total length is a
+    torn read (a span ran past the end of the blob); the caller must
+    reject it, never decode it.
     """
 
     def put(self, key: str, data: bytes) -> None: ...
 
     def get(self, key: str) -> bytes: ...
 
-    def get_range(self, key: str, offset: int, length: int) -> bytes: ...
+    def get_ranges(self, key: str, spans: Sequence[Span]) -> bytes: ...
 
     def delete(self, key: str) -> None: ...
 
@@ -89,13 +100,29 @@ class FileBlobBackend:
         except OSError as exc:
             raise StorageError(f"blob {key!r} unreadable: {exc}") from exc
 
-    def get_range(self, key: str, offset: int, length: int) -> bytes:
+    def get_ranges(self, key: str, spans: Sequence[Span]) -> bytes:
+        """One open per call, one positional read per span.
+
+        Stops at the first short read, so the reply is then shorter
+        than the spans' total: the torn read the caller rejects.
+        ``os.pread`` plus one join beats ``os.preadv`` into a
+        preallocated buffer here: slicing a memoryview per span costs
+        more than the small ``bytes`` each ``pread`` returns.
+        """
+        parts = []
         try:
-            with open(self._path(key), "rb") as fh:
-                fh.seek(offset)
-                return fh.read(length)
+            fd = os.open(self._path(key), os.O_RDONLY)
+            try:
+                for offset, length in spans:
+                    data = os.pread(fd, length, offset)
+                    parts.append(data)
+                    if len(data) < length:
+                        break
+            finally:
+                os.close(fd)
         except OSError as exc:
             raise StorageError(f"blob {key!r} unreadable: {exc}") from exc
+        return b"".join(parts)
 
     def delete(self, key: str) -> None:
         self._path(key).unlink(missing_ok=True)
@@ -114,13 +141,14 @@ class FileBlobBackend:
 class FakeBlobBackend:
     """In-memory blob store with scriptable faults (tests only).
 
-    Fault knobs (all default off):
+    Fault knobs (all default off), each counted per call — one
+    ``get_ranges`` call is one read however many spans it carries:
 
-    * ``latency_s`` — every ``get``/``get_range`` sleeps this long,
-      exercising the prefetch-overlap path.
-    * ``fail_reads`` — the next N read operations raise
+    * ``latency_s`` — every ``get``/``get_ranges`` call sleeps this
+      long, exercising the prefetch-overlap path.
+    * ``fail_reads`` — the next N read calls raise
       :class:`~repro.errors.StorageError`.
-    * ``torn_reads`` — the next N ``get_range`` calls return roughly
+    * ``torn_reads`` — the next N ``get_ranges`` calls return roughly
       half the requested bytes, exercising the length-validation path
       (a torn read must never become a silent wrong answer).
 
@@ -171,7 +199,7 @@ class FakeBlobBackend:
             self.bytes_read += len(data)
         return data
 
-    def get_range(self, key: str, offset: int, length: int) -> bytes:
+    def get_ranges(self, key: str, spans: Sequence[Span]) -> bytes:
         self._maybe_fault()
         with self._lock:
             self.range_gets += 1
@@ -179,7 +207,7 @@ class FakeBlobBackend:
                 blob = self._blobs[key]
             except KeyError:
                 raise StorageError(f"no such blob {key!r}") from None
-            data = blob[offset:offset + length]
+            data = b"".join(blob[o:o + n] for o, n in spans)
             self.bytes_read += len(data)
         return self._tear(data)
 

@@ -16,10 +16,11 @@ that possible without touching the backend:
   bit-identical.
 
 Once the selection has produced row ranges, :func:`fetch_columns` maps
-each range to three column byte ranges of the ``save()`` layout
-(``column_offsets``) and issues exactly those ``get_range`` calls —
-``O(selected rows)`` backend bytes per query, the real-storage analogue
-of the pseudo-disk model's ``bytes_loaded`` accounting.
+each range to three column byte spans of the ``save()`` layout
+(``column_offsets``) and asks the backend for exactly those spans in
+one ``get_ranges`` call per segment — ``O(selected rows)`` backend bytes
+per query, the real-storage analogue of the pseudo-disk model's
+``bytes_loaded`` accounting.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .blob import BlobBackend
 KEYS_MAGIC = b"S3KY"
 KEYS_FORMAT = 1
 _KEYS_HEADER = struct.Struct("<4sIIQ")  # magic, format, key_bits, count
-
-RowRange = tuple[int, int]
 
 #: Bytes one fetched row costs across the three columns — identical to
 #: :class:`~repro.index.pseudodisk.PseudoDiskSearcher`'s ``_row_bytes``
@@ -149,51 +148,51 @@ def fetch_columns(
     key: str,
     count: int,
     ndims: int,
-    ranges: list[RowRange],
+    ranges,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Fetch ``(ids, timecodes, fingerprints)`` for *ranges* of a blob.
 
-    Returns the gathered columns in range order — exactly what a
-    resident scan's ``store.column[rows]`` gather would produce for the
-    same rows — plus the number of payload bytes fetched.  Every
-    backend failure, including short (torn) reads, raises
+    *ranges* are ``[start, end)`` row ranges: ``(start, end)`` pairs or
+    an ``(n, 2)`` array.  Returns the gathered columns in range order —
+    exactly what a resident scan's ``store.column[rows]`` gather would
+    produce for the same rows — in fresh arrays the caller owns, plus
+    the number of payload bytes fetched.
+
+    All of it is **one** ``get_ranges`` call: every range's fingerprint
+    span, then every id span, then every timecode span, so the reply
+    splits into the three columns at two offsets.  Every backend
+    failure, including a short (torn) reply, raises
     :class:`~repro.errors.ColdFetchError` naming the segment.
     """
+    bounds = np.asarray(ranges, dtype=np.int64).reshape(-1, 2)
+    starts, ends = bounds[:, 0], bounds[:, 1]
+    bad = (starts < 0) | (starts > ends) | (ends > count)
+    if bad.any():
+        s, e = bounds[np.argmax(bad)].tolist()
+        raise ColdFetchError(key, f"row range ({s}, {e}) out of bounds")
+    lengths = ends - starts
     offs = column_offsets(count, ndims)
-    total = sum(e - s for s, e in ranges)
-    fps = np.empty((total, ndims), dtype=np.uint8)
-    ids = np.empty(total, dtype=np.uint32)
-    tcs = np.empty(total, dtype=np.float64)
-    at = 0
-    fetched = 0
-    for s, e in ranges:
-        if not 0 <= s <= e <= count:
-            raise ColdFetchError(key, f"row range ({s}, {e}) out of bounds")
-        n = e - s
-        specs = (
-            (offs["fingerprints"] + s * ndims, n * ndims),
-            (offs["ids"] + s * 4, n * 4),
-            (offs["timecodes"] + s * 8, n * 8),
+    spans = [
+        (offset, length)
+        for name, width in (("fingerprints", ndims), ("ids", 4), ("timecodes", 8))
+        for offset, length in zip(
+            (offs[name] + starts * width).tolist(), (lengths * width).tolist()
         )
-        bufs = []
-        for offset, length in specs:
-            try:
-                data = backend.get_range(key, offset, length)
-            except Exception as exc:
-                raise ColdFetchError(key, f"backend read failed: {exc}") from exc
-            if len(data) != length:
-                raise ColdFetchError(
-                    key,
-                    f"torn read: got {len(data)} of {length} bytes "
-                    f"at offset {offset}",
-                )
-            bufs.append(data)
-            fetched += length
-        fps[at:at + n] = np.frombuffer(bufs[0], dtype=np.uint8).reshape(n, ndims)
-        ids[at:at + n] = np.frombuffer(bufs[1], dtype=np.uint32)
-        tcs[at:at + n] = np.frombuffer(bufs[2], dtype=np.float64)
-        at += n
-    return ids, tcs, fps, fetched
+    ]
+    try:
+        data = backend.get_ranges(key, spans)
+    except Exception as exc:
+        raise ColdFetchError(key, f"backend read failed: {exc}") from exc
+    rows = int(lengths.sum())
+    fetched = rows * row_bytes(ndims)
+    if len(data) != fetched:
+        raise ColdFetchError(
+            key, f"torn read: got {len(data)} of {fetched} bytes"
+        )
+    fps = np.frombuffer(data, np.uint8, rows * ndims).reshape(rows, ndims)
+    ids = np.frombuffer(data, np.uint32, rows, offset=rows * ndims)
+    tcs = np.frombuffer(data, np.float64, rows, offset=rows * (ndims + 4))
+    return ids.copy(), tcs.copy(), fps.copy(), fetched
 
 
 def store_from_blob(key: str, data: bytes, count: int, ndims: int) -> FingerprintStore:

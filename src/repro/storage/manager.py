@@ -186,6 +186,9 @@ class TierManager:
             self.cold_dir = cold
             self.backend = FileBlobBackend(cold)
         self.stats = TierStats()
+        # Guards stats: fetch_ranges runs on prefetch worker threads and
+        # load_store on the maintenance worker, beside query threads.
+        self._stats_lock = threading.Lock()
         self.prefetcher = Prefetcher(config.prefetch_workers)
         self._clock = 0
         self._state: dict[str, _SegState] = {}
@@ -196,6 +199,12 @@ class TierManager:
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------
+    def _count(self, **deltas) -> None:
+        """Add *deltas* to the named :class:`TierStats` counters, atomically."""
+        with self._stats_lock:
+            for name, delta in deltas.items():
+                setattr(self.stats, name, getattr(self.stats, name) + delta)
+
     def _seg_state(self, name: str) -> _SegState:
         state = self._state.get(name)
         if state is None:
@@ -226,14 +235,16 @@ class TierManager:
     # fetch paths
     # ------------------------------------------------------------------
     def fetch_ranges(
-        self, seg: "Segment", ranges: list[tuple[int, int]]
+        self, seg: "Segment", ranges
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fetch exactly *ranges* of a cold segment's columns.
 
-        Returns ``(ids, timecodes, fingerprints)`` in range order —
-        byte-identical to a resident gather of the same rows.  Counts
-        the fetched payload bytes (the eq.-(5) ``bytes_loaded`` of the
-        real executor).
+        *ranges* are ``(start, end)`` row pairs or an ``(n, 2)`` array;
+        the fetch is one backend call (:func:`fetch_columns`).  Returns
+        ``(ids, timecodes, fingerprints)`` in range order, in arrays the
+        caller owns — byte-identical to a resident gather of the same
+        rows.  Counts the fetched payload bytes (the eq.-(5)
+        ``bytes_loaded`` of the real executor).  Safe on any thread.
         """
         name = seg.meta.name
         t0 = time.perf_counter()
@@ -242,17 +253,15 @@ class TierManager:
                 self.backend, name, seg.meta.count, self.index.ndims, ranges
             )
         except ColdFetchError:
-            self.stats.cold_errors += 1
+            self._count(cold_errors=1)
             raise
-        self.stats.fetches += 1
-        self.stats.fetch_rows += int(ids.size)
-        self.stats.fetch_bytes += fetched
-        self.stats.fetch_seconds += time.perf_counter() - t0
+        self._count(
+            fetches=1, fetch_rows=int(ids.size), fetch_bytes=fetched,
+            fetch_seconds=time.perf_counter() - t0,
+        )
         return ids, tcs, fps
 
-    def prefetch(
-        self, seg: "Segment", ranges: list[tuple[int, int]]
-    ) -> PrefetchHandle:
+    def prefetch(self, seg: "Segment", ranges) -> PrefetchHandle:
         """Start an async :meth:`fetch_ranges`; collect with :meth:`collect`."""
         return self.prefetcher.submit(self.fetch_ranges, seg, ranges)
 
@@ -273,12 +282,13 @@ class TierManager:
         try:
             data = self.backend.get(name)
         except Exception as exc:
-            self.stats.cold_errors += 1
+            self._count(cold_errors=1)
             raise ColdFetchError(name, f"backend read failed: {exc}") from exc
         store = store_from_blob(name, data, seg.meta.count, self.index.ndims)
-        self.stats.full_fetches += 1
-        self.stats.full_fetch_bytes += len(data)
-        self.stats.fetch_seconds += time.perf_counter() - t0
+        self._count(
+            full_fetches=1, full_fetch_bytes=len(data),
+            fetch_seconds=time.perf_counter() - t0,
+        )
         return store
 
     # ------------------------------------------------------------------
@@ -331,7 +341,7 @@ class TierManager:
         path.unlink(missing_ok=True)
         with self._state_lock:
             self._seg_state(name).cold_touches = 0
-        self.stats.demotions += 1
+        self._count(demotions=1)
         return True
 
     def promote(self, seg: "Segment") -> bool:
@@ -354,17 +364,18 @@ class TierManager:
         try:
             data = self.backend.get(name)
         except Exception as exc:
-            self.stats.cold_errors += 1
+            self._count(cold_errors=1)
             raise ColdFetchError(name, f"backend read failed: {exc}") from exc
         expected = expected_file_size(seg.meta.count, index.ndims)
         if len(data) < expected:
-            self.stats.cold_errors += 1
+            self._count(cold_errors=1)
             raise ColdFetchError(
                 name, f"blob truncated: {len(data)} bytes, expected {expected}"
             )
-        self.stats.full_fetches += 1
-        self.stats.full_fetch_bytes += len(data)
-        self.stats.fetch_seconds += time.perf_counter() - t0
+        self._count(
+            full_fetches=1, full_fetch_bytes=len(data),
+            fetch_seconds=time.perf_counter() - t0,
+        )
         tmp = path.with_suffix(".store.tmp")
         tmp.write_bytes(data)
         tmp.replace(path)
@@ -388,7 +399,7 @@ class TierManager:
             state = self._seg_state(name)
             state.cold_touches = 0
             state.last_scan = self._clock  # just-promoted = recently used
-        self.stats.promotions += 1
+        self._count(promotions=1)
         return True
 
     def _climb(self, seg: "Segment") -> bool:
@@ -423,7 +434,7 @@ class TierManager:
         )
         if not self.index._swap_segment(seg, replacement, persist=False):
             return False
-        self.stats.climbs += 1
+        self._count(climbs=1)
         return True
 
     def settle(self) -> None:

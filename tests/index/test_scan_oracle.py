@@ -3,10 +3,12 @@
 
 * The engines: monolithic, segmented (sketch prefilter on and off,
   sealed segments plus frozen and active memtable rows) and tiered
-  (mixed cold and resident segments), each with the gather cache off,
-  cold (a miss) and warm (a hit) — identical columns in value, dtype and
-  shape, identical per-query and per-batch counters, identical cache
-  contents.
+  (mixed cold and resident segments, blobs in memory and in files),
+  each with the gather cache off, cold (a miss) and warm (a hit) —
+  identical columns in value, dtype and shape, identical per-query and
+  per-batch counters, identical cache contents.  Batches of one and two
+  queries, queries pruned in some segments and scanned in others, and
+  segments no query of the batch selects a row in are drawn for sure.
 * The scan alone, on generated range lists: empty queries, a batch of
   one, touching, nested and duplicated ranges across queries.
 * Ownership: no returned array shares memory with a store column, a
@@ -34,7 +36,7 @@ from repro.index.segmented import SegmentedS3Index
 from repro.index.store import FingerprintStore
 from repro.index.table import HilbertLayout, RangeBatch
 from repro.serve.cache import GatherCache
-from repro.storage import FakeBlobBackend, StorageConfig
+from repro.storage import FakeBlobBackend, FileBlobBackend, StorageConfig
 
 from . import reference_scan
 
@@ -61,7 +63,9 @@ FPS, IDS, TCS = records(2400, seed=5)
 
 @pytest.fixture(scope="module")
 def indexes(tmp_path_factory):
-    """A monolithic, a segmented and a tiered index over the same rows."""
+    """A monolithic, a segmented and two tiered indexes (blobs in memory,
+    blobs in files) over the same rows.  The segmented ones end in a
+    frozen and an active memtable."""
     mono = S3Index(FingerprintStore(FPS, IDS, TCS), model=MODEL)
     root = tmp_path_factory.mktemp("scan")
     kwargs = dict(
@@ -69,30 +73,42 @@ def indexes(tmp_path_factory):
         sync=False,
     )
     seg = SegmentedS3Index.create(root / "seg", **kwargs)
-    tiered = SegmentedS3Index.create(
-        root / "tiered", **kwargs,
-        storage=StorageConfig(backend=FakeBlobBackend(), promote_after=10**9),
-    )
+    tiered = {
+        name: SegmentedS3Index.create(
+            root / name, **kwargs,
+            storage=StorageConfig(promote_after=10**9, **storage),
+        )
+        for name, storage in (
+            ("tiered", {"backend": FakeBlobBackend()}),
+            ("tiered_file", {"cold_dir": str(root / "blobs")}),
+        )
+    }
     cuts = [0, 700, 1300, 1900, 2200, 2400]
     for lo, hi in zip(cuts[:3], cuts[1:4]):
-        for index in (seg, tiered):
+        for index in (seg, *tiered.values()):
             index.add(FPS[lo:hi], IDS[lo:hi], TCS[lo:hi])
             index.flush()
     seg.add(FPS[1900:2200], IDS[1900:2200], TCS[1900:2200])
     seg._freeze_active()  # a frozen memtable the next seal would take
-    tiered.add(FPS[1900:2200], IDS[1900:2200], TCS[1900:2200])
-    tiered.flush()
-    for index in (seg, tiered):
-        index.add(FPS[2200:], IDS[2200:], TCS[2200:])
-    tiered.storage.demote(tiered._segments[0])
-    tiered.storage.demote(tiered._segments[2])
-    assert [s.index is None for s in tiered._segments] == [
-        True, False, True, False
-    ]
+    seg.add(FPS[2200:], IDS[2200:], TCS[2200:])
     assert len(seg._view.frozen) == 1
-    yield {"mono": mono, "seg": seg, "tiered": tiered}
+    for index in tiered.values():
+        index.add(FPS[1900:2200], IDS[1900:2200], TCS[1900:2200])
+        index.flush()
+        index.add(FPS[2200:2300], IDS[2200:2300], TCS[2200:2300])
+        index._freeze_active()
+        index.add(FPS[2300:], IDS[2300:], TCS[2300:])
+        index.storage.demote(index._segments[0])
+        index.storage.demote(index._segments[2])
+        assert [s.index is None for s in index._segments] == [
+            True, False, True, False
+        ]
+        assert len(index._view.frozen) == 1
+    assert isinstance(tiered["tiered_file"].storage.backend, FileBlobBackend)
+    yield {"mono": mono, "seg": seg, **tiered}
     seg.close()
-    tiered.close()
+    for index in tiered.values():
+        index.close()
 
 
 def counts(stats):
@@ -136,8 +152,8 @@ def assert_same_cache(got, want):
 
 @st.composite
 def engine_cases(draw):
-    kind = draw(st.sampled_from(["mono", "seg", "tiered"]))
-    n = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["mono", "seg", "tiered", "tiered_file"]))
+    n = draw(st.sampled_from([1, 2]) | st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     queries = FPS[rng.integers(0, len(FPS), n)] + rng.normal(
         0, draw(st.sampled_from([2.0, 8.0])), (n, NDIMS)
@@ -149,7 +165,7 @@ def engine_cases(draw):
     kwargs = {}
     if kind != "mono":
         kwargs["prefilter"] = draw(st.booleans())
-    if kind == "tiered":
+    if kind.startswith("tiered"):
         kwargs["prefetch"] = draw(st.booleans())
     alpha = draw(st.sampled_from([0.5, 0.8, 0.95]))
     depth = draw(st.sampled_from([None, 10, 14]))
@@ -162,25 +178,56 @@ def engines(kind):
     return batch.query_batch_segmented, reference_scan.query_batch_segmented
 
 
-@given(engine_cases())
-@settings(max_examples=EXAMPLES, deadline=None)
-def test_engines_match_reference(indexes, case):
-    kind, queries, alpha, depth, kwargs = case
-    index = indexes[kind]
+def check_engines(index, kind, queries, alpha, **kwargs):
+    """The engine against the reference with the gather cache off, cold
+    and warm; returns the engine's cache-off results."""
     new, old = engines(kind)
 
     def run(engine, cache):
         index.reset_threshold_cache()
-        return engine(
-            index, queries, alpha, depth=depth, gather_cache=cache, **kwargs
-        )
+        return engine(index, queries, alpha, gather_cache=cache, **kwargs)
 
-    assert_same(run(new, None), run(old, None))
+    got = run(new, None)
+    assert_same(got, run(old, None))
     got_cache, want_cache = GatherCache(), GatherCache()
     for _ in ("cold", "warm"):
         assert_same(run(new, got_cache), run(old, want_cache))
         assert_same_cache(got_cache, want_cache)
     assert got_cache.hits == got_cache.misses > 0
+    return got[0]
+
+
+@given(engine_cases())
+@settings(max_examples=EXAMPLES, deadline=None)
+def test_engines_match_reference(indexes, case):
+    kind, queries, alpha, depth, kwargs = case
+    check_engines(indexes[kind], kind, queries, alpha, depth=depth, **kwargs)
+
+
+@pytest.mark.parametrize("kind", ["seg", "tiered", "tiered_file"])
+def test_pruning_mixes_match_reference(indexes, kind):
+    """Batches of 1 to 3 queries where a query is pruned in some
+    segments and scanned in others, where a segment (resident or cold)
+    has no selected row for the whole batch, and where rows come from
+    the frozen and the active memtable."""
+    index = indexes[kind]
+    mixed = empty = memtables = False
+    for rows in ([2300], [10, 30], [1000, 1500], [10, 1000, 2350]):
+        results = check_engines(index, kind, FPS[rows].astype(np.float64), 0.8)
+        per_segment = np.array(
+            [[s.rows_scanned for s in r.stats.per_segment] for r in results]
+        )
+        empty |= bool((per_segment.sum(axis=0) == 0).any())
+        mixed |= any(
+            0 < r.stats.segments_skipped < index.num_segments for r in results
+        )
+        rows = np.concatenate([r.rows for r in results])
+        sealed = sum(s.meta.count for s in index._segments)
+        active = sealed + index._view.frozen[0].rows
+        memtables |= bool(
+            ((rows >= sealed) & (rows < active)).any() and (rows >= active).any()
+        )
+    assert mixed and empty and memtables
 
 
 # ----------------------------------------------------------------------
@@ -299,13 +346,16 @@ def store_columns(index):
     ]
 
 
-@pytest.mark.parametrize("kind", ["mono", "seg", "tiered"])
+@pytest.mark.parametrize("kind", ["mono", "seg", "tiered", "tiered_file"])
 def test_results_share_no_memory(indexes, kind):
     index = indexes[kind]
     new, _ = engines(kind)
-    queries = np.vstack([FPS[[10, 11, 11, 900]], np.zeros((1, NDIMS))])
+    batch_of_five = np.vstack([FPS[[10, 11, 11, 900]], np.zeros((1, NDIMS))])
     cache = GatherCache()
-    for gather_cache in (None, cache, cache):  # off, miss, hit
+    for queries, gather_cache in itertools.product(
+        (batch_of_five[:1], batch_of_five[1:3], batch_of_five),
+        (None, cache, cache),  # off, miss, hit
+    ):
         results, _ = new(index, queries, 0.9, gather_cache=gather_cache)
         arrays = owned_arrays(results)
         assert sum(a.size for a in arrays[0]) > 0
