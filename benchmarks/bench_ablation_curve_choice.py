@@ -48,7 +48,9 @@ def _run() -> CurveAblation:
         h_sections = h_rows = m_sections = m_rows = 0
         for q in workload.queries:
             selection = hilbert.block_selection(q, 0.8)
-            ranges = hilbert.row_ranges(selection)
+            ranges = hilbert.layout.block_row_ranges(
+                selection.prefixes, selection.depth
+            )
             h_sections += len(ranges)
             h_rows += sum(e - s for s, e in ranges)
             m_row_ids, _, sections = morton.statistical_query(q, 0.8)

@@ -267,12 +267,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     size = path.stat().st_size
     print(f"{args.store}: {count} fingerprints, dimension {ndims}, "
           f"{size / 1e6:.2f} MB")
-    if path.with_suffix(".meta.json").is_file():
-        index = S3Index.load(str(path.with_suffix("")))
-        supported = "supported" if index.supports_coalesced_scans \
-            else "not supported"
-        print(f"  coalesced scans: {supported} "
-              "(contiguous curve-ordered layout)")
     return 0
 
 
@@ -314,9 +308,6 @@ def _segmented_info(directory: Path) -> int:
               f"sigma={manifest.sigma}")
         print(f"  wal: {manifest.wal} "
               f"({index.pending_rows} unsealed fingerprints)")
-        supported = "supported" if index.supports_coalesced_scans \
-            else "not supported"
-        print(f"  coalesced scans: {supported} (per sealed segment)")
         print(f"  segments: {index.num_segments}")
         for seg in index.segments:
             store_path = directory / (seg.name + ".store")
@@ -781,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="segment-sketch pre-filter: skip segments the "
                         "always-resident sketches prove empty for the "
                         "query (admissible — results are bit-identical); "
-                        "off disables, auto/on enable")
+                        "off disables, auto enables")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("detect", help="detect copies in a candidate video")
@@ -825,7 +816,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefilter", choices=list(PREFILTER_MODES),
                    default="auto",
                    help="segment-sketch pre-filter (see `query --help`)")
-    p.add_argument("--cache", choices=["auto", "on", "off"],
+    p.add_argument("--cache", choices=["auto", "off"],
                    default="auto",
                    help="serve-path caching: result LRU, in-flight "
                         "dedupe and hot-block gather cache (answers "
@@ -933,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(production) or in-process threads (tests)")
     cp.add_argument("--shard-timeout", type=float, default=30.0,
                     help="per-attempt cap on one replica answering")
-    cp.add_argument("--cache", choices=["auto", "on", "off"],
+    cp.add_argument("--cache", choices=["auto", "off"],
                     default="auto",
                     help="per-shard wire-result cache at the router "
                          "(dirty shards always bypass it)")

@@ -99,8 +99,8 @@ class RouterConfig:
     tukey_c: float = 6.0
     min_matches: int = 2
     decision_threshold: int = 5
-    #: Per-shard wire-result cache: ``"auto"``/``"on"`` enable it,
-    #: ``"off"`` disables.  Dirty shards (which may mutate out of band)
+    #: Per-shard wire-result cache: ``"auto"`` enables it, ``"off"``
+    #: disables.  Dirty shards (which may mutate out of band)
     #: always bypass it, so cached answers stay bit-identical.
     cache: str = "auto"
     #: Result-LRU entries kept per shard.

@@ -262,7 +262,7 @@ def run_prefilter(
             timings: dict[str, float] = {}
             stats: dict[str, tuple[int, int]] = {}
             results: dict[str, list] = {}
-            for mode in ("off", "on"):
+            for mode in ("off", "auto"):
                 opts = QueryOptions(
                     alpha=alpha, batch_size=batch_size, prefilter=mode
                 )
@@ -282,13 +282,13 @@ def run_prefilter(
                 results[mode] = out
             bit_identical = all(
                 _results_equal(a, b)
-                for a, b in zip(results["off"], results["on"])
+                for a, b in zip(results["off"], results["auto"])
             )
 
             range_timings: dict[str, float] = {}
             range_skipped: dict[str, int] = {}
             range_results: dict[str, list] = {}
-            for mode in ("off", "on"):
+            for mode in ("off", "auto"):
                 opts = QueryOptions(alpha=alpha, prefilter=mode)
                 t0 = time.perf_counter()
                 out, skipped = [], 0
@@ -301,7 +301,7 @@ def run_prefilter(
                 range_results[mode] = out
             range_bit_identical = all(
                 _results_equal(a, b)
-                for a, b in zip(range_results["off"], range_results["on"])
+                for a, b in zip(range_results["off"], range_results["auto"])
             )
 
             return PrefilterBenchResult(
@@ -318,13 +318,13 @@ def run_prefilter(
                 block_rows=info["block_rows"],
                 resident_bytes=info["resident_bytes"],
                 build_seconds=build_seconds,
-                on_seconds=timings["on"],
+                on_seconds=timings["auto"],
                 off_seconds=timings["off"],
-                segments_skipped=stats["on"][0],
-                blocks_skipped=stats["on"][1],
+                segments_skipped=stats["auto"][0],
+                blocks_skipped=stats["auto"][1],
                 bit_identical=bit_identical,
-                range_on_seconds=range_timings["on"],
+                range_on_seconds=range_timings["auto"],
                 range_off_seconds=range_timings["off"],
-                range_segments_skipped=range_skipped["on"],
+                range_segments_skipped=range_skipped["auto"],
                 range_bit_identical=range_bit_identical,
             )

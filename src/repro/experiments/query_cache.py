@@ -14,7 +14,7 @@ real sockets with concurrent clients:
 
 * **cold** — ``cache="off"``: every request runs the engine, the
   pre-cache serving baseline;
-* **warm** — ``cache="on"``: the first pass primes the LRU, the timed
+* **warm** — ``cache="auto"``: the first pass primes the LRU, the timed
   second pass is answered from it.
 
 The warm pass's served results are verified bit-identical to solo
@@ -265,7 +265,7 @@ def run_query_cache(
     Builds a *db_rows* synthetic corpus, draws a *num_queries*-long
     Zipf repeat trace over *unique_queries* distinct distorted
     fingerprints, splits it across *num_clients* concurrent clients,
-    and serves it cold (``cache="off"``) and warm (``cache="on"``,
+    and serves it cold (``cache="off"``) and warm (``cache="auto"``,
     primed by a first pass).
     """
     rng = resolve_rng(seed)
@@ -297,7 +297,7 @@ def run_query_cache(
         index, chunks, config("off"), passes=1, collect_last=False
     )
     (prime_seconds, warm_seconds), stats, served = _serve_passes(
-        index, chunks, config("on"), passes=2, collect_last=True
+        index, chunks, config("auto"), passes=2, collect_last=True
     )
     cache_stats = stats["cache"]
 

@@ -90,8 +90,7 @@ class IndexProtocol(Protocol):
 
     The detection and serving layers only need this much: a sized,
     dimensioned collection answering exact ε-range queries with the
-    unified ``options=`` keyword, and declaring whether its physical
-    layout supports coalesced batched scans.  ``S3Index``,
+    unified ``options=`` keyword.  ``S3Index``,
     ``SegmentedS3Index``, ``SeqScanIndex`` and ``VAFileIndex`` all
     conform (checked in ``tests/index/test_options.py``); statistical
     queries remain specific to the S³ structures, which is why they are
@@ -102,9 +101,6 @@ class IndexProtocol(Protocol):
 
     @property
     def ndims(self) -> int: ...
-
-    @property
-    def supports_coalesced_scans(self) -> bool: ...
 
     def range_query(
         self,

@@ -1,4 +1,14 @@
-"""Batched multi-query engine: shared filtering, one-copy scans.
+"""The query engine: shared filtering, one-copy scans.
+
+Every S³ query has the paper's two steps (§IV): a filter picks p-blocks,
+then one sequential scan reads the selected curve sections.  Statistical,
+ε-range and window queries differ only in the filter and in an optional
+exact test on the scanned rows, so each index has **one scan** here —
+:func:`scan_monolithic` for an :class:`~repro.index.s3.S3Index`,
+:func:`scan_segmented` for a segmented one — and every query method of
+both runs its selection and then that scan: a solo query is a batch of
+one, and a range or window query passes its :class:`Ball` or
+:class:`Window` test along.
 
 The paper's deployed system answers one statistical query per key-frame
 fingerprint; the detection paths originally reproduced that literally — a
@@ -34,10 +44,10 @@ work across a frame batch:
 Every scan runs in the calling thread (``docs/batch-query.md``, "Why
 there is one scan path").
 
-Per-query results are **bit-identical** to the sequential
-``statistical_query`` path started from the same warm-start cache state
-(property-tested in ``tests/index/test_batch.py``); see
-``docs/batch-query.md`` for the exact cache semantics of a batch.
+A batch's per-query results equal solo queries started from the same
+warm-start cache state by construction; ``docs/batch-query.md`` gives
+the exact cache semantics of a batch.  The per-query path this replaced
+is kept in ``tests/index/reference_query.py`` as the oracle.
 """
 
 from __future__ import annotations
@@ -45,13 +55,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from ..distortion.model import IndependentDistortionModel
 from ..errors import ConfigurationError
-from .filtering import statistical_blocks_batch_cached
+from .filtering import BlockSelection, statistical_blocks_batch_cached
+from .kernels import range_refine, window_refine
 from .options import QueryOptions, resolve_options
 from .s3 import QueryStats, S3Index, SearchResult
 from .store import FingerprintStore
@@ -264,7 +275,79 @@ def _take_into(out: tuple, at: int, columns: tuple, pos: np.ndarray) -> None:
 
 
 # ----------------------------------------------------------------------
-# Batched statistical queries
+# Exact tests on the scanned rows
+# ----------------------------------------------------------------------
+class Ball(NamedTuple):
+    """An ε-range query's exact test: rows within *epsilon* of *centre*."""
+
+    centre: np.ndarray
+    epsilon: float
+
+    def test(self, fingerprints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Keep-mask of *fingerprints* and the kept rows' distances."""
+        return range_refine(fingerprints, self.centre, self.epsilon)
+
+
+class Window(NamedTuple):
+    """A window query's exact test: rows inside ``[lo, hi)``."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def test(self, fingerprints: np.ndarray) -> tuple[np.ndarray, None]:
+        """Keep-mask of *fingerprints*; a window measures no distances."""
+        return window_refine(fingerprints, self.lo, self.hi), None
+
+
+ExactTest = Union[Ball, Window]
+
+
+def _tested(result: SearchResult, test: ExactTest) -> SearchResult:
+    """*result* cut down to the scanned rows that pass *test*.
+
+    An empty scan is returned as it is, distances unset.
+    """
+    t0 = time.perf_counter()
+    if len(result):
+        keep, distances = test.test(result.fingerprints)
+        result = SearchResult(
+            rows=result.rows[keep],
+            ids=result.ids[keep],
+            timecodes=result.timecodes[keep],
+            fingerprints=result.fingerprints[keep],
+            distances=distances,
+            stats=result.stats,
+        )
+    result.stats.results = len(result)
+    result.stats.refine_seconds += time.perf_counter() - t0
+    return result
+
+
+def _ball_tested(
+    part: tuple, ball: Ball, seg_rows: list[int], mem_distances: list
+) -> tuple[tuple, np.ndarray, list[int]]:
+    """A range query's merged columns *part*, cut down to its ball.
+
+    The segment rows, the first ``sum(seg_rows)`` of *part*, pass the
+    exact test here.  The memtable rows after them passed it in
+    :meth:`~repro.index.segmented.memtable.MemTable.range_rows`, and
+    keep the distances measured there (*mem_distances*, one array per
+    memtable).  Returns the kept columns, their distances and the rows
+    each segment kept.
+    """
+    at = np.cumsum([0] + seg_rows)
+    keep, distances = ball.test(part[3][:at[-1]])
+    kept = np.diff(np.append(0, np.cumsum(keep))[at]).tolist()
+    keep = np.append(keep, np.ones(part[0].size - at[-1], dtype=bool))
+    return (
+        tuple(column[keep] for column in part),
+        np.concatenate([distances, *mem_distances]),
+        kept,
+    )
+
+
+# ----------------------------------------------------------------------
+# The engines: a selection stage, then one scan per index kind
 # ----------------------------------------------------------------------
 def _check_batch(queries: np.ndarray, ndims: int) -> np.ndarray:
     queries = np.asarray(queries, dtype=np.float64)
@@ -287,27 +370,44 @@ def query_batch_monolithic(
 ) -> tuple[list[SearchResult], BatchQueryStats]:
     """Answer a batch of statistical queries against a monolithic index.
 
-    Per-query results are bit-identical to ``index.statistical_query``
-    called per query from the same warm-start cache state.  Per-query
-    timing fields carry an equal share of the batch's filter/scan time.
+    One shared threshold search selects every query's blocks, then
+    :func:`scan_monolithic` reads them.  ``index.statistical_query`` is
+    this for a batch of one.  Per-query timing fields carry an equal
+    share of the batch's filter/scan time.
     """
     queries = _check_batch(queries, index.ndims)
     resolved = index._resolve_model(model)
-    depth = index.depth if depth is None else depth
-    index._check_depth(depth)
-    num = queries.shape[0]
-    batch = BatchQueryStats(queries=num, batches=1)
-    if num == 0:
-        return [], batch
-
+    depth = index._resolve_depth(depth)
+    if queries.shape[0] == 0:
+        return [], BatchQueryStats(batches=1)
     t0 = time.perf_counter()
     selections = statistical_blocks_batch_cached(
         queries, resolved, index.curve, depth, alpha,
         cache=index._threshold_cache,
     )
+    return scan_monolithic(
+        index, selections, time.perf_counter() - t0, gather_cache=gather_cache
+    )
+
+
+def scan_monolithic(
+    index: S3Index,
+    selections: Sequence[BlockSelection],
+    filter_seconds: float = 0.0,
+    gather_cache=None,
+    tests: Optional[Sequence[ExactTest]] = None,
+) -> tuple[list[SearchResult], BatchQueryStats]:
+    """Read the rows of *selections* (one or more, of one depth) from a
+    monolithic index: the scan stage of every :class:`S3Index` query.
+
+    *filter_seconds* is what selecting them took.  With *tests*, one
+    :class:`Ball` or :class:`Window` per selection, each query keeps
+    only the scanned rows that pass its test.
+    """
+    num = len(selections)
     t1 = time.perf_counter()
     sections = index.layout.batch_row_ranges(
-        [sel.prefixes for sel in selections], depth
+        [sel.prefixes for sel in selections], selections[0].depth
     )
     union = _union(sections)
     scans = _scan(index.store, sections, union, gather_cache=gather_cache)
@@ -324,20 +424,24 @@ def query_batch_monolithic(
             results=int(rows_q.size),
             nodes_visited=sel.nodes_visited,
             descents=sel.descents,
-            filter_seconds=(t1 - t0) / num,
+            filter_seconds=filter_seconds / num,
             refine_seconds=(t2 - t1) / num,
         )
         results.append(SearchResult(
             rows=rows_q, ids=ids, timecodes=tcs, fingerprints=fps,
             stats=stats,
         ))
+    logical_rows = sum(len(r) for r in results)
+    if tests is not None:
+        results = [_tested(r, test) for r, test in zip(results, tests)]
 
+    batch = BatchQueryStats(queries=num, batches=1)
     batch.blocks_selected = sum(len(s) for s in selections)
     batch.sections_scanned = int(union[0].size)
-    batch.logical_rows = sum(len(r) for r in results)
+    batch.logical_rows = logical_rows
     batch.unique_rows = _rows(union)
-    batch.results = batch.logical_rows
-    batch.filter_seconds = t1 - t0
+    batch.results = sum(len(r) for r in results)
+    batch.filter_seconds = filter_seconds
     batch.scan_seconds = t2 - t1
     return results, batch
 
@@ -352,14 +456,48 @@ def _segment_sections(
     *prefixes* are the batch's selections concatenated, query
     ``owner[j]`` owning prefix ``j`` and ``counts[q]`` prefixes in all.
     With *prefilter*, the segment's sketch tests all of them in one
-    call, and a ``bincount`` counts what each query kept.
+    call, and a ``bincount`` counts what each query kept.  A segment
+    the batch keeps no block of skips the row-range lookup.
     """
     sketch = seg.sketch if prefilter else None
     if sketch is not None:
         keep = sketch.occupancy_mask(prefixes, depth)
         prefixes = prefixes[keep]
         counts = np.bincount(owner[keep], minlength=counts.size)
+    if prefixes.size == 0:
+        none = np.zeros(0, dtype=np.int64)
+        return RangeBatch(none, none, np.zeros(counts.size + 1, np.int64)), counts
     return seg.layout.row_ranges(prefixes, counts, depth), counts
+
+
+def _pair_counts(
+    seg_sections: list[RangeBatch], num: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sections and rows of every (segment, query) pair, as
+    ``(segments, queries)`` arrays: one running row count over all the
+    segments' ranges, read at every query's bounds."""
+    bounds = np.array(
+        [s.bounds for s in seg_sections], dtype=np.int64
+    ).reshape(len(seg_sections), num + 1)
+    heads = np.cumsum([0] + [s.starts.size for s in seg_sections])[:-1]
+    rows_before = np.cumsum(np.concatenate(
+        [np.zeros(1, np.int64)] + [s.ends - s.starts for s in seg_sections]
+    ))
+    return (
+        np.diff(bounds, axis=1),
+        np.diff(rows_before[bounds + heads[:, None]], axis=1),
+    )
+
+
+def _ball_sections(
+    sketch, sections: RangeBatch, balls: Sequence[Ball]
+) -> tuple[RangeBatch, np.ndarray]:
+    """*sections* without the ranges the sketch's bounds rule out of
+    each query's ball, and which queries that left with no range."""
+    keep = sketch.ball_mask(sections, balls)
+    bounds = np.append(0, np.cumsum(keep))[sections.bounds]
+    emptied = (np.diff(sections.bounds) > 0) & (np.diff(bounds) == 0)
+    return RangeBatch(sections.starts[keep], sections.ends[keep], bounds), emptied
 
 
 def query_batch_segmented(
@@ -374,13 +512,42 @@ def query_batch_segmented(
 ) -> tuple[list[SearchResult], BatchQueryStats]:
     """Answer a batch of statistical queries against a segmented index.
 
-    The block selections are computed once per batch and fanned out
-    segment by segment: each sealed segment's ranges and union are
-    computed once for the whole batch, and the memtables are scanned by
-    block membership.  Merge order matches the sequential ``_fan_out``
-    — segments in manifest order, then the frozen and active memtables
-    — so per-query results are bit-identical to
-    ``index.statistical_query`` from the same warm-start cache state.
+    One shared threshold search selects every query's blocks, then
+    :func:`scan_segmented` reads them.  ``index.statistical_query`` is
+    this for a batch of one.
+    """
+    queries = _check_batch(queries, index.ndims)
+    resolved = index._resolve_model(model)
+    depth = index._resolve_depth(depth)
+    if queries.shape[0] == 0:
+        return [], BatchQueryStats(batches=1)
+    t0 = time.perf_counter()
+    selections = statistical_blocks_batch_cached(
+        queries, resolved, index.curve, depth, alpha,
+        cache=index._threshold_cache,
+    )
+    return scan_segmented(
+        index, selections, time.perf_counter() - t0, prefilter=prefilter,
+        gather_cache=gather_cache, prefetch=prefetch,
+    )
+
+
+def scan_segmented(
+    index,
+    selections: Sequence[BlockSelection],
+    filter_seconds: float = 0.0,
+    prefilter: bool = True,
+    gather_cache=None,
+    prefetch: bool = True,
+    balls: Optional[Sequence[Ball]] = None,
+) -> tuple[list[SearchResult], BatchQueryStats]:
+    """Read the rows of *selections* (one or more, of one depth) from a
+    segmented index: the scan stage of every ``SegmentedS3Index`` query.
+
+    Every segment and memtable of one pinned view is read, and each
+    query's result lists the segments in manifest order, then the frozen
+    and active memtables.  *filter_seconds* is what selecting the blocks
+    took.
 
     The Python work is per segment and per query, never per (query,
     segment) pair: every part (a segment or a memtable) is gathered
@@ -396,6 +563,13 @@ def query_batch_segmented(
     gathers nothing.  The prune is admissible: dropped blocks hold no
     rows, so the surviving ranges — and the results — are identical.
 
+    *balls*, one :class:`Ball` per selection, make the batch ε-range
+    queries.  Each segment's sketch then also drops the ranges whose
+    every bounds block lies farther than ε from the query
+    (:meth:`~repro.index.segmented.sketch.SegmentSketch.ball_mask`), the
+    segment rows read pass the exact test, and a memtable is tested
+    row by row (``MemTable.range_rows``) instead of by block membership.
+
     For **cold segments** (tiered storage) block selection runs on their
     resident ``.keys`` sidecar, and exactly the coalesced union's byte
     ranges are fetched from the blob backend, in one backend call per
@@ -404,22 +578,13 @@ def query_batch_segmented(
     gathers start and collected after — backend latency overlaps local
     gathering.  Either way the fetched columns are the same bytes a
     resident gather would have produced, so results stay bit-identical.
+    A segment is touched in the tier manager iff the batch read rows
+    from it.
     """
     from .segmented.lsm import SegmentedQueryStats
 
-    queries = _check_batch(queries, index.ndims)
-    resolved = index._resolve_model(model)
-    depth = index._resolve_depth(depth)
-    num = queries.shape[0]
-    batch = BatchQueryStats(queries=num, batches=1)
-    if num == 0:
-        return [], batch
-
-    t0 = time.perf_counter()
-    selections = statistical_blocks_batch_cached(
-        queries, resolved, index.curve, depth, alpha,
-        cache=index._threshold_cache,
-    )
+    num = len(selections)
+    depth = selections[0].depth
     t1 = time.perf_counter()
     counts = np.array([len(sel) for sel in selections], dtype=np.int64)
     prefixes = np.concatenate(
@@ -438,10 +603,14 @@ def query_batch_segmented(
     # cold segments), so every segment's pruned ranges — and their
     # coalesced unions — are known before a single row is read.
     seg_sections, seg_kept = [], []
-    for seg in segments:
+    emptied = np.zeros((len(segments), num), dtype=bool)
+    for i, seg in enumerate(segments):
         sections, kept = _segment_sections(
             seg, prefixes, owner, counts, depth, prefilter
         )
+        if balls is not None and prefilter and seg.sketch is not None \
+                and sections.starts.size:
+            sections, emptied[i] = _ball_sections(seg.sketch, sections, balls)
         seg_sections.append(sections)
         seg_kept.append(kept)
     seg_unions = [_union(s) for s in seg_sections]
@@ -463,22 +632,31 @@ def query_batch_segmented(
         }
 
     # Memtable rows — frozen memtables (oldest first) then the active
-    # one, each bounded to the rows the pinned view captured.
+    # one, each bounded to the rows the pinned view captured: block
+    # membership, or a ball's exact test on every row.
     mem_tables = [(f.memtable, f.rows) for f in view.frozen]
     mem_tables.append((view.memtable, view.memtable_rows))
-    mem_rows = [
-        [memtable.scan_selection(sel, limit=limit) for sel in selections]
-        for memtable, limit in mem_tables
-    ]
+    if balls is None:
+        mem_rows = [
+            [memtable.scan_selection(sel, limit=limit) for sel in selections]
+            for memtable, limit in mem_tables
+        ]
+    else:
+        mem_found = [
+            [memtable.range_rows(*ball, limit=limit) for ball in balls]
+            for memtable, limit in mem_tables
+        ]
+        mem_rows = [[rows for rows, _ in found] for found in mem_found]
     memtable_rows = sum(limit for _, limit in mem_tables)
 
     # The batch buffer: part after part, each part's rows query after
     # query.  block_rows[p, q] is what query q takes from part p.
-    block_rows = np.array(
-        [np.diff(_query_cuts(s)) for s in seg_sections]
-        + [[r.size for r in rows_q] for rows_q in mem_rows],
-        dtype=np.int64,
-    ).reshape(len(segments) + len(mem_tables), num)
+    seg_sections_q, seg_block_rows = _pair_counts(seg_sections, num)
+    block_rows = np.vstack([
+        seg_block_rows,
+        np.array([[r.size for r in rows_q] for rows_q in mem_rows],
+                 dtype=np.int64).reshape(len(mem_tables), num),
+    ])
     part_rows = block_rows.sum(axis=1).tolist()
     part_at = np.cumsum([0] + part_rows).tolist()
     total = part_at[-1]
@@ -545,24 +723,26 @@ def query_batch_segmented(
         ]
     t2 = time.perf_counter()
 
-    seg_block_rows = block_rows[:len(segments)]
-    seg_sections_q = np.array(
-        [np.diff(s.bounds) for s in seg_sections], dtype=np.int64
-    ).reshape(len(segments), num)
     kept = np.array(seg_kept, dtype=np.int64).reshape(len(segments), num)
-    skipped = (counts > 0) & (kept == 0)
+    skipped = ((counts > 0) & (kept == 0)) | emptied
     pruned = counts - kept
     per_query = zip(
         seg_sections_q.T.tolist(), seg_block_rows.T.tolist(),
         seg_sections_q.sum(axis=0).tolist(), seg_block_rows.sum(axis=0).tolist(),
         skipped.sum(axis=0).tolist(), pruned.sum(axis=0).tolist(),
     )
-    filter_share = (t1 - t0) / num
+    filter_share = filter_seconds / num
     scan_share = (t2 - t1) / num
     results = []
-    for sel, (rows, ids, tcs, fps), (
+    for q, (sel, part, (
         sections_s, rows_s, sections, scanned, seg_skipped, blocks_skipped,
-    ) in zip(selections, parts, per_query):
+    )) in enumerate(zip(selections, parts, per_query)):
+        distances, returned_s = None, rows_s
+        if balls is not None:
+            part, distances, returned_s = _ball_tested(
+                part, balls[q], rows_s, [found[q][1] for found in mem_found]
+            )
+        rows, ids, tcs, fps = part
         blocks = len(sel)
         stats = SegmentedQueryStats(
             blocks_selected=blocks,
@@ -580,21 +760,24 @@ def query_batch_segmented(
             # Positional: (blocks_selected, sections_scanned,
             # rows_scanned, results), twice as fast as keywords here.
             per_segment=[
-                QueryStats(blocks, s, r, r) for s, r in zip(sections_s, rows_s)
+                QueryStats(blocks, s, r, k)
+                for s, r, k in zip(sections_s, rows_s, returned_s)
             ],
         )
         results.append(SearchResult(
-            rows=rows, ids=ids, timecodes=tcs, fingerprints=fps, stats=stats,
+            rows=rows, ids=ids, timecodes=tcs, fingerprints=fps,
+            distances=distances, stats=stats,
         ))
 
+    batch = BatchQueryStats(queries=num, batches=1)
     batch.blocks_selected = int(counts.sum())
     batch.sections_scanned = sum(int(u[0].size) for u in seg_unions)
     batch.logical_rows = total
     batch.unique_rows = sum(union_rows) + sum(part_rows[len(segments):])
     batch.segments_skipped = int(skipped.sum())
     batch.blocks_skipped = int(pruned.sum())
-    batch.results = total
-    batch.filter_seconds = t1 - t0
+    batch.results = sum(len(r) for r in results)
+    batch.filter_seconds = filter_seconds
     batch.scan_seconds = t2 - t1
     if storage is not None:
         batch.cold_segments = len(cold)
@@ -620,7 +803,8 @@ class BatchQueryExecutor:
     the combination the warm-start threshold cache is keyed on.  Both
     :class:`~repro.index.s3.S3Index` and
     :class:`~repro.index.segmented.lsm.SegmentedS3Index` are supported;
-    the right engine is picked by duck-typing on the fan-out internals.
+    any index that is not an :class:`~repro.index.s3.S3Index` takes the
+    segmented engine.
 
     *options* carries the tuning (:class:`~repro.index.options.QueryOptions`):
     ``batch_size`` is the queries per engine call — larger batches
@@ -652,7 +836,7 @@ class BatchQueryExecutor:
         #: Optional :class:`~repro.serve.cache.GatherCache` the serving
         #: layer plugs in; ``None`` keeps every gather cold.
         self.gather_cache = None
-        self._segmented = hasattr(index, "_fan_out")
+        self._segmented = not isinstance(index, S3Index)
 
     # Perf-compat: the frozen perf/workloads/{stat_scan,tiered_scan}.py
     # call these five names and pass QueryOptions(executor="auto") — the

@@ -117,7 +117,9 @@ def clustering_summary(
     sections = 0.0
     for q in queries:
         selection = index.block_selection(q, alpha, depth=depth)
-        ranges = index.row_ranges(selection)
+        ranges = index.layout.block_row_ranges(
+            selection.prefixes, selection.depth
+        )
         blocks += len(selection)
         sections += len(ranges)
     n = queries.shape[0]

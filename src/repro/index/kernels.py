@@ -19,8 +19,10 @@ Queries that are not integer-valued (the wire accepts arbitrary floats)
 fall back to the original float64 computation, term for term, so those
 results are bit-identical too.
 
-Every full-scan refinement routes through here: ``S3Index.range_query``
-/ ``window_query``, the segmented fan-out and memtable, the sequential
+Every full-scan refinement routes through here: the exact tests of the
+query engine's scans (:class:`~repro.index.batch.Ball` and
+:class:`~repro.index.batch.Window`, behind every ``range_query`` and
+``window_query``), the memtable's row-by-row range test, the sequential
 scan and VA-file baselines, and the corpus filler's resampling
 perturbation.
 """

@@ -22,11 +22,10 @@ from ..errors import ConfigurationError
 
 #: Pre-filter modes of the segment-sketch tier.  ``"auto"`` consults a
 #: segment's sketch whenever one is loaded (always, for segmented
-#: indexes — sketches are built at seal/compaction time), ``"on"``
-#: behaves identically today and additionally promises sketch use as
-#: formats evolve, ``"off"`` bypasses the tier entirely.  All three
-#: return bit-identical results; the mode only changes what is *read*.
-PREFILTER_MODES = ("auto", "on", "off")
+#: indexes — sketches are built at seal/compaction time), ``"off"``
+#: bypasses the tier entirely.  Both return bit-identical results; the
+#: mode only changes what is *read*.
+PREFILTER_MODES = ("auto", "off")
 
 #: Cold-segment prefetch modes of the tiered-storage subsystem.
 #: ``"auto"`` overlaps blob-backend fetches with resident scans via the

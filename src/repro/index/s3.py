@@ -20,7 +20,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -31,15 +31,11 @@ from .filtering import (
     best_first_blocks,
     range_blocks,
     statistical_blocks,
-    statistical_blocks_cached,
     window_blocks,
 )
-from .kernels import range_refine, window_refine
+from .options import QueryOptions, resolve_options
 from .store import FingerprintStore, PathLike
 from .table import HilbertLayout
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from .options import QueryOptions
 
 
 @dataclass
@@ -173,31 +169,17 @@ class S3Index:
         return self.layout.curve
 
     @property
-    def supports_coalesced_scans(self) -> bool:
-        """Whether batched queries can merge overlapping section scans.
-
-        True for this layout: the store is one contiguous curve-ordered
-        array, so the union of many queries' sections is scannable in a
-        single gather (see :mod:`repro.index.batch`).
-        """
-        return True
-
-    @property
     def ndims(self) -> int:
         return self.store.ndims
 
     def __len__(self) -> int:
         return len(self.store)
 
-    def _options_depth(
-        self, depth: Optional[int], options: Optional["QueryOptions"]
-    ) -> int:
-        """Resolve a call's depth: explicit arg > options > index default."""
-        if depth is not None:
-            return depth
-        if options is not None and options.depth is not None:
-            return options.depth
-        return self.depth
+    def _resolve_depth(self, depth: Optional[int]) -> int:
+        """*depth*, or the index default when ``None``, checked."""
+        depth = self.depth if depth is None else depth
+        self._check_depth(depth)
+        return depth
 
     def _check_depth(self, depth: int) -> None:
         if not 1 <= depth <= self.layout.max_depth:
@@ -220,6 +202,8 @@ class S3Index:
         return resolved
 
     # ------------------------------------------------------------------
+    # Every query is a selection, then the one scan of
+    # repro.index.batch.scan_monolithic.
     def statistical_query(
         self,
         query: np.ndarray,
@@ -227,14 +211,15 @@ class S3Index:
         model: Optional[IndependentDistortionModel] = None,
         depth: Optional[int] = None,
         exact_blocks: bool = False,
-        options: Optional["QueryOptions"] = None,
+        options: Optional[QueryOptions] = None,
     ) -> SearchResult:
         """Answer a statistical query of expectation *alpha* (paper §II).
 
         Returns **every fingerprint stored in the selected blocks**: the
         region ``V_α`` is exactly the union of the chosen p-blocks, so the
         refinement step is a pure scan with no distance test — that is the
-        point of the paradigm (no intrinsic shape constraint).
+        point of the paradigm (no intrinsic shape constraint).  This is
+        :meth:`statistical_query_batch` for a batch of one.
 
         With ``exact_blocks=True`` the minimal set ``B^min_α`` is computed
         by best-first search instead of the threshold iteration (slower
@@ -245,23 +230,18 @@ class S3Index:
         prefilter mode is a no-op here — a monolithic index has no
         segment tier to skip.
         """
-        resolved = self._resolve_model(model)
-        depth = self._options_depth(depth, options)
-        self._check_depth(depth)
+        from .batch import scan_monolithic
 
-        t0 = time.perf_counter()
-        if exact_blocks:
-            selection = best_first_blocks(query, resolved, self.curve, depth, alpha)
-        else:
-            selection = statistical_blocks_cached(
-                query, resolved, self.curve, depth, alpha,
-                cache=self._threshold_cache,
+        if not exact_blocks:
+            [result] = self.statistical_query_batch(
+                query, alpha, model, depth, options
             )
-        t1 = time.perf_counter()
-        result = self._scan_blocks(selection)
-        result.stats.filter_seconds = t1 - t0
-        result.stats.nodes_visited = selection.nodes_visited
-        result.stats.descents = selection.descents
+            return result
+        resolved = self._resolve_model(model)
+        depth = self._resolve_depth(resolve_options(options, depth=depth).depth)
+        t0 = time.perf_counter()
+        selection = best_first_blocks(query, resolved, self.curve, depth, alpha)
+        [result], _ = scan_monolithic(self, [selection], time.perf_counter() - t0)
         return result
 
     def statistical_query_batch(
@@ -270,23 +250,21 @@ class S3Index:
         alpha: float,
         model: Optional[IndependentDistortionModel] = None,
         depth: Optional[int] = None,
-        options: Optional["QueryOptions"] = None,
+        options: Optional[QueryOptions] = None,
     ) -> list[SearchResult]:
         """Answer a batch of statistical queries in one engine pass.
 
         One shared block-selection descent for the whole ``(B, D)`` query
-        matrix, one coalesced scan of the union of the selected curve
-        sections, then demultiplexing — see :mod:`repro.index.batch`.
-        Each returned result is bit-identical to
-        :meth:`statistical_query` on that query from the same warm-start
-        cache state; the cache itself is read and written once per batch.
+        matrix, then one scan of the selected curve sections — see
+        :mod:`repro.index.batch`.  The warm-start cache is read and
+        written once per batch, so each result is what a batch of one
+        would return from the same cache state.
         """
         from .batch import query_batch_monolithic
 
-        if options is not None:
-            depth = depth if depth is not None else options.depth
         results, _ = query_batch_monolithic(
-            self, queries, alpha, model=model, depth=depth
+            self, queries, alpha, model=model,
+            depth=resolve_options(options, depth=depth).depth,
         )
         return results
 
@@ -295,41 +273,22 @@ class S3Index:
         query: np.ndarray,
         epsilon: float,
         depth: Optional[int] = None,
-        options: Optional["QueryOptions"] = None,
+        options: Optional[QueryOptions] = None,
     ) -> SearchResult:
         """Answer a classical spherical ε-range query (baseline of §V-A).
 
-        Geometric filtering (blocks the sphere intersects) followed by an
-        exact distance test during refinement.
+        Geometric filtering (blocks the sphere intersects), then the scan,
+        then an exact distance test on the scanned rows.
         """
-        depth = self._options_depth(depth, options)
-        self._check_depth(depth)
+        from .batch import Ball, scan_monolithic
 
+        depth = self._resolve_depth(resolve_options(options, depth=depth).depth)
         t0 = time.perf_counter()
         selection = range_blocks(query, epsilon, self.curve, depth)
-        t1 = time.perf_counter()
-        result = self._scan_blocks(selection)
-        # Exact refinement in the integer domain (repro.index.kernels):
-        # no float64 copy of the gathered rows, identical distances.
-        t2 = time.perf_counter()
-        if len(result):
-            keep, distances = range_refine(
-                result.fingerprints, query, epsilon
-            )
-            result = SearchResult(
-                rows=result.rows[keep],
-                ids=result.ids[keep],
-                timecodes=result.timecodes[keep],
-                fingerprints=result.fingerprints[keep],
-                distances=distances,
-                stats=result.stats,
-            )
-        t3 = time.perf_counter()
-        result.stats.filter_seconds = t1 - t0
-        result.stats.refine_seconds += t3 - t2
-        result.stats.results = len(result)
-        result.stats.nodes_visited = selection.nodes_visited
-        result.stats.descents = selection.descents
+        [result], _ = scan_monolithic(
+            self, [selection], time.perf_counter() - t0,
+            tests=[Ball(query, epsilon)],
+        )
         return result
 
     def window_query(
@@ -341,31 +300,18 @@ class S3Index:
         """Answer a hyper-rectangular window query ``[lo, hi)``.
 
         The classical query type of Lawder's Hilbert indexing (paper §IV):
-        geometric block filtering followed by exact membership refinement.
+        geometric block filtering, then the scan, then an exact membership
+        test on the scanned rows.
         """
-        depth = self.depth if depth is None else depth
-        self._check_depth(depth)
+        from .batch import Window, scan_monolithic
 
+        depth = self._resolve_depth(depth)
         t0 = time.perf_counter()
         selection = window_blocks(lo, hi, self.curve, depth)
-        t1 = time.perf_counter()
-        result = self._scan_blocks(selection)
-        t2 = time.perf_counter()
-        if len(result):
-            keep = window_refine(result.fingerprints, lo, hi)
-            result = SearchResult(
-                rows=result.rows[keep],
-                ids=result.ids[keep],
-                timecodes=result.timecodes[keep],
-                fingerprints=result.fingerprints[keep],
-                stats=result.stats,
-            )
-        t3 = time.perf_counter()
-        result.stats.filter_seconds = t1 - t0
-        result.stats.refine_seconds += t3 - t2
-        result.stats.results = len(result)
-        result.stats.nodes_visited = selection.nodes_visited
-        result.stats.descents = selection.descents
+        [result], _ = scan_monolithic(
+            self, [selection], time.perf_counter() - t0,
+            tests=[Window(lo, hi)],
+        )
         return result
 
     # ------------------------------------------------------------------
@@ -378,31 +324,8 @@ class S3Index:
     ) -> BlockSelection:
         """Run only the statistical filtering step (used by pseudo-disk)."""
         resolved = self._resolve_model(model)
-        depth = self.depth if depth is None else depth
-        self._check_depth(depth)
+        depth = self._resolve_depth(depth)
         return statistical_blocks(query, resolved, self.curve, depth, alpha)
-
-    def row_ranges(self, selection: BlockSelection) -> list[tuple[int, int]]:
-        """Merged row ranges ("curve sections") covering *selection*."""
-        return self.layout.block_row_ranges(selection.prefixes, selection.depth)
-
-    def _scan_blocks(self, selection: BlockSelection) -> SearchResult:
-        t0 = time.perf_counter()
-        ranges = self.row_ranges(selection)
-        rows = self.layout.gather_rows(ranges)
-        result = SearchResult(
-            rows=rows,
-            ids=self.store.ids[rows],
-            timecodes=self.store.timecodes[rows],
-            fingerprints=self.store.fingerprints[rows],
-        )
-        t1 = time.perf_counter()
-        result.stats.blocks_selected = len(selection)
-        result.stats.sections_scanned = len(ranges)
-        result.stats.rows_scanned = int(rows.size)
-        result.stats.results = len(result)
-        result.stats.refine_seconds = t1 - t0
-        return result
 
     def extended(self, additions: FingerprintStore) -> "S3Index":
         """Return a new index over this store plus *additions*.

@@ -61,9 +61,8 @@ from ...errors import (
     StorageError,
 )
 from ...hilbert.butz import HilbertCurve
-from ..filtering import BlockSelection, range_blocks, statistical_blocks_cached
-from ..kernels import range_refine
-from ..options import QueryOptions
+from ..filtering import range_blocks
+from ..options import QueryOptions, resolve_options
 from ..s3 import QueryStats, S3Index, SearchResult
 from ..store import FingerprintStore, PathLike
 from .compaction import CompactionPolicy, merge_segment_stores
@@ -85,9 +84,9 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 @dataclass
 class SegmentedQueryStats(QueryStats):
-    """Aggregated cost of one fan-out query, plus the per-segment split.
+    """Aggregated cost of one segmented query, plus the per-segment split.
 
-    ``segments_scanned`` counts every live segment the fan-out covered
+    ``segments_scanned`` counts every live segment the query covered
     (its historical meaning); ``segments_skipped`` counts how many of
     those the sketch tier proved empty without touching their store, and
     ``blocks_skipped`` the selected blocks pruned per segment before the
@@ -98,8 +97,6 @@ class SegmentedQueryStats(QueryStats):
     segments_skipped: int = 0
     blocks_skipped: int = 0
     memtable_rows_scanned: int = 0
-    segments_cold: int = 0
-    cold_rows: int = 0
     per_segment: list[QueryStats] = field(default_factory=list)
 
 
@@ -829,16 +826,6 @@ class SegmentedS3Index:
         """Forget warm-start thresholds (see :meth:`S3Index.reset_threshold_cache`)."""
         self._threshold_cache.clear()
 
-    @property
-    def supports_coalesced_scans(self) -> bool:
-        """Whether batched queries can merge overlapping section scans.
-
-        True: every sealed segment is a contiguous curve-ordered array, so
-        batched queries scan each segment's section union in one gather
-        (the memtable is scanned by block membership, outside coalescing).
-        """
-        return True
-
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
@@ -1138,7 +1125,8 @@ class SegmentedS3Index:
         return self.storage.load_store(seg)
 
     # ------------------------------------------------------------------
-    # queries
+    # queries: a selection, then the one scan of
+    # repro.index.batch.scan_segmented
     # ------------------------------------------------------------------
     def statistical_query(
         self,
@@ -1152,23 +1140,15 @@ class SegmentedS3Index:
 
         The block selection is computed once — it depends only on the
         query, the model and the shared curve geometry — and applied to
-        every segment and to the memtable, so the merged result equals a
+        every segment and to the memtables, so the merged result equals a
         monolithic :class:`S3Index` over the same records.  Segment
         sketches prune provably-empty segments first (admissible — same
         result bit for bit); ``options.prefilter="off"`` disables that.
+        This is :meth:`statistical_query_batch` for a batch of one.
         """
-        resolved = self._resolve_model(model)
-        depth = self._resolve_depth(depth)
-        t0 = time.perf_counter()
-        selection = statistical_blocks_cached(
-            query, resolved, self.curve, depth, alpha,
-            cache=self._threshold_cache,
+        [result] = self.statistical_query_batch(
+            query, alpha, model, depth, options
         )
-        t1 = time.perf_counter()
-        result = self._fan_out(
-            selection, refine=None, prefilter=self._prefilter_on(options)
-        )
-        result.stats.filter_seconds = t1 - t0
         return result
 
     def statistical_query_batch(
@@ -1179,20 +1159,19 @@ class SegmentedS3Index:
         depth: Optional[int] = None,
         options: Optional[QueryOptions] = None,
     ) -> list[SearchResult]:
-        """Answer a batch of statistical queries in one fan-out pass.
+        """Answer a batch of statistical queries in one pass.
 
         Block selections are computed once for the whole batch (one shared
         descent, one warm-start cache read/write), then each sealed
-        segment is scanned with a single coalesced pass over the union of
-        the batch's curve sections, and the memtable by block membership.
-        Each result is bit-identical to :meth:`statistical_query` on that
-        query from the same warm-start cache state.
+        segment's ranges and union are computed once for the batch, and
+        the memtables are read by block membership — see
+        :func:`repro.index.batch.scan_segmented`.
         """
         from ..batch import query_batch_segmented
 
         results, _ = query_batch_segmented(
-            self, queries, alpha, model=model, depth=depth,
-            prefilter=self._prefilter_on(options),
+            self, queries, alpha, model=model,
+            **self._scan_options(depth, options),
         )
         return results
 
@@ -1208,23 +1187,33 @@ class SegmentedS3Index:
         Range queries use both sketch prunes: occupancy (skip segments
         with no rows in the selected blocks) and the per-block min/max
         lower bound (skip row ranges whose every block has ``lb² > ε²``
-        — rows the refinement would reject anyway).
+        — rows the refinement would reject anyway).  The memtables are
+        tested row by row.
         """
-        depth = self._resolve_depth(depth)
+        from ..batch import Ball, scan_segmented
+
+        scan = self._scan_options(depth, options)
+        depth = self._resolve_depth(scan.pop("depth"))
         t0 = time.perf_counter()
         selection = range_blocks(query, epsilon, self.curve, depth)
-        t1 = time.perf_counter()
-        result = self._fan_out(
-            selection,
-            refine=(np.asarray(query, dtype=np.float64), epsilon),
-            prefilter=self._prefilter_on(options),
+        [result], _ = scan_segmented(
+            self, [selection], time.perf_counter() - t0,
+            balls=[Ball(np.asarray(query, dtype=np.float64), epsilon)], **scan,
         )
-        result.stats.filter_seconds = t1 - t0
         return result
 
     @staticmethod
-    def _prefilter_on(options: Optional[QueryOptions]) -> bool:
-        return options.prefilter_enabled if options is not None else True
+    def _scan_options(
+        depth: Optional[int], options: Optional[QueryOptions]
+    ) -> dict:
+        """One call's depth (explicit argument, else the options', else
+        ``None`` for the index default), prefilter and prefetch."""
+        opts = resolve_options(options, depth=depth)
+        return {
+            "depth": opts.depth,
+            "prefilter": opts.prefilter_enabled,
+            "prefetch": opts.prefetch_enabled,
+        }
 
     # ------------------------------------------------------------------
     def _resolve_model(
@@ -1251,198 +1240,6 @@ class SegmentedS3Index:
                 f"depth must be in [1, {key_bits}], got {depth}"
             )
         return depth
-
-    def _fan_out(
-        self,
-        selection: BlockSelection,
-        refine: Optional[tuple[np.ndarray, float]],
-        prefilter: bool = True,
-    ) -> SearchResult:
-        """Scan the selection in every segment + the memtables and merge.
-
-        The segment set, frozen memtables and active-memtable length
-        are pinned once (:meth:`_read_view`), so the scan covers one
-        consistent snapshot even while a background seal or compaction
-        switches the live view over mid-query.
-
-        With *refine* set (``(query, epsilon)``), an exact distance test
-        is applied to each part — the ε-range refinement — and distances
-        are reported.  With *prefilter* (the default), each segment's
-        sketch first drops the selected blocks the segment provably holds
-        no rows of; a segment whose whole selection is dropped is skipped
-        without touching its store or mmap.  Both prunes are admissible,
-        so the merged result is bit-identical either way.
-        """
-        view = self._read_view()
-        stats = SegmentedQueryStats()
-        parts: list[SearchResult] = []
-        base = 0
-        for seg in view.segments:
-            t0 = time.perf_counter()
-            prefixes = selection.prefixes
-            sketch = seg.sketch if prefilter else None
-            if sketch is not None and len(prefixes):
-                pruned = sketch.prune_prefixes(prefixes, selection.depth)
-                stats.blocks_skipped += len(prefixes) - len(pruned)
-                if len(pruned) == 0:
-                    stats.segments_skipped += 1
-                    seg_stats = QueryStats(blocks_selected=len(selection))
-                    seg_stats.refine_seconds = time.perf_counter() - t0
-                    parts.append(_empty_part(self.ndims, refine, seg_stats))
-                    stats.per_segment.append(seg_stats)
-                    base += seg.meta.count
-                    continue
-                prefixes = pruned
-            ranges = seg.layout.block_row_ranges(
-                prefixes, selection.depth
-            )
-            if sketch is not None and refine is not None and ranges:
-                kept = sketch.prune_ranges(ranges, refine[0], refine[1])
-                if not kept:
-                    stats.segments_skipped += 1
-                ranges = kept
-            rows = seg.layout.gather_rows(ranges)
-            if seg.index is not None:
-                store = seg.index.store
-                ids_col = store.ids
-                tcs_col = store.timecodes
-                fps = store.fingerprints[rows]
-                gathered = False
-            elif rows.size:
-                # Cold: block selection needed no store bytes; now fetch
-                # exactly the selected ranges' columns from the backend.
-                ids_col, tcs_col, fps = self.storage.fetch_ranges(
-                    seg, ranges
-                )
-                gathered = True
-                stats.segments_cold += 1
-                stats.cold_rows += int(rows.size)
-            else:
-                ids_col = np.empty(0, dtype=np.uint32)
-                tcs_col = np.empty(0, dtype=np.float64)
-                fps = np.empty((0, self.ndims), dtype=np.uint8)
-                gathered = True
-            if self.storage is not None:
-                self.storage.touch(seg)
-            distances = None
-            seg_stats = QueryStats(
-                blocks_selected=len(selection),
-                sections_scanned=len(ranges),
-                rows_scanned=int(rows.size),
-            )
-            if refine is not None and rows.size:
-                q, epsilon = refine
-                keep, distances = range_refine(fps, q, epsilon)
-                rows = rows[keep]
-                fps = fps[keep]
-                if gathered:
-                    ids_col = ids_col[keep]
-                    tcs_col = tcs_col[keep]
-            elif refine is not None:
-                distances = np.empty(0, dtype=np.float64)
-            part = SearchResult(
-                rows=rows + base,
-                ids=ids_col if gathered else ids_col[rows],
-                timecodes=tcs_col if gathered else tcs_col[rows],
-                fingerprints=fps,
-                distances=distances,
-                stats=seg_stats,
-            )
-            seg_stats.results = len(part)
-            seg_stats.refine_seconds = time.perf_counter() - t0
-            parts.append(part)
-            stats.per_segment.append(seg_stats)
-            base += seg.meta.count
-
-        # The memtable parts — frozen memtables (oldest first) then the
-        # active one, bounded to the pinned snapshot length: block
-        # membership for statistical queries, exact distances for range
-        # queries (strictly tighter than block membership, hence still
-        # consistent with the monolithic answer).
-        memtable_rows = 0
-        mem_refine_seconds = 0.0
-        mem_parts = [(f.memtable, f.rows) for f in view.frozen]
-        mem_parts.append((view.memtable, view.memtable_rows))
-        for memtable, limit in mem_parts:
-            t0 = time.perf_counter()
-            if refine is None:
-                mem_rows = memtable.scan_selection(selection, limit=limit)
-                mem_distances = None
-            else:
-                q, epsilon = refine
-                mem_rows, mem_distances = memtable.range_rows(
-                    q, epsilon, limit=limit
-                )
-            mem_part_store = memtable.take(mem_rows)
-            mem_stats = QueryStats(
-                blocks_selected=len(selection),
-                rows_scanned=limit,
-                results=int(mem_rows.size),
-                refine_seconds=time.perf_counter() - t0,
-            )
-            parts.append(SearchResult(
-                rows=mem_rows + base,
-                ids=mem_part_store.ids,
-                timecodes=mem_part_store.timecodes,
-                fingerprints=mem_part_store.fingerprints,
-                distances=mem_distances,
-                stats=mem_stats,
-            ))
-            memtable_rows += limit
-            mem_refine_seconds += mem_stats.refine_seconds
-            base += limit
-
-        merged = SearchResult(
-            rows=np.concatenate([p.rows for p in parts]),
-            ids=np.concatenate([p.ids for p in parts]),
-            timecodes=np.concatenate([p.timecodes for p in parts]),
-            fingerprints=np.concatenate([p.fingerprints for p in parts]),
-            distances=(
-                np.concatenate([p.distances for p in parts])
-                if refine is not None else None
-            ),
-            stats=stats,
-        )
-        stats.blocks_selected = len(selection)
-        stats.nodes_visited = selection.nodes_visited
-        stats.descents = selection.descents
-        stats.segments_scanned = len(view.segments)
-        stats.memtable_rows_scanned = memtable_rows
-        stats.sections_scanned = sum(
-            s.sections_scanned for s in stats.per_segment
-        )
-        stats.rows_scanned = (
-            sum(s.rows_scanned for s in stats.per_segment)
-            + memtable_rows
-        )
-        stats.refine_seconds = (
-            sum(s.refine_seconds for s in stats.per_segment)
-            + mem_refine_seconds
-        )
-        stats.results = len(merged)
-        # Tier transitions (promotion hysteresis, budget demotions) run
-        # here — off-lane when maintenance is running, otherwise on the
-        # calling thread after the scan is fully merged.
-        self._settle()
-        return merged
-
-
-def _empty_part(
-    ndims: int,
-    refine: Optional[tuple[np.ndarray, float]],
-    stats: QueryStats,
-) -> SearchResult:
-    """The zero-row part of a sketch-skipped segment (store untouched)."""
-    return SearchResult(
-        rows=np.empty(0, dtype=np.int64),
-        ids=np.empty(0, dtype=np.uint32),
-        timecodes=np.empty(0, dtype=np.float64),
-        fingerprints=np.empty((0, ndims), dtype=np.uint8),
-        distances=(
-            np.empty(0, dtype=np.float64) if refine is not None else None
-        ),
-        stats=stats,
-    )
 
 
 def _fsync_file(path: Path) -> None:

@@ -45,7 +45,7 @@ import numpy as np
 
 from ...errors import ConfigurationError, IndexError_
 from ..store import PathLike
-from ..table import HilbertLayout
+from ..table import HilbertLayout, RangeBatch
 
 #: File magic of the ``.sketch`` sidecar format.
 SKETCH_MAGIC = b"S3SK"
@@ -250,37 +250,30 @@ class SegmentSketch:
         )
         return np.einsum("ij,ij->i", gap, gap)
 
-    def excludes_ball(self, query: np.ndarray, epsilon: float) -> bool:
-        """True if no row of the segment can lie within ε of *query*."""
-        if self.rows == 0:
-            return True
-        bounds = self.ball_lower_bounds_sq(query)
-        return bool(np.all(bounds > float(epsilon) ** 2))
+    def ball_mask(
+        self, sections: RangeBatch, balls: Sequence[tuple[np.ndarray, float]]
+    ) -> np.ndarray:
+        """Keep-mask of the row ranges ε-balls may match rows in.
 
-    def prune_ranges(
-        self,
-        ranges: Sequence[tuple[int, int]],
-        query: np.ndarray,
-        epsilon: float,
-    ) -> list[tuple[int, int]]:
-        """Drop row ranges an ε-ball query provably cannot match in.
-
-        A range survives iff at least one of its overlapping bounds
-        blocks has ``lb² <= ε²``.  Only admissible for range queries —
-        their refinement rejects exactly the rows the bound excludes.
+        Query ``i`` owns list ``i`` of *sections* and the ball
+        ``balls[i] = (centre, epsilon)``.  A range survives iff at least
+        one of its overlapping bounds blocks has ``lb² <= ε²``: a running
+        count of each ball's near blocks, read at the range's first and
+        past-the-last block.  Only admissible for range queries — their
+        refinement rejects exactly the rows the bound excludes.
         """
-        if not ranges:
-            return []
-        bounds = self.ball_lower_bounds_sq(query)
-        eps_sq = float(epsilon) ** 2
-        near = bounds <= eps_sq
-        kept: list[tuple[int, int]] = []
-        for s, e in ranges:
-            b0 = s // self.block_rows
-            b1 = (e - 1) // self.block_rows + 1
-            if bool(near[b0:b1].any()):
-                kept.append((s, e))
-        return kept
+        starts, ends, bounds = sections
+        near = np.zeros((len(balls), self.num_blocks + 1), dtype=np.int64)
+        for row, (centre, epsilon) in zip(near, balls):
+            np.cumsum(
+                self.ball_lower_bounds_sq(centre) <= float(epsilon) ** 2,
+                out=row[1:],
+            )
+        owner = np.repeat(np.arange(len(balls)), np.diff(bounds))
+        return (
+            near[owner, (ends - 1) // self.block_rows + 1]
+            > near[owner, starts // self.block_rows]
+        )
 
     # ------------------------------------------------------------------
     # Persistence

@@ -42,11 +42,6 @@ class SequentialScanIndex:
     def ndims(self) -> int:
         return self.store.ndims
 
-    @property
-    def supports_coalesced_scans(self) -> bool:
-        """False: every query is one full pass, nothing to coalesce."""
-        return False
-
     def range_query(
         self,
         query: np.ndarray,

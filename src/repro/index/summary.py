@@ -43,7 +43,6 @@ def index_summary(index) -> dict:
             "key_levels": index.key_levels,
             "depth": index.depth,
             "sigma": getattr(index.model, "sigma", None),
-            "coalesced_scans": index.supports_coalesced_scans,
         }
     manifest = index.manifest
     return {
@@ -54,7 +53,6 @@ def index_summary(index) -> dict:
         "key_levels": manifest.key_levels,
         "depth": index.depth,
         "sigma": manifest.sigma,
-        "coalesced_scans": index.supports_coalesced_scans,
         "wal": manifest.wal,
         "pending_rows": index.pending_rows,
         "num_segments": index.num_segments,

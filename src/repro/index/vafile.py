@@ -67,11 +67,6 @@ class VAFile:
     def ndims(self) -> int:
         return self.store.ndims
 
-    @property
-    def supports_coalesced_scans(self) -> bool:
-        """False: the approximation scan already touches every row."""
-        return False
-
     def approximation_bytes(self) -> int:
         """Size of the approximation table (the phase-1 scan volume)."""
         return self.approximations.nbytes

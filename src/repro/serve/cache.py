@@ -50,10 +50,10 @@ import numpy as np
 from ..errors import ConfigurationError
 from .metrics import ratio
 
-#: Cache modes of :class:`~repro.serve.server.ServeConfig`.  ``"auto"``
-#: and ``"on"`` both enable the stack today (``"auto"`` may grow
-#: admission heuristics later); ``"off"`` disables every layer.
-CACHE_MODES = ("auto", "on", "off")
+#: Cache modes of :class:`~repro.serve.server.ServeConfig` (and of the
+#: router's per-shard wire cache): ``"auto"`` enables the stack,
+#: ``"off"`` disables every layer.
+CACHE_MODES = ("auto", "off")
 
 #: Default result-LRU capacity (entries).
 DEFAULT_CACHE_CAPACITY = 4096

@@ -109,9 +109,9 @@ class ServeConfig:
     ``options`` is always populated.
 
     ``cache`` controls the serve-path caching stack
-    (:mod:`repro.serve.cache`): ``"auto"``/``"on"`` enable the result
-    LRU, in-flight dedupe and hot-block gather cache, ``"off"``
-    disables all three.  All modes serve bit-identical results; the
+    (:mod:`repro.serve.cache`): ``"auto"`` enables the result LRU,
+    in-flight dedupe and hot-block gather cache, ``"off"`` disables
+    all three.  Both modes serve bit-identical results; the
     result LRU is invalidated on every ingest, while hot-block gathers
     survive memtable-only inserts (sealed stores are immutable) and are
     dropped when a background seal or compaction changes the segment

@@ -153,7 +153,9 @@ class TestMortonIndex:
             _, _, sections = morton.statistical_query(q, 0.8)
             m_sections += sections
             selection = hilbert.block_selection(q, 0.8)
-            h_sections += len(hilbert.row_ranges(selection))
+            h_sections += len(hilbert.layout.block_row_ranges(
+                selection.prefixes, selection.depth
+            ))
         assert h_sections < m_sections
 
     def test_rejects_empty_store(self):

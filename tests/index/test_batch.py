@@ -1,10 +1,11 @@
 """Tests for the batched multi-query engine (:mod:`repro.index.batch`).
 
 The load-bearing property: every batched path — multi-query block
-selection, coalesced scanning, segmented fan-out, the executor — must be
-**bit-identical** to the sequential per-query path started from the same
-warm-start cache state.  Hypothesis drives random batches (with
-duplicates), alphas and depths through both paths and compares exactly.
+selection, coalesced scanning, the segmented scan, the executor — must
+be **bit-identical** to the per-query path it replaced
+(``reference_query``) started from the same warm-start cache state.
+Hypothesis drives random batches (with duplicates), alphas and depths
+through both paths and compares exactly.
 """
 
 import subprocess
@@ -38,6 +39,8 @@ from repro.index.options import QueryOptions
 from repro.index.s3 import S3Index
 from repro.index.segmented import SegmentedS3Index
 from repro.index.store import FingerprintStore
+
+from . import reference_query
 
 NDIMS = 8
 SIGMA = 10.0
@@ -319,7 +322,7 @@ class TestMonolithicBatch:
         batch = index.statistical_query_batch(queries, alpha)
         for i in range(n):
             index.reset_threshold_cache()
-            solo = index.statistical_query(queries[i], alpha)
+            solo = reference_query.s3_statistical_query(index, queries[i], alpha)
             assert result_key(solo) == result_key(batch[i])
             assert solo.stats.blocks_selected == batch[i].stats.blocks_selected
             assert solo.stats.sections_scanned == batch[i].stats.sections_scanned
@@ -370,9 +373,6 @@ class TestMonolithicBatch:
     def test_executor_validates_config(self, index):
         with pytest.raises(ConfigurationError):
             BatchQueryExecutor(index, options=QueryOptions(alpha=0.8, batch_size=0))
-
-    def test_supports_coalesced_scans(self, index):
-        assert index.supports_coalesced_scans is True
 
 
 # ----------------------------------------------------------------------
@@ -425,7 +425,9 @@ class TestSegmentedBatch:
         batch = seg.statistical_query_batch(queries, alpha, depth=depth)
         for i in range(n):
             seg.reset_threshold_cache()
-            solo = seg.statistical_query(queries[i], alpha, depth=depth)
+            solo = reference_query.segmented_statistical_query(
+                seg, queries[i], alpha, depth=depth
+            )
             assert result_key(solo) == result_key(batch[i])
             assert solo.stats.results == batch[i].stats.results
             assert solo.stats.rows_scanned == batch[i].stats.rows_scanned
@@ -447,7 +449,6 @@ class TestSegmentedBatch:
         assert rb.stats.results == len(rb) > 0
         rr = seg.range_query(q, 25.0)
         assert rr.stats.results == len(rr)
-        assert seg.supports_coalesced_scans is True
         seg.close()
 
     def test_executor_picks_segmented_engine(self, tmp_path):

@@ -60,6 +60,7 @@ class TestQueryOptionsValidation:
         ("executor", "threads"),
         ("executor", "processes"),
         ("prefilter", "maybe"),
+        ("prefilter", "on"),
         ("depth", 0),
     ])
     def test_rejects_out_of_domain(self, field, value):
@@ -176,12 +177,11 @@ class TestIndexProtocol:
             VAFileIndex(store),
         ]
         query = store.fingerprints[0].astype(np.float64)
-        opts = QueryOptions(prefilter="on")
+        opts = QueryOptions(prefilter="auto")
         for index in indexes:
             assert isinstance(index, IndexProtocol), type(index).__name__
             assert len(index) == len(store)
             assert index.ndims == NDIMS
-            assert isinstance(index.supports_coalesced_scans, bool)
             result = index.range_query(query, 5.0, options=opts)
             assert len(result) >= 1  # the row itself is within any radius
         segmented.close()

@@ -26,7 +26,7 @@ from repro.index.segmented import (
 
 NDIMS = 8
 SIGMA = 10.0
-ON = QueryOptions(prefilter="on")
+ON = QueryOptions(prefilter="auto")
 OFF = QueryOptions(prefilter="off")
 
 
@@ -314,14 +314,14 @@ class TestBatchedPrefilter:
 
         outputs = {}
         skips = {}
-        for mode in ("off", "on"):
+        for mode in ("off", "auto"):
             opts = QueryOptions(alpha=0.8, batch_size=8, prefilter=mode)
             executor = BatchQueryExecutor(index, options=opts)
             index.reset_threshold_cache()
             outputs[mode] = executor.query_batch(queries)
             skips[mode] = executor.stats.segments_skipped
-        for off, on in zip(outputs["off"], outputs["on"]):
+        for off, on in zip(outputs["off"], outputs["auto"]):
             assert_bit_identical(off, on)
         assert skips["off"] == 0
-        assert skips["on"] > 0
+        assert skips["auto"] > 0
         index.close()

@@ -53,7 +53,9 @@ class TestStatisticalQuery:
         """V_alpha is exactly the union of selected blocks."""
         query = index.store.fingerprints[123].astype(float)
         selection = index.block_selection(query, 0.8)
-        ranges = index.row_ranges(selection)
+        ranges = index.layout.block_row_ranges(
+            selection.prefixes, selection.depth
+        )
         expected_rows = index.layout.gather_rows(ranges)
         result = index.statistical_query(query, 0.8)
         assert np.array_equal(np.sort(result.rows), np.sort(expected_rows))

@@ -149,7 +149,7 @@ class TestGatherRetention:
         index = make_index(tmp_path)
         store = FingerprintStore(*make_records(300, seed=0))
         query = store.fingerprints[7].astype(np.float64)
-        config = ServeConfig(port=0, cache="on")
+        config = ServeConfig(port=0, cache="auto")
         with ServerThread(index, config) as server:
             with ServeClient(port=server.port) as client:
                 before = client.query(query)[0]

@@ -100,7 +100,7 @@ class TestServerVersionGate:
                 stats = client.stats()
         assert stats["protocol_version"] == protocol.PROTOCOL_VERSION
         prefilter = stats["prefilter"]
-        assert prefilter["mode"] in ("auto", "on", "off")
+        assert prefilter["mode"] in ("auto", "off")
         assert prefilter["segments_skipped"] >= 0
         assert prefilter["blocks_skipped"] >= 0
         assert stats["config"]["prefilter"] == prefilter["mode"]
