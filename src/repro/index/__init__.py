@@ -30,8 +30,7 @@ from .batch import (
     BatchQueryExecutor,
     BatchQueryStats,
     coalesce_ranges,
-    query_batch_monolithic,
-    query_batch_segmented,
+    query_batch,
 )
 from .diagnostics import (
     ClusteringSummary,
@@ -151,8 +150,7 @@ __all__ = [
     "knn_query",
     "occupancy_summary",
     "profile_depths",
-    "query_batch_monolithic",
-    "query_batch_segmented",
+    "query_batch",
     "range_blocks",
     "resolve_options",
     "select_blocks_threshold",

@@ -3,12 +3,14 @@
 Every S³ query has the paper's two steps (§IV): a filter picks p-blocks,
 then one sequential scan reads the selected curve sections.  Statistical,
 ε-range and window queries differ only in the filter and in an optional
-exact test on the scanned rows, so each index has **one scan** here —
-:func:`scan_monolithic` for an :class:`~repro.index.s3.S3Index`,
-:func:`scan_segmented` for a segmented one — and every query method of
-both runs its selection and then that scan: a solo query is a batch of
-one, and a range or window query passes its :class:`Ball` or
-:class:`Window` test along.
+exact test on the scanned rows, so there is **one scan** here,
+:func:`scan`, and every query method of both index kinds
+(:class:`~repro.index.s3.S3Queries`) runs its selection and then that
+scan: a solo query is a batch of one, and a range or window query
+passes its :class:`Ball` or :class:`Window` test along.  The scan reads
+an index's read view: a static :class:`~repro.index.s3.S3Index` is one
+resident part with no sketch and no memtables, a segmented index its
+segments and memtables, and the two kinds differ only in that data.
 
 The paper's deployed system answers one statistical query per key-frame
 fingerprint; the detection paths originally reproduced that literally — a
@@ -23,7 +25,7 @@ work across a frame batch:
    the warm-start ``t_max`` cache is read/written once per batch.
 2. **Array-wide ranges, one copy per row** — the curve sections of the
    whole batch come from one ``searchsorted`` pair and one vectorised
-   merge (:meth:`~repro.index.table.HilbertLayout.batch_row_ranges`).
+   merge (:meth:`~repro.index.table.HilbertLayout.row_ranges`).
    The store is in curve order, so a query's answer is a concatenation
    of contiguous store slices, gathered straight into arrays its
    :class:`~repro.index.s3.SearchResult` owns: each returned row is
@@ -33,13 +35,15 @@ work across a frame batch:
    keeps it, and a cold segment fetches exactly it from the blob
    backend in one call, so backend I/O is O(union) rather than O(sum
    over queries).
-3. **Segment-major gather, query-major results** — on a segmented index
+3. **Part-major gather, query-major results** — on a segmented index
    a query's answer spans every segment and memtable.  Each segment's
-   sketch prune, ranges and union are computed once for the whole batch;
+   sketch prune, ranges and union are computed once for the whole batch.
+   When one part holds every row of the batch (always, for an
+   ``S3Index``), each query takes its rows straight from it; otherwise
    each part (segment or memtable) is gathered with one ``take`` per
-   column into one batch buffer; then each query takes its rows out of
-   that buffer with one ``take`` per column.  The Python work is per
-   segment and per query, never per (query, segment) pair.
+   column into one batch buffer, and each query takes its rows out of
+   that buffer with one ``take`` per column.  The numpy calls are per
+   part and per query, never per (query, part) pair.
 
 Every scan runs in the calling thread (``docs/batch-query.md``, "Why
 there is one scan path").
@@ -52,6 +56,7 @@ is kept in ``tests/index/reference_query.py`` as the oracle.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
@@ -64,15 +69,11 @@ from ..errors import ConfigurationError
 from .filtering import BlockSelection, statistical_blocks_batch_cached
 from .kernels import range_refine, window_refine
 from .options import QueryOptions, resolve_options
-from .s3 import QueryStats, S3Index, SearchResult
+from .s3 import QueryStats, SearchResult
 from .store import FingerprintStore
 from .table import RangeBatch, expand_ranges, merge_ranges
 
 RowRange = tuple[int, int]
-
-#: Gather-cache key of a monolithic index's single store (a segment's
-#: key is its manifest name).
-MONOLITHIC_STORE = "store"
 
 
 @dataclass
@@ -134,7 +135,7 @@ def coalesce_ranges(
     The inputs are every query's curve sections, flattened (a
     :class:`~repro.index.table.RangeBatch`'s ``starts``/``ends``).
     Touching ranges merge, so every input range lies **entirely inside
-    exactly one** union range — what :func:`_gather` maps ranges by.
+    exactly one** union range — what :func:`_positions` maps ranges by.
     """
     order = np.argsort(starts, kind="stable")
     return merge_ranges(starts[order], ends[order])
@@ -159,13 +160,6 @@ def _pairs(union: tuple[np.ndarray, np.ndarray]) -> list[RowRange]:
 def _rows(union: tuple[np.ndarray, np.ndarray]) -> int:
     """Rows covered by *union*."""
     return int((union[1] - union[0]).sum())
-
-
-def _query_cuts(sections: RangeBatch) -> np.ndarray:
-    """Where each query's rows start among the rows of *sections*, and
-    their total."""
-    lengths = sections.ends - sections.starts
-    return np.append(0, np.cumsum(lengths))[sections.bounds]
 
 
 def _positions(
@@ -222,47 +216,6 @@ def _union_columns(
     return cached
 
 
-def _gather(
-    sections: RangeBatch, columns: tuple, union=None
-) -> list[tuple]:
-    """Per-query ``(rows, ids, timecodes, fingerprints)`` of *sections*.
-
-    *columns* are the source of :func:`_positions`.  Each row is copied
-    once, by one ``take`` per column per query, into arrays the result
-    owns.
-    """
-    rows, pos = _positions(sections, union)
-    cuts = _query_cuts(sections).tolist()
-    return [
-        (rows[a:b].copy(), *(c.take(pos[a:b], axis=0) for c in columns))
-        for a, b in zip(cuts[:-1], cuts[1:])
-    ]
-
-
-def _scan(
-    store: FingerprintStore,
-    sections: RangeBatch,
-    union: tuple[np.ndarray, np.ndarray],
-    store_name: str = MONOLITHIC_STORE,
-    gather_cache=None,
-) -> list[tuple]:
-    """Gather every query of *sections* from a resident store.
-
-    Without *gather_cache* each query gathers straight from the store
-    columns and *union* is never materialised.  With one (a
-    :class:`~repro.serve.cache.GatherCache`), the union's columns are
-    what the cache keeps (:func:`_union_columns`), and each query is
-    carved out of them.
-    """
-    columns = _columns(store)
-    if gather_cache is None:
-        return _gather(sections, columns)
-    return _gather(
-        sections, _union_columns(columns, union, store_name, gather_cache),
-        union,
-    )
-
-
 def _take_into(out: tuple, at: int, columns: tuple, pos: np.ndarray) -> None:
     """Copy *columns* at *pos* into the buffers *out* from row *at*.
 
@@ -302,52 +255,27 @@ class Window(NamedTuple):
 ExactTest = Union[Ball, Window]
 
 
-def _tested(result: SearchResult, test: ExactTest) -> SearchResult:
-    """*result* cut down to the scanned rows that pass *test*.
+def _tested(
+    part: tuple, test: ExactTest, tested: int, mem_distances: list
+) -> tuple[tuple, Optional[np.ndarray]]:
+    """A query's columns *part* cut down to the rows that pass *test*,
+    and the kept rows' distances (``None`` for a window).
 
-    An empty scan is returned as it is, distances unset.
+    The test runs on the first *tested* rows.  Rows after them are a
+    range query's memtable rows: they passed its ball in
+    :meth:`~repro.index.segmented.memtable.MemTable.range_rows` and keep
+    the distances measured there (*mem_distances*, one array per
+    memtable).
     """
-    t0 = time.perf_counter()
-    if len(result):
-        keep, distances = test.test(result.fingerprints)
-        result = SearchResult(
-            rows=result.rows[keep],
-            ids=result.ids[keep],
-            timecodes=result.timecodes[keep],
-            fingerprints=result.fingerprints[keep],
-            distances=distances,
-            stats=result.stats,
-        )
-    result.stats.results = len(result)
-    result.stats.refine_seconds += time.perf_counter() - t0
-    return result
-
-
-def _ball_tested(
-    part: tuple, ball: Ball, seg_rows: list[int], mem_distances: list
-) -> tuple[tuple, np.ndarray, list[int]]:
-    """A range query's merged columns *part*, cut down to its ball.
-
-    The segment rows, the first ``sum(seg_rows)`` of *part*, pass the
-    exact test here.  The memtable rows after them passed it in
-    :meth:`~repro.index.segmented.memtable.MemTable.range_rows`, and
-    keep the distances measured there (*mem_distances*, one array per
-    memtable).  Returns the kept columns, their distances and the rows
-    each segment kept.
-    """
-    at = np.cumsum([0] + seg_rows)
-    keep, distances = ball.test(part[3][:at[-1]])
-    kept = np.diff(np.append(0, np.cumsum(keep))[at]).tolist()
-    keep = np.append(keep, np.ones(part[0].size - at[-1], dtype=bool))
-    return (
-        tuple(column[keep] for column in part),
-        np.concatenate([distances, *mem_distances]),
-        kept,
-    )
+    keep, distances = test.test(part[3][:tested])
+    if tested < part[0].size:
+        keep = np.append(keep, np.ones(part[0].size - tested, dtype=bool))
+        distances = np.concatenate([distances, *mem_distances])
+    return tuple(column[keep] for column in part), distances
 
 
 # ----------------------------------------------------------------------
-# The engines: a selection stage, then one scan per index kind
+# The engine: a selection stage, then the one scan
 # ----------------------------------------------------------------------
 def _check_batch(queries: np.ndarray, ndims: int) -> np.ndarray:
     queries = np.asarray(queries, dtype=np.float64)
@@ -358,135 +286,6 @@ def _check_batch(queries: np.ndarray, ndims: int) -> np.ndarray:
             f"queries must be (B, {ndims}), got shape {queries.shape}"
         )
     return queries
-
-
-def query_batch_monolithic(
-    index: S3Index,
-    queries: np.ndarray,
-    alpha: float,
-    model: Optional[IndependentDistortionModel] = None,
-    depth: Optional[int] = None,
-    gather_cache=None,
-) -> tuple[list[SearchResult], BatchQueryStats]:
-    """Answer a batch of statistical queries against a monolithic index.
-
-    One shared threshold search selects every query's blocks, then
-    :func:`scan_monolithic` reads them.  ``index.statistical_query`` is
-    this for a batch of one.  Per-query timing fields carry an equal
-    share of the batch's filter/scan time.
-    """
-    queries = _check_batch(queries, index.ndims)
-    resolved = index._resolve_model(model)
-    depth = index._resolve_depth(depth)
-    if queries.shape[0] == 0:
-        return [], BatchQueryStats(batches=1)
-    t0 = time.perf_counter()
-    selections = statistical_blocks_batch_cached(
-        queries, resolved, index.curve, depth, alpha,
-        cache=index._threshold_cache,
-    )
-    return scan_monolithic(
-        index, selections, time.perf_counter() - t0, gather_cache=gather_cache
-    )
-
-
-def scan_monolithic(
-    index: S3Index,
-    selections: Sequence[BlockSelection],
-    filter_seconds: float = 0.0,
-    gather_cache=None,
-    tests: Optional[Sequence[ExactTest]] = None,
-) -> tuple[list[SearchResult], BatchQueryStats]:
-    """Read the rows of *selections* (one or more, of one depth) from a
-    monolithic index: the scan stage of every :class:`S3Index` query.
-
-    *filter_seconds* is what selecting them took.  With *tests*, one
-    :class:`Ball` or :class:`Window` per selection, each query keeps
-    only the scanned rows that pass its test.
-    """
-    num = len(selections)
-    t1 = time.perf_counter()
-    sections = index.layout.batch_row_ranges(
-        [sel.prefixes for sel in selections], selections[0].depth
-    )
-    union = _union(sections)
-    scans = _scan(index.store, sections, union, gather_cache=gather_cache)
-    t2 = time.perf_counter()
-
-    results = []
-    for sel, count, (rows_q, ids, tcs, fps) in zip(
-        selections, np.diff(sections.bounds).tolist(), scans
-    ):
-        stats = QueryStats(
-            blocks_selected=len(sel),
-            sections_scanned=count,
-            rows_scanned=int(rows_q.size),
-            results=int(rows_q.size),
-            nodes_visited=sel.nodes_visited,
-            descents=sel.descents,
-            filter_seconds=filter_seconds / num,
-            refine_seconds=(t2 - t1) / num,
-        )
-        results.append(SearchResult(
-            rows=rows_q, ids=ids, timecodes=tcs, fingerprints=fps,
-            stats=stats,
-        ))
-    logical_rows = sum(len(r) for r in results)
-    if tests is not None:
-        results = [_tested(r, test) for r, test in zip(results, tests)]
-
-    batch = BatchQueryStats(queries=num, batches=1)
-    batch.blocks_selected = sum(len(s) for s in selections)
-    batch.sections_scanned = int(union[0].size)
-    batch.logical_rows = logical_rows
-    batch.unique_rows = _rows(union)
-    batch.results = sum(len(r) for r in results)
-    batch.filter_seconds = filter_seconds
-    batch.scan_seconds = t2 - t1
-    return results, batch
-
-
-def _segment_sections(
-    seg, prefixes: np.ndarray, owner: np.ndarray, counts: np.ndarray,
-    depth: int, prefilter: bool,
-) -> tuple[RangeBatch, np.ndarray]:
-    """One segment's ranges for the whole batch, plus the blocks each
-    query kept in it.
-
-    *prefixes* are the batch's selections concatenated, query
-    ``owner[j]`` owning prefix ``j`` and ``counts[q]`` prefixes in all.
-    With *prefilter*, the segment's sketch tests all of them in one
-    call, and a ``bincount`` counts what each query kept.  A segment
-    the batch keeps no block of skips the row-range lookup.
-    """
-    sketch = seg.sketch if prefilter else None
-    if sketch is not None:
-        keep = sketch.occupancy_mask(prefixes, depth)
-        prefixes = prefixes[keep]
-        counts = np.bincount(owner[keep], minlength=counts.size)
-    if prefixes.size == 0:
-        none = np.zeros(0, dtype=np.int64)
-        return RangeBatch(none, none, np.zeros(counts.size + 1, np.int64)), counts
-    return seg.layout.row_ranges(prefixes, counts, depth), counts
-
-
-def _pair_counts(
-    seg_sections: list[RangeBatch], num: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sections and rows of every (segment, query) pair, as
-    ``(segments, queries)`` arrays: one running row count over all the
-    segments' ranges, read at every query's bounds."""
-    bounds = np.array(
-        [s.bounds for s in seg_sections], dtype=np.int64
-    ).reshape(len(seg_sections), num + 1)
-    heads = np.cumsum([0] + [s.starts.size for s in seg_sections])[:-1]
-    rows_before = np.cumsum(np.concatenate(
-        [np.zeros(1, np.int64)] + [s.ends - s.starts for s in seg_sections]
-    ))
-    return (
-        np.diff(bounds, axis=1),
-        np.diff(rows_before[bounds + heads[:, None]], axis=1),
-    )
 
 
 def _ball_sections(
@@ -500,7 +299,54 @@ def _ball_sections(
     return RangeBatch(sections.starts[keep], sections.ends[keep], bounds), emptied
 
 
-def query_batch_segmented(
+def _sketch_sections(
+    seg, prefixes: np.ndarray, owner: np.ndarray, counts: np.ndarray,
+    depth: int, balls: Optional[Sequence[Ball]],
+) -> tuple[RangeBatch, np.ndarray, np.ndarray]:
+    """One segment's ranges for the whole batch after its sketch's
+    prunes, the blocks each query lost to them, and which queries they
+    left with no range in the segment.
+
+    *prefixes* are the batch's selections concatenated, query
+    ``owner[j]`` owning prefix ``j`` and ``counts[q]`` prefixes in all.
+    The occupancy test runs on all of them in one call, and a
+    ``bincount`` counts what each query kept; a segment the batch keeps
+    no block of skips the row-range lookup.  With *balls*, the bounds
+    prune then drops the ranges each query's ball cannot reach.
+    """
+    keep = seg.sketch.occupancy_mask(prefixes, depth)
+    kept = np.bincount(owner[keep], minlength=counts.size)
+    skipped = (counts > 0) & (kept == 0)
+    if not keep.any():
+        none = np.zeros(0, dtype=np.int64)
+        sections = RangeBatch(none, none, np.zeros(counts.size + 1, np.int64))
+        return sections, counts - kept, skipped
+    sections = seg.layout.row_ranges(prefixes[keep], kept, depth)
+    if balls is not None and sections.starts.size:
+        sections, emptied = _ball_sections(seg.sketch, sections, balls)
+        skipped |= emptied
+    return sections, counts - kept, skipped
+
+
+def _row_cuts(sections: RangeBatch) -> np.ndarray:
+    """Where each query's rows start among the rows of *sections*, and
+    their total: one running row count, read at the query bounds."""
+    return np.append(0, np.cumsum(sections.ends - sections.starts))[
+        sections.bounds
+    ]
+
+
+def _diffs(values: list) -> list:
+    """Each step of *values*: per-query counts from bounds or cuts."""
+    return [b - a for a, b in zip(values, values[1:])]
+
+
+def _add(a: list, b: list) -> list:
+    """*a* and *b*, element by element: per-query sums over parts."""
+    return [x + y for x, y in zip(a, b)]
+
+
+def query_batch(
     index,
     queries: np.ndarray,
     alpha: float,
@@ -510,11 +356,12 @@ def query_batch_segmented(
     gather_cache=None,
     prefetch: bool = True,
 ) -> tuple[list[SearchResult], BatchQueryStats]:
-    """Answer a batch of statistical queries against a segmented index.
+    """Answer a batch of statistical queries against either index kind.
 
     One shared threshold search selects every query's blocks, then
-    :func:`scan_segmented` reads them.  ``index.statistical_query`` is
-    this for a batch of one.
+    :func:`scan` reads them.  ``index.statistical_query`` is this for a
+    batch of one.  Per-query timing fields carry an equal share of the
+    batch's filter/scan time.
     """
     queries = _check_batch(queries, index.ndims)
     resolved = index._resolve_model(model)
@@ -526,35 +373,42 @@ def query_batch_segmented(
         queries, resolved, index.curve, depth, alpha,
         cache=index._threshold_cache,
     )
-    return scan_segmented(
+    return scan(
         index, selections, time.perf_counter() - t0, prefilter=prefilter,
         gather_cache=gather_cache, prefetch=prefetch,
     )
 
 
-def scan_segmented(
+def scan(
     index,
     selections: Sequence[BlockSelection],
     filter_seconds: float = 0.0,
     prefilter: bool = True,
     gather_cache=None,
     prefetch: bool = True,
-    balls: Optional[Sequence[Ball]] = None,
+    tests: Optional[Sequence[ExactTest]] = None,
 ) -> tuple[list[SearchResult], BatchQueryStats]:
-    """Read the rows of *selections* (one or more, of one depth) from a
-    segmented index: the scan stage of every ``SegmentedS3Index`` query.
+    """Read the rows of *selections* (one or more, of one depth): the
+    scan stage of every query of both index kinds.
 
-    Every segment and memtable of one pinned view is read, and each
-    query's result lists the segments in manifest order, then the frozen
-    and active memtables.  *filter_seconds* is what selecting the blocks
-    took.
+    Every part of one pinned read view is read — each segment, then the
+    frozen and active memtables — and each query's result lists its
+    rows part after part.  A static :class:`~repro.index.s3.S3Index` is
+    a view of one resident part with no sketch and no memtables.
+    *filter_seconds* is what selecting the blocks took.  With *tests*,
+    one :class:`Ball` or :class:`Window` per selection, each query keeps
+    only the scanned rows that pass its test.
 
-    The Python work is per segment and per query, never per (query,
-    segment) pair: every part (a segment or a memtable) is gathered
-    with one ``take`` per column into one batch buffer per column, its
-    rows query after query; then each query takes its rows from that
-    buffer, part after part, with one ``take`` per column.  A batch of
-    one query *is* its buffer.
+    The numpy calls are per part and per query, never per (query, part)
+    pair, and the batch picks how rows are copied:
+
+    * **one part holds every row** (always so for an ``S3Index``): each
+      query takes its rows straight from that part, one ``take`` per
+      column, into arrays its result owns;
+    * **one query**: every part is gathered into one buffer per column,
+      and the buffer is the result;
+    * **otherwise**: the same buffer, part after part and within a part
+      query after query, then one ``take`` per column and query out of it.
 
     With *prefilter* (the default), each segment's sketch drops the
     selected blocks the segment provably holds no rows of **per query**,
@@ -563,12 +417,13 @@ def scan_segmented(
     gathers nothing.  The prune is admissible: dropped blocks hold no
     rows, so the surviving ranges — and the results — are identical.
 
-    *balls*, one :class:`Ball` per selection, make the batch ε-range
-    queries.  Each segment's sketch then also drops the ranges whose
-    every bounds block lies farther than ε from the query
+    With :class:`Ball` tests the batch is ε-range queries.  Each
+    segment's sketch then also drops the ranges whose every bounds block
+    lies farther than ε from the query
     (:meth:`~repro.index.segmented.sketch.SegmentSketch.ball_mask`), the
-    segment rows read pass the exact test, and a memtable is tested
-    row by row (``MemTable.range_rows``) instead of by block membership.
+    segment rows read pass the exact test, and a memtable is tested row
+    by row (``MemTable.range_rows``) instead of by block membership.  A
+    :class:`Window` test runs on every row read.
 
     For **cold segments** (tiered storage) block selection runs on their
     resident ``.keys`` sidecar, and exactly the coalesced union's byte
@@ -581,16 +436,14 @@ def scan_segmented(
     A segment is touched in the tier manager iff the batch read rows
     from it.
     """
-    from .segmented.lsm import SegmentedQueryStats
-
     num = len(selections)
     depth = selections[0].depth
     t1 = time.perf_counter()
-    counts = np.array([len(sel) for sel in selections], dtype=np.int64)
+    counts = [len(sel) for sel in selections]
     prefixes = np.concatenate(
         [np.asarray(sel.prefixes, dtype=np.uint64) for sel in selections]
     )
-    owner = np.repeat(np.arange(num), counts)
+    balls = tests if tests is not None and isinstance(tests[0], Ball) else None
 
     # Pin one snapshot view for the whole batch: the segment set, the
     # frozen memtables and the active-memtable length all come from the
@@ -598,184 +451,186 @@ def scan_segmented(
     # live view mid-batch can neither drop nor double-count rows.
     view = index._read_view()
     segments = view.segments
-    storage = getattr(index, "storage", None)
+    storage = index.storage
     # Block selection needs no store bytes (resident keys sidecars for
     # cold segments), so every segment's pruned ranges — and their
     # coalesced unions — are known before a single row is read.
-    seg_sections, seg_kept = [], []
-    emptied = np.zeros((len(segments), num), dtype=bool)
-    for i, seg in enumerate(segments):
-        sections, kept = _segment_sections(
-            seg, prefixes, owner, counts, depth, prefilter
+    seg_sections = []
+    owner = skipped = pruned = None
+    for seg in segments:
+        if seg.sketch is None or not prefilter:
+            seg_sections.append(seg.layout.row_ranges(prefixes, counts, depth))
+            continue
+        if owner is None:
+            selected = np.array(counts, dtype=np.int64)
+            owner = np.repeat(np.arange(num), selected)
+            skipped = np.zeros(num, dtype=np.int64)
+            pruned = np.zeros(num, dtype=np.int64)
+        sections, lost, emptied = _sketch_sections(
+            seg, prefixes, owner, selected, depth, balls
         )
-        if balls is not None and prefilter and seg.sketch is not None \
-                and sections.starts.size:
-            sections, emptied[i] = _ball_sections(seg.sketch, sections, balls)
         seg_sections.append(sections)
-        seg_kept.append(kept)
+        pruned += lost
+        skipped += emptied
     seg_unions = [_union(s) for s in seg_sections]
     union_rows = [_rows(union) for union in seg_unions]
-    cold = [
-        i for i, seg in enumerate(segments)
-        if seg.index is None and union_rows[i]
-    ]
+    cold, handles = [], {}
+    if storage is not None:
+        cold = [
+            i for i, seg in enumerate(segments)
+            if seg.index is None and union_rows[i]
+        ]
+        cold_bytes0 = storage.stats.fetch_bytes
+        cold_secs0 = storage.stats.fetch_seconds
+        # Cold fetches start *now*, before the resident gathers, so
+        # backend latency overlaps them.
+        if prefetch:
+            handles = {
+                i: storage.prefetch(segments[i], np.column_stack(seg_unions[i]))
+                for i in cold
+            }
 
-    # Cold fetches start *now*, before the resident gathers, so backend
-    # latency overlaps them.
-    cold_bytes0 = storage.stats.fetch_bytes if storage is not None else 0
-    cold_secs0 = storage.stats.fetch_seconds if storage is not None else 0.0
-    handles = {}
-    if prefetch:
-        handles = {
-            i: storage.prefetch(segments[i], np.column_stack(seg_unions[i]))
-            for i in cold
-        }
+    # Memtable rows, each memtable bounded to the rows the pinned view
+    # captured: block membership, or a ball's exact test on every row.
+    mem_tables = view.memtables
+    mem_rows, mem_found, memtable_rows = [], [], 0
+    if mem_tables:
+        memtable_rows = sum(limit for _, limit in mem_tables)
+        if balls is None:
+            mem_rows = [
+                [memtable.scan_selection(sel, limit=limit) for sel in selections]
+                for memtable, limit in mem_tables
+            ]
+        else:
+            mem_found = [
+                [memtable.range_rows(*ball, limit=limit) for ball in balls]
+                for memtable, limit in mem_tables
+            ]
+            mem_rows = [[rows for rows, _ in found] for found in mem_found]
 
-    # Memtable rows — frozen memtables (oldest first) then the active
-    # one, each bounded to the rows the pinned view captured: block
-    # membership, or a ball's exact test on every row.
-    mem_tables = [(f.memtable, f.rows) for f in view.frozen]
-    mem_tables.append((view.memtable, view.memtable_rows))
-    if balls is None:
-        mem_rows = [
-            [memtable.scan_selection(sel, limit=limit) for sel in selections]
-            for memtable, limit in mem_tables
+    # The parts the batch reads rows from, segments then memtables, and
+    # cuts[k][q]: where query q's rows start among part held[k]'s rows
+    # (cuts[k][-1]: all of them).  Per query, the sections and rows its
+    # segments scanned.
+    held = [i for i, rows in enumerate(union_rows) if rows]
+    if num == 1:
+        # One query's sections are their own union.
+        cuts = [[0, union_rows[i]] for i in held]
+        sections_q = [sum(seg_sections[i].starts.size for i in held)]
+        scanned_q = [sum(union_rows)]
+    else:
+        cuts = [_row_cuts(seg_sections[i]).tolist() for i in held]
+        sections_q = scanned_q = [0] * num
+        for i, at in zip(held, cuts):
+            sections_q = _add(sections_q, _diffs(seg_sections[i].bounds.tolist()))
+            scanned_q = _add(scanned_q, _diffs(at))
+    held_segments = len(held)
+    for j, rows_q in enumerate(mem_rows):
+        sizes = [r.size for r in rows_q]
+        if any(sizes):
+            held.append(len(segments) + j)
+            cuts.append(list(itertools.accumulate(sizes, initial=0)))
+    sizes = [seg.meta.count for seg in segments] + [n for _, n in mem_tables]
+    bases = [sum(sizes[:p]) for p in held]
+
+    # With a gather cache, every resident segment's union goes through
+    # it, rows or not, before any cold fetch is collected.
+    cached = {}
+    if gather_cache is not None:
+        for i, seg in enumerate(segments):
+            if seg.index is not None:
+                cached[i] = _union_columns(
+                    _columns(seg.index.store), seg_unions[i], seg.meta.name,
+                    gather_cache,
+                )
+
+    def source(p):
+        """Part *p*'s columns, its rows (query after query) and where
+        they sit in those columns."""
+        if p >= len(segments):
+            rows = np.concatenate(mem_rows[p - len(segments)])
+            return mem_tables[p - len(segments)][0].columns(), rows, rows
+        seg, union = segments[p], seg_unions[p]
+        if seg.index is None:
+            # Cold: collect the fetch (or fetch now when the prefetcher
+            # is off); the fetched union is carved up like a cached one.
+            columns = (
+                storage.collect(handles[p]) if p in handles
+                else storage.fetch_ranges(seg, np.column_stack(union))
+            )
+        elif p in cached:
+            columns = cached[p]
+        else:
+            columns, union = _columns(seg.index.store), None
+        return (columns, *_positions(seg_sections[p], union))
+
+    if len(held) == 1:
+        # One part holds every row: each query takes straight from it.
+        columns, rows, pos = source(held[0])
+        base, at = bases[0], cuts[0]
+        parts = [
+            (rows[a:b] + base if base else rows[a:b].copy(),
+             *(c.take(pos[a:b], axis=0) for c in columns))
+            for a, b in zip(at[:-1], at[1:])
         ]
     else:
-        mem_found = [
-            [memtable.range_rows(*ball, limit=limit) for ball in balls]
-            for memtable, limit in mem_tables
-        ]
-        mem_rows = [[rows for rows, _ in found] for found in mem_found]
-    memtable_rows = sum(limit for _, limit in mem_tables)
-
-    # The batch buffer: part after part, each part's rows query after
-    # query.  block_rows[p, q] is what query q takes from part p.
-    seg_sections_q, seg_block_rows = _pair_counts(seg_sections, num)
-    block_rows = np.vstack([
-        seg_block_rows,
-        np.array([[r.size for r in rows_q] for rows_q in mem_rows],
-                 dtype=np.int64).reshape(len(mem_tables), num),
-    ])
-    part_rows = block_rows.sum(axis=1).tolist()
-    part_at = np.cumsum([0] + part_rows).tolist()
-    total = part_at[-1]
-    out = (
-        np.empty(total, dtype=np.int64),
-        np.empty(total, dtype=np.uint32),
-        np.empty(total, dtype=np.float64),
-        np.empty((total, index.ndims), dtype=np.uint8),
-    )
-    bases = np.cumsum(
-        [0] + [seg.meta.count for seg in segments]
-        + [limit for _, limit in mem_tables]
-    ).tolist()
-
-    def put(part, columns, rows, pos):
-        """Part *part*: its global rows, and its *columns* at *pos*."""
-        at = part_at[part]
-        np.add(rows, bases[part], out=out[0][at:at + rows.size])
-        _take_into(out[1:], at, columns, pos)
-
-    for i, seg in enumerate(segments):
-        if seg.index is None:
-            continue
-        columns, union = _columns(seg.index.store), None
-        if gather_cache is not None:
-            union = seg_unions[i]
-            columns = _union_columns(
-                columns, union, seg.meta.name, gather_cache
-            )
-        if part_rows[i]:
-            put(i, columns, *_positions(seg_sections[i], union))
-    for j, (memtable, _) in enumerate(mem_tables):
-        if part_rows[len(segments) + j]:
-            rows = np.concatenate(mem_rows[j])
-            put(len(segments) + j, memtable.columns(), rows, rows)
-    # Collect the cold fetches (or fetch now when the prefetcher is
-    # off): the fetched union is carved up exactly like a cached one.
-    for i in cold:
-        columns = (
-            storage.collect(handles[i]) if i in handles
-            else storage.fetch_ranges(
-                segments[i], np.column_stack(seg_unions[i])
-            )
+        # Lazily, cold parts last: their fetches overlap the resident
+        # gathers.
+        parts = _buffered(
+            ((k, *source(p)) for k, p in sorted(
+                enumerate(held), key=lambda kp: kp[1] in handles
+            )),
+            cuts, bases, num, index.ndims,
         )
-        put(i, columns, *_positions(seg_sections[i], seg_unions[i]))
     if storage is not None:
         for i, seg in enumerate(segments):
             if union_rows[i]:
                 storage.touch(seg)
-
-    # Each query's rows, part after part: one take per column.  With
-    # one query the buffer already is in that order, and owned.
-    if num == 1:
-        parts = [out]
-    else:
-        block_at = np.cumsum(block_rows).reshape(block_rows.shape) - block_rows
-        order = expand_ranges(
-            block_at.T.ravel(), (block_at + block_rows).T.ravel()
+    distances = [None] * num
+    for q, test in enumerate(tests or ()):
+        # A range query's memtable rows passed its ball in range_rows.
+        tested = len(parts[q][0]) if balls is None else scanned_q[q]
+        parts[q], distances[q] = _tested(
+            parts[q], test, tested, [found[q][1] for found in mem_found]
         )
-        cuts = np.append(0, np.cumsum(block_rows.sum(axis=0))).tolist()
-        parts = [
-            tuple(buf.take(order[a:b], axis=0) for buf in out)
-            for a, b in zip(cuts[:-1], cuts[1:])
-        ]
     t2 = time.perf_counter()
 
-    kept = np.array(seg_kept, dtype=np.int64).reshape(len(segments), num)
-    skipped = ((counts > 0) & (kept == 0)) | emptied
-    pruned = counts - kept
-    per_query = zip(
-        seg_sections_q.T.tolist(), seg_block_rows.T.tolist(),
-        seg_sections_q.sum(axis=0).tolist(), seg_block_rows.sum(axis=0).tolist(),
-        skipped.sum(axis=0).tolist(), pruned.sum(axis=0).tolist(),
-    )
     filter_share = filter_seconds / num
     scan_share = (t2 - t1) / num
-    results = []
-    for q, (sel, part, (
-        sections_s, rows_s, sections, scanned, seg_skipped, blocks_skipped,
-    )) in enumerate(zip(selections, parts, per_query)):
-        distances, returned_s = None, rows_s
-        if balls is not None:
-            part, distances, returned_s = _ball_tested(
-                part, balls[q], rows_s, [found[q][1] for found in mem_found]
-            )
-        rows, ids, tcs, fps = part
-        blocks = len(sel)
-        stats = SegmentedQueryStats(
-            blocks_selected=blocks,
-            sections_scanned=sections,
-            rows_scanned=scanned + memtable_rows,
-            results=int(rows.size),
-            nodes_visited=sel.nodes_visited,
-            descents=sel.descents,
-            filter_seconds=filter_share,
-            refine_seconds=scan_share,
-            segments_scanned=len(segments),
-            segments_skipped=seg_skipped,
-            blocks_skipped=blocks_skipped,
-            memtable_rows_scanned=memtable_rows,
-            # Positional: (blocks_selected, sections_scanned,
-            # rows_scanned, results), twice as fast as keywords here.
-            per_segment=[
-                QueryStats(blocks, s, r, k)
-                for s, r, k in zip(sections_s, rows_s, returned_s)
-            ],
+    if index._query_stats is QueryStats:
+        extra = itertools.repeat(())
+    else:
+        zero = [0] * num
+        extra = zip(
+            itertools.repeat(len(segments)),
+            zero if skipped is None else skipped.tolist(),
+            zero if pruned is None else pruned.tolist(),
+            itertools.repeat(memtable_rows),
         )
-        results.append(SearchResult(
-            rows=rows, ids=ids, timecodes=tcs, fingerprints=fps,
-            distances=distances, stats=stats,
-        ))
+    results = []
+    for sel, (rows, ids, tcs, fps), dist, sections, scanned, more in zip(
+        selections, parts, distances, sections_q, scanned_q, extra
+    ):
+        # Positional: (blocks_selected, sections_scanned, rows_scanned,
+        # results, nodes_visited, descents, filter_seconds,
+        # refine_seconds[, segments_scanned, segments_skipped,
+        # blocks_skipped, memtable_rows_scanned]).
+        stats = index._query_stats(
+            len(sel), sections, scanned + memtable_rows, rows.size,
+            sel.nodes_visited, sel.descents, filter_share, scan_share, *more,
+        )
+        results.append(SearchResult(rows, ids, tcs, fps, dist, stats))
 
     batch = BatchQueryStats(queries=num, batches=1)
-    batch.blocks_selected = int(counts.sum())
+    batch.blocks_selected = sum(counts)
     batch.sections_scanned = sum(int(u[0].size) for u in seg_unions)
-    batch.logical_rows = total
-    batch.unique_rows = sum(union_rows) + sum(part_rows[len(segments):])
-    batch.segments_skipped = int(skipped.sum())
-    batch.blocks_skipped = int(pruned.sum())
+    batch.logical_rows = sum(at[-1] for at in cuts)
+    batch.unique_rows = sum(union_rows) + sum(
+        at[-1] for at in cuts[held_segments:]
+    )
+    if skipped is not None:
+        batch.segments_skipped = int(skipped.sum())
+        batch.blocks_skipped = int(pruned.sum())
     batch.results = sum(len(r) for r in results)
     batch.filter_seconds = filter_seconds
     batch.scan_seconds = t2 - t1
@@ -793,6 +648,47 @@ def scan_segmented(
     return results, batch
 
 
+def _buffered(
+    sources, cuts: list, bases: list, num: int, ndims: int
+) -> list[tuple]:
+    """Each query's ``(rows, ids, timecodes, fingerprints)`` through one
+    batch buffer per column.
+
+    *sources* are ``(k, columns, rows, positions)``: part ``k`` of the
+    buffer, in any order, whose query ``q`` owns rows
+    ``cuts[k][q]:cuts[k][q + 1]``.  Each part is gathered into the buffer
+    with one ``take`` per column, its row numbers lifted by
+    ``bases[k]``; then each query takes its rows from the buffer, part
+    after part, with one ``take`` per column.  With one query the buffer
+    already is in that order, and is the result.
+    """
+    part_at = list(itertools.accumulate([at[-1] for at in cuts], initial=0))
+    total = part_at[-1]
+    out = (
+        np.empty(total, dtype=np.int64),
+        np.empty(total, dtype=np.uint32),
+        np.empty(total, dtype=np.float64),
+        np.empty((total, ndims), dtype=np.uint8),
+    )
+    for k, columns, rows, pos in sources:
+        at = part_at[k]
+        np.add(rows, bases[k], out=out[0][at:at + rows.size])
+        _take_into(out[1:], at, columns, pos)
+    if num == 1:
+        return [out]
+    # Block (k, q) starts at part_at[k] + cuts[k][q]: expand them in
+    # query-major order.
+    starts = np.array(cuts, dtype=np.int64).reshape(len(cuts), num + 1)
+    starts += np.array(part_at[:-1], dtype=np.int64).reshape(-1, 1)
+    order = expand_ranges(starts[:, :-1].T.ravel(), starts[:, 1:].T.ravel())
+    query_at = np.append(0, np.cumsum((starts[:, 1:] - starts[:, :-1]).sum(axis=0)))
+    query_at = query_at.tolist()
+    return [
+        tuple(buf.take(order[a:b], axis=0) for buf in out)
+        for a, b in zip(query_at[:-1], query_at[1:])
+    ]
+
+
 # ----------------------------------------------------------------------
 # The executor
 # ----------------------------------------------------------------------
@@ -802,9 +698,8 @@ class BatchQueryExecutor:
     One executor serves one ``(index, alpha, model, depth)`` workload —
     the combination the warm-start threshold cache is keyed on.  Both
     :class:`~repro.index.s3.S3Index` and
-    :class:`~repro.index.segmented.lsm.SegmentedS3Index` are supported;
-    any index that is not an :class:`~repro.index.s3.S3Index` takes the
-    segmented engine.
+    :class:`~repro.index.segmented.lsm.SegmentedS3Index` run the one
+    :func:`query_batch`.
 
     *options* carries the tuning (:class:`~repro.index.options.QueryOptions`):
     ``batch_size`` is the queries per engine call — larger batches
@@ -836,7 +731,6 @@ class BatchQueryExecutor:
         #: Optional :class:`~repro.serve.cache.GatherCache` the serving
         #: layer plugs in; ``None`` keeps every gather cold.
         self.gather_cache = None
-        self._segmented = not isinstance(index, S3Index)
 
     # Perf-compat: the frozen perf/workloads/{stat_scan,tiered_scan}.py
     # call these five names and pass QueryOptions(executor="auto") — the
@@ -861,20 +755,13 @@ class BatchQueryExecutor:
     # ------------------------------------------------------------------
     def query_batch(self, queries: np.ndarray) -> list[SearchResult]:
         """Run one engine call over *queries* (no chunking)."""
-        if self._segmented:
-            results, batch = query_batch_segmented(
-                self.index, queries, self.alpha,
-                model=self.model, depth=self.depth,
-                prefilter=self.options.prefilter_enabled,
-                prefetch=self.options.prefetch_enabled,
-                gather_cache=self.gather_cache,
-            )
-        else:
-            results, batch = query_batch_monolithic(
-                self.index, queries, self.alpha,
-                model=self.model, depth=self.depth,
-                gather_cache=self.gather_cache,
-            )
+        results, batch = query_batch(
+            self.index, queries, self.alpha,
+            model=self.model, depth=self.depth,
+            prefilter=self.options.prefilter_enabled,
+            prefetch=self.options.prefetch_enabled,
+            gather_cache=self.gather_cache,
+        )
         self.stats.merge(batch)
         return results
 

@@ -12,12 +12,18 @@ This is the paper's contribution (§IV) assembled: a static index that
 
 The index is *static*, like the paper's: build once from a
 :class:`~repro.index.store.FingerprintStore`, no dynamic inserts.
+
+The query methods are :class:`S3Queries`, which the segmented index
+(:mod:`repro.index.segmented`) shares: each is a selection, then the one
+scan of :func:`repro.index.batch.scan` over the index's read view — for
+an :class:`S3Index`, one resident part.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -77,7 +83,168 @@ class SearchResult:
         return int(self.rows.size)
 
 
-class S3Index:
+class S3Queries:
+    """The query methods of both S³ index kinds, defined once.
+
+    Every query is the paper's two steps (§IV): a selection picks
+    p-blocks, then :func:`repro.index.batch.scan` reads their curve
+    sections from the index's read view (``_read_view()``).  The kinds
+    differ only in data: the view's parts, memtables and sketches, the
+    tier manager (``storage``) and the class of the per-query stats.  An
+    :class:`S3Index` is one resident part with no sketch, no memtables
+    and no storage.
+    """
+
+    #: Class of each result's ``stats``.
+    _query_stats = QueryStats
+    #: The tier manager; ``None``: every row is resident.
+    storage = None
+
+    def _resolve_model(
+        self, model: Optional[IndependentDistortionModel]
+    ) -> IndependentDistortionModel:
+        resolved = model if model is not None else self.model
+        if resolved is None:
+            raise ConfigurationError(
+                "no distortion model: pass `model=` or set a default on the index"
+            )
+        if resolved.ndims != self.ndims:
+            raise ConfigurationError(
+                f"model dimension {resolved.ndims} != index dimension {self.ndims}"
+            )
+        return resolved
+
+    @staticmethod
+    def _scan_options(
+        depth: Optional[int], options: Optional[QueryOptions]
+    ) -> dict:
+        """One call's depth (explicit argument, else the options', else
+        ``None`` for the index default), prefilter and prefetch."""
+        opts = resolve_options(options, depth=depth)
+        return {
+            "depth": opts.depth,
+            "prefilter": opts.prefilter_enabled,
+            "prefetch": opts.prefetch_enabled,
+        }
+
+    def statistical_query(
+        self,
+        query: np.ndarray,
+        alpha: float,
+        model: Optional[IndependentDistortionModel] = None,
+        depth: Optional[int] = None,
+        exact_blocks: bool = False,
+        options: Optional[QueryOptions] = None,
+    ) -> SearchResult:
+        """Answer a statistical query of expectation *alpha* (paper §II).
+
+        Returns **every fingerprint stored in the selected blocks**: the
+        region ``V_α`` is exactly the union of the chosen p-blocks, so the
+        refinement step is a pure scan with no distance test — that is the
+        point of the paradigm (no intrinsic shape constraint).  This is
+        :meth:`statistical_query_batch` for a batch of one.
+
+        With ``exact_blocks=True`` the minimal set ``B^min_α`` is computed
+        by best-first search instead of the threshold iteration (slower
+        filtering, minimal refinement — the ablation of §IV-A).
+
+        ``options`` (the unified :class:`~repro.index.options.QueryOptions`)
+        supplies the depth default when ``depth`` is not given, and the
+        prefilter and prefetch modes of a segmented index.
+        """
+        if not exact_blocks:
+            [result] = self.statistical_query_batch(
+                query, alpha, model, depth, options
+            )
+            return result
+        from .batch import scan
+
+        resolved = self._resolve_model(model)
+        scan_options = self._scan_options(depth, options)
+        depth = self._resolve_depth(scan_options.pop("depth"))
+        t0 = time.perf_counter()
+        selection = best_first_blocks(query, resolved, self.curve, depth, alpha)
+        [result], _ = scan(
+            self, [selection], time.perf_counter() - t0, **scan_options
+        )
+        return result
+
+    def statistical_query_batch(
+        self,
+        queries: np.ndarray,
+        alpha: float,
+        model: Optional[IndependentDistortionModel] = None,
+        depth: Optional[int] = None,
+        options: Optional[QueryOptions] = None,
+    ) -> list[SearchResult]:
+        """Answer a batch of statistical queries in one engine pass.
+
+        One shared block-selection descent for the whole ``(B, D)`` query
+        matrix, then one scan of the selected curve sections — see
+        :mod:`repro.index.batch`.  The warm-start cache is read and
+        written once per batch, so each result is what a batch of one
+        would return from the same cache state.
+        """
+        from .batch import query_batch
+
+        results, _ = query_batch(
+            self, queries, alpha, model=model,
+            **self._scan_options(depth, options),
+        )
+        return results
+
+    def range_query(
+        self,
+        query: np.ndarray,
+        epsilon: float,
+        depth: Optional[int] = None,
+        options: Optional[QueryOptions] = None,
+    ) -> SearchResult:
+        """Answer a classical spherical ε-range query (baseline of §V-A).
+
+        Geometric filtering (blocks the sphere intersects), then the scan,
+        then an exact distance test on the scanned rows.  On a segmented
+        index the sketches also skip row ranges whose every bounds block
+        lies farther than ε, and the memtables are tested row by row.
+        """
+        from .batch import Ball, scan
+
+        scan_options = self._scan_options(depth, options)
+        depth = self._resolve_depth(scan_options.pop("depth"))
+        t0 = time.perf_counter()
+        selection = range_blocks(query, epsilon, self.curve, depth)
+        [result], _ = scan(
+            self, [selection], time.perf_counter() - t0,
+            tests=[Ball(np.asarray(query, dtype=np.float64), epsilon)],
+            **scan_options,
+        )
+        return result
+
+    def window_query(
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        depth: Optional[int] = None,
+    ) -> SearchResult:
+        """Answer a hyper-rectangular window query ``[lo, hi)``.
+
+        The classical query type of Lawder's Hilbert indexing (paper §IV):
+        geometric block filtering, then the scan, then an exact membership
+        test on the scanned rows.
+        """
+        from .batch import Window, scan
+
+        depth = self._resolve_depth(depth)
+        t0 = time.perf_counter()
+        selection = window_blocks(lo, hi, self.curve, depth)
+        [result], _ = scan(
+            self, [selection], time.perf_counter() - t0,
+            tests=[Window(lo, hi)],
+        )
+        return result
+
+
+class S3Index(S3Queries):
     """Static Hilbert-curve index with statistical and ε-range queries.
 
     Parameters
@@ -151,6 +318,7 @@ class S3Index:
         # one workload share (alpha, depth, model), so the previous query's
         # t_max is an excellent first probe, typically saving 2-4 probes.
         self._threshold_cache: dict[tuple, float] = {}
+        self._view = None
 
     # ------------------------------------------------------------------
     def reset_threshold_cache(self) -> None:
@@ -187,132 +355,17 @@ class S3Index:
                 f"depth must be in [1, {self.layout.max_depth}], got {depth}"
             )
 
-    def _resolve_model(
-        self, model: Optional[IndependentDistortionModel]
-    ) -> IndependentDistortionModel:
-        resolved = model if model is not None else self.model
-        if resolved is None:
-            raise ConfigurationError(
-                "no distortion model: pass `model=` or set a default on the index"
-            )
-        if resolved.ndims != self.ndims:
-            raise ConfigurationError(
-                f"model dimension {resolved.ndims} != index dimension {self.ndims}"
-            )
-        return resolved
+    def _read_view(self):
+        """What a query scans: one resident part — this store and layout,
+        no sketch — and no memtables.  Built once, as the index is
+        static; the part refers back to the index weakly, so the view
+        makes no reference cycle that would outlive the index."""
+        if self._view is None:
+            from .segmented.lsm import ReadView, Segment, SegmentMeta
 
-    # ------------------------------------------------------------------
-    # Every query is a selection, then the one scan of
-    # repro.index.batch.scan_monolithic.
-    def statistical_query(
-        self,
-        query: np.ndarray,
-        alpha: float,
-        model: Optional[IndependentDistortionModel] = None,
-        depth: Optional[int] = None,
-        exact_blocks: bool = False,
-        options: Optional[QueryOptions] = None,
-    ) -> SearchResult:
-        """Answer a statistical query of expectation *alpha* (paper §II).
-
-        Returns **every fingerprint stored in the selected blocks**: the
-        region ``V_α`` is exactly the union of the chosen p-blocks, so the
-        refinement step is a pure scan with no distance test — that is the
-        point of the paradigm (no intrinsic shape constraint).  This is
-        :meth:`statistical_query_batch` for a batch of one.
-
-        With ``exact_blocks=True`` the minimal set ``B^min_α`` is computed
-        by best-first search instead of the threshold iteration (slower
-        filtering, minimal refinement — the ablation of §IV-A).
-
-        ``options`` (the unified :class:`~repro.index.options.QueryOptions`)
-        supplies the depth default when ``depth`` is not given; its
-        prefilter mode is a no-op here — a monolithic index has no
-        segment tier to skip.
-        """
-        from .batch import scan_monolithic
-
-        if not exact_blocks:
-            [result] = self.statistical_query_batch(
-                query, alpha, model, depth, options
-            )
-            return result
-        resolved = self._resolve_model(model)
-        depth = self._resolve_depth(resolve_options(options, depth=depth).depth)
-        t0 = time.perf_counter()
-        selection = best_first_blocks(query, resolved, self.curve, depth, alpha)
-        [result], _ = scan_monolithic(self, [selection], time.perf_counter() - t0)
-        return result
-
-    def statistical_query_batch(
-        self,
-        queries: np.ndarray,
-        alpha: float,
-        model: Optional[IndependentDistortionModel] = None,
-        depth: Optional[int] = None,
-        options: Optional[QueryOptions] = None,
-    ) -> list[SearchResult]:
-        """Answer a batch of statistical queries in one engine pass.
-
-        One shared block-selection descent for the whole ``(B, D)`` query
-        matrix, then one scan of the selected curve sections — see
-        :mod:`repro.index.batch`.  The warm-start cache is read and
-        written once per batch, so each result is what a batch of one
-        would return from the same cache state.
-        """
-        from .batch import query_batch_monolithic
-
-        results, _ = query_batch_monolithic(
-            self, queries, alpha, model=model,
-            depth=resolve_options(options, depth=depth).depth,
-        )
-        return results
-
-    def range_query(
-        self,
-        query: np.ndarray,
-        epsilon: float,
-        depth: Optional[int] = None,
-        options: Optional[QueryOptions] = None,
-    ) -> SearchResult:
-        """Answer a classical spherical ε-range query (baseline of §V-A).
-
-        Geometric filtering (blocks the sphere intersects), then the scan,
-        then an exact distance test on the scanned rows.
-        """
-        from .batch import Ball, scan_monolithic
-
-        depth = self._resolve_depth(resolve_options(options, depth=depth).depth)
-        t0 = time.perf_counter()
-        selection = range_blocks(query, epsilon, self.curve, depth)
-        [result], _ = scan_monolithic(
-            self, [selection], time.perf_counter() - t0,
-            tests=[Ball(query, epsilon)],
-        )
-        return result
-
-    def window_query(
-        self,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        depth: Optional[int] = None,
-    ) -> SearchResult:
-        """Answer a hyper-rectangular window query ``[lo, hi)``.
-
-        The classical query type of Lawder's Hilbert indexing (paper §IV):
-        geometric block filtering, then the scan, then an exact membership
-        test on the scanned rows.
-        """
-        from .batch import Window, scan_monolithic
-
-        depth = self._resolve_depth(depth)
-        t0 = time.perf_counter()
-        selection = window_blocks(lo, hi, self.curve, depth)
-        [result], _ = scan_monolithic(
-            self, [selection], time.perf_counter() - t0,
-            tests=[Window(lo, hi)],
-        )
-        return result
+            meta = SegmentMeta("store", len(self.store))
+            self._view = ReadView((Segment(meta, weakref.proxy(self)),))
+        return self._view
 
     # ------------------------------------------------------------------
     def block_selection(

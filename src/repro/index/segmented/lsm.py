@@ -18,10 +18,11 @@ continuously growing engine with the classic log-structured recipe:
   Hilbert-ordered segment so query fan-out stays bounded;
 * queries compute the block selection **once** (it depends only on the
   query, the distortion model and the shared curve geometry — not on the
-  data) and fan it out across every sealed segment plus the memtable,
-  merging the per-segment results.  The answer is therefore *identical*
-  to a monolithic :class:`~repro.index.s3.S3Index` over the union of the
-  records, for statistical and ε-range queries alike.
+  data) and read it from every sealed segment plus the memtables in one
+  scan — the scan a static :class:`~repro.index.s3.S3Index` runs over its
+  one part.  The answer therefore holds the records a monolithic
+  :class:`~repro.index.s3.S3Index` over their union would return, for
+  every query kind.
 
 A ``MANIFEST.json`` (:mod:`.manifest`) tracks the live segments and the
 current WAL; reopening a directory after a crash replays the WAL, so no
@@ -47,7 +48,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -61,9 +62,7 @@ from ...errors import (
     StorageError,
 )
 from ...hilbert.butz import HilbertCurve
-from ..filtering import range_blocks
-from ..options import QueryOptions, resolve_options
-from ..s3 import QueryStats, S3Index, SearchResult
+from ..s3 import QueryStats, S3Index, S3Queries
 from ..store import FingerprintStore, PathLike
 from .compaction import CompactionPolicy, merge_segment_stores
 from .maintenance import MaintenanceConfig, MaintenanceThread
@@ -84,7 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 
 @dataclass
 class SegmentedQueryStats(QueryStats):
-    """Aggregated cost of one segmented query, plus the per-segment split.
+    """Aggregated cost of one segmented query across its segments.
 
     ``segments_scanned`` counts every live segment the query covered
     (its historical meaning); ``segments_skipped`` counts how many of
@@ -97,7 +96,6 @@ class SegmentedQueryStats(QueryStats):
     segments_skipped: int = 0
     blocks_skipped: int = 0
     memtable_rows_scanned: int = 0
-    per_segment: list[QueryStats] = field(default_factory=list)
 
 
 @dataclass
@@ -106,7 +104,8 @@ class Segment:
 
     ``sketch`` is ``None`` only transiently (segments from directories
     written before the sketch tier, prior to the rebuild in
-    :meth:`SegmentedS3Index.open`).
+    :meth:`SegmentedS3Index.open`), and in the one-segment read view of
+    a static :class:`S3Index`.
 
     Exactly one of ``index`` / ``cold`` is set: a **resident** segment
     (hot or warm tier) carries its :class:`S3Index`; a **cold** one
@@ -183,13 +182,23 @@ class ReadView(NamedTuple):
 
     ``memtable_rows`` bounds the active-memtable scan to the rows that
     were published when the snapshot was taken — appends racing the
-    query are excluded wholesale instead of half-seen.
+    query are excluded wholesale instead of half-seen.  A static
+    :class:`S3Index`'s view is one resident segment and no memtable.
     """
 
     segments: tuple[Segment, ...]
-    frozen: tuple[_FrozenMemtable, ...]
-    memtable: MemTable
-    memtable_rows: int
+    frozen: tuple[_FrozenMemtable, ...] = ()
+    memtable: Optional[MemTable] = None
+    memtable_rows: int = 0
+
+    @property
+    def memtables(self) -> list[tuple[MemTable, int]]:
+        """Each memtable — frozen ones oldest first, then the active
+        one — with the rows the view captured of it."""
+        parts = [(f.memtable, f.rows) for f in self.frozen]
+        if self.memtable is not None:
+            parts.append((self.memtable, self.memtable_rows))
+        return parts
 
 
 class _RWGate:
@@ -236,7 +245,7 @@ class _RWGate:
                 self._cond.notify_all()
 
 
-class SegmentedS3Index:
+class SegmentedS3Index(S3Queries):
     """A live, crash-recoverable S³ index composed of sealed segments.
 
     Use :meth:`create` to initialise a fresh directory and :meth:`open`
@@ -250,7 +259,13 @@ class SegmentedS3Index:
     compaction, tier settling — is serialised by the maintenance lock,
     whether it runs inline (``flush()``/``compact()``) or on the
     background worker (:meth:`start_maintenance`).
+
+    The query methods are :class:`~repro.index.s3.S3Queries`: a
+    selection, then one scan of every segment and memtable of a pinned
+    read view.
     """
+
+    _query_stats = SegmentedQueryStats
 
     def __init__(
         self,
@@ -1125,112 +1140,6 @@ class SegmentedS3Index:
         return self.storage.load_store(seg)
 
     # ------------------------------------------------------------------
-    # queries: a selection, then the one scan of
-    # repro.index.batch.scan_segmented
-    # ------------------------------------------------------------------
-    def statistical_query(
-        self,
-        query: np.ndarray,
-        alpha: float,
-        model: Optional[IndependentDistortionModel] = None,
-        depth: Optional[int] = None,
-        options: Optional[QueryOptions] = None,
-    ) -> SearchResult:
-        """Statistical query of expectation α across segments + memtable.
-
-        The block selection is computed once — it depends only on the
-        query, the model and the shared curve geometry — and applied to
-        every segment and to the memtables, so the merged result equals a
-        monolithic :class:`S3Index` over the same records.  Segment
-        sketches prune provably-empty segments first (admissible — same
-        result bit for bit); ``options.prefilter="off"`` disables that.
-        This is :meth:`statistical_query_batch` for a batch of one.
-        """
-        [result] = self.statistical_query_batch(
-            query, alpha, model, depth, options
-        )
-        return result
-
-    def statistical_query_batch(
-        self,
-        queries: np.ndarray,
-        alpha: float,
-        model: Optional[IndependentDistortionModel] = None,
-        depth: Optional[int] = None,
-        options: Optional[QueryOptions] = None,
-    ) -> list[SearchResult]:
-        """Answer a batch of statistical queries in one pass.
-
-        Block selections are computed once for the whole batch (one shared
-        descent, one warm-start cache read/write), then each sealed
-        segment's ranges and union are computed once for the batch, and
-        the memtables are read by block membership — see
-        :func:`repro.index.batch.scan_segmented`.
-        """
-        from ..batch import query_batch_segmented
-
-        results, _ = query_batch_segmented(
-            self, queries, alpha, model=model,
-            **self._scan_options(depth, options),
-        )
-        return results
-
-    def range_query(
-        self,
-        query: np.ndarray,
-        epsilon: float,
-        depth: Optional[int] = None,
-        options: Optional[QueryOptions] = None,
-    ) -> SearchResult:
-        """ε-range query across segments + memtable (exact refinement).
-
-        Range queries use both sketch prunes: occupancy (skip segments
-        with no rows in the selected blocks) and the per-block min/max
-        lower bound (skip row ranges whose every block has ``lb² > ε²``
-        — rows the refinement would reject anyway).  The memtables are
-        tested row by row.
-        """
-        from ..batch import Ball, scan_segmented
-
-        scan = self._scan_options(depth, options)
-        depth = self._resolve_depth(scan.pop("depth"))
-        t0 = time.perf_counter()
-        selection = range_blocks(query, epsilon, self.curve, depth)
-        [result], _ = scan_segmented(
-            self, [selection], time.perf_counter() - t0,
-            balls=[Ball(np.asarray(query, dtype=np.float64), epsilon)], **scan,
-        )
-        return result
-
-    @staticmethod
-    def _scan_options(
-        depth: Optional[int], options: Optional[QueryOptions]
-    ) -> dict:
-        """One call's depth (explicit argument, else the options', else
-        ``None`` for the index default), prefilter and prefetch."""
-        opts = resolve_options(options, depth=depth)
-        return {
-            "depth": opts.depth,
-            "prefilter": opts.prefilter_enabled,
-            "prefetch": opts.prefetch_enabled,
-        }
-
-    # ------------------------------------------------------------------
-    def _resolve_model(
-        self, model: Optional[IndependentDistortionModel]
-    ) -> IndependentDistortionModel:
-        resolved = model if model is not None else self.model
-        if resolved is None:
-            raise ConfigurationError(
-                "no distortion model: pass `model=` or set a default on the index"
-            )
-        if resolved.ndims != self.ndims:
-            raise ConfigurationError(
-                f"model dimension {resolved.ndims} != index dimension "
-                f"{self.ndims}"
-            )
-        return resolved
-
     def _resolve_depth(self, depth: Optional[int]) -> int:
         if depth is None:
             return self.manifest.depth

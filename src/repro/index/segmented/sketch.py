@@ -77,7 +77,7 @@ def occupancy_keep(
     test is exact (not probabilistic) in both directions of the depth
     mismatch: a deeper selection prefix is shifted down to its ancestor,
     a shallower one is checked for any occupied descendant in its key
-    interval.  Shared by :meth:`SegmentSketch.prune_prefixes` and the
+    interval.  Shared by :meth:`SegmentSketch.occupancy_mask` and the
     cluster router's shard-presence skip, so single-node and routed
     pruning can never disagree.
     """
@@ -226,20 +226,6 @@ class SegmentSketch:
         if self.rows == 0:
             return np.zeros(prefixes.size, dtype=bool)
         return occupancy_keep(self.occupied, self.depth, prefixes, depth)
-
-    def prune_prefixes(
-        self, prefixes: np.ndarray, depth: int
-    ) -> np.ndarray:
-        """Drop selected blocks this segment provably holds no rows of.
-
-        *prefixes* are sorted ``depth``-bit curve prefixes from a
-        :class:`~repro.index.filtering.BlockSelection`.  Keeps a prefix
-        iff the segment's occupancy intersects its key interval — so the
-        surviving prefixes yield row ranges identical to the full
-        selection's.
-        """
-        prefixes = np.asarray(prefixes, dtype=np.uint64)
-        return prefixes[self.occupancy_mask(prefixes, depth)]
 
     def ball_lower_bounds_sq(self, query: np.ndarray) -> np.ndarray:
         """``(B,)`` exact squared lower bounds of each block to *query*."""

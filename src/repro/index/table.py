@@ -96,6 +96,9 @@ def key_row_ranges(
     ends = np.where(
         hi_keys == 0, keys.size, np.searchsorted(keys, hi_keys, side="left")
     )
+    if counts.size == 1:
+        starts, ends = merge_ranges(starts, ends)
+        return RangeBatch(starts, ends, np.array([0, starts.size]))
     base = np.arange(counts.size + 1, dtype=np.int64) * (keys.size + 1)
     lift = np.repeat(base[:-1], counts)
     starts, ends = merge_ranges(starts + lift, ends + lift)
@@ -202,11 +205,6 @@ class HilbertLayout:
         """
         starts, ends, _ = self.batch_row_ranges([prefixes], depth)
         return list(zip(starts.tolist(), ends.tolist()))
-
-    def gather_rows(self, ranges: list[tuple[int, int]]) -> np.ndarray:
-        """Return the row indices covered by *ranges*, in curve order."""
-        bounds = np.array(ranges, dtype=np.int64).reshape(-1, 2)
-        return expand_ranges(bounds[:, 0], bounds[:, 1])
 
     # ------------------------------------------------------------------
     def curve_sections(self, r: int) -> list[tuple[int, int]]:

@@ -6,12 +6,14 @@ These are the earlier solo ``statistical_query`` / ``range_query`` /
 :class:`~repro.index.segmented.lsm.SegmentedS3Index`, and the helpers
 they scanned through — ``S3Index._options_depth``, ``row_ranges`` and
 ``_scan_blocks``, ``SegmentedS3Index._prefilter_on`` and ``_fan_out``,
-``lsm._empty_part`` and ``SegmentSketch.prune_ranges`` — moved here
+``lsm._empty_part``, ``SegmentSketch.prune_ranges`` /
+``prune_prefixes`` and ``HilbertLayout.gather_rows`` — moved here
 verbatim as functions of the index.  The only edits: the methods take
 ``self`` as their first argument, the query methods carry an ``s3_`` /
 ``segmented_`` prefix, their call sites name the copies below, and
-``_fan_out`` no longer counts ``segments_cold`` / ``cold_rows``, whose
-fields are gone.  Nothing under ``src/`` imports them.
+``_fan_out`` no longer counts ``segments_cold`` / ``cold_rows`` or
+keeps ``per_segment``, whose fields are gone (it sums its sections and
+rows from a local list).  Nothing under ``src/`` imports them.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.index.options import QueryOptions
 from repro.index.s3 import QueryStats, SearchResult
 from repro.index.segmented.lsm import SegmentedQueryStats
 from repro.index.segmented.sketch import SegmentSketch
+from repro.index.table import HilbertLayout, expand_ranges
 
 
 # ----------------------------------------------------------------------
@@ -180,10 +183,16 @@ def row_ranges(self, selection: BlockSelection) -> list[tuple[int, int]]:
     return self.layout.block_row_ranges(selection.prefixes, selection.depth)
 
 
+def gather_rows(self: HilbertLayout, ranges: list[tuple[int, int]]) -> np.ndarray:
+    """Return the row indices covered by *ranges*, in curve order."""
+    bounds = np.array(ranges, dtype=np.int64).reshape(-1, 2)
+    return expand_ranges(bounds[:, 0], bounds[:, 1])
+
+
 def _scan_blocks(self, selection: BlockSelection) -> SearchResult:
     t0 = time.perf_counter()
     ranges = row_ranges(self, selection)
-    rows = self.layout.gather_rows(ranges)
+    rows = gather_rows(self.layout, ranges)
     result = SearchResult(
         rows=rows,
         ids=self.store.ids[rows],
@@ -290,6 +299,7 @@ def _fan_out(
     """
     view = self._read_view()
     stats = SegmentedQueryStats()
+    per_segment: list[QueryStats] = []
     parts: list[SearchResult] = []
     base = 0
     for seg in view.segments:
@@ -297,14 +307,14 @@ def _fan_out(
         prefixes = selection.prefixes
         sketch = seg.sketch if prefilter else None
         if sketch is not None and len(prefixes):
-            pruned = sketch.prune_prefixes(prefixes, selection.depth)
+            pruned = prune_prefixes(sketch, prefixes, selection.depth)
             stats.blocks_skipped += len(prefixes) - len(pruned)
             if len(pruned) == 0:
                 stats.segments_skipped += 1
                 seg_stats = QueryStats(blocks_selected=len(selection))
                 seg_stats.refine_seconds = time.perf_counter() - t0
                 parts.append(_empty_part(self.ndims, refine, seg_stats))
-                stats.per_segment.append(seg_stats)
+                per_segment.append(seg_stats)
                 base += seg.meta.count
                 continue
             prefixes = pruned
@@ -316,7 +326,7 @@ def _fan_out(
             if not kept:
                 stats.segments_skipped += 1
             ranges = kept
-        rows = seg.layout.gather_rows(ranges)
+        rows = gather_rows(seg.layout, ranges)
         if seg.index is not None:
             store = seg.index.store
             ids_col = store.ids
@@ -364,7 +374,7 @@ def _fan_out(
         seg_stats.results = len(part)
         seg_stats.refine_seconds = time.perf_counter() - t0
         parts.append(part)
-        stats.per_segment.append(seg_stats)
+        per_segment.append(seg_stats)
         base += seg.meta.count
 
     # The memtable parts — frozen memtables (oldest first) then the
@@ -422,14 +432,14 @@ def _fan_out(
     stats.segments_scanned = len(view.segments)
     stats.memtable_rows_scanned = memtable_rows
     stats.sections_scanned = sum(
-        s.sections_scanned for s in stats.per_segment
+        s.sections_scanned for s in per_segment
     )
     stats.rows_scanned = (
-        sum(s.rows_scanned for s in stats.per_segment)
+        sum(s.rows_scanned for s in per_segment)
         + memtable_rows
     )
     stats.refine_seconds = (
-        sum(s.refine_seconds for s in stats.per_segment)
+        sum(s.refine_seconds for s in per_segment)
         + mem_refine_seconds
     )
     stats.results = len(merged)
@@ -461,6 +471,21 @@ def _empty_part(
 # ----------------------------------------------------------------------
 # SegmentSketch
 # ----------------------------------------------------------------------
+def prune_prefixes(
+    self: SegmentSketch, prefixes: np.ndarray, depth: int
+) -> np.ndarray:
+    """Drop selected blocks this segment provably holds no rows of.
+
+    *prefixes* are sorted ``depth``-bit curve prefixes from a
+    :class:`~repro.index.filtering.BlockSelection`.  Keeps a prefix
+    iff the segment's occupancy intersects its key interval — so the
+    surviving prefixes yield row ranges identical to the full
+    selection's.
+    """
+    prefixes = np.asarray(prefixes, dtype=np.uint64)
+    return prefixes[self.occupancy_mask(prefixes, depth)]
+
+
 def prune_ranges(
     self: SegmentSketch,
     ranges: Sequence[tuple[int, int]],

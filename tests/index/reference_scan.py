@@ -4,8 +4,11 @@ These are the earlier bodies of ``repro.index.table`` (the per-query
 merge loop and the ``arange``-per-range expansion) and of
 ``repro.index.batch`` (the Python-filled union, the union gather, the
 per-row ``searchsorted`` demux and the two engines that drove them),
-moved here verbatim.  The only edits are the call sites that named the
-layout methods, which now call the copies below.  They are the oracle
+moved here verbatim.  The only edits: the call sites that named the
+layout methods and ``SegmentSketch.prune_prefixes`` call the copies
+below and in ``reference_query``, ``MONOLITHIC_STORE`` is defined here,
+and ``query_batch_segmented`` sums its sections and rows from a local
+list, since ``SegmentedQueryStats.per_segment`` is gone.  They are the oracle
 ``test_scan_oracle.py`` holds the engine to, and nothing under ``src/``
 imports them.
 """
@@ -19,13 +22,19 @@ import numpy as np
 
 from repro.distortion.model import IndependentDistortionModel
 from repro.errors import ConfigurationError
-from repro.index.batch import MONOLITHIC_STORE, BatchQueryStats, _check_batch
+from repro.index.batch import BatchQueryStats, _check_batch
 from repro.index.filtering import statistical_blocks_batch_cached
 from repro.index.s3 import QueryStats, S3Index, SearchResult
 from repro.index.store import FingerprintStore
 from repro.index.table import HilbertLayout
 
+from .reference_query import prune_prefixes
+
 RowRange = tuple[int, int]
+
+#: Gather-cache key of a monolithic index's single store (a segment's
+#: key is its manifest name).
+MONOLITHIC_STORE = "store"
 
 
 # ----------------------------------------------------------------------
@@ -329,7 +338,7 @@ def query_batch_segmented(
             dropped = 0
             skipped = False
             if sketch is not None and len(prefixes):
-                pruned = sketch.prune_prefixes(prefixes, sel.depth)
+                pruned = prune_prefixes(sketch, prefixes, sel.depth)
                 dropped = len(prefixes) - len(pruned)
                 skipped = len(pruned) == 0
                 prefixes = pruned
@@ -425,6 +434,7 @@ def query_batch_segmented(
             descents=sel.descents,
             filter_seconds=filter_share,
         )
+        per_segment: list[QueryStats] = []
         rows_parts, ids_parts, tcs_parts, fps_parts = [], [], [], []
         base = 0
         for seg, (per_ranges, skipped_q, blocks_q), (scans, _, _) in zip(
@@ -443,7 +453,7 @@ def query_batch_segmented(
             ids_parts.append(ids)
             tcs_parts.append(tcs)
             fps_parts.append(fps)
-            stats.per_segment.append(seg_stats)
+            per_segment.append(seg_stats)
             base += seg.meta.count
         for rows_q, parts_q, limit in mem_scans:
             mem = parts_q[qi]
@@ -463,10 +473,10 @@ def query_batch_segmented(
         stats.segments_scanned = len(segments)
         stats.memtable_rows_scanned = memtable_rows
         stats.sections_scanned = sum(
-            s.sections_scanned for s in stats.per_segment
+            s.sections_scanned for s in per_segment
         )
         stats.rows_scanned = (
-            sum(s.rows_scanned for s in stats.per_segment)
+            sum(s.rows_scanned for s in per_segment)
             + memtable_rows
         )
         stats.results = len(merged)

@@ -20,12 +20,7 @@ from hypothesis import strategies as st
 from repro.distortion.model import NormalDistortionModel, PerComponentNormalModel
 from repro.errors import ConfigurationError
 from repro.hilbert import HilbertCurve
-from repro.index.batch import (
-    BatchQueryExecutor,
-    coalesce_ranges,
-    query_batch_monolithic,
-    query_batch_segmented,
-)
+from repro.index.batch import BatchQueryExecutor, coalesce_ranges, query_batch
 from repro.index.filtering import (
     select_blocks_threshold,
     select_blocks_threshold_multi,
@@ -346,7 +341,7 @@ class TestMonolithicBatch:
     def test_batch_stats_account_coalescing(self, index):
         queries = self.batch_queries(index, 16, seed=9)
         index.reset_threshold_cache()
-        results, batch = query_batch_monolithic(index, queries, 0.8)
+        results, batch = query_batch(index, queries, 0.8)
         assert batch.queries == 16 and batch.batches == 1
         assert batch.logical_rows == sum(len(r) for r in results)
         assert batch.unique_rows <= batch.logical_rows or batch.logical_rows == 0
@@ -437,7 +432,8 @@ class TestSegmentedBatch:
                 solo.stats.memtable_rows_scanned
                 == batch[i].stats.memtable_rows_scanned
             )
-            assert len(solo.stats.per_segment) == len(batch[i].stats.per_segment)
+            assert solo.stats.segments_skipped == batch[i].stats.segments_skipped
+            assert solo.stats.blocks_skipped == batch[i].stats.blocks_skipped
         seg.close()
 
     def test_segmented_stats_results_populated(self, tmp_path):
@@ -458,7 +454,7 @@ class TestSegmentedBatch:
         ex = BatchQueryExecutor(seg, options=QueryOptions(alpha=0.8, batch_size=8))
         got = ex.query_all(queries)
         seg.reset_threshold_cache()
-        _, batch = query_batch_segmented(seg, queries, 0.8)
+        _, batch = query_batch(seg, queries, 0.8)
         assert ex.stats.queries == 8
         assert len(got) == 8
         assert batch.queries == 8

@@ -185,3 +185,30 @@ class TestIndexProtocol:
             result = index.range_query(query, 5.0, options=opts)
             assert len(result) >= 1  # the row itself is within any radius
         segmented.close()
+
+    def test_empty_range_results_have_empty_distances(self, tmp_path):
+        """An ε-range query no row is within answers empty ``float64``
+        distances on every index, whether it scanned rows or none."""
+        store = make_store()
+        model = NormalDistortionModel(NDIMS, SIGMA)
+        segmented = SegmentedS3Index.create(
+            tmp_path / "seg", ndims=NDIMS, model=model
+        )
+        segmented.add(store.fingerprints, store.ids, store.timecodes)
+        segmented.flush()
+        indexes = [
+            S3Index(store, model=model),
+            segmented,
+            SeqScanIndex(store),
+            VAFileIndex(store),
+        ]
+        far = np.full(NDIMS, -500.0)  # selects no block: nothing scanned
+        near = store.fingerprints[0] + 0.5  # scans rows, keeps none
+        for index in indexes:
+            for query in (far, near):
+                result = index.range_query(query, 0.1)
+                assert len(result) == 0, type(index).__name__
+                assert result.distances is not None, type(index).__name__
+                assert result.distances.dtype == np.float64
+                assert result.distances.shape == (0,)
+        segmented.close()

@@ -24,6 +24,8 @@ from repro.index.segmented import (
     sketch_filename,
 )
 
+from . import reference_query
+
 NDIMS = 8
 SIGMA = 10.0
 ON = QueryOptions(prefilter="auto")
@@ -214,7 +216,7 @@ class TestPrunePrefixes:
         prefixes = np.unique(
             rng.integers(0, universe, size=40).astype(np.uint64)
         )
-        pruned = seg.sketch.prune_prefixes(prefixes, depth)
+        pruned = reference_query.prune_prefixes(seg.sketch, prefixes, depth)
         # Admissible: dropped prefixes own no rows, so the merged row
         # ranges are identical.
         assert layout.block_row_ranges(pruned, depth) == \

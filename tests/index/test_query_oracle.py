@@ -2,20 +2,38 @@
 per-query path they replaced (``reference_query``).
 
 * The indexes: monolithic, segmented (sealed segments, a frozen and an
-  active memtable; sketch prefilter auto and off) and tiered (mixed cold
-  and resident segments, blobs in memory and in files).
+  active memtable; sketch prefilter auto and off), tiered (mixed cold
+  and resident segments, blobs in memory and in files) and a segmented
+  index of one segment and empty memtables.
 * The queries: statistical with and without ``exact_blocks`` from the
   same warm-start cache state; ε-range with integer and non-integer
   centres and ε set exactly to some row's distance; window queries.
 * The contract: identical ``rows``, ``ids``, ``timecodes``,
   ``fingerprints`` and ``distances`` in value, dtype and shape,
-  identical non-timing stats (``per_segment`` included), identical
-  threshold caches and identical tier-manager fetch counters.
+  identical non-timing stats, identical threshold caches and identical
+  tier-manager fetch counters.
 
-The one intended difference is the touch rule: the engine touches a
-segment in the tier manager iff the query read rows from it, where the
-old path touched every segment it did not skip by occupancy.  The tier
-fixtures never promote, so touches cannot move residency here.
+Both index kinds share one query front, so two cases have no per-query
+path to hold to:
+
+* the one-segment index must answer every query kind as an
+  ``S3Index`` over the segment's own store does — columns, distances,
+  the stats fields the two share, threshold cache;
+* on the sealed + frozen + active indexes, a window query must return
+  the records a brute-force ``window_refine`` over all of them keeps,
+  and ``exact_blocks`` the records the monolithic index over all of
+  them returns, each compared as a multiset of (id, timecode,
+  fingerprint).
+
+Two intended differences from the old path:
+
+* the touch rule: the engine touches a segment in the tier manager iff
+  the query read rows from it, where the old path touched every segment
+  it did not skip by occupancy (the tier fixtures never promote, so
+  touches cannot move residency here);
+* an ε-range query on a monolithic index that scans no row returns
+  empty ``float64`` distances, as every other index does, where the old
+  path returned ``None``.
 
 ``PROPERTY_EXAMPLES`` raises the example count (CI's ``property-long`` job).
 """
@@ -29,9 +47,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distortion.model import NormalDistortionModel
-from repro.index.kernels import squared_distances
+from repro.index.kernels import squared_distances, window_refine
 from repro.index.options import QueryOptions
-from repro.index.s3 import S3Index
+from repro.index.s3 import QueryStats, S3Index
 from repro.index.segmented import SegmentedS3Index
 from repro.index.store import FingerprintStore
 from repro.storage import FakeBlobBackend, FileBlobBackend, StorageConfig
@@ -43,6 +61,10 @@ EXAMPLES = int(os.environ.get("PROPERTY_EXAMPLES", "30"))
 NDIMS = 8
 MODEL = NormalDistortionModel(NDIMS, 12.0)
 COLUMNS = ("rows", "ids", "timecodes", "fingerprints", "distances")
+MONO_STATS = tuple(
+    f.name for f in dataclasses.fields(QueryStats)
+    if not f.name.endswith("_seconds")
+)
 FETCH_COUNTERS = ("fetches", "fetch_rows", "fetch_bytes")
 
 
@@ -63,8 +85,9 @@ FPS, IDS, TCS = records(1800, seed=11)
 @pytest.fixture(scope="module")
 def indexes(tmp_path_factory):
     """A monolithic, a segmented and two tiered indexes (blobs in memory,
-    blobs in files) over the same rows.  The segmented ones end in a
-    frozen and an active memtable; the tiered ones never promote."""
+    blobs in files) over the same rows, and a segmented index of one
+    segment.  The segmented and tiered ones end in a frozen and an
+    active memtable; the tiered ones never promote."""
     mono = S3Index(FingerprintStore(FPS, IDS, TCS), model=MODEL)
     root = tmp_path_factory.mktemp("query")
     kwargs = dict(
@@ -96,22 +119,21 @@ def indexes(tmp_path_factory):
         index.storage.demote(index._segments[2])
         assert [s.index is None for s in index._segments] == [True, False, True]
     assert isinstance(tiered["tiered_file"].storage.backend, FileBlobBackend)
-    yield {"mono": mono, "seg": seg, **tiered}
-    for index in (seg, *tiered.values()):
+    one = SegmentedS3Index.create(root / "one", **kwargs)
+    one.add(FPS, IDS, TCS)
+    one.flush()
+    assert one.num_segments == 1 and one.pending_rows == 0
+    yield {"mono": mono, "seg": seg, **tiered, "one": one}
+    for index in (seg, *tiered.values(), one):
         index.close()
 
 
 def counts(stats):
-    """Every non-timing field of a stats dataclass, per segment too."""
-    out = {}
-    for f in dataclasses.fields(stats):
-        value = getattr(stats, f.name)
-        if f.name.endswith("_seconds"):
-            continue
-        out[f.name] = (
-            [counts(s) for s in value] if isinstance(value, list) else value
-        )
-    return out
+    """Every non-timing field of a stats dataclass."""
+    return {
+        f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)
+        if not f.name.endswith("_seconds")
+    }
 
 
 def run(index, query, warm):
@@ -127,17 +149,30 @@ def run(index, query, warm):
     return result, dict(index._threshold_cache), moved
 
 
-def assert_same(got, want):
+def assert_same(got, want, stats=None):
+    """Columns, threshold caches and fetch counters identical; the
+    stats identical too, or only their fields named in *stats*."""
     (g, g_cache, g_moved), (w, w_cache, w_moved) = got, want
     for name in COLUMNS:
         a, b = getattr(g, name), getattr(w, name)
+        if b is None and name == "distances" and a is not None:
+            # The intended change: a range query that scans no row
+            # measures no distance, in an empty float64 array.
+            assert g.stats.rows_scanned == 0
+            assert (a.dtype, a.shape) == (np.float64, (0,))
+            continue
         if b is None:
             assert a is None, name
             continue
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert np.array_equal(a, b), name
-    assert type(g.stats) is type(w.stats)
-    assert counts(g.stats) == counts(w.stats)
+    if stats is None:
+        assert type(g.stats) is type(w.stats)
+        assert counts(g.stats) == counts(w.stats)
+    else:
+        assert {k: counts(g.stats)[k] for k in stats} == {
+            k: counts(w.stats)[k] for k in stats
+        }
     assert g_cache == w_cache
     assert g_moved == w_moved
 
@@ -148,6 +183,14 @@ def check(index, new, old, warm=()):
     got = run(index, new, warm)
     assert_same(got, run(index, old, warm))
     return got[0]
+
+
+def record_set(result):
+    """*result*'s records as a multiset of (id, timecode, fingerprint)."""
+    return sorted(zip(
+        result.ids.tolist(), result.timecodes.tolist(),
+        map(bytes, result.fingerprints),
+    ))
 
 
 def warm_cache(index, seed):
@@ -166,11 +209,10 @@ def ball_centre(rng, integer):
 
 @st.composite
 def cases(draw):
-    kind = draw(st.sampled_from(["mono", "seg", "tiered", "tiered_file"]))
-    query = draw(st.sampled_from(
-        ["statistical", "range"]
-        + (["exact", "window"] if kind == "mono" else [])
+    kind = draw(st.sampled_from(
+        ["mono", "seg", "tiered", "tiered_file", "one"]
     ))
+    query = draw(st.sampled_from(["statistical", "range", "exact", "window"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     depth = draw(st.sampled_from([None, 10, 14]))
     modes = {}
@@ -232,8 +274,53 @@ def queries(query, kind, args, depth, options):
 def test_queries_match_reference(indexes, case):
     kind, query, args, depth, options, warm = case
     index = indexes[kind]
-    new, old = queries(query, kind, args, depth, options)
-    check(index, new, old, {} if warm is None else warm_cache(index, warm))
+    warm = {} if warm is None else warm_cache(index, warm)
+    if kind == "one":
+        check_one_segment(index, query, args, depth, options, warm)
+    elif kind != "mono" and query in ("exact", "window"):
+        check_records(indexes["mono"], index, query, args, depth, options)
+    else:
+        new, old = queries(query, kind, args, depth, options)
+        check(index, new, old, warm)
+
+
+def check_one_segment(index, query, args, depth, options, warm):
+    """A one-segment index with empty memtables against an ``S3Index``
+    over the segment's own store: the stats fields the two share agree,
+    but for the rows and sections of a range query the sketch's bounds
+    prune skipped."""
+    s3 = index._segments[0].index
+    call, _ = queries(query, "seg", args, depth, options)
+    stats = MONO_STATS
+    if query == "range" and options.prefilter_enabled:
+        stats = tuple(
+            k for k in MONO_STATS
+            if k not in ("rows_scanned", "sections_scanned")
+        )
+    assert_same(run(index, call, warm), run(s3, call, warm), stats=stats)
+
+
+def check_records(mono, index, query, args, depth, options):
+    """Window and ``exact_blocks`` queries on a segmented index hold the
+    records of a brute-force window test / of the monolithic index over
+    all of them."""
+    if query == "window":
+        got = index.window_query(*args, depth=depth)
+        keep = window_refine(FPS, *args)
+        want = sorted(zip(
+            IDS[keep].tolist(), TCS[keep].tolist(), map(bytes, FPS[keep])
+        ))
+    else:
+        depth = index._resolve_depth(options.depth if depth is None else depth)
+        got = index.statistical_query(
+            *args, depth=depth, exact_blocks=True, options=options
+        )
+        want = record_set(mono.statistical_query(
+            *args, depth=depth, exact_blocks=True
+        ))
+    assert got.distances is None
+    assert got.stats.results == len(got)
+    assert record_set(got) == want
 
 
 @pytest.mark.parametrize("kind", ["seg", "tiered", "tiered_file"])
@@ -262,8 +349,8 @@ def test_range_prunes_match_reference(indexes, kind):
 @pytest.mark.parametrize("kind", ["mono", "seg", "tiered", "tiered_file"])
 def test_empty_selections_match_reference(indexes, kind):
     """Queries that select no block at all, and a window with an empty
-    side: an empty answer of the old shape (no distances on a
-    monolithic range query, empty ones on a segmented one)."""
+    side: an empty answer of the old shape, but for a monolithic range
+    query's distances, now empty as on every other index."""
     index = indexes[kind]
     far = np.full(NDIMS, -500.0)
     calls = [("range", (far, 1.0))]

@@ -1,5 +1,8 @@
 """Integration tests of the S³ index: statistical + range queries."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,8 @@ from repro.errors import ConfigurationError, IndexError_
 from repro.index.s3 import S3Index
 from repro.index.seqscan import SequentialScanIndex
 from repro.index.store import FingerprintStore
+
+from . import reference_query
 
 
 def clustered_store(n, ndims=8, seed=0):
@@ -56,7 +61,7 @@ class TestStatisticalQuery:
         ranges = index.layout.block_row_ranges(
             selection.prefixes, selection.depth
         )
-        expected_rows = index.layout.gather_rows(ranges)
+        expected_rows = reference_query.gather_rows(index.layout, ranges)
         result = index.statistical_query(query, 0.8)
         assert np.array_equal(np.sort(result.rows), np.sort(expected_rows))
 
@@ -192,3 +197,21 @@ class TestExtended:
         query = more.fingerprints[3].astype(float)
         result = bigger.range_query(query, 0.0)
         assert len(result) >= 1
+
+
+class TestReadView:
+    def test_queried_index_is_freed_without_gc(self):
+        """The one-part read view a query builds refers back to its index
+        weakly: dropping a queried index frees it (and its store) at
+        once, not at the next cyclic collection."""
+        index = S3Index(clustered_store(300), model=NormalDistortionModel(8, 9.0))
+        query = index.store.fingerprints[7].astype(float)
+        index.statistical_query(query, 0.8)
+        index.range_query(query, 10.0)
+        ref = weakref.ref(index)
+        gc.disable()
+        try:
+            del index
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -6,11 +6,13 @@
   (mixed cold and resident segments, blobs in memory and in files),
   each with the gather cache off, cold (a miss) and warm (a hit) —
   identical columns in value, dtype and shape, identical per-query and
-  per-batch counters, identical cache contents.  Batches of one and two
+  per-batch counters, identical cache contents.  Both index kinds run
+  the one ``batch.query_batch``.  Batches of one and two
   queries, queries pruned in some segments and scanned in others, and
   segments no query of the batch selects a row in are drawn for sure.
-* The scan alone, on generated range lists: empty queries, a batch of
-  one, touching, nested and duplicated ranges across queries.
+* The scan over one resident part, on generated range lists: empty
+  queries, a batch of one, touching, nested and duplicated ranges
+  across queries.
 * Ownership: no returned array shares memory with a store column, a
   gather-cache entry or another result, and mutating a result cannot
   reach a later answer through the cache.
@@ -22,6 +24,7 @@
 import dataclasses
 import itertools
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,10 +34,11 @@ from hypothesis import strategies as st
 from repro.distortion.model import NormalDistortionModel
 from repro.hilbert import HilbertCurve
 from repro.index import batch
-from repro.index.s3 import S3Index
-from repro.index.segmented import SegmentedS3Index
+from repro.index.filtering import BlockSelection
+from repro.index.s3 import QueryStats, S3Index
+from repro.index.segmented import ReadView, Segment, SegmentedS3Index, SegmentMeta
 from repro.index.store import FingerprintStore
-from repro.index.table import HilbertLayout, RangeBatch
+from repro.index.table import HilbertLayout, RangeBatch, expand_ranges
 from repro.serve.cache import GatherCache
 from repro.storage import FakeBlobBackend, FileBlobBackend, StorageConfig
 
@@ -112,16 +116,11 @@ def indexes(tmp_path_factory):
 
 
 def counts(stats):
-    """Every non-timing field of a stats dataclass, per segment too."""
-    out = {}
-    for f in dataclasses.fields(stats):
-        value = getattr(stats, f.name)
-        if f.name.endswith("_seconds"):
-            continue
-        out[f.name] = (
-            [counts(s) for s in value] if isinstance(value, list) else value
-        )
-    return out
+    """Every non-timing field of a stats dataclass."""
+    return {
+        f.name: getattr(stats, f.name) for f in dataclasses.fields(stats)
+        if not f.name.endswith("_seconds")
+    }
 
 
 def assert_same(got, want):
@@ -174,8 +173,8 @@ def engine_cases(draw):
 
 def engines(kind):
     if kind == "mono":
-        return batch.query_batch_monolithic, reference_scan.query_batch_monolithic
-    return batch.query_batch_segmented, reference_scan.query_batch_segmented
+        return batch.query_batch, reference_scan.query_batch_monolithic
+    return batch.query_batch, reference_scan.query_batch_segmented
 
 
 def check_engines(index, kind, queries, alpha, **kwargs):
@@ -212,17 +211,19 @@ def test_pruning_mixes_match_reference(indexes, kind):
     the frozen and the active memtable."""
     index = indexes[kind]
     mixed = empty = memtables = False
+    seg_bounds = np.cumsum([0] + [s.meta.count for s in index._segments])
     for rows in ([2300], [10, 30], [1000, 1500], [10, 1000, 2350]):
         results = check_engines(index, kind, FPS[rows].astype(np.float64), 0.8)
-        per_segment = np.array(
-            [[s.rows_scanned for s in r.stats.per_segment] for r in results]
-        )
-        empty |= bool((per_segment.sum(axis=0) == 0).any())
         mixed |= any(
             0 < r.stats.segments_skipped < index.num_segments for r in results
         )
         rows = np.concatenate([r.rows for r in results])
-        sealed = sum(s.meta.count for s in index._segments)
+        # A segment none of the batch's returned rows lies in.
+        in_segment = (rows[:, None] >= seg_bounds[:-1]) & (
+            rows[:, None] < seg_bounds[1:]
+        )
+        empty |= bool((~in_segment.any(axis=0)).any())
+        sealed = seg_bounds[-1]
         active = sealed + index._view.frozen[0].rows
         memtables |= bool(
             ((rows >= sealed) & (rows < active)).any() and (rows >= active).any()
@@ -268,6 +269,34 @@ def as_batch(lists):
     return RangeBatch(pairs[:, 0], pairs[:, 1], bounds)
 
 
+class FixedLayout:
+    """A layout whose row ranges are the drawn *sections*, whatever the
+    selection: drives the scan over arbitrary range lists."""
+
+    def __init__(self, sections):
+        self.sections = sections
+
+    def row_ranges(self, prefixes, counts, depth):
+        return self.sections
+
+
+def scan_view(sections):
+    """A one-part index over ``SCAN_STORE`` that reads *sections*."""
+    part = Segment(
+        meta=SegmentMeta("store", len(SCAN_STORE)),
+        index=SimpleNamespace(store=SCAN_STORE, layout=FixedLayout(sections)),
+    )
+    return SimpleNamespace(
+        _read_view=lambda: ReadView((part,)), storage=None,
+        _query_stats=QueryStats, ndims=NDIMS,
+    )
+
+
+def no_blocks(num):
+    empty = np.zeros(0, dtype=np.uint64)
+    return [BlockSelection(empty, empty, 1, 0.0, 0.0, 0) for _ in range(num)]
+
+
 @given(range_lists(), st.booleans())
 @settings(max_examples=EXAMPLES, deadline=None)
 def test_scan_matches_reference(lists, cached):
@@ -278,12 +307,18 @@ def test_scan_matches_reference(lists, cached):
     got_cache = GatherCache() if cached else None
     want_cache = GatherCache() if cached else None
     for _ in range(2 if cached else 1):
-        got = batch._scan(SCAN_STORE, sections, union, gather_cache=got_cache)
+        got, stats = batch.scan(
+            scan_view(sections), no_blocks(len(lists)), gather_cache=got_cache
+        )
         want, sections_scanned, rows = reference_scan._scan_coalesced(
             SCAN_LAYOUT, SCAN_STORE, lists, gather_cache=want_cache
         )
+        assert (stats.sections_scanned, stats.unique_rows) == (
+            sections_scanned, rows
+        )
         assert (union[0].size, batch._rows(union)) == (sections_scanned, rows)
         for g, w in zip(got, want, strict=True):
+            g = tuple(getattr(g, name) for name in COLUMNS)
             for a, b in zip(g, w, strict=True):
                 assert (a.dtype, a.shape) == (b.dtype, b.shape)
                 assert np.array_equal(a, b)
@@ -325,7 +360,7 @@ def test_row_ranges_match_reference(which, raw, depth):
         a, b = bounds[i], bounds[i + 1]
         assert list(zip(starts[a:b].tolist(), ends[a:b].tolist())) == want
         assert layout.block_row_ranges(prefixes, depth) == want
-        rows = layout.gather_rows(want)
+        rows = expand_ranges(starts[a:b], ends[a:b])
         ref = reference_scan.gather_rows(layout, want)
         assert rows.dtype == ref.dtype and np.array_equal(rows, ref)
 
@@ -404,9 +439,9 @@ def test_each_union_is_coalesced_once(indexes, monkeypatch, gather_cache):
     monkeypatch.setattr(batch, "coalesce_ranges", counted)
     queries = FPS[[10, 700, 1500]].astype(np.float64)
     cache = GatherCache() if gather_cache else None
-    batch.query_batch_monolithic(indexes["mono"], queries, 0.8, gather_cache=cache)
+    batch.query_batch(indexes["mono"], queries, 0.8, gather_cache=cache)
     assert len(calls) == 1
     calls.clear()
     seg = indexes["seg"]
-    batch.query_batch_segmented(seg, queries, 0.8, gather_cache=cache)
+    batch.query_batch(seg, queries, 0.8, gather_cache=cache)
     assert len(calls) == seg.num_segments
