@@ -4,10 +4,9 @@ Paper claim: batching N_sig queries amortises the section-loading time, so
 the per-query cost falls as the batch grows and the loading volume per
 query becomes sub-linear in the DB size.
 
-The second test closes the loop with the tiered-storage subsystem: the
-same eq.-(5) accounting, scored against *real* bytes fetched from a
-blob backend by cold-segment scans (full sweep and JSON record in
-``bench_storage_tiers.py``).
+The same eq.-(5) accounting, scored against real bytes fetched from a
+blob backend by cold-segment scans, is the tier-1 test
+``tests/storage/test_eq5_bytes.py``.
 """
 
 from dataclasses import dataclass
@@ -72,24 +71,3 @@ def test_batching_amortises_loads(benchmark, capsys, tmp_path):
     assert per_query_mb == sorted(per_query_mb, reverse=True)
     assert per_query_mb[-1] < per_query_mb[0] / 2
 
-
-def test_tiered_fetch_tracks_model(benchmark, capsys):
-    """Real blob-backend fetches land on the eq.-(5) prediction.
-
-    The pseudo-disk above only *models* the loading cost; the tiered
-    subsystem pays it against a real backend.  Demote most of a
-    segmented archive and require the measured per-query fetch volume
-    to track the model within its tolerance, with bit-identical
-    results.
-    """
-    from repro.experiments import run_storage_tiers
-    from repro.experiments.storage_tiers import MODEL_TOLERANCE
-
-    result = run_and_report(
-        benchmark, capsys,
-        lambda: run_storage_tiers(db_rows=24_000, seed=0),
-    )
-    assert result.bit_identical
-    assert result.budget_fraction < 0.25
-    assert result.measured_cold_bytes > 0
-    assert result.model_error <= MODEL_TOLERANCE

@@ -15,7 +15,7 @@ from typing import Sequence
 
 
 def host_block() -> dict:
-    """The shared ``host`` block every ``BENCH_*.json`` record embeds.
+    """The shared ``host`` block a benchmark record embeds.
 
     Benchmark numbers are meaningless without the host that produced
     them: a 1-core container's "speedup" and a 16-core bare-metal run

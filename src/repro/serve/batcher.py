@@ -74,8 +74,8 @@ class DeadlineExceeded(ReproError):
 class BatcherConfig:
     """Micro-batching knobs.
 
-    ``max_wait_ms = 0`` degenerates to one-batch-per-arrival (useful as
-    the unbatched baseline in ``benchmarks/bench_serve.py``).
+    ``max_wait_ms = 0`` degenerates to one-batch-per-arrival, the
+    unbatched serving baseline.
     """
 
     max_batch: int = 32

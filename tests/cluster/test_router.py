@@ -6,10 +6,12 @@ shards are **bit-identical** — rows, ids, timecodes, fingerprint bytes —
 to the same batch against one server over the unsharded index, at shard
 counts 1, 2 and 5, and still when a replica is SIGKILL-equivalently
 dropped mid-batch (thread mode: abrupt stop + failover to the second
-replica).
+replica).  In process mode a real SIGKILL must also be healed: the
+supervisor respawns the replica, which answers ``health`` again.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from repro.cluster import (
     plan_cluster,
 )
 from repro.distortion.model import NormalDistortionModel
+from repro.errors import ReproError
 from repro.index.segmented import SegmentedS3Index
 from repro.serve import (
     ServeClient,
@@ -256,8 +259,6 @@ class TestFailover:
         worker.start()
         try:
             # Let a few batches through, then drop a replica mid-stream.
-            import time
-
             time.sleep(0.3)
             supervisor.kill_replica(0, 0)
             time.sleep(1.0)
@@ -281,6 +282,88 @@ class TestFailover:
     def _stats(port):
         with ServeClient(port=port, timeout=30.0) as client:
             return client.stats()
+
+
+class TestProcessHeal:
+    def test_sigkilled_replica_heals(
+        self, tmp_path_factory, source, single_node, corpus
+    ):
+        """A SIGKILLed replica process is respawned and answers again.
+
+        The only test with real ``repro.cli serve`` children: one shard
+        of two replica processes behind the router, query clients racing
+        a SIGKILL of replica 0.  Every answer must arrive and stay
+        bit-identical to the single node, and the supervisor must
+        restart the killed replica on its port within a bounded wait.
+        """
+        cluster_dir = tmp_path_factory.mktemp("heal") / "c"
+        plan_cluster(source, cluster_dir, num_shards=1, replicas=2)
+        fp, _, _ = corpus
+        rng = np.random.default_rng(29)
+        queries = fp[rng.integers(0, TOTAL_ROWS, 4)].astype(np.float64)
+        baseline = single_node.query(queries)
+
+        outcomes = []
+        errors = []
+        stop = threading.Event()
+        healed = False
+
+        with ClusterSupervisor(
+            cluster_dir,
+            mode="process",
+            extra_serve_args=["--alpha", str(ALPHA)],
+        ) as supervisor:
+            router = ClusterRouter(
+                ClusterManifest.load(cluster_dir),
+                supervisor.endpoints(),
+                # Cache off: every batch must reach a replica.
+                RouterConfig(port=0, alpha=ALPHA, cache="off"),
+            )
+
+            def client_loop(port):
+                with ServeClient(port=port, timeout=30.0, retries=8) as c:
+                    while not stop.is_set():
+                        try:
+                            outcomes.append(c.query(queries))
+                        except Exception as exc:  # noqa: BLE001
+                            errors.append(repr(exc))
+
+            with ServiceThread(router) as thread:
+                clients = [
+                    threading.Thread(target=client_loop, args=(thread.port,))
+                    for _ in range(2)
+                ]
+                for t in clients:
+                    t.start()
+                try:
+                    time.sleep(0.3)
+                    handle = supervisor.kill_replica(0, 0)
+                    deadline = time.monotonic() + 60.0
+                    while not healed and time.monotonic() < deadline:
+                        time.sleep(0.1)
+                        healed = handle.restarts >= 1 and _answers_health(
+                            handle.host, handle.port
+                        )
+                finally:
+                    stop.set()
+                    for t in clients:
+                        t.join()
+            restarts = supervisor.status()[0]["restarts"]
+
+        assert not errors, errors
+        assert len(outcomes) >= 2
+        for got in outcomes:
+            _assert_results_equal(baseline, got)
+        assert restarts >= 1
+        assert healed
+
+
+def _answers_health(host, port):
+    try:
+        with ServeClient(host, port, timeout=5.0, retries=0) as client:
+            return bool(client.health().get("ready"))
+    except ReproError:
+        return False
 
 
 class TestIngestRouting:

@@ -205,26 +205,6 @@ class TestFig10:
         assert "monitoring" in result.render()
 
 
-class TestSegmentedIngest:
-    def test_small_run_shapes(self):
-        from repro.experiments import run_segmented_ingest
-
-        result = run_segmented_ingest(
-            db_rows=4_000, num_batches=4, segment_counts=(1, 2),
-            num_queries=5, seed=0,
-        )
-        assert result.total_rows == 4_000
-        assert result.segmented_seconds > 0
-        assert result.rebuild_seconds > 0
-        assert result.final_segments >= 1
-        assert [p.num_segments for p in result.latency] == [1, 2]
-        assert all(p.mean_ms > 0 for p in result.latency)
-        assert result.monolithic_ms > 0
-        text = result.render()
-        assert "Segmented live ingestion" in text
-        assert "Query latency vs segment count" in text
-
-
 class TestRenderings:
     def test_fig56_render_includes_ascii_figures(self):
         from repro.experiments import run_fig56

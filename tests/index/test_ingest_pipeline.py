@@ -22,6 +22,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,7 @@ from repro.index.segmented import (
     WriteAheadLog,
     replay,
 )
+from repro.index.segmented import wal as wal_module
 
 NDIMS = 8
 SIGMA = 10.0
@@ -89,14 +91,23 @@ class TestGroupCommitDurability:
             t.join()
         assert not errors
 
-    def test_group_commit_replays_in_full(self, tmp_path):
+    def test_group_commit_replays_in_full(self, tmp_path, monkeypatch):
         path = tmp_path / "wal.log"
         wal = WriteAheadLog.create(path, NDIMS, durability="group")
+        # A slow fsync keeps each leader flushing long enough for the
+        # other writers to stage behind it, so groups must form.
+        real_fsync = wal_module.os.fsync
+
+        def slow_fsync(fd):
+            time.sleep(0.01)
+            real_fsync(fd)
+
+        monkeypatch.setattr(wal_module.os, "fsync", slow_fsync)
         self.concurrent_append(wal)
         stats = wal.stats()
         wal.close()
         # Coalescing actually happened: fewer fsyncs than appends.
-        assert 0 < stats["group_commits"] <= stats["appends"]
+        assert 0 < stats["group_commits"] < stats["appends"]
         assert stats["records"] == 6 * 4 * 3
         replayed = sum(fp.shape[0] for fp, _, _ in replay(path))
         assert replayed == 6 * 4 * 3
@@ -154,11 +165,12 @@ sys.path.insert(0, {here!r})
 from test_ingest_pipeline import make_records, NDIMS, SIGMA
 
 directory = {directory!r}
+durability = {durability!r}
 index = SegmentedS3Index.create(
     directory, ndims=NDIMS, model=NormalDistortionModel(NDIMS, SIGMA),
     flush_rows=10 ** 9, auto_compact=False,
     policy=CompactionPolicy(max_segments=2),
-    storage=StorageConfig(cold_dir="cold"),
+    storage=StorageConfig(cold_dir="cold"), durability=durability,
 )
 for i in range(2):
     index.add(*make_records(150, seed=i))
@@ -167,7 +179,7 @@ index.close()
 
 # Reopen mmapped (segments come back warm), add a hot one, demote one
 # cold: the compaction input spans all three tiers.
-index = SegmentedS3Index.open(directory, mmap=True)
+index = SegmentedS3Index.open(directory, mmap=True, durability=durability)
 index.add(*make_records(150, seed=2))
 index.flush()
 index.storage.demote(index._segments[0])
@@ -185,15 +197,21 @@ os.kill(os.getpid(), signal.SIGKILL)
 
 
 class TestKill9DuringBackgroundCompaction:
-    @pytest.mark.parametrize("delay", [0.0, 0.02, 0.2])
-    def test_recovery_with_all_tiers(self, tmp_path, delay):
+    @pytest.mark.parametrize(
+        "delay, durability",
+        [(0.0, "always"), (0.02, "always"), (0.2, "always"),
+         (0.02, "group")],
+        ids=["0.0", "0.02", "0.2", "group"],
+    )
+    def test_recovery_with_all_tiers(self, tmp_path, delay, durability):
         """SIGKILL at varying points of the background merge.
 
         0.0 lands around the merge start, 0.02 typically mid-merge,
         0.2 usually after the switchover — every point must reopen with
         all 490 records reachable (the merge writes and fsyncs the new
         segment before the manifest references it, and deletes inputs
-        only after).
+        only after).  The group case acknowledges every append through
+        a shared group fsync; those rows must replay just the same.
         """
         directory = tmp_path / "idx"
         script = COMPACT_CRASH_SCRIPT.format(
@@ -201,6 +219,7 @@ class TestKill9DuringBackgroundCompaction:
             here=str(Path(__file__).resolve().parent),
             directory=str(directory),
             delay=delay,
+            durability=durability,
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
@@ -209,7 +228,8 @@ class TestKill9DuringBackgroundCompaction:
         assert "READY" in proc.stdout, proc.stderr
         assert proc.returncode == -signal.SIGKILL
 
-        reopened = SegmentedS3Index.open(directory)
+        reopened = SegmentedS3Index.open(directory, durability=durability)
+        assert reopened.ingest_info()["durability"] == durability
         assert len(reopened) == 3 * 150 + 40
         assert reopened.pending_rows == 40  # WAL replayed
         # Every batch is reachable wherever the merge died.
