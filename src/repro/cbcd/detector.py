@@ -21,7 +21,7 @@ from ..index.batch import BatchQueryExecutor
 from ..index.options import QueryOptions
 from ..index.s3 import S3Index
 from ..video.synthetic import VideoClip
-from .voting import Vote, vote
+from .voting import Vote, check_vote_parameters, vote
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class DetectorConfig:
     options: Optional[QueryOptions] = None
 
     def __post_init__(self) -> None:
+        check_vote_parameters(self.vote_tolerance, self.tukey_c, self.min_matches)
         if self.decision_threshold < 1:
             raise ConfigurationError(
                 f"decision_threshold must be >= 1, got {self.decision_threshold}"

@@ -40,7 +40,7 @@ from ..index.options import QueryOptions
 from ..index.s3 import S3Index
 from ..video.synthetic import VideoClip
 from .detector import Detection
-from .voting import vote
+from .voting import check_vote_parameters, vote
 
 
 @dataclass
@@ -68,6 +68,7 @@ class MonitorConfig:
     options: Optional[QueryOptions] = None
 
     def __post_init__(self) -> None:
+        check_vote_parameters(self.vote_tolerance, self.tukey_c, self.min_matches)
         if self.options is not None:
             self.alpha = self.options.alpha
         else:

@@ -15,19 +15,21 @@ the decision is taken *per identifier*:
 
 The buffer is flattened once into aligned columns and sorted once, so
 every identifier — and inside it every candidate — owns a contiguous run
-of rows that :mod:`~repro.cbcd.mestimator` reduces with ``reduceat``.
+of rows.  Both steps then run once for all voted identifiers together:
+:func:`~repro.cbcd.mestimator.solve_offsets` solves eq. (2) for every one,
+and one ``reduceat`` counts every ``n_sim``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from .mestimator import closest_residuals, flatten_matches, solve_offset
+from .mestimator import closest_residuals, flatten_matches, solve_offsets
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,21 @@ class QueryMatches(NamedTuple):
     timecodes: np.ndarray
 
 
-def _identifier_columns(
-    matches: Iterable[tuple], min_matches: int = 1
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(id, tcp, tc, starts)`` per identifier, ascending by id.
+class _Columns(NamedTuple):
+    """A match buffer as aligned columns, rows sorted by (identifier,
+    candidate, arrival); all but ``ids`` are the columns of
+    :func:`~repro.cbcd.mestimator.solve_offsets`."""
 
-    ``tcp``/``tc`` are the candidate and referenced time-code of each of
-    the identifier's matches, candidates in buffer order; ``starts`` is
-    the row where each candidate's run begins.  Identifiers matched by
-    fewer than *min_matches* candidates are skipped.
-    """
+    ids: np.ndarray  # per identifier, ascending
+    tcp: np.ndarray
+    tc: np.ndarray
+    starts: np.ndarray  # row where each candidate's run begins
+    first: np.ndarray  # candidate where each identifier begins, + the end
+
+
+def _columns(matches: Iterable[tuple], min_matches: int = 1) -> _Columns:
+    """Flatten and sort *matches* once; keep identifiers matched by at
+    least *min_matches* candidates."""
     candidate_tcs, ids, tcs = [], [], []
     for timecode, query_ids, query_tcs in matches:
         query_ids = np.asarray(query_ids)
@@ -80,7 +87,11 @@ def _identifier_columns(
             ids.append(query_ids)
             tcs.append(query_tcs)
     if not ids:
-        return
+        empty = np.empty(0)
+        return _Columns(
+            np.empty(0, np.int64), empty, empty, np.empty(0, np.intp),
+            np.zeros(1, np.intp),
+        )
     candidate = np.repeat(np.arange(len(ids)), [a.size for a in ids])
     ids = np.concatenate(ids, axis=None)
     # Candidate indices are already ascending, so one stable sort by
@@ -96,10 +107,15 @@ def _identifier_columns(
     # an identifier begins (+ the end).
     run_bounds = np.flatnonzero(np.r_[True, new_run, True])
     id_bounds = np.flatnonzero(np.r_[True, new_id[run_bounds[1:-1] - 1], True])
-    voted = np.flatnonzero(np.diff(id_bounds) >= min_matches)
-    for r0, r1 in zip(id_bounds[voted].tolist(), id_bounds[voted + 1].tolist()):
-        m0, m1 = int(run_bounds[r0]), int(run_bounds[r1])
-        yield int(ids[m0]), tcp[m0:m1], tc[m0:m1], run_bounds[r0:r1] - m0
+    uids = ids[run_bounds[id_bounds[:-1]]]
+    runs, run_rows = np.diff(id_bounds), np.diff(run_bounds)
+    if runs.min() < min_matches:
+        voted = runs >= min_matches
+        kept = np.repeat(voted, runs)
+        tcp, tc = (col[np.repeat(kept, run_rows)] for col in (tcp, tc))
+        uids, runs, run_rows = uids[voted], runs[voted], run_rows[kept]
+    starts = np.cumsum(run_rows) - run_rows
+    return _Columns(uids, tcp, tc, starts, np.append(0, np.cumsum(runs)))
 
 
 def group_by_identifier(
@@ -111,17 +127,43 @@ def group_by_identifier(
     ``tc'_j`` that matched it and, aligned, the arrays of referenced
     time-codes ``tc_jk``.
     """
+    cols = _columns(matches)
+    rows = np.append(cols.starts, cols.tc.size)
     return {
-        uid: (tcp[starts].tolist(), np.split(tc, starts[1:]))
-        for uid, tcp, tc, starts in _identifier_columns(matches)
+        uid: (
+            cols.tcp[cols.starts[a:b]].tolist(),
+            np.split(cols.tc[rows[a]:rows[b]], cols.starts[a + 1:b] - rows[a]),
+        )
+        for uid, a, b in zip(
+            cols.ids.tolist(), cols.first[:-1].tolist(), cols.first[1:].tolist()
+        )
     }
 
 
-def _count_consistent(tcp, tc, starts, offset: float, tolerance: float) -> int:
-    if tolerance < 0:
+def _count_consistent(
+    tcp: np.ndarray, tc: np.ndarray, starts: np.ndarray, first: np.ndarray,
+    offsets: np.ndarray, tolerance: float,
+) -> np.ndarray:
+    """``n_sim`` of each identifier at its offset."""
+    b = np.repeat(offsets, np.diff(np.append(starts, tc.size)[first]))
+    closest = closest_residuals(tcp, tc, starts, b)
+    return np.add.reduceat(closest <= tolerance, first[:-1], dtype=np.int64)
+
+
+def check_vote_parameters(
+    tolerance: float, tukey_c: float, min_matches: int
+) -> None:
+    """Reject vote parameters no buffer can be voted with.
+
+    :func:`vote` checks them on entry, and every config that carries
+    them checks them on construction.
+    """
+    if not tolerance >= 0:
         raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
-    closest = closest_residuals(tcp, tc, starts, np.array([offset]))
-    return int(np.count_nonzero(closest <= tolerance))
+    if not tukey_c > 0:
+        raise ConfigurationError(f"tukey_c must be > 0, got {tukey_c}")
+    if min_matches < 1:
+        raise ConfigurationError(f"min_matches must be >= 1, got {min_matches}")
 
 
 def count_votes(
@@ -135,11 +177,16 @@ def count_votes(
     One vote per candidate fingerprint (interest point), however many of
     its matches agree.
     """
+    if tolerance < 0:
+        raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
     if not candidate_tcs:
         return 0
-    return _count_consistent(
-        *flatten_matches(candidate_tcs, matched_tcs), offset, tolerance
+    tcp, tc, starts = flatten_matches(candidate_tcs, matched_tcs)
+    (count,) = _count_consistent(
+        tcp, tc, starts, np.array([0, starts.size]), np.array([float(offset)]),
+        tolerance,
     )
+    return int(count)
 
 
 def vote(
@@ -158,17 +205,18 @@ def vote(
     it the head of the list, the verdict) never falls back on the order
     the matches arrived in.
     """
-    votes = []
-    for uid, tcp, tc, starts in _identifier_columns(matches, min_matches):
-        estimate = solve_offset(tcp, tc, starts, tukey_c)
-        votes.append(
-            Vote(
-                video_id=uid,
-                offset=estimate.offset,
-                nsim=_count_consistent(tcp, tc, starts, estimate.offset, tolerance),
-                num_candidates=starts.size,
-                cost=estimate.cost,
-            )
+    check_vote_parameters(tolerance, tukey_c, min_matches)
+    cols = _columns(matches, min_matches)
+    if not cols.ids.size:
+        return []
+    offsets, costs = solve_offsets(*cols[1:], tukey_c)
+    nsim = _count_consistent(*cols[1:], offsets, tolerance)
+    votes = [
+        Vote(video_id=uid, offset=b, nsim=n, num_candidates=m, cost=cost)
+        for uid, b, n, m, cost in zip(
+            cols.ids.tolist(), offsets.tolist(), nsim.tolist(),
+            np.diff(cols.first).tolist(), costs.tolist(),
         )
+    ]
     votes.sort(key=lambda v: (-v.nsim, v.cost, v.video_id))
     return votes

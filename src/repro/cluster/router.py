@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..cbcd.voting import vote
+from ..cbcd.voting import check_vote_parameters, vote
 from ..distortion.model import NormalDistortionModel
 from ..errors import ConfigurationError, ReproError
 from ..hilbert.butz import HilbertCurve
@@ -107,6 +107,7 @@ class RouterConfig:
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
 
     def __post_init__(self) -> None:
+        check_vote_parameters(self.vote_tolerance, self.tukey_c, self.min_matches)
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError(
                 f"alpha must be in (0, 1], got {self.alpha}"

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..cbcd.voting import vote
+from ..cbcd.voting import check_vote_parameters, vote
 from ..errors import (
     ColdFetchError,
     ConfigurationError,
@@ -160,6 +160,7 @@ class ServeConfig:
     options: Optional[QueryOptions] = None
 
     def __post_init__(self) -> None:
+        check_vote_parameters(self.vote_tolerance, self.tukey_c, self.min_matches)
         if self.storage_budget is not None and self.storage_budget < 0:
             raise ConfigurationError(
                 f"storage_budget must be >= 0, got {self.storage_budget}"

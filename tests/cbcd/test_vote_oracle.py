@@ -1,9 +1,12 @@
-"""The columnar vote against the loop it replaced (``reference_vote``)."""
+"""The columnar vote against the loop it replaced (``reference_vote``).
 
+``PROPERTY_EXAMPLES`` raises the example count (CI's ``property-long`` job).
+"""
+
+import os
 import tracemalloc
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +19,8 @@ from repro.cbcd.voting import (
 )
 
 from . import reference_vote
+
+EXAMPLES = int(os.environ.get("PROPERTY_EXAMPLES", "300"))
 
 # Time-codes on a quarter-frame lattice (ties between offsets are common,
 # which is where a changed summation order would show) or free floats.
@@ -44,6 +49,37 @@ def match_buffers(draw):
     return matches
 
 
+@st.composite
+def many_identifier_buffers(draw):
+    """20-60 identifiers in one buffer: candidate counts from one to every
+    query, several matches per candidate, offsets from one lattice point
+    to spread over ±10⁵ (thousands of histogram bins)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    num_queries = draw(st.integers(2, 40))
+    query_tcs = rng.integers(-400, 400, num_queries) / 4.0
+    ids = [[] for _ in range(num_queries)]
+    tcs = [[] for _ in range(num_queries)]
+    for uid in rng.choice(2**31, draw(st.integers(20, 60)), replace=False):
+        hits = rng.integers(0, num_queries, rng.integers(1, 2 * num_queries))
+        spread = rng.choice([0.0, 0.5, 6.0, 200.0, 1e5])
+        jitter = rng.uniform(-spread, spread, hits.size)
+        on_lattice = rng.random(hits.size) < 0.5
+        jitter[on_lattice] = np.round(jitter[on_lattice] * 4.0) / 4.0
+        offsets = rng.integers(-400, 400) / 4.0 + jitter
+        for q, b in zip(hits.tolist(), offsets.tolist()):
+            ids[q].append(uid)
+            tcs[q].append(query_tcs[q] - b)
+    matches = []
+    for q in rng.permutation(num_queries).tolist():
+        order = rng.permutation(len(ids[q]))
+        matches.append(QueryMatches(
+            timecode=float(query_tcs[q]),
+            ids=np.array(ids[q], dtype=np.int64)[order],
+            timecodes=np.array(tcs[q], dtype=np.float64)[order],
+        ))
+    return matches
+
+
 def _assert_same_votes(got, want):
     assert len(got) == len(want)
     by_id = {v.video_id: v for v in want}
@@ -51,7 +87,9 @@ def _assert_same_votes(got, want):
         ref = by_id[v.video_id]
         assert (v.nsim, v.num_candidates) == (ref.nsim, ref.num_candidates)
         assert v.offset == ref.offset
-        assert v.cost == pytest.approx(ref.cost, rel=1e-9, abs=1e-300)
+        # Exact: votes are ordered by cost, so a last-bit change could
+        # flip the verdict.
+        assert v.cost == ref.cost
     # The oracle orders ties by arrival; the kernel's order is total.
     keys = [(-v.nsim, v.cost, v.video_id) for v in got]
     assert keys == sorted(keys)
@@ -64,15 +102,30 @@ class TestAgainstReference:
         st.sampled_from([0.25, 3.0, 6.0]),
         st.integers(1, 3),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     def test_vote_matches_reference(self, matches, tolerance, c, min_matches):
         kwargs = dict(tolerance=tolerance, tukey_c=c, min_matches=min_matches)
         _assert_same_votes(
             vote(matches, **kwargs), reference_vote.vote(matches, **kwargs)
         )
 
+    @given(
+        many_identifier_buffers(),
+        st.sampled_from([0.0, 0.5, 2.0]),
+        st.sampled_from([0.25, 3.0, 6.0]),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=max(EXAMPLES // 3, 1), deadline=None)
+    def test_many_identifiers_match_reference(
+        self, matches, tolerance, c, min_matches
+    ):
+        kwargs = dict(tolerance=tolerance, tukey_c=c, min_matches=min_matches)
+        _assert_same_votes(
+            vote(matches, **kwargs), reference_vote.vote(matches, **kwargs)
+        )
+
     @given(match_buffers())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=max(EXAMPLES // 3, 1), deadline=None)
     def test_grouping_matches_reference(self, matches):
         got = group_by_identifier(matches)
         want = reference_vote.group_by_identifier(matches)
@@ -84,14 +137,14 @@ class TestAgainstReference:
                 assert np.array_equal(a, b)
 
     @given(match_buffers(), _timecode, st.sampled_from([0.0, 1.0, 50.0]))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=max(EXAMPLES // 3, 1), deadline=None)
     def test_estimate_and_count_match_reference(self, matches, offset, tol):
         for cand_tcs, match_tcs in group_by_identifier(matches).values():
             got = mestimator.estimate_offset(cand_tcs, match_tcs, c=3.0)
             want = reference_vote.estimate_offset(cand_tcs, match_tcs, c=3.0)
             assert got.offset == want.offset
             assert got.num_candidates == want.num_candidates
-            assert got.cost == pytest.approx(want.cost, rel=1e-9, abs=1e-300)
+            assert got.cost == want.cost
             assert count_votes(cand_tcs, match_tcs, offset, tol) == (
                 reference_vote.count_votes(cand_tcs, match_tcs, offset, tol)
             )
@@ -135,3 +188,39 @@ def test_offset_chunking_bounds_scratch_memory():
     assert only.num_candidates == only.nsim == num
     assert 0.0 <= only.offset <= 4.0
     assert peak < 64 * 2**20
+
+
+def test_identifier_groups_bound_scratch_memory():
+    """The heavy identifier above beside 40 light ones whose offsets
+    spread over ±10⁵: padding the light ones to the heavy one's
+    candidates or offsets would break the bound, so they are costed in
+    groups of their own."""
+    rng = np.random.default_rng(0)
+    num = 20_000
+    candidate_tcs = np.arange(num, dtype=np.float64)
+    offsets = rng.integers(0, 4_000, num) / 1_000.0
+    ids = [[9] for _ in range(num)]
+    tcs = [[tc - b] for tc, b in zip(candidate_tcs.tolist(), offsets.tolist())]
+    for uid in range(100, 140):
+        for q in rng.choice(num, 5, replace=False).tolist():
+            ids[q].append(uid)
+            tcs[q].append(candidate_tcs[q] - rng.uniform(-1e5, 1e5))
+    queries = [
+        QueryMatches(tc, np.array(i), np.array(t))
+        for tc, i, t in zip(candidate_tcs.tolist(), ids, tcs)
+    ]
+    tracemalloc.start()
+    try:
+        votes = vote(queries, tolerance=4.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    heavy, *light = votes
+    # The heavy identifier's vote as the per-identifier kernel gave it.
+    assert (heavy.video_id, heavy.offset, heavy.nsim, heavy.num_candidates,
+            heavy.cost) == (9, 1.996655574459898, num, num, 12532.117242150061)
+    light_only = [
+        QueryMatches(q.timecode, q.ids[1:], q.timecodes[1:]) for q in queries
+    ]
+    _assert_same_votes(light, reference_vote.vote(light_only, tolerance=4.0))

@@ -3,13 +3,24 @@
 import numpy as np
 import pytest
 
+from repro.cbcd.detector import DetectorConfig
+from repro.cbcd.monitor import MonitorConfig
 from repro.cbcd.voting import (
     QueryMatches,
     count_votes,
     group_by_identifier,
     vote,
 )
+from repro.cluster.router import RouterConfig
 from repro.errors import ConfigurationError
+from repro.serve.server import ServeConfig
+
+BAD_VOTE_PARAMETERS = [
+    dict(tolerance=-1.0),
+    dict(tukey_c=0.0),
+    dict(tukey_c=-6.0),
+    dict(min_matches=0),
+]
 
 
 def matches_for(true_id, true_b, num=10, noise_ids=(), rng=None):
@@ -109,6 +120,28 @@ class TestVote:
 
     def test_empty_matches(self):
         assert vote([]) == []
+
+    @pytest.mark.parametrize("bad", BAD_VOTE_PARAMETERS)
+    @pytest.mark.parametrize("voted", [True, False])
+    def test_rejects_bad_parameters_whatever_the_buffer(self, bad, voted):
+        """Checked on entry, not only once some identifier gets a vote."""
+        matches = matches_for(7, true_b=0.0, num=5 if voted else 1)
+        with pytest.raises(ConfigurationError):
+            vote(matches, **bad)
+
+    @pytest.mark.parametrize(
+        "config", [DetectorConfig, MonitorConfig, ServeConfig, RouterConfig]
+    )
+    @pytest.mark.parametrize("bad", BAD_VOTE_PARAMETERS)
+    def test_configs_reject_bad_vote_parameters(self, config, bad):
+        """A misconfigured detector or server fails at construction, not
+        on its first vote."""
+        fields = {
+            "vote_tolerance" if k == "tolerance" else k: v
+            for k, v in bad.items()
+        }
+        with pytest.raises(ConfigurationError):
+            config(**fields)
 
     def test_votes_sorted_by_nsim(self):
         rng = np.random.default_rng(3)
