@@ -23,9 +23,11 @@ not ascending).  Instead it
    memtable parts (rows past the shard's sealed total), renumbered past
    the source's sealed total.
 
-Byte-level equality of the re-encoded JSON follows from Python's
-shortest-repr float round-trip: the values the shard serialised are the
-values we re-serialise.
+Every step is a numpy operation on whole columns: the ``searchsorted``
+split, one renumbering add, and one ``np.concatenate`` per column.  The
+merged columns hold exactly the values the shards sent, and go back on
+the wire as raw bytes (or, to a pre-version-4 client, as the same JSON
+the single node would write).
 
 Memtable caveat: rows ingested *after* planning exist only on their
 owning shard, and the merged row numbers for those rows depend on the
@@ -43,15 +45,25 @@ import numpy as np
 from .plan import ClusterManifest, ShardSpec
 
 
+# Columns of a per-query wire result and the dtype each travels as.
+_WIRE_COLUMNS = (
+    ("rows", np.int64),
+    ("ids", np.uint32),
+    ("timecodes", np.float64),
+    ("fingerprints", np.uint8),
+)
+
+#: Source position of memtable rows: after every sealed segment.
+_MEMTABLE_POS = np.iinfo(np.int64).max
+
+
 @dataclass(frozen=True)
 class _Part:
     """One segment's slice of a shard-local wire result."""
 
     source_pos: int  # position in the source manifest; memtable = +inf
-    rows: list
-    ids: list
-    timecodes: list
-    fingerprints: list | None
+    shard: int
+    columns: tuple  # renumbered rows, ids, timecodes, fingerprints|None
 
 
 @dataclass(frozen=True)
@@ -88,70 +100,57 @@ class ShardMap:
         *total_sealed* is the source index's sealed row count — the
         global base for memtable rows.
         """
-        rows = np.asarray(wire["rows"], dtype=np.int64)
+        rows, *columns = pack_wire(wire, copy=False)
         if rows.size == 0:
             return []
-        ids = wire["ids"]
-        timecodes = wire["timecodes"]
-        fps = wire.get("fingerprints")
         # Parts arrive concatenated in shard-manifest order, so the
         # segment of each match is found by bisecting its local row
-        # range; one pass collects contiguous runs of equal segment.
+        # range (index S: the memtable); one pass collects contiguous
+        # runs of equal segment.
         seg_of = np.searchsorted(self.local_ends, rows, side="right")
+        shifts = np.append(
+            self.global_bases - self.local_bases,
+            total_sealed - self.sealed_rows,
+        )
+        positions = np.append(self.source_pos, _MEMTABLE_POS)
+        renumbered = rows + shifts[seg_of]
         cuts = np.flatnonzero(np.diff(seg_of)) + 1
         starts = np.concatenate(([0], cuts))
         ends = np.concatenate((cuts, [rows.size]))
-        parts = []
-        for start, end in zip(starts, ends):
-            seg = int(seg_of[start])
-            chunk = rows[start:end]
-            if seg >= self.local_bases.size:  # memtable rows
-                shifted = chunk - self.sealed_rows + total_sealed
-                pos = np.iinfo(np.int64).max
-            else:
-                shifted = (
-                    chunk
-                    - self.local_bases[seg]
-                    + self.global_bases[seg]
-                )
-                pos = int(self.source_pos[seg])
-            parts.append(_Part(
-                source_pos=pos,
-                rows=[int(r) for r in shifted],
-                ids=ids[start:end],
-                timecodes=timecodes[start:end],
-                fingerprints=None if fps is None else fps[start:end],
-            ))
-        return parts
+        return [
+            _Part(
+                source_pos=int(positions[seg_of[start]]),
+                shard=self.shard,
+                columns=tuple(
+                    None if c is None else c[start:end]
+                    for c in (renumbered, *columns)
+                ),
+            )
+            for start, end in zip(starts, ends)
+        ]
 
 
-# Columns of a per-query wire result and the dtype each packs to.
-_WIRE_COLUMNS = (
-    ("rows", np.int64),
-    ("ids", np.int64),
-    ("timecodes", np.float64),
-    ("fingerprints", np.uint8),
-)
+def pack_wire(wire: dict, copy: bool = True) -> tuple:
+    """A per-query wire result as its columns in their wire dtypes.
 
-
-def pack_wire(wire: dict) -> tuple:
-    """A per-query wire result as numpy columns — what a cache should hold.
-
-    Parsed JSON is lists of boxed numbers, several times the bytes of the
-    columns they spell; :func:`unpack_wire` gives back an equal dict.
+    Takes the columns as a version-4 reply decodes them (arrays over the
+    received frame) or as JSON lists.  With *copy* the columns are owned,
+    which is what a cache should hold: a view would pin the whole reply
+    frame it came in.  :func:`unpack_wire` gives back the wire dict.
     """
+    as_array = np.array if copy else np.asarray
     return tuple(
-        None if wire.get(name) is None else np.asarray(wire[name], dtype=dtype)
+        None if wire.get(name) is None else as_array(wire[name], dtype=dtype)
         for name, dtype in _WIRE_COLUMNS
     )
 
 
 def unpack_wire(columns: tuple) -> dict:
-    """The wire result :func:`pack_wire` was given."""
+    """The wire result, as columns, that :func:`pack_wire` was given."""
     wire = {"count": int(columns[0].shape[0])}
     for (name, _), column in zip(_WIRE_COLUMNS, columns):
         if column is not None:
-            wire[name] = column.tolist()
+            wire[name] = column
     return wire
 
 
@@ -168,35 +167,27 @@ def merge_query_wires(
 
     *per_shard* pairs each responding shard's :class:`ShardMap` with the
     wire-format result dict the shard returned for this query.  Shards
-    that were skipped (proven empty) are simply absent.  Returns a wire
-    result dict identical to what a single node would have produced.
+    that were skipped (proven empty) are simply absent.  Returns, as
+    columns, the wire result a single node would have produced.
     """
-    parts: list[tuple[int, int, _Part]] = []
-    for shard_map, wire in per_shard:
-        for part in shard_map.split(wire, total_sealed):
-            parts.append((part.source_pos, shard_map.shard, part))
+    parts = [
+        part
+        for shard_map, wire in per_shard
+        for part in shard_map.split(wire, total_sealed)
+    ]
     # Sealed parts interleave across shards by source position — the
     # order the single node's fan-out emits them.  Memtable parts (max
     # source_pos) come last, grouped by shard.  The sort is total:
     # source_pos is unique among sealed parts (a segment lives in
     # exactly one shard), and (pos, shard) disambiguates memtables.
-    parts.sort(key=lambda item: (item[0], item[1]))
-    rows: list[int] = []
-    ids: list = []
-    timecodes: list = []
-    fingerprints: list = []
-    for _, _, part in parts:
-        rows.extend(part.rows)
-        ids.extend(part.ids)
-        timecodes.extend(part.timecodes)
-        if part.fingerprints is not None:
-            fingerprints.extend(part.fingerprints)
-    merged = {
-        "count": len(rows),
-        "rows": rows,
-        "ids": ids,
-        "timecodes": timecodes,
-    }
-    if include_fingerprints:
-        merged["fingerprints"] = fingerprints
+    parts.sort(key=lambda part: (part.source_pos, part.shard))
+    merged = {"count": sum(len(part.columns[0]) for part in parts)}
+    for k, (name, dtype) in enumerate(_WIRE_COLUMNS):
+        if name == "fingerprints" and not include_fingerprints:
+            break
+        chunks = [p.columns[k] for p in parts if p.columns[k] is not None]
+        merged[name] = (
+            np.concatenate(chunks) if chunks
+            else np.zeros((0, 0) if name == "fingerprints" else 0, dtype)
+        )
     return merged

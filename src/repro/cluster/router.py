@@ -373,9 +373,8 @@ class ClusterRouter(SocketFrameServer):
         # cache — their indexes can change without the router seeing an
         # invalidation point — and a router-routed ingest clears the
         # target shard's entries before marking it dirty.  Entries are
-        # packed columns (`pack_wire`), not the parsed JSON: the cache
-        # is capped in entries, and boxed lists cost several times the
-        # bytes on unique-query traffic that never hits.
+        # owned columns (`pack_wire`): a view into the reply would pin
+        # the whole reply frame for as long as the entry lives.
         self.cache_stats = CacheStats()
         self._shard_caches: dict[int, QueryResultCache] = {
             spec.shard: QueryResultCache(
@@ -522,14 +521,15 @@ class ClusterRouter(SocketFrameServer):
     async def _scatter_queries(
         self, request: dict, queries: np.ndarray, include_fp: bool
     ) -> list[dict]:
-        """Fan a query batch out and merge back into per-query wires."""
+        """Fan a query batch out and merge back into per-query wires of
+        columns."""
         deadline = self._deadline(request)
         loop = asyncio.get_running_loop()
         per_shard = await loop.run_in_executor(
             None, self._shard_query_indices, queries
         )
 
-        async def _one(client, indices) -> Optional[dict]:
+        async def _one(client, indices) -> Optional[list[dict]]:
             if indices.size == 0:
                 self.shard_stats[client.shard].skips += 1
                 return None
@@ -554,7 +554,7 @@ class ClusterRouter(SocketFrameServer):
                         wires[pos] = unpack_wire(hit)
                 missed = np.asarray(missed_pos, dtype=np.int64)
                 if missed.size == 0:
-                    return {"results": wires}
+                    return wires
             message = {
                 "op": "query",
                 "fingerprints": protocol.fingerprints_to_wire(
@@ -579,29 +579,23 @@ class ClusterRouter(SocketFrameServer):
                         pack_wire(wire),
                         token,
                     )
-            return {"results": wires}
+            return wires
 
         gathered = await asyncio.gather(*[
             _one(client, indices)
             for client, indices in zip(self.shards, per_shard)
         ])
+        # Each query's answer from each shard that was asked it.
+        contributions: list[list] = [[] for _ in range(queries.shape[0])]
+        for shard_map, indices, wires in zip(self.maps, per_shard, gathered):
+            if wires is not None:
+                for b, wire in zip(indices.tolist(), wires):
+                    contributions[b].append((shard_map, wire))
         total_sealed = self.manifest.total_rows
-        merged: list[dict] = []
-        for b in range(queries.shape[0]):
-            contributions = []
-            for shard_map, indices, result in zip(
-                self.maps, per_shard, gathered
-            ):
-                if result is None:
-                    continue
-                pos = np.flatnonzero(indices == b)
-                if pos.size == 0:
-                    continue
-                wire = result["results"][int(pos[0])]
-                contributions.append((shard_map, wire))
-            merged.append(merge_query_wires(
-                contributions, total_sealed, include_fp
-            ))
+        merged = [
+            merge_query_wires(shards, total_sealed, include_fp)
+            for shards in contributions
+        ]
         self.queries_routed.add(queries.shape[0])
         return merged
 
@@ -619,23 +613,23 @@ class ClusterRouter(SocketFrameServer):
         fingerprints = protocol.fingerprints_from_wire(
             request.get("fingerprints"), self.manifest.ndims
         )
-        timecodes = np.asarray(
-            request.get("timecodes", []), dtype=np.float64
+        timecodes = protocol.column_from_wire(
+            request.get("timecodes", []), fingerprints.shape[0], "timecodes"
         )
-        if timecodes.shape != (fingerprints.shape[0],):
-            raise protocol.ProtocolError(
-                f"timecodes must be ({fingerprints.shape[0]},) aligned "
-                f"with fingerprints, got shape {timecodes.shape}"
-            )
         threshold = int(
             request.get("threshold", self.config.decision_threshold)
         )
         merged = await self._scatter_queries(request, fingerprints, False)
-        votes = vote(
-            ((tc, w["ids"], w["timecodes"]) for tc, w in zip(timecodes, merged)),
-            tolerance=self.config.vote_tolerance,
-            tukey_c=self.config.tukey_c,
-            min_matches=self.config.min_matches,
+        # Off the event loop, like the shard servers' vote: scatters and
+        # probes of other connections keep moving while it runs.
+        votes = await asyncio.get_running_loop().run_in_executor(
+            None, lambda: vote(
+                [(tc, w["ids"], w["timecodes"])
+                 for tc, w in zip(timecodes, merged)],
+                tolerance=self.config.vote_tolerance,
+                tukey_c=self.config.tukey_c,
+                min_matches=self.config.min_matches,
+            ),
         )
         return {
             "num_queries": int(fingerprints.shape[0]),
@@ -658,17 +652,10 @@ class ClusterRouter(SocketFrameServer):
         ).astype(np.int64)
 
     async def _op_ingest(self, request: dict) -> dict:
-        fingerprints = protocol.fingerprints_from_wire(
-            request.get("fingerprints"), self.manifest.ndims
+        fingerprints, ids, timecodes = protocol.ingest_from_wire(
+            request, self.manifest.ndims
         )
         count = fingerprints.shape[0]
-        ids = np.asarray(request.get("ids", []), dtype=np.int64)
-        timecodes = np.asarray(request.get("timecodes", []), dtype=np.float64)
-        if ids.shape != (count,) or timecodes.shape != (count,):
-            raise protocol.ProtocolError(
-                f"ids and timecodes must both be ({count},) aligned with "
-                f"fingerprints, got {ids.shape} and {timecodes.shape}"
-            )
         request_id = protocol.request_dedupe_id(request) or uuid.uuid4().hex
         deadline = self._deadline(request)
         owners = self._route_rows(fingerprints)
@@ -685,8 +672,8 @@ class ClusterRouter(SocketFrameServer):
                 "fingerprints": protocol.fingerprints_to_wire(
                     fingerprints[rows]
                 ),
-                "ids": [int(i) for i in ids[rows]],
-                "timecodes": [float(t) for t in timecodes[rows]],
+                "ids": ids[rows].tolist(),
+                "timecodes": timecodes[rows].tolist(),
                 "request_id": f"{request_id}/s{client.shard}",
             }
             if deadline is not None:

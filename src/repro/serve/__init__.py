@@ -4,8 +4,9 @@ The paper's deployed use case is a TV-monitoring service answering a
 continuous stream of statistical queries against a growing reference
 archive.  This package turns the in-process engines into that service:
 
-* :mod:`.protocol` — a length-prefixed JSON framing protocol carrying
-  ``query`` / ``detect`` / ``ingest`` / ``stats`` / ``health`` requests;
+* :mod:`.protocol` — a length-prefixed framing protocol carrying
+  ``query`` / ``detect`` / ``ingest`` / ``stats`` / ``health`` requests
+  as JSON, and (version 4) reply columns as raw bytes;
 * :mod:`.batcher` — a dynamic micro-batcher that aggregates fingerprints
   from concurrent connections into one
   :class:`~repro.index.batch.BatchQueryExecutor` call, with admission

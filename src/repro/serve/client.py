@@ -59,7 +59,9 @@ class WireResult:
     """One query's matches, parsed back into arrays.
 
     ``fingerprints`` is ``None`` unless the query was sent with
-    ``include_fingerprints=True``.
+    ``include_fingerprints=True``.  :meth:`from_wire` takes the columns
+    as a version-4 reply decodes them (arrays over the received buffer,
+    which stay writable) or as older replies' JSON lists.
     """
 
     rows: np.ndarray

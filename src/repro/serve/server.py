@@ -41,8 +41,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ..cbcd.voting import check_vote_parameters, vote
 from ..errors import (
     ColdFetchError,
@@ -330,7 +328,9 @@ class SocketFrameServer:
                 self._inflight += 1
                 try:
                     response = await self._dispatch(request)
-                    await protocol.write_message(writer, response)
+                    await protocol.write_message(
+                        writer, response, protocol.reply_version(request)
+                    )
                 finally:
                     self._inflight -= 1
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
@@ -651,25 +651,24 @@ class DetectionServer(SocketFrameServer):
         fingerprints = protocol.fingerprints_from_wire(
             request.get("fingerprints"), self.index.ndims
         )
-        timecodes = np.asarray(
-            request.get("timecodes", []), dtype=np.float64
+        timecodes = protocol.column_from_wire(
+            request.get("timecodes", []), fingerprints.shape[0], "timecodes"
         )
-        if timecodes.shape != (fingerprints.shape[0],):
-            raise protocol.ProtocolError(
-                f"timecodes must be ({fingerprints.shape[0]},) aligned "
-                f"with fingerprints, got shape {timecodes.shape}"
-            )
         threshold = int(
             request.get("threshold", self.config.decision_threshold)
         )
         results = await self.batcher.submit_many(
             fingerprints, deadline=self._deadline(request)
         )
-        votes = vote(
-            ((tc, r.ids, r.timecodes) for tc, r in zip(timecodes, results)),
-            tolerance=self.config.vote_tolerance,
-            tukey_c=self.config.tukey_c,
-            min_matches=self.config.min_matches,
+        # The vote is pure CPU: off the event loop, so other connections
+        # keep being answered while it runs.
+        votes = await asyncio.get_running_loop().run_in_executor(
+            None, lambda: vote(
+                [(tc, r.ids, r.timecodes) for tc, r in zip(timecodes, results)],
+                tolerance=self.config.vote_tolerance,
+                tukey_c=self.config.tukey_c,
+                min_matches=self.config.min_matches,
+            ),
         )
         return {
             "num_queries": int(fingerprints.shape[0]),
@@ -687,17 +686,9 @@ class DetectionServer(SocketFrameServer):
             replay = self._ingest_replay(request_id)
             if replay is not None:
                 return await replay
-        fingerprints = protocol.fingerprints_from_wire(
-            request.get("fingerprints"), self.index.ndims
+        fingerprints, ids, timecodes = protocol.ingest_from_wire(
+            request, self.index.ndims
         )
-        count = fingerprints.shape[0]
-        ids = np.asarray(request.get("ids", []), dtype=np.int64)
-        timecodes = np.asarray(request.get("timecodes", []), dtype=np.float64)
-        if ids.shape != (count,) or timecodes.shape != (count,):
-            raise protocol.ProtocolError(
-                f"ids and timecodes must both be ({count},) aligned with "
-                f"fingerprints, got {ids.shape} and {timecodes.shape}"
-            )
         future: Optional[asyncio.Future] = None
         if request_id is not None:
             future = asyncio.get_running_loop().create_future()

@@ -28,12 +28,17 @@ from repro.cluster import (
 from repro.distortion.model import NormalDistortionModel
 from repro.errors import ReproError
 from repro.index.segmented import SegmentedS3Index
+from repro.cluster import router as router_module
 from repro.serve import (
     ServeClient,
     ServeConfig,
+    ServerError,
     ServerThread,
     ServiceThread,
+    protocol,
 )
+
+from ..serve.test_wire_v4 import assert_health_answers_during_vote, slow_vote
 
 NDIMS = 8
 SIGMA = 10.0
@@ -189,6 +194,18 @@ class TestBitIdentity:
         base = single_node.detect(candidates, timecodes, threshold=1)
         got = routed.detect(candidates, timecodes, threshold=1)
         assert base == got
+
+    def test_detect_vote_runs_off_the_event_loop(
+        self, routed, corpus, monkeypatch
+    ):
+        fp, _, _ = corpus
+        started = slow_vote(monkeypatch, router_module)
+
+        def detect():
+            with ServeClient(port=routed.port, timeout=30.0) as client:
+                client.detect(fp[:6].astype(np.float64), np.arange(6.0))
+
+        assert_health_answers_during_vote(routed.port, started, detect)
 
     def test_health_and_stats_shape(self, routed):
         health = routed.health()
@@ -415,3 +432,23 @@ class TestIngestRouting:
         # The written shards are now dirty: excluded from skipping.
         assert stats["cluster"]["dirty_shards"]
         assert stats["cluster"]["ingest_rows"] == 12
+
+    def test_unstorable_ingest_refused_before_routing(self, routed_rw):
+        # 300 and -5 would wrap to other bytes in the replicas' uint8
+        # columns, and route by the wrapped key to the wrong shard.
+        with pytest.raises(ServerError) as err:
+            routed_rw._request({
+                "op": "ingest",
+                "fingerprints": [[300, -5, 2, 3, 4, 5, 6, 7]],
+                "ids": [1], "timecodes": [0.0],
+            })
+        assert err.value.code == protocol.ERR_BAD_REQUEST
+        with pytest.raises(ServerError) as err:
+            routed_rw.ingest(np.ones((1, NDIMS)), [-1], [0.0])
+        assert err.value.code == protocol.ERR_BAD_REQUEST
+        with pytest.raises(ServerError) as err:
+            routed_rw.query(np.full(NDIMS, np.nan))
+        assert err.value.code == protocol.ERR_BAD_REQUEST
+        cluster = routed_rw.stats()["cluster"]
+        assert cluster["dirty_shards"] == []
+        assert cluster["ingest_rows"] == 0
