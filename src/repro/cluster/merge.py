@@ -26,8 +26,7 @@ not ascending).  Instead it
 Every step is a numpy operation on whole columns: the ``searchsorted``
 split, one renumbering add, and one ``np.concatenate`` per column.  The
 merged columns hold exactly the values the shards sent, and go back on
-the wire as raw bytes (or, to a pre-version-4 client, as the same JSON
-the single node would write).
+the wire as raw bytes, as the single node's would.
 
 Memtable caveat: rows ingested *after* planning exist only on their
 owning shard, and the merged row numbers for those rows depend on the
@@ -133,8 +132,8 @@ class ShardMap:
 def pack_wire(wire: dict, copy: bool = True) -> tuple:
     """A per-query wire result as its columns in their wire dtypes.
 
-    Takes the columns as a version-4 reply decodes them (arrays over the
-    received frame) or as JSON lists.  With *copy* the columns are owned,
+    Takes the columns as a reply decodes them (arrays over the received
+    frame; lists convert too).  With *copy* the columns are owned,
     which is what a cache should hold: a view would pin the whole reply
     frame it came in.  :func:`unpack_wire` gives back the wire dict.
     """

@@ -616,8 +616,8 @@ class ClusterRouter(SocketFrameServer):
         timecodes = protocol.column_from_wire(
             request.get("timecodes", []), fingerprints.shape[0], "timecodes"
         )
-        threshold = int(
-            request.get("threshold", self.config.decision_threshold)
+        threshold = protocol.threshold_from_wire(
+            request, self.config.decision_threshold
         )
         merged = await self._scatter_queries(request, fingerprints, False)
         # Off the event loop, like the shard servers' vote: scatters and
@@ -672,8 +672,8 @@ class ClusterRouter(SocketFrameServer):
                 "fingerprints": protocol.fingerprints_to_wire(
                     fingerprints[rows]
                 ),
-                "ids": ids[rows].tolist(),
-                "timecodes": timecodes[rows].tolist(),
+                "ids": ids[rows],
+                "timecodes": timecodes[rows],
                 "request_id": f"{request_id}/s{client.shard}",
             }
             if deadline is not None:

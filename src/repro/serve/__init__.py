@@ -6,7 +6,7 @@ archive.  This package turns the in-process engines into that service:
 
 * :mod:`.protocol` — a length-prefixed framing protocol carrying
   ``query`` / ``detect`` / ``ingest`` / ``stats`` / ``health`` requests
-  as JSON, and (version 4) reply columns as raw bytes;
+  and their replies as JSON headers with numpy columns as raw bytes;
 * :mod:`.batcher` — a dynamic micro-batcher that aggregates fingerprints
   from concurrent connections into one
   :class:`~repro.index.batch.BatchQueryExecutor` call, with admission

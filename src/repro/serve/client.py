@@ -5,22 +5,18 @@ request in flight, timeouts on every byte, and capped
 exponential-backoff retries.  Two failure classes are retried:
 
 * **transport failures** (connection refused/reset, truncated frame) —
-  the socket is reconnected and the request resent.  Against protocol-3
-  servers this includes ``ingest``: every ingest carries a generated
-  ``request_id`` the server dedupes, so a frame that was applied before
-  the connection died is acknowledged, not re-applied.  Against older
-  servers (negotiated version < 3) a broken ingest is still *not*
-  resent — they would apply it twice;
+  the socket is reconnected and the request resent.  This includes
+  ``ingest``: every ingest carries a generated ``request_id`` the server
+  dedupes, so a frame that was applied before the connection died is
+  acknowledged, not re-applied;
 * **transient server states** (``overloaded``, ``not_ready``,
   ``unavailable`` responses) — retried after backoff when
   ``retry_overloaded`` is set, which is the intended reaction to the
   server's explicit backpressure/warm-up signal.
 
-Requests carry the client's protocol version (``v``); if the server
-answers ``unsupported_version`` and advertises a speakable range that
-overlaps ours, the client silently negotiates down to the server's
-``max_version`` and resends — so a newer client keeps working against
-an older server without caller involvement.
+Every request is stamped with protocol version 4 (``v``) and sends its
+numpy columns as raw bytes.  A server that speaks another version
+answers ``unsupported_version``, which raises like any other error.
 
 Backoff for attempt *k* sleeps ``min(backoff_cap, backoff * 2**k)``
 seconds.  Any other error response raises :class:`ServerError` carrying
@@ -33,7 +29,7 @@ import socket
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -60,8 +56,8 @@ class WireResult:
 
     ``fingerprints`` is ``None`` unless the query was sent with
     ``include_fingerprints=True``.  :meth:`from_wire` takes the columns
-    as a version-4 reply decodes them (arrays over the received buffer,
-    which stay writable) or as older replies' JSON lists.
+    as a reply decodes them: arrays over the received buffer, which stay
+    writable, already in their dtypes and shapes.
     """
 
     rows: np.ndarray
@@ -74,22 +70,15 @@ class WireResult:
 
     @classmethod
     def from_wire(cls, wire: dict) -> "WireResult":
-        fps = wire.get("fingerprints")
-        if fps is None:
-            fingerprints = None
-        elif len(wire["rows"]):
-            fingerprints = np.asarray(fps, dtype=np.uint8).reshape(
-                len(wire["rows"]), -1
-            )
-        else:
-            # reshape(0, -1) cannot infer a width from zero elements; a
-            # zero-match query still carries fingerprints as an empty
-            # matrix so callers can index it uniformly.
+        fingerprints = wire.get("fingerprints")
+        if fingerprints is not None and not len(fingerprints):
+            # Zero matches have no width to report: a server sends
+            # (0, D), a router that asked no shard (0, 0).  One shape.
             fingerprints = np.zeros((0, 0), dtype=np.uint8)
         return cls(
-            rows=np.asarray(wire["rows"], dtype=np.int64),
-            ids=np.asarray(wire["ids"], dtype=np.int64),
-            timecodes=np.asarray(wire["timecodes"], dtype=np.float64),
+            rows=wire["rows"],
+            ids=wire["ids"].astype(np.int64),
+            timecodes=wire["timecodes"],
             fingerprints=fingerprints,
         )
 
@@ -120,9 +109,6 @@ class ServeClient:
         self.backoff_cap = backoff_cap
         self.retry_overloaded = retry_overloaded
         self.max_frame = max_frame
-        #: Version stamped on outgoing requests; lowered automatically
-        #: when a server advertises a smaller ``max_version``.
-        self.protocol_version = protocol.PROTOCOL_VERSION
         self._sock: Optional[socket.socket] = None
 
     # ------------------------------------------------------------------
@@ -152,47 +138,24 @@ class ServeClient:
     def _sleep_backoff(self, attempt: int) -> None:
         time.sleep(min(self.backoff_cap, self.backoff * (2.0 ** attempt)))
 
-    def _request(
-        self, message: dict, idempotent: Union[bool, int] = True
-    ) -> dict:
+    def _request(self, message: dict) -> dict:
         """Send one request; returns the ``result`` payload or raises.
 
-        *idempotent* decides whether a request already on the wire may
-        be resent after a transport failure.  An ``int`` value means
-        "idempotent iff the currently negotiated protocol version is at
-        least this" — evaluated per attempt, so an ingest that
-        negotiates down to a pre-dedupe server mid-call loses its resend
-        permission with the downgrade.
+        Every op may be resent after a transport failure: reads are
+        idempotent, and the server dedupes a replayed ingest.
         """
         last_exc: Optional[Exception] = None
         for attempt in range(self.retries + 1):
             try:
                 sock = self._connect()
-            except OSError as exc:
-                # Connecting is always safe to retry: nothing was sent.
-                self.close()
-                last_exc = exc
-                if attempt >= self.retries:
-                    raise ServiceUnavailable(
-                        f"{self.host}:{self.port} unreachable after "
-                        f"{attempt + 1} attempt(s): {exc}"
-                    ) from exc
-                self._sleep_backoff(attempt)
-                continue
-            try:
                 protocol.send_message(
-                    sock, {**message, "v": self.protocol_version}
+                    sock, {**message, "v": protocol.PROTOCOL_VERSION}
                 )
                 response = protocol.recv_message(sock, self.max_frame)
             except (OSError, protocol.ProtocolError) as exc:
                 self.close()
                 last_exc = exc
-                resendable = (
-                    idempotent
-                    if isinstance(idempotent, bool)
-                    else self.protocol_version >= idempotent
-                )
-                if not resendable or attempt >= self.retries:
+                if attempt >= self.retries:
                     raise ServiceUnavailable(
                         f"{self.host}:{self.port} failed after "
                         f"{attempt + 1} attempt(s): {exc}"
@@ -210,33 +173,10 @@ class ServeClient:
             ):
                 self._sleep_backoff(attempt)
                 continue
-            if code == protocol.ERR_VERSION and attempt < self.retries:
-                negotiated = self._negotiate_version(error)
-                if negotiated:
-                    # Resend immediately at the agreed version.  Safe
-                    # even for ingest: a version-rejected request was
-                    # never applied.
-                    continue
             raise ServerError(code, error.get("message", ""))
         raise ServiceUnavailable(
             f"{self.host}:{self.port} unreachable: {last_exc}"
         )
-
-    def _negotiate_version(self, error: dict) -> bool:
-        """Lower :attr:`protocol_version` into the server's advertised
-        range; ``False`` when no common version exists (or the frame
-        carries no usable advertisement)."""
-        max_version = error.get("max_version")
-        min_version = error.get("min_version", 1)
-        if not isinstance(max_version, int) or not isinstance(
-            min_version, int
-        ):
-            return False
-        agreed = min(self.protocol_version, max_version)
-        if agreed < max(min_version, 1) or agreed >= self.protocol_version:
-            return False
-        self.protocol_version = agreed
-        return True
 
     # ------------------------------------------------------------------
     # ops
@@ -273,7 +213,7 @@ class ServeClient:
         message = {
             "op": "detect",
             "fingerprints": protocol.fingerprints_to_wire(fingerprints),
-            "timecodes": np.asarray(timecodes, dtype=np.float64).tolist(),
+            "timecodes": np.asarray(timecodes, dtype=np.float64),
         }
         if threshold is not None:
             message["threshold"] = int(threshold)
@@ -291,22 +231,18 @@ class ServeClient:
         """Durably add records to a segmented server.
 
         Every ingest is stamped with a ``request_id`` (generated unless
-        given), so against protocol-3 servers a transport failure is
-        safely retried: the server dedupes a replayed frame and returns
-        the original counts (with ``"deduped": true``).  Against older
-        servers the request is never resent — they would double-apply —
-        which was the only behaviour before version 3.
+        given), so a transport failure is safely retried: the server
+        dedupes a replayed frame and returns the original counts (with
+        ``"deduped": true``).
         """
         message = {
             "op": "ingest",
             "fingerprints": protocol.fingerprints_to_wire(fingerprints),
-            "ids": np.asarray(ids, dtype=np.int64).tolist(),
-            "timecodes": np.asarray(timecodes, dtype=np.float64).tolist(),
+            "ids": np.asarray(ids, dtype=np.int64),
+            "timecodes": np.asarray(timecodes, dtype=np.float64),
             "request_id": request_id or uuid.uuid4().hex,
         }
-        return self._request(
-            message, idempotent=protocol.INGEST_DEDUPE_VERSION
-        )
+        return self._request(message)
 
     def stats(self) -> dict:
         return self._request({"op": "stats"})

@@ -1,33 +1,29 @@
 """Wire protocol of the detection service: length-prefixed frames.
 
 A frame is a 4-byte big-endian unsigned length followed by that many
-bytes of payload::
+bytes of payload, in both directions::
 
     frame   := uint32_be(len(payload)) || payload
-    payload := header                        # versions 1-3, and requests
-             | header || "\n" || blobs       # version-4 responses
+    payload := header                        # no numpy columns
+             | header || "\n" || blobs       # with numpy columns
 
 The header is one compact UTF-8 JSON object.  Requests carry an ``op``
 (one of ``query``, ``detect``, ``ingest``, ``stats``, ``health``) plus
 op-specific fields, an optional client-chosen ``id`` echoed back in the
-response, and an optional protocol version ``v`` (absent means
-version 1, the pre-versioning wire format).  Responses carry ``ok``,
+response, and the protocol version ``"v": 4``.  Responses carry ``ok``,
 the server's ``v``, and either ``result`` or
-``error = {"code", "message"}``.  A request whose ``v`` the server
-cannot speak is answered with an ``unsupported_version`` error frame
-advertising ``min_version``/``max_version``, and the client negotiates
-down.  The full frame and field reference is ``docs/serving.md``.
+``error = {"code", "message"}``.  A request without ``v``, or with any
+other, is answered with an ``unsupported_version`` error frame
+advertising ``min_version = max_version = 4``.  The full frame and
+field reference is ``docs/serving.md``.
 
-Result columns are exact on the wire.  A response to a version-4
-request carries each numpy column as raw little-endian bytes after the
-header; the header names it in place with ``{"$blob": [offset, nbytes,
-dtype, shape]}`` (offset into the blob section).  Compact JSON never
-emits a raw newline, so the first ``\n`` ends the header, and a payload
-without one is exactly a version-1 to 3 frame.  Older requests get the
-columns as JSON lists instead, which are exact too: Python serialises
-floats with their shortest round-tripping repr.  :func:`encode_frame`
-makes that choice, the only place the wire form depends on the
-version.  Both forms are held bit for bit in
+Numpy columns are exact on the wire.  :func:`encode_frame` sends each
+as raw little-endian bytes after the header, which names it in place
+with ``{"$blob": [offset, nbytes, dtype, shape]}`` (offset into the
+blob section).  Compact JSON never emits a raw newline, so the first
+``\n`` ends the header.  A peer may also write a column as a JSON list
+(a hand-written request does): the readers take either, so both
+encodings of a request decode to the same arrays.  Held bit for bit in
 ``tests/serve/test_protocol.py`` and ``tests/serve/test_frame_property.py``.
 
 Both blocking-socket helpers (used by the client) and asyncio helpers
@@ -55,35 +51,13 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _LEN = struct.Struct("!I")
 
-#: Current wire protocol version.  Version 2 added the version field
-#: itself and the ``prefilter`` block of the ``stats`` result.  Version 3
-#: adds replay-safe ingestion and the liveness/readiness split: an
-#: ``ingest`` request may carry a client-generated ``request_id`` that
-#: the server dedupes (a replayed frame returns the original counts with
-#: ``"deduped": true``), ``health`` results carry ``live``/``ready``,
-#: and servers may answer ``not_ready`` while loading.  Version 4 sends
-#: a query response's result columns as raw bytes after the JSON header
-#: (see the module docstring).  Requests stay JSON, and the
-#: request/response fields of the five ops are otherwise unchanged, so
-#: older clients interoperate: the server answers each in its own
-#: version's form.
+#: The wire protocol version, and the only one spoken: a request must
+#: carry it as ``v`` (see :func:`request_version`).
 PROTOCOL_VERSION = 4
 
-#: Oldest request version the server still accepts.
-MIN_PROTOCOL_VERSION = 1
-
-#: First version whose servers dedupe replayed ``ingest`` frames —
-#: clients may only resend an ingest after a transport failure when the
-#: negotiated version is at least this (older servers would apply the
-#: frame twice; they reject a v3-stamped request outright, which is what
-#: makes the gate safe).
-INGEST_DEDUPE_VERSION = 3
-
-#: First version whose responses carry numpy columns as raw blobs.
-BLOB_VERSION = 4
-
-#: The only dtypes a blob may carry: ``rows`` (``<i8``), ``ids``
-#: (``<u4``), ``timecodes`` (``<f8``) and ``fingerprints`` (``|u1``).
+#: The only dtypes a blob may carry: result ``rows`` and request ``ids``
+#: (``<i8``), result ``ids`` (``<u4``), ``timecodes`` and request
+#: ``fingerprints`` (``<f8``), and result ``fingerprints`` (``|u1``).
 BLOB_DTYPES = frozenset({"<i8", "<u4", "<f8", "|u1"})
 
 #: Key of the in-header reference to a blob.
@@ -118,44 +92,19 @@ class ProtocolError(ReproError):
 # ----------------------------------------------------------------------
 # Encoding
 # ----------------------------------------------------------------------
-def _array_as_list(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
-
-
-def encode_frame(message: dict, version: int = 1) -> bytes:
-    """Serialise *message* into one length-prefixed frame.
-
-    numpy arrays in *message* travel as raw blobs to a peer speaking
-    *version* >= :data:`BLOB_VERSION`, and as JSON lists to older ones.
-    """
-    if version < BLOB_VERSION:
-        payload = json.dumps(
-            message, separators=(",", ":"), default=_array_as_list
-        ).encode("utf-8")
-    else:
-        payload = _encode_with_blobs(message)
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"frame payload of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    return _LEN.pack(len(payload)) + payload
-
-
-def _encode_with_blobs(message: dict) -> bytes:
-    """The version-4 payload: JSON header, then ``\n`` and the blobs."""
+def encode_frame(message: dict) -> bytes:
+    """Serialise *message* into one length-prefixed frame: the JSON
+    header, then ``\n`` and the blobs of its numpy columns (none, and no
+    newline, when it holds no arrays)."""
     blobs: list = []
     size = 0
 
     def reference(obj):
         nonlocal size
-        if not (
-            isinstance(obj, np.ndarray)
-            and obj.dtype.newbyteorder("<").str in BLOB_DTYPES
-        ):
-            return _array_as_list(obj)
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"{type(obj).__name__} is not JSON serialisable")
+        if obj.dtype.newbyteorder("<").str not in BLOB_DTYPES:
+            return obj.tolist()
         arr = np.ascontiguousarray(obj, dtype=obj.dtype.newbyteorder("<"))
         pad = -size % _BLOB_ALIGN
         if pad:
@@ -165,15 +114,20 @@ def _encode_with_blobs(message: dict) -> bytes:
         size = offset + arr.nbytes
         return {BLOB_KEY: [offset, arr.nbytes, arr.dtype.str, list(arr.shape)]}
 
-    header = json.dumps(
+    payload = json.dumps(
         message, separators=(",", ":"), default=reference
     ).encode("utf-8")
-    if not blobs:
-        return header
-    # Trailing spaces are JSON whitespace: they put the blob section,
-    # which follows the newline, on the blob alignment.
-    header += b" " * (-(len(header) + 1) % _BLOB_ALIGN)
-    return b"".join([header, b"\n", *blobs])
+    if blobs:
+        # Trailing spaces are JSON whitespace: they put the blob section,
+        # which follows the newline, on the blob alignment.
+        payload += b" " * (-(len(payload) + 1) % _BLOB_ALIGN)
+        payload = b"".join([payload, b"\n", *blobs])
+    if len(payload) > MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame payload of {len(payload)} bytes exceeds the "
+            f"{MAX_FRAME_BYTES}-byte limit"
+        )
+    return _LEN.pack(len(payload)) + payload
 
 
 def _parse_json(text, object_hook=None) -> dict:
@@ -310,34 +264,23 @@ async def read_message(
     return _decode_payload(payload)
 
 
-async def write_message(
-    writer: asyncio.StreamWriter, message: dict, version: int = 1
-) -> None:
-    """Write one frame, encoded for a peer speaking *version*, and flush."""
-    writer.write(encode_frame(message, version))
+async def write_message(writer: asyncio.StreamWriter, message: dict) -> None:
+    """Write one frame and flush."""
+    writer.write(encode_frame(message))
     await writer.drain()
 
 
 # ----------------------------------------------------------------------
 # Message construction
 # ----------------------------------------------------------------------
-def request_version(request: dict) -> int:
-    """The protocol version a request speaks (absent ``v`` means 1)."""
-    version = request.get("v", 1)
-    if not isinstance(version, int) or isinstance(version, bool) or version < 1:
+def request_version(request: dict) -> None:
+    """Refuse a request not stamped ``"v": 4`` (absent, another number,
+    or not an integer at all)."""
+    version = request.get("v")
+    if type(version) is not int or version != PROTOCOL_VERSION:
         raise ProtocolError(
-            f"protocol version must be a positive integer, got {version!r}"
+            f"protocol version must be {PROTOCOL_VERSION}, got {version!r}"
         )
-    return version
-
-
-def reply_version(request: dict) -> int:
-    """The version a reply to *request* is encoded for; 1 when the
-    request's ``v`` is unusable (its reply is an error frame anyway)."""
-    try:
-        return request_version(request)
-    except ProtocolError:
-        return 1
 
 
 #: Upper length bound of a client-chosen ``request_id`` (a uuid4 hex is
@@ -348,8 +291,8 @@ MAX_REQUEST_ID_LEN = 128
 def request_dedupe_id(request: dict) -> Optional[str]:
     """The replay-dedupe ``request_id`` of a request, validated.
 
-    Returns ``None`` when the field is absent (version-1/2 clients never
-    send it); raises :class:`ProtocolError` when present but unusable.
+    Returns ``None`` when the field is absent; raises
+    :class:`ProtocolError` when present but unusable.
     """
     request_id = request.get("request_id")
     if request_id is None:
@@ -364,6 +307,38 @@ def request_dedupe_id(request: dict) -> Optional[str]:
             f"{MAX_REQUEST_ID_LEN} characters, got {request_id!r}"
         )
     return request_id
+
+
+def deadline_ms_from_wire(request: dict) -> Optional[float]:
+    """A request's ``deadline_ms``: ``None`` when absent, else a finite
+    positive number (``NaN``, ``Infinity`` and booleans are refused)."""
+    deadline_ms = request.get("deadline_ms")
+    if deadline_ms is None:
+        return None
+    try:
+        value = (
+            float(deadline_ms) if type(deadline_ms) in (int, float)
+            else math.nan
+        )
+    except OverflowError:  # an integer beyond float range
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise ProtocolError(
+            "deadline_ms must be a finite positive number, "
+            f"got {deadline_ms!r}"
+        )
+    return value
+
+
+def threshold_from_wire(request: dict, default: int) -> int:
+    """A ``detect`` request's vote ``threshold`` (*default* when absent):
+    a non-negative integer, never truncated or coerced."""
+    threshold = request.get("threshold", default)
+    if not _is_count(threshold):
+        raise ProtocolError(
+            f"threshold must be a non-negative integer, got {threshold!r}"
+        )
+    return threshold
 
 
 def ok_response(request: dict, result: dict) -> dict:
@@ -391,14 +366,14 @@ def error_response(
     }
 
 
-def version_error(request: dict, version: int) -> dict:
-    """The ``unsupported_version`` frame advertising the speakable range."""
+def version_error(request: dict, version) -> dict:
+    """The ``unsupported_version`` frame advertising the one version."""
     return error_response(
         request,
         ERR_VERSION,
-        f"protocol version {version} is outside the supported range "
-        f"[{MIN_PROTOCOL_VERSION}, {PROTOCOL_VERSION}]",
-        min_version=MIN_PROTOCOL_VERSION,
+        f"protocol version {version!r} is not supported; "
+        f"this server speaks only version {PROTOCOL_VERSION}",
+        min_version=PROTOCOL_VERSION,
         max_version=PROTOCOL_VERSION,
     )
 
@@ -406,9 +381,9 @@ def version_error(request: dict, version: int) -> dict:
 # ----------------------------------------------------------------------
 # numpy <-> wire conversions
 # ----------------------------------------------------------------------
-def fingerprints_to_wire(fingerprints: np.ndarray) -> list:
-    """A ``(B, D)`` float query matrix as nested JSON-safe lists."""
-    return np.asarray(fingerprints, dtype=np.float64).tolist()
+def fingerprints_to_wire(fingerprints: np.ndarray) -> np.ndarray:
+    """A ``(B, D)`` query matrix as the float64 column the wire carries."""
+    return np.asarray(fingerprints, dtype=np.float64)
 
 
 def fingerprints_from_wire(value, ndims: int) -> np.ndarray:
@@ -417,13 +392,15 @@ def fingerprints_from_wire(value, ndims: int) -> np.ndarray:
     does), so only NaN and infinities are refused."""
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"fingerprints are not numeric: {exc}") from exc
     if arr.ndim == 1:
         arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != ndims:
+    # B >= 1: a JSON list cannot spell (0, D), so neither may a blob.
+    if arr.ndim != 2 or arr.shape[1] != ndims or not arr.shape[0]:
         raise ProtocolError(
-            f"fingerprints must be (B, {ndims}), got shape {arr.shape}"
+            f"fingerprints must be (B, {ndims}) with B >= 1, "
+            f"got shape {arr.shape}"
         )
     if not np.isfinite(arr).all():
         raise ProtocolError("fingerprints must be finite (no NaN or inf)")
@@ -435,7 +412,7 @@ def column_from_wire(value, count: int, name: str) -> np.ndarray:
     ``ids``): *count* finite float64 values."""
     try:
         arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"{name} are not numeric: {exc}") from exc
     if arr.shape != (count,):
         raise ProtocolError(
@@ -481,7 +458,6 @@ def result_to_wire(
 
     ``rows`` / ``ids`` / ``timecodes`` always travel; the matched
     fingerprint bytes only on request (they dominate the frame size).
-    :func:`encode_frame` sends the columns as blobs or lists.
     """
     wire = {
         "count": len(result),

@@ -95,6 +95,9 @@ class WireOpError(ReproError):
 #: retry (which lands within milliseconds of the original).
 INGEST_DEDUPE_CAPACITY = 4096
 
+#: The ``stats.requests`` key every op outside the op table counts under.
+UNKNOWN_OP = "unknown"
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -328,9 +331,7 @@ class SocketFrameServer:
                 self._inflight += 1
                 try:
                     response = await self._dispatch(request)
-                    await protocol.write_message(
-                        writer, response, protocol.reply_version(request)
-                    )
+                    await protocol.write_message(writer, response)
                 finally:
                     self._inflight -= 1
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
@@ -354,30 +355,22 @@ class SocketFrameServer:
 
     async def _dispatch(self, request: dict) -> dict:
         op = request.get("op")
-        self.stats.requests.add(key=str(op))
+        handler = self._op_table().get(op) if isinstance(op, str) else None
+        # Unknown ops share one counter key: a client sending distinct
+        # op names must not grow the stats payload.
+        self.stats.requests.add(key=op if handler else UNKNOWN_OP)
         try:
-            version = protocol.request_version(request)
-        except protocol.ProtocolError as exc:
-            self.stats.errors.add(key=protocol.ERR_BAD_REQUEST)
-            return protocol.error_response(
-                request, protocol.ERR_BAD_REQUEST, str(exc)
-            )
-        if not (
-            protocol.MIN_PROTOCOL_VERSION
-            <= version
-            <= protocol.PROTOCOL_VERSION
-        ):
-            # Answer with the speakable range so the client can
-            # negotiate down instead of hanging up.
+            protocol.request_version(request)
+        except protocol.ProtocolError:
+            # An error frame advertising the one version, not a hangup.
             self.stats.errors.add(key=protocol.ERR_VERSION)
-            return protocol.version_error(request, version)
+            return protocol.version_error(request, request.get("v"))
         if self._closing:
             self.stats.errors.add(key=protocol.ERR_SHUTTING_DOWN)
             return protocol.error_response(
                 request, protocol.ERR_SHUTTING_DOWN,
                 "server is draining; no new requests admitted",
             )
-        handler = self._op_table().get(op)
         if handler is None:
             self.stats.errors.add(key=protocol.ERR_BAD_REQUEST)
             return protocol.error_response(
@@ -455,13 +448,9 @@ class SocketFrameServer:
     # shared request helpers
     # ------------------------------------------------------------------
     def _deadline(self, request: dict) -> Optional[float]:
-        deadline_ms = request.get("deadline_ms")
+        deadline_ms = protocol.deadline_ms_from_wire(request)
         if deadline_ms is None:
             return None
-        if not isinstance(deadline_ms, (int, float)) or deadline_ms <= 0:
-            raise protocol.ProtocolError(
-                f"deadline_ms must be a positive number, got {deadline_ms!r}"
-            )
         return asyncio.get_running_loop().time() + deadline_ms / 1e3
 
     def base_stats(self) -> dict:
@@ -654,8 +643,8 @@ class DetectionServer(SocketFrameServer):
         timecodes = protocol.column_from_wire(
             request.get("timecodes", []), fingerprints.shape[0], "timecodes"
         )
-        threshold = int(
-            request.get("threshold", self.config.decision_threshold)
+        threshold = protocol.threshold_from_wire(
+            request, self.config.decision_threshold
         )
         results = await self.batcher.submit_many(
             fingerprints, deadline=self._deadline(request)

@@ -15,8 +15,13 @@ WIRE_DTYPES = {
 
 
 def _decoded_reply(wire: dict) -> dict:
-    """*wire* as a version-4 reply decodes it: arrays over the frame."""
-    frame = protocol.encode_frame({"results": [wire]}, protocol.BLOB_VERSION)
+    """*wire*, with its columns in their wire dtypes, as a reply decodes
+    it: arrays over the frame."""
+    wire = {
+        k: np.asarray(v, dtype=WIRE_DTYPES[k]) if k in WIRE_DTYPES else v
+        for k, v in wire.items()
+    }
+    frame = protocol.encode_frame({"results": [wire]})
     return protocol._decode_payload(frame[4:])["results"][0]
 
 
@@ -41,15 +46,9 @@ def test_packed_wire_round_trips(with_fingerprints):
     }
     if with_fingerprints:
         wire["fingerprints"] = [[0, 255, 17], [1, 2, 3], [9, 9, 9]]
-    # List-valued wires (what a pre-version-4 shard sends) and the
-    # columns a version-4 reply decodes to pack to the same columns.
-    for given in (wire, _decoded_reply(
-        {k: np.asarray(v, dtype=WIRE_DTYPES.get(k)) if k != "count" else v
-         for k, v in wire.items()}
-    )):
-        packed = pack_wire(given)
-        assert all(c is None or isinstance(c, np.ndarray) for c in packed)
-        _assert_columns_equal(unpack_wire(packed), wire)
+    packed = pack_wire(_decoded_reply(wire))
+    assert all(c is None or isinstance(c, np.ndarray) for c in packed)
+    _assert_columns_equal(unpack_wire(packed), wire)
     # The cache holds owned columns, never views pinning a reply frame.
     reply = _decoded_reply({"count": 3, "rows": np.arange(3)})
     assert reply["rows"].base is not None
@@ -59,8 +58,8 @@ def test_packed_wire_round_trips(with_fingerprints):
 
 def test_packed_empty_result_round_trips():
     wire = {"count": 0, "rows": [], "ids": [], "timecodes": [],
-            "fingerprints": []}
-    got = unpack_wire(pack_wire(wire))
+            "fingerprints": np.zeros((0, 3))}
+    got = unpack_wire(pack_wire(_decoded_reply(wire)))
     assert got["count"] == 0
     for name in ("rows", "ids", "timecodes", "fingerprints"):
         assert got[name].size == 0

@@ -38,7 +38,14 @@ from repro.serve import (
     protocol,
 )
 
-from ..serve.test_wire_v4 import assert_health_answers_during_vote, slow_vote
+from ..serve.test_wire_v4 import (
+    as_lists,
+    assert_health_answers_during_vote,
+    assert_request_encodings_agree,
+    assert_unusable_deadlines_refused,
+    assert_unusable_thresholds_refused,
+    slow_vote,
+)
 
 NDIMS = 8
 SIGMA = 10.0
@@ -194,6 +201,20 @@ class TestBitIdentity:
         base = single_node.detect(candidates, timecodes, threshold=1)
         got = routed.detect(candidates, timecodes, threshold=1)
         assert base == got
+
+    def test_list_and_blob_requests_answer_the_same(self, routed, corpus):
+        fp, _, _ = corpus
+        rng = np.random.default_rng(7)
+        queries = fp[rng.integers(0, TOTAL_ROWS, 6)].astype(np.float64)
+        assert_request_encodings_agree(routed, queries, np.arange(6.0))
+
+    def test_unusable_deadline_and_threshold_refused(self, routed, corpus):
+        # A NaN deadline once became a 1 ms shard deadline here, and
+        # failed with deadline_exceeded.
+        fp, _, _ = corpus
+        queries = fp[:3].astype(np.float64)
+        assert_unusable_deadlines_refused(routed, queries[:1])
+        assert_unusable_thresholds_refused(routed, queries, np.arange(3.0))
 
     def test_detect_vote_runs_off_the_event_loop(
         self, routed, corpus, monkeypatch
@@ -432,6 +453,37 @@ class TestIngestRouting:
         # The written shards are now dirty: excluded from skipping.
         assert stats["cluster"]["dirty_shards"]
         assert stats["cluster"]["ingest_rows"] == 12
+
+    def test_list_and_blob_ingests_store_the_same(self, routed_rw, corpus):
+        """The same rows ingested once as JSON lists and once as blobs
+        (under other ids) land on the same shards as the same values."""
+        rng = np.random.default_rng(37)
+        new = rng.integers(0, 256, size=(6, NDIMS)).astype(np.float64)
+        tcs = rng.uniform(0, 100, 6)
+        ids = {"lists": np.arange(6) + 800, "blobs": np.arange(6) + 900}
+        answers = {}
+        for name, encode in (("lists", as_lists), ("blobs", dict)):
+            answer = routed_rw._request(encode({
+                "op": "ingest", "fingerprints": new, "ids": ids[name],
+                "timecodes": tcs, "request_id": name,
+            }))
+            assert answer.pop("request_id") == name
+            answers[name] = answer
+        assert answers["lists"] == answers["blobs"]
+        results = routed_rw.query(new, include_fingerprints=True)
+        for j, result in enumerate(results):
+            assert ids["lists"][j] in result.ids  # each finds itself
+            for k in range(6):
+                stored = [
+                    sorted(
+                        (tc, fp.tobytes()) for i, tc, fp in zip(
+                            result.ids, result.timecodes, result.fingerprints
+                        ) if i == ids[name][k]
+                    )
+                    for name in ("lists", "blobs")
+                ]
+                assert stored[0] == stored[1]
+        assert routed_rw.stats()["cluster"]["ingest_rows"] == 12
 
     def test_unstorable_ingest_refused_before_routing(self, routed_rw):
         # 300 and -5 would wrap to other bytes in the replicas' uint8

@@ -2,13 +2,14 @@
 
 Generated messages of numpy columns (float64 with NaN, -0.0 and
 subnormals, uint32 up to its max, int64, 2-D uint8, empty arrays,
-nested lists of results) are encoded as a version-4 frame and decoded by
-both readers; every column must come back with its dtype, shape and
-bytes.  The same messages encoded for a version-3 peer are pure JSON
-lists of the same values.  A payload of exactly ``max_frame`` bytes is
-accepted and one byte more refused, and every corruption of a blob
-reference raises :class:`ProtocolError` instead of reading memory it
-does not name.
+nested lists of results) are encoded as one frame and decoded by the
+blocking and the asyncio reader; every column must come back with its
+dtype, shape and bytes.  A generated ``query``, ``detect`` or
+``ingest`` request decodes to the same arrays, or meets the same
+refusal, whether its columns travel as JSON lists or as blobs.  A
+payload of exactly ``max_frame`` bytes is accepted and one byte more
+refused, and every corruption of a blob reference raises
+:class:`ProtocolError` instead of reading memory it does not name.
 
 ``PROPERTY_EXAMPLES`` raises the example count (CI's ``property-long`` job).
 """
@@ -121,24 +122,6 @@ def _assert_same(got, sent):
         assert got == sent
 
 
-def _assert_same_values(got, sent):
-    """A version-3 decode: the arrays' values as JSON lists."""
-    if isinstance(sent, np.ndarray):
-        assert isinstance(got, list)
-        back = np.asarray(got, dtype=sent.dtype).reshape(sent.shape)
-        assert np.array_equal(back, sent, equal_nan=sent.dtype.kind == "f")
-    elif isinstance(sent, dict):
-        assert got.keys() == sent.keys()
-        for key in sent:
-            _assert_same_values(got[key], sent[key])
-    elif isinstance(sent, list):
-        assert len(got) == len(sent)
-        for g, s in zip(got, sent):
-            _assert_same_values(g, s)
-    else:
-        assert got == sent
-
-
 def read_async(frame: bytes, max_frame: int = protocol.MAX_FRAME_BYTES):
     async def scenario():
         reader = asyncio.StreamReader()
@@ -173,7 +156,7 @@ def _join(header: dict, blobs: bytes) -> bytes:
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(message=messages)
 def test_v4_frame_round_trips_bit_for_bit(message):
-    frame = protocol.encode_frame(message, protocol.BLOB_VERSION)
+    frame = protocol.encode_frame(message)
     blocking = read_blocking(frame)
     _assert_same(blocking, message)
     _assert_same(read_async(frame), message)
@@ -188,19 +171,96 @@ def test_v4_frame_round_trips_bit_for_bit(message):
         assert b"\n" not in frame[4:]  # no arrays: exactly the old frame
 
 
+NDIMS = 4
+
+# Values the server refuses somewhere (NaN, infinities, bytes and ids
+# out of range, non-integers), or accepts at the edge of a range.
+_odd_values = st.sampled_from([
+    -1.0, 2.0**32, 256.0, 2.5, 2.0**32 - 1, 255.0, -0.0, 1e300,
+    np.nan, np.inf, -np.inf,
+])
+
+
+def _column(draw, dtype, shape, elements) -> np.ndarray:
+    """A column of *elements*, one cell in four columns set to an odd
+    value (an integer column turns float64 when the value needs it)."""
+    column = draw(hnp.arrays(dtype, shape, elements=elements))
+    if draw(st.integers(0, 3)) == 0:
+        value = draw(_odd_values)
+        if column.dtype.kind == "i" and not (
+            value.is_integer() and abs(value) < 2**63
+        ):
+            column = column.astype(np.float64)
+        column.flat[draw(st.integers(0, column.size - 1))] = value
+    return column
+
+
+@st.composite
+def wire_requests(draw):
+    """A ``query``, ``detect`` or ``ingest`` request of numpy columns."""
+    op = draw(st.sampled_from(["query", "detect", "ingest"]))
+    n = draw(st.integers(1, 4))
+    request = {
+        "op": op,
+        "v": protocol.PROTOCOL_VERSION,
+        "fingerprints": _column(
+            draw, np.float64, (n, NDIMS),
+            st.integers(0, 255) if op == "ingest" else st.floats(-1e3, 1e3),
+        ),
+    }
+    if op != "query":
+        # Now and then misaligned with the fingerprints.
+        count = draw(st.sampled_from([n, n, n, n + 1]))
+        request["timecodes"] = _column(
+            draw, np.float64, count, st.floats(-1e9, 1e9)
+        )
+    if op == "ingest":
+        dtype = draw(st.sampled_from([np.int64, np.float64]))
+        request["ids"] = _column(draw, dtype, n, st.integers(0, 2**32 - 1))
+    return request
+
+
+def _server_view(request: dict):
+    """The arrays the server parses from *request*, or its refusal."""
+    try:
+        if request["op"] == "ingest":
+            return protocol.ingest_from_wire(request, NDIMS)
+        fingerprints = protocol.fingerprints_from_wire(
+            request["fingerprints"], NDIMS
+        )
+        if request["op"] == "query":
+            return (fingerprints,)
+        return fingerprints, protocol.column_from_wire(
+            request["timecodes"], fingerprints.shape[0], "timecodes"
+        )
+    except ProtocolError as exc:
+        return str(exc)
+
+
+@settings(max_examples=EXAMPLES, deadline=None)
+@given(request=wire_requests())
+def test_request_encodings_decode_the_same(request):
+    as_lists = {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in request.items()
+    }
+    list_frame = protocol.encode_frame(as_lists)
+    assert b"\n" not in list_frame[4:]  # a plain JSON document
+    from_lists = _server_view(read_blocking(list_frame))
+    from_blobs = _server_view(read_async(protocol.encode_frame(request)))
+    if isinstance(from_lists, str):
+        assert from_blobs == from_lists  # the same refusal
+        return
+    assert not isinstance(from_blobs, str), from_blobs
+    for got, want in zip(from_blobs, from_lists, strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(message=messages)
-def test_v3_frame_is_json_lists_of_the_same_values(message):
-    frame = protocol.encode_frame(message, protocol.BLOB_VERSION - 1)
-    assert b"\n" not in frame[4:]
-    json.loads(frame[4:])  # a plain JSON document
-    _assert_same_values(read_blocking(frame), message)
-
-
-@settings(max_examples=EXAMPLES, deadline=None)
-@given(message=messages, version=st.sampled_from([3, protocol.BLOB_VERSION]))
-def test_max_frame_bounds_the_whole_payload(message, version):
-    frame = protocol.encode_frame(message, version)
+def test_max_frame_bounds_the_whole_payload(message):
+    frame = protocol.encode_frame(message)
     size = len(frame) - 4
     read_async(frame, max_frame=size)
     read_blocking(frame, max_frame=size)
@@ -247,9 +307,7 @@ def _corruptions(spec: list, section: int) -> list:
     truncate=st.booleans(),
 )
 def test_corrupted_references_raise(column, which, truncate):
-    frame = protocol.encode_frame(
-        {"result": {"column": column}}, protocol.BLOB_VERSION
-    )
+    frame = protocol.encode_frame({"result": {"column": column}})
     header, blobs = _split(frame)
     spec = header["result"]["column"][protocol.BLOB_KEY]
     if truncate:
@@ -270,7 +328,7 @@ def test_corrupted_references_raise(column, which, truncate):
 
 
 def test_extra_key_beside_a_reference_raises():
-    frame = protocol.encode_frame({"c": np.arange(3)}, protocol.BLOB_VERSION)
+    frame = protocol.encode_frame({"c": np.arange(3)})
     header, blobs = _split(frame)
     header["c"]["x"] = 1
     with pytest.raises(ProtocolError, match="malformed"):
@@ -279,7 +337,7 @@ def test_extra_key_beside_a_reference_raises():
 
 def test_plain_json_with_newlines_is_a_json_frame():
     """A JSON payload from a non-compact encoder is still one frame."""
-    message = {"op": "health", "v": 3, "nested": {"a": [1, 2]}}
+    message = {"op": "health", "v": 4, "nested": {"a": [1, 2]}}
     for text in (json.dumps(message, indent=2), json.dumps(message) + "\n"):
         payload = text.encode()
         frame = len(payload).to_bytes(4, "big") + payload

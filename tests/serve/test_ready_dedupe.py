@@ -119,13 +119,3 @@ class TestIngestDedupe:
             )
         assert protocol.request_dedupe_id({}) is None
         assert protocol.request_dedupe_id({"request_id": "ok"}) == "ok"
-
-    def test_ingest_resend_gated_on_version(self):
-        """The int form of ``idempotent`` compares against the
-        negotiated version — a downgraded client loses ingest resends."""
-        client = ServeClient(port=1)  # never connected
-        assert client.protocol_version >= protocol.INGEST_DEDUPE_VERSION
-        gate = protocol.INGEST_DEDUPE_VERSION
-        assert (client.protocol_version >= gate) is True
-        client.protocol_version = gate - 1
-        assert (client.protocol_version >= gate) is False

@@ -1,17 +1,21 @@
-"""Version 4 against live servers: negotiation, input checks, detect.
+"""Version 4 against live servers: encodings, input checks, detect.
 
-* Only a version-4 request gets its result columns as blobs: a v4
-  client against a server capped at version 3 negotiates down and gets
-  JSON lists, and so does a v3 client against a v4 server — both with
-  the same answers.
+* The client sends its request columns as blobs and reads the reply's
+  as blobs.  A request whose columns are hand-written JSON lists gets
+  the same answers, bit for bit, for ``query``, ``detect`` and
+  ``ingest``.
 * Ingest values the store would wrap (bytes outside [0, 255], ids
   outside [0, 2**32), non-integers) and non-finite fingerprints or
   timecodes are refused with ``bad_request`` instead of being stored
-  as other values or silently matching nothing.
+  as other values or silently matching nothing, in either encoding.
+  So are a ``deadline_ms`` that is not a finite positive number and a
+  ``threshold`` that is not a non-negative integer.
+* Unknown ops count under one ``stats.requests`` key.
 * ``detect``'s vote runs off the event loop: a slow vote does not hold
   up another connection's ``health``.
 """
 
+import contextlib
 import threading
 import time
 
@@ -27,6 +31,7 @@ from repro.serve import (
     ServeConfig,
     ServerError,
     ServerThread,
+    WireResult,
     protocol,
 )
 from repro.serve import server as server_module
@@ -55,15 +60,20 @@ def served(store):
         yield server
 
 
-@pytest.fixture
-def writable(tmp_path, store):
+@contextlib.contextmanager
+def writable_server(directory, store):
     index = SegmentedS3Index.create(
-        tmp_path / "live", ndims=NDIMS,
-        model=NormalDistortionModel(NDIMS, 5.0),
+        directory, ndims=NDIMS, model=NormalDistortionModel(NDIMS, 5.0),
     )
     index.add(store.fingerprints, store.ids, store.timecodes)
     with ServerThread(index, ServeConfig(port=0, alpha=ALPHA)) as server:
         yield server, index
+
+
+@pytest.fixture
+def writable(tmp_path, store):
+    with writable_server(tmp_path / "live", store) as served:
+        yield served
 
 
 @pytest.fixture
@@ -98,72 +108,140 @@ def _assert_same_answers(a, b):
         for name in ("rows", "ids", "timecodes", "fingerprints"):
             got, want = getattr(x, name), getattr(y, name)
             assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def as_lists(message: dict) -> dict:
+    """*message* with every numpy column written as a JSON list."""
+    return {
+        key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in message.items()
+    }
+
+
+def assert_request_encodings_agree(client, queries, timecodes) -> None:
+    """``query`` and ``detect`` answer list-encoded requests exactly as
+    the client's blob-encoded ones."""
+    blobs = client.query(queries, include_fingerprints=True)
+    assert any(len(result) for result in blobs)
+    reply = client._request(as_lists({
+        "op": "query", "fingerprints": queries, "include_fingerprints": True,
+    }))
+    _assert_same_answers(
+        [WireResult.from_wire(wire) for wire in reply["results"]], blobs
+    )
+    detections = client.detect(queries, timecodes, threshold=1)
+    assert detections
+    assert client._request(as_lists({
+        "op": "detect", "fingerprints": queries, "timecodes": timecodes,
+        "threshold": 1,
+    }))["detections"] == detections
+
+
+def assert_refused(client, message: dict) -> None:
+    with pytest.raises(ServerError) as err:
+        client._request(message)
+    assert err.value.code == protocol.ERR_BAD_REQUEST, err.value
+
+
+def assert_unusable_deadlines_refused(client, query) -> None:
+    """NaN, infinities, booleans, strings, non-positive numbers and
+    integers beyond float range are a ``bad_request``."""
+    for deadline_ms in (float("nan"), float("inf"), -float("inf"), True,
+                        "50", 0, -1.0, 10**400):
+        assert_refused(client, as_lists({
+            "op": "query", "fingerprints": query, "deadline_ms": deadline_ms,
+        }))
+    client.query(query, deadline_ms=30_000)
+
+
+def assert_unusable_thresholds_refused(client, queries, timecodes) -> None:
+    """A ``threshold`` is a non-negative integer, never coerced."""
+    for threshold in ("x", 2.7, True, -1, None, [2]):
+        assert_refused(client, as_lists({
+            "op": "detect", "fingerprints": queries, "timecodes": timecodes,
+            "threshold": threshold,
+        }))
+    assert client.detect(queries, timecodes, threshold=0)
 
 
 class TestNegotiation:
-    def test_v4_client_gets_blob_columns(self, served, store, replies):
+    def test_v4_client_gets_blob_columns(
+        self, served, store, replies, monkeypatch
+    ):
+        sent = []
+        send = protocol.send_message
+        monkeypatch.setattr(
+            protocol, "send_message",
+            lambda sock, message: (sent.append(message), send(sock, message)),
+        )
         with ServeClient(port=served.port) as client:
             results = client.query(_queries(store), include_fingerprints=True)
+        assert isinstance(sent[-1]["fingerprints"], np.ndarray)
         assert _column_types(replies[-1]) == {np.ndarray}
         for result in results:
             for name in ("rows", "ids", "timecodes", "fingerprints"):
                 assert getattr(result, name).flags.writeable
             assert result.fingerprints.shape == (len(result), NDIMS)
 
-    def test_v4_client_against_v3_server_gets_lists(
-        self, served, store, replies, monkeypatch
-    ):
+    def test_list_and_blob_requests_answer_the_same(self, served, store):
         with ServeClient(port=served.port) as client:
-            expected = client.query(_queries(store), include_fingerprints=True)
-            assert client.protocol_version == protocol.BLOB_VERSION
-            # The server now speaks at most version 3.
-            monkeypatch.setattr(protocol, "PROTOCOL_VERSION", 3)
-            got = client.query(_queries(store), include_fingerprints=True)
-            assert client.protocol_version == 3
-        refused, answered = replies[-2:]
-        assert refused["error"]["code"] == protocol.ERR_VERSION
-        assert refused["error"]["max_version"] == 3
-        assert answered["v"] == 3
-        assert _column_types(answered) == {list}
-        _assert_same_answers(got, expected)
+            assert_request_encodings_agree(
+                client, _queries(store), np.arange(3.0)
+            )
 
-    def test_v3_client_against_v4_server_gets_lists(
-        self, served, store, replies
-    ):
-        with ServeClient(port=served.port) as client:
-            expected = client.query(_queries(store), include_fingerprints=True)
-            client.protocol_version = 3
-            got = client.query(_queries(store), include_fingerprints=True)
-        assert _column_types(replies[-1]) == {list}
-        assert replies[-1]["v"] == protocol.PROTOCOL_VERSION
-        _assert_same_answers(got, expected)
+    def test_list_and_blob_ingests_store_the_same(self, tmp_path, store):
+        fresh = make_store(n=5, seed=9)
+        ingest = {
+            "fingerprints": fresh.fingerprints.astype(np.float64),
+            "ids": fresh.ids.astype(np.int64),
+            "timecodes": fresh.timecodes,
+        }
+        answers = []
+        for name, encode in (("lists", as_lists), ("blobs", dict)):
+            with writable_server(tmp_path / name, store) as (server, _):
+                with ServeClient(port=server.port) as client:
+                    added = client._request(encode(
+                        {"op": "ingest", "request_id": name, **ingest}
+                    ))
+                    answers.append((added, client.query(
+                        ingest["fingerprints"], include_fingerprints=True
+                    )))
+        (added_lists, got_lists), (added_blobs, got_blobs) = answers
+        assert added_lists == added_blobs
+        assert added_lists["added"] == 5
+        _assert_same_answers(got_lists, got_blobs)
+
+
+#: The two encodings of a request column: a blob, as the client sends
+#: it, and a hand-written JSON list.
+ENCODINGS = (np.asarray, lambda value: np.asarray(value).tolist())
 
 
 class TestInputChecks:
     def test_out_of_range_ingest_refused(self, writable):
         server, index = writable
         rows = len(index)
+        bad = [
+            ([[300, 1, 2, 10]], [1], [0.0]),
+            ([[-5, 1, 2, 10]], [1], [0.0]),
+            ([[2.7, 1, 2, 10]], [1], [0.0]),
+            ([[1, 2, 3, 4]], [-1], [0.0]),
+            ([[1, 2, 3, 4]], [2**32], [0.0]),
+            ([[1, 2, 3, 4]], [1.5], [0.0]),
+            ([[1, 2, 3, 4]], [1], [float("nan")]),
+            ([[1, 2, 3, 4]], [1], [float("inf")]),
+            ([[float("nan"), 2, 3, 4]], [1], [0.0]),
+        ]
         with ServeClient(port=server.port) as client:
-            bad = [
-                ([[300, 1, 2, 10]], [1], [0.0]),
-                ([[-5, 1, 2, 10]], [1], [0.0]),
-                ([[2.7, 1, 2, 10]], [1], [0.0]),
-                ([[1, 2, 3, 4]], [-1], [0.0]),
-                ([[1, 2, 3, 4]], [2**32], [0.0]),
-                ([[1, 2, 3, 4]], [1.5], [0.0]),
-                ([[1, 2, 3, 4]], [1], [float("nan")]),
-                ([[1, 2, 3, 4]], [1], [float("inf")]),
-                ([[float("nan"), 2, 3, 4]], [1], [0.0]),
-            ]
-            for fingerprints, ids, timecodes in bad:
-                with pytest.raises(ServerError) as err:
+            for encode in ENCODINGS:
+                for fingerprints, ids, timecodes in bad:
                     # Raw values: the client would cast the ids first.
-                    client._request({
-                        "op": "ingest", "fingerprints": fingerprints,
-                        "ids": ids, "timecodes": timecodes,
+                    assert_refused(client, {
+                        "op": "ingest", "fingerprints": encode(fingerprints),
+                        "ids": encode(ids), "timecodes": encode(timecodes),
                     })
-                assert err.value.code == protocol.ERR_BAD_REQUEST
             # The edges of the ranges are storable.
             added = client.ingest(
                 np.array([[0, 255, 7, 9]], dtype=np.float64),
@@ -175,17 +253,40 @@ class TestInputChecks:
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_query_refused(self, served, value):
         with ServeClient(port=served.port) as client:
-            with pytest.raises(ServerError) as err:
-                client.query(np.array([value, 1.0, 2.0, 3.0]))
-            assert err.value.code == protocol.ERR_BAD_REQUEST
-            with pytest.raises(ServerError) as err:
-                client.detect(np.array([[1.0, value, 2.0, 3.0]]), [0.0])
-            assert err.value.code == protocol.ERR_BAD_REQUEST
-            with pytest.raises(ServerError) as err:
-                client.detect(np.array([[1.0, 1.0, 2.0, 3.0]]), [value])
-            assert err.value.code == protocol.ERR_BAD_REQUEST
+            for encode in ENCODINGS:
+                assert_refused(client, {
+                    "op": "query",
+                    "fingerprints": encode([value, 1.0, 2.0, 3.0]),
+                })
+                assert_refused(client, {
+                    "op": "detect",
+                    "fingerprints": encode([[1.0, value, 2.0, 3.0]]),
+                    "timecodes": encode([0.0]),
+                })
+                assert_refused(client, {
+                    "op": "detect",
+                    "fingerprints": encode([[1.0, 1.0, 2.0, 3.0]]),
+                    "timecodes": encode([value]),
+                })
             # Off the byte grid is fine for a query: a distorted copy is.
             client.query(np.array([-3.5, 1.0, 300.25, 3.0]))
+
+    def test_unusable_deadline_refused(self, served, store):
+        with ServeClient(port=served.port) as client:
+            assert_unusable_deadlines_refused(client, _queries(store)[:1])
+
+    def test_unusable_threshold_refused(self, served, store):
+        with ServeClient(port=served.port) as client:
+            assert_unusable_thresholds_refused(
+                client, _queries(store), np.arange(3.0)
+            )
+
+    def test_unknown_ops_share_one_counter(self, served):
+        with ServeClient(port=served.port) as client:
+            for op in [f"bogus-{i}" for i in range(1000)] + [[1], {"a": 1}]:
+                assert_refused(client, {"op": op})
+            requests = client.stats()["requests"]
+        assert requests == {server_module.UNKNOWN_OP: 1002, "stats": 1}
 
 
 def slow_vote(monkeypatch, module, seconds=0.5) -> threading.Event:
