@@ -81,20 +81,15 @@ class ShardPresence:
     """A shard's resident occupancy union: which curve blocks it holds.
 
     The union of the shard's segment-sketch occupancy bitmaps, reduced
-    to the shallowest sketch depth among them.  ``covers_any`` is the
+    to the shallowest sketch depth among them.  ``keep_mask`` is the
     router's skip test — exact, like the per-segment prune it unions.
     """
 
     depth: int
     occupied: np.ndarray  # sorted uint64 of populated depth-bit prefixes
 
-    def covers_any(self, prefixes: np.ndarray, depth: int) -> bool:
-        """True if any selected prefix may hold rows of this shard."""
-        return bool(
-            occupancy_keep(self.occupied, self.depth, prefixes, depth).any()
-        )
-
     def keep_mask(self, prefixes: np.ndarray, depth: int) -> np.ndarray:
+        """Which selected *prefixes* may hold rows of this shard."""
         return occupancy_keep(self.occupied, self.depth, prefixes, depth)
 
     def to_payload(self) -> dict:

@@ -489,33 +489,34 @@ class ClusterRouter(SocketFrameServer):
     ) -> list[np.ndarray]:
         """Which query rows each shard must answer.
 
-        With a statistical model, replays the engines' cold per-query
-        block selection and keeps, per shard, only the queries whose
-        selection intersects the shard's occupancy union — an exact
-        skip, as proven by the sketch tier it reuses.  Dirty shards
-        (post-plan ingests) and model-less clusters get every query.
+        With a statistical model, replays the engines' cold block
+        selection for the batch and keeps, per shard, only the queries
+        whose selection intersects the shard's occupancy union — an
+        exact skip, as proven by the sketch tier it reuses: one
+        occupancy test over every selected prefix of the batch, and a
+        count of the hits per query.  Dirty shards (post-plan ingests)
+        and model-less clusters get every query.
         """
         num = queries.shape[0]
         everything = np.arange(num, dtype=np.int64)
         if self.model is None:
             return [everything for _ in self.shards]
-        selections = statistical_blocks_multi(
+        batch = statistical_blocks_multi(
             queries,
             self.model,
             self.curve,
             self.manifest.depth,
             self.config.alpha,
         )
+        owner = np.repeat(everything, batch.counts)
         per_shard = []
         for spec in self.manifest.shards:
             if spec.shard in self._dirty:
                 per_shard.append(everything)
                 continue
-            keep = [
-                b for b, sel in enumerate(selections)
-                if spec.presence.covers_any(sel.prefixes, sel.depth)
-            ]
-            per_shard.append(np.asarray(keep, dtype=np.int64))
+            keep = spec.presence.keep_mask(batch.prefixes, batch.depth)
+            hits = np.bincount(owner[keep], minlength=num)
+            per_shard.append(np.flatnonzero(hits))
         return per_shard
 
     async def _scatter_queries(

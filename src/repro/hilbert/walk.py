@@ -5,7 +5,11 @@ tree; this is the same tree walked one level at a time for whole arrays of
 nodes, which is what block selection (:mod:`repro.index.filtering`) runs.
 It holds geometry only — which axis each node splits, where its box starts
 on that axis, the curve prefix and Hamilton state of its children — and
-leaves what to keep, and any per-node payload, to the caller.
+leaves what to keep, and any per-node payload, to the caller.  In the
+first ``D`` levels that geometry depends on the level alone, so a caller
+may walk them on side paths instead (:meth:`PartitionWalk.first_axes`,
+:func:`side_prefixes`) and convert its frontier once
+(:meth:`PartitionWalk.from_sides`).
 
 Box bounds are integers: with ``bits = ceil(p / D)`` splits per axis at
 most, every bound is one of the ``2^bits + 1`` dyadic *cuts* of the side,
@@ -56,6 +60,22 @@ class WalkNodes:
         ))
 
 
+def side_prefixes(side: np.ndarray) -> np.ndarray:
+    """Curve prefixes (``uint64``) of paths through the first ``D`` levels
+    given as *side paths*: bit ``l`` (first level highest) is 1 where the
+    path took the upper half of the box split at level ``l``.
+
+    In the first group a node's curve bit is its side bit XOR the
+    previous curve bit (:meth:`PartitionWalk.axis`'s ``upper_first``), so
+    the prefix is the running XOR of the side path from its first bit:
+    the inverse Gray code.
+    """
+    prefix = side.view(_U64)
+    for shift in (1, 2, 4, 8, 16, 32):
+        prefix = prefix ^ (prefix >> _U64(shift))
+    return prefix
+
+
 def curve_order(
     low: np.ndarray, high: np.ndarray, upper_first: np.ndarray
 ) -> np.ndarray:
@@ -78,14 +98,41 @@ class PartitionWalk:
         self.ndims, self.depth = curve.ndims, depth
         self.bits = -(-depth // curve.ndims)
         self.unit = curve.side / (1 << self.bits)  # cut spacing, a power of two
+        self.cell_dtype = np.min_scalar_type((1 << self.bits) - 1)
 
-    def roots(self, num: int, kind: type[WalkNodes] = WalkNodes) -> WalkNodes:
-        """*num* root nodes (one per query), as a *kind* of :class:`WalkNodes`."""
+    def roots(self, num: int) -> WalkNodes:
+        """*num* root nodes (one per query)."""
         cell = None
         if self.bits > 1:
-            dtype = np.min_scalar_type((1 << self.bits) - 1)
-            cell = np.zeros((num, self.ndims), dtype=dtype)
-        return kind(np.arange(num), np.zeros(num, dtype=_U64), cell=cell)
+            cell = np.zeros((num, self.ndims), dtype=self.cell_dtype)
+        return WalkNodes(np.arange(num), np.zeros(num, dtype=_U64), cell=cell)
+
+    def first_axes(self) -> np.ndarray:
+        """The axis split at each of the first ``min(p, D)`` levels.
+
+        No node has a Hamilton state yet and each level cuts a new axis,
+        at its middle from cut 0, so every node of a level splits the
+        same axis at the same cut (:meth:`axis`).
+        """
+        n = self.ndims
+        return (n - np.arange(min(self.depth, n))) % n
+
+    def from_sides(self, nodes: WalkNodes) -> WalkNodes:
+        """Depth-``D`` *nodes* whose ``prefix`` holds side paths (see
+        :func:`side_prefixes`), with the curve prefix, Hamilton state and
+        per-axis cells the walk would have given them."""
+        n = self.ndims
+        side = nodes.prefix.view(_U64)
+        nodes.prefix = side_prefixes(side)
+        zeros = np.zeros(side.size, dtype=_U64)
+        nodes.entry, nodes.direction = update_state_batch(
+            zeros, zeros, nodes.prefix, n
+        )
+        # Axis a was split at level (D - a) mod D: its side bit is bit
+        # (a - 1) mod D of the path, and its upper half starts half-way.
+        upper = (side[:, None] >> ((np.arange(n) - 1) % n).astype(_U64)) & _U64(1)
+        nodes.cell = (upper << _U64(self.bits - 1)).astype(self.cell_dtype)
+        return nodes
 
     def half(self, level: int) -> int:
         """Cuts from the lower bound to the middle of a box split at *level*."""

@@ -41,6 +41,7 @@ from .diagnostics import (
 )
 from .filtering import (
     BlockSelection,
+    SelectionBatch,
     best_first_blocks,
     grid_probability,
     grid_probability_multi,
@@ -134,6 +135,7 @@ __all__ = [
     "SegmentSketch",
     "SegmentedQueryStats",
     "SegmentedS3Index",
+    "SelectionBatch",
     "SeqScanIndex",
     "SequentialScanIndex",
     "SketchConfig",

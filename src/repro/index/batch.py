@@ -20,9 +20,12 @@ work across a frame batch:
 
 1. **Shared block selection** — the threshold search of eq. (4) runs over
    the whole ``(B, D)`` query matrix at once
-   (:func:`~repro.index.filtering.statistical_blocks_batch_cached`): all
-   still-active searches share one vectorised pass per tree level, and
-   the warm-start ``t_max`` cache is read/written once per batch.
+   (:func:`~repro.index.filtering.statistical_blocks_batch_cached`): one
+   tree descent for the batch, one vectorised pass per tree level, and
+   the warm-start ``t_max`` cache read/written once per batch.  It
+   returns one flat :class:`~repro.index.filtering.SelectionBatch`
+   (every query's prefixes concatenated, per-query counts), and
+   :func:`scan` reads those columns as they are.
 2. **Array-wide ranges, one copy per row** — the curve sections of the
    whole batch come from one ``searchsorted`` pair and one vectorised
    merge (:meth:`~repro.index.table.HilbertLayout.row_ranges`).
@@ -66,7 +69,7 @@ import numpy as np
 
 from ..distortion.model import IndependentDistortionModel
 from ..errors import ConfigurationError
-from .filtering import BlockSelection, statistical_blocks_batch_cached
+from .filtering import SelectionBatch, statistical_blocks_batch_cached
 from .kernels import range_refine, window_refine
 from .options import QueryOptions, resolve_options
 from .s3 import QueryStats, SearchResult
@@ -381,23 +384,26 @@ def query_batch(
 
 def scan(
     index,
-    selections: Sequence[BlockSelection],
+    selections: SelectionBatch,
     filter_seconds: float = 0.0,
     prefilter: bool = True,
     gather_cache=None,
     prefetch: bool = True,
     tests: Optional[Sequence[ExactTest]] = None,
 ) -> tuple[list[SearchResult], BatchQueryStats]:
-    """Read the rows of *selections* (one or more, of one depth): the
-    scan stage of every query of both index kinds.
+    """Read the rows of *selections* (one query or more): the scan
+    stage of every query of both index kinds.
 
     Every part of one pinned read view is read — each segment, then the
     frozen and active memtables — and each query's result lists its
     rows part after part.  A static :class:`~repro.index.s3.S3Index` is
     a view of one resident part with no sketch and no memtables.
-    *filter_seconds* is what selecting the blocks took.  With *tests*,
-    one :class:`Ball` or :class:`Window` per selection, each query keeps
-    only the scanned rows that pass its test.
+    *selections* is read as flat columns — every query's prefixes
+    concatenated, with per-query counts — and never split per query;
+    :meth:`SelectionBatch.of` wraps a solo geometric or best-first
+    selection.  *filter_seconds* is what selecting the blocks took.
+    With *tests*, one :class:`Ball` or :class:`Window` per selection,
+    each query keeps only the scanned rows that pass its test.
 
     The numpy calls are per part and per query, never per (query, part)
     pair, and the batch picks how rows are copied:
@@ -437,12 +443,9 @@ def scan(
     from it.
     """
     num = len(selections)
-    depth = selections[0].depth
+    depth = selections.depth
     t1 = time.perf_counter()
-    counts = [len(sel) for sel in selections]
-    prefixes = np.concatenate(
-        [np.asarray(sel.prefixes, dtype=np.uint64) for sel in selections]
-    )
+    counts, prefixes = selections.counts, selections.prefixes
     balls = tests if tests is not None and isinstance(tests[0], Ball) else None
 
     # Pin one snapshot view for the whole batch: the segment set, the
@@ -462,12 +465,11 @@ def scan(
             seg_sections.append(seg.layout.row_ranges(prefixes, counts, depth))
             continue
         if owner is None:
-            selected = np.array(counts, dtype=np.int64)
-            owner = np.repeat(np.arange(num), selected)
+            owner = np.repeat(np.arange(num), counts)
             skipped = np.zeros(num, dtype=np.int64)
             pruned = np.zeros(num, dtype=np.int64)
         sections, lost, emptied = _sketch_sections(
-            seg, prefixes, owner, selected, depth, balls
+            seg, prefixes, owner, counts, depth, balls
         )
         seg_sections.append(sections)
         pruned += lost
@@ -607,22 +609,23 @@ def scan(
             zero if pruned is None else pruned.tolist(),
             itertools.repeat(memtable_rows),
         )
+    blocks_q = counts.tolist()
+    nodes_q, probes_q = selections.nodes.tolist(), selections.probes.tolist()
     results = []
-    for sel, (rows, ids, tcs, fps), dist, sections, scanned, more in zip(
-        selections, parts, distances, sections_q, scanned_q, extra
-    ):
+    for q, ((rows, ids, tcs, fps), more) in enumerate(zip(parts, extra)):
         # Positional: (blocks_selected, sections_scanned, rows_scanned,
         # results, nodes_visited, descents, filter_seconds,
         # refine_seconds[, segments_scanned, segments_skipped,
         # blocks_skipped, memtable_rows_scanned]).
         stats = index._query_stats(
-            len(sel), sections, scanned + memtable_rows, rows.size,
-            sel.nodes_visited, sel.descents, filter_share, scan_share, *more,
+            blocks_q[q], sections_q[q], scanned_q[q] + memtable_rows,
+            rows.size, nodes_q[q], probes_q[q], filter_share, scan_share,
+            *more,
         )
-        results.append(SearchResult(rows, ids, tcs, fps, dist, stats))
+        results.append(SearchResult(rows, ids, tcs, fps, distances[q], stats))
 
     batch = BatchQueryStats(queries=num, batches=1)
-    batch.blocks_selected = sum(counts)
+    batch.blocks_selected = int(prefixes.size)
     batch.sections_scanned = sum(int(u[0].size) for u in seg_unions)
     batch.logical_rows = sum(at[-1] for at in cuts)
     batch.unique_rows = sum(union_rows) + sum(

@@ -18,7 +18,11 @@ p-blocks of the Hilbert partition.  Three selectors are provided:
 
 The first two (and their ``_multi`` / ``_cached`` forms) are one kernel,
 :class:`_Descent`: the partition tree is descended **once** per batch of
-queries and eq. (4)'s probes are answered from the retained leaves.
+queries and eq. (4)'s probes are answered from the retained leaves.  The
+batch forms return one :class:`SelectionBatch` — every query's blocks
+concatenated, with per-query counts, thresholds, totals and costs — which
+the scan (:func:`repro.index.batch.scan`) reads as it is; indexing it
+yields a query's :class:`BlockSelection`.
 
 For the ε-range baseline, :func:`range_blocks` runs a descent with the
 probabilistic rule replaced by the geometric one (keep blocks whose
@@ -27,16 +31,21 @@ compares against.
 
 Every descent is level-synchronous and numpy-vectorised: the frontier of
 surviving nodes is held in flat arrays and both children of every node are
-produced by one batched step.  The geometry matches
-:class:`repro.hilbert.partition.PartitionNode` bit for bit (cross-checked in
-the tests).
+produced by one batched step.  The statistical walk has two phases: in the
+first ``D`` levels every node of a query splits the same axis at the same
+cut, so a level is a handful of array operations on per-query constants;
+deeper levels run :class:`~repro.hilbert.walk.PartitionWalk`'s per-node
+geometry.  The geometry matches :class:`repro.hilbert.partition.PartitionNode`
+bit for bit (cross-checked in the tests).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections.abc import Generator
+import itertools
+from collections.abc import Generator, Iterator, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +53,7 @@ from ..distortion.model import IndependentDistortionModel
 from ..errors import ConfigurationError
 from ..hilbert.butz import HilbertCurve
 from ..hilbert.partition import PartitionNode
-from ..hilbert.walk import PartitionWalk, WalkNodes, curve_order
+from ..hilbert.walk import PartitionWalk, WalkNodes, curve_order, side_prefixes
 
 _U64 = np.uint64
 
@@ -89,6 +98,80 @@ class BlockSelection:
         return int(self.prefixes.size)
 
 
+@dataclass
+class SelectionBatch:
+    """The block selections of a batch of queries, as flat columns.
+
+    Query ``i`` owns ``counts[i]`` consecutive entries of *prefixes* and
+    *probabilities* — its blocks, in curve order — and entry ``i`` of
+    *thresholds*, *totals* (``total_probability``), *nodes*
+    (``nodes_visited``) and *probes* (``descents``).  The scan reads the
+    columns as they are; indexing or iterating the batch yields each
+    query's :class:`BlockSelection`, whose arrays are views.
+    """
+
+    prefixes: np.ndarray
+    probabilities: np.ndarray
+    counts: np.ndarray
+    depth: int
+    thresholds: np.ndarray
+    totals: np.ndarray
+    nodes: np.ndarray
+    probes: np.ndarray
+
+    @classmethod
+    def of(
+        cls, selections: Sequence[BlockSelection], depth: int | None = None
+    ) -> SelectionBatch:
+        """A batch of *selections*, all of one depth (*depth* when empty)."""
+        return cls(
+            prefixes=np.concatenate([np.empty(0, _U64), *(
+                np.asarray(s.prefixes, dtype=_U64) for s in selections
+            )]),
+            probabilities=np.concatenate([np.empty(0), *(
+                np.asarray(s.probabilities, dtype=np.float64)
+                for s in selections
+            )]),
+            counts=np.array([len(s) for s in selections], dtype=np.int64),
+            depth=selections[0].depth if selections else depth,
+            thresholds=np.array(
+                [s.threshold for s in selections], dtype=np.float64
+            ),
+            totals=np.array(
+                [s.total_probability for s in selections], dtype=np.float64
+            ),
+            nodes=np.array([s.nodes_visited for s in selections], dtype=np.int64),
+            probes=np.array([s.descents for s in selections], dtype=np.int64),
+        )
+
+    @cached_property
+    def bounds(self) -> list[int]:
+        """Where each query's blocks start, and their total."""
+        return [0, *itertools.accumulate(self.counts.tolist())]
+
+    def __len__(self) -> int:
+        return int(self.counts.size)
+
+    def __getitem__(self, i: int) -> BlockSelection:
+        num = len(self)
+        if not -num <= i < num:
+            raise IndexError(f"selection {i} of a batch of {num}")
+        i %= num
+        window = slice(self.bounds[i], self.bounds[i + 1])
+        return BlockSelection(
+            prefixes=self.prefixes[window],
+            probabilities=self.probabilities[window],
+            depth=self.depth,
+            threshold=float(self.thresholds[i]),
+            total_probability=float(self.totals[i]),
+            nodes_visited=int(self.nodes[i]),
+            descents=int(self.probes[i]),
+        )
+
+    def __iter__(self) -> Iterator[BlockSelection]:
+        return (self[i] for i in range(len(self)))
+
+
 # ----------------------------------------------------------------------
 # Statistical filtering: one tree descent per batch.
 #
@@ -113,7 +196,12 @@ _COLD_REACH, _REACH = 3, 2
 
 @dataclass
 class _Nodes(WalkNodes):
-    """Tree nodes with their box mass under the distortion model."""
+    """Tree nodes with their box mass under the distortion model.
+
+    Through the first ``D`` levels ``prefix`` holds the node's *side
+    path* (:func:`~repro.hilbert.walk.side_prefixes`) instead of its
+    curve prefix.
+    """
 
     mass: np.ndarray | None = None
     path_min: np.ndarray | None = None  # min mass below the root, self included
@@ -121,23 +209,36 @@ class _Nodes(WalkNodes):
 
 @dataclass
 class _Split:
-    """The nodes expanded at one level and the mass of both children of each."""
+    """The nodes expanded at one level and the mass of both children of each.
+
+    Through the first ``D`` levels *mass* and *path_min* are ``(2, N)``
+    (lower halves, upper halves) and *q* is the parents' ``(N,)``;
+    deeper all three are flat, in `curve_order`.  Either way child ``k``
+    is flat entry ``k``.
+    """
 
     parents: _Nodes
-    dims: np.ndarray | int
-    upper_first: np.ndarray
-    q: np.ndarray  # per child, in `curve_order`
+    q: np.ndarray
     mass: np.ndarray
     path_min: np.ndarray
+    dims: np.ndarray | int = 0
+    upper_first: np.ndarray | None = None
 
 
 class _Descent:
     """One batch's statistical descent, kept so that probes are masks.
 
-    Per node only scalar columns travel down the tree, plus small-integer
-    per-axis cell indices addressing one ``(B, D, cuts)`` table of the
-    model CDF at every dyadic cut the depth can reach (one ``cdf_multi``
-    call; the level loop evaluates no CDF).  Every floating-point
+    The walk has two phases.  In the first ``min(p, D)`` levels all nodes
+    of a level split the same axis at its middle, from cut 0, so the
+    interval ratios of both halves depend only on the query: they come
+    from a ``(levels, 3, B)`` table of per-query constants, and a node
+    carries just its query, side path, mass and path minimum.  Deeper levels
+    (``p > D``) convert the frontier once — curve prefix, Hamilton state
+    and per-axis cells from the side path — and continue on
+    :class:`~repro.hilbert.walk.PartitionWalk`'s per-node path, whose
+    cell indices address one ``(B, D, cuts)`` table of the model CDF at
+    every dyadic cut the depth can reach.  One ``cdf_multi`` call builds
+    both; the level loop evaluates no CDF.  Every floating-point
     expression is the one the descent-per-probe code evaluated
     (``tests/index/reference_selection.py``), so masses are bit-identical.
     """
@@ -152,12 +253,29 @@ class _Descent:
         num, n = queries.shape
         self.num = num
         self.tree = tree = PartitionWalk(curve, depth)
+        self.head = min(depth, n)
         self.cuts = (1 << tree.bits) + 1
         x = (np.arange(self.cuts) * tree.unit)[None, None, :] - queries[:, :, None]
         table = model.cdf_multi(
             np.broadcast_to(np.arange(n)[None, :, None], x.shape), x
         )
-        self.root_mass = np.prod(table[:, :, -1] - table[:, :, 0], axis=1)
+        spans = table[:, :, -1] - table[:, :, 0]
+        self.root_mass = np.prod(spans, axis=1)
+        # The first and last cuts are the grid's faces: these are the
+        # intervals, and this the product, of `grid_probability_multi`.
+        self.grid = _left_product(spans)
+        # The first levels split one axis each at its middle, from cut 0:
+        # the numerators of both halves and the denominator, per query.
+        # A zero-width interval has zero-mass children: 0 / 1.
+        axes = tree.first_axes()
+        lo, mid, hi = (table[:, axes, c].T for c in (0, self.cuts // 2, -1))
+        old = hi - lo
+        ok = old > 0
+        self.ratios = np.stack([
+            np.where(ok, mid - lo, 0.0),
+            np.where(ok, hi - mid, 0.0),
+            np.where(ok, old, 1.0),
+        ], axis=1)
         self.table = table.ravel()
         self.floor = np.full(num, np.inf)
         self.splits: list[list[_Split]] = [[] for _ in range(depth)]
@@ -165,10 +283,16 @@ class _Descent:
             np.empty(0, np.int64), np.empty(0, _U64),
             mass=np.empty(0), path_min=np.empty(0),
         )
-        self.starts = np.zeros(num + 1, dtype=np.int64)  # of each query's leaves
 
     def _split(self, nodes: _Nodes, level: int) -> _Split:
         """Masses of both children of *nodes*."""
+        if level < self.head:
+            ratios = self.ratios[level].take(nodes.q, axis=1)
+            mass = nodes.mass * ratios[:2]
+            mass /= ratios[2]
+            return _Split(
+                nodes, nodes.q, mass, np.minimum(mass, nodes.path_min)
+            )
         dims, upper_first, lower_cut = self.tree.axis(nodes, level)
         half = self.tree.half(level)
         at = (nodes.q * self.tree.ndims + dims) * self.cuts + lower_cut
@@ -183,19 +307,25 @@ class _Descent:
         np.divide(nodes.mass * (phihi_j - phimid), old, out=prob_high, where=ok)
         mass = curve_order(prob_low, prob_high, upper_first)
         return _Split(
-            parents=nodes,
-            dims=dims,
-            upper_first=upper_first,
-            q=np.repeat(nodes.q, 2),
-            mass=mass,
-            path_min=np.minimum(mass, np.repeat(nodes.path_min, 2)),
+            nodes, np.repeat(nodes.q, 2), mass,
+            np.minimum(mass, np.repeat(nodes.path_min, 2)),
+            dims, upper_first,
         )
 
     def _children(self, split: _Split, level: int, at: np.ndarray) -> _Nodes:
-        kids = self.tree.children(
-            split.parents, level, split.dims, split.upper_first, at
-        )
-        kids.mass, kids.path_min = split.mass[at], split.path_min[at]
+        """The children at flat positions *at* of *split*."""
+        if level >= self.head:
+            kids = self.tree.children(
+                split.parents, level, split.dims, split.upper_first, at
+            )
+        else:
+            side, par = np.divmod(at, split.q.size)
+            kids = _Nodes(
+                split.q[par], (split.parents.prefix[par] << 1) | side
+            )
+        kids.mass, kids.path_min = split.mass.take(at), split.path_min.take(at)
+        if level + 1 == self.head < self.tree.depth:
+            kids = self.tree.from_sides(kids)
         return kids
 
     def lower(self, floor: np.ndarray) -> None:
@@ -204,40 +334,43 @@ class _Descent:
         The first call is the descent; a later call with lower floors
         resumes the pruned frontier — children computed but not expanded —
         of the queries that moved, level-synchronously for all of them.
+        The leaves are kept sorted by ``(query, prefix)``.
         """
         old, self.floor = self.floor, floor
         first = not self.splits[0]
         nodes = []
         if first:
-            roots = self.tree.roots(self.num, _Nodes)
-            roots.mass = self.root_mass
-            roots.path_min = np.full(self.num, np.inf)  # the root is never pruned
-            nodes = [roots]
+            nodes = [_Nodes(
+                np.arange(self.num), np.zeros(self.num, dtype=np.int64),
+                mass=self.root_mass,
+                path_min=np.full(self.num, np.inf),  # the root is never pruned
+            )]
         for level, splits in enumerate(self.splits):
             kids = [
-                self._children(split, level, np.nonzero(
+                self._children(split, level, np.flatnonzero(
                     (split.path_min <= old[split.q])
                     & (split.path_min > floor[split.q])
-                )[0])
+                ))
                 for split in splits
             ]
             if nodes:
                 split = self._split(_Nodes.concat(nodes), level)
                 splits.append(split)
                 kids.append(self._children(
-                    split, level, np.nonzero(split.path_min > floor[split.q])[0]
+                    split, level, np.flatnonzero(split.path_min > floor[split.q])
                 ))
             nodes = [k for k in kids if k.q.size]
         if nodes:
-            leaves = _Nodes.concat(nodes if first else [self.leaves] + nodes)
+            leaves = _Nodes.concat(nodes)
+            if self.head == self.tree.depth:
+                leaves.prefix = side_prefixes(leaves.prefix)
             if not first:
-                order = np.lexsort((leaves.prefix, leaves.q))
-                leaves = _Nodes(
-                    leaves.q[order], leaves.prefix[order],
-                    mass=leaves.mass[order], path_min=leaves.path_min[order],
-                )
-            self.leaves = leaves
-            self.starts = np.searchsorted(leaves.q, np.arange(self.num + 1))
+                leaves = _Nodes.concat([self.leaves, leaves])
+            order = np.lexsort((leaves.prefix, leaves.q))
+            self.leaves = _Nodes(
+                leaves.q[order], leaves.prefix[order],
+                mass=leaves.mass[order], path_min=leaves.path_min[order],
+            )
         inner = [split.parents for splits in self.splits for split in splits]
         self.inner_q = np.concatenate([p.q for p in inner])
         self.inner_min = np.concatenate([p.path_min for p in inner])
@@ -254,29 +387,43 @@ class _Descent:
         the retained internal nodes with ``path_min > t_i``.
         """
         leaves = self.leaves
-        keep = leaves.path_min > t[leaves.q]
+        keep = leaves.path_min > t.take(leaves.q)
         mass = leaves.mass[keep]
-        ends = np.cumsum(np.bincount(leaves.q[keep], minlength=self.num)).tolist()
-        totals = [
-            float(mass[ends[i - 1] if i else 0:ends[i]].sum()) for i in active
-        ]
-        above = self.inner_q[self.inner_min > t[self.inner_q]]
-        nodes = np.bincount(above, minlength=self.num).tolist()
+        ends = np.cumsum(self._count(leaves.q, keep)).tolist()
+        ends.insert(0, 0)
+        add = np.add.reduce  # what `.sum()` runs, without its Python frame
+        totals = [float(add(mass[ends[i]:ends[i + 1]])) for i in active]
+        nodes = self._count(
+            self.inner_q, self.inner_min > t.take(self.inner_q)
+        ).tolist()
         return totals, [nodes[i] for i in active]
 
-    def selection(self, i: int, t: float, nodes: int, probes: int) -> BlockSelection:
-        """Query *i*'s block set ``B(t)`` as a :class:`BlockSelection`."""
-        window = slice(int(self.starts[i]), int(self.starts[i + 1]))
-        keep = self.leaves.path_min[window] > t
-        probs = self.leaves.mass[window][keep]
-        return BlockSelection(
-            prefixes=self.leaves.prefix[window][keep],
-            probabilities=probs,
+    def _count(self, q: np.ndarray, above: np.ndarray) -> np.ndarray:
+        """Entries of each query that are *above* the probe: a weighted
+        count, which skips gathering them."""
+        return np.bincount(q, weights=above, minlength=self.num).astype(np.int64)
+
+    def selections(
+        self, t: list[float], totals: list[float], nodes: list[int],
+        probes: list[int],
+    ) -> SelectionBatch:
+        """Every query's block set ``B(t_i)``: one mask over the leaves.
+
+        ``totals`` are the probe sums at ``t``: ``.sum()`` over the very
+        arrays the batch holds, so no second sum is taken.
+        """
+        t = np.array(t, dtype=np.float64)
+        leaves = self.leaves
+        keep = leaves.path_min > t.take(leaves.q)
+        return SelectionBatch(
+            prefixes=leaves.prefix[keep],
+            probabilities=leaves.mass[keep],
+            counts=self._count(leaves.q, keep),
             depth=self.tree.depth,
-            threshold=t,
-            total_probability=float(probs.sum()),
-            nodes_visited=nodes,
-            descents=probes,
+            thresholds=t,
+            totals=np.array(totals, dtype=np.float64),
+            nodes=np.array(nodes, dtype=np.int64),
+            probes=np.array(probes, dtype=np.int64),
         )
 
 
@@ -328,54 +475,57 @@ def _search(
     refine_steps: int,
     grow_steps: int,
     max_descents: int,
-) -> list[BlockSelection]:
+) -> SelectionBatch:
     """One :func:`_threshold_search` per query, all on one `_Descent`.
 
     The descent starts at floor ``first_probes * reach``; a search that
     shrinks under its floor resumes it, together with every other query in
     that position.  Probes and the nodes they cover are counted as if each
-    probe had been its own descent.
+    probe had been its own descent.  A query's answer is the last probe
+    that succeeded (or its last probe), with that probe's total.
     """
     num, n = queries.shape
     limits = (refine_steps, grow_steps, max_descents)
     step = max(1, _TABLE_ENTRIES // (n * ((1 << -(-depth // n)) + 1)))
-    if num > step:  # bound the CDF table: chunks are independent
-        return [
+    if num == 0 or num > step:  # bound the CDF table: chunks are independent
+        return SelectionBatch.of([
             sel for rows in (slice(i, i + step) for i in range(0, num, step))
             for sel in _search(
                 queries[rows], model, curve, depth, alpha, first_probes[rows],
                 reach, shrink, *limits,
             )
-        ]
+        ], depth)
     descent = _Descent(queries, model, curve, depth)
-    targets = (alpha * grid_probability_multi(queries, model, curve)).tolist()
+    targets = (alpha * descent.grid).tolist()
     searches = [
         _threshold_search(t, shrink, *limits) for t in first_probes.tolist()
     ]
-    probes = np.array([next(search) for search in searches])
-    best = [(0.0, False)] * num  # (answer so far, did it succeed)
-    cost = np.zeros((num, 2), dtype=np.int64)  # nodes covered, probes
+    probes = [next(search) for search in searches]
+    best = [(0.0, False, 0.0)] * num  # (answer so far, did it succeed, total)
+    nodes, counts = [0] * num, [0] * num  # nodes covered, probes
     active = list(range(num))
-    descent.lower(probes * reach)
+    t = np.array(probes)
+    descent.lower(t * reach)
     while active:
-        missing = probes < descent.floor
+        missing = t < descent.floor
         if missing.any():
-            descent.lower(np.where(missing, probes * shrink**_REACH, descent.floor))
+            descent.lower(np.where(missing, t * shrink**_REACH, descent.floor))
         still = []
-        for i, total, nodes in zip(active, *descent.probe(probes, active)):
+        for i, total, covered in zip(active, *descent.probe(t, active)):
             success = total >= targets[i]
-            cost[i] += (nodes, 1)
+            nodes[i] += covered
+            counts[i] += 1
             if success or not best[i][1]:
-                best[i] = (float(probes[i]), success)
+                best[i] = (probes[i], success, total)
             try:
                 probes[i] = searches[i].send(success)
                 still.append(i)
             except StopIteration:
                 probes[i] = np.inf
         active = still
-    return [
-        descent.selection(i, best[i][0], *cost[i].tolist()) for i in range(num)
-    ]
+        t = np.array(probes)
+    thresholds, _, totals = zip(*best)
+    return descent.selections(thresholds, totals, nodes, counts)
 
 
 def select_blocks_threshold_multi(
@@ -384,7 +534,7 @@ def select_blocks_threshold_multi(
     curve: HilbertCurve,
     depth: int,
     thresholds: np.ndarray,
-) -> list[BlockSelection]:
+) -> SelectionBatch:
     """The paper's ``B(t)`` for B queries: depth-``p`` blocks with mass > t.
 
     *queries* is ``(B, D)``; *thresholds* carries one pruning threshold
@@ -435,7 +585,7 @@ def statistical_blocks_multi(
     refine_steps: int = 1,
     grow_steps: int = 2,
     max_descents: int = 40,
-) -> list[BlockSelection]:
+) -> SelectionBatch:
     """Statistical query block sets of expectation *alpha* for B queries.
 
     Searches, per query, ``t_max`` of eq. (4): the largest threshold whose
@@ -462,9 +612,11 @@ def statistical_blocks_multi(
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
     if not 0.0 < shrink < 1.0:
         raise ConfigurationError(f"shrink must be in (0, 1), got {shrink}")
+    if initial_threshold is not None and not np.isfinite(initial_threshold):
+        raise ConfigurationError(
+            f"initial_threshold must be finite, got {initial_threshold}"
+        )
     queries = _check_queries(queries, curve)
-    if queries.shape[0] == 0:
-        return []
     _check_depth(depth, curve)
     t0 = initial_threshold if initial_threshold is not None else (1.0 - alpha) / 4.0
     t0 = min(max(t0, 1e-12), 1.0 - 1e-12)
@@ -516,7 +668,7 @@ def statistical_blocks_batch_cached(
     depth: int,
     alpha: float,
     cache: dict[tuple, float],
-) -> list[BlockSelection]:
+) -> SelectionBatch:
     """:func:`statistical_blocks_multi` with a self-regulating warm start.
 
     Queries of one workload share ``(alpha, depth, model)``, so the
@@ -543,9 +695,11 @@ def statistical_blocks_batch_cached(
         initial_threshold=None if warm is None else warm * 1.5,
         grow_steps=0 if warm is not None else 2,
     )
-    for selection in selections:
-        if np.isfinite(selection.threshold) and selection.threshold > 0:
-            cache[cache_key] = selection.threshold
+    usable = selections.thresholds[
+        np.isfinite(selections.thresholds) & (selections.thresholds > 0)
+    ]
+    if usable.size:
+        cache[cache_key] = float(usable[-1])
     return selections
 
 
@@ -659,7 +813,7 @@ def range_blocks(
     most *epsilon* — i.e. every block the query hyper-sphere intersects.
     """
     query = _check_query(query, curve)
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ConfigurationError(f"epsilon must be >= 0, got {epsilon}")
     _check_depth(depth, curve)
 
@@ -705,6 +859,8 @@ def window_blocks(
         raise ConfigurationError(
             f"window bounds must have {curve.ndims} components"
         )
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ConfigurationError("window bounds must be finite")
     if np.any(lo > hi):
         raise ConfigurationError("window must satisfy lo <= hi per dimension")
     _check_depth(depth, curve)
@@ -735,6 +891,8 @@ def _check_queries(queries: np.ndarray, curve: HilbertCurve) -> np.ndarray:
         raise ConfigurationError(
             f"queries must be (B, {curve.ndims}), got shape {queries.shape}"
         )
+    if not np.isfinite(queries).all():
+        raise ConfigurationError("queries must be finite")
     return queries
 
 
@@ -762,11 +920,15 @@ def grid_probability_multi(
     """
     queries = _check_queries(queries, curve)
     dims = np.broadcast_to(np.arange(curve.ndims), queries.shape)
-    intervals = model.cdf_multi(dims, float(curve.side) - queries) - (
+    return _left_product(model.cdf_multi(dims, float(curve.side) - queries) - (
         model.cdf_multi(dims, 0.0 - queries)
-    )
-    mass = np.ones(queries.shape[0])
-    for j in range(curve.ndims):
+    ))
+
+
+def _left_product(intervals: np.ndarray) -> np.ndarray:
+    """Each row's product, multiplied left to right."""
+    mass = np.ones(intervals.shape[0])
+    for j in range(intervals.shape[1]):
         mass = mass * intervals[:, j]
     return mass
 
@@ -777,6 +939,8 @@ def _check_query(query: np.ndarray, curve: HilbertCurve) -> np.ndarray:
         raise ConfigurationError(
             f"query has {query.size} components, curve expects {curve.ndims}"
         )
+    if not np.isfinite(query).all():
+        raise ConfigurationError("query must be finite")
     return query
 
 

@@ -34,6 +34,7 @@ from ..distortion.model import IndependentDistortionModel, NormalDistortionModel
 from ..errors import ConfigurationError, IndexError_
 from .filtering import (
     BlockSelection,
+    SelectionBatch,
     best_first_blocks,
     range_blocks,
     statistical_blocks,
@@ -165,7 +166,8 @@ class S3Queries:
         t0 = time.perf_counter()
         selection = best_first_blocks(query, resolved, self.curve, depth, alpha)
         [result], _ = scan(
-            self, [selection], time.perf_counter() - t0, **scan_options
+            self, SelectionBatch.of([selection]), time.perf_counter() - t0,
+            **scan_options,
         )
         return result
 
@@ -214,7 +216,7 @@ class S3Queries:
         t0 = time.perf_counter()
         selection = range_blocks(query, epsilon, self.curve, depth)
         [result], _ = scan(
-            self, [selection], time.perf_counter() - t0,
+            self, SelectionBatch.of([selection]), time.perf_counter() - t0,
             tests=[Ball(np.asarray(query, dtype=np.float64), epsilon)],
             **scan_options,
         )
@@ -238,7 +240,7 @@ class S3Queries:
         t0 = time.perf_counter()
         selection = window_blocks(lo, hi, self.curve, depth)
         [result], _ = scan(
-            self, [selection], time.perf_counter() - t0,
+            self, SelectionBatch.of([selection]), time.perf_counter() - t0,
             tests=[Window(lo, hi)],
         )
         return result

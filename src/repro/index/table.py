@@ -12,7 +12,7 @@ step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -184,16 +184,6 @@ class HilbertLayout:
         :func:`key_row_ranges`)."""
         return key_row_ranges(self.keys, self.key_bits, prefixes, counts, depth)
 
-    def batch_row_ranges(
-        self, prefix_lists: Sequence[np.ndarray], depth: int
-    ) -> RangeBatch:
-        """Merged row ranges of every prefix list (see :func:`key_row_ranges`)."""
-        prefixes = [np.asarray(p, dtype=np.uint64) for p in prefix_lists]
-        return self.row_ranges(
-            np.concatenate(prefixes) if prefixes else np.empty(0, np.uint64),
-            [p.size for p in prefixes], depth,
-        )
-
     def block_row_ranges(
         self, prefixes: np.ndarray, depth: int
     ) -> list[tuple[int, int]]:
@@ -203,7 +193,8 @@ class HilbertLayout:
         filtering step).  Blocks adjacent on the curve merge into a single
         section — the Hilbert clustering property at work.
         """
-        starts, ends, _ = self.batch_row_ranges([prefixes], depth)
+        prefixes = np.asarray(prefixes, dtype=np.uint64)
+        starts, ends, _ = self.row_ranges(prefixes, [prefixes.size], depth)
         return list(zip(starts.tolist(), ends.tolist()))
 
     # ------------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_presence_covers_own_segments(source, tmp_path):
         occupied = spec.presence.occupied
         assert occupied.size > 0
         # Its own occupied prefixes are trivially covered ...
-        assert spec.presence.covers_any(occupied, spec.presence.depth)
+        assert spec.presence.keep_mask(occupied, spec.presence.depth).all()
         # ... and a mask over (occupied + complement) keeps exactly
         # the occupied half.
         universe = np.arange(

@@ -504,3 +504,62 @@ class TestIngestRouting:
         cluster = routed_rw.stats()["cluster"]
         assert cluster["dirty_shards"] == []
         assert cluster["ingest_rows"] == 0
+
+
+class TestShardSkip:
+    """A clean shard that holds none of a query's blocks is skipped."""
+
+    @pytest.fixture(scope="class")
+    def two_regions(self, tmp_path_factory):
+        """Two segments in opposite corners of the grid, one per shard,
+        and a single server over the unsharded index."""
+        root = tmp_path_factory.mktemp("skip")
+        rng = np.random.default_rng(41)
+        index = SegmentedS3Index.create(
+            root / "src", ndims=NDIMS, model=NormalDistortionModel(NDIMS, SIGMA),
+            flush_rows=ROWS_PER_SEGMENT, auto_compact=False,
+        )
+        for centre in (40, 216):
+            fp = np.clip(
+                rng.normal(centre, 4.0, (ROWS_PER_SEGMENT, NDIMS)), 0, 255
+            ).astype(np.uint8)
+            ids = rng.integers(0, 7, ROWS_PER_SEGMENT).astype(np.uint32)
+            index.add(fp, ids, rng.uniform(0, 100, ROWS_PER_SEGMENT))
+        index.flush()
+        index.close()
+        plan_cluster(root / "src", root / "c", num_shards=2)
+        supervisor = ClusterSupervisor(
+            root / "c", mode="thread",
+            serve_config=ServeConfig(port=0, alpha=ALPHA),
+        ).start()
+        router = ClusterRouter(
+            ClusterManifest.load(root / "c"), supervisor.endpoints(),
+            RouterConfig(port=0, alpha=ALPHA),
+        )
+        thread = ServiceThread(router).start()
+        index = SegmentedS3Index.open(root / "src", auto_compact=False, mmap=True)
+        with ServerThread(index, ServeConfig(port=0, alpha=ALPHA)) as single, \
+                ServeClient(port=single.port, timeout=30.0) as base, \
+                ServeClient(port=thread.port, timeout=30.0) as routed:
+            yield routed, base
+        thread.stop()
+        supervisor.stop()
+
+    def test_skip_keeps_answers_bit_identical(self, two_regions):
+        routed, base = two_regions
+        queries = np.array([[40.0] * NDIMS, [44.0] * NDIMS, [216.0] * NDIMS])
+        before = [s["skips"] for s in routed.stats()["cluster"]["per_shard"]]
+        for batch in (queries[:1], queries):
+            got = routed.query(batch, include_fingerprints=True)
+            _assert_results_equal(
+                base.query(batch, include_fingerprints=True), got
+            )
+            assert all(len(r.rows) for r in got)  # each corner answers
+        cluster = routed.stats()["cluster"]
+        assert cluster["dirty_shards"] == []
+        skips = [
+            s["skips"] - b for s, b in zip(cluster["per_shard"], before)
+        ]
+        # The first batch lies wholly in one corner: the other shard is
+        # skipped.  The second spans both, so neither is.
+        assert sum(skips) == 1

@@ -42,3 +42,24 @@ def test_unpruned_walk_enumerates_the_partition(ndims, order, depth):
         assert nodes.prefix[mine].tolist() == [b.prefix for b in blocks]
         assert np.array_equal(lo[mine], np.array([b.lo for b in blocks], dtype=float))
         assert np.array_equal(hi[mine], np.array([b.hi for b in blocks], dtype=float))
+
+
+@pytest.mark.parametrize("ndims, depth", [(1, 3), (2, 5), (3, 4), (5, 7)])
+def test_side_paths_convert_to_the_walked_nodes(ndims, depth):
+    """Walking the first D levels on side paths — one axis per level, a
+    bit per half — and converting once gives the nodes the walk itself
+    reaches at depth D, in the walk's own order."""
+    curve = HilbertCurve(ndims, 4)
+    walk = PartitionWalk(curve, depth)
+    nodes, sides = walk.roots(1), np.zeros(1, dtype=np.int64)
+    for level in range(ndims):
+        dims, upper_first, _ = walk.axis(nodes, level)
+        assert np.all(dims == walk.first_axes()[level])
+        every = np.arange(2 * nodes.q.size)
+        upper = (every & 1) ^ upper_first[every >> 1]  # curve child -> half
+        sides = (sides[every >> 1] << 1) | upper
+        nodes = walk.children(nodes, level, dims, upper_first, every)
+    got = walk.from_sides(type(nodes)(nodes.q, sides))
+    for name in ("prefix", "entry", "direction", "cell"):
+        a, b = getattr(got, name), getattr(nodes, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name

@@ -10,6 +10,7 @@ through both paths and compares exactly.
 
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from repro.distortion.model import NormalDistortionModel, PerComponentNormalModel
 from repro.errors import ConfigurationError
 from repro.hilbert import HilbertCurve
+from repro.index import filtering
 from repro.index.batch import BatchQueryExecutor, coalesce_ranges, query_batch
 from repro.index.filtering import (
     select_blocks_threshold,
@@ -35,7 +37,7 @@ from repro.index.s3 import S3Index
 from repro.index.segmented import SegmentedS3Index
 from repro.index.store import FingerprintStore
 
-from . import reference_query
+from . import reference_query, reference_selection
 
 NDIMS = 8
 SIGMA = 10.0
@@ -226,9 +228,66 @@ class TestMultiSelectors:
         assert cache[key] == batch[-1].threshold
 
     def test_empty_batch(self):
-        assert statistical_blocks_multi(
+        assert list(statistical_blocks_multi(
             np.empty((0, NDIMS)), self.MODEL, self.CURVE, 16, 0.9
-        ) == []
+        )) == []
+
+    @pytest.mark.parametrize("step", [1, 2])
+    @pytest.mark.parametrize("depth", [6, 12])
+    def test_chunked_search_stitches_chunks(self, monkeypatch, step, depth):
+        """A batch above the CDF-table bound is searched in chunks of
+        *step* queries (5 = 1+1+1+1+1 or 2+2+1), and the chunks' flat
+        batch is the one-chunk batch, field for field, on both sides of
+        ``D`` (= 8)."""
+        queries = self.queries(5, seed=9)
+        ths = np.geomspace(1e-2, 1e-4, 5)
+        whole = (
+            statistical_blocks_multi(queries, self.MODEL, self.CURVE, depth, 0.8),
+            select_blocks_threshold_multi(
+                queries, self.MODEL, self.CURVE, depth, ths
+            ),
+        )
+        want = (
+            reference_selection.statistical_blocks_multi(
+                queries, self.MODEL, self.CURVE, depth, 0.8
+            ),
+            reference_selection.select_blocks_threshold_multi(
+                queries, self.MODEL, self.CURVE, depth, ths
+            ),
+        )
+        cuts = (1 << -(-depth // NDIMS)) + 1
+        monkeypatch.setattr(filtering, "_TABLE_ENTRIES", step * NDIMS * cuts)
+        chunked = (
+            statistical_blocks_multi(queries, self.MODEL, self.CURVE, depth, 0.8),
+            select_blocks_threshold_multi(
+                queries, self.MODEL, self.CURVE, depth, ths
+            ),
+        )
+        for got, one, ref in zip(chunked, whole, want):
+            for name in ("prefixes", "probabilities", "counts", "thresholds",
+                         "totals", "nodes", "probes"):
+                a, b = getattr(got, name), getattr(one, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got.depth == one.depth == depth
+            assert [selection_key(s) for s in got] == [
+                selection_key(s) for s in ref
+            ]
+
+    @pytest.mark.parametrize("depth", [8, 12])
+    def test_query_off_the_grid_selects_nothing_quietly(self, depth):
+        """A finite query far off the grid has zero-width intervals: its
+        children get zero mass, not 0 / 0, and it selects nothing."""
+        queries = np.vstack([np.full(NDIMS, -1000.0), self.queries(1)[0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = statistical_blocks_multi(
+                queries, self.MODEL, self.CURVE, depth, 0.8
+            )
+        want = reference_selection.statistical_blocks_multi(
+            queries, self.MODEL, self.CURVE, depth, 0.8
+        )
+        assert len(got[0]) == 0 and len(got[1]) > 0
+        assert [selection_key(s) for s in got] == [selection_key(s) for s in want]
 
     def test_query_shape_validated(self):
         with pytest.raises(ConfigurationError):
@@ -246,6 +305,46 @@ class TestMultiSelectors:
                 np.zeros((2, NDIMS)), self.MODEL, self.CURVE, 8,
                 np.array([0.01, 1.5]),
             )
+
+
+NAN_QUERY = np.r_[np.nan, np.full(NDIMS - 1, 100.0)]
+INF_QUERY = np.r_[np.full(NDIMS - 1, 100.0), np.inf]
+WINDOW = np.full(NDIMS, 50.0), np.full(NDIMS, 150.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ix: ix.statistical_query(NAN_QUERY, 0.8),
+    lambda ix: ix.statistical_query(INF_QUERY, 0.8, exact_blocks=True),
+    lambda ix: ix.statistical_query_batch(np.vstack([INF_QUERY] * 2), 0.8),
+    lambda ix: query_batch(ix, NAN_QUERY[None, :], 0.8),
+    lambda ix: BatchQueryExecutor(ix, alpha=0.8).query_all(NAN_QUERY),
+    lambda ix: ix.range_query(NAN_QUERY, 20.0),
+    lambda ix: ix.range_query(WINDOW[0], float("nan")),
+    lambda ix: ix.window_query(np.r_[np.nan, WINDOW[0][1:]], WINDOW[1]),
+    lambda ix: ix.window_query(WINDOW[0], np.r_[WINDOW[1][:-1], np.inf]),
+    lambda ix: statistical_blocks(
+        WINDOW[0], ix.model, ix.curve, 8, 0.8, initial_threshold=float("nan")
+    ),
+    lambda ix: statistical_blocks_multi(
+        np.vstack([WINDOW[0], INF_QUERY]), ix.model, ix.curve, 8, 0.8
+    ),
+    lambda ix: statistical_blocks_cached(NAN_QUERY, ix.model, ix.curve, 8, 0.8, {}),
+    lambda ix: select_blocks_threshold(INF_QUERY, ix.model, ix.curve, 8, 0.01),
+], ids=[
+    "statistical", "exact-blocks", "statistical-batch", "query-batch",
+    "executor", "range", "range-epsilon", "window-lo", "window-hi",
+    "initial-threshold", "selection-multi", "selection-cached",
+    "selection-threshold",
+])
+def test_non_finite_input_refused(call):
+    """A non-finite query, window bound, radius or warm start is refused,
+    as the wire refuses it, instead of selecting nothing."""
+    fp, ids, tcs = make_records(400, seed=2)
+    index = S3Index(
+        FingerprintStore(fp, ids, tcs), model=NormalDistortionModel(NDIMS, SIGMA)
+    )
+    with pytest.raises(ConfigurationError, match="finite|epsilon"):
+        call(index)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from repro.distortion.model import NormalDistortionModel
 from repro.hilbert import HilbertCurve
 from repro.index import batch
-from repro.index.filtering import BlockSelection
+from repro.index.filtering import BlockSelection, SelectionBatch
 from repro.index.s3 import QueryStats, S3Index
 from repro.index.segmented import ReadView, Segment, SegmentedS3Index, SegmentMeta
 from repro.index.store import FingerprintStore
@@ -294,7 +294,9 @@ def scan_view(sections):
 
 def no_blocks(num):
     empty = np.zeros(0, dtype=np.uint64)
-    return [BlockSelection(empty, empty, 1, 0.0, 0.0, 0) for _ in range(num)]
+    return SelectionBatch.of(
+        [BlockSelection(empty, empty, 1, 0.0, 0.0, 0) for _ in range(num)]
+    )
 
 
 @given(range_lists(), st.booleans())
@@ -354,7 +356,9 @@ def test_row_ranges_match_reference(which, raw, depth):
     if which == "wrap":
         lists[0] = np.unique(np.append(lists[0], top))
         lists.append(np.unique(layout.keys >> np.uint64(64 - depth))[-4:])
-    starts, ends, bounds = layout.batch_row_ranges(lists, depth)
+    starts, ends, bounds = layout.row_ranges(
+        np.concatenate(lists), [p.size for p in lists], depth
+    )
     for i, prefixes in enumerate(lists):
         want = reference_scan.block_row_ranges(layout, prefixes, depth)
         a, b = bounds[i], bounds[i + 1]

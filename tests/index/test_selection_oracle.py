@@ -1,11 +1,14 @@
 """The one-descent selection kernel against the descent-per-probe code it
 replaced (``reference_selection``): every field of every selection equal,
-and the α-mass of a converged selection admissible.
+and the α-mass of a converged selection admissible.  A flat
+``SelectionBatch`` is the list of its queries' solo selections, whether
+the search ran in one chunk or several.
 
 ``PROPERTY_EXAMPLES`` raises the example count (CI's ``property-long`` job).
 """
 
 import os
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -134,3 +137,37 @@ def test_threshold_selection_matches_reference(case, threshold):
             queries[0], model, curve, depth, float(thresholds[0])
         )
         assert fields(solo) == fields(got[0])
+
+
+def columns(batch):
+    return tuple(
+        getattr(batch, name).tobytes()
+        for name in ("prefixes", "probabilities", "counts", "thresholds",
+                     "totals", "nodes", "probes")
+    ) + (batch.depth,)
+
+
+@given(cases(), st.floats(0.3, 0.99), st.integers(1, 3))
+@settings(max_examples=EXAMPLES, deadline=None)
+def test_batch_is_its_solo_selections(case, alpha, step):
+    curve, depth, model, batches = case
+    cuts = (1 << -(-depth // curve.ndims)) + 1
+    for queries in batches:
+        solo = [
+            filtering.statistical_blocks(query, model, curve, depth, alpha)
+            for query in queries
+        ]
+        whole = filtering.statistical_blocks_multi(
+            queries, model, curve, depth, alpha
+        )
+        # A CDF-table bound of *step* queries: the search runs in chunks.
+        with mock.patch.object(
+            filtering, "_TABLE_ENTRIES", step * curve.ndims * cuts
+        ):
+            chunked = filtering.statistical_blocks_multi(
+                queries, model, curve, depth, alpha
+            )
+        want = columns(filtering.SelectionBatch.of(solo))
+        for batch in (whole, chunked):
+            assert columns(batch) == want
+            assert [fields(s) for s in batch] == [fields(s) for s in solo]
