@@ -18,9 +18,10 @@ from ..distortion.model import IndependentDistortionModel
 from ..errors import ConfigurationError, ExtractionError
 from ..fingerprint.extractor import ExtractorConfig, FingerprintExtractor
 from ..index.batch import BatchQueryExecutor
-from ..index.options import QueryOptions
+from ..index.options import QueryOptions, config_options
 from ..index.s3 import S3Index
 from ..video.synthetic import VideoClip
+from .voting import MIN_MATCHES, TUKEY_C, VOTE_TOLERANCE
 from .voting import Vote, check_vote_parameters, vote
 
 
@@ -49,11 +50,11 @@ class DetectorConfig:
     ``alpha`` wins.  After construction ``options`` is always populated.
     """
 
-    alpha: float = 0.8
-    vote_tolerance: float = 2.0
-    tukey_c: float = 6.0
+    alpha: float = QueryOptions.alpha
+    vote_tolerance: float = VOTE_TOLERANCE
+    tukey_c: float = TUKEY_C
     decision_threshold: int = 5
-    min_matches: int = 2
+    min_matches: int = MIN_MATCHES
     extractor: ExtractorConfig = field(default_factory=ExtractorConfig)
     options: Optional[QueryOptions] = None
 
@@ -63,12 +64,8 @@ class DetectorConfig:
             raise ConfigurationError(
                 f"decision_threshold must be >= 1, got {self.decision_threshold}"
             )
-        if self.options is not None:
-            self.alpha = self.options.alpha
-        else:
-            self.options = QueryOptions(alpha=self.alpha)
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1), got {self.alpha}")
+        self.options = config_options(self.alpha, self.options)
+        self.alpha = self.options.alpha
 
 
 @dataclass

@@ -36,11 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
 from ..errors import ConfigurationError, ExtractionError
 from ..fingerprint.extractor import ExtractorConfig, FingerprintExtractor
 from ..index.batch import BatchQueryExecutor
-from ..index.options import QueryOptions
+from ..index.options import QueryOptions, config_options
 from ..index.s3 import S3Index
 from ..video.synthetic import VideoClip
 from .detector import Detection
-from .voting import check_vote_parameters, vote
+from .voting import vote
 
 
 @dataclass
@@ -50,16 +50,15 @@ class MonitorConfig:
     Engine tuning (batching, prefilter mode) lives in ``options``, the
     unified :class:`~repro.index.options.QueryOptions`; when given, its
     ``alpha`` wins.  After construction ``options`` is always populated.
+    The buffer is voted with :func:`~repro.cbcd.voting.vote`'s default
+    parameters.
     """
 
-    alpha: float = 0.8
+    alpha: float = QueryOptions.alpha
     window_frames: int = 80
     hop_frames: int = 40
     buffer_keyframes: int = 64
-    vote_tolerance: float = 2.0
-    tukey_c: float = 6.0
     decision_threshold: int = 10
-    min_matches: int = 2
     dedupe_offset_tolerance: float = 4.0
     ingest_new: bool = False
     ingest_video_id: int = 1_000_000
@@ -68,13 +67,8 @@ class MonitorConfig:
     options: Optional[QueryOptions] = None
 
     def __post_init__(self) -> None:
-        check_vote_parameters(self.vote_tolerance, self.tukey_c, self.min_matches)
-        if self.options is not None:
-            self.alpha = self.options.alpha
-        else:
-            self.options = QueryOptions(alpha=self.alpha)
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1), got {self.alpha}")
+        self.options = config_options(self.alpha, self.options)
+        self.alpha = self.options.alpha
         if self.window_frames < 8:
             raise ConfigurationError(
                 f"window_frames must be >= 8, got {self.window_frames}"
@@ -248,12 +242,7 @@ class StreamMonitor:
                 extraction.store, unmatched_rows, window_start
             )
 
-        votes = vote(
-            self._matches,
-            tolerance=cfg.vote_tolerance,
-            tukey_c=cfg.tukey_c,
-            min_matches=cfg.min_matches,
-        )
+        votes = vote(self._matches)
         fresh: list[StreamDetection] = []
         for v in votes:
             if v.nsim < cfg.decision_threshold:

@@ -31,6 +31,12 @@ import numpy as np
 from ..errors import ConfigurationError
 from .mestimator import closest_residuals, flatten_matches, solve_offsets
 
+#: The vote's defaults (``n_sim`` tolerance in frames, eq. (2)'s Tukey
+#: constant, fewest matched candidates per identifier), declared once.
+VOTE_TOLERANCE = 2.0
+TUKEY_C = 6.0
+MIN_MATCHES = 2
+
 
 @dataclass(frozen=True)
 class Vote:
@@ -155,8 +161,8 @@ def check_vote_parameters(
 ) -> None:
     """Reject vote parameters no buffer can be voted with.
 
-    :func:`vote` checks them on entry, and every config that carries
-    them checks them on construction.
+    :func:`vote` checks them on entry, and
+    :class:`~repro.cbcd.detector.DetectorConfig` on construction.
     """
     if not tolerance >= 0:
         raise ConfigurationError(f"tolerance must be >= 0, got {tolerance}")
@@ -191,9 +197,9 @@ def count_votes(
 
 def vote(
     matches: Iterable[tuple],
-    tolerance: float = 2.0,
-    tukey_c: float = 6.0,
-    min_matches: int = 2,
+    tolerance: float = VOTE_TOLERANCE,
+    tukey_c: float = TUKEY_C,
+    min_matches: int = MIN_MATCHES,
 ) -> list[Vote]:
     """Run the full voting strategy over a buffer of query matches.
 

@@ -41,47 +41,45 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from .cbcd.detector import CopyDetector, DetectorConfig
+from .cluster.router import RouterConfig
 from .distortion.model import NormalDistortionModel
 from .errors import ConfigurationError, ReproError
 from .fingerprint.extractor import FingerprintExtractor
 from .index.batch import BatchQueryExecutor
-from .index.options import (
-    PREFILTER_MODES,
-    QueryOptions,
-    validate_durability,
-)
+from .index.options import DURABILITY_MODES, PREFILTER_MODES, QueryOptions
 from .index.s3 import S3Index
 from .index.segmented import CompactionPolicy, Manifest, SegmentedS3Index
 from .index.store import FingerprintStore, expected_file_size, read_header
 from .index.summary import index_summary, store_file_summary
+from .serve.cache import CACHE_MODES
+from .serve.server import ServeConfig
 from .video.synthetic import VideoClip, generate_clip
 
 
-def _validate_common_args(args: argparse.Namespace) -> None:
-    """Reject out-of-domain engine knobs with a friendly message.
+@contextmanager
+def _flag_errors(args: argparse.Namespace):
+    """Let a config built from flags name the flag it refuses.
 
-    Shared by ``query``, ``detect``, ``serve`` and ``request`` so a typo
-    like ``--batch-size 0`` fails as a one-line ``error:`` instead of a
+    A config's :class:`ConfigurationError` starts with the field name,
+    which is the flag's ``dest``: ``batch_size must be >= 1`` becomes
+    ``--batch-size must be >= 1``, a one-line ``error:`` instead of a
     traceback from deep inside the engine.
     """
-    batch_size = getattr(args, "batch_size", None)
-    if batch_size is not None and batch_size < 1:
+    try:
+        yield
+    except ConfigurationError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name not in vars(args):
+            raise
         raise ConfigurationError(
-            f"--batch-size must be >= 1, got {batch_size}"
-        )
-    alpha = getattr(args, "alpha", None)
-    if alpha is not None and not 0.0 < alpha <= 1.0:
-        raise ConfigurationError(
-            f"--alpha must be in (0, 1], got {alpha}"
-        )
-    durability = getattr(args, "durability", None)
-    if durability is not None:
-        validate_durability(durability, api="--durability")
+            f"--{name.replace('_', '-')} {rest}"
+        ) from None
 
 
 def _parse_bytes(text: str) -> int:
@@ -125,12 +123,31 @@ def _storage_config(args: argparse.Namespace):
 
 def _query_options(args: argparse.Namespace) -> QueryOptions:
     """The unified :class:`QueryOptions` a subcommand's flags describe."""
-    fields = {}
-    for name in ("alpha", "batch_size", "prefilter"):
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name] = value
-    return QueryOptions(**fields)
+    given = {
+        name: getattr(args, name)
+        for name in ("alpha", "batch_size", "prefilter")
+        if name in vars(args)
+    }
+    with _flag_errors(args):
+        return QueryOptions(**given)
+
+
+def serve_config_from_args(args: argparse.Namespace) -> ServeConfig:
+    """The :class:`ServeConfig` ``repro-s3 serve``'s flags describe.
+
+    The inverse of :func:`repro.cluster.supervisor.serve_argv`.
+    """
+    options = _query_options(args)
+    with _flag_errors(args):
+        return ServeConfig(
+            host=args.host, port=args.port, max_batch=args.max_batch,
+            max_wait_ms=args.max_wait_ms, queue_limit=args.queue_limit,
+            cache=args.cache, cache_capacity=args.cache_capacity,
+            durability=args.durability,
+            maintenance=not args.no_maintenance,
+            backpressure_rows=args.backpressure_rows,
+            compact_mb_per_s=args.compact_mb_per_s, options=options,
+        )
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -205,7 +222,7 @@ def _load_index(
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    _validate_common_args(args)
+    options = _query_options(args)
     index = _load_index(args.index)
     if args.queries is not None:
         queries = np.load(args.queries).astype(np.float64)
@@ -220,7 +237,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
     else:
         print("error: pass --queries FILE or --from-row N", file=sys.stderr)
         return 2
-    executor = BatchQueryExecutor(index, options=_query_options(args))
+    executor = BatchQueryExecutor(index, options=options)
     for i, result in enumerate(executor.query_all(queries)):
         stats = result.stats
         print(
@@ -236,12 +253,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    _validate_common_args(args)
-    index = _load_index(args.index)
     config = DetectorConfig(
         decision_threshold=args.threshold,
         options=_query_options(args),
     )
+    index = _load_index(args.index)
     detector = CopyDetector(index, config)
     clip = _load_clip(args.video)
     report = detector.detect_clip(clip)
@@ -322,23 +338,20 @@ def _segmented_info(directory: Path) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    validate_durability(args.durability, api="--durability")
     directory = Path(args.directory)
     stores = [FingerprintStore.load(path) for path in args.stores]
+    handle = dict(
+        flush_rows=args.memtable_rows,
+        policy=CompactionPolicy(max_segments=args.max_segments),
+        durability=args.durability,
+    )
     if Manifest.exists(directory):
-        index = SegmentedS3Index.open(
-            directory, flush_rows=args.memtable_rows,
-            policy=CompactionPolicy(max_segments=args.max_segments),
-            durability=args.durability,
-        )
+        index = SegmentedS3Index.open(directory, **handle)
     else:
         ndims = args.ndims if args.ndims is not None else stores[0].ndims
         index = SegmentedS3Index.create(
             directory, ndims=ndims, depth=args.depth,
-            model=NormalDistortionModel(ndims, args.sigma),
-            flush_rows=args.memtable_rows,
-            policy=CompactionPolicy(max_segments=args.max_segments),
-            durability=args.durability,
+            model=NormalDistortionModel(ndims, args.sigma), **handle,
         )
         print(f"created segmented index at {directory} "
               f"(ndims={ndims}, depth={index.depth})")
@@ -377,27 +390,15 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tier_status(args: argparse.Namespace) -> int:
+def _cmd_tier(args: argparse.Namespace) -> int:
     directory = Path(args.directory)
     if not directory.is_dir():
         raise ConfigurationError(
-            f"tier status needs a segmented index directory, "
+            f"tier {args.tier_cmd} needs a segmented index directory, "
             f"got {args.directory}"
         )
-    with SegmentedS3Index.open(directory) as index:
-        info = index.storage_info()
-    return _print_tier_info(args, info)
-
-
-def _cmd_tier_attach(args: argparse.Namespace) -> int:
-    directory = Path(args.directory)
-    if not directory.is_dir():
-        raise ConfigurationError(
-            f"tier attach needs a segmented index directory, "
-            f"got {args.directory}"
-        )
-    storage = _storage_config(args)
-    if storage is None:
+    storage = _storage_config(args)  # always None for `status`
+    if args.tier_cmd == "attach" and storage is None:
         raise ConfigurationError(
             "tier attach needs --storage-budget and/or --cold-dir"
         )
@@ -406,10 +407,6 @@ def _cmd_tier_attach(args: argparse.Namespace) -> int:
     # CLI, serve, the cluster supervisor) inherit the tiering.
     with SegmentedS3Index.open(directory, storage=storage) as index:
         info = index.storage_info()
-    return _print_tier_info(args, info)
-
-
-def _print_tier_info(args: argparse.Namespace, info: dict) -> int:
     if args.json:
         print(json.dumps(info, indent=2))
         return 0
@@ -442,33 +439,13 @@ def _print_tier_info(args: argparse.Namespace, info: dict) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .serve.server import DetectionServer, ServeConfig
+    from .serve.server import DetectionServer
 
-    _validate_common_args(args)
+    config = serve_config_from_args(args)
     # mmap: the server is long-lived; sealed stores stay file-backed.
-    storage = _storage_config(args)
     index = _load_index(
-        args.index, mmap=True, storage=storage,
-        durability=args.durability,
-    )
-    cache_kwargs = {}
-    if args.cache_capacity is not None:
-        cache_kwargs["cache_capacity"] = args.cache_capacity
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
-        queue_limit=args.queue_limit,
-        cache=args.cache,
-        storage_budget=None if storage is None else storage.budget_bytes,
-        cold_dir=None if storage is None else storage.cold_dir,
-        durability=args.durability,
-        maintenance=not args.no_maintenance,
-        backpressure_rows=args.backpressure_rows,
-        compact_mb_per_s=args.compact_mb_per_s,
-        options=_query_options(args),
-        **cache_kwargs,
+        args.index, mmap=True, storage=_storage_config(args),
+        durability=config.durability,
     )
 
     async def _run() -> None:
@@ -505,17 +482,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_cluster_plan(args: argparse.Namespace) -> int:
     from .cluster import plan_cluster
 
-    budget = (
-        None if args.storage_budget is None
-        else _parse_bytes(args.storage_budget)
-    )
+    storage = _storage_config(args)
     manifest = plan_cluster(
         args.source,
         args.cluster_dir,
         num_shards=args.shards,
         replicas=args.replicas,
         seal=args.seal,
-        storage_budget=budget,
+        storage_budget=None if storage is None else storage.budget_bytes,
         cold_dir=args.cold_dir,
     )
     print(
@@ -536,23 +510,18 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .cluster import ClusterManifest, ClusterRouter, ClusterSupervisor
-    from .cluster.router import RouterConfig
-    from .serve.server import ServeConfig
 
+    with _flag_errors(args):
+        config = RouterConfig(
+            host=args.host, port=args.port, alpha=args.alpha,
+            shard_timeout=args.shard_timeout, cache=args.cache,
+            cache_capacity=args.cache_capacity,
+        )
     manifest = ClusterManifest.load(args.cluster_dir)
     supervisor = ClusterSupervisor(
         args.cluster_dir,
         mode=args.mode,
-        serve_config=ServeConfig(port=0, alpha=args.alpha),
-        extra_serve_args=["--alpha", str(args.alpha)],
-    )
-    cache_kwargs = {}
-    if args.cache_capacity is not None:
-        cache_kwargs["cache_capacity"] = args.cache_capacity
-    config = RouterConfig(
-        host=args.host, port=args.port, alpha=args.alpha,
-        shard_timeout=args.shard_timeout, cache=args.cache,
-        **cache_kwargs,
+        serve_config=ServeConfig(port=0, alpha=config.alpha),
     )
 
     async def _run(router: ClusterRouter) -> None:
@@ -623,7 +592,6 @@ def _cmd_cluster_status(args: argparse.Namespace) -> int:
 def _cmd_request(args: argparse.Namespace) -> int:
     from .serve.client import ServeClient
 
-    _validate_common_args(args)
     with ServeClient(
         host=args.host, port=args.port, timeout=args.timeout,
         retries=args.retries,
@@ -687,6 +655,71 @@ def _cmd_request(args: argparse.Namespace) -> int:
     return 0
 
 
+# Each flag group is declared once, by one helper, with its defaults
+# taken from the dataclass that owns the setting.
+def _add_query_flags(
+    p: argparse.ArgumentParser, alpha_help: str,
+    batch: bool = True, prefilter: bool = True,
+) -> None:
+    """``--alpha``, and ``--batch-size`` / ``--prefilter`` if asked."""
+    p.add_argument("--alpha", type=float, default=QueryOptions.alpha,
+                   help=alpha_help)
+    if batch:
+        p.add_argument("--batch-size", type=int,
+                       default=QueryOptions.batch_size,
+                       help="queries per batched engine call")
+    if prefilter:
+        p.add_argument("--prefilter", choices=PREFILTER_MODES,
+                       default=QueryOptions.prefilter,
+                       help="segment-sketch pre-filter: skip segments the "
+                            "always-resident sketches prove empty for the "
+                            "query (admissible — results are "
+                            "bit-identical); off disables, auto enables")
+
+
+def _add_endpoint_flags(
+    p: argparse.ArgumentParser, owner: type, port_help: str,
+    optional_port: bool = False,
+) -> None:
+    """``--host`` and ``--port`` of *owner*'s service."""
+    p.add_argument("--host", default=owner.host)
+    p.add_argument("--port", type=int,
+                   default=None if optional_port else owner.port,
+                   help=port_help)
+
+
+def _add_storage_flags(p: argparse.ArgumentParser) -> None:
+    """``--storage-budget`` and ``--cold-dir`` (see :func:`_storage_config`)."""
+    p.add_argument("--storage-budget", default=None, metavar="BYTES",
+                   help="tiered-storage resident budget (K/M/G suffixes, "
+                        "e.g. 64M); segments beyond it demote to the "
+                        "cold blob tier")
+    p.add_argument("--cold-dir", default=None,
+                   help="cold-tier blob directory (default: cold/ inside "
+                        "the index directory)")
+
+
+def _add_cache_flags(
+    p: argparse.ArgumentParser, owner: type, cache_help: str
+) -> None:
+    """``--cache`` and ``--cache-capacity`` of *owner*."""
+    p.add_argument("--cache", choices=CACHE_MODES, default=owner.cache,
+                   help=cache_help)
+    p.add_argument("--cache-capacity", type=int,
+                   default=owner.cache_capacity,
+                   help="entries per result cache (default %(default)s)")
+
+
+def _add_durability_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--durability", choices=DURABILITY_MODES,
+                   default=ServeConfig.durability,
+                   help="WAL fsync policy: always (fsync every append), "
+                        "group (one fsync per batch of concurrent "
+                        "appends, still durable before acknowledging; "
+                        "default), async (no fsync — fastest, a crash "
+                        "can lose the unsealed tail)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``repro-s3`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -734,22 +767,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="partition depth when creating")
     p.add_argument("--memtable-rows", type=int, default=8192,
                    help="seal the memtable past this many rows")
-    p.add_argument("--max-segments", type=int, default=8,
+    p.add_argument("--max-segments", type=int,
+                   default=CompactionPolicy.max_segments,
                    help="compaction trigger (segment-count cap)")
     p.add_argument("--flush", action="store_true",
                    help="seal the memtable after ingesting")
-    p.add_argument("--durability", default="group",
-                   help="WAL fsync policy: always (fsync every append), "
-                        "group (one fsync per batch of concurrent "
-                        "appends; default), async (no fsync — fastest, "
-                        "a crash can lose the unsealed tail)")
+    _add_durability_flag(p)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser(
         "compact", help="merge segments of a segmented index directory"
     )
     p.add_argument("directory")
-    p.add_argument("--max-segments", type=int, default=8)
+    p.add_argument("--max-segments", type=int,
+                   default=CompactionPolicy.max_segments)
     p.add_argument("--flush", action="store_true",
                    help="seal the memtable before compacting")
     p.add_argument("--force", action="store_true",
@@ -759,32 +790,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="run statistical queries")
     p.add_argument("index", help="index prefix (from `build --out`) "
                    "or segmented index directory")
-    p.add_argument("--alpha", type=float, default=0.8)
+    _add_query_flags(p, alpha_help="expectation of the statistical query")
     p.add_argument("--queries", default=None, help="(N, D) .npy of queries")
     p.add_argument("--from-row", type=int, default=None,
                    help="query with a stored fingerprint (sanity check)")
     p.add_argument("--limit", type=int, default=5,
                    help="matches to print per query")
-    p.add_argument("--batch-size", type=int, default=32,
-                   help="queries per batched engine call")
-    p.add_argument("--prefilter", choices=list(PREFILTER_MODES),
-                   default="auto",
-                   help="segment-sketch pre-filter: skip segments the "
-                        "always-resident sketches prove empty for the "
-                        "query (admissible — results are bit-identical); "
-                        "off disables, auto enables")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("detect", help="detect copies in a candidate video")
     p.add_argument("index", help="index prefix or segmented index directory")
     p.add_argument("video", help="(T, H, W) uint8 .npy file")
-    p.add_argument("--alpha", type=float, default=0.8)
+    _add_query_flags(p, alpha_help="expectation of the statistical query")
     p.add_argument("--threshold", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=32,
-                   help="queries per batched engine call")
-    p.add_argument("--prefilter", choices=list(PREFILTER_MODES),
-                   default="auto",
-                   help="segment-sketch pre-filter (see `query --help`)")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser(
@@ -802,41 +820,29 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the detection service over an index (Ctrl-C drains)",
     )
     p.add_argument("index", help="index prefix or segmented index directory")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8765,
-                   help="0 binds an ephemeral port")
-    p.add_argument("--alpha", type=float, default=0.8,
-                   help="the expectation every request is served at")
-    p.add_argument("--max-batch", type=int, default=32,
+    _add_endpoint_flags(p, ServeConfig, "0 binds an ephemeral port")
+    _add_query_flags(
+        p, alpha_help="the expectation every request is served at",
+        batch=False,
+    )
+    p.add_argument("--max-batch", type=int, default=ServeConfig.max_batch,
                    help="fingerprints per coalesced engine call")
-    p.add_argument("--max-wait-ms", type=float, default=2.0,
+    p.add_argument("--max-wait-ms", type=float,
+                   default=ServeConfig.max_wait_ms,
                    help="micro-batching window")
-    p.add_argument("--queue-limit", type=int, default=1024,
+    p.add_argument("--queue-limit", type=int,
+                   default=ServeConfig.queue_limit,
                    help="queued fingerprints before requests are shed")
-    p.add_argument("--prefilter", choices=list(PREFILTER_MODES),
-                   default="auto",
-                   help="segment-sketch pre-filter (see `query --help`)")
-    p.add_argument("--cache", choices=["auto", "off"],
-                   default="auto",
-                   help="serve-path caching: result LRU, in-flight "
-                        "dedupe and hot-block gather cache (answers "
-                        "stay bit-identical; invalidated on ingest)")
-    p.add_argument("--cache-capacity", type=int, default=None,
-                   help="result-cache entries kept (default 4096)")
-    p.add_argument("--storage-budget", default=None, metavar="BYTES",
-                   help="tiered-storage resident budget (accepts K/M/G "
-                        "suffixes, e.g. 64M); segments beyond it demote "
-                        "to the cold blob tier")
-    p.add_argument("--cold-dir", default=None,
-                   help="cold-tier blob directory (default: cold/ inside "
-                        "the index directory)")
+    _add_cache_flags(
+        p, ServeConfig,
+        "serve-path caching: result LRU, in-flight dedupe and hot-block "
+        "gather cache (answers stay bit-identical; invalidated on ingest)",
+    )
+    _add_storage_flags(p)
     p.add_argument("--port-file", default=None,
                    help="write the bound port here after startup "
                         "(atomically; used by the cluster supervisor)")
-    p.add_argument("--durability", default="group",
-                   help="WAL fsync policy for ingest: always / group "
-                        "(default; concurrent appends share one fsync) "
-                        "/ async (see `ingest --help`)")
+    _add_durability_flag(p)
     p.add_argument("--no-maintenance", action="store_true",
                    help="run seal/compaction inline on the write path "
                         "instead of the background maintenance worker "
@@ -849,7 +855,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compact-mb-per-s", type=float, default=None,
                    help="background-compaction I/O rate limit "
                         "(default: unlimited)")
-    p.set_defaults(func=_cmd_serve, batch_size=None)
+    p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
         "tier",
@@ -864,22 +870,17 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--json", action="store_true",
                     help="emit the machine-readable storage block (same "
                          "schema as the serve stats payload)")
-    tp.set_defaults(func=_cmd_tier_status)
+    tp.set_defaults(func=_cmd_tier)
     tp = tsub.add_parser(
         "attach",
         help="persist a tier budget/cold directory into the manifest "
              "and demote down to it",
     )
     tp.add_argument("directory", help="segmented index directory")
-    tp.add_argument("--storage-budget", default=None, metavar="BYTES",
-                    help="resident budget (accepts K/M/G suffixes); "
-                         "segments beyond it demote to the cold tier")
-    tp.add_argument("--cold-dir", default=None,
-                    help="cold-tier blob directory (default: cold/ "
-                         "inside the index directory)")
+    _add_storage_flags(tp)
     tp.add_argument("--json", action="store_true",
                     help="emit the resulting storage block as JSON")
-    tp.set_defaults(func=_cmd_tier_attach)
+    tp.set_defaults(func=_cmd_tier)
 
     p = sub.add_parser(
         "cluster",
@@ -889,7 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = csub.add_parser(
         "plan",
-        help="partition a sealed segmented index into shard directories",
+        help="partition a sealed segmented index into shard directories "
+             "(storage flags are stamped into every replica's manifest)",
     )
     cp.add_argument("source", help="sealed segmented index directory")
     cp.add_argument("cluster_dir", help="output cluster directory")
@@ -899,13 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="full copies per shard (failover targets)")
     cp.add_argument("--seal", action="store_true",
                     help="flush unsealed rows in the source first")
-    cp.add_argument("--storage-budget", default=None, metavar="BYTES",
-                    help="stamp a tiered-storage budget (K/M/G suffixes) "
-                         "into every replica manifest; replicas demote "
-                         "to their cold tier on first open")
-    cp.add_argument("--cold-dir", default=None,
-                    help="cold-tier blob directory for replicas "
-                         "(default: cold/ inside each replica)")
+    _add_storage_flags(cp)
     cp.set_defaults(func=_cmd_cluster_plan)
 
     cp = csub.add_parser(
@@ -913,23 +909,25 @@ def build_parser() -> argparse.ArgumentParser:
         help="launch all shard replicas plus the scatter-gather router",
     )
     cp.add_argument("cluster_dir", help="planned cluster directory")
-    cp.add_argument("--host", default="127.0.0.1")
-    cp.add_argument("--port", type=int, default=8765,
-                    help="router port (0 binds an ephemeral port)")
-    cp.add_argument("--alpha", type=float, default=0.8,
-                    help="cluster-wide alpha (router and every shard)")
+    _add_endpoint_flags(
+        cp, RouterConfig, "router port (0 binds an ephemeral port)"
+    )
+    _add_query_flags(
+        cp, alpha_help="cluster-wide alpha (router and every shard)",
+        batch=False, prefilter=False,
+    )
     cp.add_argument("--mode", choices=["process", "thread"],
                     default="process",
                     help="replica isolation: one process per replica "
                          "(production) or in-process threads (tests)")
-    cp.add_argument("--shard-timeout", type=float, default=30.0,
+    cp.add_argument("--shard-timeout", type=float,
+                    default=RouterConfig.shard_timeout,
                     help="per-attempt cap on one replica answering")
-    cp.add_argument("--cache", choices=["auto", "off"],
-                    default="auto",
-                    help="per-shard wire-result cache at the router "
-                         "(dirty shards always bypass it)")
-    cp.add_argument("--cache-capacity", type=int, default=None,
-                    help="cached results kept per shard (default 4096)")
+    _add_cache_flags(
+        cp, RouterConfig,
+        "per-shard wire-result cache at the router (dirty shards always "
+        "bypass it)",
+    )
     cp.set_defaults(func=_cmd_cluster_serve)
 
     cp = csub.add_parser(
@@ -937,9 +935,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the cluster plan (and live router stats with --port)",
     )
     cp.add_argument("cluster_dir", help="planned cluster directory")
-    cp.add_argument("--host", default="127.0.0.1")
-    cp.add_argument("--port", type=int, default=None,
-                    help="also query a running router at this port")
+    _add_endpoint_flags(
+        cp, RouterConfig, "also query a running router at this port",
+        optional_port=True,
+    )
     cp.set_defaults(func=_cmd_cluster_status)
 
     p = sub.add_parser(
@@ -948,8 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("op", choices=["query", "detect", "ingest",
                                   "stats", "health"])
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8765)
+    _add_endpoint_flags(p, ServeConfig, "the service's port")
     p.add_argument("--queries", default=None,
                    help="(N, D) .npy of fingerprints (query/detect)")
     p.add_argument("--timecodes", default=None,

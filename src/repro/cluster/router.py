@@ -28,7 +28,7 @@ Failover: each shard is tried on its preferred replica first; a
 connection loss, per-attempt timeout, or transient server state
 (``shutting_down`` / ``not_ready`` / ``overloaded``) marks that replica
 down for a cooldown and moves to the next, for up to
-``failover_rounds`` passes over the replica set within the request
+``FAILOVER_ROUNDS`` passes over the replica set within the request
 deadline.  Query retries are naturally safe; ingest retries are safe by
 shard-side dedupe.  Only when every replica of a needed shard fails
 does the client see an error — ``unavailable``, which its retry loop
@@ -45,12 +45,14 @@ from typing import Optional
 
 import numpy as np
 
-from ..cbcd.voting import check_vote_parameters, vote
+from ..cbcd.detector import DetectorConfig
+from ..cbcd.voting import vote
 from ..distortion.model import NormalDistortionModel
 from ..errors import ConfigurationError, ReproError
 from ..hilbert.butz import HilbertCurve
 from ..hilbert.vectorized import encode_batch
 from ..index.filtering import statistical_blocks_multi
+from ..index.options import QueryOptions
 from ..serve import protocol
 from ..serve.cache import (
     CACHE_MODES,
@@ -59,7 +61,12 @@ from ..serve.cache import (
     QueryResultCache,
 )
 from ..serve.metrics import Counter, LatencyWindow
-from ..serve.server import NotReady, SocketFrameServer, WireOpError
+from ..serve.server import (
+    NotReady,
+    ServeConfig,
+    SocketFrameServer,
+    WireOpError,
+)
 from .merge import ShardMap, merge_query_wires, pack_wire, unpack_wire
 from .plan import ClusterManifest
 
@@ -71,34 +78,36 @@ _FAILOVER_CODES = frozenset({
 })
 
 
+#: Bound on opening a connection to one replica.
+CONNECT_TIMEOUT = 5.0
+#: How long a failed replica is skipped before being retried.
+DOWN_COOLDOWN = 1.0
+#: Full passes over a shard's replica set before giving up.
+FAILOVER_ROUNDS = 2
+#: Pause between failover rounds (lets a healing replica bind).
+ROUND_BACKOFF = 0.2
+#: Bound on waiting for every shard to report ready at startup.
+STARTUP_TIMEOUT = 60.0
+
+
 @dataclass(frozen=True)
 class RouterConfig:
-    """Router socket, engine-mirroring and failover knobs.
+    """Router socket, selection and cache knobs.
 
-    ``alpha`` and the vote parameters must match the shard servers'
-    configuration — the router computes selections (for skipping) and
-    votes (for ``detect``) locally with these values.
+    ``alpha`` must be the shard servers' — the router computes
+    selections (for skipping) locally at this value, and
+    :meth:`ClusterRouter.start` refuses shards that serve at another.
+    ``detect`` votes like a shard server: :func:`~repro.cbcd.voting.vote`'s
+    default parameters and, unless a request names its own
+    ``threshold``, :class:`~repro.cbcd.detector.DetectorConfig`'s
+    decision threshold.
     """
 
-    host: str = "127.0.0.1"
-    port: int = 8765
-    alpha: float = 0.8
-    max_frame: int = protocol.MAX_FRAME_BYTES
+    host: str = ServeConfig.host
+    port: int = ServeConfig.port
+    alpha: float = QueryOptions.alpha
     #: Per-attempt cap on one replica answering one scatter message.
     shard_timeout: float = 30.0
-    connect_timeout: float = 5.0
-    #: How long a failed replica is skipped before being retried.
-    down_cooldown: float = 1.0
-    #: Full passes over a shard's replica set before giving up.
-    failover_rounds: int = 2
-    #: Pause between failover rounds (lets a healing replica bind).
-    round_backoff: float = 0.2
-    #: Bound on waiting for every shard to report ready at startup.
-    startup_timeout: float = 60.0
-    vote_tolerance: float = 2.0
-    tukey_c: float = 6.0
-    min_matches: int = 2
-    decision_threshold: int = 5
     #: Per-shard wire-result cache: ``"auto"`` enables it, ``"off"``
     #: disables.  Dirty shards (which may mutate out of band)
     #: always bypass it, so cached answers stay bit-identical.
@@ -107,15 +116,7 @@ class RouterConfig:
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
 
     def __post_init__(self) -> None:
-        check_vote_parameters(self.vote_tolerance, self.tukey_c, self.min_matches)
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigurationError(
-                f"alpha must be in (0, 1], got {self.alpha}"
-            )
-        if self.failover_rounds < 1:
-            raise ConfigurationError(
-                f"failover_rounds must be >= 1, got {self.failover_rounds}"
-            )
+        QueryOptions(alpha=self.alpha)  # validates alpha
         if self.cache not in CACHE_MODES:
             raise ConfigurationError(
                 f"cache must be one of {CACHE_MODES}, got {self.cache!r}"
@@ -125,18 +126,13 @@ class RouterConfig:
                 f"cache_capacity must be >= 1, got {self.cache_capacity}"
             )
 
-    @property
-    def cache_enabled(self) -> bool:
-        return self.cache != "off"
-
 
 class _Replica:
     """One persistent connection to one shard replica."""
 
-    def __init__(self, host: str, port: int, config: RouterConfig):
+    def __init__(self, host: str, port: int):
         self.host = host
         self.port = port
-        self.config = config
         self.lock = asyncio.Lock()
         self.reader: Optional[asyncio.StreamReader] = None
         self.writer: Optional[asyncio.StreamWriter] = None
@@ -151,7 +147,7 @@ class _Replica:
         return time.monotonic() < self.down_until
 
     def mark_down(self) -> None:
-        self.down_until = time.monotonic() + self.config.down_cooldown
+        self.down_until = time.monotonic() + DOWN_COOLDOWN
 
     def mark_up(self) -> None:
         self.down_until = 0.0
@@ -178,7 +174,7 @@ class _Replica:
                 if self.writer is None:
                     self.reader, self.writer = await asyncio.wait_for(
                         asyncio.open_connection(self.host, self.port),
-                        timeout=self.config.connect_timeout,
+                        timeout=CONNECT_TIMEOUT,
                     )
                 await asyncio.wait_for(
                     protocol.write_message(
@@ -189,7 +185,7 @@ class _Replica:
                 )
                 response = await asyncio.wait_for(
                     protocol.read_message(
-                        self.reader, self.config.max_frame
+                        self.reader, protocol.MAX_FRAME_BYTES
                     ),
                     timeout=timeout,
                 )
@@ -252,9 +248,9 @@ class _ShardClient:
         t0 = time.perf_counter()
         last_failure = "no replicas"
         loop = asyncio.get_running_loop()
-        for round_no in range(self.config.failover_rounds):
+        for round_no in range(FAILOVER_ROUNDS):
             if round_no:
-                await asyncio.sleep(self.config.round_backoff)
+                await asyncio.sleep(ROUND_BACKOFF)
             for offset, replica in enumerate(self._attempt_order()):
                 # Down-marked replicas are skipped unless nothing else
                 # is left standing — then they are exactly what we try.
@@ -302,7 +298,7 @@ class _ShardClient:
         raise WireOpError(
             protocol.ERR_UNAVAILABLE,
             f"shard {self.shard}: no replica answered within "
-            f"{self.config.failover_rounds} round(s); last: {last_failure}",
+            f"{FAILOVER_ROUNDS} round(s); last: {last_failure}",
         )
 
     async def close(self) -> None:
@@ -320,9 +316,8 @@ class ClusterRouter(SocketFrameServer):
         config: Optional[RouterConfig] = None,
     ):
         config = config or RouterConfig()
-        super().__init__(config.host, config.port, config.max_frame)
+        super().__init__(config)
         self.manifest = manifest
-        self.config = config
         missing = [
             spec.shard for spec in manifest.shards
             if not endpoints.get(spec.shard)
@@ -338,7 +333,7 @@ class ClusterRouter(SocketFrameServer):
             _ShardClient(
                 spec.shard,
                 [
-                    _Replica(host, port, config)
+                    _Replica(host, port)
                     for host, port in endpoints[spec.shard]
                 ],
                 config,
@@ -381,7 +376,7 @@ class ClusterRouter(SocketFrameServer):
                 config.cache_capacity, stats=self.cache_stats
             )
             for spec in manifest.shards
-        } if config.cache_enabled else {}
+        } if config.cache != "off" else {}
         self._cache_epoch = 0
 
     # ------------------------------------------------------------------
@@ -396,22 +391,27 @@ class ClusterRouter(SocketFrameServer):
 
         Like the shard server, the listener opens first so health probes
         answer ``loading`` while the shards warm up behind the router.
+        A shard that serves at another α than the router's is refused
+        with :class:`~repro.errors.ConfigurationError`: the router's
+        selections would no longer be the shards'.
         """
         await self._bind()
-        await self._await_shards_ready()
+        try:
+            await self._await_shards_ready()
+        except BaseException:
+            await self.stop()
+            raise
         self._ready = True
 
     async def _await_shards_ready(self) -> None:
-        deadline = (
-            asyncio.get_running_loop().time() + self.config.startup_timeout
-        )
+        deadline = asyncio.get_running_loop().time() + STARTUP_TIMEOUT
         for client, spec in zip(self.shards, self.manifest.shards):
             while True:
                 remaining = deadline - asyncio.get_running_loop().time()
                 if remaining <= 0:
                     raise ReproError(
                         f"shard {client.shard} not ready within "
-                        f"{self.config.startup_timeout:.0f}s"
+                        f"{STARTUP_TIMEOUT:.0f}s"
                     )
                 try:
                     health = await client.request(
@@ -423,6 +423,13 @@ class ClusterRouter(SocketFrameServer):
                     await asyncio.sleep(0.05)
                     continue
                 if health.get("ready"):
+                    if health.get("alpha") != self.config.alpha:
+                        raise ConfigurationError(
+                            f"shard {client.shard} serves at alpha="
+                            f"{health.get('alpha')}, this router at "
+                            f"alpha={self.config.alpha}; start both at "
+                            "one alpha"
+                        )
                     rows = (health.get("index") or {}).get("rows")
                     if rows is not None and int(rows) != spec.rows:
                         # The replica already diverged from the plan
@@ -460,14 +467,6 @@ class ClusterRouter(SocketFrameServer):
             raise NotReady(
                 "router is waiting for its shards to become ready; "
                 "retry after backoff or probe health"
-            )
-
-    def _check_alpha(self, request: dict) -> None:
-        alpha = request.get("alpha")
-        if alpha is not None and alpha != self.config.alpha:
-            raise protocol.ProtocolError(
-                f"this cluster runs at alpha={self.config.alpha}; "
-                f"per-request alpha={alpha} is not supported"
             )
 
     # ------------------------------------------------------------------
@@ -618,7 +617,7 @@ class ClusterRouter(SocketFrameServer):
             request.get("timecodes", []), fingerprints.shape[0], "timecodes"
         )
         threshold = protocol.threshold_from_wire(
-            request, self.config.decision_threshold
+            request, DetectorConfig.decision_threshold
         )
         merged = await self._scatter_queries(request, fingerprints, False)
         # Off the event loop, like the shard servers' vote: scatters and
@@ -626,10 +625,7 @@ class ClusterRouter(SocketFrameServer):
         votes = await asyncio.get_running_loop().run_in_executor(
             None, lambda: vote(
                 [(tc, w["ids"], w["timecodes"])
-                 for tc, w in zip(timecodes, merged)],
-                tolerance=self.config.vote_tolerance,
-                tukey_c=self.config.tukey_c,
-                min_matches=self.config.min_matches,
+                 for tc, w in zip(timecodes, merged)]
             ),
         )
         return {
@@ -748,7 +744,7 @@ class ClusterRouter(SocketFrameServer):
                 "ingest_shed": self.ingest_shed,
                 "dirty_shards": sorted(self._dirty),
                 "cache": {
-                    "enabled": self.config.cache_enabled,
+                    "enabled": self.config.cache != "off",
                     "mode": self.config.cache,
                     "capacity_per_shard": self.config.cache_capacity,
                     "entries": sum(

@@ -21,6 +21,11 @@ Two modes:
   router's failover path: in-flight requests fail with
   ``shutting_down`` / closed connections, both failover triggers.
 
+Either way a replica runs the supervisor's ``serve_config`` with its own
+host and port.  A thread gets that config as is; a child gets it as the
+``serve`` flags of :func:`serve_argv`, which refuses a setting the
+command has no flag for rather than dropping it.
+
 A killed replica's healed copy replays only its own WAL — rows
 ingested through *other* replicas of the shard while it was down are
 not recovered (replicas do not sync with each other).  The documented
@@ -37,7 +42,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -49,6 +54,40 @@ from .plan import ClusterManifest
 
 _PORT_FILE_TIMEOUT = 30.0
 _READY_TIMEOUT = 60.0
+
+#: Settings ``repro-s3 serve`` has no flag for: :func:`serve_argv`
+#: refuses a config that changes one.
+NO_SERVE_FLAG = ("depth", "executor", "prefetch")
+
+
+def serve_flag(name: str) -> str:
+    """The ``repro-s3 serve`` flag of :meth:`ServeConfig.settings` *name*."""
+    if name == "maintenance":
+        return "--no-maintenance"  # the one boolean, on by default
+    return "--" + name.replace("_", "-")
+
+
+def serve_argv(config: ServeConfig) -> list[str]:
+    """The ``repro-s3 serve`` flags that rebuild *config*.
+
+    Only settings off their defaults are spelled out.  Raises
+    :class:`~repro.errors.ConfigurationError` for a changed setting in
+    :data:`NO_SERVE_FLAG`.
+    """
+    defaults = ServeConfig().settings()
+    argv: list[str] = []
+    for name, value in config.settings().items():
+        if value == defaults[name]:
+            continue
+        if name in NO_SERVE_FLAG:
+            raise ConfigurationError(
+                f"serve_config sets {name}={value!r}, which `repro-s3 "
+                "serve` has no flag for; a process-mode replica cannot "
+                "run it (thread mode can)"
+            )
+        flag = serve_flag(name)
+        argv += [flag] if isinstance(value, bool) else [flag, str(value)]
+    return argv
 
 
 @dataclass
@@ -99,11 +138,12 @@ class ClusterSupervisor:
         self.manifest = ClusterManifest.load(self.cluster_dir)
         self.mode = mode
         self.serve_config = serve_config or ServeConfig(port=0)
+        if mode == "process":
+            serve_argv(self.serve_config)  # refuse before spawning
         self.heal = heal
         self.poll_interval = poll_interval
-        #: Appended to each ``repro.cli serve`` child's command line in
-        #: process mode (e.g. ``["--alpha", "0.9"]``); must match the
-        #: router's configuration.
+        #: Appended last to each ``repro.cli serve`` child's command line
+        #: in process mode; it may only repeat ``serve_config``'s values.
         self.extra_serve_args = list(extra_serve_args or [])
         self.replicas: list[ReplicaHandle] = [
             ReplicaHandle(
@@ -205,25 +245,17 @@ class ClusterSupervisor:
         else:
             self._launch_thread(handle)
 
+    def _replica_config(self, handle: ReplicaHandle) -> ServeConfig:
+        # Port 0 on first launch, pinned after.
+        return replace(self.serve_config, host=handle.host, port=handle.port)
+
     def _launch_thread(self, handle: ReplicaHandle) -> None:
         from ..index.segmented.lsm import SegmentedS3Index
 
+        config = self._replica_config(handle)
         index = SegmentedS3Index.open(
-            handle.directory, auto_compact=False, mmap=True
-        )
-        base = self.serve_config
-        config = ServeConfig(
-            host=handle.host,
-            port=handle.port,  # 0 first launch, pinned after
-            max_batch=base.max_batch,
-            max_wait_ms=base.max_wait_ms,
-            queue_limit=base.queue_limit,
-            max_frame=base.max_frame,
-            vote_tolerance=base.vote_tolerance,
-            tukey_c=base.tukey_c,
-            min_matches=base.min_matches,
-            decision_threshold=base.decision_threshold,
-            options=base.options,
+            handle.directory, auto_compact=False, mmap=True,
+            durability=config.durability,
         )
         thread = ServerThread(index, config)
         thread.start()
@@ -248,9 +280,8 @@ class ClusterSupervisor:
         cmd = [
             sys.executable, "-m", "repro.cli", "serve",
             str(handle.directory),
-            "--host", handle.host,
-            "--port", str(handle.port),
             "--port-file", str(port_file),
+            *serve_argv(self._replica_config(handle)),
             *self.extra_serve_args,
         ]
         with open(handle.log_path, "ab") as log:

@@ -45,9 +45,9 @@ DURABILITY_MODES = ("always", "group", "async")
 def validate_durability(value: str, api: str = "durability") -> str:
     """Return *value* if it is a durability mode, else raise with help.
 
-    The shared friendly validation behind ``repro-s3 ingest
-    --durability``, ``repro-s3 serve --durability`` and
-    :class:`~repro.serve.server.ServeConfig`.
+    The friendly validation of
+    :class:`~repro.serve.server.ServeConfig`'s ``durability`` (the CLI's
+    ``--durability`` takes only these choices).
     """
     if value in DURABILITY_MODES:
         return value
@@ -67,7 +67,8 @@ class QueryOptions:
     Attributes
     ----------
     alpha:
-        Expectation of the statistical query (paper §II).
+        Expectation of the statistical query (paper §II), in (0, 1):
+        the one place the front ends validate it.
     depth:
         Partition depth override; ``None`` keeps the index default.
     batch_size:
@@ -90,9 +91,9 @@ class QueryOptions:
     prefetch: str = "auto"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha <= 1.0:
+        if not 0.0 < self.alpha < 1.0:
             raise ConfigurationError(
-                f"alpha must be in (0, 1], got {self.alpha}"
+                f"alpha must be in (0, 1), got {self.alpha}"
             )
         if self.depth is not None and self.depth < 1:
             raise ConfigurationError(
@@ -131,6 +132,16 @@ class QueryOptions:
     def replace(self, **changes) -> "QueryOptions":
         """A copy with *changes* applied (validates like the constructor)."""
         return replace(self, **changes)
+
+
+def config_options(
+    alpha: float, options: Optional[QueryOptions]
+) -> QueryOptions:
+    """The options of a config that takes ``alpha`` and ``options=``.
+
+    The α of *options* wins; without them, they are built from *alpha*.
+    """
+    return QueryOptions(alpha=alpha) if options is None else options
 
 
 def resolve_options(

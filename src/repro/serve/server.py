@@ -38,10 +38,11 @@ import asyncio
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from ..cbcd.voting import check_vote_parameters, vote
+from ..cbcd.detector import DetectorConfig
+from ..cbcd.voting import vote
 from ..errors import (
     ColdFetchError,
     ConfigurationError,
@@ -49,7 +50,11 @@ from ..errors import (
     ReproError,
 )
 from ..index.batch import BatchQueryExecutor
-from ..index.options import QueryOptions, validate_durability
+from ..index.options import (
+    QueryOptions,
+    config_options,
+    validate_durability,
+)
 from ..index.segmented import MaintenanceConfig
 from ..index.summary import index_summary
 from . import protocol
@@ -63,7 +68,6 @@ from .batcher import (
 from .cache import (
     CACHE_MODES,
     DEFAULT_CACHE_CAPACITY,
-    DEFAULT_GATHER_CACHE_ROWS,
     ServeCache,
     index_cache_token,
 )
@@ -98,6 +102,9 @@ INGEST_DEDUPE_CAPACITY = 4096
 #: The ``stats.requests`` key every op outside the op table counts under.
 UNKNOWN_OP = "unknown"
 
+#: Threads of the ingest lane, whose concurrent appends group-commit.
+INGEST_WORKERS = 4
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -121,51 +128,36 @@ class ServeConfig:
     ``durability`` is the WAL fsync policy of the ingest path
     (:data:`~repro.index.options.DURABILITY_MODES`): ``"group"`` — the
     default — coalesces concurrent appends into one fsync, still
-    durable before acknowledging.  The CLI applies the mode when
-    opening the index and mirrors it here so ``stats`` reports it; the
-    value cannot re-configure an already-open WAL.
+    durable before acknowledging.  Whoever opens the index applies the
+    mode (the CLI, the cluster supervisor) and passes it here too; the
+    value cannot re-configure an already-open WAL, and ``stats``
+    reports the index's own.
 
     ``maintenance`` moves seal/compaction onto the index's background
     worker (segmented indexes only); ``backpressure_rows`` and
     ``compact_mb_per_s`` tune its shedding threshold and compaction
-    I/O rate limit, and ``ingest_workers`` sizes the ingest lane whose
-    concurrent appends group-commit.
+    I/O rate limit.
 
-    ``storage_budget``/``cold_dir`` record the tiered-storage settings
-    the index was opened with (:mod:`repro.storage`); the CLI applies
-    them when opening the index and passes them here so ``stats``
-    reports them next to the live per-tier residency.
+    ``detect`` votes with :func:`~repro.cbcd.voting.vote`'s default
+    parameters and, unless a request names its own ``threshold``,
+    :class:`~repro.cbcd.detector.DetectorConfig`'s decision threshold.
     """
 
     host: str = "127.0.0.1"
     port: int = 8765
-    alpha: float = 0.8
-    max_batch: int = 32
-    max_wait_ms: float = 2.0
-    queue_limit: int = 1024
-    max_frame: int = protocol.MAX_FRAME_BYTES
-    vote_tolerance: float = 2.0
-    tukey_c: float = 6.0
-    min_matches: int = 2
-    decision_threshold: int = 5
+    alpha: float = QueryOptions.alpha
+    max_batch: int = BatcherConfig.max_batch
+    max_wait_ms: float = BatcherConfig.max_wait_ms
+    queue_limit: int = BatcherConfig.queue_limit
     cache: str = "auto"
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
-    gather_cache_rows: int = DEFAULT_GATHER_CACHE_ROWS
-    storage_budget: Optional[int] = None
-    cold_dir: Optional[str] = None
     durability: str = "group"
     maintenance: bool = True
     backpressure_rows: Optional[int] = None
     compact_mb_per_s: Optional[float] = None
-    ingest_workers: int = 4
     options: Optional[QueryOptions] = None
 
     def __post_init__(self) -> None:
-        check_vote_parameters(self.vote_tolerance, self.tukey_c, self.min_matches)
-        if self.storage_budget is not None and self.storage_budget < 0:
-            raise ConfigurationError(
-                f"storage_budget must be >= 0, got {self.storage_budget}"
-            )
         validate_durability(self.durability, api="ServeConfig.durability")
         if self.backpressure_rows is not None and self.backpressure_rows < 1:
             raise ConfigurationError(
@@ -177,10 +169,6 @@ class ServeConfig:
                 "compact_mb_per_s must be > 0, got "
                 f"{self.compact_mb_per_s}"
             )
-        if self.ingest_workers < 1:
-            raise ConfigurationError(
-                f"ingest_workers must be >= 1, got {self.ingest_workers}"
-            )
         if self.cache not in CACHE_MODES:
             raise ConfigurationError(
                 f"cache must be one of {CACHE_MODES!r}, "
@@ -190,32 +178,30 @@ class ServeConfig:
             raise ConfigurationError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity}"
             )
-        if self.gather_cache_rows < 0:
-            raise ConfigurationError(
-                "gather_cache_rows must be >= 0, got "
-                f"{self.gather_cache_rows}"
-            )
-        if self.options is not None:
-            opts = self.options
-            object.__setattr__(self, "alpha", opts.alpha)
-        else:
-            opts = QueryOptions(alpha=self.alpha)
+        opts = config_options(self.alpha, self.options)
+        object.__setattr__(self, "alpha", opts.alpha)
         # The micro-batcher owns batching: its max_batch is the engine
         # batch size, whatever the options said.
         object.__setattr__(
             self, "options", opts.replace(batch_size=self.max_batch)
         )
 
-    @property
-    def cache_enabled(self) -> bool:
-        return self.cache != "off"
+    def settings(self) -> dict:
+        """Every setting once, as a flat dict.
 
-    def batcher_config(self) -> BatcherConfig:
-        return BatcherConfig(
-            max_batch=self.max_batch,
-            max_wait_ms=self.max_wait_ms,
-            queue_limit=self.queue_limit,
-        )
+        The fields, with ``options`` spread in: its ``alpha`` is
+        ``alpha`` and its ``batch_size`` is ``max_batch``, so neither is
+        repeated.  ``stats.config`` reports this, and the cluster
+        supervisor rebuilds a replica's ``serve`` command line from it.
+        """
+        flat = {
+            f.name: getattr(self, f.name)
+            for f in fields(self) if f.name != "options"
+        }
+        for f in fields(self.options):
+            if f.name not in ("alpha", "batch_size"):
+                flat[f.name] = getattr(self.options, f.name)
+        return flat
 
     def maintenance_config(self, on_change=None) -> MaintenanceConfig:
         return MaintenanceConfig(
@@ -251,12 +237,12 @@ class SocketFrameServer:
 
     Subclasses provide :meth:`_op_table` and may override :meth:`_gate`
     to reject admissible-looking requests early (the readiness gate).
+    *config* is the subclass's config: its ``host``, ``port`` and the
+    one ``alpha`` every request is served at.
     """
 
-    def __init__(self, host: str, port: int, max_frame: int):
-        self._host = host
-        self._requested_port = port
-        self.max_frame = max_frame
+    def __init__(self, config):
+        self.config = config
         self.stats = ServerStats()
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: set[asyncio.Task] = set()
@@ -275,7 +261,7 @@ class SocketFrameServer:
     async def _bind(self) -> None:
         """Open the listening socket (requests may arrive immediately)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._requested_port
+            self._handle_connection, self.config.host, self.config.port
         )
 
     async def serve_forever(self) -> None:
@@ -315,7 +301,7 @@ class SocketFrameServer:
             while True:
                 try:
                     request = await protocol.read_message(
-                        reader, self.max_frame
+                        reader, protocol.MAX_FRAME_BYTES
                     )
                 except protocol.ProtocolError as exc:
                     # Framing is broken: answer once, drop the connection.
@@ -447,6 +433,15 @@ class SocketFrameServer:
     # ------------------------------------------------------------------
     # shared request helpers
     # ------------------------------------------------------------------
+    def _check_alpha(self, request: dict) -> None:
+        alpha = request.get("alpha")
+        if alpha is not None and alpha != self.config.alpha:
+            raise protocol.ProtocolError(
+                f"this service batches across requests at "
+                f"alpha={self.config.alpha}; per-request alpha={alpha} "
+                "is not supported (start another server for it)"
+            )
+
     def _deadline(self, request: dict) -> Optional[float]:
         deadline_ms = protocol.deadline_ms_from_wire(request)
         if deadline_ms is None:
@@ -472,10 +467,8 @@ class DetectionServer(SocketFrameServer):
     """Serve statistical queries, detection, and ingestion over sockets."""
 
     def __init__(self, index, config: Optional[ServeConfig] = None):
-        config = config or ServeConfig()
-        super().__init__(config.host, config.port, config.max_frame)
+        super().__init__(config or ServeConfig())
         self.index = index
-        self.config = config
         self._engine: Optional[ThreadPoolExecutor] = None
         self._ingest_lane: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -513,7 +506,7 @@ class DetectionServer(SocketFrameServer):
         # appends that overlap on the lane coalesce into one WAL group
         # commit — the whole point of durability="group".
         self._ingest_lane = ThreadPoolExecutor(
-            max_workers=cfg.ingest_workers,
+            max_workers=INGEST_WORKERS,
             thread_name_prefix="serve-ingest",
         )
         if cfg.maintenance and hasattr(self.index, "start_maintenance"):
@@ -524,14 +517,14 @@ class DetectionServer(SocketFrameServer):
             ))
         executor = BatchQueryExecutor(self.index, options=cfg.options)
         self._executor = executor
-        if cfg.cache_enabled:
+        if cfg.cache != "off":
             self.cache = ServeCache(
-                cfg.cache_capacity, cfg.gather_cache_rows,
-                token=index_cache_token(self.index),
+                cfg.cache_capacity, token=index_cache_token(self.index)
             )
             executor.gather_cache = self.cache.gather
         self.batcher = MicroBatcher(
-            executor, self._engine, cfg.batcher_config(),
+            executor, self._engine,
+            BatcherConfig(cfg.max_batch, cfg.max_wait_ms, cfg.queue_limit),
             cache=self.cache,
         )
         self.batcher.start()
@@ -610,15 +603,6 @@ class DetectionServer(SocketFrameServer):
     # ------------------------------------------------------------------
     # ops
     # ------------------------------------------------------------------
-    def _check_alpha(self, request: dict) -> None:
-        alpha = request.get("alpha")
-        if alpha is not None and alpha != self.config.alpha:
-            raise protocol.ProtocolError(
-                f"this server batches across requests at "
-                f"alpha={self.config.alpha}; per-request alpha={alpha} "
-                "is not supported (start another server for it)"
-            )
-
     async def _op_query(self, request: dict) -> dict:
         self._check_alpha(request)
         queries = protocol.fingerprints_from_wire(
@@ -644,7 +628,7 @@ class DetectionServer(SocketFrameServer):
             request.get("timecodes", []), fingerprints.shape[0], "timecodes"
         )
         threshold = protocol.threshold_from_wire(
-            request, self.config.decision_threshold
+            request, DetectorConfig.decision_threshold
         )
         results = await self.batcher.submit_many(
             fingerprints, deadline=self._deadline(request)
@@ -653,10 +637,7 @@ class DetectionServer(SocketFrameServer):
         # keep being answered while it runs.
         votes = await asyncio.get_running_loop().run_in_executor(
             None, lambda: vote(
-                [(tc, r.ids, r.timecodes) for tc, r in zip(timecodes, results)],
-                tolerance=self.config.vote_tolerance,
-                tukey_c=self.config.tukey_c,
-                min_matches=self.config.min_matches,
+                [(tc, r.ids, r.timecodes) for tc, r in zip(timecodes, results)]
             ),
         )
         return {
@@ -820,21 +801,9 @@ class DetectionServer(SocketFrameServer):
             "cache": cache,
             "storage": storage,
             "config": {
-                "alpha": self.config.alpha,
-                "max_batch": self.config.max_batch,
-                "max_wait_ms": self.config.max_wait_ms,
-                "queue_limit": self.config.queue_limit,
-                "prefilter": self.config.options.prefilter,
-                "cache": self.config.cache,
-                "cache_capacity": self.config.cache_capacity,
-                "storage_budget": self.config.storage_budget,
-                "cold_dir": self.config.cold_dir,
+                **self.config.settings(),
                 "durability": getattr(
                     self.index, "durability", self.config.durability
                 ),
-                "maintenance": self.config.maintenance,
-                "backpressure_rows": self.config.backpressure_rows,
-                "compact_mb_per_s": self.config.compact_mb_per_s,
-                "ingest_workers": self.config.ingest_workers,
             },
         }

@@ -163,12 +163,7 @@ class TestDetection:
         assert len(timecodes) == len(set(timecodes))
 
         cfg = monitor.config
-        streamed = {
-            v.video_id: v.nsim for v in vote(
-                monitor._matches, tolerance=cfg.vote_tolerance,
-                tukey_c=cfg.tukey_c, min_matches=cfg.min_matches,
-            )
-        }
+        streamed = {v.video_id: v.nsim for v in vote(monitor._matches)}
         offline = CopyDetector(
             index, DetectorConfig(alpha=cfg.alpha, decision_threshold=1)
         ).detect_clip(copy_clip)

@@ -134,13 +134,16 @@ class TestVote:
     )
     @pytest.mark.parametrize("bad", BAD_VOTE_PARAMETERS)
     def test_configs_reject_bad_vote_parameters(self, config, bad):
-        """A misconfigured detector or server fails at construction, not
-        on its first vote."""
+        """A misconfigured detector fails at construction, not on its
+        first vote.  The monitor, the server and the router declare no
+        vote parameters (they vote with ``vote``'s defaults), so they
+        refuse one as an unknown field."""
         fields = {
             "vote_tolerance" if k == "tolerance" else k: v
             for k, v in bad.items()
         }
-        with pytest.raises(ConfigurationError):
+        expected = ConfigurationError if config is DetectorConfig else TypeError
+        with pytest.raises(expected):
             config(**fields)
 
     def test_votes_sorted_by_nsim(self):

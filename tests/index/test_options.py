@@ -16,6 +16,7 @@ import pytest
 
 from repro.cbcd.detector import DetectorConfig
 from repro.cbcd.monitor import MonitorConfig
+from repro.cluster.router import RouterConfig
 from repro.distortion.model import NormalDistortionModel
 from repro.errors import ConfigurationError
 from repro.index import (
@@ -135,10 +136,20 @@ class TestConfigShims:
         assert cfg.options.batch_size == 2
 
     def test_detector_still_validates_alpha_domain(self):
-        # The detector's stricter alpha < 1 holds for options-carried
-        # alphas too (QueryOptions itself allows alpha == 1).
+        # alpha < 1 holds for options-carried alphas too: QueryOptions
+        # itself refuses alpha == 1.
         with pytest.raises(ConfigurationError, match="alpha"):
             DetectorConfig(options=QueryOptions(alpha=1.0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: QueryOptions(alpha=1.0),
+        lambda: ServeConfig(alpha=1.0),
+        lambda: RouterConfig(alpha=1.0),
+    ])
+    def test_alpha_one_refused_at_construction(self, make):
+        """α is the engine's α everywhere: (0, 1), checked by QueryOptions."""
+        with pytest.raises(ConfigurationError, match=r"\(0, 1\)"):
+            make()
 
     def test_serve_max_batch_wins_engine_batch_size(self):
         cfg = ServeConfig(

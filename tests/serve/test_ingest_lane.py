@@ -62,8 +62,6 @@ class TestServeConfigValidation:
             ServeConfig(backpressure_rows=0)
         with pytest.raises(ConfigurationError):
             ServeConfig(compact_mb_per_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ServeConfig(ingest_workers=0)
 
     def test_maintenance_config_carries_knobs(self):
         config = ServeConfig(backpressure_rows=77, compact_mb_per_s=1.5)

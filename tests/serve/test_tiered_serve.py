@@ -76,7 +76,7 @@ class TestTieredServe:
             archive,
             storage=StorageConfig(budget_bytes=1, backend=backend),
         )
-        config = ServeConfig(port=0, cache="off", storage_budget=1)
+        config = ServeConfig(port=0, cache="off")
         with ServerThread(index, config) as srv:
             # Raw view with retries disabled: the wire code must be the
             # retryable ``unavailable``, per the serve contract.
@@ -100,7 +100,7 @@ class TestTieredServe:
             assert storage["tiered"]
             assert storage["tiers"]["cold"]["segments"] == 3
             assert storage["manager"]["counters"]["cold_errors"] >= 3
-            assert stats["config"]["storage_budget"] == 1
+            assert storage["manager"]["budget_bytes"] == 1
 
     def test_truncated_blob_is_retryable_unavailable(self, archive, tmp_path):
         """Torn data on a real file: a blob cut short under

@@ -230,8 +230,8 @@ class TestArgumentValidation:
 
     @pytest.mark.parametrize("argv_extra, needle", [
         (["--batch-size", "0"], "--batch-size must be >= 1"),
-        (["--alpha", "0"], "--alpha must be in (0, 1]"),
-        (["--alpha", "1.5"], "--alpha must be in (0, 1]"),
+        (["--alpha", "0"], "--alpha must be in (0, 1)"),
+        (["--alpha", "1.5"], "--alpha must be in (0, 1)"),
     ])
     def test_query_rejects_bad_knobs(
         self, workspace, capsys, argv_extra, needle
@@ -254,7 +254,13 @@ class TestArgumentValidation:
         code = main(["detect", str(workspace["index"]),
                      str(workspace["video"]), "--alpha", "-0.2"])
         assert code == 2
-        assert "--alpha must be in (0, 1]" in capsys.readouterr().err
+        assert "--alpha must be in (0, 1)" in capsys.readouterr().err
+
+    def test_serve_refuses_alpha_one_before_loading(self, tmp_path, capsys):
+        # The index path does not exist: the flag is refused first.
+        code = main(["serve", str(tmp_path / "missing"), "--alpha", "1"])
+        assert code == 2
+        assert "--alpha must be in (0, 1)" in capsys.readouterr().err
 
     def test_request_unreachable_reports_friendly_error(self, capsys):
         code = main(["request", "stats", "--port", "1",
