@@ -14,7 +14,8 @@ a single node:
 * :mod:`.merge` — reassembles shard-local results into single-node row
   order (the bit-identity core);
 * :mod:`.router` — the asyncio scatter-gather frontend speaking the
-  unmodified client protocol, with occupancy-based shard skipping and
+  unmodified client protocol: it selects each query's blocks once and
+  ships them to the shards, with occupancy-based shard skipping and
   replica failover.
 
 ``repro-s3 cluster plan|serve|status`` is the CLI surface; see

@@ -92,6 +92,16 @@ class ShardPresence:
         """Which selected *prefixes* may hold rows of this shard."""
         return occupancy_keep(self.occupied, self.depth, prefixes, depth)
 
+    def with_keys(self, keys: np.ndarray, key_bits: int) -> "ShardPresence":
+        """This presence with the blocks of rows at Hilbert *keys*
+        (``key_bits`` wide) added."""
+        blocks = np.unique(keys >> np.uint64(key_bits - self.depth))
+        new = blocks[~self.keep_mask(blocks, self.depth)]
+        if not new.size:
+            return self
+        at = np.searchsorted(self.occupied, new)
+        return ShardPresence(self.depth, np.insert(self.occupied, at, new))
+
     def to_payload(self) -> dict:
         bitmap = np.zeros(1 << self.depth, dtype=np.uint8)
         bitmap[self.occupied.astype(np.int64)] = 1

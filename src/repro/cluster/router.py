@@ -5,22 +5,26 @@ protocol — an existing :class:`~repro.serve.client.ServeClient` points
 at it with zero changes — and fans every request out to the shard
 servers of a planned cluster:
 
-* ``query`` / ``detect``: the router replays, per query, the same cold
-  statistical block selection the shard engines will compute (the
-  micro-batcher resets its threshold cache per engine batch and the
-  multi-query search replays solo searches exactly, so a router-side
-  per-request selection equals the shard-side one bit for bit).  A
-  shard whose resident occupancy union does not intersect a query's
-  selection provably holds no match for it and is not sent that query;
-  a shard left with no queries is skipped outright.  Shard answers are
-  reassembled by :mod:`.merge` into single-node row order, so merged
-  results are **bit-identical** to one server over the unsharded index.
+* ``query`` / ``detect``: the router selects each query's blocks once,
+  with the same cold statistical block selection a shard engine would
+  compute (the micro-batcher resets its threshold cache per engine
+  batch and the multi-query search replays solo searches exactly, so a
+  router-side per-request selection equals the shard-side one bit for
+  bit).  A shard whose occupancy does not intersect a query's selection
+  provably holds no match for it and is not sent that query; a shard
+  left with no queries is skipped outright.  The queries a shard is
+  sent carry their selected blocks, so the shard only scans them.
+  Shard answers are reassembled by :mod:`.merge` into single-node row
+  order, so merged results are **bit-identical** to one server over the
+  unsharded index.
 * ``ingest``: each row is routed by its Hilbert key to the one shard
   whose planned key range contains it, and written to **all** replicas
   of that shard (tagged ``<request_id>/s<shard>`` so shard-side dedupe
-  absorbs router retries and client resubmissions alike).  One
-  acknowledging replica is enough to succeed; replicas that missed the
-  write are counted and resync via re-planning.
+  absorbs router retries and client resubmissions alike).  The rows'
+  blocks join the shard's occupancy before the writes are sent, so
+  skipping stays exact.  One acknowledging replica is enough to
+  succeed; replicas that missed the write are counted and resync via
+  re-planning.
 * ``stats`` / ``health``: aggregated locally (per-shard latency, skip,
   failover and replica state), never fanned out on the hot path.
 
@@ -51,7 +55,7 @@ from ..distortion.model import NormalDistortionModel
 from ..errors import ConfigurationError, ReproError
 from ..hilbert.butz import HilbertCurve
 from ..hilbert.vectorized import encode_batch
-from ..index.filtering import statistical_blocks_multi
+from ..index.filtering import SelectionBatch, statistical_blocks_multi
 from ..index.options import QueryOptions
 from ..serve import protocol
 from ..serve.cache import (
@@ -68,7 +72,7 @@ from ..serve.server import (
     WireOpError,
 )
 from .merge import ShardMap, merge_query_wires, pack_wire, unpack_wire
-from .plan import ClusterManifest
+from .plan import ClusterManifest, ShardPresence
 
 _FAILOVER_CODES = frozenset({
     protocol.ERR_SHUTTING_DOWN,
@@ -95,7 +99,8 @@ class RouterConfig:
     """Router socket, selection and cache knobs.
 
     ``alpha`` must be the shard servers' — the router computes
-    selections (for skipping) locally at this value, and
+    selections (for skipping, and for the shards to scan) at this
+    value, and
     :meth:`ClusterRouter.start` refuses shards that serve at another.
     ``detect`` votes like a shard server: :func:`~repro.cbcd.voting.vote`'s
     default parameters and, unless a request names its own
@@ -109,8 +114,8 @@ class RouterConfig:
     #: Per-attempt cap on one replica answering one scatter message.
     shard_timeout: float = 30.0
     #: Per-shard wire-result cache: ``"auto"`` enables it, ``"off"``
-    #: disables.  Dirty shards (which may mutate out of band)
-    #: always bypass it, so cached answers stay bit-identical.
+    #: disables.  Dirty shards (which diverged from the plan before
+    #: the router started) always bypass it.
     cache: str = "auto"
     #: Result-LRU entries kept per shard.
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
@@ -206,7 +211,11 @@ class _Replica:
 
 @dataclass
 class _ShardStats:
-    """Per-shard router-side counters (surfaced through ``stats``)."""
+    """Per-shard router-side counters (surfaced through ``stats``).
+
+    ``fanouts`` and ``latency`` count query scatters only: no health
+    probe and no ingest write.
+    """
 
     fanouts: int = 0
     skips: int = 0
@@ -245,7 +254,6 @@ class _ShardClient:
         unreachable within the budget, or the shard's own error code for
         a non-transient refusal (relayed verbatim to the client).
         """
-        t0 = time.perf_counter()
         last_failure = "no replicas"
         loop = asyncio.get_running_loop()
         for round_no in range(FAILOVER_ROUNDS):
@@ -282,8 +290,6 @@ class _ShardClient:
                     if offset or round_no:
                         self.stats.failovers += 1
                         self._preferred = self.replicas.index(replica)
-                    self.stats.fanouts += 1
-                    self.stats.latency.record(time.perf_counter() - t0)
                     return response.get("result", {})
                 error = response.get("error") or {}
                 code = error.get("code", protocol.ERR_INTERNAL)
@@ -350,9 +356,14 @@ class ClusterRouter(SocketFrameServer):
             NormalDistortionModel(manifest.ndims, manifest.sigma)
             if manifest.sigma is not None else None
         )
-        # Shards that may hold rows beyond the plan (post-plan ingests):
-        # exempt from occupancy skipping, because memtable rows are not
-        # covered by the planned presence bitmaps.
+        # Each shard's occupancy: the planned presence, plus the blocks
+        # of every row the router has routed to it since.
+        self._presence: dict[int, ShardPresence] = {
+            spec.shard: spec.presence for spec in manifest.shards
+        }
+        # Shards found at start-up to hold rows the plan does not
+        # (out-of-band ingests): their occupancy is unknown, so they are
+        # never skipped and never cached.
         self._dirty: set[int] = set()
         self._ready = False
         self.ingest_rows = 0
@@ -362,14 +373,13 @@ class ClusterRouter(SocketFrameServer):
         # simply unreachable.
         self.ingest_shed = 0
         self.queries_routed = Counter()
-        # Per-shard wire-result LRUs.  Shard answers over the planned
-        # (immutable) data repeat heavily under monitoring traffic; a
-        # hit skips the round trip entirely.  Dirty shards bypass the
-        # cache — their indexes can change without the router seeing an
-        # invalidation point — and a router-routed ingest clears the
-        # target shard's entries before marking it dirty.  Entries are
-        # owned columns (`pack_wire`): a view into the reply would pin
-        # the whole reply frame for as long as the entry lives.
+        # Per-shard wire-result LRUs.  Shard answers repeat heavily
+        # under monitoring traffic; a hit skips the round trip entirely.
+        # Dirty shards bypass the cache — their indexes can change
+        # without the router seeing an invalidation point — and a
+        # router-routed ingest clears the target shard's entries.
+        # Entries are owned columns (`pack_wire`): a view into the reply
+        # would pin the whole reply frame for as long as the entry lives.
         self.cache_stats = CacheStats()
         self._shard_caches: dict[int, QueryResultCache] = {
             spec.shard: QueryResultCache(
@@ -476,8 +486,8 @@ class ClusterRouter(SocketFrameServer):
         """The shard's wire cache, or ``None`` when it must be bypassed.
 
         Dirty shards hold rows the router has no invalidation signal
-        for (out-of-band or post-plan ingests), so their answers are
-        never cached and never served from cache.
+        for (out-of-band ingests), so their answers are never cached and
+        never served from cache.
         """
         if shard in self._dirty:
             return None
@@ -485,21 +495,22 @@ class ClusterRouter(SocketFrameServer):
 
     def _shard_query_indices(
         self, queries: np.ndarray
-    ) -> list[np.ndarray]:
-        """Which query rows each shard must answer.
+    ) -> tuple[Optional[SelectionBatch], list[np.ndarray]]:
+        """The batch's block selection, and which query rows each shard
+        must answer.
 
-        With a statistical model, replays the engines' cold block
-        selection for the batch and keeps, per shard, only the queries
-        whose selection intersects the shard's occupancy union — an
-        exact skip, as proven by the sketch tier it reuses: one
-        occupancy test over every selected prefix of the batch, and a
-        count of the hits per query.  Dirty shards (post-plan ingests)
-        and model-less clusters get every query.
+        With a statistical model, runs the engines' cold block selection
+        for the batch and keeps, per shard, only the queries whose
+        selection intersects the shard's occupancy — an exact skip, as
+        proven by the sketch tier it reuses: one occupancy test over
+        every selected prefix of the batch, and a count of the hits per
+        query.  Dirty shards get every query; model-less clusters get
+        every query and no selection.
         """
         num = queries.shape[0]
         everything = np.arange(num, dtype=np.int64)
         if self.model is None:
-            return [everything for _ in self.shards]
+            return None, [everything for _ in self.shards]
         batch = statistical_blocks_multi(
             queries,
             self.model,
@@ -509,14 +520,15 @@ class ClusterRouter(SocketFrameServer):
         )
         owner = np.repeat(everything, batch.counts)
         per_shard = []
-        for spec in self.manifest.shards:
-            if spec.shard in self._dirty:
+        for client in self.shards:
+            if client.shard in self._dirty:
                 per_shard.append(everything)
                 continue
-            keep = spec.presence.keep_mask(batch.prefixes, batch.depth)
+            presence = self._presence[client.shard]
+            keep = presence.keep_mask(batch.prefixes, batch.depth)
             hits = np.bincount(owner[keep], minlength=num)
             per_shard.append(np.flatnonzero(hits))
-        return per_shard
+        return batch, per_shard
 
     async def _scatter_queries(
         self, request: dict, queries: np.ndarray, include_fp: bool
@@ -525,13 +537,14 @@ class ClusterRouter(SocketFrameServer):
         columns."""
         deadline = self._deadline(request)
         loop = asyncio.get_running_loop()
-        per_shard = await loop.run_in_executor(
+        selections, per_shard = await loop.run_in_executor(
             None, self._shard_query_indices, queries
         )
 
         async def _one(client, indices) -> Optional[list[dict]]:
+            stats = self.shard_stats[client.shard]
             if indices.size == 0:
-                self.shard_stats[client.shard].skips += 1
+                stats.skips += 1
                 return None
             # Per-shard wire cache: answer what we can locally, send
             # only the misses, and reassemble the full per-index result
@@ -555,19 +568,31 @@ class ClusterRouter(SocketFrameServer):
                 missed = np.asarray(missed_pos, dtype=np.int64)
                 if missed.size == 0:
                     return wires
+            sent = indices[missed]
             message = {
                 "op": "query",
-                "fingerprints": protocol.fingerprints_to_wire(
-                    queries[indices[missed]]
-                ),
+                "fingerprints": protocol.fingerprints_to_wire(queries[sent]),
             }
+            if selections is not None and selections.depth < 64:
+                # The shard scans these instead of selecting again (a
+                # 64-bit prefix would not fit the wire's int64 column;
+                # such a shard selects for itself).
+                shipped = selections.take(sent)
+                message["blocks"] = {
+                    "prefixes": shipped.prefixes.astype(np.int64),
+                    "counts": shipped.counts,
+                    "depth": shipped.depth,
+                }
             if include_fp:
                 message["include_fingerprints"] = True
             if deadline is not None:
                 message["deadline_ms"] = max(
                     1.0, (deadline - loop.time()) * 1e3
                 )
+            t0 = time.perf_counter()
             result = await client.request(message, deadline)
+            stats.fanouts += 1
+            stats.latency.record(time.perf_counter() - t0)
             for pos, wire in zip(missed, result["results"]):
                 wires[int(pos)] = wire
                 if cache is not None:
@@ -636,17 +661,19 @@ class ClusterRouter(SocketFrameServer):
     # ------------------------------------------------------------------
     # ingest path
     # ------------------------------------------------------------------
-    def _route_rows(self, fingerprints: np.ndarray) -> np.ndarray:
-        """Owning shard of each row, by planned Hilbert key range."""
+    def _route_rows(
+        self, fingerprints: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Owning shard of each row, by planned Hilbert key range, and
+        the rows' keys."""
         quantised = np.ascontiguousarray(fingerprints, dtype=np.uint8)
         keys = encode_batch(
             quantised, self.manifest.order, self.manifest.key_levels
         )
         # boundaries[i] = key_lo of shard i (ascending, boundaries[0]=0):
         # the owner is the last boundary <= key.
-        return (
-            np.searchsorted(self._boundaries, keys, side="right") - 1
-        ).astype(np.int64)
+        owners = np.searchsorted(self._boundaries, keys, side="right") - 1
+        return owners.astype(np.int64), keys
 
     async def _op_ingest(self, request: dict) -> dict:
         fingerprints, ids, timecodes = protocol.ingest_from_wire(
@@ -655,7 +682,7 @@ class ClusterRouter(SocketFrameServer):
         count = fingerprints.shape[0]
         request_id = protocol.request_dedupe_id(request) or uuid.uuid4().hex
         deadline = self._deadline(request)
-        owners = self._route_rows(fingerprints)
+        owners, keys = self._route_rows(fingerprints)
 
         async def _one_shard(client, rows: np.ndarray) -> dict:
             """Write this shard's rows to every replica; >=1 ack wins.
@@ -708,26 +735,40 @@ class ClusterRouter(SocketFrameServer):
                 "misses": misses,
             }
 
-        tasks = []
+        tasks, written = [], []
         for client in self.shards:
             rows = np.flatnonzero(owners == client.shard)
             if rows.size == 0:
                 continue
-            # Drop the shard's cached answers (and bump its token so
-            # in-flight puts are refused) before it goes dirty.
-            cache = self._shard_caches.get(client.shard)
-            if cache is not None:
-                self._cache_epoch += 1
-                cache.invalidate(self._cache_epoch)
-            self._dirty.add(client.shard)
+            # The rows' blocks join the shard's occupancy before any
+            # replica holds them, so no query skips a shard that does.
+            self._presence[client.shard] = self._presence[
+                client.shard
+            ].with_keys(keys[rows], self.manifest.key_bits)
+            self._invalidate_cache(client.shard)
+            written.append(client.shard)
             tasks.append(_one_shard(client, rows))
-        outcomes = await asyncio.gather(*tasks)
+        try:
+            outcomes = await asyncio.gather(*tasks)
+        finally:
+            # A scatter that started while the writes were in flight may
+            # have cached a pre-write answer under the new token.
+            for shard in written:
+                self._invalidate_cache(shard)
         self.ingest_rows += count
         return {
             "added": int(count),
             "request_id": request_id,
             "shards": outcomes,
         }
+
+    def _invalidate_cache(self, shard: int) -> None:
+        """Drop *shard*'s cached answers and bump its token, so puts by
+        scatters already in flight are refused."""
+        cache = self._shard_caches.get(shard)
+        if cache is not None:
+            self._cache_epoch += 1
+            cache.invalidate(self._cache_epoch)
 
     # ------------------------------------------------------------------
     # local ops

@@ -358,6 +358,7 @@ def query_batch(
     prefilter: bool = True,
     gather_cache=None,
     prefetch: bool = True,
+    blocks: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> tuple[list[SearchResult], BatchQueryStats]:
     """Answer a batch of statistical queries against either index kind.
 
@@ -365,6 +366,10 @@ def query_batch(
     :func:`scan` reads them.  ``index.statistical_query`` is this for a
     batch of one.  Per-query timing fields carry an equal share of the
     batch's filter/scan time.
+
+    *blocks*, when given, holds per query either ``None`` or the sorted
+    ``depth``-bit prefixes already selected for it (a cluster router
+    ships them); only the queries without blocks are searched.
     """
     queries = _check_batch(queries, index.ndims)
     resolved = index._resolve_model(model)
@@ -372,14 +377,50 @@ def query_batch(
     if queries.shape[0] == 0:
         return [], BatchQueryStats(batches=1)
     t0 = time.perf_counter()
-    selections = statistical_blocks_batch_cached(
-        queries, resolved, index.curve, depth, alpha,
-        cache=index._threshold_cache,
+    selections = select_blocks(
+        index, queries, alpha, resolved, depth, blocks
     )
     return scan(
         index, selections, time.perf_counter() - t0, prefilter=prefilter,
         gather_cache=gather_cache, prefetch=prefetch,
     )
+
+
+def select_blocks(
+    index,
+    queries: np.ndarray,
+    alpha: float,
+    model: IndependentDistortionModel,
+    depth: int,
+    blocks: Optional[Sequence[Optional[np.ndarray]]] = None,
+) -> SelectionBatch:
+    """Every query's blocks, in query order: searched from the index's
+    warm-start threshold cache, or, where *blocks* has them, as given.
+
+    Each query's search is independent of which others share it, so
+    searching only the queries without blocks changes none of their
+    selections.
+    """
+    def search(rows: np.ndarray) -> SelectionBatch:
+        return statistical_blocks_batch_cached(
+            rows, model, index.curve, depth, alpha,
+            cache=index._threshold_cache,
+        )
+
+    if blocks is None or all(b is None for b in blocks):
+        return search(queries)
+    shipped = [b for b in blocks if b is not None]
+    given = SelectionBatch.given(
+        np.concatenate(shipped),
+        np.array([b.size for b in shipped], dtype=np.int64),
+        depth,
+    )
+    if len(shipped) == len(blocks):
+        return given
+    mask = np.array([b is None for b in blocks])
+    own = np.flatnonzero(mask)
+    order = np.argsort(np.concatenate([own, np.flatnonzero(~mask)]))
+    return SelectionBatch.concat([search(queries[own]), given]).take(order)
 
 
 def scan(
@@ -755,15 +796,26 @@ class BatchQueryExecutor:
     def planner_stats(self) -> SimpleNamespace:
         return SimpleNamespace(decisions={"serial": self.stats.batches})
 
+    @property
+    def selection_depth(self) -> int:
+        """The partition depth this executor selects blocks at."""
+        return self.index._resolve_depth(self.depth)
+
     # ------------------------------------------------------------------
-    def query_batch(self, queries: np.ndarray) -> list[SearchResult]:
-        """Run one engine call over *queries* (no chunking)."""
+    def query_batch(
+        self,
+        queries: np.ndarray,
+        blocks: Optional[Sequence[Optional[np.ndarray]]] = None,
+    ) -> list[SearchResult]:
+        """Run one engine call over *queries* (no chunking); *blocks* as
+        in :func:`query_batch`."""
         results, batch = query_batch(
             self.index, queries, self.alpha,
             model=self.model, depth=self.depth,
             prefilter=self.options.prefilter_enabled,
             prefetch=self.options.prefetch_enabled,
             gather_cache=self.gather_cache,
+            blocks=blocks,
         )
         self.stats.merge(batch)
         return results

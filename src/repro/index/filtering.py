@@ -44,7 +44,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections.abc import Generator, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -54,6 +54,7 @@ from ..errors import ConfigurationError
 from ..hilbert.butz import HilbertCurve
 from ..hilbert.partition import PartitionNode
 from ..hilbert.walk import PartitionWalk, WalkNodes, curve_order, side_prefixes
+from .table import expand_ranges
 
 _U64 = np.uint64
 
@@ -142,6 +143,50 @@ class SelectionBatch:
             ),
             nodes=np.array([s.nodes_visited for s in selections], dtype=np.int64),
             probes=np.array([s.descents for s in selections], dtype=np.int64),
+        )
+
+    @classmethod
+    def given(
+        cls, prefixes: np.ndarray, counts: np.ndarray, depth: int
+    ) -> SelectionBatch:
+        """A batch of block sets chosen elsewhere — a cluster router's
+        shipped selections — with no masses, thresholds or search cost."""
+        prefixes = np.asarray(prefixes, dtype=_U64)
+        num = int(counts.size)
+        return cls(
+            prefixes=prefixes,
+            probabilities=np.zeros(prefixes.size),
+            counts=np.asarray(counts, dtype=np.int64),
+            depth=depth,
+            thresholds=np.full(num, np.nan),
+            totals=np.full(num, np.nan),
+            nodes=np.zeros(num, dtype=np.int64),
+            probes=np.zeros(num, dtype=np.int64),
+        )
+
+    @classmethod
+    def concat(cls, batches: Sequence[SelectionBatch]) -> SelectionBatch:
+        """*batches*, all of one depth, one after the other."""
+        return cls(**{
+            f.name: batches[0].depth if f.name == "depth" else
+            np.concatenate([getattr(b, f.name) for b in batches])
+            for f in fields(cls)
+        })
+
+    def take(self, indices: np.ndarray) -> SelectionBatch:
+        """The selections of the queries at *indices*, in that order."""
+        indices = np.asarray(indices, dtype=np.int64)
+        bounds = np.asarray(self.bounds, dtype=np.int64)
+        entries = expand_ranges(bounds[indices], bounds[indices + 1])
+        return SelectionBatch(
+            prefixes=self.prefixes[entries],
+            probabilities=self.probabilities[entries],
+            counts=self.counts[indices],
+            depth=self.depth,
+            thresholds=self.thresholds[indices],
+            totals=self.totals[indices],
+            nodes=self.nodes[indices],
+            probes=self.probes[indices],
         )
 
     @cached_property

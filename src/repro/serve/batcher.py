@@ -39,6 +39,13 @@ fingerprints count against ``queue_limit``.  Results are stored under
 the index token captured on the engine lane, so a batch racing an
 ingest can never populate the cache with pre-mutation answers (the
 token guard drops them).
+
+A ``query`` request may carry each fingerprint's selected blocks (a
+cluster router ships the selections it already made).  Those items skip
+the selection and are only scanned, and they bypass the cache and the
+in-flight dedupe: their answer is a function of the blocks, so storing
+it under the fingerprint would let a bogus block set answer later plain
+queries.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ import numpy as np
 
 from ..errors import ConfigurationError, ReproError
 from ..index.batch import BatchQueryExecutor
+from ..index.filtering import SelectionBatch
 from ..index.s3 import SearchResult
 from .cache import index_cache_token
 from .metrics import LatencyWindow
@@ -102,6 +110,9 @@ class BatcherStats:
     """Aggregate micro-batcher counters (exposed via ``stats``)."""
 
     queries: int = 0
+    #: Queries that arrived with their blocks selected (a cluster
+    #: router's shipped selections): the engine only scanned them.
+    shipped: int = 0
     batches: int = 0
     shed: int = 0
     expired: int = 0
@@ -124,6 +135,7 @@ class BatcherStats:
     def snapshot(self, queue_depth: int) -> dict:
         return {
             "queries": self.queries,
+            "shipped": self.shipped,
             "batches": self.batches,
             "shed": self.shed,
             "expired": self.expired,
@@ -140,13 +152,15 @@ class _Pending:
 
     ``key`` is the fingerprint's cache key when a cache is attached
     (``None`` otherwise); it marks this pending entry as the in-flight
-    *leader* for that key.
+    *leader* for that key.  ``blocks`` are the curve prefixes already
+    selected for it, when they came with the request.
     """
 
     fingerprint: np.ndarray
     future: asyncio.Future
     deadline: Optional[float] = None
     key: Optional[tuple] = None
+    blocks: Optional[np.ndarray] = None
 
 
 _STOP = object()
@@ -219,6 +233,7 @@ class MicroBatcher:
         self,
         fingerprints: np.ndarray,
         deadline: Optional[float] = None,
+        blocks: Optional[SelectionBatch] = None,
     ) -> list[SearchResult]:
         """Queue a request's fingerprints and await their results.
 
@@ -226,6 +241,11 @@ class MicroBatcher:
         or the request is shed.  Raises :class:`ServiceOverloaded`,
         :class:`ServiceClosed`, or :class:`DeadlineExceeded` (when any
         fingerprint expired before running).
+
+        With *blocks* (one selection per fingerprint) the engine scans
+        those blocks instead of selecting.  Such an answer is a function
+        of the blocks, not of the fingerprint alone, so it bypasses the
+        cache: it is never looked up, stored, led or followed.
         """
         fingerprints = np.asarray(fingerprints, dtype=np.float64)
         if fingerprints.ndim == 1:
@@ -239,7 +259,7 @@ class MicroBatcher:
         # genuinely new query.  Only new queries face admission control.
         plan: list[tuple] = []
         new_queries = count
-        if self.cache is not None:
+        if self.cache is not None and blocks is None:
             cache = self.cache
             local_leaders: set = set()
             for i in range(count):
@@ -274,6 +294,9 @@ class MicroBatcher:
                 f"{new_queries})"
             )
         # Pass 2 — admitted: register leaders and queue the new queries.
+        shipped = [None] * count if blocks is None else np.split(
+            blocks.prefixes, blocks.bounds[1:-1]
+        )
         slots: list[tuple] = []
         items: list[_Pending] = []
         leaders: dict = {}
@@ -288,8 +311,9 @@ class MicroBatcher:
                 item = _Pending(
                     fingerprints[i], loop.create_future(), deadline,
                     key=key,
+                    blocks=shipped[i],
                 )
-                if self.cache is not None:
+                if key is not None:
                     self.cache.register_inflight(key, item.future)
                     leaders[key] = item.future
                 items.append(item)
@@ -368,9 +392,10 @@ class MicroBatcher:
         if not live:
             return
         queries = np.stack([item.fingerprint for item in live])
+        blocks = [item.blocks for item in live]
         try:
             results, token = await loop.run_in_executor(
-                self.engine, self._call_engine, queries,
+                self.engine, self._call_engine, queries, blocks,
                 time.perf_counter(),
             )
         except Exception as exc:  # surface engine failures per future
@@ -382,28 +407,30 @@ class MicroBatcher:
                     item.future.set_exception(exc)
             return
         self.stats.queries += len(live)
+        self.stats.shipped += sum(b is not None for b in blocks)
         self.stats.batches += 1
         self.stats.fill_sum += len(live)
         for item, result in zip(live, results):
             if not item.future.done():
                 item.future.set_result(result)
-            if self.cache is not None and item.key is not None:
+            if item.key is not None:
                 # Guarded by the token captured on the engine lane: if
                 # an ingest invalidated the cache since this batch ran,
                 # the put is dropped, never served stale.
                 self.cache.results.put(item.key, result, token)
 
     def _call_engine(
-        self, queries: np.ndarray, submitted: float
+        self, queries: np.ndarray, blocks: list, submitted: float
     ) -> tuple[list[SearchResult], Optional[tuple]]:
         # How long the batch sat behind the lane's previous occupant —
         # the stall a foreground query pays for lane contention.
         self.stats.stall.record(time.perf_counter() - submitted)
         # Deterministic mode: a cold threshold search per batch makes
         # every served result independent of batching history — the
-        # bit-identity contract of docs/serving.md.
+        # bit-identity contract of docs/serving.md.  Items that came
+        # with blocks are not searched, only scanned.
         self.executor.index.reset_threshold_cache()
-        results = self.executor.query_batch(queries)
+        results = self.executor.query_batch(queries, blocks)
         if self.cache is None:
             return results, None
         # Captured on the serialised engine lane, so the token names

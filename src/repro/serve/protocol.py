@@ -43,6 +43,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ReproError
+from ..index.filtering import SelectionBatch
 from ..index.s3 import SearchResult
 
 #: Frames larger than this are refused by both sides (a corrupted or
@@ -55,9 +56,10 @@ _LEN = struct.Struct("!I")
 #: carry it as ``v`` (see :func:`request_version`).
 PROTOCOL_VERSION = 4
 
-#: The only dtypes a blob may carry: result ``rows`` and request ``ids``
-#: (``<i8``), result ``ids`` (``<u4``), ``timecodes`` and request
-#: ``fingerprints`` (``<f8``), and result ``fingerprints`` (``|u1``).
+#: The only dtypes a blob may carry: result ``rows``, request ``ids``
+#: and shipped ``blocks`` columns (``<i8``), result ``ids`` (``<u4``),
+#: ``timecodes`` and request ``fingerprints`` (``<f8``), and result
+#: ``fingerprints`` (``|u1``).
 BLOB_DTYPES = frozenset({"<i8", "<u4", "<f8", "|u1"})
 
 #: Key of the in-header reference to a blob.
@@ -430,6 +432,70 @@ def _integers_in(arr: np.ndarray, high: int, name: str) -> None:
             f"{name} must be integers in [0, {high}): the store's "
             "columns would wrap any other value"
         )
+
+
+def _integer_column(value, name: str) -> np.ndarray:
+    """A column of integers (a JSON list or an integer blob) as int64."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolError(f"{name} are not integers: {exc}") from exc
+    if arr.ndim != 1 or not (arr.dtype.kind in "iu" or arr.size == 0):
+        raise ProtocolError(
+            f"{name} must be a flat column of integers, got "
+            f"{arr.dtype} of shape {arr.shape}"
+        )
+    return arr.astype(np.int64)
+
+
+def blocks_from_wire(value, count: int, depth: int) -> SelectionBatch:
+    """A ``query`` request's shipped ``blocks`` — ``{prefixes, counts,
+    depth}``, each query's selected ``depth``-bit curve prefixes in
+    ascending order, concatenated — checked to be a selection the scan
+    reads correctly: at the server's *depth*, one count per fingerprint
+    (*count*) summing to the prefixes, every prefix a ``depth``-bit
+    block, and each query's prefixes strictly ascending."""
+    if not isinstance(value, dict) or set(value) != {
+        "prefixes", "counts", "depth"
+    }:
+        raise ProtocolError(
+            "blocks must be an object of prefixes, counts and depth"
+        )
+    if type(value["depth"]) is not int or value["depth"] != depth:
+        raise ProtocolError(
+            f"blocks are at depth {value['depth']!r}; this server "
+            f"selects at depth {depth}"
+        )
+    prefixes = _integer_column(value["prefixes"], "blocks.prefixes")
+    counts = _integer_column(value["counts"], "blocks.counts")
+    if counts.shape != (count,) or (
+        (counts < 0) | (counts > prefixes.size)
+    ).any():
+        raise ProtocolError(
+            f"blocks.counts must be {count} non-negative integers, one "
+            "per fingerprint, none above the prefixes sent"
+        )
+    if int(counts.sum()) != prefixes.size:
+        raise ProtocolError(
+            f"blocks.counts sum to {int(counts.sum())}, but "
+            f"{prefixes.size} prefixes were sent"
+        )
+    if prefixes.size and (
+        prefixes.min() < 0 or int(prefixes.max()) >= 1 << depth
+    ):
+        raise ProtocolError(
+            f"blocks.prefixes must lie in [0, 2**{depth})"
+        )
+    # Consecutive prefixes of one query must ascend; a query's first
+    # prefix is compared with nothing.
+    starts = np.cumsum(counts)[:-1]
+    within = np.ones(max(prefixes.size - 1, 0), dtype=bool)
+    within[starts[(counts[1:] > 0) & (starts > 0)] - 1] = False
+    if not (np.diff(prefixes)[within] > 0).all():
+        raise ProtocolError(
+            "blocks.prefixes must strictly ascend within each query"
+        )
+    return SelectionBatch.given(prefixes, counts, depth)
 
 
 def ingest_from_wire(

@@ -7,6 +7,8 @@ protocol of :mod:`.protocol`.  Request flow:
 * ``query`` and ``detect`` push their fingerprints through the shared
   :class:`~repro.serve.batcher.MicroBatcher`, so concurrent requests —
   from any mix of connections — drain through one coalesced engine call;
+  a ``query`` that carries its ``blocks`` (a cluster router's shipped
+  selections) is only scanned;
 * ``ingest`` (segmented indexes only) runs on a dedicated multi-worker
   ingest lane: the segmented index is internally thread-safe (queries
   pin a snapshot view), and concurrent appends coalesce into one WAL
@@ -609,8 +611,14 @@ class DetectionServer(SocketFrameServer):
             request.get("fingerprints"), self.index.ndims
         )
         include_fp = bool(request.get("include_fingerprints", False))
+        blocks = None
+        if "blocks" in request:
+            blocks = protocol.blocks_from_wire(
+                request["blocks"], queries.shape[0],
+                self._executor.selection_depth,
+            )
         results = await self.batcher.submit_many(
-            queries, deadline=self._deadline(request)
+            queries, deadline=self._deadline(request), blocks=blocks
         )
         return {
             "alpha": self.config.alpha,

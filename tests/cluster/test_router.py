@@ -10,6 +10,7 @@ replica).  In process mode a real SIGKILL must also be healed: the
 supervisor respawns the replica, which answers ``health`` again.
 """
 
+import asyncio
 import threading
 import time
 
@@ -404,9 +405,19 @@ def _answers_health(host, port):
         return False
 
 
+def _replica_stats(supervisor):
+    """Each replica's own ``stats``, shard by shard."""
+    stats = []
+    for endpoints in supervisor.endpoints().values():
+        for host, port in endpoints:
+            with ServeClient(host, port, timeout=30.0) as replica:
+                stats.append(replica.stats())
+    return stats
+
+
 class TestIngestRouting:
     @pytest.fixture()
-    def routed_rw(self, tmp_path_factory, source):
+    def cluster_rw(self, tmp_path_factory, source):
         cluster_dir = tmp_path_factory.mktemp("ingest") / "c"
         plan_cluster(source, cluster_dir, num_shards=2, replicas=2)
         supervisor = ClusterSupervisor(
@@ -421,10 +432,86 @@ class TestIngestRouting:
         )
         thread = ServiceThread(router).start()
         client = ServeClient(port=thread.port, timeout=30.0)
-        yield client
+        yield client, supervisor
         client.close()
         thread.stop()
         supervisor.stop()
+
+    @pytest.fixture()
+    def routed_rw(self, cluster_rw):
+        return cluster_rw[0]
+
+    def test_fanouts_count_query_scatters_only(self, cluster_rw, corpus):
+        """Start-up health probes and ingest replica writes are not
+        fan-outs; a query scatter is, once per shard it reaches."""
+        routed, _ = cluster_rw
+
+        def per_shard():
+            return routed.stats()["cluster"]["per_shard"]
+
+        assert [s["fanouts"] for s in per_shard()] == [0, 0]
+        assert all(s["latency"]["count"] == 0 for s in per_shard())
+        rng = np.random.default_rng(43)
+        new = rng.integers(0, 256, size=(4, NDIMS)).astype(np.float64)
+        routed.ingest(new, np.arange(4) + 700, np.zeros(4))
+        assert [s["fanouts"] for s in per_shard()] == [0, 0]
+        assert all(s["latency"]["count"] == 0 for s in per_shard())
+        fp, _, _ = corpus
+        routed.query(fp[:5].astype(np.float64))
+        shards = per_shard()
+        assert sum(s["fanouts"] + s["skips"] for s in shards) == 2
+        assert all(s["latency"]["count"] == s["fanouts"] for s in shards)
+
+    def test_answer_fetched_during_an_ingest_is_not_cached(
+        self, cluster_rw, monkeypatch
+    ):
+        """A query answered while a routed ingest's writes are in flight
+        may miss the new rows; once the writes are acknowledged, the
+        router's wire cache must not serve that answer."""
+        routed, _ = cluster_rw
+        writing, queried = threading.Event(), threading.Event()
+        request = router_module._ShardClient.request
+
+        async def held(self, message, deadline):
+            if message["op"] == "ingest" and not writing.is_set():
+                writing.set()
+                while not queried.is_set():
+                    await asyncio.sleep(0.01)
+            return await request(self, message, deadline)
+
+        monkeypatch.setattr(router_module._ShardClient, "request", held)
+        new = np.full((1, NDIMS), 128.0)
+
+        def ingest():
+            with ServeClient(port=routed.port, timeout=30.0) as client:
+                client.ingest(new, [990], [0.0])
+
+        worker = threading.Thread(target=ingest)
+        worker.start()
+        try:
+            assert writing.wait(10.0)
+            (during,) = routed.query(new)
+        finally:
+            queried.set()
+            worker.join()
+        assert 990 not in during.ids
+        (after,) = routed.query(new)
+        assert 990 in after.ids
+
+    def test_shards_scan_the_routers_blocks(self, cluster_rw, corpus):
+        """Every query a shard is sent arrives with its blocks: the
+        replicas' shipped count equals the queries they ran."""
+        routed, supervisor = cluster_rw
+        fp, _, _ = corpus
+        rng = np.random.default_rng(47)
+        for _ in range(3):
+            picks = rng.integers(0, TOTAL_ROWS, 6)
+            queries = fp[picks].astype(np.float64)
+            routed.query(queries + rng.normal(0.0, 3.0, queries.shape))
+        batchers = [s["batcher"] for s in _replica_stats(supervisor)]
+        queries = sum(b["queries"] for b in batchers)
+        assert queries >= 6
+        assert sum(b["shipped"] for b in batchers) == queries
 
     def test_ingest_routes_dedupes_and_reads_back(self, routed_rw):
         rng = np.random.default_rng(31)
@@ -450,8 +537,9 @@ class TestIngestRouting:
         for row_ids, result in zip(ids, results):
             assert row_ids in result.ids
         stats = routed_rw.stats()
-        # The written shards are now dirty: excluded from skipping.
-        assert stats["cluster"]["dirty_shards"]
+        # The written shards stay clean: their occupancy took the routed
+        # rows' blocks, so skipping stays exact (TestShardSkip).
+        assert stats["cluster"]["dirty_shards"] == []
         assert stats["cluster"]["ingest_rows"] == 12
 
     def test_list_and_blob_ingests_store_the_same(self, routed_rw, corpus):
@@ -563,3 +651,37 @@ class TestShardSkip:
         # The first batch lies wholly in one corner: the other shard is
         # skipped.  The second spans both, so neither is.
         assert sum(skips) == 1
+
+    def test_routed_ingest_keeps_skipping_exact(self, two_regions):
+        """Rows routed into the corner-40 shard join its occupancy: a
+        query at the new rows reaches that shard, a corner-216 query
+        still skips it, and no shard turns dirty."""
+        routed, base = two_regions
+        rng = np.random.default_rng(53)
+        new = np.clip(rng.normal(70.0, 2.0, (24, NDIMS)), 0, 255).round()
+        ids = np.arange(24) + 900
+        tcs = rng.uniform(0, 100, 24)
+        added = routed.ingest(new, ids, tcs, request_id="corner-40")
+        assert [s["shard"] for s in added["shards"]] == [0]
+        base.ingest(new, ids, tcs)
+
+        def skips():
+            return [
+                s["skips"] for s in routed.stats()["cluster"]["per_shard"]
+            ]
+
+        queries = np.array([[70.0] * NDIMS, [216.0] * NDIMS])
+        before = skips()
+        near = routed.query(queries[:1], include_fingerprints=True)
+        _assert_results_equal(
+            base.query(queries[:1], include_fingerprints=True), near
+        )
+        assert set(ids) & set(near[0].ids.tolist())  # the new rows answer
+        far = routed.query(queries[1:], include_fingerprints=True)
+        _assert_results_equal(
+            base.query(queries[1:], include_fingerprints=True), far
+        )
+        after = skips()
+        # The new rows' query skips shard 1; the corner-216 one shard 0.
+        assert [a - b for a, b in zip(after, before)] == [1, 1]
+        assert routed.stats()["cluster"]["dirty_shards"] == []

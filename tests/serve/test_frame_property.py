@@ -4,9 +4,10 @@ Generated messages of numpy columns (float64 with NaN, -0.0 and
 subnormals, uint32 up to its max, int64, 2-D uint8, empty arrays,
 nested lists of results) are encoded as one frame and decoded by the
 blocking and the asyncio reader; every column must come back with its
-dtype, shape and bytes.  A generated ``query``, ``detect`` or
-``ingest`` request decodes to the same arrays, or meets the same
-refusal, whether its columns travel as JSON lists or as blobs.  A
+dtype, shape and bytes.  A generated ``query`` (with or without its
+shipped ``blocks``), ``detect`` or ``ingest`` request decodes to the
+same arrays, or meets the same refusal, whether its columns travel as
+JSON lists or as blobs.  A
 payload of exactly ``max_frame`` bytes is accepted and one byte more
 refused, and every corruption of a blob reference raises
 :class:`ProtocolError` instead of reading memory it does not name.
@@ -172,6 +173,7 @@ def test_v4_frame_round_trips_bit_for_bit(message):
 
 
 NDIMS = 4
+DEPTH = 6
 
 # Values the server refuses somewhere (NaN, infinities, bytes and ids
 # out of range, non-integers), or accepts at the edge of a range.
@@ -217,7 +219,35 @@ def wire_requests(draw):
     if op == "ingest":
         dtype = draw(st.sampled_from([np.int64, np.float64]))
         request["ids"] = _column(draw, dtype, n, st.integers(0, 2**32 - 1))
+    if op == "query" and draw(st.booleans()):
+        request["blocks"] = draw(shipped_blocks(n))
     return request
+
+
+@st.composite
+def shipped_blocks(draw, n):
+    """A ``blocks`` field for *n* fingerprints: ascending prefixes per
+    query, now and then misaligned, at another depth, out of range or
+    out of order."""
+    counts = draw(hnp.arrays(
+        np.int64, draw(st.sampled_from([n, n, n, n + 1])),
+        elements=st.integers(0, 4),
+    ))
+    per_query = [
+        sorted(draw(st.sets(st.integers(0, 2**DEPTH - 1),
+                            min_size=c, max_size=c)))
+        for c in counts.tolist()
+    ]
+    prefixes = np.array(sum(per_query, []), dtype=np.int64)
+    if prefixes.size:
+        prefixes = _column(draw, np.int64, prefixes.size, st.integers(
+            0, 2**DEPTH - 1
+        )) if draw(st.integers(0, 3)) == 0 else prefixes
+    return {
+        "prefixes": prefixes,
+        "counts": counts,
+        "depth": draw(st.sampled_from([DEPTH, DEPTH, DEPTH, DEPTH + 1])),
+    }
 
 
 def _server_view(request: dict):
@@ -229,7 +259,12 @@ def _server_view(request: dict):
             request["fingerprints"], NDIMS
         )
         if request["op"] == "query":
-            return (fingerprints,)
+            if "blocks" not in request:
+                return (fingerprints,)
+            blocks = protocol.blocks_from_wire(
+                request["blocks"], fingerprints.shape[0], DEPTH
+            )
+            return fingerprints, blocks.prefixes, blocks.counts
         return fingerprints, protocol.column_from_wire(
             request["timecodes"], fingerprints.shape[0], "timecodes"
         )
@@ -240,11 +275,14 @@ def _server_view(request: dict):
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(request=wire_requests())
 def test_request_encodings_decode_the_same(request):
-    as_lists = {
-        key: value.tolist() if isinstance(value, np.ndarray) else value
-        for key, value in request.items()
-    }
-    list_frame = protocol.encode_frame(as_lists)
+    def as_lists(message: dict) -> dict:
+        return {
+            key: value.tolist() if isinstance(value, np.ndarray)
+            else as_lists(value) if isinstance(value, dict) else value
+            for key, value in message.items()
+        }
+
+    list_frame = protocol.encode_frame(as_lists(request))
     assert b"\n" not in list_frame[4:]  # a plain JSON document
     from_lists = _server_view(read_blocking(list_frame))
     from_blobs = _server_view(read_async(protocol.encode_frame(request)))

@@ -3,7 +3,8 @@
 * The client sends its request columns as blobs and reads the reply's
   as blobs.  A request whose columns are hand-written JSON lists gets
   the same answers, bit for bit, for ``query``, ``detect`` and
-  ``ingest``.
+  ``ingest``, and for a ``query`` that carries its selected ``blocks``
+  (which answers as the same query without them).
 * Ingest values the store would wrap (bytes outside [0, 255], ids
   outside [0, 2**32), non-integers) and non-finite fingerprints or
   timecodes are refused with ``bad_request`` instead of being stored
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.distortion.model import NormalDistortionModel
+from repro.index.filtering import statistical_blocks_multi
 from repro.index.s3 import S3Index
 from repro.index.segmented import SegmentedS3Index
 from repro.index.store import FingerprintStore
@@ -113,24 +115,33 @@ def _assert_same_answers(a, b):
 
 
 def as_lists(message: dict) -> dict:
-    """*message* with every numpy column written as a JSON list."""
+    """*message* with every numpy column, nested ones too, written as a
+    JSON list."""
     return {
-        key: value.tolist() if isinstance(value, np.ndarray) else value
+        key: value.tolist() if isinstance(value, np.ndarray)
+        else as_lists(value) if isinstance(value, dict) else value
         for key, value in message.items()
     }
 
 
-def assert_request_encodings_agree(client, queries, timecodes) -> None:
+def assert_request_encodings_agree(
+    client, queries, timecodes, blocks=None
+) -> None:
     """``query`` and ``detect`` answer list-encoded requests exactly as
-    the client's blob-encoded ones."""
+    the client's blob-encoded ones; with *blocks* (the queries' wire
+    ``blocks``), so does a ``query`` that carries them, in either
+    encoding, and as the query without them."""
     blobs = client.query(queries, include_fingerprints=True)
     assert any(len(result) for result in blobs)
-    reply = client._request(as_lists({
+    query = {
         "op": "query", "fingerprints": queries, "include_fingerprints": True,
-    }))
-    _assert_same_answers(
-        [WireResult.from_wire(wire) for wire in reply["results"]], blobs
-    )
+    }
+    shipped = [] if blocks is None else [{**query, "blocks": blocks}]
+    for request in [as_lists(query), *shipped, *map(as_lists, shipped)]:
+        reply = client._request(request)
+        _assert_same_answers(
+            [WireResult.from_wire(wire) for wire in reply["results"]], blobs
+        )
     detections = client.detect(queries, timecodes, threshold=1)
     assert detections
     assert client._request(as_lists({
@@ -186,10 +197,21 @@ class TestNegotiation:
             assert result.fingerprints.shape == (len(result), NDIMS)
 
     def test_list_and_blob_requests_answer_the_same(self, served, store):
+        queries = _queries(store)
+        index = S3Index(store, model=NormalDistortionModel(NDIMS, 5.0))
+        selected = statistical_blocks_multi(
+            queries, index.model, index.curve, index.depth, ALPHA
+        )
+        blocks = {
+            "prefixes": selected.prefixes.astype(np.int64),
+            "counts": selected.counts,
+            "depth": selected.depth,
+        }
         with ServeClient(port=served.port) as client:
             assert_request_encodings_agree(
-                client, _queries(store), np.arange(3.0)
+                client, queries, np.arange(3.0), blocks
             )
+            assert client.stats()["batcher"]["shipped"] == 6
 
     def test_list_and_blob_ingests_store_the_same(self, tmp_path, store):
         fresh = make_store(n=5, seed=9)
