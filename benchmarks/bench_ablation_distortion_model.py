@@ -60,7 +60,6 @@ def _run() -> ModelAblation:
         ("empirical marginals", empirical),
     ):
         for alpha in (0.7, 0.9):
-            index.reset_threshold_cache()
             hits = scanned = 0
             for i in range(keep):
                 result = index.statistical_query(queries[i], alpha, model=model)

@@ -92,7 +92,6 @@ def main() -> None:
                 0.0, 255.0,
             )
             (wire,) = client.query(probe, include_fingerprints=True)
-            index.reset_threshold_cache()
             solo = index.statistical_query(probe, ALPHA)
             identical = (
                 np.array_equal(solo.rows, wire.rows)

@@ -2,9 +2,9 @@
 
 Simulates the paper's production deployment: a "TV channel" stream is
 assembled from non-referenced material with referenced excerpts spliced in
-(one of them gamma-distorted, as off-air captures are), and the detector
-monitors it window by window, reporting which archive programme each
-detection matches and at which temporal alignment.
+(one of them gamma-distorted, as off-air captures are), and a
+:class:`StreamMonitor` is fed it chunk by chunk, reporting which archive
+programme each detection matches and at which temporal alignment.
 
 Run:  python examples/tv_monitoring.py
 """
@@ -12,7 +12,11 @@ Run:  python examples/tv_monitoring.py
 import numpy as np
 
 from repro import CopyDetector, DetectorConfig, NormalDistortionModel, S3Index
-from repro.cbcd import calibrate_decision_threshold
+from repro.cbcd import (
+    MonitorConfig,
+    StreamMonitor,
+    calibrate_decision_threshold,
+)
 from repro.corpus import build_reference_corpus, scale_store
 from repro.video import Gamma, VideoClip, generate_corpus
 
@@ -52,25 +56,8 @@ def main() -> None:
           f"({stream.duration:.0f} s at {stream.frame_rate:.0f} fps)")
 
     # --- monitor ----------------------------------------------------------
-    print("\nmonitoring (80-frame windows):")
-    reports = detector.monitor_stream(stream, window_frames=80)
-    for start, report in reports:
-        expected = next(
-            (label for s, e, label, _ in schedule if s <= start < e), "?"
-        )
-        if report.detections:
-            det = report.detections[0]
-            print(f"  window @{start:4d}: DETECTED video {det.video_id} "
-                  f"(b={det.offset:7.1f}, n_sim={det.nsim:3d})   [{expected}]")
-        else:
-            print(f"  window @{start:4d}: no detection                    "
-                  f"    [{expected}]")
-
-    # --- the stateful monitor: overlapping windows, incremental feed ------
-    from repro.cbcd import MonitorConfig, StreamMonitor
-
-    print("\nstateful StreamMonitor (fed in 25-frame chunks, overlapping "
-          "windows):")
+    print("\nmonitoring (80-frame windows every 40 frames, fed in 25-frame "
+          "chunks):")
     monitor = StreamMonitor(
         index,
         MonitorConfig(alpha=0.8, window_frames=80, hop_frames=40,
@@ -80,7 +67,23 @@ def main() -> None:
         for det in monitor.feed(stream.frames[start:start + 25]):
             print(f"  confirmed at frame {det.first_seen_frame:4d}: "
                   f"video {det.video_id} aligned at stream offset "
-                  f"{det.stream_offset:.1f} (n_sim={det.nsim})")
+                  f"{det.stream_offset:7.1f} (n_sim={det.nsim})")
+
+    # --- score against the schedule ---------------------------------------
+    # A copy of reference frames [f, ...) spliced in at stream frame s
+    # aligns at stream offset s - f.
+    print("\nschedule:")
+    for s, e, label, truth in schedule:
+        if truth is None:
+            print(f"  frames {s:4d}-{e:4d}: {label}")
+            continue
+        offset = s - truth.start_frame
+        found = any(
+            d.video_id == truth.video_id and abs(d.stream_offset - offset) <= 4
+            for d in monitor.detections
+        )
+        print(f"  frames {s:4d}-{e:4d}: {label} (offset {offset:.0f}): "
+              f"{'DETECTED' if found else 'missed'}")
 
 
 if __name__ == "__main__":

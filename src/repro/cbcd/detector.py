@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from ..distortion.model import IndependentDistortionModel
-from ..errors import ConfigurationError, ExtractionError
+from ..errors import ConfigurationError
 from ..fingerprint.extractor import ExtractorConfig, FingerprintExtractor
 from ..index.batch import BatchQueryExecutor
 from ..index.options import QueryOptions, config_options
@@ -115,9 +115,6 @@ class CopyDetector:
                 "fingerprints must be (N, D) aligned with (N,) timecodes"
             )
         cfg = self.config
-        # Per-run determinism: the index's warm-start cache is scoped to
-        # one candidate clip (still warm across its ~hundreds of queries).
-        self.index.reset_threshold_cache()
         executor = BatchQueryExecutor(
             self.index, model=self.model, options=cfg.options,
         )
@@ -152,40 +149,3 @@ class CopyDetector:
         return self.detect_fingerprints(
             extraction.store.fingerprints, extraction.store.timecodes
         )
-
-    # ------------------------------------------------------------------
-    def monitor_stream(
-        self,
-        clip: VideoClip,
-        window_frames: int,
-        hop_frames: Optional[int] = None,
-    ) -> list[tuple[int, DetectionReport]]:
-        """Continuously monitor a stream (the paper's TV monitoring, §V-D).
-
-        The stream is processed in sliding windows of *window_frames*; each
-        window's fingerprints go through the detection pipeline.  Returns
-        ``(window_start_frame, report)`` pairs.
-        """
-        if window_frames < 8:
-            raise ConfigurationError(
-                f"window_frames must be >= 8, got {window_frames}"
-            )
-        hop = hop_frames if hop_frames is not None else window_frames
-        if hop < 1:
-            raise ConfigurationError(f"hop_frames must be >= 1, got {hop}")
-        reports = []
-        start = 0
-        while start + window_frames <= clip.num_frames:
-            window = clip.subclip(start, start + window_frames)
-            try:
-                report = self.detect_clip(window)
-            except ExtractionError:
-                # Featureless windows (e.g. black sequences) produce no
-                # fingerprints; they simply yield no detections.
-                report = DetectionReport(
-                    detections=[], votes=[], num_queries=0,
-                    rows_scanned=0, search_seconds=0.0,
-                )
-            reports.append((start, report))
-            start += hop
-        return reports

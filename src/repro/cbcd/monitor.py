@@ -216,7 +216,6 @@ class StreamMonitor:
         except ExtractionError:
             return []
 
-        self.index.reset_threshold_cache()
         executor = BatchQueryExecutor(self.index, options=cfg.options)
         results = executor.query_all(
             extraction.store.fingerprints.astype(np.float64)

@@ -235,8 +235,7 @@ class SpatialSearchIndex:
 
         One engine pass per ``batch_size`` chunk (shared block selection +
         coalesced scan, see :mod:`repro.index.batch`); every match list is
-        identical to per-query :meth:`query` from the same warm-start
-        cache state.
+        identical to per-query :meth:`query`.
         """
         executor = BatchQueryExecutor(self.index, options=QueryOptions(
             alpha=alpha, batch_size=batch_size
@@ -277,7 +276,6 @@ class SpatialSearchIndex:
                 "fingerprints (N, D), timecodes (N,) and positions (N, 2) "
                 "must align"
             )
-        self.index.reset_threshold_cache()
         matches = [
             match
             for match in self.query_batch(

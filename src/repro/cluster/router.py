@@ -6,15 +6,14 @@ at it with zero changes — and fans every request out to the shard
 servers of a planned cluster:
 
 * ``query`` / ``detect``: the router selects each query's blocks once,
-  with the same cold statistical block selection a shard engine would
-  compute (the micro-batcher resets its threshold cache per engine
-  batch and the multi-query search replays solo searches exactly, so a
-  router-side per-request selection equals the shard-side one bit for
-  bit).  A shard whose occupancy does not intersect a query's selection
-  provably holds no match for it and is not sent that query; a shard
-  left with no queries is skipped outright.  The queries a shard is
-  sent carry their selected blocks, so the shard only scans them.
-  Shard answers are reassembled by :mod:`.merge` into single-node row
+  with the same statistical block selection a shard engine would
+  compute (a selection depends only on the query, the model, the depth
+  and α, so a router-side per-request selection equals the shard-side
+  one bit for bit).  A shard whose occupancy does not intersect a
+  query's selection provably holds no match for it and is not sent that
+  query; a shard left with no queries is skipped outright.  The queries
+  a shard is sent carry their selected blocks, so the shard only scans
+  them.  Shard answers are reassembled by :mod:`.merge` into single-node row
   order, so merged results are **bit-identical** to one server over the
   unsharded index.
 * ``ingest``: each row is routed by its Hilbert key to the one shard
@@ -440,6 +439,13 @@ class ClusterRouter(SocketFrameServer):
                             f"alpha={self.config.alpha}; start both at "
                             "one alpha"
                         )
+                    if health.get("depth") != self.manifest.depth:
+                        raise ConfigurationError(
+                            f"shard {client.shard} selects at depth="
+                            f"{health.get('depth')}, this cluster at "
+                            f"depth={self.manifest.depth}; its shipped "
+                            "blocks would all be refused"
+                        )
                     rows = (health.get("index") or {}).get("rows")
                     if rows is not None and int(rows) != spec.rows:
                         # The replica already diverged from the plan
@@ -499,7 +505,7 @@ class ClusterRouter(SocketFrameServer):
         """The batch's block selection, and which query rows each shard
         must answer.
 
-        With a statistical model, runs the engines' cold block selection
+        With a statistical model, runs the engines' block selection
         for the batch and keeps, per shard, only the queries whose
         selection intersects the shard's occupancy — an exact skip, as
         proven by the sketch tier it reuses: one occupancy test over

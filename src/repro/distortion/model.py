@@ -41,13 +41,13 @@ class IndependentDistortionModel:
         raise NotImplementedError
 
     def cache_token(self) -> tuple:
-        """A hashable identity used to key per-model warm-start caches.
+        """A hashable identity used to key per-model result caches.
 
         Models with equal tokens must induce identical box probabilities;
         the default is instance identity (never collides across distinct
         live models, never shares across equal ones).  Concrete models
         override this with a value-based token so equal models share
-        warm-start state.
+        cached results.
         """
         return ("instance", id(self))
 

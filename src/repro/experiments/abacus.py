@@ -116,7 +116,7 @@ def make_detector(
 
     The partition depth defaults deeper than the index's own heuristic:
     detection precision benefits from tight blocks (fewer coincidental
-    votes), and the warm-started threshold search keeps the filtering cost
+    votes), and the batched threshold search keeps the filtering cost
     moderate.
     """
     store = scale_store(setup.corpus.store, db_rows, rng=setup.rng)

@@ -304,7 +304,6 @@ def run_query_cache(
     bit_identical = True
     for chunk, results in zip(chunks, served):
         for query, result in zip(chunk, results):
-            index.reset_threshold_cache()
             solo = index.statistical_query(query, alpha)
             if not (
                 np.array_equal(solo.rows, result.rows)

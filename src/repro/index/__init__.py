@@ -49,10 +49,7 @@ from .filtering import (
     select_blocks_threshold,
     select_blocks_threshold_multi,
     statistical_blocks,
-    statistical_blocks_batch_cached,
-    statistical_blocks_cached,
     statistical_blocks_multi,
-    threshold_cache_key,
     window_blocks,
 )
 from .knn import knn_query
@@ -158,10 +155,7 @@ __all__ = [
     "select_blocks_threshold",
     "select_blocks_threshold_multi",
     "statistical_blocks",
-    "statistical_blocks_batch_cached",
-    "statistical_blocks_cached",
     "statistical_blocks_multi",
-    "threshold_cache_key",
     "validate_durability",
     "window_blocks",
     "tune_depth",

@@ -20,9 +20,8 @@ work across a frame batch:
 
 1. **Shared block selection** — the threshold search of eq. (4) runs over
    the whole ``(B, D)`` query matrix at once
-   (:func:`~repro.index.filtering.statistical_blocks_batch_cached`): one
-   tree descent for the batch, one vectorised pass per tree level, and
-   the warm-start ``t_max`` cache read/written once per batch.  It
+   (:func:`~repro.index.filtering.statistical_blocks_multi`): one tree
+   descent for the batch and one vectorised pass per tree level.  It
    returns one flat :class:`~repro.index.filtering.SelectionBatch`
    (every query's prefixes concatenated, per-query counts), and
    :func:`scan` reads those columns as they are.
@@ -51,10 +50,10 @@ work across a frame batch:
 Every scan runs in the calling thread (``docs/batch-query.md``, "Why
 there is one scan path").
 
-A batch's per-query results equal solo queries started from the same
-warm-start cache state by construction; ``docs/batch-query.md`` gives
-the exact cache semantics of a batch.  The per-query path this replaced
-is kept in ``tests/index/reference_query.py`` as the oracle.
+A query's selection reads nothing but the query, the model, the depth
+and α, so a batch's per-query results equal solo queries whatever ran
+before them or beside them.  The per-query path this replaced is kept
+in ``tests/index/reference_query.py`` as the oracle.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ import numpy as np
 
 from ..distortion.model import IndependentDistortionModel
 from ..errors import ConfigurationError
-from .filtering import SelectionBatch, statistical_blocks_batch_cached
+from .filtering import SelectionBatch, statistical_blocks_multi
 from .kernels import range_refine, window_refine
 from .options import QueryOptions, resolve_options
 from .s3 import QueryStats, SearchResult
@@ -394,18 +393,15 @@ def select_blocks(
     depth: int,
     blocks: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> SelectionBatch:
-    """Every query's blocks, in query order: searched from the index's
-    warm-start threshold cache, or, where *blocks* has them, as given.
+    """Every query's blocks, in query order: searched, or, where
+    *blocks* has them, as given.
 
     Each query's search is independent of which others share it, so
     searching only the queries without blocks changes none of their
     selections.
     """
     def search(rows: np.ndarray) -> SelectionBatch:
-        return statistical_blocks_batch_cached(
-            rows, model, index.curve, depth, alpha,
-            cache=index._threshold_cache,
-        )
+        return statistical_blocks_multi(rows, model, index.curve, depth, alpha)
 
     if blocks is None or all(b is None for b in blocks):
         return search(queries)
@@ -739,17 +735,16 @@ def _buffered(
 class BatchQueryExecutor:
     """Chunk a query workload into batches and run the batched engine.
 
-    One executor serves one ``(index, alpha, model, depth)`` workload —
-    the combination the warm-start threshold cache is keyed on.  Both
+    One executor serves one ``(index, alpha, model, depth)`` workload.  Both
     :class:`~repro.index.s3.S3Index` and
     :class:`~repro.index.segmented.lsm.SegmentedS3Index` run the one
     :func:`query_batch`.
 
     *options* carries the tuning (:class:`~repro.index.options.QueryOptions`):
     ``batch_size`` is the queries per engine call — larger batches
-    amortise descent overhead and coalesce more aggressively but delay
-    the warm-start cache update (it happens once per batch).  *alpha*
-    and *depth*, when given, override the options' values.
+    amortise descent overhead and coalesce more aggressively; results
+    do not depend on it.  *alpha* and *depth*, when given, override the
+    options' values.
     """
 
     def __init__(
@@ -778,8 +773,10 @@ class BatchQueryExecutor:
 
     # Perf-compat: the frozen perf/workloads/{stat_scan,tiered_scan}.py
     # call these five names and pass QueryOptions(executor="auto") — the
-    # one value options.py accepts; nothing else does.  All six are
-    # deleted at the next benchmark revision.
+    # one value options.py accepts; nothing else does.  The frozen
+    # workloads also call the no-op S3Queries.reset_threshold_cache
+    # (index/s3.py).  All seven are deleted at the next benchmark
+    # revision.
     def warm(self) -> None:
         pass
     def plan_batch(self) -> str:

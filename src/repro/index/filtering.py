@@ -232,11 +232,11 @@ class SelectionBatch:
 # descendants'" holds exactly only for the path minimum.
 
 _TABLE_ENTRIES = 1 << 22  # B * D * cuts CDF entries per descent (32 MB)
-# Shrink steps a descent answers below the probe it was started for: a
-# cold first probe sits ~4 steps above t_max, a warm one (1.5x the last
-# t_max) 0-2, and a resume is for stragglers.  A step too few costs a
-# resume (one more pass of the level loop), a step too many ~1.5x the nodes.
-_COLD_REACH, _REACH = 3, 2
+# Shrink steps a descent answers below the probe it was started for: the
+# first probe, (1 - alpha) / 4, sits ~4 steps above t_max, and a resume is
+# for stragglers.  A step too few costs a resume (one more pass of the
+# level loop), a step too many ~1.5x the nodes.
+_FIRST_REACH, _RESUME_REACH = 3, 2
 
 
 @dataclass
@@ -554,7 +554,9 @@ def _search(
     while active:
         missing = t < descent.floor
         if missing.any():
-            descent.lower(np.where(missing, t * shrink**_REACH, descent.floor))
+            descent.lower(
+                np.where(missing, t * shrink**_RESUME_REACH, descent.floor)
+            )
         still = []
         for i, total, covered in zip(active, *descent.probe(t, active)):
             success = total >= targets[i]
@@ -625,7 +627,6 @@ def statistical_blocks_multi(
     curve: HilbertCurve,
     depth: int,
     alpha: float,
-    initial_threshold: float | None = None,
     shrink: float = 0.25,
     refine_steps: int = 1,
     grow_steps: int = 2,
@@ -637,8 +638,10 @@ def statistical_blocks_multi(
     block set ``B(t)`` still carries probability mass at least *alpha*.
     ``P_sup(t)`` is monotone non-increasing in ``t``, so the search
     (:func:`_threshold_search`) shrinks ``t`` by *shrink* from
-    *initial_threshold*, grows it up to *grow_steps* times if the first
-    probe succeeds, and bisects *refine_steps* times.
+    ``(1 - alpha) / 4``, grows it up to *grow_steps* times if the first
+    probe succeeds, and bisects *refine_steps* times.  The search reads
+    nothing but its arguments, so a selection is a pure function of the
+    query, the model, the depth and *alpha*.
 
     The tree is descended **once** for the whole batch, to a floor a few
     shrink steps under the first probe, and every probe is answered from
@@ -657,18 +660,12 @@ def statistical_blocks_multi(
         raise ConfigurationError(f"alpha must be in (0, 1), got {alpha}")
     if not 0.0 < shrink < 1.0:
         raise ConfigurationError(f"shrink must be in (0, 1), got {shrink}")
-    if initial_threshold is not None and not np.isfinite(initial_threshold):
-        raise ConfigurationError(
-            f"initial_threshold must be finite, got {initial_threshold}"
-        )
     queries = _check_queries(queries, curve)
     _check_depth(depth, curve)
-    t0 = initial_threshold if initial_threshold is not None else (1.0 - alpha) / 4.0
-    t0 = min(max(t0, 1e-12), 1.0 - 1e-12)
+    t0 = max((1.0 - alpha) / 4.0, 1e-12)
     return _search(
         queries, model, curve, depth, alpha, np.full(queries.shape[0], t0),
-        shrink ** (_COLD_REACH if initial_threshold is None else _REACH),
-        shrink, refine_steps, grow_steps, max_descents,
+        shrink**_FIRST_REACH, shrink, refine_steps, grow_steps, max_descents,
     )
 
 
@@ -678,7 +675,6 @@ def statistical_blocks(
     curve: HilbertCurve,
     depth: int,
     alpha: float,
-    initial_threshold: float | None = None,
     shrink: float = 0.25,
     refine_steps: int = 1,
     grow_steps: int = 2,
@@ -687,84 +683,8 @@ def statistical_blocks(
     """:func:`statistical_blocks_multi` for one query (B = 1)."""
     query = _check_query(query, curve)
     return statistical_blocks_multi(
-        query[None, :], model, curve, depth, alpha, initial_threshold,
+        query[None, :], model, curve, depth, alpha,
         shrink, refine_steps, grow_steps, max_descents,
-    )[0]
-
-
-def threshold_cache_key(
-    alpha: float, depth: int, model: IndependentDistortionModel
-) -> tuple:
-    """Key of the warm-start threshold cache for one query family.
-
-    A usable warm start is specific to ``(alpha, depth)`` *and* to the
-    distortion model: a threshold tuned for a narrow model selects far too
-    few blocks under a wide one, so callers that alternate models per
-    query must not poison each other's warm starts.  The model contributes
-    a value-based identity token (:meth:`IndependentDistortionModel.cache_token`).
-    """
-    return (round(alpha, 6), depth, model.cache_token())
-
-
-def statistical_blocks_batch_cached(
-    queries: np.ndarray,
-    model: IndependentDistortionModel,
-    curve: HilbertCurve,
-    depth: int,
-    alpha: float,
-    cache: dict[tuple, float],
-) -> SelectionBatch:
-    """:func:`statistical_blocks_multi` with a self-regulating warm start.
-
-    Queries of one workload share ``(alpha, depth, model)``, so the
-    previous query's ``t_max`` (ratcheted up by 1.5×) is an excellent
-    first probe: successes push the cached threshold toward minimal block
-    sets while failures fall back through the shrink loop.
-
-    The warm-start cache is read **once** before the batch (every query in
-    it shares the same initial probe threshold) and written **once**
-    after it (the last query's converged ``t_max``, mirroring the
-    sequential chain's "previous query" semantics).  A batch of size 1
-    therefore reproduces the sequential cached loop bit for bit; larger
-    batches are bit-identical to a sequential loop in which each query
-    starts from the same cache state (see docs/batch-query.md).
-    """
-    cache_key = threshold_cache_key(alpha, depth, model)
-    warm = cache.get(cache_key)
-    selections = statistical_blocks_multi(
-        queries,
-        model,
-        curve,
-        depth,
-        alpha,
-        initial_threshold=None if warm is None else warm * 1.5,
-        grow_steps=0 if warm is not None else 2,
-    )
-    usable = selections.thresholds[
-        np.isfinite(selections.thresholds) & (selections.thresholds > 0)
-    ]
-    if usable.size:
-        cache[cache_key] = float(usable[-1])
-    return selections
-
-
-def statistical_blocks_cached(
-    query: np.ndarray,
-    model: IndependentDistortionModel,
-    curve: HilbertCurve,
-    depth: int,
-    alpha: float,
-    cache: dict[tuple, float],
-) -> BlockSelection:
-    """:func:`statistical_blocks_batch_cached` for one query (B = 1).
-
-    Both :class:`~repro.index.s3.S3Index` and the pseudo-disk searcher
-    route through here, so equal cache histories give bit-identical
-    selections.
-    """
-    query = _check_query(query, curve)
-    return statistical_blocks_batch_cached(
-        query[None, :], model, curve, depth, alpha, cache
     )[0]
 
 

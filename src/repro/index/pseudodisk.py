@@ -26,7 +26,7 @@ import numpy as np
 
 from ..distortion.model import IndependentDistortionModel
 from ..errors import ConfigurationError
-from .filtering import statistical_blocks_cached
+from .filtering import statistical_blocks_multi
 from .s3 import QueryStats, SearchResult
 from .store import FingerprintStore, PathLike
 from .table import HilbertLayout
@@ -104,7 +104,6 @@ class PseudoDiskSearcher:
         self.r = layout.section_split_for_memory(memory_rows)
         self.sections = layout.curve_sections(self.r)
         self._row_bytes = mapped.ndims + 4 + 8
-        self._threshold_cache: dict[tuple, float] = {}
 
     def __len__(self) -> int:
         return len(self._mapped)
@@ -125,21 +124,16 @@ class PseudoDiskSearcher:
                 f"queries must be (N, {self._mapped.ndims}), got {queries.shape}"
             )
         stats = BatchStats(num_queries=queries.shape[0], num_sections=len(self.sections))
-        # Fresh warm-start state per batch: identical batches give
-        # identical results regardless of earlier searches.
-        self._threshold_cache.clear()
 
         # Stage 1: filtering for the whole batch (database-independent).
         t0 = time.perf_counter()
-        all_ranges: list[list[tuple[int, int]]] = []
-        for q in queries:
-            selection = statistical_blocks_cached(
-                q, self.model, self.layout.curve, self.depth, alpha,
-                cache=self._threshold_cache,
-            )
-            all_ranges.append(
-                self.layout.block_row_ranges(selection.prefixes, selection.depth)
-            )
+        selections = statistical_blocks_multi(
+            queries, self.model, self.layout.curve, self.depth, alpha
+        )
+        all_ranges = [
+            self.layout.block_row_ranges(selection.prefixes, selection.depth)
+            for selection in selections
+        ]
         stats.filter_seconds = time.perf_counter() - t0
 
         # Stage 2: cyclic section loads + per-query refinement.

@@ -101,6 +101,12 @@ class S3Queries:
     #: The tier manager; ``None``: every row is resident.
     storage = None
 
+    # Perf-compat (listed with BatchQueryExecutor's in index/batch.py):
+    # the frozen perf/workloads/ call this before their reference
+    # answers.  A selection keeps no state, so there is nothing to reset.
+    def reset_threshold_cache(self) -> None:
+        pass
+
     def _resolve_model(
         self, model: Optional[IndependentDistortionModel]
     ) -> IndependentDistortionModel:
@@ -183,9 +189,8 @@ class S3Queries:
 
         One shared block-selection descent for the whole ``(B, D)`` query
         matrix, then one scan of the selected curve sections — see
-        :mod:`repro.index.batch`.  The warm-start cache is read and
-        written once per batch, so each result is what a batch of one
-        would return from the same cache state.
+        :mod:`repro.index.batch`.  Each result is what a batch of one
+        returns, whatever ran before it.
         """
         from .batch import query_batch
 
@@ -316,22 +321,7 @@ class S3Index(S3Queries):
         self._check_depth(depth)
         self.depth = depth
         self.model = model
-        # Warm-start cache for the threshold search of eq. (4): queries of
-        # one workload share (alpha, depth, model), so the previous query's
-        # t_max is an excellent first probe, typically saving 2-4 probes.
-        self._threshold_cache: dict[tuple, float] = {}
         self._view = None
-
-    # ------------------------------------------------------------------
-    def reset_threshold_cache(self) -> None:
-        """Forget warm-start thresholds (restores run-to-run determinism).
-
-        The cache makes successive statistical queries history-dependent
-        (all selections still honour the expectation α).  Callers that need
-        identical results for identical inputs — e.g. the detector, once
-        per candidate clip — reset it at the start of a run.
-        """
-        self._threshold_cache.clear()
 
     @property
     def curve(self):

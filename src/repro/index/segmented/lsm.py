@@ -290,7 +290,6 @@ class SegmentedS3Index(S3Queries):
         self.auto_compact = auto_compact
         self.sketch_config = sketch_config or SketchConfig()
         self.curve = HilbertCurve(manifest.ndims, manifest.order)
-        self._threshold_cache: dict[tuple, float] = {}
         #: The tier manager, set by :meth:`attach_storage` (directly or
         #: via :meth:`open`'s ``storage=``).  ``None`` = untiered: every
         #: segment resident, no budget, no blob backend.
@@ -836,10 +835,6 @@ class SegmentedS3Index(S3Queries):
             int(part.ids[0]),
             float(part.timecodes[0]),
         )
-
-    def reset_threshold_cache(self) -> None:
-        """Forget warm-start thresholds (see :meth:`S3Index.reset_threshold_cache`)."""
-        self._threshold_cache.clear()
 
     # ------------------------------------------------------------------
     # writes

@@ -16,8 +16,8 @@ single drain loop assemble batches dynamically:
 
 So N concurrent clients cost one shared descent and one coalesced scan
 instead of N — the cross-request analogue of PR 2's in-process batching.
-The warm-start threshold cache is reset before every engine call, so
-every served result is **bit-identical** to a solo deterministic
+A query's block selection depends on nothing but the query, so every
+served result is **bit-identical** to a solo
 :meth:`~repro.index.s3.S3Index.statistical_query` regardless of which
 requests happened to share a batch (tested in
 ``tests/serve/test_server.py``).
@@ -425,11 +425,7 @@ class MicroBatcher:
         # How long the batch sat behind the lane's previous occupant —
         # the stall a foreground query pays for lane contention.
         self.stats.stall.record(time.perf_counter() - submitted)
-        # Deterministic mode: a cold threshold search per batch makes
-        # every served result independent of batching history — the
-        # bit-identity contract of docs/serving.md.  Items that came
-        # with blocks are not searched, only scanned.
-        self.executor.index.reset_threshold_cache()
+        # Items that came with blocks are not searched, only scanned.
         results = self.executor.query_batch(queries, blocks)
         if self.cache is None:
             return results, None

@@ -66,11 +66,10 @@ DEFAULT_GATHER_CACHE_ROWS = 1 << 20
 def index_cache_token(index) -> tuple:
     """Identity of the index state a cached result is valid for.
 
-    Combines the distortion model's ``cache_token`` (model identity —
-    the same token that keys the warm-start threshold cache) with the
-    index's visible shape: total rows, and for segmented indexes the
-    segment count and memtable size.  Any ingest, flush or compaction
-    changes at least one component.
+    Combines the distortion model's ``cache_token`` (model identity)
+    with the index's visible shape: total rows, and for segmented
+    indexes the segment count and memtable size.  Any ingest, flush or
+    compaction changes at least one component.
     """
     model = getattr(index, "model", None)
     token: tuple = (

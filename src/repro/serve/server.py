@@ -498,8 +498,8 @@ class DetectionServer(SocketFrameServer):
         """
         cfg = self.config
         self._loop = asyncio.get_running_loop()
-        # One engine lane serialises the query batches (deterministic
-        # threshold-cache behaviour, one descent at a time).
+        # One engine lane serialises the query batches (one descent at
+        # a time).
         self._engine = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-engine"
         )
@@ -760,6 +760,11 @@ class DetectionServer(SocketFrameServer):
             "live": True,
             "ready": self.ready,
             "alpha": self.config.alpha,
+            # The partition depth shipped blocks must come at; None
+            # until the engine is built.
+            "depth": (
+                self._executor.selection_depth if self._executor else None
+            ),
             "index": index_summary(self.index),
         }
 
@@ -802,7 +807,6 @@ class DetectionServer(SocketFrameServer):
         return {
             **self.base_stats(),
             "ready": self.ready,
-            "ingest_deduped": self.ingest_deduped,
             "ingest": ingest,
             "batcher": batcher,
             "prefilter": prefilter,

@@ -125,35 +125,6 @@ class TestCalibration:
             calibrate_decision_threshold(detector, [])
 
 
-class TestMonitorStream:
-    def test_monitoring_finds_copy_window(self, corpus, detector):
-        """A stream containing referenced material triggers in the right
-        window (the paper's TV monitoring use-case).  The decision
-        threshold is raised above the coincidental-vote level, as the
-        paper's false-alarm calibration would."""
-        foreign = generate_corpus(1, 60, seed=999)[0]
-        copy_clip, truth = corpus.candidate(2, 20, 60)
-        stream_frames = np.concatenate([foreign.frames, copy_clip.frames])
-        from repro.video.synthetic import VideoClip
-
-        calibrated = CopyDetector(
-            detector.index,
-            DetectorConfig(alpha=0.8, decision_threshold=30),
-        )
-        stream = VideoClip(stream_frames)
-        reports = calibrated.monitor_stream(stream, window_frames=60)
-        assert len(reports) == 2
-        first_ids = {d.video_id for d in reports[0][1].detections}
-        second_ids = {d.video_id for d in reports[1][1].detections}
-        assert truth.video_id in second_ids
-        assert truth.video_id not in first_ids
-
-    def test_rejects_tiny_window(self, detector, corpus):
-        clip, _ = corpus.candidate(0, 0, 60)
-        with pytest.raises(ConfigurationError):
-            detector.monitor_stream(clip, window_frames=4)
-
-
 class TestExtractedEvaluation:
     def test_extracted_matches_direct_evaluation(self, corpus, detector):
         from repro.cbcd.evaluation import (

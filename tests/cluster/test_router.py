@@ -169,7 +169,6 @@ class TestBitIdentity:
         with SegmentedS3Index.open(
             source, auto_compact=False, mmap=True
         ) as index:
-            index.reset_threshold_cache()
             expected = index.statistical_query_batch(queries, ALPHA)
         got = routed.query(queries)
         assert len(expected) == len(got)

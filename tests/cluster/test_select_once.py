@@ -2,10 +2,9 @@
 
 A :class:`~repro.cluster.router.ClusterRouter` selects each query's
 blocks once and ships them; a shard scans them instead of selecting.
-That is exact only if the router's cold ``statistical_blocks_multi``
-equals what the shard's engine selects for the same queries, cold
-(the micro-batcher resets the threshold cache per engine batch), and
-whatever other request the engine batch merged them with.  Held here
+That is exact only if the router's ``statistical_blocks_multi`` equals
+what the shard's engine selects for the same queries, whatever other
+request the engine batch merged them with.  Held here
 for generated query batches, every column of the selection compared.
 
 ``PROPERTY_EXAMPLES`` raises the example count (CI's ``property-long`` job).
@@ -64,9 +63,7 @@ def cluster(tmp_path_factory):
 
 
 def _engine_selection(shard, queries):
-    """What the shard's engine selects for one batch: cold, as the
-    micro-batcher runs every batch."""
-    shard.reset_threshold_cache()
+    """What the shard's engine selects for one batch."""
     return select_blocks(
         shard, queries, ALPHA, shard._resolve_model(None),
         shard._resolve_depth(None),

@@ -123,3 +123,24 @@ class TestThreadReplicas:
                 ConfigurationError, match=r"shard 0 .*0\.7.*0\.8"
             ):
                 asyncio.run(router.start())
+
+    def test_router_refuses_shards_at_another_depth(self, cluster_dir):
+        manifest = ClusterManifest.load(cluster_dir)
+        other = manifest.depth - 1
+        with ClusterSupervisor(
+            cluster_dir, mode="thread",
+            serve_config=ServeConfig(
+                port=0, options=QueryOptions(depth=other)
+            ),
+            heal=False,
+        ) as supervisor:
+            with ServeClient(port=supervisor.replicas[0].port) as client:
+                assert client.health()["depth"] == other
+            router = ClusterRouter(
+                manifest, supervisor.endpoints(), RouterConfig(port=0),
+            )
+            with pytest.raises(
+                ConfigurationError,
+                match=rf"shard 0 .*depth={other}.*depth={manifest.depth}",
+            ):
+                asyncio.run(router.start())

@@ -119,3 +119,16 @@ class TestBaseFallback:
         generic = IndependentDistortionModel.cdf_multi(model, dims, x)
         fast = model.cdf_multi(dims, x)
         assert np.allclose(generic, fast)
+
+
+class TestCacheToken:
+    def test_equal_models_share_cache_token(self):
+        """Equal models key the same cached results; different model
+        kinds never do."""
+        a = NormalDistortionModel(20, 18.0)
+        b = NormalDistortionModel(20, 18.0)
+        assert a.cache_token() == b.cache_token()
+        pa = PerComponentNormalModel(np.full(20, 18.0))
+        pb = PerComponentNormalModel(np.full(20, 18.0))
+        assert pa.cache_token() == pb.cache_token()
+        assert a.cache_token() != pa.cache_token()

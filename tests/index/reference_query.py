@@ -28,7 +28,7 @@ from repro.index.filtering import (
     BlockSelection,
     best_first_blocks,
     range_blocks,
-    statistical_blocks_cached,
+    statistical_blocks,
     window_blocks,
 )
 from repro.index.kernels import range_refine, window_refine
@@ -86,9 +86,8 @@ def s3_statistical_query(
     if exact_blocks:
         selection = best_first_blocks(query, resolved, self.curve, depth, alpha)
     else:
-        selection = statistical_blocks_cached(
-            query, resolved, self.curve, depth, alpha,
-            cache=self._threshold_cache,
+        selection = statistical_blocks(
+            query, resolved, self.curve, depth, alpha
         )
     t1 = time.perf_counter()
     result = _scan_blocks(self, selection)
@@ -231,10 +230,7 @@ def segmented_statistical_query(
     resolved = self._resolve_model(model)
     depth = self._resolve_depth(depth)
     t0 = time.perf_counter()
-    selection = statistical_blocks_cached(
-        query, resolved, self.curve, depth, alpha,
-        cache=self._threshold_cache,
-    )
+    selection = statistical_blocks(query, resolved, self.curve, depth, alpha)
     t1 = time.perf_counter()
     result = _fan_out(
         self,

@@ -7,8 +7,10 @@ per-row ``searchsorted`` demux and the two engines that drove them),
 moved here verbatim.  The only edits: the call sites that named the
 layout methods and ``SegmentSketch.prune_prefixes`` call the copies
 below and in ``reference_query``, ``MONOLITHIC_STORE`` is defined here,
-and ``query_batch_segmented`` sums its sections and rows from a local
-list, since ``SegmentedQueryStats.per_segment`` is gone.  They are the oracle
+``query_batch_segmented`` sums its sections and rows from a local
+list, since ``SegmentedQueryStats.per_segment`` is gone, and both
+engines select with ``statistical_blocks_multi``, since the warm-start
+threshold cache they read is gone.  They are the oracle
 ``test_scan_oracle.py`` holds the engine to, and nothing under ``src/``
 imports them.
 """
@@ -23,7 +25,7 @@ import numpy as np
 from repro.distortion.model import IndependentDistortionModel
 from repro.errors import ConfigurationError
 from repro.index.batch import BatchQueryStats, _check_batch
-from repro.index.filtering import statistical_blocks_batch_cached
+from repro.index.filtering import statistical_blocks_multi
 from repro.index.s3 import QueryStats, S3Index, SearchResult
 from repro.index.store import FingerprintStore
 from repro.index.table import HilbertLayout
@@ -231,9 +233,8 @@ def query_batch_monolithic(
         return [], batch
 
     t0 = time.perf_counter()
-    selections = statistical_blocks_batch_cached(
-        queries, resolved, index.curve, depth, alpha,
-        cache=index._threshold_cache,
+    selections = statistical_blocks_multi(
+        queries, resolved, index.curve, depth, alpha
     )
     t1 = time.perf_counter()
     per_ranges = [
@@ -321,9 +322,8 @@ def query_batch_segmented(
         return [], batch
 
     t0 = time.perf_counter()
-    selections = statistical_blocks_batch_cached(
-        queries, resolved, index.curve, depth, alpha,
-        cache=index._threshold_cache,
+    selections = statistical_blocks_multi(
+        queries, resolved, index.curve, depth, alpha
     )
     t1 = time.perf_counter()
 

@@ -4,7 +4,10 @@ These are the pre-kernel bodies of ``repro.index.filtering``, moved here
 verbatim: a level-synchronous tree descent carrying ``(N, D)`` float box
 bounds and per-dimension CDF values, one whole descent per probe of the
 eq. (4) threshold search.  They are the oracle the property tests hold
-the kernel to, and nothing under ``src/`` imports them.
+the kernel to, and nothing under ``src/`` imports them.  The only edits:
+the warm-start cache wrappers and the first-probe argument they fed are
+gone, as they are from the kernel, so every search starts at
+``(1 - alpha) / 4``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from repro.index.filtering import (
     _check_query,
     grid_probability,
     grid_probability_multi,
-    threshold_cache_key,
 )
 
 _U64 = np.uint64
@@ -249,7 +251,6 @@ def statistical_blocks(
     curve: HilbertCurve,
     depth: int,
     alpha: float,
-    initial_threshold: float | None = None,
     shrink: float = 0.25,
     refine_steps: int = 1,
     grow_steps: int = 2,
@@ -260,7 +261,7 @@ def statistical_blocks(
     Searches ``t_max`` of eq. (4): the largest threshold whose block set
     ``B(t)`` still carries probability mass at least *alpha*.  ``P_sup(t)``
     is monotone non-increasing in ``t``, so the search first shrinks ``t``
-    geometrically (factor *shrink*) from *initial_threshold* until
+    geometrically (factor *shrink*) from ``(1 - alpha) / 4`` until
     ``P_sup >= alpha``; if the very first probe succeeds with no failure
     bracket it instead *grows* ``t`` up to *grow_steps* times (so an
     over-generous start does not inflate the block set), and finally
@@ -281,8 +282,7 @@ def statistical_blocks(
         raise ConfigurationError(f"shrink must be in (0, 1), got {shrink}")
     query = _check_query(query, curve)
     alpha_target = alpha * grid_probability(query, model, curve)
-    t = initial_threshold if initial_threshold is not None else (1.0 - alpha) / 4.0
-    t = min(max(t, 1e-12), 1.0 - 1e-12)
+    t = min(max((1.0 - alpha) / 4.0, 1e-12), 1.0 - 1e-12)
 
     nodes = 0
     descents = 0
@@ -347,40 +347,6 @@ def statistical_blocks(
         nodes_visited=nodes,
         descents=descents,
     )
-
-
-def statistical_blocks_cached(
-    query: np.ndarray,
-    model: IndependentDistortionModel,
-    curve: HilbertCurve,
-    depth: int,
-    alpha: float,
-    cache: dict[tuple, float],
-) -> BlockSelection:
-    """:func:`statistical_blocks` with a self-regulating warm-start cache.
-
-    Queries of one workload share ``(alpha, depth, model)``, so the
-    previous query's ``t_max`` (ratcheted up by 1.5×) is an excellent
-    first probe: successes push the cached threshold toward minimal block
-    sets while failures fall back through the shrink loop.  Typically
-    saves 2–4 descents per query.  Both :class:`~repro.index.s3.S3Index`
-    and the pseudo-disk searcher route through here, so equal cache
-    histories give bit-identical selections.
-    """
-    cache_key = threshold_cache_key(alpha, depth, model)
-    warm = cache.get(cache_key)
-    selection = statistical_blocks(
-        query,
-        model,
-        curve,
-        depth,
-        alpha,
-        initial_threshold=None if warm is None else warm * 1.5,
-        grow_steps=0 if warm is not None else 2,
-    )
-    if np.isfinite(selection.threshold) and selection.threshold > 0:
-        cache[cache_key] = selection.threshold
-    return selection
 
 
 def select_blocks_threshold_multi(
@@ -516,7 +482,7 @@ class _ThresholdSearch:
     def __init__(
         self,
         target: float,
-        initial_threshold: float,
+        first_probe: float,
         shrink: float,
         refine_steps: int,
         grow_steps: int,
@@ -526,7 +492,7 @@ class _ThresholdSearch:
         self.shrink = shrink
         self.grow_steps = grow_steps
         self.max_descents = max_descents
-        self.t = initial_threshold
+        self.t = first_probe
         self.t_fail: float | None = None
         self.t_ok = float("nan")
         self.best: BlockSelection | None = None
@@ -628,7 +594,6 @@ def statistical_blocks_multi(
     curve: HilbertCurve,
     depth: int,
     alpha: float,
-    initial_threshold: float | None = None,
     shrink: float = 0.25,
     refine_steps: int = 1,
     grow_steps: int = 2,
@@ -653,12 +618,11 @@ def statistical_blocks_multi(
     if num == 0:
         return []
 
-    t0 = initial_threshold if initial_threshold is not None else (1.0 - alpha) / 4.0
-    t0 = min(max(t0, 1e-12), 1.0 - 1e-12)
+    t0 = min(max((1.0 - alpha) / 4.0, 1e-12), 1.0 - 1e-12)
     searches = [
         _ThresholdSearch(
             target=alpha * mass,
-            initial_threshold=t0,
+            first_probe=t0,
             shrink=shrink,
             refine_steps=refine_steps,
             grow_steps=grow_steps,
@@ -680,38 +644,3 @@ def statistical_blocks_multi(
             searches[i].consume(sel)
 
     return [search.result(depth) for search in searches]
-
-
-def statistical_blocks_batch_cached(
-    queries: np.ndarray,
-    model: IndependentDistortionModel,
-    curve: HilbertCurve,
-    depth: int,
-    alpha: float,
-    cache: dict[tuple, float],
-) -> list[BlockSelection]:
-    """Batched :func:`statistical_blocks_cached`: one warm start per batch.
-
-    The warm-start cache is read **once** before the batch (every query in
-    it shares the same initial probe threshold) and written **once**
-    after it (the last query's converged ``t_max``, mirroring the
-    sequential chain's "previous query" semantics).  A batch of size 1
-    therefore reproduces the sequential cached loop bit for bit; larger
-    batches are bit-identical to a sequential loop in which each query
-    starts from the same cache state (see docs/batch-query.md).
-    """
-    cache_key = threshold_cache_key(alpha, depth, model)
-    warm = cache.get(cache_key)
-    selections = statistical_blocks_multi(
-        queries,
-        model,
-        curve,
-        depth,
-        alpha,
-        initial_threshold=None if warm is None else warm * 1.5,
-        grow_steps=0 if warm is not None else 2,
-    )
-    for selection in selections:
-        if np.isfinite(selection.threshold) and selection.threshold > 0:
-            cache[cache_key] = selection.threshold
-    return selections

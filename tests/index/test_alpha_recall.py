@@ -52,7 +52,6 @@ def test_planted_original_is_retrieved_at_rate_alpha(kind, seed):
     originals = index.store.fingerprints[rng.integers(0, ROWS, QUERIES)]
     queries = originals.astype(np.float64) + model.sample(QUERIES, rng)
     for alpha in (0.5, 0.8, 0.95):
-        index.reset_threshold_cache()
         results = index.statistical_query_batch(queries, alpha)
         retrieved = sum(
             bool(np.any(np.all(result.fingerprints == original, axis=1)))

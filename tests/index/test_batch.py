@@ -3,7 +3,7 @@
 The load-bearing property: every batched path — multi-query block
 selection, coalesced scanning, the segmented scan, the executor — must
 be **bit-identical** to the per-query path it replaced
-(``reference_query``) started from the same warm-start cache state.
+(``reference_query``).
 Hypothesis drives random batches (with duplicates), alphas and depths
 through both paths and compares exactly.
 """
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distortion.model import NormalDistortionModel, PerComponentNormalModel
+from repro.distortion.model import NormalDistortionModel
 from repro.errors import ConfigurationError
 from repro.hilbert import HilbertCurve
 from repro.index import filtering
@@ -27,10 +27,7 @@ from repro.index.filtering import (
     select_blocks_threshold,
     select_blocks_threshold_multi,
     statistical_blocks,
-    statistical_blocks_batch_cached,
-    statistical_blocks_cached,
     statistical_blocks_multi,
-    threshold_cache_key,
 )
 from repro.index.options import QueryOptions
 from repro.index.s3 import S3Index
@@ -196,37 +193,6 @@ class TestMultiSelectors:
             )
             assert selection_key(solo) == selection_key(multi[i])
 
-    def test_batch_of_one_reproduces_the_sequential_chain(self):
-        queries = self.queries(10, seed=3)
-        cache_seq, cache_batch = {}, {}
-        for q in queries:
-            solo = statistical_blocks_cached(
-                q, self.MODEL, self.CURVE, 16, 0.9, cache_seq
-            )
-            [one] = statistical_blocks_batch_cached(
-                q[None, :], self.MODEL, self.CURVE, 16, 0.9, cache_batch
-            )
-            assert selection_key(solo) == selection_key(one)
-        assert cache_seq == cache_batch
-
-    def test_batch_shares_one_warm_start(self):
-        queries = self.queries(6, seed=4)
-        cache = {}
-        statistical_blocks_cached(
-            queries[0], self.MODEL, self.CURVE, 16, 0.9, cache
-        )
-        frozen = dict(cache)
-        batch = statistical_blocks_batch_cached(
-            queries, self.MODEL, self.CURVE, 16, 0.9, cache
-        )
-        for i in range(len(queries)):
-            solo = statistical_blocks_cached(
-                queries[i], self.MODEL, self.CURVE, 16, 0.9, dict(frozen)
-            )
-            assert selection_key(solo) == selection_key(batch[i])
-        key = threshold_cache_key(0.9, 16, self.MODEL)
-        assert cache[key] == batch[-1].threshold
-
     def test_empty_batch(self):
         assert list(statistical_blocks_multi(
             np.empty((0, NDIMS)), self.MODEL, self.CURVE, 16, 0.9
@@ -322,22 +288,19 @@ WINDOW = np.full(NDIMS, 50.0), np.full(NDIMS, 150.0)
     lambda ix: ix.range_query(WINDOW[0], float("nan")),
     lambda ix: ix.window_query(np.r_[np.nan, WINDOW[0][1:]], WINDOW[1]),
     lambda ix: ix.window_query(WINDOW[0], np.r_[WINDOW[1][:-1], np.inf]),
-    lambda ix: statistical_blocks(
-        WINDOW[0], ix.model, ix.curve, 8, 0.8, initial_threshold=float("nan")
-    ),
     lambda ix: statistical_blocks_multi(
         np.vstack([WINDOW[0], INF_QUERY]), ix.model, ix.curve, 8, 0.8
     ),
-    lambda ix: statistical_blocks_cached(NAN_QUERY, ix.model, ix.curve, 8, 0.8, {}),
+    lambda ix: statistical_blocks(NAN_QUERY, ix.model, ix.curve, 8, 0.8),
     lambda ix: select_blocks_threshold(INF_QUERY, ix.model, ix.curve, 8, 0.01),
 ], ids=[
     "statistical", "exact-blocks", "statistical-batch", "query-batch",
     "executor", "range", "range-epsilon", "window-lo", "window-hi",
-    "initial-threshold", "selection-multi", "selection-cached",
+    "selection-multi", "selection-solo",
     "selection-threshold",
 ])
 def test_non_finite_input_refused(call):
-    """A non-finite query, window bound, radius or warm start is refused,
+    """A non-finite query, window bound or radius is refused,
     as the wire refuses it, instead of selecting nothing."""
     fp, ids, tcs = make_records(400, seed=2)
     index = S3Index(
@@ -345,41 +308,6 @@ def test_non_finite_input_refused(call):
     )
     with pytest.raises(ConfigurationError, match="finite|epsilon"):
         call(index)
-
-
-# ----------------------------------------------------------------------
-class TestCacheKey:
-    """Satellite: the warm-start cache must be keyed by model identity."""
-
-    def test_distinct_models_do_not_poison_each_other(self):
-        curve = HilbertCurve(ndims=NDIMS, order=8)
-        wide = NormalDistortionModel(NDIMS, 40.0)
-        narrow = NormalDistortionModel(NDIMS, 2.0)
-        q = np.full(NDIMS, 128.0)
-        cache = {}
-        statistical_blocks_cached(q, wide, curve, 16, 0.9, cache)
-        statistical_blocks_cached(q, narrow, curve, 16, 0.9, cache)
-        # Both models keep their own warm-start entry.
-        assert threshold_cache_key(0.9, 16, wide) in cache
-        assert threshold_cache_key(0.9, 16, narrow) in cache
-        assert len(cache) == 2
-        # Interleaving models gives the same selections as dedicated
-        # caches — no cross-model warm start leaks through.
-        solo_wide = statistical_blocks_cached(q, wide, curve, 16, 0.9, {})
-        statistical_blocks_cached(q, wide, curve, 16, 0.9, {})
-        shared = {}
-        statistical_blocks_cached(q, narrow, curve, 16, 0.9, shared)
-        mixed = statistical_blocks_cached(q, wide, curve, 16, 0.9, shared)
-        assert mixed.threshold == solo_wide.threshold
-
-    def test_equal_models_share_warm_start(self):
-        a = NormalDistortionModel(NDIMS, SIGMA)
-        b = NormalDistortionModel(NDIMS, SIGMA)
-        assert threshold_cache_key(0.8, 16, a) == threshold_cache_key(0.8, 16, b)
-        pa = PerComponentNormalModel(np.full(NDIMS, SIGMA))
-        pb = PerComponentNormalModel(np.full(NDIMS, SIGMA))
-        assert threshold_cache_key(0.8, 16, pa) == threshold_cache_key(0.8, 16, pb)
-        assert threshold_cache_key(0.8, 16, a) != threshold_cache_key(0.8, 16, pa)
 
 
 # ----------------------------------------------------------------------
@@ -412,10 +340,8 @@ class TestMonolithicBatch:
     @settings(max_examples=15, deadline=None)
     def test_equals_sequential(self, index, n, seed, alpha):
         queries = self.batch_queries(index, n, seed)
-        index.reset_threshold_cache()
         batch = index.statistical_query_batch(queries, alpha)
         for i in range(n):
-            index.reset_threshold_cache()
             solo = reference_query.s3_statistical_query(index, queries[i], alpha)
             assert result_key(solo) == result_key(batch[i])
             assert solo.stats.blocks_selected == batch[i].stats.blocks_selected
@@ -439,7 +365,6 @@ class TestMonolithicBatch:
 
     def test_batch_stats_account_coalescing(self, index):
         queries = self.batch_queries(index, 16, seed=9)
-        index.reset_threshold_cache()
         results, batch = query_batch(index, queries, 0.8)
         assert batch.queries == 16 and batch.batches == 1
         assert batch.logical_rows == sum(len(r) for r in results)
@@ -449,13 +374,11 @@ class TestMonolithicBatch:
 
     def test_executor_chunks_match_single_batches(self, index):
         queries = self.batch_queries(index, 10, seed=13)
-        index.reset_threshold_cache()
         ex = BatchQueryExecutor(index, options=QueryOptions(
             alpha=0.8, batch_size=4
         ))
         chunked = ex.query_all(queries)
         assert ex.stats.batches == 3 and ex.stats.queries == 10
-        index.reset_threshold_cache()
         expected = []
         for s in range(0, 10, 4):
             expected.extend(
@@ -515,10 +438,8 @@ class TestSegmentedBatch:
         if n >= 3:
             queries[0] = queries[n - 1]  # duplicates in the batch
 
-        seg.reset_threshold_cache()
         batch = seg.statistical_query_batch(queries, alpha, depth=depth)
         for i in range(n):
-            seg.reset_threshold_cache()
             solo = reference_query.segmented_statistical_query(
                 seg, queries[i], alpha, depth=depth
             )
@@ -549,10 +470,8 @@ class TestSegmentedBatch:
     def test_executor_picks_segmented_engine(self, tmp_path):
         seg, fp = self.build_segmented(tmp_path / "seg", [1500])
         queries = fp[:8].astype(np.float64)
-        seg.reset_threshold_cache()
         ex = BatchQueryExecutor(seg, options=QueryOptions(alpha=0.8, batch_size=8))
         got = ex.query_all(queries)
-        seg.reset_threshold_cache()
         _, batch = query_batch(seg, queries, 0.8)
         assert ex.stats.queries == 8
         assert len(got) == 8

@@ -260,9 +260,7 @@ class TestRacingBitIdentity:
         tail answers a query set twice: quiesced, then while the
         maintenance worker seals the tail and merges the over-cap
         segment set.  The storm only reorganises rows, so both passes
-        must return identical record multisets.  The warm-start
-        threshold cache is reset before every query — selections are
-        bit-identical only for equal cache histories.
+        must return identical record multisets.
         """
         directory = tmp_path_factory.mktemp("race") / "idx"
         index = SegmentedS3Index.create(
@@ -291,7 +289,6 @@ class TestRacingBitIdentity:
             )
 
             def solo(q):
-                index.reset_threshold_cache()
                 return result_key(index.statistical_query(q, alpha=0.8))
 
             quiesced = [solo(q) for q in queries]
@@ -383,10 +380,6 @@ class TestLazyMemtableKeys:
                 fresh.add(fp, ids, tcs)
                 for row in (0, 13, 77, 199):
                     q = fp[row].astype(np.float64)
-                    # Reset both warm-start caches: selections are
-                    # bit-identical only for equal cache histories.
-                    index.reset_threshold_cache()
-                    fresh.reset_threshold_cache()
                     assert result_key(
                         index.statistical_query(q, alpha=0.8)
                     ) == result_key(fresh.statistical_query(q, alpha=0.8))

@@ -71,9 +71,7 @@ def assert_bit_identical(a, b):
 
 
 def assert_on_off_identical(index, query, alpha, epsilon):
-    index.reset_threshold_cache()
     off = index.statistical_query(query, alpha, options=OFF)
-    index.reset_threshold_cache()
     on = index.statistical_query(query, alpha, options=ON)
     assert_bit_identical(off, on)
     assert on.stats.segments_skipped >= 0
@@ -276,9 +274,7 @@ class TestAdmissibility:
             model=NormalDistortionModel(NDIMS, SIGMA),
         )
         query = fp[3].astype(np.float64)
-        index.reset_threshold_cache()
         off = index.statistical_query(query, 0.8, options=OFF)
-        index.reset_threshold_cache()
         on = index.statistical_query(query, 0.8, options=ON)
         assert_bit_identical(off, on)
         assert_bit_identical(
@@ -319,7 +315,6 @@ class TestBatchedPrefilter:
         for mode in ("off", "auto"):
             opts = QueryOptions(alpha=0.8, batch_size=8, prefilter=mode)
             executor = BatchQueryExecutor(index, options=opts)
-            index.reset_threshold_cache()
             outputs[mode] = executor.query_batch(queries)
             skips[mode] = executor.stats.segments_skipped
         for off, on in zip(outputs["off"], outputs["auto"]):

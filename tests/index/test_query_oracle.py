@@ -5,20 +5,19 @@ per-query path they replaced (``reference_query``).
   active memtable; sketch prefilter auto and off), tiered (mixed cold
   and resident segments, blobs in memory and in files) and a segmented
   index of one segment and empty memtables.
-* The queries: statistical with and without ``exact_blocks`` from the
-  same warm-start cache state; ε-range with integer and non-integer
+* The queries: statistical with and without ``exact_blocks``; ε-range
+  with integer and non-integer
   centres and ε set exactly to some row's distance; window queries.
 * The contract: identical ``rows``, ``ids``, ``timecodes``,
   ``fingerprints`` and ``distances`` in value, dtype and shape,
-  identical non-timing stats, identical threshold caches and identical
-  tier-manager fetch counters.
+  identical non-timing stats and identical tier-manager fetch counters.
 
 Both index kinds share one query front, so two cases have no per-query
 path to hold to:
 
 * the one-segment index must answer every query kind as an
   ``S3Index`` over the segment's own store does — columns, distances,
-  the stats fields the two share, threshold cache;
+  the stats fields the two share;
 * on the sealed + frozen + active indexes, a window query must return
   the records a brute-force ``window_refine`` over all of them keeps,
   and ``exact_blocks`` the records the monolithic index over all of
@@ -136,23 +135,20 @@ def counts(stats):
     }
 
 
-def run(index, query, warm):
-    """``query(index)`` from the threshold cache *warm*: its result, the
-    cache it left and the fetch counters it moved."""
-    index._threshold_cache.clear()
-    index._threshold_cache.update(warm)
+def run(index, query):
+    """``query(index)``: its result and the fetch counters it moved."""
     storage = getattr(index, "storage", None)
     before = [getattr(storage.stats, c) for c in FETCH_COUNTERS] if storage else []
     result = query(index)
     after = [getattr(storage.stats, c) for c in FETCH_COUNTERS] if storage else []
     moved = [b - a for a, b in zip(before, after)]
-    return result, dict(index._threshold_cache), moved
+    return result, moved
 
 
 def assert_same(got, want, stats=None):
-    """Columns, threshold caches and fetch counters identical; the
-    stats identical too, or only their fields named in *stats*."""
-    (g, g_cache, g_moved), (w, w_cache, w_moved) = got, want
+    """Columns and fetch counters identical; the stats identical too,
+    or only their fields named in *stats*."""
+    (g, g_moved), (w, w_moved) = got, want
     for name in COLUMNS:
         a, b = getattr(g, name), getattr(w, name)
         if b is None and name == "distances" and a is not None:
@@ -173,15 +169,13 @@ def assert_same(got, want, stats=None):
         assert {k: counts(g.stats)[k] for k in stats} == {
             k: counts(w.stats)[k] for k in stats
         }
-    assert g_cache == w_cache
     assert g_moved == w_moved
 
 
-def check(index, new, old, warm=()):
-    """*new* and *old* (callables of the index) from the same cache."""
-    warm = dict(warm)
-    got = run(index, new, warm)
-    assert_same(got, run(index, old, warm))
+def check(index, new, old):
+    """*new* and *old* (callables of the index) answer alike."""
+    got = run(index, new)
+    assert_same(got, run(index, old))
     return got[0]
 
 
@@ -191,13 +185,6 @@ def record_set(result):
         result.ids.tolist(), result.timecodes.tolist(),
         map(bytes, result.fingerprints),
     ))
-
-
-def warm_cache(index, seed):
-    """A threshold cache one earlier query of the workload left."""
-    index.reset_threshold_cache()
-    index.statistical_query(FPS[seed % len(FPS)].astype(np.float64), 0.8)
-    return dict(index._threshold_cache)
 
 
 def ball_centre(rng, integer):
@@ -231,7 +218,6 @@ def cases(draw):
         if draw(st.booleans()):
             centre[:] = 0.0  # a corner no row is near
         args = (centre, alpha)
-        warm = draw(st.sampled_from([None, int(rng.integers(0, len(FPS)))]))
     elif query == "range":
         centre = ball_centre(rng, draw(st.booleans()))
         if draw(st.booleans()):
@@ -240,12 +226,12 @@ def cases(draw):
             epsilon = float(np.sqrt(near[draw(st.integers(0, 40))]))
         else:
             epsilon = draw(st.sampled_from([0.0, 6.0, 18.0, 40.0]))
-        args, warm = (centre, epsilon), None
+        args = (centre, epsilon)
     else:
         centre = ball_centre(rng, draw(st.booleans()))
         half = draw(st.sampled_from([4.0, 12.5, 30.0]))
-        args, warm = (centre - half, centre + half), None
-    return kind, query, args, depth, options, warm
+        args = (centre - half, centre + half)
+    return kind, query, args, depth, options
 
 
 def queries(query, kind, args, depth, options):
@@ -272,19 +258,18 @@ def queries(query, kind, args, depth, options):
 @given(cases())
 @settings(max_examples=EXAMPLES, deadline=None)
 def test_queries_match_reference(indexes, case):
-    kind, query, args, depth, options, warm = case
+    kind, query, args, depth, options = case
     index = indexes[kind]
-    warm = {} if warm is None else warm_cache(index, warm)
     if kind == "one":
-        check_one_segment(index, query, args, depth, options, warm)
+        check_one_segment(index, query, args, depth, options)
     elif kind != "mono" and query in ("exact", "window"):
         check_records(indexes["mono"], index, query, args, depth, options)
     else:
         new, old = queries(query, kind, args, depth, options)
-        check(index, new, old, warm)
+        check(index, new, old)
 
 
-def check_one_segment(index, query, args, depth, options, warm):
+def check_one_segment(index, query, args, depth, options):
     """A one-segment index with empty memtables against an ``S3Index``
     over the segment's own store: the stats fields the two share agree,
     but for the rows and sections of a range query the sketch's bounds
@@ -297,7 +282,7 @@ def check_one_segment(index, query, args, depth, options, warm):
             k for k in MONO_STATS
             if k not in ("rows_scanned", "sections_scanned")
         )
-    assert_same(run(index, call, warm), run(s3, call, warm), stats=stats)
+    assert_same(run(index, call), run(s3, call), stats=stats)
 
 
 def check_records(mono, index, query, args, depth, options):
@@ -375,11 +360,8 @@ def test_options_depth_is_depth(indexes, kind):
         lambda **kw: index.range_query(points[1], 12.0, **kw),
     ]
     for call in calls:
-        index.reset_threshold_cache()
         by_options = call(options=QueryOptions(depth=depth))
-        index.reset_threshold_cache()
         by_depth = call(depth=depth)
-        index.reset_threshold_cache()
         default = call()
         assert counts(by_options.stats) == counts(by_depth.stats)
         assert np.array_equal(by_options.rows, by_depth.rows)

@@ -183,7 +183,6 @@ def check_engines(index, kind, queries, alpha, **kwargs):
     new, old = engines(kind)
 
     def run(engine, cache):
-        index.reset_threshold_cache()
         return engine(index, queries, alpha, gather_cache=cache, **kwargs)
 
     got = run(new, None)
@@ -418,12 +417,10 @@ def test_mutating_a_result_cannot_reach_the_cache(indexes, kind):
     new, _ = engines(kind)
     queries = FPS[[10, 11, 900]].astype(np.float64)
     cache = GatherCache()
-    index.reset_threshold_cache()
     first, _ = new(index, queries, 0.9, gather_cache=cache)
     original = [r.fingerprints.copy() for r in first]
     for r in first:
         r.fingerprints[...] = 0  # the caller scribbles on its answer
-    index.reset_threshold_cache()
     again, _ = new(index, queries, 0.9, gather_cache=cache)
     assert cache.hits > 0
     for r, want in zip(again, original):

@@ -378,10 +378,8 @@ class TestCompaction:
             index.add(*batch)
             index.flush()
         query = batches[1][0][11].astype(np.float64)
-        index.reset_threshold_cache()
         before = result_key(index.statistical_query(query, 0.8))
         index.compact(force=True)
-        index.reset_threshold_cache()
         after = result_key(index.statistical_query(query, 0.8))
         assert before == after
         assert SegmentedS3Index.open(tmp_path / "idx").num_segments == 1
@@ -497,8 +495,6 @@ class TestMonolithicEquivalence:
         fp, _, _ = self.CORPUS
         query = fp[query_row].astype(np.float64)
 
-        mono.reset_threshold_cache()
-        seg.reset_threshold_cache()
         a = mono.statistical_query(query, alpha)
         b = seg.statistical_query(query, alpha)
         assert result_key(a) == result_key(b)

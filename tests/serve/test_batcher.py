@@ -47,7 +47,6 @@ def run(coro):
 
 
 def solo(index, fingerprint):
-    index.reset_threshold_cache()
     return index.statistical_query(fingerprint, ALPHA)
 
 

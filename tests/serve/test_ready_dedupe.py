@@ -95,7 +95,7 @@ class TestIngestDedupe:
                 assert again["rows"] == first["rows"]
                 assert again["pending_rows"] == first["pending_rows"]
                 stats = client.stats()
-                assert stats["ingest_deduped"] == 1
+                assert stats["ingest"]["deduped"] == 1
 
     def test_distinct_request_ids_both_apply(self, tmp_path):
         rng = np.random.default_rng(2)

@@ -109,7 +109,6 @@ class TestWireEquivalence:
         assert stats["batcher"]["queries"] == NUM_CLIENTS * QUERIES_PER_CLIENT
         for i, workload in enumerate(workloads):
             for j, query in enumerate(workload):
-                index.reset_threshold_cache()
                 expected = index.statistical_query(query, ALPHA)
                 got = served[i][j]
                 assert np.array_equal(got.rows, expected.rows)

@@ -78,7 +78,6 @@ def wire_blocks(batch) -> dict:
 
 
 def solo(index, query):
-    index.reset_threshold_cache()
     return index.statistical_query(query, ALPHA)
 
 
@@ -264,9 +263,7 @@ class TestMixedBatches:
         blocks = [chosen[i].prefixes if i in shipped else None
                   for i in range(7)]
         executor = BatchQueryExecutor(index, options=QueryOptions(alpha=ALPHA))
-        index.reset_threshold_cache()
         want = executor.query_batch(queries)
-        index.reset_threshold_cache()
         got = executor.query_batch(queries, blocks)
         assert any(len(r) for r in want)
         for g, w in zip(got, want, strict=True):

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.distortion.model import NormalDistortionModel
 from repro.index.batch import BatchQueryExecutor
-from repro.index.filtering import statistical_blocks_cached
+from repro.index.filtering import statistical_blocks
 from repro.index.options import QueryOptions
 from repro.index.pseudodisk import PseudoDiskSearcher
 from repro.index.segmented import CompactionPolicy, SegmentedS3Index
@@ -86,8 +86,7 @@ def build_archive(directory, rng):
 
 
 def query_batch(index, queries):
-    """One batch from a reset threshold cache; results and stats."""
-    index.reset_threshold_cache()
+    """One batch; results and stats."""
     executor = BatchQueryExecutor(
         index,
         options=QueryOptions(
@@ -102,12 +101,9 @@ def predicted_bytes(store_path, count, model, depth, queries):
     layout = PseudoDiskSearcher(
         store_path, model, memory_rows=count, depth=depth
     ).layout
-    cache = {}
     per_query = []
     for q in queries:
-        sel = statistical_blocks_cached(
-            q, model, layout.curve, depth, ALPHA, cache=cache
-        )
+        sel = statistical_blocks(q, model, layout.curve, depth, ALPHA)
         per_query.append(layout.block_row_ranges(sel.prefixes, sel.depth))
     rows = sum(e - s for s, e in union_ranges(per_query))
     return rows * row_bytes(NDIMS)

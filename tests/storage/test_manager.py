@@ -230,7 +230,6 @@ class TestTornData:
 
         truncate(tmp_path / "cold" / (name + BLOB_SUFFIX))
         errors = index.storage.stats.cold_errors
-        index.reset_threshold_cache()
         with pytest.raises(ColdFetchError) as err:
             engine.query_batch(queries)
         assert err.value.segment == name
@@ -246,16 +245,13 @@ class TestTornData:
         index.storage.demote(index._segments[0])
         queries = batches[0][0][:6].astype(np.float64)
         engine = BatchQueryExecutor(index, options=QueryOptions(alpha=0.8))
-        index.reset_threshold_cache()
         want = engine.query_batch(queries)
         assert engine.stats.cold_rows > 0
 
         backend.torn_reads = 1
-        index.reset_threshold_cache()
         with pytest.raises(ColdFetchError, match="torn read"):
             engine.query_batch(queries)
         assert backend.torn_reads == 0
-        index.reset_threshold_cache()
         for got, ref in zip(engine.query_batch(queries), want, strict=True):
             assert np.array_equal(got.rows, ref.rows)
             assert np.array_equal(got.fingerprints, ref.fingerprints)

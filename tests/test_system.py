@@ -87,7 +87,6 @@ class TestEndToEnd:
             255,
         )
         results, _ = searcher.search_batch(queries, 0.8)
-        index.reset_threshold_cache()
         for q, got in zip(queries, results):
             ref = index.statistical_query(q, 0.8)
             assert sorted(got.rows.tolist()) == sorted(ref.rows.tolist())
