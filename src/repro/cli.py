@@ -430,9 +430,7 @@ def _cmd_tier(args: argparse.Namespace) -> int:
         print(f"  activity: {counters['fetches']} range fetch(es) "
               f"({counters['fetch_bytes']} bytes), "
               f"{counters['promotions']} promotion(s), "
-              f"{counters['demotions']} demotion(s), "
-              f"prefetch hit ratio "
-              f"{counters['prefetch_hit_ratio']:.2f}")
+              f"{counters['demotions']} demotion(s)")
     return 0
 
 
@@ -835,8 +833,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="queued fingerprints before requests are shed")
     _add_cache_flags(
         p, ServeConfig,
-        "serve-path caching: result LRU, in-flight dedupe and hot-block "
-        "gather cache (answers stay bit-identical; invalidated on ingest)",
+        "serve-path caching: result LRU and in-flight dedupe (answers "
+        "stay bit-identical; invalidated on ingest)",
     )
     _add_storage_flags(p)
     p.add_argument("--port-file", default=None,

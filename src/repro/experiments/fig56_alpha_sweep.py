@@ -144,6 +144,14 @@ def run_fig56(
     r_range = Series("range query")
     t_stat = Series("statistical query")
     t_range = Series("spherical range query")
+    # One untimed query of each type first, so the first alpha row does
+    # not pay the process's cold start (imports, allocator, caches).
+    index.statistical_query(workload.queries[0], alphas[0])
+    index.range_query(
+        workload.queries[0],
+        radius_for_expectation(alphas[0], store.ndims, sigma_q),
+        depth=range_depth,
+    )
     for alpha in alphas:
         epsilon = radius_for_expectation(alpha, store.ndims, sigma_q)
 

@@ -4,10 +4,10 @@ The monitoring workload the paper targets repeats its material: the
 same jingles, idents and ad breaks recur across every monitored
 channel, so the fingerprints hitting the service follow a heavy-tailed
 rank-frequency law rather than a uniform draw.  The serve-path cache
-stack (:mod:`repro.serve.cache` — result LRU, in-flight dedupe,
-hot-block gather cache) converts that repetition into skipped engine
-work while preserving the contract that every answer is bit-identical
-to a cold solo ``statistical_query``.
+stack (:mod:`repro.serve.cache` — result LRU and in-flight dedupe)
+converts that repetition into skipped engine work while preserving the
+contract that every answer is bit-identical to a cold solo
+``statistical_query``.
 
 This experiment serves the same Zipf-distributed query trace twice over
 real sockets with concurrent clients:

@@ -33,10 +33,10 @@ work across a frame batch:
    :class:`~repro.index.s3.SearchResult` owns: each returned row is
    copied exactly once, and a resident scan moves the batch's logical
    rows, however much the queries overlap.  The batch's disjoint union
-   is materialised only where something reuses it — the gather cache
-   keeps it, and a cold segment fetches exactly it from the blob
-   backend in one call, so backend I/O is O(union) rather than O(sum
-   over queries).
+   is materialised only for a cold segment, which fetches exactly it
+   from the blob backend in one call, so backend I/O is O(union) rather
+   than O(sum over queries); elsewhere it only feeds the
+   ``sections_scanned`` and ``unique_rows`` counters.
 3. **Part-major gather, query-major results** — on a segmented index
    a query's answer spans every segment and memtable.  Each segment's
    sketch prune, ranges and union are computed once for the whole batch.
@@ -75,8 +75,6 @@ from .s3 import QueryStats, SearchResult
 from .store import FingerprintStore
 from .table import RangeBatch, expand_ranges, merge_ranges
 
-RowRange = tuple[int, int]
-
 
 @dataclass
 class BatchQueryStats:
@@ -84,7 +82,7 @@ class BatchQueryStats:
 
     ``logical_rows`` is the sum of every query's selected rows, which a
     resident scan copies once each; ``unique_rows`` is the rows of the
-    per-store unions, which a gather-cache miss or a cold fetch reads.
+    per-store unions, which a cold fetch reads.
     Their ratio is what reading the union saves.
     """
 
@@ -101,9 +99,7 @@ class BatchQueryStats:
     scan_seconds: float = 0.0
     #: Cold-tier traffic of the batch: segments scanned through the blob
     #: backend, union rows fetched, payload bytes and wall-clock spent
-    #: fetching them (wall-clock overlaps resident scans when the
-    #: prefetcher is on, so ``cold_fetch_seconds`` can exceed the time
-    #: the batch actually waited).
+    #: fetching them.
     cold_segments: int = 0
     cold_rows: int = 0
     cold_bytes: int = 0
@@ -154,11 +150,6 @@ def _union(sections: RangeBatch) -> tuple[np.ndarray, np.ndarray]:
     return coalesce_ranges(sections.starts, sections.ends)
 
 
-def _pairs(union: tuple[np.ndarray, np.ndarray]) -> list[RowRange]:
-    """*union* as ``(start, end)`` pairs: gather-cache key, fetch ranges."""
-    return list(zip(union[0].tolist(), union[1].tolist()))
-
-
 def _rows(union: tuple[np.ndarray, np.ndarray]) -> int:
     """Rows covered by *union*."""
     return int((union[1] - union[0]).sum())
@@ -171,7 +162,7 @@ def _positions(
     the source columns.
 
     The source is a store's own columns (positions are the rows), or —
-    with *union* — the columns of that union, gathered once.  A query
+    with *union* — the columns of that union, fetched once.  A query
     range then sits inside exactly one union range ``k``, at offset
     ``offsets[k] + (start - u_starts[k])``: one ``searchsorted`` per
     range, none per row.
@@ -196,26 +187,6 @@ def _columns(store: FingerprintStore) -> tuple:
     return tuple(
         np.asarray(c) for c in (store.ids, store.timecodes, store.fingerprints)
     )
-
-
-def _union_columns(
-    columns: tuple, union: tuple[np.ndarray, np.ndarray], store_name: str,
-    gather_cache,
-) -> tuple:
-    """The columns of *union*, from the gather cache or gathered into it.
-
-    ``take`` copies, so cached columns are byte-identical to a fresh
-    gather of the same immutable store rows; queries only ever ``take``
-    from them, so a cached entry never aliases a result.  The serving
-    layer invalidates the cache whenever the index mutates.
-    """
-    key = _pairs(union)
-    cached = gather_cache.get(store_name, key)
-    if cached is None:
-        u_rows = expand_ranges(*union)
-        cached = tuple(column.take(u_rows, axis=0) for column in columns)
-        gather_cache.put(store_name, key, cached, int(u_rows.size))
-    return cached
 
 
 def _take_into(out: tuple, at: int, columns: tuple, pos: np.ndarray) -> None:
@@ -355,8 +326,6 @@ def query_batch(
     model: Optional[IndependentDistortionModel] = None,
     depth: Optional[int] = None,
     prefilter: bool = True,
-    gather_cache=None,
-    prefetch: bool = True,
     blocks: Optional[Sequence[Optional[np.ndarray]]] = None,
 ) -> tuple[list[SearchResult], BatchQueryStats]:
     """Answer a batch of statistical queries against either index kind.
@@ -380,8 +349,7 @@ def query_batch(
         index, queries, alpha, resolved, depth, blocks
     )
     return scan(
-        index, selections, time.perf_counter() - t0, prefilter=prefilter,
-        gather_cache=gather_cache, prefetch=prefetch,
+        index, selections, time.perf_counter() - t0, prefilter=prefilter
     )
 
 
@@ -424,8 +392,6 @@ def scan(
     selections: SelectionBatch,
     filter_seconds: float = 0.0,
     prefilter: bool = True,
-    gather_cache=None,
-    prefetch: bool = True,
     tests: Optional[Sequence[ExactTest]] = None,
 ) -> tuple[list[SearchResult], BatchQueryStats]:
     """Read the rows of *selections* (one query or more): the scan
@@ -471,13 +437,10 @@ def scan(
     For **cold segments** (tiered storage) block selection runs on their
     resident ``.keys`` sidecar, and exactly the coalesced union's byte
     ranges are fetched from the blob backend, in one backend call per
-    segment.  With *prefetch* (the default, when the index has a tier
-    manager), those fetches are submitted **before** the resident
-    gathers start and collected after — backend latency overlaps local
-    gathering.  Either way the fetched columns are the same bytes a
-    resident gather would have produced, so results stay bit-identical.
-    A segment is touched in the tier manager iff the batch read rows
-    from it.
+    segment, on the calling thread when the scan reaches the segment.
+    The fetched columns are the same bytes a resident gather would have
+    produced, so results stay bit-identical.  A segment is touched in
+    the tier manager iff the batch read rows from it.
     """
     num = len(selections)
     depth = selections.depth
@@ -513,21 +476,9 @@ def scan(
         skipped += emptied
     seg_unions = [_union(s) for s in seg_sections]
     union_rows = [_rows(union) for union in seg_unions]
-    cold, handles = [], {}
     if storage is not None:
-        cold = [
-            i for i, seg in enumerate(segments)
-            if seg.index is None and union_rows[i]
-        ]
         cold_bytes0 = storage.stats.fetch_bytes
         cold_secs0 = storage.stats.fetch_seconds
-        # Cold fetches start *now*, before the resident gathers, so
-        # backend latency overlaps them.
-        if prefetch:
-            handles = {
-                i: storage.prefetch(segments[i], np.column_stack(seg_unions[i]))
-                for i in cold
-            }
 
     # Memtable rows, each memtable bounded to the rows the pinned view
     # captured: block membership, or a ball's exact test on every row.
@@ -572,17 +523,6 @@ def scan(
     sizes = [seg.meta.count for seg in segments] + [n for _, n in mem_tables]
     bases = [sum(sizes[:p]) for p in held]
 
-    # With a gather cache, every resident segment's union goes through
-    # it, rows or not, before any cold fetch is collected.
-    cached = {}
-    if gather_cache is not None:
-        for i, seg in enumerate(segments):
-            if seg.index is not None:
-                cached[i] = _union_columns(
-                    _columns(seg.index.store), seg_unions[i], seg.meta.name,
-                    gather_cache,
-                )
-
     def source(p):
         """Part *p*'s columns, its rows (query after query) and where
         they sit in those columns."""
@@ -591,14 +531,8 @@ def scan(
             return mem_tables[p - len(segments)][0].columns(), rows, rows
         seg, union = segments[p], seg_unions[p]
         if seg.index is None:
-            # Cold: collect the fetch (or fetch now when the prefetcher
-            # is off); the fetched union is carved up like a cached one.
-            columns = (
-                storage.collect(handles[p]) if p in handles
-                else storage.fetch_ranges(seg, np.column_stack(union))
-            )
-        elif p in cached:
-            columns = cached[p]
+            # Cold: fetch exactly the union, then carve it up.
+            columns = storage.fetch_ranges(seg, np.column_stack(union))
         else:
             columns, union = _columns(seg.index.store), None
         return (columns, *_positions(seg_sections[p], union))
@@ -613,14 +547,7 @@ def scan(
             for a, b in zip(at[:-1], at[1:])
         ]
     else:
-        # Lazily, cold parts last: their fetches overlap the resident
-        # gathers.
-        parts = _buffered(
-            ((k, *source(p)) for k, p in sorted(
-                enumerate(held), key=lambda kp: kp[1] in handles
-            )),
-            cuts, bases, num, index.ndims,
-        )
+        parts = _buffered(map(source, held), cuts, bases, num, index.ndims)
     if storage is not None:
         for i, seg in enumerate(segments):
             if union_rows[i]:
@@ -675,11 +602,12 @@ def scan(
     batch.filter_seconds = filter_seconds
     batch.scan_seconds = t2 - t1
     if storage is not None:
-        batch.cold_segments = len(cold)
-        batch.cold_rows = sum(
+        cold = [
             rows for seg, rows in zip(segments, union_rows)
-            if seg.index is None
-        )
+            if seg.index is None and rows
+        ]
+        batch.cold_segments = len(cold)
+        batch.cold_rows = sum(cold)
         batch.cold_bytes = storage.stats.fetch_bytes - cold_bytes0
         batch.cold_fetch_seconds = storage.stats.fetch_seconds - cold_secs0
         # Tier transitions run here, after the batch is fully merged —
@@ -694,13 +622,13 @@ def _buffered(
     """Each query's ``(rows, ids, timecodes, fingerprints)`` through one
     batch buffer per column.
 
-    *sources* are ``(k, columns, rows, positions)``: part ``k`` of the
-    buffer, in any order, whose query ``q`` owns rows
-    ``cuts[k][q]:cuts[k][q + 1]``.  Each part is gathered into the buffer
-    with one ``take`` per column, its row numbers lifted by
-    ``bases[k]``; then each query takes its rows from the buffer, part
-    after part, with one ``take`` per column.  With one query the buffer
-    already is in that order, and is the result.
+    *sources* are ``(columns, rows, positions)``, part after part; query
+    ``q`` owns rows ``cuts[k][q]:cuts[k][q + 1]`` of part ``k``.  Each
+    part is gathered into the buffer with one ``take`` per column, its
+    row numbers lifted by ``bases[k]``; then each query takes its rows
+    from the buffer, part after part, with one ``take`` per column.
+    With one query the buffer already is in that order, and is the
+    result.
     """
     part_at = list(itertools.accumulate([at[-1] for at in cuts], initial=0))
     total = part_at[-1]
@@ -710,7 +638,7 @@ def _buffered(
         np.empty(total, dtype=np.float64),
         np.empty((total, ndims), dtype=np.uint8),
     )
-    for k, columns, rows, pos in sources:
+    for k, (columns, rows, pos) in enumerate(sources):
         at = part_at[k]
         np.add(rows, bases[k], out=out[0][at:at + rows.size])
         _take_into(out[1:], at, columns, pos)
@@ -767,15 +695,16 @@ class BatchQueryExecutor:
         self.depth = opts.depth
         self.batch_size = opts.batch_size
         self.stats = BatchQueryStats()
-        #: Optional :class:`~repro.serve.cache.GatherCache` the serving
-        #: layer plugs in; ``None`` keeps every gather cold.
-        self.gather_cache = None
 
     # Perf-compat: the frozen perf/workloads/{stat_scan,tiered_scan}.py
     # call these five names and pass QueryOptions(executor="auto") — the
     # one value options.py accepts; nothing else does.  The frozen
     # workloads also call the no-op S3Queries.reset_threshold_cache
-    # (index/s3.py).  All seven are deleted at the next benchmark
+    # (index/s3.py), set QueryOptions.prefetch (validated, read by
+    # nothing), read the always-0 prefetch_hits and prefetch_misses of
+    # storage_info()["manager"]["counters"] (storage/manager.py) and
+    # stats.cache.gather, always {"hits": 0, "misses": 0}
+    # (serve/cache.py).  All ten are deleted at the next benchmark
     # revision.
     def warm(self) -> None:
         pass
@@ -810,8 +739,6 @@ class BatchQueryExecutor:
             self.index, queries, self.alpha,
             model=self.model, depth=self.depth,
             prefilter=self.options.prefilter_enabled,
-            prefetch=self.options.prefetch_enabled,
-            gather_cache=self.gather_cache,
             blocks=blocks,
         )
         self.stats.merge(batch)

@@ -5,9 +5,9 @@
 :class:`~repro.cbcd.detector.CopyDetector`,
 :class:`~repro.cbcd.monitor.StreamMonitor`, the CLI and
 :class:`~repro.serve.server.ServeConfig` all accept (``options=``),
-carrying the query expectation, the batch size and the pre-filter /
-prefetch modes of the segmented index's tiers
-(:mod:`repro.index.segmented.sketch`, :mod:`repro.storage`).
+carrying the query expectation, the batch size and the pre-filter
+mode of the segmented index's sketch tier
+(:mod:`repro.index.segmented.sketch`).
 
 ``alpha`` and ``depth`` remain first-class method parameters too — they
 are query *semantics* from the paper, not engine tuning.
@@ -27,11 +27,9 @@ from ..errors import ConfigurationError
 #: mode only changes what is *read*.
 PREFILTER_MODES = ("auto", "off")
 
-#: Cold-segment prefetch modes of the tiered-storage subsystem.
-#: ``"auto"`` overlaps blob-backend fetches with resident scans via the
-#: tier manager's prefetcher; ``"off"`` fetches synchronously at the
-#: point of need (deterministic ordering for debugging, or backends
-#: that dislike concurrency).  Results are bit-identical either way.
+#: Values :attr:`QueryOptions.prefetch` accepts.  Nothing reads the
+#: field: a cold segment is always fetched inline, on the scanning
+#: thread (see the perf-compat note in :mod:`repro.index.batch`).
 PREFETCH_MODES = ("auto", "off")
 
 #: WAL durability modes of the ingest path (canonical definition in
@@ -79,8 +77,8 @@ class QueryOptions:
     prefilter:
         Segment-sketch pre-filter mode (:data:`PREFILTER_MODES`).
     prefetch:
-        Cold-segment prefetch mode (:data:`PREFETCH_MODES`); only
-        meaningful on a tiered segmented index.
+        Validated (:data:`PREFETCH_MODES`) and otherwise ignored — see
+        the perf-compat note in :mod:`repro.index.batch`.
     """
 
     alpha: float = 0.8
@@ -123,11 +121,6 @@ class QueryOptions:
     def prefilter_enabled(self) -> bool:
         """Whether the sketch tier may be consulted under this mode."""
         return self.prefilter != "off"
-
-    @property
-    def prefetch_enabled(self) -> bool:
-        """Whether cold fetches may overlap resident scans."""
-        return self.prefetch != "off"
 
     def replace(self, **changes) -> "QueryOptions":
         """A copy with *changes* applied (validates like the constructor)."""

@@ -126,13 +126,9 @@ class S3Queries:
         depth: Optional[int], options: Optional[QueryOptions]
     ) -> dict:
         """One call's depth (explicit argument, else the options', else
-        ``None`` for the index default), prefilter and prefetch."""
+        ``None`` for the index default) and prefilter."""
         opts = resolve_options(options, depth=depth)
-        return {
-            "depth": opts.depth,
-            "prefilter": opts.prefilter_enabled,
-            "prefetch": opts.prefetch_enabled,
-        }
+        return {"depth": opts.depth, "prefilter": opts.prefilter_enabled}
 
     def statistical_query(
         self,
@@ -157,7 +153,7 @@ class S3Queries:
 
         ``options`` (the unified :class:`~repro.index.options.QueryOptions`)
         supplies the depth default when ``depth`` is not given, and the
-        prefilter and prefetch modes of a segmented index.
+        prefilter mode of a segmented index.
         """
         if not exact_blocks:
             [result] = self.statistical_query_batch(

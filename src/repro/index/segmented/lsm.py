@@ -622,8 +622,6 @@ class SegmentedS3Index(S3Queries):
         """Stop maintenance, close the WAL (records stay durable)."""
         self.stop_maintenance()
         self._wal.close()
-        if self.storage is not None:
-            self.storage.close()
 
     def __enter__(self) -> "SegmentedS3Index":
         return self

@@ -2,9 +2,9 @@
 
 The monitoring workload the paper targets — continuous broadcast streams
 checked against a fixed reference archive — repeats the same material
-constantly: jingles, ad breaks, channel idents.  Three cooperating
-layers exploit that repetition, all preserving the serving contract that
-every answer is **bit-identical** to a cold solo
+constantly: jingles, ad breaks, channel idents.  Two cooperating
+layers exploit that repetition, both preserving the serving contract
+that every answer is **bit-identical** to a cold solo
 ``statistical_query``:
 
 * :class:`QueryResultCache` — an LRU of recent per-fingerprint results
@@ -20,16 +20,9 @@ every answer is **bit-identical** to a cold solo
   share its outcome, including errors: a failed leader fails its
   followers, whose clients retry exactly as if they had executed
   themselves.
-* :class:`GatherCache` — a hot-block cache of coalesced column gathers
-  keyed by ``(store name, union ranges)``.  Even *distinct* queries over
-  recurring material select the same Hilbert-curve sections; the cache
-  replays the gathered column copies instead of re-touching the store.
-  Sealed segment stores are immutable and segment names are never
-  reused, so cached columns equal a fresh gather bit-for-bit — which is
-  why mutations that retire no store (memtable-only ingests, and seals,
-  which only add one) keep them (``invalidate(token,
-  keep_gathers=True)``); compactions retire stores and clear the
-  gather layer.
+
+A query the layers cannot answer runs the engine's one-copy scan
+(:mod:`repro.index.batch`); there is no cache of gathered rows.
 
 The stack is wired by :class:`~repro.serve.server.DetectionServer`
 (``ServeConfig(cache=..., cache_capacity=...)``) and consulted by the
@@ -43,7 +36,7 @@ from __future__ import annotations
 import asyncio
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, Optional
 
 import numpy as np
 
@@ -57,10 +50,6 @@ CACHE_MODES = ("auto", "off")
 
 #: Default result-LRU capacity (entries).
 DEFAULT_CACHE_CAPACITY = 4096
-
-#: Default gather-cache budget in cached rows (~32 MiB of 20-byte
-#: fingerprints plus id/timecode columns at the paper's dimensions).
-DEFAULT_GATHER_CACHE_ROWS = 1 << 20
 
 
 def index_cache_token(index) -> tuple:
@@ -165,101 +154,23 @@ class QueryResultCache:
         self._entries.clear()
 
 
-class GatherCache:
-    """LRU of coalesced column gathers, budgeted in rows.
-
-    Keys are ``(store name, union ranges)``; values are the
-    ``(ids, timecodes, fingerprints)`` column copies of that union.
-    Oversized unions (more than a quarter of the budget) are never
-    cached — one giant scan must not evict the whole hot set.
-    """
-
-    def __init__(self, capacity_rows: int = DEFAULT_GATHER_CACHE_ROWS):
-        if capacity_rows < 0:
-            raise ConfigurationError(
-                f"gather cache rows must be >= 0, got {capacity_rows}"
-            )
-        self.capacity_rows = capacity_rows
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.rows_cached = 0
-        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @staticmethod
-    def _key(store_name: str, union: Sequence[tuple]) -> tuple:
-        return (store_name, tuple(union))
-
-    def get(self, store_name: str, union: Sequence[tuple]):
-        key = self._key(store_name, union)
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry[0]
-
-    def put(
-        self,
-        store_name: str,
-        union: Sequence[tuple],
-        columns: tuple[np.ndarray, np.ndarray, np.ndarray],
-        rows: int,
-    ) -> None:
-        if rows > self.capacity_rows // 4:
-            return
-        key = self._key(store_name, union)
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.rows_cached -= old[1]
-        self._entries[key] = (columns, rows)
-        self.rows_cached += rows
-        while self.rows_cached > self.capacity_rows and self._entries:
-            _, (_, dropped) = self._entries.popitem(last=False)
-            self.rows_cached -= dropped
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.rows_cached = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": ratio(self.hits, self.hits + self.misses),
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-            "rows_cached": self.rows_cached,
-            "capacity_rows": self.capacity_rows,
-        }
-
-
 class ServeCache:
-    """The server's cache facade: result LRU + in-flight table + gathers.
+    """The server's cache facade: result LRU + in-flight table.
 
-    One instance per :class:`~repro.serve.server.DetectionServer`; the
-    in-flight table lives on the event loop (all access is from loop
-    callbacks), the result/gather layers are touched from the loop and
-    the single engine lane respectively — each layer is single-threaded
-    by construction.
+    One instance per :class:`~repro.serve.server.DetectionServer`; both
+    layers live on the event loop (all access is from loop callbacks),
+    so each is single-threaded by construction.
     """
 
     def __init__(
         self,
         capacity: int = DEFAULT_CACHE_CAPACITY,
-        gather_capacity_rows: int = DEFAULT_GATHER_CACHE_ROWS,
         token: Optional[tuple] = None,
     ):
         self.stats = CacheStats()
         self.results = QueryResultCache(
             capacity, token=token, stats=self.stats
         )
-        self.gather = GatherCache(gather_capacity_rows)
         self.inflight: dict[Hashable, asyncio.Future] = {}
 
     # ------------------------------------------------------------------
@@ -300,30 +211,18 @@ class ServeCache:
         future.add_done_callback(_cleanup)
 
     # ------------------------------------------------------------------
-    def invalidate(
-        self, token: Optional[tuple], keep_gathers: bool = False
-    ) -> None:
-        """The index mutated: drop results, adopt the token.
-
-        ``keep_gathers=True`` is the fast path for mutations that
-        retire no segment store — memtable-only ingests and seals
-        (which only *add* a store): sealed stores are immutable, their
-        names are never reused, and memtable scans never enter the
-        gather layer, so every cached gather stays bit-exact.
-        Compactions retire stores, so they pass ``keep_gathers=False``
-        (the default) — the retired names can never be queried again,
-        but their dead entries would squat on the rows budget.
-        """
+    def invalidate(self, token: Optional[tuple]) -> None:
+        """The index mutated: drop results, adopt the token."""
         self.results.invalidate(token)
-        if not keep_gathers:
-            self.gather.clear()
 
     def snapshot(self) -> dict:
+        """The ``stats.cache`` block; ``gather`` is always zero — see
+        the perf-compat note in :mod:`repro.index.batch`."""
         return {
             "enabled": True,
             **self.stats.snapshot(),
             "entries": len(self.results),
             "capacity": self.results.capacity,
             "inflight": len(self.inflight),
-            "gather": self.gather.snapshot(),
+            "gather": {"hits": 0, "misses": 0},
         }

@@ -112,20 +112,18 @@ INGEST_WORKERS = 4
 class ServeConfig:
     """Everything the service needs beyond the index itself.
 
-    Engine tuning (prefilter and prefetch modes) lives in ``options``,
+    Engine tuning (the prefilter mode) lives in ``options``,
     the unified :class:`~repro.index.options.QueryOptions`; when given,
     its ``alpha`` wins.  ``max_batch`` is the service's micro-batching
     knob and always wins as the engine batch size.  After construction
     ``options`` is always populated.
 
     ``cache`` controls the serve-path caching stack
-    (:mod:`repro.serve.cache`): ``"auto"`` enables the result LRU,
-    in-flight dedupe and hot-block gather cache, ``"off"`` disables
-    all three.  Both modes serve bit-identical results; the
-    result LRU is invalidated on every ingest, while hot-block gathers
-    survive memtable-only inserts (sealed stores are immutable) and are
-    dropped when a background seal or compaction changes the segment
-    set.
+    (:mod:`repro.serve.cache`): ``"auto"`` enables the result LRU and
+    in-flight dedupe, ``"off"`` disables both.  Both modes serve
+    bit-identical results; the result LRU is invalidated on every
+    ingest and whenever a background seal or compaction changes the
+    segment set.
 
     ``durability`` is the WAL fsync policy of the ingest path
     (:data:`~repro.index.options.DURABILITY_MODES`): ``"group"`` — the
@@ -523,7 +521,6 @@ class DetectionServer(SocketFrameServer):
             self.cache = ServeCache(
                 cfg.cache_capacity, token=index_cache_token(self.index)
             )
-            executor.gather_cache = self.cache.gather
         self.batcher = MicroBatcher(
             executor, self._engine,
             BatcherConfig(cfg.max_batch, cfg.max_wait_ms, cfg.queue_limit),
@@ -557,29 +554,25 @@ class DetectionServer(SocketFrameServer):
     # ------------------------------------------------------------------
     # background-maintenance observer
     # ------------------------------------------------------------------
-    def _notify_index_change(self, reason: str) -> None:
+    def _notify_index_change(self, kind: str) -> None:
         """Called from the maintenance worker thread after a seal or
-        compaction changed the segment set; hop onto the event loop."""
+        compaction (*kind*) changed the segment set; hop onto the event
+        loop."""
         loop = self._loop
         if loop is None or loop.is_closed():
             return
         try:
-            loop.call_soon_threadsafe(self._on_index_change, reason)
+            loop.call_soon_threadsafe(self._on_index_change)
         except RuntimeError:
             pass  # loop shut down between the check and the call
 
-    def _on_index_change(self, reason: str) -> None:
+    def _on_index_change(self) -> None:
         if self.cache is None:
             return
         # Result rows are bit-identical across seal/compaction, but the
         # index token moved; adopt it so in-flight batches that queried
-        # the pre-change view cannot repopulate the LRU.  Gathers stay
-        # valid across a seal (stores are immutable and only *added*);
-        # a compaction retires stores, so their entries are dropped.
-        self.cache.invalidate(
-            index_cache_token(self.index),
-            keep_gathers=(reason != "compact"),
-        )
+        # the pre-change view cannot repopulate the LRU.
+        self.cache.invalidate(index_cache_token(self.index))
 
     # ------------------------------------------------------------------
     # dispatch hooks
@@ -683,13 +676,8 @@ class DetectionServer(SocketFrameServer):
             if self.cache is not None:
                 # Every cached result predates this write; adopt the
                 # post-ingest token so in-flight batches that queried
-                # the old state cannot repopulate the LRU.  This was a
-                # memtable-only insert (seals happen on the maintenance
-                # worker, which invalidates separately), so hot-block
-                # gathers over the untouched sealed stores survive.
-                self.cache.invalidate(
-                    index_cache_token(self.index), keep_gathers=True
-                )
+                # the old state cannot repopulate the LRU.
+                self.cache.invalidate(index_cache_token(self.index))
             result = {
                 "added": int(added),
                 "rows": len(self.index),

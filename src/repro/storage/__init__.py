@@ -28,7 +28,6 @@ from .manager import (
     TierManager,
     TierStats,
 )
-from .prefetch import Prefetcher, PrefetchHandle
 
 __all__ = [
     "BLOB_SUFFIX",
@@ -50,6 +49,4 @@ __all__ = [
     "StorageConfig",
     "TierManager",
     "TierStats",
-    "Prefetcher",
-    "PrefetchHandle",
 ]

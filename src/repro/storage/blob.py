@@ -145,14 +145,15 @@ class FakeBlobBackend:
     ``get_ranges`` call is one read however many spans it carries:
 
     * ``latency_s`` — every ``get``/``get_ranges`` call sleeps this
-      long, exercising the prefetch-overlap path.
+      long, a slow backend.
     * ``fail_reads`` — the next N read calls raise
       :class:`~repro.errors.StorageError`.
     * ``torn_reads`` — the next N ``get_ranges`` calls return roughly
       half the requested bytes, exercising the length-validation path
       (a torn read must never become a silent wrong answer).
 
-    Thread-safe: the prefetcher calls into backends from worker threads.
+    Thread-safe: query threads and the maintenance worker call into
+    backends concurrently.
     """
 
     def __init__(self, latency_s: float = 0.0):

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -59,7 +59,6 @@ from .coldseg import (
     save_keys,
     store_from_blob,
 )
-from .prefetch import Prefetcher, PrefetchHandle
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..index.segmented.lsm import Segment, SegmentedS3Index
@@ -91,7 +90,6 @@ class StorageConfig:
     cold_dir: Optional[str] = None
     backend: Optional[BlobBackend] = None
     promote_after: int = 2
-    prefetch_workers: int = 2
 
     def __post_init__(self) -> None:
         if self.budget_bytes is not None and self.budget_bytes < 0:
@@ -186,10 +184,9 @@ class TierManager:
             self.cold_dir = cold
             self.backend = FileBlobBackend(cold)
         self.stats = TierStats()
-        # Guards stats: fetch_ranges runs on prefetch worker threads and
-        # load_store on the maintenance worker, beside query threads.
+        # Guards stats: fetch_ranges runs on every query thread and
+        # load_store on the maintenance worker.
         self._stats_lock = threading.Lock()
-        self.prefetcher = Prefetcher(config.prefetch_workers)
         self._clock = 0
         self._state: dict[str, _SegState] = {}
         # Guards _clock/_state: touch() runs on every query thread while
@@ -260,14 +257,6 @@ class TierManager:
             fetch_seconds=time.perf_counter() - t0,
         )
         return ids, tcs, fps
-
-    def prefetch(self, seg: "Segment", ranges) -> PrefetchHandle:
-        """Start an async :meth:`fetch_ranges`; collect with :meth:`collect`."""
-        return self.prefetcher.submit(self.fetch_ranges, seg, ranges)
-
-    def collect(self, handle: PrefetchHandle):
-        """Wait for a prefetch and score the overlap hit/miss."""
-        return self.prefetcher.collect(handle)
 
     def load_store(self, seg: "Segment") -> FingerprintStore:
         """The full store of *seg*, fetching the blob when cold.
@@ -547,8 +536,11 @@ class TierManager:
         return removed
 
     def snapshot(self) -> dict:
-        """The ``storage`` stats block (serve ``stats``, ``tier status``)."""
-        pf = self.prefetcher
+        """The ``storage`` stats block (serve ``stats``, ``tier status``).
+
+        ``prefetch_hits`` and ``prefetch_misses`` are always 0 — see the
+        perf-compat note in :mod:`repro.index.batch`.
+        """
         return {
             "budget_bytes": self.budget_bytes,
             "backend": type(self.backend).__name__,
@@ -557,12 +549,7 @@ class TierManager:
             "resident_bytes": self.resident_bytes(),
             "counters": {
                 **self.stats.snapshot(),
-                "prefetch_submitted": pf.submitted,
-                "prefetch_hits": pf.hits,
-                "prefetch_misses": pf.misses,
-                "prefetch_hit_ratio": round(pf.hit_ratio, 4),
+                "prefetch_hits": 0,
+                "prefetch_misses": 0,
             },
         }
-
-    def close(self) -> None:
-        self.prefetcher.close()

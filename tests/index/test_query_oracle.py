@@ -205,8 +205,6 @@ def cases(draw):
     modes = {}
     if kind != "mono":
         modes["prefilter"] = draw(st.sampled_from(["auto", "off"]))
-    if kind.startswith("tiered"):
-        modes["prefetch"] = draw(st.sampled_from(["auto", "off"]))
     options = QueryOptions(**modes)
     if query in ("statistical", "exact"):
         alpha = draw(st.sampled_from([0.5, 0.8, 0.95]))

@@ -3,19 +3,17 @@
 
 * The engines: monolithic, segmented (sketch prefilter on and off,
   sealed segments plus frozen and active memtable rows) and tiered
-  (mixed cold and resident segments, blobs in memory and in files),
-  each with the gather cache off, cold (a miss) and warm (a hit) —
+  (mixed cold and resident segments, blobs in memory and in files) —
   identical columns in value, dtype and shape, identical per-query and
-  per-batch counters, identical cache contents.  Both index kinds run
-  the one ``batch.query_batch``.  Batches of one and two
-  queries, queries pruned in some segments and scanned in others, and
-  segments no query of the batch selects a row in are drawn for sure.
+  per-batch counters.  Both index kinds run the one
+  ``batch.query_batch``.  Batches of one and two queries, queries
+  pruned in some segments and scanned in others, and segments no query
+  of the batch selects a row in are drawn for sure.
 * The scan over one resident part, on generated range lists: empty
   queries, a batch of one, touching, nested and duplicated ranges
   across queries.
-* Ownership: no returned array shares memory with a store column, a
-  gather-cache entry or another result, and mutating a result cannot
-  reach a later answer through the cache.
+* Ownership: no returned array shares memory with a store column or
+  another result.
 * A resident segment's union is coalesced once per batch.
 
 ``PROPERTY_EXAMPLES`` raises the example count (CI's ``property-long`` job).
@@ -39,7 +37,6 @@ from repro.index.s3 import QueryStats, S3Index
 from repro.index.segmented import ReadView, Segment, SegmentedS3Index, SegmentMeta
 from repro.index.store import FingerprintStore
 from repro.index.table import HilbertLayout, RangeBatch, expand_ranges
-from repro.serve.cache import GatherCache
 from repro.storage import FakeBlobBackend, FileBlobBackend, StorageConfig
 
 from . import reference_scan
@@ -135,20 +132,6 @@ def assert_same(got, want):
     assert counts(got_batch) == counts(want_batch)
 
 
-def assert_same_cache(got, want):
-    assert (got.hits, got.misses, got.rows_cached) == (
-        want.hits, want.misses, want.rows_cached
-    )
-    assert list(got._entries) == list(want._entries)
-    for (g, g_rows), (w, w_rows) in zip(
-        got._entries.values(), want._entries.values()
-    ):
-        assert g_rows == w_rows
-        for a, b in zip(g, w):
-            assert (a.dtype, a.shape) == (b.dtype, b.shape)
-            assert np.array_equal(a, b)
-
-
 @st.composite
 def engine_cases(draw):
     kind = draw(st.sampled_from(["mono", "seg", "tiered", "tiered_file"]))
@@ -164,8 +147,6 @@ def engine_cases(draw):
     kwargs = {}
     if kind != "mono":
         kwargs["prefilter"] = draw(st.booleans())
-    if kind.startswith("tiered"):
-        kwargs["prefetch"] = draw(st.booleans())
     alpha = draw(st.sampled_from([0.5, 0.8, 0.95]))
     depth = draw(st.sampled_from([None, 10, 14]))
     return kind, np.clip(queries, 0, 255), alpha, depth, kwargs
@@ -178,20 +159,13 @@ def engines(kind):
 
 
 def check_engines(index, kind, queries, alpha, **kwargs):
-    """The engine against the reference with the gather cache off, cold
-    and warm; returns the engine's cache-off results."""
+    """The engine against the reference; returns the engine's results."""
     new, old = engines(kind)
-
-    def run(engine, cache):
-        return engine(index, queries, alpha, gather_cache=cache, **kwargs)
-
-    got = run(new, None)
-    assert_same(got, run(old, None))
-    got_cache, want_cache = GatherCache(), GatherCache()
-    for _ in ("cold", "warm"):
-        assert_same(run(new, got_cache), run(old, want_cache))
-        assert_same_cache(got_cache, want_cache)
-    assert got_cache.hits == got_cache.misses > 0
+    # The reference fetches a cold union inline, on the calling thread,
+    # as the engine does, only with prefetch off.
+    old_kwargs = kwargs if kind == "mono" else {**kwargs, "prefetch": False}
+    got = new(index, queries, alpha, **kwargs)
+    assert_same(got, old(index, queries, alpha, **old_kwargs))
     return got[0]
 
 
@@ -298,33 +272,26 @@ def no_blocks(num):
     )
 
 
-@given(range_lists(), st.booleans())
+@given(range_lists())
 @settings(max_examples=EXAMPLES, deadline=None)
-def test_scan_matches_reference(lists, cached):
+def test_scan_matches_reference(lists):
     sections = as_batch(lists)
     union = batch.coalesce_ranges(sections.starts, sections.ends)
     want_union = reference_scan.coalesce_ranges(lists)
-    assert batch._pairs(union) == want_union
-    got_cache = GatherCache() if cached else None
-    want_cache = GatherCache() if cached else None
-    for _ in range(2 if cached else 1):
-        got, stats = batch.scan(
-            scan_view(sections), no_blocks(len(lists)), gather_cache=got_cache
-        )
-        want, sections_scanned, rows = reference_scan._scan_coalesced(
-            SCAN_LAYOUT, SCAN_STORE, lists, gather_cache=want_cache
-        )
-        assert (stats.sections_scanned, stats.unique_rows) == (
-            sections_scanned, rows
-        )
-        assert (union[0].size, batch._rows(union)) == (sections_scanned, rows)
-        for g, w in zip(got, want, strict=True):
-            g = tuple(getattr(g, name) for name in COLUMNS)
-            for a, b in zip(g, w, strict=True):
-                assert (a.dtype, a.shape) == (b.dtype, b.shape)
-                assert np.array_equal(a, b)
-    if cached:
-        assert_same_cache(got_cache, want_cache)
+    assert list(zip(union[0].tolist(), union[1].tolist())) == want_union
+    got, stats = batch.scan(scan_view(sections), no_blocks(len(lists)))
+    want, sections_scanned, rows = reference_scan._scan_coalesced(
+        SCAN_LAYOUT, SCAN_STORE, lists
+    )
+    assert (stats.sections_scanned, stats.unique_rows) == (
+        sections_scanned, rows
+    )
+    assert (union[0].size, batch._rows(union)) == (sections_scanned, rows)
+    for g, w in zip(got, want, strict=True):
+        g = tuple(getattr(g, name) for name in COLUMNS)
+        for a, b in zip(g, w, strict=True):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert np.array_equal(a, b)
 
 
 # 64-bit keys, with a row at the very end of the curve: the last block's
@@ -389,18 +356,11 @@ def test_results_share_no_memory(indexes, kind):
     index = indexes[kind]
     new, _ = engines(kind)
     batch_of_five = np.vstack([FPS[[10, 11, 11, 900]], np.zeros((1, NDIMS))])
-    cache = GatherCache()
-    for queries, gather_cache in itertools.product(
-        (batch_of_five[:1], batch_of_five[1:3], batch_of_five),
-        (None, cache, cache),  # off, miss, hit
-    ):
-        results, _ = new(index, queries, 0.9, gather_cache=gather_cache)
+    for queries in (batch_of_five[:1], batch_of_five[1:3], batch_of_five):
+        results, _ = new(index, queries, 0.9)
         arrays = owned_arrays(results)
         assert sum(a.size for a in arrays[0]) > 0
-        shared = store_columns(index) + [
-            column for columns, _ in cache._entries.values()
-            for column in columns
-        ]
+        shared = store_columns(index)
         for result in arrays:
             # Owned, not a view: a cached result must not pin a batch buffer.
             assert all(a.flags.owndata for a in result)
@@ -411,25 +371,8 @@ def test_results_share_no_memory(indexes, kind):
                 assert not np.shares_memory(a, b)
 
 
-@pytest.mark.parametrize("kind", ["mono", "seg"])
-def test_mutating_a_result_cannot_reach_the_cache(indexes, kind):
-    index = indexes[kind]
-    new, _ = engines(kind)
-    queries = FPS[[10, 11, 900]].astype(np.float64)
-    cache = GatherCache()
-    first, _ = new(index, queries, 0.9, gather_cache=cache)
-    original = [r.fingerprints.copy() for r in first]
-    for r in first:
-        r.fingerprints[...] = 0  # the caller scribbles on its answer
-    again, _ = new(index, queries, 0.9, gather_cache=cache)
-    assert cache.hits > 0
-    for r, want in zip(again, original):
-        assert r.fingerprints.tobytes() == want.tobytes()
-
-
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("gather_cache", [None, "cache"])
-def test_each_union_is_coalesced_once(indexes, monkeypatch, gather_cache):
+def test_each_union_is_coalesced_once(indexes, monkeypatch):
     calls = []
     coalesce = batch.coalesce_ranges
 
@@ -439,10 +382,9 @@ def test_each_union_is_coalesced_once(indexes, monkeypatch, gather_cache):
 
     monkeypatch.setattr(batch, "coalesce_ranges", counted)
     queries = FPS[[10, 700, 1500]].astype(np.float64)
-    cache = GatherCache() if gather_cache else None
-    batch.query_batch(indexes["mono"], queries, 0.8, gather_cache=cache)
+    batch.query_batch(indexes["mono"], queries, 0.8)
     assert len(calls) == 1
     calls.clear()
     seg = indexes["seg"]
-    batch.query_batch(seg, queries, 0.8, gather_cache=cache)
+    batch.query_batch(seg, queries, 0.8)
     assert len(calls) == seg.num_segments

@@ -11,12 +11,16 @@ Two guarantees from the subsystem's contract
   tiers (plus unflushed WAL rows) can be SIGKILLed at any point and the
   directory reopens complete: every sealed row is queryable and the WAL
   replays, with cold segments rebuilt from their sidecars alone.
+
+A scan fetches a cold segment on the calling thread: querying a tiered
+index starts no thread.
 """
 
 import os
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +29,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.distortion.model import NormalDistortionModel
-from repro.index.batch import BatchQueryExecutor
+from repro.index.batch import BatchQueryExecutor, query_batch
 from repro.index.options import QueryOptions
 from repro.index.segmented import SegmentedS3Index
-from repro.storage import FakeBlobBackend, FileBlobBackend, StorageConfig
+from repro.storage import FakeBlobBackend, StorageConfig
 
 NDIMS = 8
 SIGMA = 15.0
@@ -138,8 +142,8 @@ class TestBitIdentity:
             tiered.close()
             plain.close()
 
-    @pytest.mark.parametrize("prefetch", ["auto", "off"])
-    def test_batched_engine_matches_untiered(self, tmp_path, prefetch):
+    @pytest.mark.parametrize("prefilter", ["auto", "off"])
+    def test_batched_engine_matches_untiered(self, tmp_path, prefilter):
         tiered, plain, backend = make_pair(tmp_path)
         backend.latency_s = 0.002
         for i in range(3):
@@ -151,16 +155,33 @@ class TestBitIdentity:
         tiered.storage.demote(tiered._segments[0])
         tiered.storage.demote(tiered._segments[2])
         queries = make_records(24, seed=7)[0].astype(np.float64)
-        options = QueryOptions(alpha=0.8, prefetch=prefetch)
+        options = QueryOptions(alpha=0.8, prefilter=prefilter)
         te = BatchQueryExecutor(tiered, options=options)
         pe = BatchQueryExecutor(plain, options=options)
         for rt, rp in zip(te.query_all(queries), pe.query_all(queries)):
             assert_identical(rt, rp)
-        if prefetch == "auto":
-            assert te.stats.cold_segments > 0
-            assert te.stats.cold_bytes > 0
+        assert te.stats.cold_segments > 0
+        assert te.stats.cold_bytes > 0
         tiered.close()
         plain.close()
+
+
+class TestCallingThread:
+    def test_cold_scan_starts_no_thread(self, tmp_path):
+        tiered, plain, backend = make_pair(tmp_path)
+        plain.close()
+        for i in range(2):
+            tiered.add(*make_records(300, seed=i))
+            tiered.flush()
+        tiered.storage.demote(tiered._segments[0])
+        queries = make_records(300, seed=0)[0][:8].astype(np.float64)
+        before = set(threading.enumerate())
+        _, stats = query_batch(tiered, queries, 0.8)
+        assert stats.cold_segments == 1 and backend.range_gets == 1
+        after = set(threading.enumerate())
+        assert after == before
+        assert not any(t.name.startswith("repro-prefetch") for t in after)
+        tiered.close()
 
 
 CRASH_SCRIPT = r"""

@@ -3,7 +3,7 @@
 The system invariant under test: with every cache layer on, each served
 answer is **bit-identical** to a cold solo ``statistical_query`` against
 the index state at serve time — across LRU hits, in-flight follower
-shares, gather-cache replays and ingest invalidation.  Hypothesis
+shares and ingest invalidation.  Hypothesis
 drives random interleavings of queries and ingests through a cached
 micro-batcher over a live segmented index.
 """
@@ -27,7 +27,6 @@ from repro.index.store import FingerprintStore
 from repro.serve.batcher import BatcherConfig, MicroBatcher
 from repro.serve.cache import (
     CacheStats,
-    GatherCache,
     QueryResultCache,
     ServeCache,
     index_cache_token,
@@ -112,48 +111,6 @@ class TestQueryResultCache:
             QueryResultCache(capacity=0)
 
 
-class TestGatherCache:
-    def columns(self, rows):
-        return (
-            np.arange(rows, dtype=np.uint32),
-            np.arange(rows, dtype=np.float64),
-            np.zeros((rows, NDIMS), dtype=np.uint8),
-        )
-
-    def test_round_trip(self):
-        cache = GatherCache(capacity_rows=1000)
-        union = [(0, 10), (20, 30)]
-        cache.put("seg-000001", union, self.columns(20), 20)
-        hit = cache.get("seg-000001", union)
-        assert hit is not None
-        assert cache.get("seg-000001", [(0, 10)]) is None
-        assert cache.get("seg-000002", union) is None
-        assert cache.hits == 1 and cache.misses == 2
-
-    def test_oversized_unions_never_cached(self):
-        cache = GatherCache(capacity_rows=1000)
-        big = 1000 // 4 + 1
-        cache.put("s", [(0, big)], self.columns(big), big)
-        assert len(cache) == 0
-
-    def test_rows_budget_evicts(self):
-        cache = GatherCache(capacity_rows=1000)
-        for i in range(6):
-            cache.put(f"s{i}", [(0, 200)], self.columns(200), 200)
-        assert cache.rows_cached <= 1000
-        assert cache.evictions >= 1
-
-    def test_clear(self):
-        cache = GatherCache(capacity_rows=1000)
-        cache.put("s", [(0, 10)], self.columns(10), 10)
-        cache.clear()
-        assert len(cache) == 0 and cache.rows_cached == 0
-
-    def test_rejects_negative_budget(self):
-        with pytest.raises(ConfigurationError):
-            GatherCache(capacity_rows=-1)
-
-
 class TestIndexCacheToken:
     def test_monolithic_token_reflects_model_and_rows(self, index):
         token = index_cache_token(index)
@@ -207,16 +164,14 @@ class TestServeCache:
     def test_invalidate_clears_everything(self):
         cache = ServeCache(token=("t", 1))
         cache.results.put("k", "v", ("t", 1))
-        cache.gather.put("s", [(0, 10)], (None, None, None), 10)
         cache.invalidate(("t", 2))
         assert len(cache.results) == 0
-        assert len(cache.gather) == 0
         assert cache.results.token == ("t", 2)
 
     def test_snapshot_shape(self):
         snap = ServeCache(token=None).snapshot()
         for key in ("enabled", "hits", "misses", "hit_rate", "entries",
-                    "capacity", "inflight", "gather"):
+                    "capacity", "inflight"):
             assert key in snap
 
     def test_stats_shared_with_results(self):
@@ -232,7 +187,6 @@ def make_cached_batcher(index, engine, **config):
         alpha=ALPHA, batch_size=config.get("max_batch", 32)
     ))
     cache = ServeCache(token=index_cache_token(index))
-    executor.gather_cache = cache.gather
     batcher = MicroBatcher(
         executor, engine, BatcherConfig(**config), cache=cache
     )

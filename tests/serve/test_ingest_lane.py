@@ -1,5 +1,5 @@
 """Serve-side ingest pipeline: durability config, backpressure over the
-wire, gather retention across memtable-only ingests.
+wire, exact cached answers across memtable-only ingests.
 
 The serving contract for the pipelined write path:
 
@@ -8,8 +8,8 @@ The serving contract for the pipelined write path:
 * an ingest refused by backpressure surfaces as the retryable
   ``unavailable`` wire code — the write never touched the WAL, so a
   capped-backoff retry is safe;
-* a memtable-only ingest invalidates query results but keeps the
-  gather layer (sealed stores are untouched); a compaction clears it;
+* a memtable-only ingest invalidates cached query results, and a
+  repeated query still answers exactly;
 * ``serve stats`` exposes the ingest-pressure block and the
   engine-lane stall histogram.
 """
@@ -23,7 +23,6 @@ from repro.index.segmented import SegmentedS3Index
 from repro.index.store import FingerprintStore
 from repro.serve import ServeClient, ServeConfig, ServerError, ServerThread
 from repro.serve import protocol
-from repro.serve.cache import ServeCache
 
 NDIMS = 8
 SIGMA = 10.0
@@ -117,31 +116,7 @@ class TestBackpressureOverTheWire:
         assert index.num_segments >= 1
 
 
-class TestGatherRetention:
-    def put_one_gather(self, cache):
-        columns = (
-            np.arange(4, dtype=np.uint32),
-            np.arange(4, dtype=np.float64),
-            np.zeros((4, NDIMS), dtype=np.uint8),
-        )
-        cache.gather.put("seg-000001", ((0, 4),), columns, 4)
-
-    def test_memtable_only_ingest_keeps_gathers(self):
-        cache = ServeCache(token=("a",))
-        cache.results.put("k", "v", ("a",))
-        self.put_one_gather(cache)
-        cache.invalidate(("b",), keep_gathers=True)
-        # Results must go (the answer set changed)...
-        assert cache.results.get("k") is None
-        # ...but the sealed-store gather survives untouched.
-        assert cache.gather.get("seg-000001", ((0, 4),)) is not None
-
-    def test_compaction_clears_gathers(self):
-        cache = ServeCache(token=("a",))
-        self.put_one_gather(cache)
-        cache.invalidate(("b",))
-        assert cache.gather.get("seg-000001", ((0, 4),)) is None
-
+class TestCacheAcrossIngest:
     def test_served_results_exact_across_memtable_ingest(self, tmp_path):
         """End to end: cache on, ingest, repeat query — still exact."""
         index = make_index(tmp_path)
@@ -155,7 +130,7 @@ class TestGatherRetention:
                 after = client.query(query)[0]
                 stats = client.stats()
         # The pre-ingest rows still match identically (the ingest only
-        # appended); the cached gather layer was retained.
+        # appended).
         assert set(zip(before.ids, before.timecodes)) <= set(
             zip(after.ids, after.timecodes)
         )

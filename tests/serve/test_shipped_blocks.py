@@ -203,7 +203,6 @@ class TestCacheIsolation:
                     index, options=QueryOptions(alpha=ALPHA)
                 )
                 cache = ServeCache(token=index_cache_token(index))
-                executor.gather_cache = cache.gather
                 batcher = MicroBatcher(
                     executor, engine,
                     BatcherConfig(max_batch=8, max_wait_ms=50.0),

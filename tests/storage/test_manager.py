@@ -45,7 +45,7 @@ def make_tiered(directory, num_segments=3, rows=400, budget=None,
         auto_compact=False,
         storage=StorageConfig(
             budget_bytes=budget, backend=backend,
-            promote_after=promote_after, prefetch_workers=0,
+            promote_after=promote_after,
         ),
     )
     batches = []
@@ -213,8 +213,8 @@ def truncate(path, keep=0.5):
 
 
 class TestTornData:
-    @pytest.mark.parametrize("prefetch", ["auto", "off"])
-    def test_truncated_blob_raises_on_a_real_file(self, tmp_path, prefetch):
+    @pytest.mark.parametrize("prefilter", ["auto", "off"])
+    def test_truncated_blob_raises_on_a_real_file(self, tmp_path, prefilter):
         index, backend, batches = make_tiered(
             tmp_path / "idx", backend=FileBlobBackend(tmp_path / "cold"),
             promote_after=10 ** 9,
@@ -223,7 +223,7 @@ class TestTornData:
         index.storage.demote(index._segments[0])
         queries = batches[0][0][:6].astype(np.float64)
         engine = BatchQueryExecutor(
-            index, options=QueryOptions(alpha=0.8, prefetch=prefetch)
+            index, options=QueryOptions(alpha=0.8, prefilter=prefilter)
         )
         engine.query_batch(queries)
         assert engine.stats.cold_rows > 0  # the batch does read the blob
@@ -267,9 +267,7 @@ class TestReopenAndGC:
 
         gets_before = (backend.gets, backend.range_gets)
         reopened = SegmentedS3Index.open(
-            tmp_path / "idx", storage=StorageConfig(
-                backend=backend, prefetch_workers=0
-            ),
+            tmp_path / "idx", storage=StorageConfig(backend=backend),
         )
         # Rebuild-on-open works from sidecars alone.
         assert (backend.gets, backend.range_gets) == gets_before
