@@ -429,7 +429,6 @@ def _cmd_tier(args: argparse.Namespace) -> int:
         print(f"  resident: {manager['resident_bytes'] / 1e6:.2f} MB")
         print(f"  activity: {counters['fetches']} range fetch(es) "
               f"({counters['fetch_bytes']} bytes), "
-              f"{counters['promotions']} promotion(s), "
               f"{counters['demotions']} demotion(s)")
     return 0
 

@@ -288,7 +288,7 @@ def plan_cluster(
     independent full copies of its segments.  Cold source segments
     (tiered storage, :mod:`repro.storage`) are planned from their
     resident ``.keys`` sidecars and materialised straight from the blob
-    backend — planning never promotes the source.  Passing
+    backend — planning never changes the source's tiers.  Passing
     ``storage_budget`` (bytes; ``cold_dir`` optionally) stamps a
     storage block into every replica manifest, so each replica opens
     with that tier budget and demotes itself to fit on first open.
@@ -497,8 +497,8 @@ def _materialise_replica(
 
     Cold source segments are materialised from the blob backend: a
     demoted segment's blob is byte-identical to the ``.store`` file it
-    replaced, so the replica starts hot without the source promoting
-    anything.  *storage* (a manifest storage block, or ``None``) gives
+    replaced, so the replica starts hot without the source's tiers
+    changing.  *storage* (a manifest storage block, or ``None``) gives
     each replica its own tier budget — the replica's first open then
     demotes itself to fit, independently of the source's tiers.
     """

@@ -439,8 +439,8 @@ def scan(
     ranges are fetched from the blob backend, in one backend call per
     segment, on the calling thread when the scan reaches the segment.
     The fetched columns are the same bytes a resident gather would have
-    produced, so results stay bit-identical.  A segment is touched in
-    the tier manager iff the batch read rows from it.
+    produced, so results stay bit-identical.  A scan never changes a
+    segment's tier.
     """
     num = len(selections)
     depth = selections.depth
@@ -548,10 +548,6 @@ def scan(
         ]
     else:
         parts = _buffered(map(source, held), cuts, bases, num, index.ndims)
-    if storage is not None:
-        for i, seg in enumerate(segments):
-            if union_rows[i]:
-                storage.touch(seg)
     distances = [None] * num
     for q, test in enumerate(tests or ()):
         # A range query's memtable rows passed its ball in range_rows.
@@ -610,9 +606,6 @@ def scan(
         batch.cold_rows = sum(cold)
         batch.cold_bytes = storage.stats.fetch_bytes - cold_bytes0
         batch.cold_fetch_seconds = storage.stats.fetch_seconds - cold_secs0
-        # Tier transitions run here, after the batch is fully merged —
-        # never while the gathers above are iterating the segment list.
-        index._settle()
     return results, batch
 
 
@@ -700,11 +693,13 @@ class BatchQueryExecutor:
     # call these five names and pass QueryOptions(executor="auto") — the
     # one value options.py accepts; nothing else does.  The frozen
     # workloads also call the no-op S3Queries.reset_threshold_cache
-    # (index/s3.py), set QueryOptions.prefetch (validated, read by
-    # nothing), read the always-0 prefetch_hits and prefetch_misses of
+    # (index/s3.py), set QueryOptions.prefetch and
+    # StorageConfig.promote_after (both validated, read by nothing),
+    # wrap the no-op TierManager.settle, read the always-0 promotions,
+    # prefetch_hits and prefetch_misses of
     # storage_info()["manager"]["counters"] (storage/manager.py) and
     # stats.cache.gather, always {"hits": 0, "misses": 0}
-    # (serve/cache.py).  All ten are deleted at the next benchmark
+    # (serve/cache.py).  All thirteen are deleted at the next benchmark
     # revision.
     def warm(self) -> None:
         pass

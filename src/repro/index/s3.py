@@ -269,13 +269,6 @@ class S3Index(S3Queries):
         Default distortion model for statistical queries (a
         :class:`~repro.distortion.model.NormalDistortionModel` with the
         calibrated severity σ).  Can be overridden per query.
-    layout:
-        A prebuilt :class:`~repro.index.table.HilbertLayout` whose keys
-        already describe *store*'s row order.  Skips the build-time key
-        computation entirely — tier promotions use this to swap a
-        segment's store (cold → warm → hot) without re-encoding, reusing
-        the keys persisted in the segment's ``.keys`` sidecar.  The
-        caller asserts the store is curve-sorted under these keys.
     """
 
     def __init__(
@@ -285,30 +278,20 @@ class S3Index(S3Queries):
         key_levels: int = 2,
         depth: Optional[int] = None,
         model: Optional[IndependentDistortionModel] = None,
-        layout: Optional[HilbertLayout] = None,
     ):
         if len(store) == 0:
             raise IndexError_("cannot index an empty store")
-        if layout is not None:
-            if layout.keys.shape[0] != len(store):
-                raise IndexError_(
-                    f"prebuilt layout has {layout.keys.shape[0]} keys "
-                    f"for a store of {len(store)} rows"
-                )
-            self.layout = layout
+        layout = HilbertLayout.build(store.fingerprints, order, key_levels)
+        self.layout = layout
+        if np.array_equal(
+            layout.permutation, np.arange(len(store), dtype=np.int64)
+        ):
+            # Already curve-ordered (stores written by save() / sealed
+            # segments): keep the caller's store object, so an mmap-ed
+            # store stays on disk instead of being copied into RAM.
             self.store = store
         else:
-            layout = HilbertLayout.build(store.fingerprints, order, key_levels)
-            self.layout = layout
-            if np.array_equal(
-                layout.permutation, np.arange(len(store), dtype=np.int64)
-            ):
-                # Already curve-ordered (stores written by save() / sealed
-                # segments): keep the caller's store object, so an mmap-ed
-                # store stays on disk instead of being copied into RAM.
-                self.store = store
-            else:
-                self.store = store.take(layout.permutation)
+            self.store = store.take(layout.permutation)
         self.order = order
         self.key_levels = key_levels
         if depth is None:

@@ -31,7 +31,7 @@ acknowledged insert is ever lost.
 **Snapshot isolation.**  All live structure hangs off one immutable
 :class:`_LiveView` — the tuple of sealed segments, the tuple of frozen
 (seal-pending) memtables, and the active memtable.  Writers (seal,
-compaction, tier transitions) build a *new* view and swap it atomically
+compaction, demotion) build a *new* view and swap it atomically
 under the state lock; readers capture the current view once per query
 (:meth:`SegmentedS3Index._read_view`) and scan that consistent set even
 while a background seal or compaction switches the live one over.
@@ -114,7 +114,7 @@ class Segment:
     over the two, so block selection code never cares about tiers.
 
     Segment objects are themselves immutable once published in a view:
-    tier transitions build a *replacement* Segment and swap it in
+    a demotion builds a *replacement* Segment and swaps it in
     (:meth:`SegmentedS3Index._swap_segment`), so a query pinned on an
     old view keeps a usable object however the live tiering moves.
     """
@@ -295,8 +295,9 @@ class SegmentedS3Index(S3Queries):
         #: segment resident, no budget, no blob backend.
         self.storage: Optional["TierManager"] = None
         # Concurrency: view swaps + manifest writes under _state_lock;
-        # memtable inserts under _ingest_lock; seal/compact/settle under
-        # _maint_lock; WAL rotation behind the gate's exclusive side.
+        # memtable inserts under _ingest_lock; seal/compact and budget
+        # demotions under _maint_lock; WAL rotation behind the gate's
+        # exclusive side.
         self._state_lock = threading.RLock()
         self._ingest_lock = threading.Lock()
         self._maint_lock = threading.RLock()
@@ -552,10 +553,13 @@ class SegmentedS3Index(S3Queries):
         """Put this index under tiered-storage management.
 
         Creates the :class:`~repro.storage.manager.TierManager`, records
-        the config in the manifest (when *persist* and the config is
-        representable — an explicit backend object is not), GCs orphan
+        the config as the manifest's storage block when it is
+        representable (an explicit backend object is not) — saved now
+        when *persist*, else by the next manifest write — GCs orphan
         blobs, and immediately enforces the budget (a freshly opened
-        directory demotes down to it before serving anything).
+        directory demotes down to it before serving anything).  From
+        then on only seals and compactions enforce it: queries never
+        move segments.
         """
         from ...storage.manager import TierManager
 
@@ -563,12 +567,14 @@ class SegmentedS3Index(S3Queries):
             raise StorageError("storage is already attached to this index")
         manager = TierManager(self, config)
         self.storage = manager
-        if persist and config.backend is None:
+        if config.backend is None:
             with self._state_lock:
                 self.manifest.storage = config.to_manifest()
-                self.manifest.save(self.directory)
+                if persist:
+                    self.manifest.save(self.directory)
         manager.collect_orphan_blobs()
-        manager.enforce_budget()
+        with self._maint_lock:
+            manager.enforce_budget()
         return manager
 
     def storage_info(self) -> dict:
@@ -595,29 +601,6 @@ class SegmentedS3Index(S3Queries):
             ),
         }
 
-    def _settle(self) -> None:
-        """Apply pending tier transitions (no-op when untiered).
-
-        With background maintenance running, query threads *request* a
-        settle instead of performing it — tier transitions move
-        off-lane with the rest of the heavy work.  Inline, the settle
-        is skipped (not blocked on) when maintenance work holds the
-        lock: budget enforcement is advisory and the next settle
-        catches up.
-        """
-        if self.storage is None:
-            return
-        worker = self._maintenance
-        if worker is not None and not worker.on_worker():
-            worker.request_settle()
-            return
-        if not self._maint_lock.acquire(blocking=False):
-            return
-        try:
-            self.storage.settle()
-        finally:
-            self._maint_lock.release()
-
     def close(self) -> None:
         """Stop maintenance, close the WAL (records stay durable)."""
         self.stop_maintenance()
@@ -640,7 +623,7 @@ class SegmentedS3Index(S3Queries):
     def start_maintenance(
         self, config: Optional[MaintenanceConfig] = None
     ) -> MaintenanceThread:
-        """Move seal/compaction/settling onto a background worker.
+        """Move seal/compaction onto a background worker.
 
         From this point ``add`` never seals inline: reaching
         ``flush_rows`` requests a background seal, and unsealed rows
@@ -676,19 +659,13 @@ class SegmentedS3Index(S3Queries):
                     counts = [s.meta.count for s in self._view.segments]
                     if self.policy.plan(counts):
                         worker.request_compact()
-                self._settle()
+                if self.storage is not None:
+                    self.storage.enforce_budget()
             return meta
 
     def _background_compact(self) -> Optional[CompactionResult]:
         """Worker entry: one policy-driven compaction step."""
         return self.compact()
-
-    def _background_settle(self) -> None:
-        """Worker entry: apply pending tier transitions."""
-        if self.storage is None:
-            return
-        with self._maint_lock:
-            self.storage.settle()
 
     # ------------------------------------------------------------------
     # introspection
@@ -904,7 +881,8 @@ class SegmentedS3Index(S3Queries):
             if self.auto_compact:
                 self.compact()
             # Sealing may have pushed the resident set over the budget.
-            self._settle()
+            if self.storage is not None:
+                self.storage.enforce_budget()
             return meta
 
     def _freeze_active(self) -> bool:
@@ -1084,7 +1062,8 @@ class SegmentedS3Index(S3Queries):
                         missing_ok=True
                     )
                     self.storage.discard_blob(seg.meta.name)
-            self._settle()
+            if self.storage is not None:
+                self.storage.enforce_budget()
             return CompactionResult(
                 merged_segments=len(picked),
                 merged_rows=len(merged),
@@ -1092,12 +1071,10 @@ class SegmentedS3Index(S3Queries):
                 seconds=time.perf_counter() - t0,
             )
 
-    def _swap_segment(
-        self, old: Segment, new: Segment, persist: bool = True
-    ) -> bool:
+    def _swap_segment(self, old: Segment, new: Segment) -> bool:
         """Atomically replace *old* with *new* in the live view.
 
-        The copy-on-write primitive behind tier transitions: the old
+        The copy-on-write primitive behind demotion: the old
         Segment object is left untouched, so queries pinned on a view
         that contains it keep a working store/reader.  Returns ``False``
         (no swap, no manifest write) when *old* is no longer live —
@@ -1118,8 +1095,7 @@ class SegmentedS3Index(S3Queries):
             )
             self._view = _LiveView(segments, view.frozen, view.memtable)
             self.manifest.segments = [s.meta for s in segments]
-            if persist:
-                self.manifest.save(self.directory)
+            self.manifest.save(self.directory)
             return True
 
     def _segment_store(self, seg: Segment) -> FingerprintStore:

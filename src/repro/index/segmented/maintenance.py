@@ -8,7 +8,7 @@ single engine lane, so a compaction storm stalls every queued query.
 
 :class:`MaintenanceThread` moves both off-lane: ``add`` only appends to
 the WAL and memtable, then *requests* a seal; one daemon worker drains a
-tiny bounded queue of job kinds (``seal`` / ``compact`` / ``settle``),
+tiny bounded queue of job kinds (``seal`` / ``compact``),
 performing the heavy work under the index's maintenance lock while
 queries keep scanning a pinned snapshot view (see
 :meth:`SegmentedS3Index._read_view`).  Jobs of the same kind coalesce —
@@ -37,7 +37,7 @@ from typing import Callable, Optional
 from ...errors import ConfigurationError
 
 #: Job kinds the worker understands, in the order add() escalates them.
-JOB_KINDS = ("seal", "compact", "settle")
+JOB_KINDS = ("seal", "compact")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ class MaintenanceConfig:
 
 
 class MaintenanceThread:
-    """One daemon worker draining seal/compact/settle jobs for an index.
+    """One daemon worker draining seal/compact jobs for an index.
 
     Created by :meth:`SegmentedS3Index.start_maintenance`; stopped (and
     drained) by :meth:`SegmentedS3Index.stop_maintenance` or ``close``.
@@ -100,7 +100,6 @@ class MaintenanceThread:
         # Counters, read via stats() (ints: GIL-atomic to bump).
         self.seals = 0
         self.compactions = 0
-        self.settles = 0
         self.errors = 0
         self.last_error: Optional[str] = None
         self.queue_high_water = 0
@@ -111,10 +110,6 @@ class MaintenanceThread:
         self._thread.start()
 
     # ------------------------------------------------------------------
-    def on_worker(self) -> bool:
-        """True when the calling thread *is* the maintenance worker."""
-        return threading.current_thread() is self._thread
-
     def request(self, kind: str) -> bool:
         """Enqueue a job of *kind*; ``False`` when the queue is full.
 
@@ -143,9 +138,6 @@ class MaintenanceThread:
 
     def request_compact(self) -> bool:
         return self.request("compact")
-
-    def request_settle(self) -> bool:
-        return self.request("settle")
 
     @property
     def queue_depth(self) -> int:
@@ -183,7 +175,6 @@ class MaintenanceThread:
             "queue_high_water": self.queue_high_water,
             "seals": self.seals,
             "compactions": self.compactions,
-            "settles": self.settles,
             "errors": self.errors,
             "last_error": self.last_error,
             "rate_limit_seconds": self.rate_limit_seconds,
@@ -223,9 +214,6 @@ class MaintenanceThread:
                 self.compactions += 1
                 self._throttle(result)
                 self._notify("compact")
-        elif kind == "settle":
-            self.index._background_settle()
-            self.settles += 1
 
     def _throttle(self, result) -> None:
         """Sleep off the compaction's I/O debt under the rate limit."""

@@ -409,9 +409,9 @@ class SocketFrameServer:
         except ColdFetchError as exc:
             # Tiered storage: the blob backend failed mid-query.  The
             # index itself is intact and a retry may hit a recovered
-            # backend (or a since-promoted segment), so the failure maps
-            # to the retryable ``unavailable`` code — never a silent
-            # partial answer, never a connection teardown.
+            # backend, so the failure maps to the retryable
+            # ``unavailable`` code — never a silent partial answer, never
+            # a connection teardown.
             self.stats.errors.add(key=protocol.ERR_UNAVAILABLE)
             return protocol.error_response(
                 request, protocol.ERR_UNAVAILABLE, str(exc)

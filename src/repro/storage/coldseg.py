@@ -134,14 +134,6 @@ class ColdSegmentReader:
             permutation=np.empty(0, dtype=np.int64),
         )
 
-    def nbytes(self) -> int:
-        """Store-payload size of the segment (what a full fetch costs)."""
-        return self.count * row_bytes(self.ndims)
-
-    def blob_size(self) -> int:
-        """Exact byte size of the segment's blob (header included)."""
-        return expected_file_size(self.count, self.ndims)
-
 
 def fetch_columns(
     backend: BlobBackend,
@@ -198,7 +190,7 @@ def fetch_columns(
 def store_from_blob(key: str, data: bytes, count: int, ndims: int) -> FingerprintStore:
     """Reconstruct a :class:`FingerprintStore` from full blob bytes.
 
-    Used by promotion and by compaction over cold inputs.  The blob is
+    Used by compaction over cold inputs.  The blob is
     the exact ``save()`` file layout; size and geometry are validated
     against the manifest's record of the segment.
     """

@@ -341,8 +341,6 @@ def _fan_out(
             tcs_col = np.empty(0, dtype=np.float64)
             fps = np.empty((0, self.ndims), dtype=np.uint8)
             gathered = True
-        if self.storage is not None:
-            self.storage.touch(seg)
         distances = None
         seg_stats = QueryStats(
             blocks_selected=len(selection),
@@ -439,10 +437,6 @@ def _fan_out(
         + mem_refine_seconds
     )
     stats.results = len(merged)
-    # Tier transitions (promotion hysteresis, budget demotions) run
-    # here — off-lane when maintenance is running, otherwise on the
-    # calling thread after the scan is fully merged.
-    self._settle()
     return merged
 
 

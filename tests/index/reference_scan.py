@@ -404,11 +404,6 @@ def query_batch_segmented(
         )
         seg_scans[i] = (scans, len(union), total)
 
-    if storage is not None:
-        for i, seg in enumerate(segments):
-            if seg_unions[i]:
-                storage.touch(seg)
-
     # Memtable scans — frozen memtables (oldest first) then the active
     # one, each bounded to the rows the pinned view captured.
     mem_tables = [(f.memtable, f.rows) for f in view.frozen]
@@ -507,7 +502,4 @@ def query_batch_segmented(
         )
         batch.cold_bytes = storage.stats.fetch_bytes - cold_bytes0
         batch.cold_fetch_seconds = storage.stats.fetch_seconds - cold_secs0
-        # Tier transitions run here, after the batch is fully merged —
-        # never while the scan loop above is iterating the segment list.
-        index._settle()
     return results, batch

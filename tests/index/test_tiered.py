@@ -1,6 +1,6 @@
 """Tiered-storage acceptance properties of the segmented index.
 
-Two guarantees from the subsystem's contract
+Three guarantees from the subsystem's contract
 (``docs/storage-tiers.md``):
 
 * **bit-identity** — a tiered index answers every query with exactly
@@ -10,7 +10,12 @@ Two guarantees from the subsystem's contract
 * **kill-9 crash recovery** — a process holding segments in all three
   tiers (plus unflushed WAL rows) can be SIGKILLed at any point and the
   directory reopens complete: every sealed row is queryable and the WAL
-  replays, with cold segments rebuilt from their sidecars alone.
+  replays, with cold segments rebuilt from their sidecars alone;
+* **queries never move segments** — after any sequence of solo,
+  batched, range and window queries every segment keeps its tier, the
+  manifest keeps its bytes, and the blob backend has served range reads
+  only.  ``PROPERTY_EXAMPLES`` raises the example count (CI's
+  ``property-long`` job).
 
 A scan fetches a cold segment on the calling thread: querying a tiered
 index starts no thread.
@@ -32,10 +37,11 @@ from repro.distortion.model import NormalDistortionModel
 from repro.index.batch import BatchQueryExecutor, query_batch
 from repro.index.options import QueryOptions
 from repro.index.segmented import SegmentedS3Index
-from repro.storage import FakeBlobBackend, StorageConfig
+from repro.storage import FakeBlobBackend, StorageConfig, row_bytes
 
 NDIMS = 8
 SIGMA = 15.0
+EXAMPLES = int(os.environ.get("PROPERTY_EXAMPLES", "25"))
 
 
 def make_records(n, seed=0):
@@ -182,6 +188,76 @@ class TestCallingThread:
         assert after == before
         assert not any(t.name.startswith("repro-prefetch") for t in after)
         tiered.close()
+
+
+query_strategy = st.one_of(
+    st.tuples(st.just("solo"), st.integers(0, 9), st.just(1)),
+    st.tuples(st.just("batch"), st.integers(0, 9), st.integers(1, 12)),
+    st.tuples(st.just("engine"), st.integers(0, 9), st.integers(1, 12)),
+    st.tuples(st.just("range"), st.integers(0, 9), st.integers(0, 60)),
+    st.tuples(st.just("window"), st.integers(0, 9), st.integers(0, 60)),
+)
+
+
+class TestQueriesNeverMove:
+    @given(
+        sizes=st.lists(st.integers(40, 160), min_size=1, max_size=5),
+        budget_share=st.floats(0.0, 1.2),
+        mmap=st.booleans(),
+        unsealed=st.integers(0, 50),
+        queries=st.lists(query_strategy, min_size=1, max_size=8),
+    )
+    @settings(max_examples=EXAMPLES, deadline=None)
+    def test_queries_change_no_tier_manifest_or_blob(
+        self, tmp_path_factory, sizes, budget_share, mmap, unsealed, queries
+    ):
+        directory = tmp_path_factory.mktemp("still") / "idx"
+        backend = FakeBlobBackend()
+        budget = int(budget_share * sum(sizes) * row_bytes(NDIMS))
+        storage = StorageConfig(budget_bytes=budget, backend=backend)
+        kwargs = dict(flush_rows=10 ** 9, auto_compact=False)
+        index = SegmentedS3Index.create(
+            directory, ndims=NDIMS, model=NormalDistortionModel(NDIMS, SIGMA),
+            storage=storage, **kwargs,
+        )
+        for seed, rows in enumerate(sizes):
+            index.add(*make_records(rows, seed=seed))
+            index.flush()
+        if mmap:  # resident segments come back warm
+            index.close()
+            index = SegmentedS3Index.open(
+                directory, mmap=True, storage=storage, **kwargs
+            )
+        if unsealed:
+            index.add(*make_records(unsealed, seed=len(sizes)))
+        try:
+            tiers = [(s.meta.name, s.meta.tier) for s in index._segments]
+            assert index.storage.resident_bytes() <= budget
+            segments = index._segments
+            manifest = (directory / "MANIFEST.json").read_bytes()
+            puts, gets = backend.puts, backend.gets
+            engine = BatchQueryExecutor(index, options=QueryOptions(alpha=0.8))
+            for kind, seed, arg in queries:
+                rows = arg if kind in ("batch", "engine") else 1
+                q = make_records(rows, seed=seed)[0].astype(np.float64)
+                if kind == "solo":
+                    index.statistical_query(q[0], alpha=0.8)
+                elif kind == "batch":
+                    index.statistical_query_batch(q, alpha=0.8)
+                elif kind == "engine":
+                    engine.query_batch(q)
+                elif kind == "range":
+                    index.range_query(q[0], float(arg))
+                else:
+                    index.window_query(q[0] - arg, q[0] + arg)
+            assert [(s.meta.name, s.meta.tier) for s in index._segments] \
+                == tiers
+            assert all(a is b for a, b in zip(index._segments, segments))
+            assert (directory / "MANIFEST.json").read_bytes() == manifest
+            assert (backend.puts, backend.gets) == (puts, gets)
+            assert index.storage.stats.full_fetches == 0
+        finally:
+            index.close()
 
 
 CRASH_SCRIPT = r"""

@@ -1,5 +1,6 @@
-"""Tier manager tests: demotion, promotion, budgets, GC, sidecars."""
+"""Tier manager tests: demotion, budgets, GC, sidecars."""
 
+import json
 import os
 import sys
 import threading
@@ -68,10 +69,42 @@ class TestStorageConfig:
         config = StorageConfig(
             budget_bytes=1234, cold_dir="icy", promote_after=5
         )
-        again = StorageConfig.from_manifest(config.to_manifest())
+        block = config.to_manifest()
+        assert block == {"budget_bytes": 1234, "cold_dir": "icy"}
+        again = StorageConfig.from_manifest(block)
         assert again.budget_bytes == 1234
         assert again.cold_dir == "icy"
-        assert again.promote_after == 5
+
+    def test_old_manifest_with_promote_after_opens(self, tmp_path):
+        """A directory written when the manifest still recorded
+        ``promote_after`` opens with its budget and cold_dir, and the
+        next manifest write drops the key."""
+        directory = tmp_path / "idx"
+        index = SegmentedS3Index.create(
+            directory, ndims=NDIMS, model=NormalDistortionModel(NDIMS, SIGMA),
+            flush_rows=10 ** 9, auto_compact=False,
+            storage=StorageConfig(cold_dir="icy"),
+        )
+        index.add(*make_records(100, seed=0))
+        index.flush()
+        index.close()
+        path = directory / "MANIFEST.json"
+        payload = json.loads(path.read_text())
+        budget = row_bytes(NDIMS) * 150
+        payload["storage"] = {
+            "budget_bytes": budget, "cold_dir": "icy", "promote_after": 5,
+        }
+        path.write_text(json.dumps(payload))
+
+        reopened = SegmentedS3Index.open(directory)
+        assert reopened.storage.budget_bytes == budget
+        assert reopened.storage.cold_dir == directory / "icy"
+        reopened.add(*make_records(100, seed=1))
+        reopened.flush()  # rewrites the manifest; over budget, demotes
+        assert [s.meta.tier for s in reopened._segments] == ["cold", "hot"]
+        reopened.close()
+        storage = json.loads(path.read_text())["storage"]
+        assert storage == {"budget_bytes": budget, "cold_dir": "icy"}
 
 
 class TestDemotion:
@@ -97,18 +130,47 @@ class TestDemotion:
         assert (tmp_path / "idx" / keys_filename(name)).is_file()
         index.close()
 
-    def test_budget_demotes_lru_by_last_scan(self, tmp_path):
+    def test_budget_demotes_oldest_first(self, tmp_path):
         index, _, batches = make_tiered(tmp_path / "idx", num_segments=3)
         per_seg = index.storage.segment_bytes(index._segments[0])
-        # Scan segments 1 and 2 (queries touch every segment, bumping
-        # all three, so touch directly for a deterministic order).
-        index.storage.touch(index._segments[1])
-        index.storage.touch(index._segments[2])
-        object.__setattr__(index.storage, "budget_bytes", 2 * per_seg)
-        index.storage.enforce_budget()
+        # Queries read the newest segment only; demotion order is the
+        # manifest's, whatever was scanned.
+        q = batches[2][0][3].astype(np.float64)
+        for _ in range(3):
+            index.statistical_query(q, alpha=0.8)
+        index.storage.budget_bytes = 2 * per_seg
+        assert index.storage.enforce_budget() == 1
         tiers = [s.meta.tier for s in index._segments]
         assert tiers == ["cold", "hot", "hot"]
         index.close()
+
+    def test_budget_holds_once_flush_returns(self, tmp_path):
+        index, _, _ = make_tiered(tmp_path / "idx", num_segments=1, rows=100)
+        per_seg = index.storage.segment_bytes(index._segments[0])
+        index.storage.budget_bytes = 2 * per_seg + per_seg // 2
+        for i in range(1, 6):
+            index.add(*make_records(100, seed=i))
+            index.flush()
+            assert index.storage.resident_bytes() <= 2 * per_seg + per_seg // 2
+        tiers = [s.meta.tier for s in index._segments]
+        assert tiers == ["cold"] * 4 + ["hot"] * 2
+        index.close()
+
+    def test_budget_holds_once_a_background_seal_completes(self, tmp_path):
+        index, _, _ = make_tiered(tmp_path / "idx", num_segments=1, rows=100)
+        per_seg = index.storage.segment_bytes(index._segments[0])
+        index.storage.budget_bytes = per_seg
+        index.flush_rows = 100
+        worker = index.start_maintenance()
+        try:
+            for i in range(1, 5):
+                index.add(*make_records(100, seed=i))
+                assert worker.drain()
+                assert worker.seals == i
+                assert index.storage.resident_bytes() <= per_seg
+        finally:
+            index.close()
+        assert [s.meta.tier for s in index._segments] == ["cold"] * 4 + ["hot"]
 
     def test_queries_identical_across_demotion(self, tmp_path):
         index, _, batches = make_tiered(tmp_path / "idx")
@@ -134,39 +196,6 @@ class TestDemotion:
         # The row exists in the stored batch (physical order is
         # curve-sorted, so compare as a membership check).
         assert any(np.array_equal(fp, row) for row in fp0)
-        index.close()
-
-
-class TestPromotion:
-    def test_promotes_after_hysteresis(self, tmp_path):
-        index, _, batches = make_tiered(
-            tmp_path / "idx", num_segments=2, promote_after=2
-        )
-        seg = index._segments[0]
-        index.storage.demote(seg)
-        q = batches[0][0][3].astype(np.float64)
-        index.statistical_query(q, alpha=0.8)  # touch 1: stays cold
-        assert index._segments[0].meta.tier == "cold"
-        index.statistical_query(q, alpha=0.8)  # touch 2: promotes
-        live = index._segments[0]
-        assert live.meta.tier == "warm"
-        assert live.index is not None
-        index.close()
-
-    def test_budget_blocks_promotion(self, tmp_path):
-        index, _, batches = make_tiered(
-            tmp_path / "idx", num_segments=2, promote_after=1
-        )
-        seg = index._segments[0]
-        per_seg = index.storage.segment_bytes(seg)
-        index.storage.demote(seg)
-        # Budget too small for the segment alone: it can never promote
-        # (a budget >= one segment would instead evict an LRU victim).
-        index.storage.budget_bytes = per_seg - 1
-        q = batches[0][0][3].astype(np.float64)
-        for _ in range(4):
-            index.statistical_query(q, alpha=0.8)
-        assert index._segments[0].meta.tier == "cold"
         index.close()
 
 
