@@ -144,9 +144,7 @@ def serve_config_from_args(args: argparse.Namespace) -> ServeConfig:
             max_wait_ms=args.max_wait_ms, queue_limit=args.queue_limit,
             cache=args.cache, cache_capacity=args.cache_capacity,
             durability=args.durability,
-            maintenance=not args.no_maintenance,
-            backpressure_rows=args.backpressure_rows,
-            compact_mb_per_s=args.compact_mb_per_s, options=options,
+            maintenance=not args.no_maintenance, options=options,
         )
 
 
@@ -195,7 +193,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _load_index(
-    path: str, mmap: bool = False, storage=None, durability=None
+    path: str, mmap: bool = False, storage=None, durability="always"
 ) -> "S3Index | SegmentedS3Index":
     """Open *path* as a segmented directory or a static index prefix.
 
@@ -845,13 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of the background maintenance worker "
                         "(debugging aid; stalls are visible in "
                         "stats.batcher.engine_stall)")
-    p.add_argument("--backpressure-rows", type=int, default=None,
-                   help="unsealed rows above which ingest is shed with "
-                        "the retryable `unavailable` code (default: "
-                        "4x the memtable seal threshold)")
-    p.add_argument("--compact-mb-per-s", type=float, default=None,
-                   help="background-compaction I/O rate limit "
-                        "(default: unlimited)")
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(

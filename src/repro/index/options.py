@@ -32,19 +32,18 @@ PREFILTER_MODES = ("auto", "off")
 #: thread (see the perf-compat note in :mod:`repro.index.batch`).
 PREFETCH_MODES = ("auto", "off")
 
-#: WAL durability modes of the ingest path (canonical definition in
-#: :mod:`repro.index.segmented.wal`, re-exported here alongside the
-#: other front-end knob vocabularies).  ``"always"`` fsyncs every
-#: append, ``"group"`` coalesces concurrent appends into one fsync
-#: (durable-on-ack, the serving default), ``"async"`` never fsyncs.
+#: WAL durability modes of the ingest path (:mod:`repro.index.segmented.wal`),
+#: strongest first.  ``"always"`` fsyncs every append, ``"group"``
+#: coalesces concurrent appends into one fsync (durable-on-ack, the
+#: serving default), ``"async"`` never fsyncs.
 DURABILITY_MODES = ("always", "group", "async")
 
 
 def validate_durability(value: str, api: str = "durability") -> str:
     """Return *value* if it is a durability mode, else raise with help.
 
-    The friendly validation of
-    :class:`~repro.serve.server.ServeConfig`'s ``durability`` (the CLI's
+    The one check of a durability mode: the WAL and
+    :class:`~repro.serve.server.ServeConfig` both call it (the CLI's
     ``--durability`` takes only these choices).
     """
     if value in DURABILITY_MODES:

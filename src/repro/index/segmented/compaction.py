@@ -9,23 +9,17 @@ segment; the policy below is **size-tiered with a segment-count cap**:
   segments (merging is deferred — writes stay cheap);
 * past the cap, the smallest segments are merged first (they are the
   cheapest to rewrite and the likeliest to be recent flushes of similar
-  size), taking just enough of them to land back at ``max_segments``;
-* at least ``min_merge`` segments are merged at a time, so the rewrite
-  cost is always amortised over a real reduction in segment count.
+  size), taking just enough of them to land back at ``max_segments`` —
+  at least two, so every rewrite reduces the segment count.
+
+The policy is a per-open setting of the index; it is not persisted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
 
 from ...errors import ConfigurationError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from ...distortion.model import IndependentDistortionModel
-    from ..s3 import S3Index
-    from ..store import FingerprintStore
-    from .sketch import SegmentSketch, SketchConfig
 
 
 @dataclass
@@ -33,16 +27,11 @@ class CompactionPolicy:
     """Size-tiered merge policy with a maximum live-segment count."""
 
     max_segments: int = 8
-    min_merge: int = 2
 
     def __post_init__(self) -> None:
         if self.max_segments < 1:
             raise ConfigurationError(
                 f"max_segments must be >= 1, got {self.max_segments}"
-            )
-        if self.min_merge < 2:
-            raise ConfigurationError(
-                f"min_merge must be >= 2, got {self.min_merge}"
             )
 
     def plan(self, counts: list[int]) -> list[int]:
@@ -56,48 +45,9 @@ class CompactionPolicy:
         if n <= self.max_segments:
             return []
         # Merging k segments into one reduces the count by k - 1; to land
-        # at max_segments we need k = n - max_segments + 1, floored at
-        # min_merge.
-        k = max(n - self.max_segments + 1, self.min_merge)
-        k = min(k, n)
+        # at max_segments we need k = n - max_segments + 1, which is at
+        # least 2 because n > max_segments >= 1.
+        k = n - self.max_segments + 1
         smallest = sorted(range(n), key=lambda i: (counts[i], i))[:k]
         return sorted(smallest)
 
-
-def merge_segment_stores(
-    stores: Sequence["FingerprintStore"],
-    ndims: int,
-    *,
-    order: int,
-    key_levels: int,
-    depth: int,
-    model: Optional["IndependentDistortionModel"],
-    sketch_config: Optional["SketchConfig"] = None,
-) -> tuple["S3Index", "SegmentSketch"]:
-    """Materialise one merged segment: index + freshly built sketch.
-
-    The merged store re-sorts the concatenated rows along the Hilbert
-    curve (inside :class:`~repro.index.s3.S3Index`), so the input
-    segments' sketches are useless afterwards — the occupancy map stays
-    the union but the block bounds follow the new physical order.  The
-    sketch is therefore always rebuilt from the merged layout here, in
-    the same pass that builds the index.
-    """
-    from ..s3 import S3Index
-    from ..store import StoreBuilder
-    from .sketch import SegmentSketch
-
-    builder = StoreBuilder(ndims)
-    for store in stores:
-        builder.append_store(store)
-    index = S3Index(
-        builder.build(),
-        order=order,
-        key_levels=key_levels,
-        depth=depth,
-        model=model,
-    )
-    sketch = SegmentSketch.build(
-        index.layout, index.store.fingerprints, sketch_config
-    )
-    return index, sketch

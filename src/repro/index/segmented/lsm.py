@@ -50,7 +50,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -64,8 +64,8 @@ from ...errors import (
 from ...hilbert.butz import HilbertCurve
 from ..s3 import QueryStats, S3Index, S3Queries
 from ..store import FingerprintStore, PathLike
-from .compaction import CompactionPolicy, merge_segment_stores
-from .maintenance import MaintenanceConfig, MaintenanceThread
+from .compaction import CompactionPolicy
+from .maintenance import MaintenanceThread
 from .manifest import (
     Manifest,
     SegmentMeta,
@@ -79,6 +79,10 @@ from .wal import WriteAheadLog, replay
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ...storage.coldseg import ColdSegmentReader
     from ...storage.manager import StorageConfig, TierManager
+
+#: While the maintenance worker runs, ``add`` sheds once this many
+#: ``flush_rows`` of records are unsealed (active + frozen memtables).
+SHED_FLUSHES = 4
 
 
 @dataclass
@@ -256,9 +260,9 @@ class SegmentedS3Index(S3Queries):
     Thread model: any number of query threads plus any number of ingest
     threads are safe concurrently (queries pin snapshot views; ingests
     group-commit through the WAL's lock).  Maintenance — seal,
-    compaction, tier settling — is serialised by the maintenance lock,
-    whether it runs inline (``flush()``/``compact()``) or on the
-    background worker (:meth:`start_maintenance`).
+    compaction, budget demotion — is serialised by the maintenance
+    lock; :meth:`flush` and :meth:`compact` are the only entries, run
+    inline or by the background worker (:meth:`start_maintenance`).
 
     The query methods are :class:`~repro.index.s3.S3Queries`: a
     selection, then one scan of every segment and memtable of a pinned
@@ -278,7 +282,6 @@ class SegmentedS3Index(S3Queries):
         flush_rows: int,
         policy: CompactionPolicy,
         auto_compact: bool,
-        sketch_config: Optional[SketchConfig] = None,
     ):
         self.directory = directory
         self.manifest = manifest
@@ -288,7 +291,6 @@ class SegmentedS3Index(S3Queries):
         self.flush_rows = flush_rows
         self.policy = policy
         self.auto_compact = auto_compact
-        self.sketch_config = sketch_config or SketchConfig()
         self.curve = HilbertCurve(manifest.ndims, manifest.order)
         #: The tier manager, set by :meth:`attach_storage` (directly or
         #: via :meth:`open`'s ``storage=``).  ``None`` = untiered: every
@@ -309,6 +311,10 @@ class SegmentedS3Index(S3Queries):
         )
         self._maintenance: Optional[MaintenanceThread] = None
         self._shed_count = 0
+        # Segments sealed and compactions run by this handle (bumped
+        # under _maint_lock; the worker reports its share of them).
+        self._seals = 0
+        self._compactions = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -327,7 +333,6 @@ class SegmentedS3Index(S3Queries):
         auto_compact: bool = True,
         sync: bool = True,
         durability: Optional[str] = None,
-        sketch_config: Optional[SketchConfig] = None,
         storage: Optional["StorageConfig"] = None,
     ) -> "SegmentedS3Index":
         """Initialise a fresh segmented index in *directory*.
@@ -337,9 +342,9 @@ class SegmentedS3Index(S3Queries):
         blob backend whenever the resident set exceeds the budget.
 
         *durability* picks the WAL fsync policy (``"always"``,
-        ``"group"`` or ``"async"``, see :mod:`.wal`); when ``None`` the
-        legacy *sync* flag decides (``True`` → always, ``False`` →
-        async).
+        ``"group"`` or ``"async"``, see :mod:`.wal`).  ``sync=False``
+        without a *durability* means ``"async"`` (perf-compat, see
+        :mod:`repro.index.batch`).
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -377,16 +382,16 @@ class SegmentedS3Index(S3Queries):
             next_seq=1,
             wal=wal_filename(0),
         )
+        if durability is None:
+            durability = "always" if sync else "async"
         wal = WriteAheadLog.create(
-            directory / manifest.wal, ndims, sync=sync,
-            durability=durability,
+            directory / manifest.wal, ndims, durability=durability
         )
         manifest.save(directory)
         memtable = MemTable(ndims, order, key_levels)
         index = cls(
             directory, manifest, [], memtable, wal, model,
             flush_rows, policy or CompactionPolicy(), auto_compact,
-            sketch_config,
         )
         if storage is not None:
             index.attach_storage(storage)
@@ -400,13 +405,14 @@ class SegmentedS3Index(S3Queries):
         flush_rows: int = 8192,
         policy: Optional[CompactionPolicy] = None,
         auto_compact: bool = True,
-        sync: bool = True,
-        durability: Optional[str] = None,
+        durability: str = "always",
         mmap: bool = False,
-        sketch_config: Optional[SketchConfig] = None,
         storage: Optional["StorageConfig"] = None,
     ) -> "SegmentedS3Index":
         """Reopen *directory*: load segments, replay the WAL, GC orphans.
+
+        *flush_rows*, *policy*, *auto_compact* and *durability* are
+        per-open settings, as in :meth:`create`: none is persisted.
 
         *model* overrides the manifest's calibrated σ; by default a
         :class:`~repro.distortion.model.NormalDistortionModel` is rebuilt
@@ -430,7 +436,6 @@ class SegmentedS3Index(S3Queries):
         manifest = Manifest.load(directory)
         if model is None and manifest.sigma is not None:
             model = NormalDistortionModel(manifest.ndims, manifest.sigma)
-        sketch_config = sketch_config or SketchConfig()
         from ...storage.coldseg import ColdSegmentReader, keys_filename, load_keys
         from ...storage.manager import (
             TIER_COLD,
@@ -499,9 +504,7 @@ class SegmentedS3Index(S3Queries):
                 except IndexError_:
                     sketch = None
             if sketch is None:
-                sketch = SegmentSketch.build(
-                    index.layout, store.fingerprints, sketch_config
-                )
+                sketch = SegmentSketch.build(index.layout, store.fingerprints)
                 sketch.save(sketch_path)
                 meta.sketch = sketch.to_meta()
                 manifest_dirty = True
@@ -523,16 +526,15 @@ class SegmentedS3Index(S3Queries):
         if wal_path.is_file():
             for fp, ids, tcs in replay(wal_path):
                 memtable.add(fp, ids, tcs)
-            wal = WriteAheadLog.open(wal_path, sync=sync, durability=durability)
+            wal = WriteAheadLog.open(wal_path, durability=durability)
         else:
             wal = WriteAheadLog.create(
-                wal_path, manifest.ndims, sync=sync, durability=durability
+                wal_path, manifest.ndims, durability=durability
             )
         _collect_orphans(directory, manifest)
         index = cls(
             directory, manifest, segments, memtable, wal, model,
             flush_rows, policy or CompactionPolicy(), auto_compact,
-            sketch_config,
         )
         config = storage
         if config is None and manifest.storage is not None:
@@ -621,22 +623,22 @@ class SegmentedS3Index(S3Queries):
         return self._maintenance
 
     def start_maintenance(
-        self, config: Optional[MaintenanceConfig] = None
+        self, on_change: Optional[Callable[[str], None]] = None
     ) -> MaintenanceThread:
         """Move seal/compaction onto a background worker.
 
         From this point ``add`` never seals inline: reaching
-        ``flush_rows`` requests a background seal, and unsealed rows
-        beyond the backpressure limit shed with
-        :class:`IngestBackpressure` instead of stalling the caller.
+        ``flush_rows`` requests a background ``flush()``, and an ingest
+        that finds ``SHED_FLUSHES * flush_rows`` unsealed rows sheds
+        with :class:`IngestBackpressure` instead of stalling the caller.
+        *on_change* is the worker's observer (see
+        :class:`.maintenance.MaintenanceThread`).
         """
         if self._maintenance is not None:
             raise ConfigurationError(
                 "maintenance is already running for this index"
             )
-        self._maintenance = MaintenanceThread(
-            self, config or MaintenanceConfig()
-        )
+        self._maintenance = MaintenanceThread(self, on_change)
         return self._maintenance
 
     def stop_maintenance(self, drain: bool = True) -> None:
@@ -645,27 +647,6 @@ class SegmentedS3Index(S3Queries):
         if worker is not None:
             self._maintenance = None
             worker.close(drain=drain)
-
-    def _background_seal(self) -> Optional[SegmentMeta]:
-        """Worker entry: freeze the memtable and seal every frozen one."""
-        with self._maint_lock:
-            self._freeze_active()
-            meta = None
-            while self._view.frozen:
-                meta = self._seal_oldest_frozen()
-            if meta is not None:
-                worker = self._maintenance
-                if self.auto_compact and worker is not None:
-                    counts = [s.meta.count for s in self._view.segments]
-                    if self.policy.plan(counts):
-                        worker.request_compact()
-                if self.storage is not None:
-                    self.storage.enforce_budget()
-            return meta
-
-    def _background_compact(self) -> Optional[CompactionResult]:
-        """Worker entry: one policy-driven compaction step."""
-        return self.compact()
 
     # ------------------------------------------------------------------
     # introspection
@@ -712,8 +693,8 @@ class SegmentedS3Index(S3Queries):
         return {
             "segments": len(view.segments),
             "sketches": len(sketches),
-            "depth": self.sketch_config.depth,
-            "block_rows": self.sketch_config.block_rows,
+            "depth": SketchConfig.depth,
+            "block_rows": SketchConfig.block_rows,
             "resident_bytes": sum(s.nbytes() for s in sketches),
         }
 
@@ -724,7 +705,7 @@ class SegmentedS3Index(S3Queries):
         return sum(f.rows for f in view.frozen) + len(view.memtable)
 
     def ingest_info(self) -> dict:
-        """Write-path pressure: memtable, WAL, compaction debt, queue.
+        """Write-path pressure: memtable, WAL, compaction debt, worker.
 
         The shared schema behind ``repro-s3 info --json`` (``ingest``
         block) and ``serve stats``.
@@ -825,9 +806,10 @@ class SegmentedS3Index(S3Queries):
         The batch is appended to the WAL first (fsync per the
         ``durability`` mode — concurrent callers share one fsync in
         ``"group"`` mode), then buffered in the memtable.  Reaching
-        ``flush_rows`` seals inline, or requests a background seal when
-        maintenance is running; past the backpressure limit the insert
-        is shed with :class:`IngestBackpressure` (retryable) instead.
+        ``flush_rows`` runs :meth:`flush` inline, or requests it from
+        the worker when maintenance is running; past the backpressure
+        limit the insert is shed with :class:`IngestBackpressure`
+        (retryable) instead.
         """
         self._check_backpressure()
         with self._wal_gate.shared():
@@ -849,7 +831,7 @@ class SegmentedS3Index(S3Queries):
         worker = self._maintenance
         if worker is None:
             return
-        limit = worker.config.backpressure_rows or 4 * self.flush_rows
+        limit = SHED_FLUSHES * self.flush_rows
         pending = self.pending_rows
         if pending < limit:
             return
@@ -869,7 +851,9 @@ class SegmentedS3Index(S3Queries):
         ``None``) when nothing is buffered.  Each segment file is fully
         written and fsynced before the manifest references it, and WALs
         are removed only after their records are sealed, so a crash at
-        any point loses nothing and duplicates nothing.
+        any point loses nothing and duplicates nothing.  With
+        ``auto_compact`` one policy :meth:`compact` step follows the
+        seal.  The maintenance worker's seal job is this method.
         """
         with self._maint_lock:
             self._freeze_active()
@@ -946,7 +930,35 @@ class SegmentedS3Index(S3Queries):
         if not view.frozen:
             return None
         frozen = view.frozen[0]
-        store = frozen.memtable.to_store()
+        # The freeze reserved this seq alongside the rotated WAL's name.
+        segment = self._write_segment(
+            segment_filename(frozen.seal_seq), frozen.memtable.to_store()
+        )
+        with self._state_lock:
+            view = self._view
+            self.manifest.segments.append(segment.meta)
+            self.manifest.frozen_wals = [
+                w for w in self.manifest.frozen_wals
+                if w not in frozen.wal_names
+            ]
+            self.manifest.save(self.directory)
+            self._view = _LiveView(
+                view.segments + (segment,), view.frozen[1:], view.memtable
+            )
+        for wal_name in frozen.wal_names:
+            (self.directory / wal_name).unlink(missing_ok=True)
+        self._seals += 1
+        return segment.meta
+
+    def _write_segment(self, name: str, store: FingerprintStore) -> Segment:
+        """Write *store* as segment *name*, durably, with its sketch.
+
+        The one way seal and compaction write a segment: curve-sort the
+        rows (inside :class:`S3Index`), save and fsync the store, then
+        build the sketch from the sorted layout and save it.  The caller
+        references the segment from the manifest only after this
+        returns.
+        """
         index = S3Index(
             store,
             order=self.manifest.order,
@@ -954,34 +966,15 @@ class SegmentedS3Index(S3Queries):
             depth=self.manifest.depth,
             model=self.model,
         )
-        # The freeze reserved this seq alongside the rotated WAL's name.
-        name = segment_filename(frozen.seal_seq)
         seg_path = self.directory / (name + ".store")
         index.store.save(seg_path)
         _fsync_file(seg_path)
-        sketch = SegmentSketch.build(
-            index.layout, index.store.fingerprints, self.sketch_config
-        )
+        sketch = SegmentSketch.build(index.layout, index.store.fingerprints)
         sketch.save(self.directory / sketch_filename(name))
-        meta = SegmentMeta(name=name, count=len(store), sketch=sketch.to_meta())
-        with self._state_lock:
-            view = self._view
-            self.manifest.segments.append(meta)
-            self.manifest.frozen_wals = [
-                w for w in self.manifest.frozen_wals
-                if w not in frozen.wal_names
-            ]
-            self.manifest.save(self.directory)
-            self._view = _LiveView(
-                view.segments + (
-                    Segment(meta=meta, index=index, sketch=sketch),
-                ),
-                view.frozen[1:],
-                view.memtable,
-            )
-        for wal_name in frozen.wal_names:
-            (self.directory / wal_name).unlink(missing_ok=True)
-        return meta
+        meta = SegmentMeta(
+            name=name, count=len(index.store), sketch=sketch.to_meta()
+        )
+        return Segment(meta=meta, index=index, sketch=sketch)
 
     def compact(self, force: bool = False) -> Optional[CompactionResult]:
         """Merge segments according to the policy (everything if *force*).
@@ -1005,29 +998,18 @@ class SegmentedS3Index(S3Queries):
                 return None
             t0 = time.perf_counter()
             old = [snapshot[i] for i in picked]
-            # Cold inputs are fetched whole from the blob backend; their
-            # blobs are discarded below once the manifest has switched.
-            index, sketch = merge_segment_stores(
-                [self._segment_store(seg) for seg in old],
-                ndims=self.ndims,
-                order=self.manifest.order,
-                key_levels=self.manifest.key_levels,
-                depth=self.manifest.depth,
-                model=self.model,
-                sketch_config=self.sketch_config,
-            )
-            merged = index.store
             with self._state_lock:
                 seq = self.manifest.next_seq
                 self.manifest.next_seq = seq + 1
-            name = segment_filename(seq)
-            seg_path = self.directory / (name + ".store")
-            index.store.save(seg_path)
-            _fsync_file(seg_path)
-            sketch.save(self.directory / sketch_filename(name))
-
-            meta = SegmentMeta(
-                name=name, count=len(merged), sketch=sketch.to_meta()
+            # Cold inputs are fetched whole from the blob backend; their
+            # blobs are discarded below once the manifest has switched.
+            # The merged rows are re-sorted along the curve, so the
+            # inputs' sketches are rebuilt, not merged.
+            merged = self._write_segment(
+                segment_filename(seq),
+                FingerprintStore.concatenate(
+                    self._segment_store(seg) for seg in old
+                ),
             )
             old_names = {seg.meta.name for seg in old}
             with self._state_lock:
@@ -1037,9 +1019,7 @@ class SegmentedS3Index(S3Queries):
                 for seg in view.segments:
                     if seg.meta.name in old_names:
                         if not inserted:
-                            new_segments.append(
-                                Segment(meta=meta, index=index, sketch=sketch)
-                            )
+                            new_segments.append(merged)
                             inserted = True
                         continue
                     new_segments.append(seg)
@@ -1064,10 +1044,11 @@ class SegmentedS3Index(S3Queries):
                     self.storage.discard_blob(seg.meta.name)
             if self.storage is not None:
                 self.storage.enforce_budget()
+            self._compactions += 1
             return CompactionResult(
                 merged_segments=len(picked),
-                merged_rows=len(merged),
-                segment_name=name,
+                merged_rows=merged.meta.count,
+                segment_name=merged.meta.name,
                 seconds=time.perf_counter() - t0,
             )
 

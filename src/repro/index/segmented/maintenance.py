@@ -2,99 +2,52 @@
 
 Seal and compaction are the two heavy jobs on the write path: sealing
 curve-sorts the memtable and writes a segment, compaction rewrites many
-segments into one.  Inline (the pre-pipelined behaviour) they run on
-whatever thread called ``add`` — in the detection service that is the
-single engine lane, so a compaction storm stalls every queued query.
+segments into one.  Inline they run on whatever thread called ``add`` —
+in the detection service that is the single engine lane, so a
+compaction storm stalls every queued query.
 
-:class:`MaintenanceThread` moves both off-lane: ``add`` only appends to
-the WAL and memtable, then *requests* a seal; one daemon worker drains a
-tiny bounded queue of job kinds (``seal`` / ``compact``),
-performing the heavy work under the index's maintenance lock while
-queries keep scanning a pinned snapshot view (see
-:meth:`SegmentedS3Index._read_view`).  Jobs of the same kind coalesce —
-requesting ``seal`` twice while one is queued is one seal.
+:class:`MaintenanceThread` runs the same code on another thread: its
+seal job is :meth:`SegmentedS3Index.flush` (seal, compact per policy
+when ``auto_compact``, enforce the storage budget) and its compact job
+is :meth:`SegmentedS3Index.compact`.  ``add`` only appends to the WAL
+and memtable, then *requests* a seal; the worker runs the job under the
+index's maintenance lock while queries keep scanning a pinned snapshot
+view (see :meth:`SegmentedS3Index._read_view`).  A request is a pending
+flag, so requesting a seal twice before the worker gets to it is one
+seal.
 
-Backpressure instead of stalls: when unsealed rows exceed
-``backpressure_rows`` the index sheds the ingest with
-:class:`~repro.errors.IngestBackpressure`, which the serving layer maps
-to the retryable wire code ``unavailable`` — clients back off and
-resend, queries never queue behind maintenance.
-
-``compact_mb_per_s`` rate-limits compaction I/O: after each merge the
-worker sleeps long enough that sustained compaction throughput stays at
-or below the limit, keeping page-cache and disk bandwidth available to
-foreground scans.
+Backpressure instead of stalls: while the worker runs, ``add`` sheds
+with :class:`~repro.errors.IngestBackpressure` once unsealed rows reach
+``4 * flush_rows``, which the serving layer maps to the retryable wire
+code ``unavailable`` — clients back off and resend, queries never queue
+behind maintenance.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Optional
-
-from ...errors import ConfigurationError
-
-#: Job kinds the worker understands, in the order add() escalates them.
-JOB_KINDS = ("seal", "compact")
-
-
-@dataclass(frozen=True)
-class MaintenanceConfig:
-    """Knobs of the background maintenance worker.
-
-    ``backpressure_rows`` — unsealed rows (active + frozen memtables)
-    above which ``add`` sheds with :class:`IngestBackpressure`;
-    ``None`` defaults to ``4 * flush_rows``.
-
-    ``queue_limit`` — bound on distinct queued jobs; a full queue also
-    sheds ingest rather than growing without bound.
-
-    ``compact_mb_per_s`` — compaction I/O rate limit (``None`` = no
-    limit).
-
-    ``on_change`` — called (from the worker thread) with the job kind
-    after a seal or compaction actually changed the segment set; the
-    serving layer uses it to invalidate result caches whose row
-    numbering just moved.
-    """
-
-    queue_limit: int = 16
-    backpressure_rows: Optional[int] = None
-    compact_mb_per_s: Optional[float] = None
-    on_change: Optional[Callable[[str], None]] = None
-
-    def __post_init__(self):
-        if self.queue_limit < 1:
-            raise ConfigurationError(
-                f"queue_limit must be >= 1, got {self.queue_limit}"
-            )
-        if self.backpressure_rows is not None and self.backpressure_rows < 1:
-            raise ConfigurationError(
-                "backpressure_rows must be >= 1, got "
-                f"{self.backpressure_rows}"
-            )
-        if self.compact_mb_per_s is not None and self.compact_mb_per_s <= 0:
-            raise ConfigurationError(
-                "compact_mb_per_s must be > 0, got "
-                f"{self.compact_mb_per_s}"
-            )
 
 
 class MaintenanceThread:
-    """One daemon worker draining seal/compact jobs for an index.
+    """One daemon worker running ``flush()``/``compact()`` for an index.
 
     Created by :meth:`SegmentedS3Index.start_maintenance`; stopped (and
     drained) by :meth:`SegmentedS3Index.stop_maintenance` or ``close``.
+    ``on_change`` is called (from the worker thread) with the job kind
+    after a job sealed or compacted segments; the serving layer uses it
+    to invalidate result caches whose row numbering just moved.
     """
 
-    def __init__(self, index, config: MaintenanceConfig):
+    def __init__(
+        self, index, on_change: Optional[Callable[[str], None]] = None
+    ):
         self.index = index
-        self.config = config
+        self.on_change = on_change
         self._cond = threading.Condition()
-        self._queue: deque[str] = deque()
-        self._pending: set[str] = set()
+        self._seal = False
+        self._compact = False
         self._closed = False
         self._busy = False
         # Counters, read via stats() (ints: GIL-atomic to bump).
@@ -102,54 +55,31 @@ class MaintenanceThread:
         self.compactions = 0
         self.errors = 0
         self.last_error: Optional[str] = None
-        self.queue_high_water = 0
-        self.rate_limit_seconds = 0.0
         self._thread = threading.Thread(
             target=self._run, name="s3-maintenance", daemon=True
         )
         self._thread.start()
 
     # ------------------------------------------------------------------
-    def request(self, kind: str) -> bool:
-        """Enqueue a job of *kind*; ``False`` when the queue is full.
-
-        Same-kind requests coalesce: a kind already queued is reported
-        accepted without growing the queue.
-        """
-        if kind not in JOB_KINDS:
-            raise ConfigurationError(f"unknown maintenance job {kind!r}")
+    def request_seal(self) -> None:
+        """Have the worker run ``flush()``."""
         with self._cond:
-            if self._closed:
-                return False
-            if kind in self._pending:
-                return True
-            if len(self._queue) >= self.config.queue_limit:
-                return False
-            self._queue.append(kind)
-            self._pending.add(kind)
-            self.queue_high_water = max(
-                self.queue_high_water, len(self._queue)
-            )
-            self._cond.notify_all()
-            return True
+            if not self._closed:
+                self._seal = True
+                self._cond.notify_all()
 
-    def request_seal(self) -> bool:
-        return self.request("seal")
-
-    def request_compact(self) -> bool:
-        return self.request("compact")
-
-    @property
-    def queue_depth(self) -> int:
-        """Queued jobs plus the one in flight (the pressure gauge)."""
+    def request_compact(self) -> None:
+        """Have the worker run ``compact()``."""
         with self._cond:
-            return len(self._queue) + (1 if self._busy else 0)
+            if not self._closed:
+                self._compact = True
+                self._cond.notify_all()
 
     def drain(self, timeout: float = 60.0) -> bool:
-        """Block until the queue is empty and the worker idle."""
+        """Block until no job is pending and the worker is idle."""
         deadline = time.monotonic() + timeout
         with self._cond:
-            while self._queue or self._busy:
+            while self._seal or self._compact or self._busy:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
@@ -157,7 +87,7 @@ class MaintenanceThread:
             return True
 
     def close(self, drain: bool = True, timeout: float = 60.0) -> None:
-        """Stop the worker (after finishing queued jobs when *drain*)."""
+        """Stop the worker (after finishing pending jobs when *drain*)."""
         if drain:
             self.drain(timeout)
         with self._cond:
@@ -168,29 +98,32 @@ class MaintenanceThread:
     def stats(self) -> dict:
         """Activity snapshot for ``serve stats`` / ``info --json``."""
         with self._cond:
-            depth = len(self._queue) + (1 if self._busy else 0)
+            pending = [
+                kind for kind, flag in
+                (("seal", self._seal), ("compact", self._compact)) if flag
+            ]
+            busy = self._busy
         return {
-            "queue_depth": depth,
-            "queue_limit": self.config.queue_limit,
-            "queue_high_water": self.queue_high_water,
+            "pending": pending,
+            "busy": busy,
             "seals": self.seals,
             "compactions": self.compactions,
             "errors": self.errors,
             "last_error": self.last_error,
-            "rate_limit_seconds": self.rate_limit_seconds,
-            "compact_mb_per_s": self.config.compact_mb_per_s,
         }
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
         while True:
             with self._cond:
-                while not self._queue and not self._closed:
+                while not (self._seal or self._compact or self._closed):
                     self._cond.wait()
-                if not self._queue:
+                if self._seal:
+                    kind, self._seal = "seal", False
+                elif self._compact:
+                    kind, self._compact = "compact", False
+                else:
                     return  # closed and drained
-                kind = self._queue.popleft()
-                self._pending.discard(kind)
                 self._busy = True
             try:
                 self._execute(kind)
@@ -203,35 +136,22 @@ class MaintenanceThread:
                     self._cond.notify_all()
 
     def _execute(self, kind: str) -> None:
-        if kind == "seal":
-            sealed = self.index._background_seal()
-            if sealed:
-                self.seals += 1
-                self._notify("seal")
-        elif kind == "compact":
-            result = self.index._background_compact()
-            if result is not None:
-                self.compactions += 1
-                self._throttle(result)
-                self._notify("compact")
-
-    def _throttle(self, result) -> None:
-        """Sleep off the compaction's I/O debt under the rate limit."""
-        rate = self.config.compact_mb_per_s
-        if not rate:
-            return
-        merged_bytes = result.merged_rows * (self.index.ndims + 4 + 8)
-        budget = merged_bytes / (rate * 1e6)
-        pause = budget - result.seconds
-        if pause > 0:
-            self.rate_limit_seconds += pause
-            time.sleep(min(pause, 5.0))
-
-    def _notify(self, reason: str) -> None:
-        callback = self.config.on_change
-        if callback is None:
-            return
-        try:
-            callback(reason)
-        except Exception:  # noqa: BLE001 - observer must not kill the worker
-            pass
+        index = self.index
+        # The maintenance lock (reentrant) brackets the counter reads,
+        # so an inline flush()/compact() on another thread is never
+        # counted as this job's work.
+        with index._maint_lock:
+            seals, compactions = index._seals, index._compactions
+            if kind == "seal":
+                index.flush()
+            else:
+                index.compact()
+            sealed = index._seals - seals
+            compacted = index._compactions - compactions
+        self.seals += sealed
+        self.compactions += compacted
+        if (sealed or compacted) and self.on_change is not None:
+            try:
+                self.on_change(kind)
+            except Exception:  # noqa: BLE001 - observer must not kill the worker
+                pass

@@ -21,8 +21,7 @@ that is not a torn write but the wrong file.
 Durability modes (``docs/serving.md`` has the full matrix):
 
 * ``"always"`` — every append pays its own ``fsync`` before returning:
-  the strongest guarantee and the slowest, the pre-group-commit
-  behaviour (``sync=True``);
+  the strongest guarantee and the slowest (the default);
 * ``"group"`` — concurrent appends are **group-committed**: each append
   stages its record under the log's lock, the first stager becomes the
   flush *leader* and writes every staged record with one ``write`` +
@@ -31,7 +30,7 @@ Durability modes (``docs/serving.md`` has the full matrix):
   still durable before it returns — the fsync is shared, not skipped;
 * ``"async"`` — appends buffer through the OS page cache with no fsync:
   a process kill loses nothing (the bytes are in the kernel), a power
-  cut may lose the tail.  The pre-existing ``sync=False`` behaviour.
+  cut may lose the tail.
 
 All three modes are safe under concurrent appenders; records from
 different threads interleave at batch granularity.
@@ -48,34 +47,13 @@ from pathlib import Path
 import numpy as np
 
 from ...errors import WALError
+from ..options import validate_durability
 from ..store import PathLike
 
 _MAGIC = b"S3WL"
 _VERSION = 1
 _FILE_HEADER = struct.Struct("<4sII")
 _RECORD_HEADER = struct.Struct("<II")
-
-#: Valid values of the ``durability`` knob, strongest first.
-DURABILITY_MODES = ("always", "group", "async")
-
-
-def resolve_durability(
-    durability: str | None, sync: bool = True
-) -> str:
-    """Fold the legacy ``sync`` flag and the mode knob into one mode.
-
-    ``durability`` wins when given; otherwise ``sync=True`` maps to
-    ``"always"`` (the historical per-append fsync) and ``sync=False``
-    to ``"async"``.
-    """
-    if durability is None:
-        return "always" if sync else "async"
-    if durability not in DURABILITY_MODES:
-        raise WALError(
-            f"durability must be one of {'/'.join(DURABILITY_MODES)}, "
-            f"got {durability!r}"
-        )
-    return durability
 
 
 def _payload_size(count: int, ndims: int) -> int:
@@ -90,13 +68,12 @@ class WriteAheadLog:
         path: PathLike,
         ndims: int,
         fh,
-        sync: bool = True,
-        durability: str | None = None,
+        durability: str = "always",
         size_bytes: int = 0,
     ):
         self.path = Path(path)
         self.ndims = int(ndims)
-        self.durability = resolve_durability(durability, sync)
+        self.durability = durability
         self._fh = fh
         #: Bytes of the valid prefix (header + durable/buffered records);
         #: the ``WAL bytes`` pressure gauge.
@@ -116,32 +93,26 @@ class WriteAheadLog:
         self._flushing = False
         self._failed: dict[int, BaseException] = {}
 
-    @property
-    def sync(self) -> bool:
-        """True when appends are fsynced before acknowledgement."""
-        return self.durability != "async"
-
     # ------------------------------------------------------------------
     @classmethod
     def create(
         cls,
         path: PathLike,
         ndims: int,
-        sync: bool = True,
-        durability: str | None = None,
+        durability: str = "always",
     ) -> "WriteAheadLog":
         """Start a fresh log at *path* (truncating any existing file)."""
         if ndims < 1:
             raise WALError(f"ndims must be >= 1, got {ndims}")
-        mode = resolve_durability(durability, sync)
+        validate_durability(durability)
         path = Path(path)
         fh = open(path, "wb")
         fh.write(_FILE_HEADER.pack(_MAGIC, _VERSION, ndims))
         fh.flush()
-        if mode != "async":
+        if durability != "async":
             os.fsync(fh.fileno())
         return cls(
-            path, ndims, fh, durability=mode,
+            path, ndims, fh, durability=durability,
             size_bytes=_FILE_HEADER.size,
         )
 
@@ -149,21 +120,20 @@ class WriteAheadLog:
     def open(
         cls,
         path: PathLike,
-        sync: bool = True,
-        durability: str | None = None,
+        durability: str = "always",
     ) -> "WriteAheadLog":
         """Open an existing log for appending.
 
         The valid record prefix is located first; any torn tail beyond it
         is truncated away so the next append lands on a clean boundary.
         """
-        mode = resolve_durability(durability, sync)
+        validate_durability(durability)
         path = Path(path)
         ndims, _records, valid_end = _scan(path)
         fh = open(path, "r+b")
         fh.truncate(valid_end)
         fh.seek(valid_end)
-        return cls(path, ndims, fh, durability=mode, size_bytes=valid_end)
+        return cls(path, ndims, fh, durability=durability, size_bytes=valid_end)
 
     # ------------------------------------------------------------------
     def append(

@@ -62,7 +62,7 @@ def index_summary(index) -> dict:
         ],
         "storage": index.storage_info(),
         # Ingest-pipeline pressure: durability mode, WAL bytes, unsealed
-        # memtables, compaction debt and maintenance-queue activity —
+        # memtables, compaction debt and maintenance-worker activity —
         # the operator's view of whether background seal/compaction is
         # keeping up with the write rate.
         "ingest": index.ingest_info(),

@@ -57,7 +57,6 @@ from ..index.options import (
     config_options,
     validate_durability,
 )
-from ..index.segmented import MaintenanceConfig
 from ..index.summary import index_summary
 from . import protocol
 from .batcher import (
@@ -134,9 +133,8 @@ class ServeConfig:
     reports the index's own.
 
     ``maintenance`` moves seal/compaction onto the index's background
-    worker (segmented indexes only); ``backpressure_rows`` and
-    ``compact_mb_per_s`` tune its shedding threshold and compaction
-    I/O rate limit.
+    worker (segmented indexes only), which sheds ingest once
+    ``4 * flush_rows`` rows are unsealed.
 
     ``detect`` votes with :func:`~repro.cbcd.voting.vote`'s default
     parameters and, unless a request names its own ``threshold``,
@@ -153,22 +151,10 @@ class ServeConfig:
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
     durability: str = "group"
     maintenance: bool = True
-    backpressure_rows: Optional[int] = None
-    compact_mb_per_s: Optional[float] = None
     options: Optional[QueryOptions] = None
 
     def __post_init__(self) -> None:
         validate_durability(self.durability, api="ServeConfig.durability")
-        if self.backpressure_rows is not None and self.backpressure_rows < 1:
-            raise ConfigurationError(
-                "backpressure_rows must be >= 1, got "
-                f"{self.backpressure_rows}"
-            )
-        if self.compact_mb_per_s is not None and self.compact_mb_per_s <= 0:
-            raise ConfigurationError(
-                "compact_mb_per_s must be > 0, got "
-                f"{self.compact_mb_per_s}"
-            )
         if self.cache not in CACHE_MODES:
             raise ConfigurationError(
                 f"cache must be one of {CACHE_MODES!r}, "
@@ -202,13 +188,6 @@ class ServeConfig:
             if f.name not in ("alpha", "batch_size"):
                 flat[f.name] = getattr(self.options, f.name)
         return flat
-
-    def maintenance_config(self, on_change=None) -> MaintenanceConfig:
-        return MaintenanceConfig(
-            backpressure_rows=self.backpressure_rows,
-            compact_mb_per_s=self.compact_mb_per_s,
-            on_change=on_change,
-        )
 
 
 @dataclass
@@ -512,9 +491,9 @@ class DetectionServer(SocketFrameServer):
         if cfg.maintenance and hasattr(self.index, "start_maintenance"):
             # Seal/compaction off both lanes; segment-set changes are
             # reported back onto the event loop to invalidate caches.
-            self.index.start_maintenance(cfg.maintenance_config(
+            self.index.start_maintenance(
                 on_change=self._notify_index_change
-            ))
+            )
         executor = BatchQueryExecutor(self.index, options=cfg.options)
         self._executor = executor
         if cfg.cache != "off":

@@ -39,8 +39,6 @@ EVERY_FLAG = ServeConfig(
     cache_capacity=99,
     durability="async",
     maintenance=False,
-    backpressure_rows=5000,
-    compact_mb_per_s=8.0,
     options=QueryOptions(alpha=0.7, prefilter="off"),
 )
 

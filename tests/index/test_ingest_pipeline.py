@@ -15,9 +15,13 @@ The acceptance properties of the subsystem:
   exactly the records of a quiesced run (hypothesis-pinned);
 * **backpressure** — once unsealed rows outrun the background seal,
   ``add`` sheds with the retryable :class:`IngestBackpressure` instead
-  of stalling, and recovers after the worker catches up.
+  of stalling, and recovers after the worker catches up;
+* **one write path** — an index whose seals and compactions run on the
+  maintenance worker ends byte for byte where the same adds leave an
+  index maintained inline (hypothesis-pinned).
 """
 
+import os
 import signal
 import subprocess
 import sys
@@ -34,15 +38,16 @@ from repro.distortion.model import NormalDistortionModel
 from repro.errors import IngestBackpressure
 from repro.index.segmented import (
     CompactionPolicy,
-    MaintenanceConfig,
     SegmentedS3Index,
     WriteAheadLog,
     replay,
+    sketch_filename,
 )
 from repro.index.segmented import wal as wal_module
 
 NDIMS = 8
 SIGMA = 10.0
+EXAMPLES = int(os.environ.get("PROPERTY_EXAMPLES", "8"))
 
 
 def make_records(n, seed=0):
@@ -156,9 +161,7 @@ import os, signal, sys, time
 import numpy as np
 sys.path.insert(0, {src!r})
 from repro.distortion.model import NormalDistortionModel
-from repro.index.segmented import (
-    CompactionPolicy, MaintenanceConfig, SegmentedS3Index,
-)
+from repro.index.segmented import CompactionPolicy, SegmentedS3Index
 from repro.storage import StorageConfig
 
 sys.path.insert(0, {here!r})
@@ -178,8 +181,13 @@ for i in range(2):
 index.close()
 
 # Reopen mmapped (segments come back warm), add a hot one, demote one
-# cold: the compaction input spans all three tiers.
-index = SegmentedS3Index.open(directory, mmap=True, durability=durability)
+# cold: the archive spans all three tiers.  The policy is per-open, so
+# the reopen names it again; without it the default cap of 8 plans
+# nothing for 3 segments and the worker would merge nothing.
+index = SegmentedS3Index.open(
+    directory, mmap=True, durability=durability,
+    policy=CompactionPolicy(max_segments=2), auto_compact=False,
+)
 index.add(*make_records(150, seed=2))
 index.flush()
 index.storage.demote(index._segments[0])
@@ -187,12 +195,13 @@ tiers = sorted(s.meta.tier for s in index._segments)
 assert tiers == ["cold", "hot", "warm"], tiers
 index.add(*make_records(40, seed=3))            # WAL only, never sealed
 
-# Kick the merge on the maintenance worker and die while it runs.
-worker = index.start_maintenance(MaintenanceConfig())
-worker.request_compact()
-print("READY", flush=True)
-time.sleep({delay!r})
-os.kill(os.getpid(), signal.SIGKILL)
+# Only a planned merge makes the kill land on one.
+if index.policy.plan([s.meta.count for s in index._segments]):
+    worker = index.start_maintenance()
+    worker.request_compact()
+    print("READY", flush=True)
+    time.sleep({delay!r})
+    os.kill(os.getpid(), signal.SIGKILL)
 """
 
 
@@ -245,7 +254,7 @@ class TestKill9DuringBackgroundCompaction:
 
 # ----------------------------------------------------------------------
 class TestRacingBitIdentity:
-    @settings(deadline=None, max_examples=8)
+    @settings(deadline=None, max_examples=EXAMPLES)
     @given(
         batches=st.lists(st.integers(30, 90), min_size=3, max_size=6),
         tail=st.integers(0, 40),
@@ -292,7 +301,7 @@ class TestRacingBitIdentity:
                 return result_key(index.statistical_query(q, alpha=0.8))
 
             quiesced = [solo(q) for q in queries]
-            worker = index.start_maintenance(MaintenanceConfig())
+            worker = index.start_maintenance()
             worker.request_seal()
             worker.request_compact()
             for sweep in range(3):
@@ -311,24 +320,24 @@ class TestRacingBitIdentity:
 # ----------------------------------------------------------------------
 class TestBackpressure:
     def test_shed_past_limit_then_recover(self, tmp_path):
-        # flush_rows is huge, so the only seal request comes from the
-        # shed path itself — the limit is hit deterministically, however
-        # fast the worker is.
+        # The limit is 4 * flush_rows = 120 unsealed rows.  Holding the
+        # maintenance lock keeps the requested seals from running, so
+        # the limit is hit deterministically, however fast the worker.
         index = SegmentedS3Index.create(
             tmp_path / "idx", ndims=NDIMS,
             model=NormalDistortionModel(NDIMS, SIGMA),
-            flush_rows=10 ** 9, auto_compact=False, sync=False,
+            flush_rows=30, auto_compact=False, sync=False,
         )
         try:
-            worker = index.start_maintenance(
-                MaintenanceConfig(backpressure_rows=120)
-            )
-            with pytest.raises(IngestBackpressure) as exc:
-                for i in range(100):
+            worker = index.start_maintenance()
+            with index._maint_lock:
+                for i in range(12):
                     index.add(*make_records(10, seed=i))
+                with pytest.raises(IngestBackpressure) as exc:
+                    index.add(*make_records(10, seed=12))
             # The refusal carries the gauge and is marked retryable.
-            assert exc.value.pending_rows >= 120
-            assert index.ingest_info()["backpressure_sheds"] >= 1
+            assert exc.value.pending_rows == 120
+            assert index.ingest_info()["backpressure_sheds"] == 1
             # Once the worker drains, ingest resumes and loses nothing.
             assert worker.drain()
             before = len(index)
@@ -387,3 +396,72 @@ class TestLazyMemtableKeys:
                 fresh.close()
         finally:
             index.close()
+
+
+# ----------------------------------------------------------------------
+def _segment_files(index):
+    """Bytes of every segment store and sketch, by file name."""
+    names = [seg.name for seg in index.segments]
+    return {
+        fname: (index.directory / fname).read_bytes()
+        for name in names
+        for fname in (name + ".store", sketch_filename(name))
+    }
+
+
+class TestOneWritePath:
+    @settings(deadline=None, max_examples=EXAMPLES)
+    @given(
+        batches=st.lists(st.integers(1, 120), min_size=1, max_size=12),
+        flush_rows=st.integers(10, 150),
+        max_segments=st.integers(1, 5),
+        auto_compact=st.booleans(),
+        seed=st.integers(0, 2 ** 16),
+    )
+    def test_background_maintenance_is_flush_on_another_thread(
+        self, tmp_path_factory, batches, flush_rows, max_segments,
+        auto_compact, seed,
+    ):
+        """The worker runs flush()/compact(); nothing else differs.
+
+        The same adds drive one index inline and one through the
+        maintenance worker (drained after every add), then one policy
+        compaction each.  Both end with the same manifest segment list,
+        byte-identical segment stores and sketches, and the same answers.
+        """
+        root = tmp_path_factory.mktemp("one-path")
+        indexes = [
+            SegmentedS3Index.create(
+                root / kind, ndims=NDIMS,
+                model=NormalDistortionModel(NDIMS, SIGMA),
+                flush_rows=flush_rows, auto_compact=auto_compact,
+                policy=CompactionPolicy(max_segments=max_segments),
+                durability="async",
+            )
+            for kind in ("inline", "worker")
+        ]
+        inline, background = indexes
+        try:
+            worker = background.start_maintenance()
+            for i, n in enumerate(batches):
+                records = make_records(n, seed=seed + i)
+                inline.add(*records)
+                background.add(*records)
+                assert worker.drain()
+            inline.compact()
+            worker.request_compact()
+            assert worker.drain()
+            assert worker.errors == 0, worker.last_error
+            assert background.segments == inline.segments
+            assert _segment_files(background) == _segment_files(inline)
+            assert background.pending_rows == inline.pending_rows
+            rng = np.random.default_rng(seed)
+            queries = rng.uniform(0, 255, (4, NDIMS))
+            for q in queries:
+                got = background.statistical_query(q, alpha=0.8)
+                want = inline.statistical_query(q, alpha=0.8)
+                assert np.array_equal(got.rows, want.rows)
+                assert result_key(got) == result_key(want)
+        finally:
+            for index in indexes:
+                index.close()

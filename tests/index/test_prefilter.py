@@ -202,19 +202,20 @@ class TestPrunePrefixes:
         self, tmp_path_factory, depth, sketch_depth, seed
     ):
         tmp = tmp_path_factory.mktemp("prune")
-        index = make_index(
-            tmp / "seg", [], make_records(300, seed=seed),
-            sketch_config=SketchConfig(depth=sketch_depth),
-        )
+        index = make_index(tmp / "seg", [], make_records(300, seed=seed))
         seg = index._segments[0]
         layout = seg.index.layout
+        sketch = SegmentSketch.build(
+            layout, seg.index.store.fingerprints,
+            SketchConfig(depth=sketch_depth),
+        )
         depth = min(depth, layout.key_bits)
         rng = np.random.default_rng(seed)
         universe = 1 << min(depth, 30)
         prefixes = np.unique(
             rng.integers(0, universe, size=40).astype(np.uint64)
         )
-        pruned = reference_query.prune_prefixes(seg.sketch, prefixes, depth)
+        pruned = reference_query.prune_prefixes(sketch, prefixes, depth)
         # Admissible: dropped prefixes own no rows, so the merged row
         # ranges are identical.
         assert layout.block_row_ranges(pruned, depth) == \

@@ -171,15 +171,9 @@ class TestCompactionPolicy:
         # 5 segments -> merge the 3 smallest to land at 3.
         assert policy.plan([500, 10, 400, 20, 30]) == [1, 3, 4]
 
-    def test_merge_is_at_least_min_merge(self):
-        policy = CompactionPolicy(max_segments=3, min_merge=3)
-        assert len(policy.plan([10, 20, 30, 40])) == 3
-
     def test_rejects_bad_parameters(self):
         with pytest.raises(ConfigurationError):
             CompactionPolicy(max_segments=0)
-        with pytest.raises(ConfigurationError):
-            CompactionPolicy(min_merge=1)
 
 
 # ----------------------------------------------------------------------

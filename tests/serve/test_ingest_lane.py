@@ -3,8 +3,8 @@ wire, exact cached answers across memtable-only ingests.
 
 The serving contract for the pipelined write path:
 
-* ``ServeConfig`` validates durability/maintenance knobs with friendly
-  messages, mirroring the CLI;
+* ``ServeConfig`` validates the durability mode with a friendly
+  message, mirroring the CLI;
 * an ingest refused by backpressure surfaces as the retryable
   ``unavailable`` wire code — the write never touched the WAL, so a
   capped-backoff retry is safe;
@@ -56,34 +56,25 @@ class TestServeConfigValidation:
         assert "ServeConfig.durability" in message
         assert "group" in message  # the valid modes are spelled out
 
-    def test_bad_maintenance_knobs(self):
-        with pytest.raises(ConfigurationError):
-            ServeConfig(backpressure_rows=0)
-        with pytest.raises(ConfigurationError):
-            ServeConfig(compact_mb_per_s=0.0)
-
-    def test_maintenance_config_carries_knobs(self):
-        config = ServeConfig(backpressure_rows=77, compact_mb_per_s=1.5)
-        mc = config.maintenance_config()
-        assert mc.backpressure_rows == 77
-        assert mc.compact_mb_per_s == 1.5
-
 
 class TestBackpressureOverTheWire:
     def test_shed_is_retryable_unavailable(self, tmp_path):
-        index = make_index(tmp_path)
-        config = ServeConfig(
-            port=0, cache="off", backpressure_rows=350,
-        )
+        # The shed limit is 4 * flush_rows = 400 unsealed rows; the 300
+        # seeded rows were sealed inline before the server started.
+        index = make_index(tmp_path, flush_rows=100)
+        config = ServeConfig(port=0, cache="off")
         with ServerThread(index, config) as server:
             with ServeClient(port=server.port, retries=0) as client:
-                # First ingest is under the limit and lands durably.
-                reply = client.ingest(*make_records(100, seed=1))
-                assert reply["added"] == 100
-                # Pending rows (300 seeded + 100) now exceed the limit:
-                # the next write is refused before touching the WAL.
-                with pytest.raises(ServerError) as err:
-                    client.ingest(*make_records(10, seed=2))
+                # Holding the maintenance lock keeps the requested seal
+                # from running, so the limit is reached deterministically.
+                with index._maint_lock:
+                    # Under the limit: lands durably.
+                    reply = client.ingest(*make_records(400, seed=1))
+                    assert reply["added"] == 400
+                    # 400 pending rows reach the limit: the next write
+                    # is refused before touching the WAL.
+                    with pytest.raises(ServerError) as err:
+                        client.ingest(*make_records(10, seed=2))
                 assert err.value.code == protocol.ERR_UNAVAILABLE
                 assert err.value.code in protocol.RETRYABLE_CODES
 
