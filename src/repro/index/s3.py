@@ -332,10 +332,12 @@ class S3Index(S3Queries):
         static; the part refers back to the index weakly, so the view
         makes no reference cycle that would outlive the index."""
         if self._view is None:
+            from .parts import ViewPlan
             from .segmented.lsm import ReadView, Segment, SegmentMeta
 
             meta = SegmentMeta("store", len(self.store))
-            self._view = ReadView((Segment(meta, weakref.proxy(self)),))
+            part = (Segment(meta, weakref.proxy(self)),)
+            self._view = ReadView(part, plan=ViewPlan.build(part))
         return self._view
 
     # ------------------------------------------------------------------

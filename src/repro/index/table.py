@@ -65,6 +65,46 @@ def expand_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     )
 
 
+def block_bounds(
+    prefixes: np.ndarray, key_bits: int, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first key of each block *prefix* at *depth*, and the first
+    key past it, for keys of *key_bits* bits.
+
+    ``(prefix + 1) << shift`` wraps to 0 only for the partition's very
+    last block when ``key_bits == 64``: that block ends at the end of
+    the keys.
+    """
+    if depth > key_bits:
+        raise ConfigurationError(
+            f"depth {depth} exceeds key resolution {key_bits}"
+        )
+    prefixes = np.asarray(prefixes, dtype=np.uint64)
+    shift = np.uint64(key_bits - depth)
+    return prefixes << shift, (prefixes + np.uint64(1)) << shift
+
+
+def merge_lists(
+    starts: np.ndarray, ends: np.ndarray, counts: np.ndarray, size: int
+) -> RangeBatch:
+    """Merge the block ranges of several lists, each list on its own.
+
+    List ``i`` owns the next ``counts[i]`` ranges, sorted, within rows
+    ``[0, size)``.  It is lifted by ``i * (size + 1)`` rows, so a single
+    :func:`merge_ranges` pass merges adjacent blocks within a list and
+    never across two.
+    """
+    if counts.size == 1:
+        starts, ends = merge_ranges(starts, ends)
+        return RangeBatch(starts, ends, np.array([0, starts.size]))
+    base = np.arange(counts.size + 1, dtype=np.int64) * (size + 1)
+    lift = np.repeat(base[:-1], counts)
+    starts, ends = merge_ranges(starts + lift, ends + lift)
+    bounds = np.searchsorted(starts, base)
+    lift = np.repeat(base[:-1], np.diff(bounds))
+    return RangeBatch(starts - lift, ends - lift, bounds)
+
+
 def key_row_ranges(
     keys: np.ndarray,
     key_bits: int,
@@ -77,34 +117,15 @@ def key_row_ranges(
     *keys* are a store's sorted curve keys (*key_bits* significant bits).
     *prefixes* are the lists concatenated: list ``i`` is the next
     ``counts[i]`` block prefixes at *depth*, in curve order.  One
-    ``searchsorted`` pair locates every block of every list.  List ``i``
-    is lifted by ``i * (len(keys) + 1)`` rows, so a single
-    :func:`merge_ranges` pass merges adjacent blocks within a list and
-    never across two.
+    ``searchsorted`` pair locates every block of every list, and one
+    :func:`merge_lists` pass merges them.
     """
-    if depth > key_bits:
-        raise ConfigurationError(
-            f"depth {depth} exceeds key resolution {key_bits}"
-        )
-    counts = np.asarray(counts, dtype=np.int64)
-    prefixes = np.asarray(prefixes, dtype=np.uint64)
-    shift = np.uint64(key_bits - depth)
-    hi_keys = (prefixes + np.uint64(1)) << shift
-    # (prefix + 1) << shift wraps to 0 only for the partition's very last
-    # block when key_bits == 64: that block ends at the end of the keys.
-    starts = np.searchsorted(keys, prefixes << shift, side="left")
-    ends = np.where(
-        hi_keys == 0, keys.size, np.searchsorted(keys, hi_keys, side="left")
+    lo, hi = block_bounds(prefixes, key_bits, depth)
+    starts = np.searchsorted(keys, lo, side="left")
+    ends = np.where(hi == 0, keys.size, np.searchsorted(keys, hi, side="left"))
+    return merge_lists(
+        starts, ends, np.asarray(counts, dtype=np.int64), keys.size
     )
-    if counts.size == 1:
-        starts, ends = merge_ranges(starts, ends)
-        return RangeBatch(starts, ends, np.array([0, starts.size]))
-    base = np.arange(counts.size + 1, dtype=np.int64) * (keys.size + 1)
-    lift = np.repeat(base[:-1], counts)
-    starts, ends = merge_ranges(starts + lift, ends + lift)
-    bounds = np.searchsorted(starts, base)
-    lift = np.repeat(base[:-1], np.diff(bounds))
-    return RangeBatch(starts - lift, ends - lift, bounds)
 
 
 @dataclass

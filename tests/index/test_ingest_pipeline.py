@@ -7,9 +7,11 @@ The acceptance properties of the subsystem:
   acknowledged by one shared fsync replays in full, and a torn tail
   inside a group-committed blob drops only the torn record(s), never an
   acknowledged prefix written by an earlier group;
-* **kill-9 during background compaction** — a process SIGKILLed while
-  the maintenance worker is compacting an archive spanning all three
-  storage tiers reopens with every record reachable;
+* **kill-9 during background compaction** — a process SIGKILLed at
+  each crash window of a background merge of an archive spanning all
+  three storage tiers (merged segment written, manifest switched, first
+  input removed) reopens on that side of the switch with every record
+  reachable;
 * **racing bit-identity** — queries running concurrently with
   background seal + compaction return, for any generated workload,
   exactly the records of a quiesced run (hypothesis-pinned);
@@ -157,11 +159,13 @@ class TestGroupCommitDurability:
 
 # ----------------------------------------------------------------------
 COMPACT_CRASH_SCRIPT = r"""
-import os, signal, sys, time
+import os, signal, sys
+from pathlib import Path
 import numpy as np
 sys.path.insert(0, {src!r})
 from repro.distortion.model import NormalDistortionModel
 from repro.index.segmented import CompactionPolicy, SegmentedS3Index
+from repro.index.segmented.manifest import Manifest
 from repro.storage import StorageConfig
 
 sys.path.insert(0, {here!r})
@@ -195,39 +199,69 @@ tiers = sorted(s.meta.tier for s in index._segments)
 assert tiers == ["cold", "hot", "warm"], tiers
 index.add(*make_records(40, seed=3))            # WAL only, never sealed
 
+# Die right after the named step of the merge: patched here, in the
+# child only.
+def die():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+step = {step!r}
+if step == "written":
+    write = index._write_segment
+    def write_then_die(*args):
+        write(*args)
+        die()
+    index._write_segment = write_then_die
+elif step == "saved":
+    save = Manifest.save
+    def save_then_die(self, *args):
+        save(self, *args)
+        die()
+    Manifest.save = save_then_die
+else:
+    unlink = Path.unlink
+    def unlink_then_die(self, *args, **kwargs):
+        existed = self.exists()
+        unlink(self, *args, **kwargs)
+        if existed and self.suffix == ".store":
+            die()
+    Path.unlink = unlink_then_die
+
 # Only a planned merge makes the kill land on one.
 if index.policy.plan([s.meta.count for s in index._segments]):
+    print("READY", *[s.meta.name for s in index._segments], flush=True)
     worker = index.start_maintenance()
     worker.request_compact()
-    print("READY", flush=True)
-    time.sleep({delay!r})
-    os.kill(os.getpid(), signal.SIGKILL)
+    worker.drain()
+    sys.exit(3)  # the merge finished without reaching the step
 """
 
 
 class TestKill9DuringBackgroundCompaction:
-    @pytest.mark.parametrize(
-        "delay, durability",
-        [(0.0, "always"), (0.02, "always"), (0.2, "always"),
-         (0.02, "group")],
-        ids=["0.0", "0.02", "0.2", "group"],
-    )
-    def test_recovery_with_all_tiers(self, tmp_path, delay, durability):
-        """SIGKILL at varying points of the background merge.
+    @pytest.mark.parametrize("step", ["written", "saved", "unlinked"])
+    @pytest.mark.parametrize("durability", ["always", "group"])
+    def test_recovery_with_all_tiers(self, tmp_path, durability, step):
+        """SIGKILL at each crash window of the background merge.
 
-        0.0 lands around the merge start, 0.02 typically mid-merge,
-        0.2 usually after the switchover — every point must reopen with
-        all 490 records reachable (the merge writes and fsyncs the new
-        segment before the manifest references it, and deletes inputs
-        only after).  The group case acknowledges every append through
-        a shared group fsync; those rows must replay just the same.
+        The child kills itself right after a named step of the merge:
+
+        * ``written`` — ``_write_segment`` returned: the merged segment
+          is fsynced, the manifest not yet switched;
+        * ``saved`` — the switched manifest is saved;
+        * ``unlinked`` — the first input ``.store`` file is removed.
+
+        Every point must reopen with all 490 records reachable (the
+        merge writes and fsyncs the new segment before the manifest
+        references it, and deletes inputs only after), on the side of
+        the switch the step is on.  The group case acknowledges every
+        append through a shared group fsync; those rows must replay
+        just the same.
         """
         directory = tmp_path / "idx"
         script = COMPACT_CRASH_SCRIPT.format(
             src=str(Path(__file__).resolve().parents[2] / "src"),
             here=str(Path(__file__).resolve().parent),
             directory=str(directory),
-            delay=delay,
+            step=step,
             durability=durability,
         )
         proc = subprocess.run(
@@ -235,12 +269,20 @@ class TestKill9DuringBackgroundCompaction:
             capture_output=True, text=True, timeout=120,
         )
         assert "READY" in proc.stdout, proc.stderr
-        assert proc.returncode == -signal.SIGKILL
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        before = proc.stdout.split("READY", 1)[1].split()
 
         reopened = SegmentedS3Index.open(directory, durability=durability)
         assert reopened.ingest_info()["durability"] == durability
         assert len(reopened) == 3 * 150 + 40
         assert reopened.pending_rows == 40  # WAL replayed
+        names = [s.name for s in reopened.segments]
+        if step == "written":
+            assert names == before  # the merge never happened
+        else:
+            # The merged segment replaced the two oldest inputs.
+            assert len(names) == 2 and names[1] == before[2]
+            assert names[0] not in before
         # Every batch is reachable wherever the merge died.
         for seed in range(4):
             fp = make_records(150 if seed < 3 else 40, seed=seed)[0]
