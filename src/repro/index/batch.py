@@ -784,11 +784,28 @@ class BatchQueryExecutor:
         return results
 
     def query_all(self, queries: np.ndarray) -> list[SearchResult]:
-        """Run *queries* through the engine in ``batch_size`` chunks."""
+        """Run *queries* through the engine: one selection for them all
+        (selections are pure, so it is each chunk's own), then one scan
+        per ``batch_size`` chunk, which carries its share of the
+        selection time."""
         queries = _check_batch(queries, self.index.ndims)
+        num = queries.shape[0]
+        if num == 0:
+            return []
+        t0 = time.perf_counter()
+        selections = select_blocks(
+            self.index, queries, self.alpha,
+            self.index._resolve_model(self.model),
+            self.index._resolve_depth(self.depth),
+        )
+        share = (time.perf_counter() - t0) / num
         results: list[SearchResult] = []
-        for start in range(0, queries.shape[0], self.batch_size):
-            results.extend(
-                self.query_batch(queries[start:start + self.batch_size])
+        for start in range(0, num, self.batch_size):
+            rows = np.arange(start, min(start + self.batch_size, num))
+            found, batch = scan(
+                self.index, selections.take(rows), share * rows.size,
+                prefilter=self.options.prefilter_enabled,
             )
+            self.stats.merge(batch)
+            results.extend(found)
         return results

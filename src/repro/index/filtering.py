@@ -16,13 +16,18 @@ p-blocks of the Hilbert partition.  Three selectors are provided:
   α.  Costlier (priority queue, scalar); used as the optimality reference
   in the ablation benchmarks.
 
-The first two (and their ``_multi`` / ``_cached`` forms) are one kernel,
+The first two (and their ``_multi`` forms) are one kernel,
 :class:`_Descent`: the partition tree is descended **once** per batch of
-queries and eq. (4)'s probes are answered from the retained leaves.  The
-batch forms return one :class:`SelectionBatch` — every query's blocks
-concatenated, with per-query counts, thresholds, totals and costs — which
-the scan (:func:`repro.index.batch.scan`) reads as it is; indexing it
-yields a query's :class:`BlockSelection`.
+queries and eq. (4)'s probes are answered from the retained leaves.  A
+batch costs a fixed handful of numpy calls per pass of the descent and
+per probe round, whatever its size: the head levels are resolved
+:data:`_PASS_LEVELS` at a time, the searches are arrays (:func:`_search`),
+and each round's sums are one segmented ``np.add.reduceat``, with the
+pairwise sum deciding near ties.  The batch forms return one
+:class:`SelectionBatch` — every query's blocks concatenated, with
+per-query counts, thresholds, totals and costs — which the scan
+(:func:`repro.index.batch.scan`) reads as it is; indexing it yields a
+query's :class:`BlockSelection`.
 
 For the ε-range baseline, :func:`range_blocks` runs a descent with the
 probabilistic rule replaced by the geometric one (keep blocks whose
@@ -30,12 +35,12 @@ minimal distance to ``Q`` is at most ε) — the classical filtering the paper
 compares against.
 
 Every descent is level-synchronous and numpy-vectorised: the frontier of
-surviving nodes is held in flat arrays and both children of every node are
+surviving nodes is held in flat arrays and the children of every node are
 produced by one batched step.  The statistical walk has two phases: in the
 first ``D`` levels every node of a query splits the same axis at the same
-cut, so a level is a handful of array operations on per-query constants;
-deeper levels run :class:`~repro.hilbert.walk.PartitionWalk`'s per-node
-geometry.  The geometry matches :class:`repro.hilbert.partition.PartitionNode`
+cut, so several levels are a handful of array operations on per-query
+constants; deeper levels run :class:`~repro.hilbert.walk.PartitionWalk`'s
+per-node geometry.  The geometry matches :class:`repro.hilbert.partition.PartitionNode`
 bit for bit (cross-checked in the tests).
 """
 
@@ -43,9 +48,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections.abc import Generator, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,21 +238,34 @@ class SelectionBatch:
 # descendants'" holds exactly only for the path minimum.
 
 _TABLE_ENTRIES = 1 << 22  # B * D * cuts CDF entries per descent (32 MB)
+# Queries per descent: it keeps ~37 KB a query at p = 16, D = 20
+# (measured), so this bounds one descent near 40 MB.
+_DESCENT_QUERIES = 1024
 # Shrink steps a descent answers below the probe it was started for: the
 # first probe, (1 - alpha) / 4, sits ~4 steps above t_max, and a resume is
 # for stragglers.  A step too few costs a resume (one more pass of the
-# level loop), a step too many ~1.5x the nodes.
+# level loop and a probe round), a step too many ~1.5x the nodes.  A
+# reach derived from alpha measured no better, but at alpha = 0.95 with
+# 32 queries (a step more: -5 %), so it is one constant.
 _FIRST_REACH, _RESUME_REACH = 3, 2
+# Head levels resolved per pass: a pass is a fixed handful of numpy calls
+# whatever its width, and computes all 2^W descendants of each node it
+# expands, pruned or not, so wider passes trade dispatch for arithmetic.
+_PASS_LEVELS = 4
+# A probe is decided on `np.add.reduceat`'s sum R unless R lies within
+# this many n * eps * R of the target (n the query's retained leaves, at
+# least the masses summed): any two summation orders of n masses >= 0
+# differ by at most 2 * gamma_{n-1} times their sum, ~n * eps * R, so
+# outside the slack R and the pairwise sum fall on the same side.
+# Inside, the pairwise sum decides.
+_TIE_SLACK = 4.0
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass
 class _Nodes(WalkNodes):
-    """Tree nodes with their box mass under the distortion model.
-
-    Through the first ``D`` levels ``prefix`` holds the node's *side
-    path* (:func:`~repro.hilbert.walk.side_prefixes`) instead of its
-    curve prefix.
-    """
+    """Tree nodes with their box mass: the levels past ``D``, and the
+    leaves."""
 
     mass: np.ndarray | None = None
     path_min: np.ndarray | None = None  # min mass below the root, self included
@@ -254,20 +273,32 @@ class _Nodes(WalkNodes):
 
 @dataclass
 class _Split:
-    """The nodes expanded at one level and the mass of both children of each.
-
-    Through the first ``D`` levels *mass* and *path_min* are ``(2, N)``
-    (lower halves, upper halves) and *q* is the parents' ``(N,)``;
-    deeper all three are flat, in `curve_order`.  Either way child ``k``
-    is flat entry ``k``.
-    """
+    """The nodes expanded at a level past ``D`` and the masses of their
+    children, in `curve_order`: child ``k`` is flat entry ``k``."""
 
     parents: _Nodes
     q: np.ndarray
     mass: np.ndarray
     path_min: np.ndarray
-    dims: np.ndarray | int = 0
-    upper_first: np.ndarray | None = None
+    dims: np.ndarray
+    upper_first: np.ndarray
+
+
+class _Pass(NamedTuple):
+    """The nodes one head pass expanded and all it met.
+
+    ``mass`` / ``path_min`` are ``(2, ..., 2, N)``, one axis per level:
+    entry ``(s_1, ..., s_w, i)`` belongs to node ``i``'s descendant down
+    side path ``s_1 ... s_w``.  ``inner`` is every path minimum above the
+    last level, flat: the nodes' own, then those one level down, ...
+    """
+
+    q: np.ndarray
+    side: np.ndarray  # side path (int64), see `side_prefixes`
+    mass: np.ndarray
+    path_min: np.ndarray
+    inner: np.ndarray
+    width: int
 
 
 class _Descent:
@@ -277,13 +308,25 @@ class _Descent:
     of a level split the same axis at its middle, from cut 0, so the
     interval ratios of both halves depend only on the query: they come
     from a ``(levels, 3, B)`` table of per-query constants, and a node
-    carries just its query, side path, mass and path minimum.  Deeper levels
-    (``p > D``) convert the frontier once — curve prefix, Hamilton state
-    and per-axis cells from the side path — and continue on
-    :class:`~repro.hilbert.walk.PartitionWalk`'s per-node path, whose
+    carries just its query, side path, mass and path minimum.  These
+    head levels are walked :data:`_PASS_LEVELS` at a time: a pass takes
+    the constants of its levels for all its nodes at once and computes
+    every descendant a pass deep, level by level, with the very
+    expressions (``mass * num``, ``/= den``, ``np.minimum(mass,
+    path_min)``) a level-at-a-time walk evaluates; one floor mask on the
+    last level picks the nodes the next pass expands.  A child's path
+    minimum never exceeds its parent's, so a node on the last level that
+    clears the floor has every ancestor clear it too; the levels between
+    are kept for ``nodes_visited``, and a pass's last level for a resume.
+    The leaves are sorted once, on one packed ``(query, prefix)`` key
+    where it fits.
+
+    Deeper levels (``p > D``) convert the frontier once — curve prefix,
+    Hamilton state and per-axis cells from the side path — and continue
+    on :class:`~repro.hilbert.walk.PartitionWalk`'s per-node path, whose
     cell indices address one ``(B, D, cuts)`` table of the model CDF at
     every dyadic cut the depth can reach.  One ``cdf_multi`` call builds
-    both; the level loop evaluates no CDF.  Every floating-point
+    both tables; the level loop evaluates no CDF.  Every floating-point
     expression is the one the descent-per-probe code evaluated
     (``tests/index/reference_selection.py``), so masses are bit-identical.
     """
@@ -309,7 +352,7 @@ class _Descent:
         # The first and last cuts are the grid's faces: these are the
         # intervals, and this the product, of `grid_probability_multi`.
         self.grid = _left_product(spans)
-        # The first levels split one axis each at its middle, from cut 0:
+        # The head levels split one axis each at its middle, from cut 0:
         # the numerators of both halves and the denominator, per query.
         # A zero-width interval has zero-mass children: 0 / 1.
         axes = tree.first_axes()
@@ -323,21 +366,38 @@ class _Descent:
         ], axis=1)
         self.table = table.ravel()
         self.floor = np.full(num, np.inf)
-        self.splits: list[list[_Split]] = [[] for _ in range(depth)]
+        self.passes = [
+            (level, min(_PASS_LEVELS, self.head - level))
+            for level in range(0, self.head, _PASS_LEVELS)
+        ]
+        self.heads: list[list[_Pass]] = [[] for _ in self.passes]
+        self.splits: list[list[_Split]] = [[] for _ in range(self.head, depth)]
         self.leaves = _Nodes(
             np.empty(0, np.int64), np.empty(0, _U64),
             mass=np.empty(0), path_min=np.empty(0),
         )
 
-    def _split(self, nodes: _Nodes, level: int) -> _Split:
-        """Masses of both children of *nodes*."""
-        if level < self.head:
-            ratios = self.ratios[level].take(nodes.q, axis=1)
-            mass = nodes.mass * ratios[:2]
-            mass /= ratios[2]
-            return _Split(
-                nodes, nodes.q, mass, np.minimum(mass, nodes.path_min)
-            )
+    def _pass(self, q, side, mass, path_min, level: int, width: int, floor):
+        """Every descendant, *width* levels down, of the nodes given: the
+        pass's record, the nodes on its last level above *floor* (the
+        next pass expands them) and its nodes above *floor* that count
+        as internal ``(q, path_min)``."""
+        ratios = self.ratios[level:level + width].take(q, axis=2)
+        inner = [path_min]
+        for num in ratios:
+            mass = mass[..., None, :] * num[:2]
+            mass /= num[2]
+            path_min = np.minimum(mass, path_min[..., None, :])
+            inner.append(path_min)
+        inner.pop()
+        p = _Pass(
+            q, side, mass, path_min, np.concatenate(inner, axis=None), width
+        )
+        low = floor.take(q)
+        return p, _expanded(p, low), _above(p, low)
+
+    def _deep_split(self, nodes: _Nodes, level: int) -> _Split:
+        """Masses of both children of *nodes*, past the head levels."""
         dims, upper_first, lower_cut = self.tree.axis(nodes, level)
         half = self.tree.half(level)
         at = (nodes.q * self.tree.ndims + dims) * self.cuts + lower_cut
@@ -357,155 +417,225 @@ class _Descent:
             dims, upper_first,
         )
 
-    def _children(self, split: _Split, level: int, at: np.ndarray) -> _Nodes:
+    def _deep_children(self, split: _Split, level: int, at: np.ndarray) -> _Nodes:
         """The children at flat positions *at* of *split*."""
-        if level >= self.head:
-            kids = self.tree.children(
-                split.parents, level, split.dims, split.upper_first, at
-            )
-        else:
-            side, par = np.divmod(at, split.q.size)
-            kids = _Nodes(
-                split.q[par], (split.parents.prefix[par] << 1) | side
-            )
+        kids = self.tree.children(
+            split.parents, level, split.dims, split.upper_first, at
+        )
         kids.mass, kids.path_min = split.mass.take(at), split.path_min.take(at)
-        if level + 1 == self.head < self.tree.depth:
-            kids = self.tree.from_sides(kids)
         return kids
 
     def lower(self, floor: np.ndarray) -> None:
         """Expand every retained node whose path minimum exceeds *floor*.
 
         The first call is the descent; a later call with lower floors
-        resumes the pruned frontier — children computed but not expanded —
-        of the queries that moved, level-synchronously for all of them.
-        The leaves are kept sorted by ``(query, prefix)``.
+        resumes the pruned frontier — nodes computed but not expanded —
+        of the queries that moved, pass by pass for all of them.  The
+        leaves are kept sorted by ``(query, prefix)``.
         """
         old, self.floor = self.floor, floor
-        first = not self.splits[0]
-        nodes = []
+        first = not self.heads[0]
+        front = None
         if first:
-            nodes = [_Nodes(
+            front = (
                 np.arange(self.num), np.zeros(self.num, dtype=np.int64),
-                mass=self.root_mass,
-                path_min=np.full(self.num, np.inf),  # the root is never pruned
-            )]
-        for level, splits in enumerate(self.splits):
+                self.root_mass,
+                np.full(self.num, np.inf),  # the root is never pruned
+            )
+        inner = []  # the expanded nodes above the floor, while they are hot
+        for (level, width), passes in zip(self.passes, self.heads):
             kids = [
-                self._children(split, level, np.flatnonzero(
+                _expanded(p, floor.take(p.q), old.take(p.q)) for p in passes
+            ]
+            if front is not None:
+                p, expanded, above = self._pass(*front, level, width, floor)
+                passes.append(p)
+                kids.append(expanded)
+                inner.append(above)
+            kids = [k for k in kids if k[0].size]
+            front = None
+            if len(kids) == 1:
+                front = kids[0]
+            elif kids:
+                front = tuple(np.concatenate(column) for column in zip(*kids))
+        if self.head < self.tree.depth:
+            found = self._lower_deep(front, floor, old)
+        elif front is None:
+            found = []
+        else:
+            q, side, mass, path_min = front
+            found = [_Nodes(
+                q, side_prefixes(side), mass=mass, path_min=path_min
+            )]
+        if found:
+            leaves = _Nodes.concat(found if first else [self.leaves, *found])
+            order = _sort_order(leaves.q, leaves.prefix, self.tree.depth)
+            self.leaves = _Nodes(
+                leaves.q.take(order), leaves.prefix.take(order),
+                mass=leaves.mass.take(order),
+                path_min=leaves.path_min.take(order),
+            )
+        counts = np.bincount(self.leaves.q, minlength=self.num)
+        self.bounds = [0, *itertools.accumulate(counts.tolist())]
+        self.filled = np.flatnonzero(counts)
+        self.starts = np.array(self.bounds[:-1]).take(self.filled)
+        # A probe sums at most a query's retained leaves.
+        self.slack = counts * (_TIE_SLACK * _EPS)
+        # The expanded nodes a probe t >= floor can count: those above it
+        # (every node the levels past D expanded is).
+        if not first:
+            inner = [
+                _above(p, floor.take(p.q)) for passes in self.heads for p in passes
+            ]
+        inner += [
+            (s.parents.q, s.parents.path_min)
+            for splits in self.splits for s in splits
+        ]
+        self.inner_q, self.inner_min = (np.concatenate(c) for c in zip(*inner))
+
+    def _lower_deep(self, front, floor, old) -> list[_Nodes]:
+        """The levels past ``D`` of :meth:`lower`, one at a time."""
+        nodes = []
+        if front is not None:
+            q, side, mass, path_min = front
+            nodes = [self.tree.from_sides(
+                _Nodes(q, side, mass=mass, path_min=path_min)
+            )]
+        for level, splits in zip(range(self.head, self.tree.depth), self.splits):
+            kids = [
+                self._deep_children(split, level, np.flatnonzero(
                     (split.path_min <= old[split.q])
                     & (split.path_min > floor[split.q])
                 ))
                 for split in splits
             ]
             if nodes:
-                split = self._split(_Nodes.concat(nodes), level)
+                split = self._deep_split(_Nodes.concat(nodes), level)
                 splits.append(split)
-                kids.append(self._children(
+                kids.append(self._deep_children(
                     split, level, np.flatnonzero(split.path_min > floor[split.q])
                 ))
             nodes = [k for k in kids if k.q.size]
-        if nodes:
-            leaves = _Nodes.concat(nodes)
-            if self.head == self.tree.depth:
-                leaves.prefix = side_prefixes(leaves.prefix)
-            if not first:
-                leaves = _Nodes.concat([self.leaves, leaves])
-            order = np.lexsort((leaves.prefix, leaves.q))
-            self.leaves = _Nodes(
-                leaves.q[order], leaves.prefix[order],
-                mass=leaves.mass[order], path_min=leaves.path_min[order],
-            )
-        inner = [split.parents for splits in self.splits for split in splits]
-        self.inner_q = np.concatenate([p.q for p in inner])
-        self.inner_min = np.concatenate([p.path_min for p in inner])
+        return nodes
 
     def probe(
-        self, t: np.ndarray, active: list[int]
-    ) -> tuple[list[float], list[int]]:
-        """``(P_sup(t_i), nodes_visited(t_i))`` of each active query *i*.
+        self, t: np.ndarray, targets: np.ndarray, valid: np.ndarray
+    ) -> np.ndarray:
+        """Whether ``P_sup(t[r, i]) >= targets[i]``, for a ``(rows, B)``
+        array of probes ``t`` (or ``(rows, 1)``: every query's the same).
 
-        What a descent pruned at ``t_i >= floor_i`` returns: its leaves are
-        the retained leaves with ``path_min > t_i``, its
-        ``total_probability`` the sum of their masses as one prefix-ordered
-        array (the same pairwise summation), and the nodes it expands are
-        the retained internal nodes with ``path_min > t_i``.
+        What a descent pruned at ``t >= floor_i`` returns: its leaves are
+        the retained leaves with ``path_min > t`` and its
+        ``total_probability`` the pairwise sum of their masses as one
+        prefix-ordered array.  One ``np.add.reduceat`` sums every probe's
+        kept masses; where that sum lies within the rounding slack of the
+        target (counted for all the query's retained leaves, at least the
+        masses summed), and the probe is *valid*, the pairwise sum decides.
         """
-        leaves = self.leaves
-        keep = leaves.path_min > t.take(leaves.q)
-        mass = leaves.mass[keep]
-        ends = np.cumsum(self._count(leaves.q, keep)).tolist()
-        ends.insert(0, 0)
-        add = np.add.reduce  # what `.sum()` runs, without its Python frame
-        totals = [float(add(mass[ends[i]:ends[i + 1]])) for i in active]
-        nodes = self._count(
-            self.inner_q, self.inner_min > t.take(self.inner_q)
-        ).tolist()
-        return totals, [nodes[i] for i in active]
+        leaves, filled = self.leaves, self.filled
+        sums = np.zeros((t.shape[0], self.num))
+        if t.shape[1] > 1:  # else one probe per row, for every query
+            t = t.take(leaves.q, axis=1)
+        keep = leaves.path_min > t
+        if filled.size:
+            sums[:, filled] = np.add.reduceat(
+                np.where(keep, leaves.mass, 0.0), self.starts, axis=1
+            )
+        success = sums >= targets
+        near = np.abs(sums - targets) <= self.slack * sums
+        for r, i in zip(*np.nonzero(near & valid)):
+            at = slice(self.bounds[i], self.bounds[i + 1])
+            total = np.add.reduce(leaves.mass[at][keep[r, at]])
+            success[r, i] = total >= targets[i]
+        return success
 
-    def _count(self, q: np.ndarray, above: np.ndarray) -> np.ndarray:
-        """Entries of each query that are *above* the probe: a weighted
-        count, which skips gathering them."""
-        return np.bincount(q, weights=above, minlength=self.num).astype(np.int64)
+    def visited(self, probes: list[np.ndarray]) -> np.ndarray:
+        """Each query's ``nodes_visited``: over every row of *probes*,
+        the nodes a descent pruned at its probe expands — the internal
+        nodes with ``path_min > t`` (``t = inf`` where it made none).
+
+        Counted once, over the final descent: a node a resume expanded
+        has ``path_min`` at most the floor before it, so no earlier probe
+        counts it.
+        """
+        above = self.inner_min > np.vstack(probes).take(self.inner_q, axis=1)
+        return np.bincount(
+            self.inner_q, weights=above.sum(axis=0), minlength=self.num
+        ).astype(np.int64)
 
     def selections(
-        self, t: list[float], totals: list[float], nodes: list[int],
-        probes: list[int],
+        self, t: np.ndarray, nodes: np.ndarray, probes: np.ndarray
     ) -> SelectionBatch:
         """Every query's block set ``B(t_i)``: one mask over the leaves.
 
-        ``totals`` are the probe sums at ``t``: ``.sum()`` over the very
-        arrays the batch holds, so no second sum is taken.
+        ``totals`` are taken here, once per query: ``.sum()`` of its
+        blocks, the very array the batch holds.
         """
-        t = np.array(t, dtype=np.float64)
         leaves = self.leaves
-        keep = leaves.path_min > t.take(leaves.q)
+        at = np.flatnonzero(leaves.path_min > t.take(leaves.q))
+        mass = leaves.mass.take(at)
+        counts = np.bincount(leaves.q.take(at), minlength=self.num)
+        ends = counts.cumsum().tolist()
+        add = np.add.reduce  # what `.sum()` runs, without its Python frame
         return SelectionBatch(
-            prefixes=leaves.prefix[keep],
-            probabilities=leaves.mass[keep],
-            counts=self._count(leaves.q, keep),
+            prefixes=leaves.prefix.take(at),
+            probabilities=mass,
+            counts=counts,
             depth=self.tree.depth,
             thresholds=t,
-            totals=np.array(totals, dtype=np.float64),
-            nodes=np.array(nodes, dtype=np.int64),
-            probes=np.array(probes, dtype=np.int64),
+            totals=np.array([
+                add(mass[a:b]) for a, b in zip([0, *ends], ends)
+            ], dtype=np.float64),
+            nodes=nodes,
+            probes=probes,
         )
 
 
-def _threshold_search(
-    t: float, shrink: float, refine_steps: int, grow_steps: int, max_descents: int
-) -> Generator[float, bool, None]:
-    """Yield one query's probes of eq. (4); is sent ``P_sup(t) >= target``.
+def _expanded(p: _Pass, floor: np.ndarray, old: np.ndarray | None = None):
+    """``(q, side, mass, path_min)`` of the nodes on *p*'s last level
+    with ``old >= path_min > floor`` (per node of *p*): the next pass
+    expands them."""
+    low = p.path_min
+    above = low > floor
+    if old is not None:
+        above &= low <= old
+    at = np.flatnonzero(above)
+    side, par = np.divmod(at, p.q.size)
+    return (
+        p.q[par], (p.side[par] << p.width) | side, p.mass.take(at), low.take(at)
+    )
 
-    Shrinks ``t`` geometrically until a probe succeeds; if the very first
-    one does, grows it instead (so an over-generous start does not inflate
-    the block set); then bisects inside whatever bracket exists.  The
-    answer is the last probe that succeeded — or, when ``t`` bottoms out
-    first, the last probe: the closest achievable set.
-    """
-    probes = 1
-    t_fail = None  # smallest t observed with P_sup < target
-    while not (yield t):
-        t_fail = t
-        t *= shrink
-        if t < 1e-12 or probes >= max_descents:
-            return
-        probes += 1
-    for _ in range(grow_steps):
-        if t_fail is not None or probes >= max_descents or t * 4.0 >= 1.0:
-            break
-        probes += 1
-        if (yield t * 4.0):
-            t *= 4.0
-        else:
-            t_fail = t * 4.0
-    if t_fail is not None:
-        for _ in range(refine_steps):
-            t_mid = 0.5 * (t + t_fail)
-            if (yield t_mid):
-                t = t_mid
-            else:
-                t_fail = t_mid
+
+def _above(p: _Pass, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(q, path_min)`` of the nodes *p* expanded or passed through
+    whose path minimum is above *floor* (per node of *p*)."""
+    n = p.q.size
+    at = np.flatnonzero(p.inner.reshape(-1, n) > floor)
+    return p.q.take(at % n), p.inner.take(at)
+
+
+def _sort_order(q: np.ndarray, prefix: np.ndarray, depth: int) -> np.ndarray:
+    """The order sorting nodes by ``(q, prefix)``: one packed key when
+    both fit in 64 bits."""
+    if int(q.max(initial=0)).bit_length() + depth <= 64:
+        return np.argsort((q.astype(_U64) << _U64(depth)) | prefix)
+    return np.lexsort((prefix, q))
+
+
+def _chunked(queries: np.ndarray, depth: int, select) -> SelectionBatch:
+    """``select(rows)`` over *queries* in chunks that bound the CDF table
+    and the descent (the chunks are independent), as one batch."""
+    num, n = queries.shape
+    step = max(1, min(
+        _DESCENT_QUERIES, _TABLE_ENTRIES // (n * ((1 << -(-depth // n)) + 1))
+    ))
+    if num == 0:
+        return SelectionBatch.of([], depth)
+    if num <= step:
+        return select(slice(None))
+    return SelectionBatch.concat([
+        select(slice(i, i + step)) for i in range(0, num, step)
+    ])
 
 
 def _search(
@@ -514,65 +644,130 @@ def _search(
     curve: HilbertCurve,
     depth: int,
     alpha: float,
-    first_probes: np.ndarray,
+    t: float,
     reach: float,
     shrink: float,
     refine_steps: int,
     grow_steps: int,
     max_descents: int,
 ) -> SelectionBatch:
-    """One :func:`_threshold_search` per query, all on one `_Descent`.
+    """Eq. (4)'s threshold search for every query, all on one `_Descent`.
 
-    The descent starts at floor ``first_probes * reach``; a search that
-    shrinks under its floor resumes it, together with every other query in
-    that position.  Probes and the nodes they cover are counted as if each
-    probe had been its own descent.  A query's answer is the last probe
-    that succeeded (or its last probe), with that probe's total.
+    Each query shrinks ``t`` geometrically from the first probe *t* until
+    a probe succeeds; if the very first one does, grows it instead (up to
+    *grow_steps* times, so an over-generous start does not inflate the
+    block set); then bisects *refine_steps* times inside whatever bracket
+    exists.  The answer is the last probe that succeeded — or, when
+    ``t`` bottoms out (below ``1e-12`` or after *max_descents* probes)
+    first, the last probe: the closest achievable set.
+
+    The searches are arrays, one entry per query.  Until its first
+    success a search's probes follow one ladder — *t*, its shrink steps
+    and its grow steps — that every search still on it shares, and the
+    first bisection of any bracket the ladder can leave is one of a few
+    shared midpoints too.  So one probe round answers every rung and
+    midpoint the descent covers, and each search reads off the probes it
+    would have made one by one: shrink rungs up to its first success or
+    grow rungs up to its first failure, then its bracket's midpoint.
+    The descent starts at floor ``t * reach``; a search that fails every
+    rung down to its floor resumes it, together with the others in that
+    position.  Each further bisection is one more probe round.  Probes
+    and the nodes they cover are counted as if each probe had been its
+    own descent.
     """
-    num, n = queries.shape
-    limits = (refine_steps, grow_steps, max_descents)
-    step = max(1, _TABLE_ENTRIES // (n * ((1 << -(-depth // n)) + 1)))
-    if num == 0 or num > step:  # bound the CDF table: chunks are independent
-        return SelectionBatch.of([
-            sel for rows in (slice(i, i + step) for i in range(0, num, step))
-            for sel in _search(
-                queries[rows], model, curve, depth, alpha, first_probes[rows],
-                reach, shrink, *limits,
-            )
-        ], depth)
+    num = queries.shape[0]
+    cols = np.arange(num)
     descent = _Descent(queries, model, curve, depth)
-    targets = (alpha * descent.grid).tolist()
-    searches = [
-        _threshold_search(t, shrink, *limits) for t in first_probes.tolist()
-    ]
-    probes = [next(search) for search in searches]
-    best = [(0.0, False, 0.0)] * num  # (answer so far, did it succeed, total)
-    nodes, counts = [0] * num, [0] * num  # nodes covered, probes
-    active = list(range(num))
-    t = np.array(probes)
-    descent.lower(t * reach)
-    while active:
-        missing = t < descent.floor
-        if missing.any():
-            descent.lower(
-                np.where(missing, t * shrink**_RESUME_REACH, descent.floor)
+    targets = alpha * descent.grid
+    t_fail = np.full(num, np.inf)  # the last probe that failed; inf: none
+    best = base = np.zeros(num)  # the answer so far, the last success
+    probes = np.zeros(num, dtype=np.int64)
+    searching = np.ones(num, dtype=bool)  # no probe has succeeded yet
+    found = ~searching
+    made = []  # the probes made, a row per rung; inf: none
+    # The searching queries' floor, probes so far and last failed rung.
+    floor, shared, failed_at = t * reach, 0, np.inf
+    descent.lower(np.full(num, floor))
+    while True:
+        if t < floor:
+            floor = t * shrink**_RESUME_REACH
+            descent.lower(np.where(searching, floor, descent.floor))
+        # The rungs: t, the shrink steps under it the descent covers,
+        # and — while no probe has failed — the grow steps over it.
+        low, rungs = max(floor, 1e-12), [t]
+        while shared + len(rungs) < max_descents and rungs[-1] * shrink >= low:
+            rungs.append(rungs[-1] * shrink)
+        down = len(rungs)
+        for k in range(1, grow_steps + 1 if shared == 0 else 1):
+            if rungs[-1 if k > 1 else 0] * 4.0 >= 1.0 or k >= max_descents:
+                break
+            rungs.append(rungs[-1 if k > 1 else 0] * 4.0)
+        upward = [rungs[0], *rungs[down:]]
+        # Midpoints: a shrink rung's bracket is the rung above it (the
+        # first rung's, the rung failed before it); a grow rung's, the
+        # rung after it.
+        mids = [] if refine_steps < 1 else [
+            0.5 * (lo + hi) for lo, hi in zip(
+                rungs[:down] + upward[:-1],
+                [failed_at, *rungs[:down - 1]] + upward[1:],
             )
-        still = []
-        for i, total, covered in zip(active, *descent.probe(t, active)):
-            success = total >= targets[i]
-            nodes[i] += covered
-            counts[i] += 1
-            if success or not best[i][1]:
-                best[i] = (probes[i], success, total)
-            try:
-                probes[i] = searches[i].send(success)
-                still.append(i)
-            except StopIteration:
-                probes[i] = np.inf
-        active = still
-        t = np.array(probes)
-    thresholds, _, totals = zip(*best)
-    return descent.selections(thresholds, totals, nodes, counts)
+        ]
+        ladder = np.array(rungs + mids)
+        success = descent.probe(
+            ladder[:, None], targets, searching[None]
+        ) & searching
+        # A search makes shrink rungs up to its first success or, when
+        # the first rung succeeded, grow rungs up to its first failure.
+        hit = success[:down].any(axis=0)
+        first = success[:down].argmax(axis=0)
+        up = success[0]
+        missed = ~success[down:len(rungs)]
+        over = missed.any(axis=0)
+        top = missed.argmax(axis=0) if missed.size else np.zeros(num, np.intp)
+        top = np.where(over, top, missed.shape[0])  # grow rungs that held
+        count = np.where(up, top + over + 1, np.where(hit, first + 1, down))
+        # Each search's own ladder, the probes it made in order.
+        ladders = np.full((max(down, len(upward)) + 1, 2), np.inf)
+        ladders[:down, 0], ladders[:len(upward), 1] = rungs[:down], upward
+        path = ladders[:, up.astype(np.intp)]
+        rung = np.arange(ladders.shape[0] - 1)[:, None]
+        made.append(np.where(searching & (rung < count), path[:-1], np.inf))
+        succeeded = path[np.where(up, top, first), cols]
+        failed = path[np.where(up, np.where(over, top + 1, -1), count - 1 - hit), cols]
+        probes = probes + np.where(searching, count, 0)
+        base = np.where(searching & hit, succeeded, base)
+        best = np.where(searching, np.where(hit, succeeded, failed), best)
+        t_fail = np.where(searching & (~up | over), failed, t_fail)
+        found = found | (searching & hit)
+        # A search that found its bracket bisects it once: the midpoint's
+        # probe was in the round.
+        if mids:
+            at = len(rungs) + np.where(up, np.where(over, down + top, 0), first)
+            bisect = searching & hit & (t_fail < np.inf)
+            mid = np.where(bisect, ladder.take(at), np.inf)
+            below = success[at, cols] & bisect
+            made.append(mid)
+            probes = probes + bisect
+            base = np.where(below, mid, base)
+            t_fail = np.where(bisect & ~below, mid, t_fail)
+        # The rest failed every rung: they shrink on, unless t bottoms out.
+        searching = searching & ~hit
+        shared += down
+        failed_at = rungs[down - 1]
+        t = failed_at * shrink
+        if t < 1e-12 or shared >= max_descents or not searching.any():
+            break
+    # Bisect every bracket the rest of refine_steps times: a round each.
+    bracket = found & (t_fail < np.inf)
+    for _ in range(refine_steps - 1 if bracket.any() else 0):
+        mid = np.where(bracket, 0.5 * (base + t_fail), np.inf)
+        success = descent.probe(mid[None], targets, bracket[None])[0] & bracket
+        made.append(mid)
+        probes = probes + bracket
+        base = np.where(success, mid, base)
+        t_fail = np.where(bracket & ~success, mid, t_fail)
+    best = np.where(found, base, best)
+    return descent.selections(best, descent.visited(made), probes)
 
 
 def select_blocks_threshold_multi(
@@ -598,11 +793,16 @@ def select_blocks_threshold_multi(
     if thresholds.size and not np.all((thresholds > 0.0) & (thresholds < 1.0)):
         raise ConfigurationError("thresholds must be in (0, 1)")
     _check_depth(depth, curve)
-    # Target 0 and one probe allowed: the search ends on its first probe.
-    return _search(
-        queries, model, curve, depth, alpha=0.0, first_probes=thresholds,
-        reach=1.0, shrink=0.5, refine_steps=0, grow_steps=0, max_descents=1,
-    )
+
+    def select(rows: slice) -> SelectionBatch:
+        descent = _Descent(queries[rows], model, curve, depth)
+        t = thresholds[rows]
+        descent.lower(t)
+        return descent.selections(
+            t, descent.visited([t]), np.ones(t.size, dtype=np.int64)
+        )
+
+    return _chunked(queries, depth, select)
 
 
 def select_blocks_threshold(
@@ -637,17 +837,22 @@ def statistical_blocks_multi(
     Searches, per query, ``t_max`` of eq. (4): the largest threshold whose
     block set ``B(t)`` still carries probability mass at least *alpha*.
     ``P_sup(t)`` is monotone non-increasing in ``t``, so the search
-    (:func:`_threshold_search`) shrinks ``t`` by *shrink* from
-    ``(1 - alpha) / 4``, grows it up to *grow_steps* times if the first
-    probe succeeds, and bisects *refine_steps* times.  The search reads
-    nothing but its arguments, so a selection is a pure function of the
-    query, the model, the depth and *alpha*.
+    (:func:`_search`) shrinks ``t`` by *shrink* from ``(1 - alpha) / 4``,
+    grows it up to *grow_steps* times if the first probe succeeds, and
+    bisects *refine_steps* times.  The search reads nothing but its
+    arguments, so a selection is a pure function of the query, the model,
+    the depth and *alpha*.
 
     The tree is descended **once** for the whole batch, to a floor a few
     shrink steps under the first probe, and every probe is answered from
-    the retained leaves (:func:`_search`).  ``descents`` counts the probes
-    (at most *max_descents* before refinement), and each query's selection
-    is bit-identical to a batch of one.
+    the retained leaves.  The searches run as arrays: one probe round
+    answers every search's shrink and grow steps down to the floor, and
+    each bisection is one more round; a round sums every probe with one
+    ``np.add.reduceat`` and lets the pairwise sum decide a near tie.
+    ``descents`` counts the probes (at most *max_descents* before
+    refinement), ``total_probability`` is the pairwise sum of the
+    selection's masses, and each query's selection is bit-identical to a
+    batch of one.
 
     The expectation is conditioned on the referenced fingerprint lying in
     the byte grid: the distortion model leaks mass outside ``[0, 2^K)^D``
@@ -663,10 +868,10 @@ def statistical_blocks_multi(
     queries = _check_queries(queries, curve)
     _check_depth(depth, curve)
     t0 = max((1.0 - alpha) / 4.0, 1e-12)
-    return _search(
-        queries, model, curve, depth, alpha, np.full(queries.shape[0], t0),
+    return _chunked(queries, depth, lambda rows: _search(
+        queries[rows], model, curve, depth, alpha, t0,
         shrink**_FIRST_REACH, shrink, refine_steps, grow_steps, max_descents,
-    )
+    ))
 
 
 def statistical_blocks(
@@ -891,11 +1096,9 @@ def grid_probability_multi(
 
 
 def _left_product(intervals: np.ndarray) -> np.ndarray:
-    """Each row's product, multiplied left to right."""
-    mass = np.ones(intervals.shape[0])
-    for j in range(intervals.shape[1]):
-        mass = mass * intervals[:, j]
-    return mass
+    """Each row's product, multiplied left to right (an accumulation is
+    sequential)."""
+    return np.multiply.accumulate(intervals, axis=1)[:, -1]
 
 
 def _check_query(query: np.ndarray, curve: HilbertCurve) -> np.ndarray:
