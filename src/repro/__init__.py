@@ -37,7 +37,6 @@ from .hilbert import HilbertCurve
 from .index import (
     CompactionPolicy,
     FingerprintStore,
-    PseudoDiskSearcher,
     S3Index,
     SearchResult,
     SegmentedS3Index,
@@ -64,7 +63,6 @@ __all__ = [
     "IndexError_",
     "NormalDistortionModel",
     "PerComponentNormalModel",
-    "PseudoDiskSearcher",
     "ReproError",
     "S3Index",
     "SearchResult",

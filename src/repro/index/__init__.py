@@ -6,8 +6,6 @@
   ε-range queries on the same structure;
 * :class:`~repro.index.seqscan.SequentialScanIndex` — the brute-force
   baseline of §V-B;
-* :class:`~repro.index.pseudodisk.PseudoDiskSearcher` — the batched,
-  section-loading strategy for stores larger than memory (§IV-B);
 * :mod:`~repro.index.tuning` — the start-of-retrieval learning of the
   optimal partition depth ``p_min`` (§IV-A);
 * :mod:`~repro.index.segmented` — the live LSM-style extension:
@@ -60,7 +58,6 @@ from .options import (
     resolve_options,
     validate_durability,
 )
-from .pseudodisk import BatchStats, PseudoDiskSearcher, auto_batch_size
 from .s3 import QueryStats, S3Index, SearchResult
 from .segmented import (
     CompactionPolicy,
@@ -112,7 +109,6 @@ class IndexProtocol(Protocol):
 __all__ = [
     "BatchQueryExecutor",
     "BatchQueryStats",
-    "BatchStats",
     "BlockSelection",
     "ClusteringSummary",
     "CompactionPolicy",
@@ -124,7 +120,6 @@ __all__ = [
     "IndexProtocol",
     "OccupancySummary",
     "PREFILTER_MODES",
-    "PseudoDiskSearcher",
     "QueryOptions",
     "QueryStats",
     "S3Index",
@@ -139,7 +134,6 @@ __all__ = [
     "StoreBuilder",
     "VAFile",
     "VAFileIndex",
-    "auto_batch_size",
     "best_first_blocks",
     "block_occupancy",
     "clustering_summary",

@@ -241,6 +241,14 @@ _TABLE_ENTRIES = 1 << 22  # B * D * cuts CDF entries per descent (32 MB)
 # Queries per descent: it keeps ~37 KB a query at p = 16, D = 20
 # (measured), so this bounds one descent near 40 MB.
 _DESCENT_QUERIES = 1024
+# Node entries one descent may retain, counted over its head passes
+# (2^W per node a pass expands) and deep splits (2 per node split): a
+# selection whose frontier would outgrow this is refused before the
+# arrays are allocated.  The largest descent of the tests retains ~3.1M
+# (1,024 queries at D = 20, p = 20).  An entry costs ~25 bytes in the
+# head levels and 80-165 bytes past them (3-D curves, p = 21-23), so
+# the cap holds a descent near 0.4 GB and 2.8 GB respectively.
+_DESCENT_ENTRIES = 1 << 24
 # Shrink steps a descent answers below the probe it was started for: the
 # first probe, (1 - alpha) / 4, sits ~4 steps above t_max, and a resume is
 # for stragglers.  A step too few costs a resume (one more pass of the
@@ -366,6 +374,7 @@ class _Descent:
         ], axis=1)
         self.table = table.ravel()
         self.floor = np.full(num, np.inf)
+        self.entries = 0
         self.passes = [
             (level, min(_PASS_LEVELS, self.head - level))
             for level in range(0, self.head, _PASS_LEVELS)
@@ -382,6 +391,7 @@ class _Descent:
         pass's record, the nodes on its last level above *floor* (the
         next pass expands them) and its nodes above *floor* that count
         as internal ``(q, path_min)``."""
+        self._retain(q.size << width)
         ratios = self.ratios[level:level + width].take(q, axis=2)
         inner = [path_min]
         for num in ratios:
@@ -396,8 +406,20 @@ class _Descent:
         low = floor.take(q)
         return p, _expanded(p, low), _above(p, low)
 
+    def _retain(self, entries: int) -> None:
+        """Count *entries* more retained nodes; refuse a descent that
+        would retain more than :data:`_DESCENT_ENTRIES`."""
+        self.entries += entries
+        if self.entries > _DESCENT_ENTRIES:
+            raise ConfigurationError(
+                f"block selection at depth {self.tree.depth} on a "
+                f"{self.tree.ndims}-D curve would retain {self.entries} "
+                f"nodes (cap {_DESCENT_ENTRIES}); choose a shallower depth"
+            )
+
     def _deep_split(self, nodes: _Nodes, level: int) -> _Split:
         """Masses of both children of *nodes*, past the head levels."""
+        self._retain(2 * nodes.q.size)
         dims, upper_first, lower_cut = self.tree.axis(nodes, level)
         half = self.tree.half(level)
         at = (nodes.q * self.tree.ndims + dims) * self.cuts + lower_cut

@@ -348,7 +348,7 @@ class S3Index(S3Queries):
         model: Optional[IndependentDistortionModel] = None,
         depth: Optional[int] = None,
     ) -> BlockSelection:
-        """Run only the statistical filtering step (used by pseudo-disk)."""
+        """Run only the statistical filtering step (used by diagnostics)."""
         resolved = self._resolve_model(model)
         depth = self._resolve_depth(depth)
         return statistical_blocks(query, resolved, self.curve, depth, alpha)

@@ -11,8 +11,8 @@ with a small fixed header followed by the three column arrays:
 ``fingerprints (count × ndims u8) | ids (count u32) | timecodes (count f64)``
 
 Column storage keeps the refinement step a pure sequential scan of
-contiguous bytes and lets the pseudo-disk strategy load any row range with
-one read per column.
+contiguous bytes and lets the cold tier fetch any row range as one span
+per column.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ class FingerprintStore:
         """Read a store from *path*.
 
         With ``mmap=True`` the column arrays are memory-mapped read-only
-        instead of loaded — the basis of the pseudo-disk strategy, which
-        touches only the curve sections a query batch needs.
+        instead of loaded — the warm tier, which touches only the curve
+        sections a query batch needs.
         """
         path = Path(path)
         count, ndims = read_header(path)

@@ -189,15 +189,6 @@ class HilbertLayout:
         )
 
     # ------------------------------------------------------------------
-    def block_key_interval(self, prefix: int, depth: int) -> tuple[int, int]:
-        """Return the half-open key interval of block *prefix* at *depth*."""
-        if depth > self.key_bits:
-            raise ConfigurationError(
-                f"depth {depth} exceeds key resolution {self.key_bits}"
-            )
-        shift = self.key_bits - depth
-        return int(prefix) << shift, (int(prefix) + 1) << shift
-
     def row_ranges(
         self, prefixes: np.ndarray, counts, depth: int
     ) -> RangeBatch:
@@ -217,38 +208,3 @@ class HilbertLayout:
         prefixes = np.asarray(prefixes, dtype=np.uint64)
         starts, ends, _ = self.row_ranges(prefixes, [prefixes.size], depth)
         return list(zip(starts.tolist(), ends.tolist()))
-
-    # ------------------------------------------------------------------
-    def curve_sections(self, r: int) -> list[tuple[int, int]]:
-        """Split the curve into ``2^r`` regular sections (pseudo-disk, §IV-B).
-
-        Returns the row range of each section; sections can be empty.
-        """
-        if not 0 <= r <= self.key_bits:
-            raise ConfigurationError(
-                f"r must be in [0, {self.key_bits}], got {r}"
-            )
-        num = 1 << r
-        shift = self.key_bits - r
-        bounds = [np.uint64(i) << np.uint64(shift) for i in range(num)]
-        starts = np.searchsorted(self.keys, np.array(bounds, dtype=np.uint64))
-        starts = np.append(starts, self.keys.size)
-        return [(int(starts[i]), int(starts[i + 1])) for i in range(num)]
-
-    def section_split_for_memory(self, max_rows: int) -> int:
-        """Return the smallest ``r`` whose fullest section fits *max_rows*.
-
-        Paper §IV-B: "the Hilbert's curve is split in 2^r regular sections,
-        such that the most filled section fits in memory".
-        """
-        if max_rows < 1:
-            raise ConfigurationError(f"max_rows must be >= 1, got {max_rows}")
-        for r in range(0, self.key_bits + 1):
-            sections = self.curve_sections(r)
-            fullest = max(e - s for s, e in sections)
-            if fullest <= max_rows:
-                return r
-        raise ConfigurationError(
-            f"even single-key sections exceed max_rows={max_rows}; "
-            "duplicate keys outnumber the memory budget"
-        )

@@ -19,8 +19,8 @@ Once the selection has produced row ranges, :func:`fetch_columns` maps
 each range to three column byte spans of the ``save()`` layout
 (``column_offsets``) and asks the backend for exactly those spans in
 one ``get_ranges`` call per segment — ``O(selected rows)`` backend bytes
-per query, the real-storage analogue of the pseudo-disk model's
-``bytes_loaded`` accounting.
+per batch, the real-storage form of the paper's pseudo-disk load
+(§IV-B, eq. 5) and what ``tests/storage/test_eq5_bytes.py`` predicts.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ KEYS_MAGIC = b"S3KY"
 KEYS_FORMAT = 1
 _KEYS_HEADER = struct.Struct("<4sIIQ")  # magic, format, key_bits, count
 
-#: Bytes one fetched row costs across the three columns — identical to
-#: :class:`~repro.index.pseudodisk.PseudoDiskSearcher`'s ``_row_bytes``
-#: (``ndims`` fingerprint bytes + 4 id bytes + 8 timecode bytes), so
-#: measured fetch bytes and the model's predictions share units.
+#: Bytes one fetched row costs across the three columns (``ndims``
+#: fingerprint bytes + 4 id bytes + 8 timecode bytes): the unit of the
+#: tier budget, of measured fetch bytes and of eq. (5)'s predictions.
 def row_bytes(ndims: int) -> int:
     return ndims + 4 + 8
 

@@ -185,7 +185,7 @@ class TestOnlineIngestion:
         return SegmentedS3Index.create(
             directory, ndims=20, depth=20,
             model=NormalDistortionModel(20, 20.0),
-            flush_rows=100_000, auto_compact=False, sync=False,
+            flush_rows=100_000, auto_compact=False, durability="async",
         )
 
     def test_ingest_new_requires_mutable_index(self, setup):

@@ -401,7 +401,7 @@ class TestSegmentedBatch:
         model = NormalDistortionModel(NDIMS, SIGMA)
         seg = SegmentedS3Index.create(
             tmp_path, ndims=NDIMS, model=model,
-            flush_rows=10**9, auto_compact=False, sync=False,
+            flush_rows=10**9, auto_compact=False, durability="async",
         )
         bounds = [0, *sorted(cuts), self.N]
         for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):

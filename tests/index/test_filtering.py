@@ -14,6 +14,7 @@ from repro.distortion.model import (
 from repro.errors import ConfigurationError
 from repro.hilbert.butz import HilbertCurve
 from repro.hilbert.partition import blocks_at_depth
+from repro.index import filtering
 from repro.index.filtering import (
     best_first_blocks,
     grid_probability,
@@ -195,6 +196,21 @@ class TestStatisticalBlocks:
             statistical_blocks(np.zeros(2), model, curve, 4, 0.0)
         with pytest.raises(ConfigurationError):
             statistical_blocks(np.zeros(2), model, curve, 4, 1.0)
+
+    @pytest.mark.parametrize("ndims, depth, cap", [
+        (20, 16, 8),  # refused in the first head pass
+        (3, 12, 64),  # the head passes fit; refused in a deep split
+    ])
+    def test_refuses_a_frontier_past_the_cap(self, monkeypatch, ndims, depth, cap):
+        curve = HilbertCurve(ndims, 8)
+        model = NormalDistortionModel(ndims, 10.0)
+        query = np.full(ndims, 127.5)
+        statistical_blocks(query, model, curve, depth, 0.8)  # fits the cap
+        monkeypatch.setattr(filtering, "_DESCENT_ENTRIES", cap)
+        with pytest.raises(ConfigurationError, match=(
+            f"depth {depth} on a {ndims}-D curve would retain"
+        )):
+            statistical_blocks(query, model, curve, depth, 0.8)
 
 
 class TestBestFirst:

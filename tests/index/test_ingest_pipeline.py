@@ -318,7 +318,7 @@ class TestRacingBitIdentity:
             directory, ndims=NDIMS,
             model=NormalDistortionModel(NDIMS, SIGMA),
             flush_rows=10 ** 9, auto_compact=False,
-            policy=CompactionPolicy(max_segments=2), sync=False,
+            policy=CompactionPolicy(max_segments=2), durability="async",
         )
         try:
             for i, n in enumerate(batches):
@@ -368,7 +368,7 @@ class TestBackpressure:
         index = SegmentedS3Index.create(
             tmp_path / "idx", ndims=NDIMS,
             model=NormalDistortionModel(NDIMS, SIGMA),
-            flush_rows=30, auto_compact=False, sync=False,
+            flush_rows=30, auto_compact=False, durability="async",
         )
         try:
             worker = index.start_maintenance()
@@ -393,7 +393,7 @@ class TestBackpressure:
         index = SegmentedS3Index.create(
             tmp_path / "idx", ndims=NDIMS,
             model=NormalDistortionModel(NDIMS, SIGMA),
-            flush_rows=20, auto_compact=False, sync=False,
+            flush_rows=20, auto_compact=False, durability="async",
         )
         try:
             for i in range(30):
@@ -411,7 +411,7 @@ class TestLazyMemtableKeys:
         index = SegmentedS3Index.create(
             tmp_path / "idx", ndims=NDIMS,
             model=NormalDistortionModel(NDIMS, SIGMA),
-            flush_rows=10 ** 9, auto_compact=False, sync=False,
+            flush_rows=10 ** 9, auto_compact=False, durability="async",
         )
         try:
             fp, ids, tcs = make_records(200, seed=3)
@@ -425,7 +425,7 @@ class TestLazyMemtableKeys:
             fresh = SegmentedS3Index.create(
                 tmp_path / "fresh", ndims=NDIMS,
                 model=NormalDistortionModel(NDIMS, SIGMA),
-                flush_rows=10 ** 9, auto_compact=False, sync=False,
+                flush_rows=10 ** 9, auto_compact=False, durability="async",
             )
             try:
                 fresh.add(fp, ids, tcs)

@@ -86,18 +86,18 @@ def indexes(tmp_path_factory):
     """A monolithic, a segmented and two tiered indexes (blobs in memory,
     blobs in files) over the same rows, and a segmented index of one
     segment.  The segmented and tiered ones end in a frozen and an
-    active memtable; the tiered ones never promote."""
+    active memtable."""
     mono = S3Index(FingerprintStore(FPS, IDS, TCS), model=MODEL)
     root = tmp_path_factory.mktemp("query")
     kwargs = dict(
         ndims=NDIMS, model=MODEL, flush_rows=10**9, auto_compact=False,
-        sync=False,
+        durability="async",
     )
     seg = SegmentedS3Index.create(root / "seg", **kwargs)
     tiered = {
         name: SegmentedS3Index.create(
             root / name, **kwargs,
-            storage=StorageConfig(promote_after=10**9, **storage),
+            storage=StorageConfig(**storage),
         )
         for name, storage in (
             ("tiered", {"backend": FakeBlobBackend()}),

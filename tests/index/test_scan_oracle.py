@@ -71,13 +71,13 @@ def indexes(tmp_path_factory):
     root = tmp_path_factory.mktemp("scan")
     kwargs = dict(
         ndims=NDIMS, model=MODEL, flush_rows=10**9, auto_compact=False,
-        sync=False,
+        durability="async",
     )
     seg = SegmentedS3Index.create(root / "seg", **kwargs)
     tiered = {
         name: SegmentedS3Index.create(
             root / name, **kwargs,
-            storage=StorageConfig(promote_after=10**9, **storage),
+            storage=StorageConfig(**storage),
         )
         for name, storage in (
             ("tiered", {"backend": FakeBlobBackend()}),

@@ -8,7 +8,6 @@ batches, through every path that selects blocks:
 * ``S3Index.statistical_query`` and ``statistical_query_batch``;
 * the same two on a ``SegmentedS3Index`` of three sealed segments and a
   memtable;
-* ``PseudoDiskSearcher.search_batch``;
 * ``CopyDetector.detect_fingerprints`` over clips of several engine
   batches each.
 
@@ -32,7 +31,6 @@ from repro.distortion.model import NormalDistortionModel
 from repro.index.batch import scan
 from repro.index.filtering import statistical_blocks_multi
 from repro.index.options import QueryOptions
-from repro.index.pseudodisk import PseudoDiskSearcher
 from repro.index.s3 import S3Index
 from repro.index.segmented import SegmentedS3Index
 from repro.index.store import FingerprintStore
@@ -69,7 +67,7 @@ def mono():
 def segmented(tmp_path_factory):
     index = SegmentedS3Index.create(
         tmp_path_factory.mktemp("pure") / "seg", ndims=NDIMS, model=MODEL,
-        flush_rows=10**9, auto_compact=False, sync=False,
+        flush_rows=10**9, auto_compact=False, durability="async",
     )
     for lo, hi in [(0, 900), (900, 1700), (1700, 2600)]:
         index.add(FP[lo:hi], IDS[lo:hi], TCS[lo:hi])
@@ -77,16 +75,6 @@ def segmented(tmp_path_factory):
     index.add(FP[2600:], IDS[2600:], TCS[2600:])  # stays in the memtable
     yield index
     index.close()
-
-
-@pytest.fixture(scope="module")
-def pseudodisk(mono, tmp_path_factory):
-    prefix = tmp_path_factory.mktemp("pure") / "mono"
-    mono.save(prefix)
-    return PseudoDiskSearcher(
-        prefix.with_suffix(".store"), MODEL, memory_rows=ROWS // 4,
-        depth=mono.depth,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -178,26 +166,6 @@ def test_monolithic_answers_are_history_free(mono, case):
 @settings(max_examples=EXAMPLES, deadline=None)
 def test_segmented_answers_are_history_free(segmented, case):
     check_index(segmented, *case)
-
-
-@given(sequences())
-@settings(max_examples=EXAMPLES, deadline=None)
-def test_pseudodisk_answers_are_history_free(pseudodisk, case):
-    queries, alpha, orders, cuts = case
-    layout = pseudodisk.layout
-    want = []
-    for q in queries:
-        [sel] = statistical_blocks_multi(
-            q[None, :], MODEL, layout.curve, pseudodisk.depth, alpha
-        )
-        ranges = layout.block_row_ranges(sel.prefixes, sel.depth)
-        want.append(sorted(r for s, e in ranges for r in range(s, e)))
-    for order, cut in zip(orders, cuts):
-        got = in_order(
-            lambda b: pseudodisk.search_batch(queries[b], alpha)[0],
-            order, cut,
-        )
-        assert [sorted(r.rows.tolist()) for r in got] == want
 
 
 @given(st.lists(sequences(size=(5, 10)), min_size=2, max_size=3),

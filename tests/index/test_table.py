@@ -85,41 +85,3 @@ class TestBlockRowRanges:
         ranges = layout.block_row_ranges(np.array([0, 1], dtype=np.uint64), 1)
         assert gather_rows(layout, ranges).size == len(points)
 
-
-class TestCurveSections:
-    def test_sections_partition_rows(self, layout_and_points):
-        layout, points = layout_and_points
-        for r in (0, 2, 4):
-            sections = layout.curve_sections(r)
-            assert len(sections) == 1 << r
-            assert sections[0][0] == 0
-            assert sections[-1][1] == len(points)
-            for (s0, e0), (s1, e1) in zip(sections, sections[1:]):
-                assert e0 == s1
-
-    def test_section_split_for_memory(self, layout_and_points):
-        layout, points = layout_and_points
-        r = layout.section_split_for_memory(len(points) // 4)
-        fullest = max(e - s for s, e in layout.curve_sections(r))
-        assert fullest <= len(points) // 4
-        if r > 0:
-            prev_fullest = max(
-                e - s for s, e in layout.curve_sections(r - 1)
-            )
-            assert prev_fullest > len(points) // 4
-
-    def test_r_zero_when_everything_fits(self, layout_and_points):
-        layout, points = layout_and_points
-        assert layout.section_split_for_memory(len(points)) == 0
-
-    def test_rejects_impossible_budget(self, layout_and_points):
-        layout, _ = layout_and_points
-        with pytest.raises(ConfigurationError):
-            layout.section_split_for_memory(0)
-
-    def test_rejects_bad_r(self, layout_and_points):
-        layout, _ = layout_and_points
-        with pytest.raises(ConfigurationError):
-            layout.curve_sections(-1)
-        with pytest.raises(ConfigurationError):
-            layout.curve_sections(layout.key_bits + 1)

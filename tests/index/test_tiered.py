@@ -67,7 +67,7 @@ def make_pair(tmp_path):
     backend = FakeBlobBackend()
     tiered = SegmentedS3Index.create(
         tmp_path / "tiered",
-        storage=StorageConfig(backend=backend, promote_after=2),
+        storage=StorageConfig(backend=backend),
         **kwargs,
     )
     plain = SegmentedS3Index.create(tmp_path / "plain", **kwargs)

@@ -36,7 +36,7 @@ def make_records(n, seed=0):
 
 
 def make_tiered(directory, num_segments=3, rows=400, budget=None,
-                backend=None, promote_after=2):
+                backend=None):
     backend = backend if backend is not None else FakeBlobBackend()
     index = SegmentedS3Index.create(
         directory,
@@ -44,10 +44,7 @@ def make_tiered(directory, num_segments=3, rows=400, budget=None,
         model=NormalDistortionModel(NDIMS, SIGMA),
         flush_rows=10 ** 9,
         auto_compact=False,
-        storage=StorageConfig(
-            budget_bytes=budget, backend=backend,
-            promote_after=promote_after,
-        ),
+        storage=StorageConfig(budget_bytes=budget, backend=backend),
     )
     batches = []
     for i in range(num_segments):
@@ -246,7 +243,6 @@ class TestTornData:
     def test_truncated_blob_raises_on_a_real_file(self, tmp_path, prefilter):
         index, backend, batches = make_tiered(
             tmp_path / "idx", backend=FileBlobBackend(tmp_path / "cold"),
-            promote_after=10 ** 9,
         )
         name = index._segments[0].meta.name
         index.storage.demote(index._segments[0])
@@ -268,9 +264,7 @@ class TestTornData:
         index.close()
 
     def test_torn_multi_span_reply_never_answers(self, tmp_path):
-        index, backend, batches = make_tiered(
-            tmp_path / "idx", promote_after=10 ** 9
-        )
+        index, backend, batches = make_tiered(tmp_path / "idx")
         index.storage.demote(index._segments[0])
         queries = batches[0][0][:6].astype(np.float64)
         engine = BatchQueryExecutor(index, options=QueryOptions(alpha=0.8))

@@ -1,9 +1,8 @@
 """System test: the whole pipeline, end to end, one scenario.
 
-Builds an archive from procedural video, persists it, reloads it through
-both the in-memory index and the pseudo-disk searcher, runs detection on a
-transformed candidate and on foreign material, and cross-checks every path
-for consistency.  This is the "does the product actually work" test.
+Builds an archive from procedural video, persists and reloads it, runs
+detection on a transformed candidate and on foreign material, and
+cross-checks every path for consistency.  This is the "does the product actually work" test.
 """
 
 import numpy as np
@@ -13,7 +12,6 @@ from repro import (
     CopyDetector,
     DetectorConfig,
     NormalDistortionModel,
-    PseudoDiskSearcher,
     S3Index,
     SequentialScanIndex,
 )
@@ -70,26 +68,6 @@ class TestEndToEnd:
         a = index.statistical_query(query, 0.8)
         b = loaded.statistical_query(query, 0.8)
         assert np.array_equal(np.sort(a.rows), np.sort(b.rows))
-
-    def test_pseudodisk_matches_memory(self, system):
-        index = system["index"]
-        searcher = PseudoDiskSearcher(
-            str(system["prefix"]) + ".store",
-            system["model"],
-            memory_rows=len(index) // 4,
-            depth=index.depth,
-        )
-        rng = np.random.default_rng(1)
-        queries = np.clip(
-            index.store.fingerprints[rng.integers(0, len(index), 5)].astype(float)
-            + rng.normal(0, 20, (5, 20)),
-            0,
-            255,
-        )
-        results, _ = searcher.search_batch(queries, 0.8)
-        for q, got in zip(queries, results):
-            ref = index.statistical_query(q, 0.8)
-            assert sorted(got.rows.tolist()) == sorted(ref.rows.tolist())
 
     def test_three_exact_range_methods_agree(self, system):
         index = system["index"]
