@@ -142,8 +142,7 @@ def serve_config_from_args(args: argparse.Namespace) -> ServeConfig:
         return ServeConfig(
             host=args.host, port=args.port, max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms, queue_limit=args.queue_limit,
-            cache=args.cache, cache_capacity=args.cache_capacity,
-            durability=args.durability,
+            cache=args.cache, durability=args.durability,
             maintenance=not args.no_maintenance, options=options,
         )
 
@@ -509,8 +508,7 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     with _flag_errors(args):
         config = RouterConfig(
             host=args.host, port=args.port, alpha=args.alpha,
-            shard_timeout=args.shard_timeout, cache=args.cache,
-            cache_capacity=args.cache_capacity,
+            shard_timeout=args.shard_timeout,
         )
     manifest = ClusterManifest.load(args.cluster_dir)
     supervisor = ClusterSupervisor(
@@ -694,17 +692,6 @@ def _add_storage_flags(p: argparse.ArgumentParser) -> None:
                         "the index directory)")
 
 
-def _add_cache_flags(
-    p: argparse.ArgumentParser, owner: type, cache_help: str
-) -> None:
-    """``--cache`` and ``--cache-capacity`` of *owner*."""
-    p.add_argument("--cache", choices=CACHE_MODES, default=owner.cache,
-                   help=cache_help)
-    p.add_argument("--cache-capacity", type=int,
-                   default=owner.cache_capacity,
-                   help="entries per result cache (default %(default)s)")
-
-
 def _add_durability_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--durability", choices=DURABILITY_MODES,
                    default=ServeConfig.durability,
@@ -828,11 +815,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue-limit", type=int,
                    default=ServeConfig.queue_limit,
                    help="queued fingerprints before requests are shed")
-    _add_cache_flags(
-        p, ServeConfig,
-        "serve-path caching: result LRU and in-flight dedupe (answers "
-        "stay bit-identical; invalidated on ingest)",
-    )
+    p.add_argument("--cache", choices=CACHE_MODES,
+                   default=ServeConfig.cache,
+                   help="serve-path caching: result LRU and in-flight "
+                        "dedupe (answers stay bit-identical; invalidated "
+                        "on ingest)")
     _add_storage_flags(p)
     p.add_argument("--port-file", default=None,
                    help="write the bound port here after startup "
@@ -911,11 +898,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--shard-timeout", type=float,
                     default=RouterConfig.shard_timeout,
                     help="per-attempt cap on one replica answering")
-    _add_cache_flags(
-        cp, RouterConfig,
-        "per-shard wire-result cache at the router (dirty shards always "
-        "bypass it)",
-    )
     cp.set_defaults(func=_cmd_cluster_serve)
 
     cp = csub.add_parser(

@@ -99,7 +99,7 @@ class ShardMap:
         *total_sealed* is the source index's sealed row count — the
         global base for memtable rows.
         """
-        rows, *columns = pack_wire(wire, copy=False)
+        rows, *columns = _wire_columns(wire)
         if rows.size == 0:
             return []
         # Parts arrive concatenated in shard-manifest order, so the
@@ -129,28 +129,16 @@ class ShardMap:
         ]
 
 
-def pack_wire(wire: dict, copy: bool = True) -> tuple:
+def _wire_columns(wire: dict) -> tuple:
     """A per-query wire result as its columns in their wire dtypes.
 
     Takes the columns as a reply decodes them (arrays over the received
-    frame; lists convert too).  With *copy* the columns are owned,
-    which is what a cache should hold: a view would pin the whole reply
-    frame it came in.  :func:`unpack_wire` gives back the wire dict.
+    frame, not copied; lists convert too).
     """
-    as_array = np.array if copy else np.asarray
     return tuple(
-        None if wire.get(name) is None else as_array(wire[name], dtype=dtype)
+        None if wire.get(name) is None else np.asarray(wire[name], dtype=dtype)
         for name, dtype in _WIRE_COLUMNS
     )
-
-
-def unpack_wire(columns: tuple) -> dict:
-    """The wire result, as columns, that :func:`pack_wire` was given."""
-    wire = {"count": int(columns[0].shape[0])}
-    for (name, _), column in zip(_WIRE_COLUMNS, columns):
-        if column is not None:
-            wire[name] = column
-    return wire
 
 
 def build_shard_maps(manifest: ClusterManifest) -> list[ShardMap]:

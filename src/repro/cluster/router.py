@@ -16,6 +16,9 @@ servers of a planned cluster:
   them.  Shard answers are reassembled by :mod:`.merge` into single-node row
   order, so merged results are **bit-identical** to one server over the
   unsharded index.
+  Every query reaches the shards it needs: the router caches no
+  answers, since routed traffic is unique per query and an out-of-band
+  ingest into a replica would give a cache no invalidation signal.
 * ``ingest``: each row is routed by its Hilbert key to the one shard
   whose planned key range contains it, and written to **all** replicas
   of that shard (tagged ``<request_id>/s<shard>`` so shard-side dedupe
@@ -57,12 +60,6 @@ from ..hilbert.vectorized import encode_batch
 from ..index.filtering import SelectionBatch, statistical_blocks_multi
 from ..index.options import QueryOptions
 from ..serve import protocol
-from ..serve.cache import (
-    CACHE_MODES,
-    DEFAULT_CACHE_CAPACITY,
-    CacheStats,
-    QueryResultCache,
-)
 from ..serve.metrics import Counter, LatencyWindow
 from ..serve.server import (
     NotReady,
@@ -70,7 +67,7 @@ from ..serve.server import (
     SocketFrameServer,
     WireOpError,
 )
-from .merge import ShardMap, merge_query_wires, pack_wire, unpack_wire
+from .merge import ShardMap, merge_query_wires
 from .plan import ClusterManifest, ShardPresence
 
 _FAILOVER_CODES = frozenset({
@@ -95,7 +92,7 @@ STARTUP_TIMEOUT = 60.0
 
 @dataclass(frozen=True)
 class RouterConfig:
-    """Router socket, selection and cache knobs.
+    """Router socket and selection knobs.
 
     ``alpha`` must be the shard servers' — the router computes
     selections (for skipping, and for the shards to scan) at this
@@ -112,23 +109,9 @@ class RouterConfig:
     alpha: float = QueryOptions.alpha
     #: Per-attempt cap on one replica answering one scatter message.
     shard_timeout: float = 30.0
-    #: Per-shard wire-result cache: ``"auto"`` enables it, ``"off"``
-    #: disables.  Dirty shards (which diverged from the plan before
-    #: the router started) always bypass it.
-    cache: str = "auto"
-    #: Result-LRU entries kept per shard.
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY
 
     def __post_init__(self) -> None:
         QueryOptions(alpha=self.alpha)  # validates alpha
-        if self.cache not in CACHE_MODES:
-            raise ConfigurationError(
-                f"cache must be one of {CACHE_MODES}, got {self.cache!r}"
-            )
-        if self.cache_capacity < 1:
-            raise ConfigurationError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity}"
-            )
 
 
 class _Replica:
@@ -362,7 +345,7 @@ class ClusterRouter(SocketFrameServer):
         }
         # Shards found at start-up to hold rows the plan does not
         # (out-of-band ingests): their occupancy is unknown, so they are
-        # never skipped and never cached.
+        # never skipped.
         self._dirty: set[int] = set()
         self._ready = False
         self.ingest_rows = 0
@@ -372,21 +355,6 @@ class ClusterRouter(SocketFrameServer):
         # simply unreachable.
         self.ingest_shed = 0
         self.queries_routed = Counter()
-        # Per-shard wire-result LRUs.  Shard answers repeat heavily
-        # under monitoring traffic; a hit skips the round trip entirely.
-        # Dirty shards bypass the cache — their indexes can change
-        # without the router seeing an invalidation point — and a
-        # router-routed ingest clears the target shard's entries.
-        # Entries are owned columns (`pack_wire`): a view into the reply
-        # would pin the whole reply frame for as long as the entry lives.
-        self.cache_stats = CacheStats()
-        self._shard_caches: dict[int, QueryResultCache] = {
-            spec.shard: QueryResultCache(
-                config.cache_capacity, stats=self.cache_stats
-            )
-            for spec in manifest.shards
-        } if config.cache != "off" else {}
-        self._cache_epoch = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -488,17 +456,6 @@ class ClusterRouter(SocketFrameServer):
     # ------------------------------------------------------------------
     # scatter-gather query path
     # ------------------------------------------------------------------
-    def _shard_cache(self, shard: int) -> Optional[QueryResultCache]:
-        """The shard's wire cache, or ``None`` when it must be bypassed.
-
-        Dirty shards hold rows the router has no invalidation signal
-        for (out-of-band ingests), so their answers are never cached and
-        never served from cache.
-        """
-        if shard in self._dirty:
-            return None
-        return self._shard_caches.get(shard)
-
     def _shard_query_indices(
         self, queries: np.ndarray
     ) -> tuple[Optional[SelectionBatch], list[np.ndarray]]:
@@ -552,38 +509,17 @@ class ClusterRouter(SocketFrameServer):
             if indices.size == 0:
                 stats.skips += 1
                 return None
-            # Per-shard wire cache: answer what we can locally, send
-            # only the misses, and reassemble the full per-index result
-            # list so the merge below is oblivious to the cache.
-            cache = self._shard_cache(client.shard)
-            # Token captured before the round trip: an ingest landing
-            # while we await bumps it, so the puts below are dropped.
-            token = cache.token if cache is not None else None
-            wires: list[Optional[dict]] = [None] * int(indices.size)
-            missed = np.arange(indices.size, dtype=np.int64)
-            if cache is not None:
-                missed_pos = []
-                for pos, b in enumerate(indices):
-                    hit = cache.get(
-                        (queries[int(b)].tobytes(), include_fp)
-                    )
-                    if hit is None:
-                        missed_pos.append(pos)
-                    else:
-                        wires[pos] = unpack_wire(hit)
-                missed = np.asarray(missed_pos, dtype=np.int64)
-                if missed.size == 0:
-                    return wires
-            sent = indices[missed]
             message = {
                 "op": "query",
-                "fingerprints": protocol.fingerprints_to_wire(queries[sent]),
+                "fingerprints": protocol.fingerprints_to_wire(
+                    queries[indices]
+                ),
             }
             if selections is not None and selections.depth < 64:
                 # The shard scans these instead of selecting again (a
                 # 64-bit prefix would not fit the wire's int64 column;
                 # such a shard selects for itself).
-                shipped = selections.take(sent)
+                shipped = selections.take(indices)
                 message["blocks"] = {
                     "prefixes": shipped.prefixes.astype(np.int64),
                     "counts": shipped.counts,
@@ -599,18 +535,7 @@ class ClusterRouter(SocketFrameServer):
             result = await client.request(message, deadline)
             stats.fanouts += 1
             stats.latency.record(time.perf_counter() - t0)
-            for pos, wire in zip(missed, result["results"]):
-                wires[int(pos)] = wire
-                if cache is not None:
-                    cache.put(
-                        (
-                            queries[int(indices[int(pos)])].tobytes(),
-                            include_fp,
-                        ),
-                        pack_wire(wire),
-                        token,
-                    )
-            return wires
+            return result["results"]
 
         gathered = await asyncio.gather(*[
             _one(client, indices)
@@ -741,7 +666,7 @@ class ClusterRouter(SocketFrameServer):
                 "misses": misses,
             }
 
-        tasks, written = [], []
+        tasks = []
         for client in self.shards:
             rows = np.flatnonzero(owners == client.shard)
             if rows.size == 0:
@@ -751,30 +676,14 @@ class ClusterRouter(SocketFrameServer):
             self._presence[client.shard] = self._presence[
                 client.shard
             ].with_keys(keys[rows], self.manifest.key_bits)
-            self._invalidate_cache(client.shard)
-            written.append(client.shard)
             tasks.append(_one_shard(client, rows))
-        try:
-            outcomes = await asyncio.gather(*tasks)
-        finally:
-            # A scatter that started while the writes were in flight may
-            # have cached a pre-write answer under the new token.
-            for shard in written:
-                self._invalidate_cache(shard)
+        outcomes = await asyncio.gather(*tasks)
         self.ingest_rows += count
         return {
             "added": int(count),
             "request_id": request_id,
             "shards": outcomes,
         }
-
-    def _invalidate_cache(self, shard: int) -> None:
-        """Drop *shard*'s cached answers and bump its token, so puts by
-        scatters already in flight are refused."""
-        cache = self._shard_caches.get(shard)
-        if cache is not None:
-            self._cache_epoch += 1
-            cache.invalidate(self._cache_epoch)
 
     # ------------------------------------------------------------------
     # local ops
@@ -790,15 +699,9 @@ class ClusterRouter(SocketFrameServer):
                 "ingest_rows": self.ingest_rows,
                 "ingest_shed": self.ingest_shed,
                 "dirty_shards": sorted(self._dirty),
-                "cache": {
-                    "enabled": self.config.cache != "off",
-                    "mode": self.config.cache,
-                    "capacity_per_shard": self.config.cache_capacity,
-                    "entries": sum(
-                        len(c) for c in self._shard_caches.values()
-                    ),
-                    **self.cache_stats.snapshot(),
-                },
+                # The router caches nothing; always zero (see the
+                # perf-compat note in repro.index.batch).
+                "cache": {"hits": 0, "misses": 0},
                 "per_shard": [
                     {
                         "shard": client.shard,

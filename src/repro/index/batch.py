@@ -742,9 +742,11 @@ class BatchQueryExecutor:
     # prefetch_hits and prefetch_misses of
     # storage_info()["manager"]["counters"] (storage/manager.py) and
     # stats.cache.gather, always {"hits": 0, "misses": 0}
-    # (serve/cache.py), and pass SegmentedS3Index.create(sync=False),
-    # the spelling of durability="async" (index/segmented/lsm.py).  All
-    # fourteen are deleted at the next benchmark revision.
+    # (serve/cache.py), read the router's stats.cluster.cache, likewise
+    # always {"hits": 0, "misses": 0} (cluster/router.py), and pass
+    # SegmentedS3Index.create(sync=False), the spelling of
+    # durability="async" (index/segmented/lsm.py).  All fifteen are
+    # deleted at the next benchmark revision.
     def warm(self) -> None:
         pass
     def plan_batch(self) -> str:

@@ -23,7 +23,6 @@ deterministic mode — see ``docs/serving.md``.
 """
 
 from .batcher import (
-    BatcherConfig,
     BatcherStats,
     DeadlineExceeded,
     MicroBatcher,
@@ -42,7 +41,6 @@ from .server import (
 )
 
 __all__ = [
-    "BatcherConfig",
     "BatcherStats",
     "DeadlineExceeded",
     "DetectionServer",

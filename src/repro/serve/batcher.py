@@ -54,16 +54,19 @@ import asyncio
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ..errors import ConfigurationError, ReproError
+from ..errors import ReproError
 from ..index.batch import BatchQueryExecutor
 from ..index.filtering import SelectionBatch
 from ..index.s3 import SearchResult
 from .cache import index_cache_token
 from .metrics import LatencyWindow
+
+if TYPE_CHECKING:
+    from .server import ServeConfig
 
 
 class ServiceOverloaded(ReproError):
@@ -76,33 +79,6 @@ class ServiceClosed(ReproError):
 
 class DeadlineExceeded(ReproError):
     """The request's deadline passed before its queries ran."""
-
-
-@dataclass(frozen=True)
-class BatcherConfig:
-    """Micro-batching knobs.
-
-    ``max_wait_ms = 0`` degenerates to one-batch-per-arrival, the
-    unbatched serving baseline.
-    """
-
-    max_batch: int = 32
-    max_wait_ms: float = 2.0
-    queue_limit: int = 1024
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ConfigurationError(
-                f"max_batch must be >= 1, got {self.max_batch}"
-            )
-        if self.max_wait_ms < 0:
-            raise ConfigurationError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
-        if self.queue_limit < 0:
-            raise ConfigurationError(
-                f"queue_limit must be >= 0, got {self.queue_limit}"
-            )
 
 
 @dataclass
@@ -182,12 +158,14 @@ class MicroBatcher:
         queries pin snapshot views — so the lane's only other occupant
         is a previous batch, which ``stats.stall`` makes visible.
     config:
-        Batching window, batch cap and admission limit.
+        The service's :class:`~repro.serve.server.ServeConfig`; the
+        batcher reads its batching window ``max_wait_ms``, batch cap
+        ``max_batch`` and admission limit ``queue_limit``.
     """
 
     executor: BatchQueryExecutor
     engine: Executor
-    config: BatcherConfig = field(default_factory=BatcherConfig)
+    config: ServeConfig
     #: Optional :class:`~repro.serve.cache.ServeCache`; when set,
     #: admission answers repeats from the cache and dedupes identical
     #: in-flight fingerprints (see the module docstring).
@@ -267,7 +245,7 @@ class MicroBatcher:
                     fingerprints[i], self.executor.alpha,
                     self.executor.depth,
                 )
-                hit = cache.results.get(key)
+                hit = cache.get(key)
                 if hit is not None:
                     plan.append(("hit", key, hit))
                     continue
@@ -417,7 +395,7 @@ class MicroBatcher:
                 # Guarded by the token captured on the engine lane: if
                 # an ingest invalidated the cache since this batch ran,
                 # the put is dropped, never served stale.
-                self.cache.results.put(item.key, result, token)
+                self.cache.put(item.key, result, token)
 
     def _call_engine(
         self, queries: np.ndarray, blocks: list, submitted: float

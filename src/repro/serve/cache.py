@@ -7,10 +7,11 @@ layers exploit that repetition, both preserving the serving contract
 that every answer is **bit-identical** to a cold solo
 ``statistical_query``:
 
-* :class:`QueryResultCache` — an LRU of recent per-fingerprint results
-  keyed by ``(fingerprint bytes, alpha, depth)`` and guarded by an
-  **index token** (:func:`index_cache_token`: the distortion model's
-  ``cache_token`` plus the index's row/segment shape).  Every ingest
+* **Result LRU** (:meth:`ServeCache.get` / :meth:`ServeCache.put`) —
+  recent per-fingerprint results keyed by ``(fingerprint bytes, alpha,
+  depth)`` and guarded by an **index token** (:func:`index_cache_token`:
+  the distortion model's ``cache_token`` plus the index's row/segment
+  shape).  Every ingest
   changes the token and clears the cache; a result computed *before* a
   mutation but stored *after* it is dropped by the token guard, so a
   stale answer can never be served.
@@ -25,10 +26,9 @@ A query the layers cannot answer runs the engine's one-copy scan
 (:mod:`repro.index.batch`); there is no cache of gathered rows.
 
 The stack is wired by :class:`~repro.serve.server.DetectionServer`
-(``ServeConfig(cache=..., cache_capacity=...)``) and consulted by the
-micro-batcher before admission — cache hits and follower waits never
-occupy queue slots.  The cluster router keeps its own per-shard wire
-cache (see :mod:`repro.cluster.router`).
+(``ServeConfig(cache=...)``, :data:`DEFAULT_CACHE_CAPACITY` entries)
+and consulted by the micro-batcher before admission — cache hits and
+follower waits never occupy queue slots.
 """
 
 from __future__ import annotations
@@ -43,12 +43,11 @@ import numpy as np
 from ..errors import ConfigurationError
 from .metrics import ratio
 
-#: Cache modes of :class:`~repro.serve.server.ServeConfig` (and of the
-#: router's per-shard wire cache): ``"auto"`` enables the stack,
-#: ``"off"`` disables every layer.
+#: Cache modes of :class:`~repro.serve.server.ServeConfig`: ``"auto"``
+#: enables the stack, ``"off"`` disables every layer.
 CACHE_MODES = ("auto", "off")
 
-#: Default result-LRU capacity (entries).
+#: Result-LRU capacity (entries) of a server's cache.
 DEFAULT_CACHE_CAPACITY = 4096
 
 
@@ -99,20 +98,23 @@ class CacheStats:
         }
 
 
-class QueryResultCache:
-    """Token-guarded LRU of per-fingerprint query results.
+class ServeCache:
+    """The server's cache: a token-guarded result LRU + in-flight table.
 
     ``put`` records the token the result was computed under; a put whose
     token no longer matches the cache's current token is dropped (the
     index mutated between execution and store).  ``invalidate`` swaps
-    the token and clears everything.
+    the token and clears every result.
+
+    One instance per :class:`~repro.serve.server.DetectionServer`; both
+    layers live on the event loop (all access is from loop callbacks),
+    so each is single-threaded by construction.
     """
 
     def __init__(
         self,
         capacity: int = DEFAULT_CACHE_CAPACITY,
         token: Optional[tuple] = None,
-        stats: Optional[CacheStats] = None,
     ):
         if capacity < 1:
             raise ConfigurationError(
@@ -120,12 +122,14 @@ class QueryResultCache:
             )
         self.capacity = capacity
         self.token = token
-        self.stats = stats if stats is not None else CacheStats()
+        self.stats = CacheStats()
         self._entries: OrderedDict[Hashable, object] = OrderedDict()
+        self.inflight: dict[Hashable, asyncio.Future] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
+    # ------------------------------------------------------------------
     def get(self, key: Hashable):
         entry = self._entries.get(key)
         if entry is None:
@@ -148,30 +152,10 @@ class QueryResultCache:
             self.stats.evictions += 1
 
     def invalidate(self, token: Optional[tuple]) -> None:
-        """The index mutated: adopt its new token, drop every entry."""
+        """The index mutated: adopt its new token, drop every result."""
         self.token = token
         self.stats.invalidations += 1
         self._entries.clear()
-
-
-class ServeCache:
-    """The server's cache facade: result LRU + in-flight table.
-
-    One instance per :class:`~repro.serve.server.DetectionServer`; both
-    layers live on the event loop (all access is from loop callbacks),
-    so each is single-threaded by construction.
-    """
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CACHE_CAPACITY,
-        token: Optional[tuple] = None,
-    ):
-        self.stats = CacheStats()
-        self.results = QueryResultCache(
-            capacity, token=token, stats=self.stats
-        )
-        self.inflight: dict[Hashable, asyncio.Future] = {}
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -211,18 +195,14 @@ class ServeCache:
         future.add_done_callback(_cleanup)
 
     # ------------------------------------------------------------------
-    def invalidate(self, token: Optional[tuple]) -> None:
-        """The index mutated: drop results, adopt the token."""
-        self.results.invalidate(token)
-
     def snapshot(self) -> dict:
         """The ``stats.cache`` block; ``gather`` is always zero — see
         the perf-compat note in :mod:`repro.index.batch`."""
         return {
             "enabled": True,
             **self.stats.snapshot(),
-            "entries": len(self.results),
-            "capacity": self.results.capacity,
+            "entries": len(self),
+            "capacity": self.capacity,
             "inflight": len(self.inflight),
             "gather": {"hits": 0, "misses": 0},
         }

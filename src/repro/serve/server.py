@@ -60,18 +60,12 @@ from ..index.options import (
 from ..index.summary import index_summary
 from . import protocol
 from .batcher import (
-    BatcherConfig,
     DeadlineExceeded,
     MicroBatcher,
     ServiceClosed,
     ServiceOverloaded,
 )
-from .cache import (
-    CACHE_MODES,
-    DEFAULT_CACHE_CAPACITY,
-    ServeCache,
-    index_cache_token,
-)
+from .cache import CACHE_MODES, ServeCache, index_cache_token
 from .metrics import Counter, LatencyWindow
 
 
@@ -113,9 +107,14 @@ class ServeConfig:
 
     Engine tuning (the prefilter mode) lives in ``options``,
     the unified :class:`~repro.index.options.QueryOptions`; when given,
-    its ``alpha`` wins.  ``max_batch`` is the service's micro-batching
-    knob and always wins as the engine batch size.  After construction
-    ``options`` is always populated.
+    its ``alpha`` wins.  After construction ``options`` is always
+    populated.
+
+    ``max_batch``, ``max_wait_ms`` and ``queue_limit`` are the
+    :class:`~repro.serve.batcher.MicroBatcher`'s batch cap, batching
+    window and admission limit.  ``max_batch`` always wins as the engine
+    batch size; ``max_wait_ms = 0`` degenerates to one batch per
+    arrival, the unbatched serving baseline.
 
     ``cache`` controls the serve-path caching stack
     (:mod:`repro.serve.cache`): ``"auto"`` enables the result LRU and
@@ -144,11 +143,10 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8765
     alpha: float = QueryOptions.alpha
-    max_batch: int = BatcherConfig.max_batch
-    max_wait_ms: float = BatcherConfig.max_wait_ms
-    queue_limit: int = BatcherConfig.queue_limit
+    max_batch: int = 32
+    max_wait_ms: float = 2.0
+    queue_limit: int = 1024
     cache: str = "auto"
-    cache_capacity: int = DEFAULT_CACHE_CAPACITY
     durability: str = "group"
     maintenance: bool = True
     options: Optional[QueryOptions] = None
@@ -160,9 +158,17 @@ class ServeConfig:
                 f"cache must be one of {CACHE_MODES!r}, "
                 f"got {self.cache!r}"
             )
-        if self.cache_capacity < 1:
+        if self.max_batch < 1:
             raise ConfigurationError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity}"
+                f"max_batch must be >= 1, got {self.max_batch}"
+            )
+        if not self.max_wait_ms >= 0:
+            raise ConfigurationError(
+                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
+            )
+        if self.queue_limit < 0:
+            raise ConfigurationError(
+                f"queue_limit must be >= 0, got {self.queue_limit}"
             )
         opts = config_options(self.alpha, self.options)
         object.__setattr__(self, "alpha", opts.alpha)
@@ -497,13 +503,9 @@ class DetectionServer(SocketFrameServer):
         executor = BatchQueryExecutor(self.index, options=cfg.options)
         self._executor = executor
         if cfg.cache != "off":
-            self.cache = ServeCache(
-                cfg.cache_capacity, token=index_cache_token(self.index)
-            )
+            self.cache = ServeCache(token=index_cache_token(self.index))
         self.batcher = MicroBatcher(
-            executor, self._engine,
-            BatcherConfig(cfg.max_batch, cfg.max_wait_ms, cfg.queue_limit),
-            cache=self.cache,
+            executor, self._engine, cfg, cache=self.cache
         )
         self.batcher.start()
         await self._bind()

@@ -1,9 +1,9 @@
-"""What the router's wire cache stores and merges: owned numpy columns."""
+"""What the router's merge returns: single-node order, in wire dtypes."""
 
 import numpy as np
 import pytest
 
-from repro.cluster.merge import pack_wire, unpack_wire
+from repro.cluster.merge import ShardMap, merge_query_wires
 from repro.serve import protocol
 
 WIRE_DTYPES = {
@@ -25,42 +25,72 @@ def _decoded_reply(wire: dict) -> dict:
     return protocol._decode_payload(frame[4:])["results"][0]
 
 
-def _assert_columns_equal(got: dict, wire: dict) -> None:
-    assert got.keys() == wire.keys()
-    assert got["count"] == wire["count"]
+def _shard_map(shard: int, count: int, global_base: int) -> ShardMap:
+    """A shard holding one sealed segment of *count* rows, which starts
+    at *global_base* in the source index (and sits at source position
+    *shard*)."""
+    return ShardMap(
+        shard=shard,
+        local_bases=np.array([0]),
+        local_ends=np.array([count]),
+        global_bases=np.array([global_base]),
+        source_pos=np.array([shard]),
+        sealed_rows=count,
+    )
+
+
+def _assert_wire_dtypes(merged: dict, include_fingerprints: bool) -> None:
     for name, dtype in WIRE_DTYPES.items():
-        if name in wire:
-            assert got[name].dtype == dtype
-            assert np.array_equal(
-                got[name], np.asarray(wire[name], dtype=dtype)
-            )
+        if name == "fingerprints" and not include_fingerprints:
+            assert name not in merged
+        else:
+            assert merged[name].dtype == dtype
 
 
-@pytest.mark.parametrize("with_fingerprints", [False, True])
-def test_packed_wire_round_trips(with_fingerprints):
-    wire = {
-        "count": 3,
-        "rows": [7, 2**40, 0],
-        "ids": [4, 4, 2**32 - 1],
-        "timecodes": [0.1, 5.0, 1e-300],
-    }
-    if with_fingerprints:
-        wire["fingerprints"] = [[0, 255, 17], [1, 2, 3], [9, 9, 9]]
-    packed = pack_wire(_decoded_reply(wire))
-    assert all(c is None or isinstance(c, np.ndarray) for c in packed)
-    _assert_columns_equal(unpack_wire(packed), wire)
-    # The cache holds owned columns, never views pinning a reply frame.
-    reply = _decoded_reply({"count": 3, "rows": np.arange(3)})
-    assert reply["rows"].base is not None
-    (rows, *_) = pack_wire(reply)
-    assert rows.base is None and rows.flags.owndata
+@pytest.mark.parametrize("include_fingerprints", [False, True])
+def test_empty_result_keeps_wire_dtypes(include_fingerprints):
+    empty = _decoded_reply({
+        "count": 0, "rows": [], "ids": [], "timecodes": [],
+        "fingerprints": np.zeros((0, 3)),
+    })
+    for per_shard in ([], [(_shard_map(0, 10, 0), empty)]):
+        merged = merge_query_wires(per_shard, 10, include_fingerprints)
+        assert merged["count"] == 0
+        _assert_wire_dtypes(merged, include_fingerprints)
+        for name in ("rows", "ids", "timecodes"):
+            assert merged[name].size == 0
 
 
-def test_packed_empty_result_round_trips():
-    wire = {"count": 0, "rows": [], "ids": [], "timecodes": [],
-            "fingerprints": np.zeros((0, 3))}
-    got = unpack_wire(pack_wire(_decoded_reply(wire)))
-    assert got["count"] == 0
-    for name in ("rows", "ids", "timecodes", "fingerprints"):
-        assert got[name].size == 0
-        assert got[name].dtype == WIRE_DTYPES[name]
+@pytest.mark.parametrize("include_fingerprints", [False, True])
+def test_shards_merge_into_single_node_order(include_fingerprints):
+    """Sealed parts follow source position, whatever order the shards
+    answer in; memtable rows come last, renumbered past every sealed
+    row."""
+    first, second = _shard_map(0, 10, 0), _shard_map(1, 5, 10)
+
+    def reply(rows, ids):
+        wire = {
+            "count": len(rows), "rows": rows, "ids": ids,
+            "timecodes": [float(i) for i in ids],
+        }
+        if include_fingerprints:
+            wire["fingerprints"] = [[i, 255 - i, 7] for i in ids]
+        return _decoded_reply(wire)
+
+    merged = merge_query_wires(
+        [
+            (second, reply([3, 5], [30, 50])),  # 5: its memtable
+            (first, reply([7, 2], [70, 20])),
+        ],
+        15,
+        include_fingerprints,
+    )
+    assert merged["count"] == 4
+    assert merged["rows"].tolist() == [7, 2, 13, 15]
+    assert merged["ids"].tolist() == [70, 20, 30, 50]
+    assert merged["timecodes"].tolist() == [70.0, 20.0, 30.0, 50.0]
+    if include_fingerprints:
+        assert merged["fingerprints"].tolist() == [
+            [i, 255 - i, 7] for i in (70, 20, 30, 50)
+        ]
+    _assert_wire_dtypes(merged, include_fingerprints)

@@ -177,18 +177,16 @@ class TestBitIdentity:
             assert np.array_equal(e.ids, g.ids)
             assert np.array_equal(e.timecodes, g.timecodes)
 
-    def test_cached_repeat_equals_single_node(
+    def test_repeat_equals_single_node(
         self, routed, single_node, corpus
     ):
-        """A repeat is served from packed columns, and is the same answer."""
+        """A repeated batch gets the same answer as its first run."""
         fp, _, _ = corpus
         rng = np.random.default_rng(23)
         queries = fp[rng.integers(0, TOTAL_ROWS, 4)].astype(np.float64)
         base = single_node.query(queries, include_fingerprints=True)
         first = routed.query(queries, include_fingerprints=True)
-        hits = routed.stats()["cluster"]["cache"]["hits"]
         again = routed.query(queries, include_fingerprints=True)
-        assert routed.stats()["cluster"]["cache"]["hits"] > hits
         _assert_results_equal(base, first)
         _assert_results_equal(base, again)
 
@@ -256,9 +254,7 @@ class TestFailover:
         router = ClusterRouter(
             ClusterManifest.load(cluster_dir),
             supervisor.endpoints(),
-            # Cache off: the hammer repeats one batch, and cached
-            # answers would never touch (or fail over) the replicas.
-            RouterConfig(port=0, alpha=ALPHA, cache="off"),
+            RouterConfig(port=0, alpha=ALPHA),
         )
         thread = ServiceThread(router).start()
         yield supervisor, router, thread.port
@@ -354,8 +350,7 @@ class TestProcessHeal:
             router = ClusterRouter(
                 ClusterManifest.load(cluster_dir),
                 supervisor.endpoints(),
-                # Cache off: every batch must reach a replica.
-                RouterConfig(port=0, alpha=ALPHA, cache="off"),
+                RouterConfig(port=0, alpha=ALPHA),
             )
 
             def client_loop(port):
@@ -461,12 +456,12 @@ class TestIngestRouting:
         assert sum(s["fanouts"] + s["skips"] for s in shards) == 2
         assert all(s["latency"]["count"] == s["fanouts"] for s in shards)
 
-    def test_answer_fetched_during_an_ingest_is_not_cached(
+    def test_read_after_routed_ingest_sees_the_write(
         self, cluster_rw, monkeypatch
     ):
         """A query answered while a routed ingest's writes are in flight
-        may miss the new rows; once the writes are acknowledged, the
-        router's wire cache must not serve that answer."""
+        may miss the new rows; once the writes are acknowledged, a query
+        sees them."""
         routed, _ = cluster_rw
         writing, queried = threading.Event(), threading.Event()
         request = router_module._ShardClient.request
@@ -591,6 +586,41 @@ class TestIngestRouting:
         cluster = routed_rw.stats()["cluster"]
         assert cluster["dirty_shards"] == []
         assert cluster["ingest_rows"] == 0
+
+
+class TestOutOfBandIngest:
+    def test_routed_query_sees_rows_ingested_into_replicas(
+        self, tmp_path_factory, source, corpus
+    ):
+        """A row ingested straight into a replica, after the router
+        started, answers the next routed query.
+
+        The router has no signal for such a write, so an answer it kept
+        from before the write would be stale; it asks the shards again.
+        """
+        cluster_dir = tmp_path_factory.mktemp("oob") / "c"
+        plan_cluster(source, cluster_dir, num_shards=2, replicas=1)
+        fp, _, _ = corpus
+        query = fp[:1].astype(np.float64)
+        new_ids = {0: 4000, 1: 4001}
+        with ClusterSupervisor(
+            cluster_dir, mode="thread",
+            serve_config=ServeConfig(port=0, alpha=ALPHA),
+        ) as supervisor:
+            router = ClusterRouter(
+                ClusterManifest.load(cluster_dir), supervisor.endpoints(),
+                RouterConfig(port=0, alpha=ALPHA),
+            )
+            with ServiceThread(router) as thread, ServeClient(
+                port=thread.port, timeout=30.0
+            ) as routed:
+                (before,) = routed.query(query)
+                for shard, ((host, port),) in supervisor.endpoints().items():
+                    with ServeClient(host, port, timeout=30.0) as replica:
+                        replica.ingest(query, [new_ids[shard]], [0.0])
+                (after,) = routed.query(query)
+        assert not set(new_ids.values()) & set(before.ids.tolist())
+        assert set(new_ids.values()) <= set(after.ids.tolist())
 
 
 class TestShardSkip:

@@ -36,7 +36,6 @@ EVERY_FLAG = ServeConfig(
     max_wait_ms=1.5,
     queue_limit=512,
     cache="off",
-    cache_capacity=99,
     durability="async",
     maintenance=False,
     options=QueryOptions(alpha=0.7, prefilter="off"),

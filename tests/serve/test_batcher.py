@@ -12,8 +12,8 @@ from repro.index.batch import BatchQueryExecutor
 from repro.index.options import QueryOptions
 from repro.index.s3 import S3Index
 from repro.index.store import FingerprintStore
+from repro.serve import ServeConfig
 from repro.serve.batcher import (
-    BatcherConfig,
     DeadlineExceeded,
     MicroBatcher,
     ServiceClosed,
@@ -39,7 +39,7 @@ def make_batcher(index, engine, **config):
     executor = BatchQueryExecutor(index, options=QueryOptions(
         alpha=ALPHA, batch_size=config.get("max_batch", 32)
     ))
-    return MicroBatcher(executor, engine, BatcherConfig(**config))
+    return MicroBatcher(executor, engine, ServeConfig(**config))
 
 
 def run(coro):
@@ -184,9 +184,9 @@ class TestDrain:
 
 class TestConfig:
     def test_rejects_bad_values(self):
-        with pytest.raises(ConfigurationError):
-            BatcherConfig(max_batch=0)
-        with pytest.raises(ConfigurationError):
-            BatcherConfig(max_wait_ms=-1.0)
-        with pytest.raises(ConfigurationError):
-            BatcherConfig(queue_limit=-1)
+        with pytest.raises(ConfigurationError, match="max_batch"):
+            ServeConfig(max_batch=0)
+        with pytest.raises(ConfigurationError, match="max_wait_ms"):
+            ServeConfig(max_wait_ms=-1.0)
+        with pytest.raises(ConfigurationError, match="queue_limit"):
+            ServeConfig(queue_limit=-1)

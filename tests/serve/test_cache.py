@@ -24,10 +24,10 @@ from repro.index.options import QueryOptions
 from repro.index.s3 import S3Index
 from repro.index.segmented import SegmentedS3Index
 from repro.index.store import FingerprintStore
-from repro.serve.batcher import BatcherConfig, MicroBatcher
+from repro.serve import ServeConfig
+from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import (
     CacheStats,
-    QueryResultCache,
     ServeCache,
     index_cache_token,
 )
@@ -68,9 +68,9 @@ def assert_same(result, expected):
 
 
 # ----------------------------------------------------------------------
-class TestQueryResultCache:
+class TestResultLRU:
     def test_lru_evicts_oldest(self):
-        cache = QueryResultCache(capacity=2, token=None)
+        cache = ServeCache(capacity=2, token=None)
         cache.put("a", 1, None)
         cache.put("b", 2, None)
         assert cache.get("a") == 1  # refresh a
@@ -81,7 +81,7 @@ class TestQueryResultCache:
         assert cache.stats.evictions == 1
 
     def test_counters(self):
-        cache = QueryResultCache(capacity=4, token=None)
+        cache = ServeCache(capacity=4, token=None)
         assert cache.get("missing") is None
         cache.put("k", "v", None)
         assert cache.get("k") == "v"
@@ -91,7 +91,7 @@ class TestQueryResultCache:
         assert cache.stats.hit_rate == pytest.approx(0.5)
 
     def test_put_with_stale_token_is_dropped(self):
-        cache = QueryResultCache(capacity=4, token=("gen", 2))
+        cache = ServeCache(capacity=4, token=("gen", 2))
         cache.put("k", "v", ("gen", 1))  # computed before a mutation
         assert len(cache) == 0
         assert cache.stats.stale_drops == 1
@@ -99,7 +99,7 @@ class TestQueryResultCache:
         assert cache.get("k") == "v"
 
     def test_invalidate_clears_and_adopts_token(self):
-        cache = QueryResultCache(capacity=4, token=("gen", 1))
+        cache = ServeCache(capacity=4, token=("gen", 1))
         cache.put("k", "v", ("gen", 1))
         cache.invalidate(("gen", 2))
         assert len(cache) == 0
@@ -108,7 +108,7 @@ class TestQueryResultCache:
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ConfigurationError):
-            QueryResultCache(capacity=0)
+            ServeCache(capacity=0)
 
 
 class TestIndexCacheToken:
@@ -163,10 +163,10 @@ class TestServeCache:
 
     def test_invalidate_clears_everything(self):
         cache = ServeCache(token=("t", 1))
-        cache.results.put("k", "v", ("t", 1))
+        cache.put("k", "v", ("t", 1))
         cache.invalidate(("t", 2))
-        assert len(cache.results) == 0
-        assert cache.results.token == ("t", 2)
+        assert len(cache) == 0
+        assert cache.token == ("t", 2)
 
     def test_snapshot_shape(self):
         snap = ServeCache(token=None).snapshot()
@@ -175,9 +175,15 @@ class TestServeCache:
             assert key in snap
 
     def test_stats_shared_with_results(self):
+        """The LRU counts into the one ``stats`` block the snapshot
+        reports."""
         stats = CacheStats()
         cache = ServeCache(token=None)
-        assert cache.results.stats is cache.stats
+        cache.get("k")
+        cache.put("k", "v", None)
+        assert cache.get("k") == "v"
+        snap = cache.snapshot()
+        assert (snap["hits"], snap["misses"], snap["stores"]) == (1, 1, 1)
         assert stats.hit_rate == 0.0  # empty stays total
 
 
@@ -188,7 +194,7 @@ def make_cached_batcher(index, engine, **config):
     ))
     cache = ServeCache(token=index_cache_token(index))
     batcher = MicroBatcher(
-        executor, engine, BatcherConfig(**config), cache=cache
+        executor, engine, ServeConfig(**config), cache=cache
     )
     return batcher, cache
 
@@ -263,7 +269,7 @@ class TestCachedBatcher:
         async def scenario():
             with ThreadPoolExecutor(max_workers=1) as engine:
                 executor = BatchQueryExecutor(index, ALPHA)
-                batcher = MicroBatcher(executor, engine, BatcherConfig())
+                batcher = MicroBatcher(executor, engine, ServeConfig())
                 batcher.start()
                 (first,) = await batcher.submit_many(query)
                 (second,) = await batcher.submit_many(query)

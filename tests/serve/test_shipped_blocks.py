@@ -30,7 +30,7 @@ from repro.index.options import QueryOptions
 from repro.index.s3 import S3Index
 from repro.index.segmented import SegmentedS3Index
 from repro.serve import ServeClient, ServeConfig, ServerThread, WireResult
-from repro.serve.batcher import BatcherConfig, MicroBatcher
+from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import ServeCache, index_cache_token
 
 from .test_wire_v4 import ENCODINGS, NDIMS, as_lists, assert_refused, make_store
@@ -205,7 +205,7 @@ class TestCacheIsolation:
                 cache = ServeCache(token=index_cache_token(index))
                 batcher = MicroBatcher(
                     executor, engine,
-                    BatcherConfig(max_batch=8, max_wait_ms=50.0),
+                    ServeConfig(max_batch=8, max_wait_ms=50.0),
                     cache=cache,
                 )
                 batcher.start()
