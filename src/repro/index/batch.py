@@ -2,12 +2,12 @@
 
 Every S³ query has the paper's two steps (§IV): a filter picks p-blocks,
 then one sequential scan reads the selected curve sections.  Statistical,
-ε-range and window queries differ only in the filter and in an optional
-exact test on the scanned rows, so there is **one scan** here,
-:func:`scan`, and every query method of both index kinds
+ε-range and window queries differ only in the filter, so there is **one
+scan** here, :func:`scan`, which returns every row of the selected
+blocks.  Every query method of both index kinds
 (:class:`~repro.index.s3.S3Queries`) runs its selection and then that
-scan: a solo query is a batch of one, and a range or window query
-passes its :class:`Ball` or :class:`Window` test along.  The scan reads
+scan: a solo query is a batch of one, and a range or window query then
+applies its exact test to the scanned rows itself.  The scan reads
 an index's read view: a static :class:`~repro.index.s3.S3Index` is one
 resident part with no sketch and no memtables, a segmented index its
 segments and memtables, and the two kinds differ only in that data.
@@ -67,14 +67,13 @@ import itertools
 import time
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..distortion.model import IndependentDistortionModel
 from ..errors import ConfigurationError
 from .filtering import SelectionBatch, statistical_blocks_multi
-from .kernels import range_refine, window_refine
 from .options import QueryOptions, resolve_options
 from .parts import ViewPlan
 from .s3 import QueryStats, SearchResult
@@ -222,53 +221,6 @@ def _take_into(out: tuple, at: int, columns: tuple, pos: np.ndarray) -> None:
 
 
 # ----------------------------------------------------------------------
-# Exact tests on the scanned rows
-# ----------------------------------------------------------------------
-class Ball(NamedTuple):
-    """An ε-range query's exact test: rows within *epsilon* of *centre*."""
-
-    centre: np.ndarray
-    epsilon: float
-
-    def test(self, fingerprints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Keep-mask of *fingerprints* and the kept rows' distances."""
-        return range_refine(fingerprints, self.centre, self.epsilon)
-
-
-class Window(NamedTuple):
-    """A window query's exact test: rows inside ``[lo, hi)``."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def test(self, fingerprints: np.ndarray) -> tuple[np.ndarray, None]:
-        """Keep-mask of *fingerprints*; a window measures no distances."""
-        return window_refine(fingerprints, self.lo, self.hi), None
-
-
-ExactTest = Union[Ball, Window]
-
-
-def _tested(
-    part: tuple, test: ExactTest, tested: int, mem_distances: list
-) -> tuple[tuple, Optional[np.ndarray]]:
-    """A query's columns *part* cut down to the rows that pass *test*,
-    and the kept rows' distances (``None`` for a window).
-
-    The test runs on the first *tested* rows.  Rows after them are a
-    range query's memtable rows: they passed its ball in
-    :meth:`~repro.index.segmented.memtable.MemTable.range_rows` and keep
-    the distances measured there (*mem_distances*, one array per
-    memtable).
-    """
-    keep, distances = test.test(part[3][:tested])
-    if tested < part[0].size:
-        keep = np.append(keep, np.ones(part[0].size - tested, dtype=bool))
-        distances = np.concatenate([distances, *mem_distances])
-    return tuple(column[keep] for column in part), distances
-
-
-# ----------------------------------------------------------------------
 # The engine: a selection stage, then the one scan
 # ----------------------------------------------------------------------
 def _check_batch(queries: np.ndarray, ndims: int) -> np.ndarray:
@@ -284,10 +236,8 @@ def _check_batch(queries: np.ndarray, ndims: int) -> np.ndarray:
 
 def _locate(
     plan: ViewPlan,
-    segments: Sequence,
     selections: SelectionBatch,
     prefilter: bool,
-    balls: Optional[Sequence[Ball]],
 ) -> tuple[RangeBatch, np.ndarray, np.ndarray]:
     """Every (segment, query) pair's row ranges, in one pass over the
     view's parts, and per query the blocks and segments the sketches
@@ -297,12 +247,11 @@ def _locate(
     order.  With *prefilter*, one occupancy test over every (part,
     prefix) pair drops the blocks a sketched part holds no rows of, and
     one ``bincount`` counts what each pair kept; the kept prefixes are
-    then located in one call.  With *balls*, each sketched part's ranges
-    the query's ball cannot reach are dropped too.
+    then located in one call.
     """
     num, depth = len(selections), selections.depth
     prefixes, counts = selections.prefixes, selections.counts
-    parts = len(segments)
+    parts = plan.offsets.size - 1
     if not (prefilter and plan.sketched.any()):
         if parts > 1:
             prefixes, counts = np.tile(prefixes, parts), np.tile(counts, parts)
@@ -319,37 +268,7 @@ def _locate(
     sections = plan.layout.row_ranges(
         np.broadcast_to(prefixes, keep.shape)[keep], kept.ravel(), depth
     )
-    if balls is not None:
-        sections, emptied = _ball_prune(plan, segments, sections, balls)
-        lost |= emptied
     return sections, pruned, lost.sum(axis=0)
-
-
-def _ball_prune(
-    plan: ViewPlan, segments: Sequence, sections: RangeBatch,
-    balls: Sequence[Ball],
-) -> tuple[RangeBatch, np.ndarray]:
-    """*sections* without the ranges each sketched part's bounds rule out
-    of the query's ball, and which (part, query) pairs that emptied."""
-    starts, ends, bounds = sections
-    num = len(balls)
-    keep = np.ones(starts.size, dtype=bool)
-    for p, seg in enumerate(segments):
-        a, b = bounds[p * num], bounds[(p + 1) * num]
-        if seg.sketch is None or a == b:
-            continue
-        base = plan.offsets[p]
-        part = RangeBatch(
-            starts[a:b] - base, ends[a:b] - base,
-            bounds[p * num:(p + 1) * num + 1] - a,
-        )
-        keep[a:b] = seg.sketch.ball_mask(part, balls)
-    kept = np.append(0, np.cumsum(keep))[bounds]
-    emptied = (np.diff(bounds) > 0) & (np.diff(kept) == 0)
-    return (
-        RangeBatch(starts[keep], ends[keep], kept),
-        emptied.reshape(len(segments), num),
-    )
 
 
 def query_batch(
@@ -425,7 +344,6 @@ def scan(
     selections: SelectionBatch,
     filter_seconds: float = 0.0,
     prefilter: bool = True,
-    tests: Optional[Sequence[ExactTest]] = None,
 ) -> tuple[list[SearchResult], BatchQueryStats]:
     """Read the rows of *selections* (one query or more): the scan
     stage of every query of both index kinds.
@@ -438,8 +356,8 @@ def scan(
     concatenated, with per-query counts — and never split per query;
     :meth:`SelectionBatch.of` wraps a solo geometric or best-first
     selection.  *filter_seconds* is what selecting the blocks took.
-    With *tests*, one :class:`Ball` or :class:`Window` per selection,
-    each query keeps only the scanned rows that pass its test.
+    Every scanned row is returned: a range or window query's exact test
+    runs on the result, in :class:`~repro.index.s3.S3Queries`.
 
     The segments are planned in one pass over the view's
     :class:`~repro.index.parts.ViewPlan`, published with the segment
@@ -466,14 +384,6 @@ def scan(
     prune is admissible: dropped blocks hold no rows, so the surviving
     ranges — and the results — are identical.
 
-    With :class:`Ball` tests the batch is ε-range queries.  Each
-    segment's sketch then also drops the ranges whose every bounds block
-    lies farther than ε from the query
-    (:meth:`~repro.index.segmented.sketch.SegmentSketch.ball_mask`), the
-    segment rows read pass the exact test, and a memtable is tested row
-    by row (``MemTable.range_rows``) instead of by block membership.  A
-    :class:`Window` test runs on every row read.
-
     For **cold segments** (tiered storage) block selection runs on their
     resident ``.keys`` sidecar, and exactly the coalesced union's byte
     ranges are fetched from the blob backend, in one backend call per
@@ -484,7 +394,6 @@ def scan(
     """
     num = len(selections)
     t1 = time.perf_counter()
-    balls = tests if tests is not None and isinstance(tests[0], Ball) else None
 
     # Pin one snapshot view for the whole batch: the segment set, its
     # plan, the frozen memtables and the active-memtable length all come
@@ -515,9 +424,7 @@ def scan(
             assert parts == 1, "a view of several parts carries its plan"
             plan = ViewPlan.build(segments)
         offsets = plan.offsets
-        sections, pruned, skipped = _locate(
-            plan, segments, selections, prefilter, balls
-        )
+        sections, pruned, skipped = _locate(plan, selections, prefilter)
         starts, ends, bounds = sections
         # at[g]: where pair g = (part, query)'s rows start among the rows
         # of every pair.
@@ -539,18 +446,12 @@ def scan(
         cuts = [at[p * num:(p + 1) * num + 1] - at[p * num] for p in held]
     held_segments = len(held)
 
-    # Memtable rows, each memtable bounded to the rows the pinned view
-    # captured: block membership, or a ball's exact test on every row.
+    # Memtable rows by block membership, each memtable bounded to the
+    # rows the pinned view captured.
     mem_tables = view.memtables
-    mem_rows, mem_found = [], []
+    mem_rows = []
     for memtable, limit in mem_tables:
-        if balls is None:
-            found, sizes = memtable.scan_batch(selections, limit=limit)
-        else:
-            found = [memtable.range_rows(*ball, limit=limit) for ball in balls]
-            mem_found.append(found)
-            sizes = np.array([r.size for r, _ in found], dtype=np.int64)
-            found = np.concatenate([zero[:0], *(r for r, _ in found)])
+        found, sizes = memtable.scan_batch(selections, limit=limit)
         mem_rows.append(found)
         if found.size:
             held.append(parts + len(mem_rows) - 1)
@@ -595,14 +496,6 @@ def scan(
         ]
     else:
         results_q = _buffered(map(source, held), cuts, num, index.ndims)
-    distances = [None] * num
-    scanned = scanned_q.tolist()
-    for q, test in enumerate(tests or ()):
-        # A range query's memtable rows passed its ball in range_rows.
-        tested = len(results_q[q][0]) if balls is None else scanned[q]
-        results_q[q], distances[q] = _tested(
-            results_q[q], test, tested, [found[q][1] for found in mem_found]
-        )
     t2 = time.perf_counter()
 
     filter_share = filter_seconds / num
@@ -619,6 +512,7 @@ def scan(
     blocks_q = selections.counts.tolist()
     sections_q = sections_q.tolist()
     nodes_q, probes_q = selections.nodes.tolist(), selections.probes.tolist()
+    scanned = scanned_q.tolist()
     results = []
     for q, ((found, ids, tcs, fps), more) in enumerate(zip(results_q, extra)):
         # Positional: (blocks_selected, sections_scanned, rows_scanned,
@@ -630,7 +524,7 @@ def scan(
             found.size, nodes_q[q], probes_q[q], filter_share, scan_share,
             *more,
         )
-        results.append(SearchResult(found, ids, tcs, fps, distances[q], stats))
+        results.append(SearchResult(found, ids, tcs, fps, stats=stats))
 
     batch = BatchQueryStats(queries=num, batches=1)
     batch.blocks_selected = int(selections.prefixes.size)

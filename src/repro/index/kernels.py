@@ -19,12 +19,11 @@ Queries that are not integer-valued (the wire accepts arbitrary floats)
 fall back to the original float64 computation, term for term, so those
 results are bit-identical too.
 
-Every full-scan refinement routes through here: the exact tests of the
-query engine's scans (:class:`~repro.index.batch.Ball` and
-:class:`~repro.index.batch.Window`, behind every ``range_query`` and
-``window_query``), the memtable's row-by-row range test, the sequential
-scan and VA-file baselines, and the corpus filler's resampling
-perturbation.
+Every full-scan refinement routes through here: the exact tests that
+``range_query`` and ``window_query``
+(:class:`~repro.index.s3.S3Queries`) run on the rows the query engine's
+scan returned, the sequential scan and VA-file baselines, and the
+corpus filler's resampling perturbation.
 """
 
 from __future__ import annotations

@@ -40,6 +40,7 @@ from .filtering import (
     statistical_blocks,
     window_blocks,
 )
+from .kernels import range_refine, window_refine
 from .options import QueryOptions, resolve_options
 from .store import FingerprintStore, PathLike
 from .table import HilbertLayout
@@ -206,11 +207,13 @@ class S3Queries:
         """Answer a classical spherical ε-range query (baseline of §V-A).
 
         Geometric filtering (blocks the sphere intersects), then the scan,
-        then an exact distance test on the scanned rows.  On a segmented
-        index the sketches also skip row ranges whose every bounds block
-        lies farther than ε, and the memtables are tested row by row.
+        then an exact distance test on the scanned rows
+        (:func:`~repro.index.kernels.range_refine`).  The filter is
+        admissible — a row within ε lies in a block the sphere meets — so
+        a memtable row is tested like a segment row, after block
+        membership.
         """
-        from .batch import Ball, scan
+        from .batch import scan
 
         scan_options = self._scan_options(depth, options)
         depth = self._resolve_depth(scan_options.pop("depth"))
@@ -218,10 +221,11 @@ class S3Queries:
         selection = range_blocks(query, epsilon, self.curve, depth)
         [result], _ = scan(
             self, SelectionBatch.of([selection]), time.perf_counter() - t0,
-            tests=[Ball(np.asarray(query, dtype=np.float64), epsilon)],
             **scan_options,
         )
-        return result
+        t1 = time.perf_counter()
+        keep, distances = range_refine(result.fingerprints, query, epsilon)
+        return _kept(result, keep, distances, time.perf_counter() - t1)
 
     def window_query(
         self,
@@ -233,18 +237,37 @@ class S3Queries:
 
         The classical query type of Lawder's Hilbert indexing (paper §IV):
         geometric block filtering, then the scan, then an exact membership
-        test on the scanned rows.
+        test on the scanned rows (:func:`~repro.index.kernels.window_refine`).
         """
-        from .batch import Window, scan
+        from .batch import scan
 
         depth = self._resolve_depth(depth)
         t0 = time.perf_counter()
         selection = window_blocks(lo, hi, self.curve, depth)
         [result], _ = scan(
             self, SelectionBatch.of([selection]), time.perf_counter() - t0,
-            tests=[Window(lo, hi)],
         )
-        return result
+        t1 = time.perf_counter()
+        keep = window_refine(result.fingerprints, lo, hi)
+        return _kept(result, keep, None, time.perf_counter() - t1)
+
+
+def _kept(
+    result: SearchResult,
+    keep: np.ndarray,
+    distances: Optional[np.ndarray],
+    refine_seconds: float,
+) -> SearchResult:
+    """*result* cut down to the rows its exact test *keep* passed, with
+    the kept rows' *distances* (``None`` for a window), and the test's
+    time added to the scan's."""
+    stats = result.stats
+    stats.results = int(np.count_nonzero(keep))
+    stats.refine_seconds += refine_seconds
+    return SearchResult(
+        result.rows[keep], result.ids[keep], result.timecodes[keep],
+        result.fingerprints[keep], distances, stats,
+    )
 
 
 class S3Index(S3Queries):

@@ -524,7 +524,7 @@ class SegmentedS3Index(S3Queries):
                 except IndexError_:
                     sketch = None
             if sketch is None:
-                sketch = SegmentSketch.build(index.layout, store.fingerprints)
+                sketch = SegmentSketch.build(index.layout)
                 sketch.save(sketch_path)
                 meta.sketch = sketch.to_meta()
                 manifest_dirty = True
@@ -716,7 +716,6 @@ class SegmentedS3Index(S3Queries):
             "segments": len(view.segments),
             "sketches": len(sketches),
             "depth": SketchConfig.depth,
-            "block_rows": SketchConfig.block_rows,
             "resident_bytes": sum(s.nbytes() for s in sketches),
             "plan_occupancy_bytes": view.plan.nbytes(),
         }
@@ -993,7 +992,7 @@ class SegmentedS3Index(S3Queries):
         seg_path = self.directory / (name + ".store")
         index.store.save(seg_path)
         _fsync_file(seg_path)
-        sketch = SegmentSketch.build(index.layout, index.store.fingerprints)
+        sketch = SegmentSketch.build(index.layout)
         sketch.save(self.directory / sketch_filename(name))
         meta = SegmentMeta(
             name=name, count=len(index.store), sketch=sketch.to_meta()

@@ -37,7 +37,7 @@ class SegmentMeta:
     """One sealed segment: its file stem, record count and sketch.
 
     ``sketch`` is the geometry summary of the segment's pre-filter
-    sidecar (``{"depth", "block_rows"}``, see
+    sidecar (``{"depth"}``, see
     :mod:`repro.index.segmented.sketch`) or ``None`` for segments sealed
     before the sketch tier existed — open() rebuilds those.
 

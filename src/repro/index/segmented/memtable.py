@@ -3,15 +3,13 @@
 The memtable accepts inserts in arrival order and is scanned exhaustively
 at query time.  It is small by construction (it is sealed into a segment
 once it exceeds the flush threshold), so the scan is a handful of
-vectorised numpy operations:
-
-* **statistical queries** select records by p-block membership — the
-  memtable keeps the truncated Hilbert key of every record and tests it
-  against the selected prefixes, so the returned set is exactly
-  "everything stored inside ``V_α``", the same semantics the sealed
-  segments implement with their sorted layouts;
-* **ε-range queries** use a direct exact distance test (the refinement
-  the sealed path performs after its block scan).
+vectorised numpy operations.  Every query kind selects records by
+p-block membership: the memtable keeps the truncated Hilbert key of
+every record and tests it against the selected prefixes, so the returned
+set is exactly "everything stored inside the selected blocks", the same
+semantics the sealed segments implement with their sorted layouts.  A
+range or window query's exact test runs afterwards on the scanned rows
+of every part alike.
 
 Hilbert keys are **computed lazily**, on the first block scan that needs
 them, not on insert: the ingest acknowledgement path then costs one WAL
@@ -30,7 +28,6 @@ import numpy as np
 
 from ...hilbert.vectorized import encode_batch
 from ..filtering import BlockSelection, SelectionBatch
-from ..kernels import squared_distances
 from ..store import FingerprintStore, StoreBuilder
 
 
@@ -166,17 +163,6 @@ class MemTable:
         member = holds[:, at] & (distinct[at] == blocks)
         hits = np.flatnonzero(member)
         return hits % n, member.sum(axis=1)
-
-    def range_rows(
-        self, query: np.ndarray, epsilon: float, limit: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, distances)`` of buffered records within *epsilon*."""
-        n = self._bound(limit)
-        if n == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
-        dist_sq = squared_distances(self._builder.fingerprints[:n], query)
-        keep = np.flatnonzero(dist_sq <= float(epsilon) ** 2).astype(np.int64)
-        return keep, np.sqrt(dist_sq[keep])
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of the buffered ``(ids, timecodes, fingerprints)``.

@@ -1,36 +1,26 @@
-"""Per-segment pre-filter sketches: occupancy bitmap + block bounds.
+"""Per-segment pre-filter sketches: an occupancy bitmap.
 
 At the paper's target scale most sealed segments contribute nothing to a
 given query, yet the fan-out in :mod:`.lsm` used to consult every
 segment's Hilbert tree and touch its mmap.  A :class:`SegmentSketch` is
 a small always-in-RAM summary, built once when a segment is sealed (or
 re-merged by compaction) and persisted next to its store as
-``<name>.sketch``:
+``<name>.sketch``: an **occupancy bitmap** over the segment's
+Hilbert-key population at a fixed prefix depth — one bit per curve
+block, set iff the segment holds at least one row in that block.
 
-* an **occupancy bitmap** over the segment's Hilbert-key population at a
-  fixed prefix depth — one bit per curve block, set iff the segment
-  holds at least one row in that block;
-* **per-block component min/max bounds** over runs of ``block_rows``
-  curve-sorted rows, giving the exact VA-file-style lower bound
-  ``lb(q, block)² = Σ_d gap_d²`` with
-  ``gap_d = max(min_d - q_d, 0) + max(q_d - max_d, 0)``.
+The prune is **admissible** — results stay bit-identical to the
+unfiltered fan-out: dropping a selected prefix whose occupancy interval
+is empty removes only blocks that contain no rows of this segment, so
+the merged row ranges are unchanged (empty blocks never contribute
+rows).  It serves every query kind alike, since each scans the rows of
+its selected blocks.  See ``docs/prefilter.md`` for the full argument
+and tuning guidance.
 
-Both prunes are **admissible** — results stay bit-identical to the
-unfiltered fan-out:
-
-* dropping a selected prefix whose occupancy interval is empty removes
-  only blocks that contain no rows of this segment, so the merged row
-  ranges are unchanged (empty blocks never contribute rows);
-* dropping a row range of an ε-range query because every overlapping
-  bounds-block has ``lb² > ε²`` removes only rows the exact refinement
-  step would reject, since ``lb(q, block) <= dist(q, row)`` for every
-  row in the block.
-
-The bounds prune applies to ε-range queries only.  A statistical query
-of expectation α scans *every* row of its selected blocks without a
-distance test (paper §III), so for it only the occupancy prune is
-admissible.  See ``docs/prefilter.md`` for the full argument and tuning
-guidance.
+The sidecar header still has the three fields (rows per block,
+dimensions, blocks) of the per-block min/max bounds earlier sketches
+carried; new sidecars write them as 0, and :meth:`SegmentSketch.load`
+skips the bounds bytes an older sidecar declares.
 """
 
 from __future__ import annotations
@@ -39,13 +29,13 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ...errors import ConfigurationError, IndexError_
 from ..store import PathLike
-from ..table import HilbertLayout, RangeBatch
+from ..table import HilbertLayout
 
 #: File magic of the ``.sketch`` sidecar format.
 SKETCH_MAGIC = b"S3SK"
@@ -102,23 +92,17 @@ class SketchConfig:
     """Build-time geometry of segment sketches.
 
     ``depth`` is the occupancy prefix depth (bits of curve key per
-    bitmap slot); ``block_rows`` is the run length of each min/max
-    bounds block.  The defaults keep a sketch a few hundred KiB even
-    for multi-million-row segments.
+    bitmap slot); the default keeps a sidecar's bitmap at 8 KiB
+    whatever the segment's size.
     """
 
     depth: int = 16
-    block_rows: int = 4096
 
     def __post_init__(self) -> None:
         if not 1 <= self.depth <= MAX_SKETCH_DEPTH:
             raise ConfigurationError(
                 f"sketch depth must be in [1, {MAX_SKETCH_DEPTH}], "
                 f"got {self.depth}"
-            )
-        if self.block_rows < 1:
-            raise ConfigurationError(
-                f"sketch block_rows must be >= 1, got {self.block_rows}"
             )
 
 
@@ -134,79 +118,38 @@ class SegmentSketch:
         Key resolution of the segment's layout the sketch was built
         against (prefixes of deeper selections are shifted down to
         ``depth`` before the membership test).
-    block_rows:
-        Rows per min/max bounds block.
     rows:
         Row count of the segment.
     occupied:
         Sorted ``uint64`` array of populated ``depth``-bit prefixes.
-    mins / maxs:
-        ``(B, D)`` ``uint8`` per-block component bounds, ``B = ceil(rows
-        / block_rows)``, in curve order.
     """
 
     depth: int
     key_bits: int
-    block_rows: int
     rows: int
     occupied: np.ndarray
-    mins: np.ndarray
-    maxs: np.ndarray
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     @classmethod
     def build(
-        cls,
-        layout: HilbertLayout,
-        fingerprints: np.ndarray,
-        config: Optional[SketchConfig] = None,
+        cls, layout: HilbertLayout, config: Optional[SketchConfig] = None
     ) -> "SegmentSketch":
-        """Sketch a sealed segment from its layout and *sorted* store.
-
-        *fingerprints* must be the segment store's ``(N, D)`` byte
-        matrix, already in curve order (as every sealed store is).
-        """
+        """Sketch a sealed segment from its layout's keys."""
         config = config or SketchConfig()
         depth = min(config.depth, layout.key_bits)
-        keys = layout.keys
-        n = int(keys.size)
         shift = np.uint64(layout.key_bits - depth)
-        occupied = np.unique(keys >> shift)
-        fingerprints = np.asarray(fingerprints, dtype=np.uint8)
-        if fingerprints.shape[0] != n:
-            raise ConfigurationError(
-                f"sketch build: store has {fingerprints.shape[0]} rows "
-                f"but layout has {n} keys"
-            )
-        if n:
-            starts = np.arange(0, n, config.block_rows)
-            mins = np.minimum.reduceat(fingerprints, starts, axis=0)
-            maxs = np.maximum.reduceat(fingerprints, starts, axis=0)
-        else:
-            ndims = fingerprints.shape[1] if fingerprints.ndim == 2 else 0
-            mins = np.empty((0, ndims), dtype=np.uint8)
-            maxs = np.empty((0, ndims), dtype=np.uint8)
         return cls(
             depth=depth,
             key_bits=layout.key_bits,
-            block_rows=config.block_rows,
-            rows=n,
-            occupied=occupied,
-            mins=mins,
-            maxs=maxs,
+            rows=int(layout.keys.size),
+            occupied=np.unique(layout.keys >> shift),
         )
-
-    @property
-    def num_blocks(self) -> int:
-        return int(self.mins.shape[0])
 
     def nbytes(self) -> int:
         """Approximate resident size of the sketch."""
-        return int(
-            self.occupied.nbytes + self.mins.nbytes + self.maxs.nbytes
-        )
+        return int(self.occupied.nbytes)
 
     # ------------------------------------------------------------------
     # Pruning
@@ -227,40 +170,6 @@ class SegmentSketch:
             return np.zeros(prefixes.size, dtype=bool)
         return occupancy_keep(self.occupied, self.depth, prefixes, depth)
 
-    def ball_lower_bounds_sq(self, query: np.ndarray) -> np.ndarray:
-        """``(B,)`` exact squared lower bounds of each block to *query*."""
-        q = np.asarray(query, dtype=np.float64)
-        gap = (
-            np.maximum(self.mins.astype(np.float64) - q, 0.0)
-            + np.maximum(q - self.maxs.astype(np.float64), 0.0)
-        )
-        return np.einsum("ij,ij->i", gap, gap)
-
-    def ball_mask(
-        self, sections: RangeBatch, balls: Sequence[tuple[np.ndarray, float]]
-    ) -> np.ndarray:
-        """Keep-mask of the row ranges ε-balls may match rows in.
-
-        Query ``i`` owns list ``i`` of *sections* and the ball
-        ``balls[i] = (centre, epsilon)``.  A range survives iff at least
-        one of its overlapping bounds blocks has ``lb² <= ε²``: a running
-        count of each ball's near blocks, read at the range's first and
-        past-the-last block.  Only admissible for range queries — their
-        refinement rejects exactly the rows the bound excludes.
-        """
-        starts, ends, bounds = sections
-        near = np.zeros((len(balls), self.num_blocks + 1), dtype=np.int64)
-        for row, (centre, epsilon) in zip(near, balls):
-            np.cumsum(
-                self.ball_lower_bounds_sq(centre) <= float(epsilon) ** 2,
-                out=row[1:],
-            )
-        owner = np.repeat(np.arange(len(balls)), np.diff(bounds))
-        return (
-            near[owner, (ends - 1) // self.block_rows + 1]
-            > near[owner, starts // self.block_rows]
-        )
-
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
@@ -270,21 +179,14 @@ class SegmentSketch:
         bitmap = np.zeros(1 << self.depth, dtype=np.uint8)
         bitmap[self.occupied.astype(np.int64)] = 1
         packed = np.packbits(bitmap)
+        # The three bounds fields are 0: no bounds section.
         header = _HEADER.pack(
-            SKETCH_MAGIC,
-            SKETCH_FORMAT,
-            self.depth,
-            self.block_rows,
-            self.rows,
-            self.mins.shape[1] if self.mins.ndim == 2 else 0,
-            self.num_blocks,
+            SKETCH_MAGIC, SKETCH_FORMAT, self.depth, 0, self.rows, 0, 0
         )
         tmp = path.with_suffix(path.suffix + ".tmp")
         with open(tmp, "wb") as fh:
             fh.write(header)
             fh.write(packed.tobytes())
-            fh.write(self.mins.astype(np.uint8).tobytes())
-            fh.write(self.maxs.astype(np.uint8).tobytes())
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -299,8 +201,7 @@ class SegmentSketch:
             raise IndexError_(f"cannot read sketch {path}: {exc}") from exc
         if len(raw) < _HEADER.size:
             raise IndexError_(f"truncated sketch header in {path}")
-        magic, fmt, depth, block_rows, rows, ndims, nblocks = \
-            _HEADER.unpack_from(raw)
+        magic, fmt, depth, _, rows, ndims, nblocks = _HEADER.unpack_from(raw)
         if magic != SKETCH_MAGIC:
             raise IndexError_(f"bad sketch magic in {path}")
         if fmt != SKETCH_FORMAT:
@@ -315,29 +216,16 @@ class SegmentSketch:
             raise IndexError_(
                 f"sketch {path} has {len(raw)} bytes, expected {expected}"
             )
-        off = _HEADER.size
         packed = np.frombuffer(raw, dtype=np.uint8, count=bitmap_bytes,
-                               offset=off)
-        off += bitmap_bytes
+                               offset=_HEADER.size)
         bits = np.unpackbits(packed, count=1 << depth)
-        occupied = np.flatnonzero(bits).astype(np.uint64)
-        mins = np.frombuffer(
-            raw, dtype=np.uint8, count=nblocks * ndims, offset=off
-        ).reshape(nblocks, ndims).copy()
-        off += nblocks * ndims
-        maxs = np.frombuffer(
-            raw, dtype=np.uint8, count=nblocks * ndims, offset=off
-        ).reshape(nblocks, ndims).copy()
         return cls(
             depth=depth,
             key_bits=key_bits,
-            block_rows=block_rows,
             rows=rows,
-            occupied=occupied,
-            mins=mins,
-            maxs=maxs,
+            occupied=np.flatnonzero(bits).astype(np.uint64),
         )
 
     def to_meta(self) -> dict:
         """The manifest-side summary of this sketch (geometry only)."""
-        return {"depth": int(self.depth), "block_rows": int(self.block_rows)}
+        return {"depth": int(self.depth)}

@@ -5,8 +5,8 @@ still run **block selection before any fetch** — eq. (5)'s whole point
 is that the filtering step needs no rows.  Two resident artifacts make
 that possible without touching the backend:
 
-* the segment's ``.sketch`` sidecar (occupancy + per-block bounds,
-  always resident since PR 6), and
+* the segment's ``.sketch`` sidecar (its occupancy bitmap, always
+  resident), and
 * a ``.keys`` sidecar written at demotion time: the segment's sorted
   ``uint64`` Hilbert keys, memory-mapped here (8 bytes/row of local
   disk, ~0 RAM).  :class:`ColdSegmentReader` wraps it in the standard

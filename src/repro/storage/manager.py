@@ -9,7 +9,7 @@ is in exactly one tier:
   (``open(mmap=True)``);
 * **cold** — the store bytes live only in the blob backend; locally the
   segment keeps its ``.sketch`` and ``.keys`` sidecars, so block
-  selection and sketch pruning never touch the backend.
+  selection and the sketch's occupancy prune never touch the backend.
 
 Residency is a policy of the write path only.  The :class:`TierManager`
 enforces a byte budget over the *resident* (hot + warm) tiers by

@@ -6,20 +6,25 @@ These are the earlier solo ``statistical_query`` / ``range_query`` /
 :class:`~repro.index.segmented.lsm.SegmentedS3Index`, and the helpers
 they scanned through — ``S3Index._options_depth``, ``row_ranges`` and
 ``_scan_blocks``, ``SegmentedS3Index._prefilter_on`` and ``_fan_out``,
-``lsm._empty_part``, ``SegmentSketch.prune_ranges`` /
-``prune_prefixes`` and ``HilbertLayout.gather_rows`` — moved here
-verbatim as functions of the index.  The only edits: the methods take
-``self`` as their first argument, the query methods carry an ``s3_`` /
-``segmented_`` prefix, their call sites name the copies below, and
-``_fan_out`` no longer counts ``segments_cold`` / ``cold_rows`` or
-keeps ``per_segment``, whose fields are gone (it sums its sections and
-rows from a local list).  Nothing under ``src/`` imports them.
+``lsm._empty_part``, ``SegmentSketch.prune_prefixes`` and
+``HilbertLayout.gather_rows`` — moved here verbatim as functions of the
+index.  The only edits: the methods take ``self`` as their first
+argument, the query methods carry an ``s3_`` / ``segmented_`` prefix,
+their call sites name the copies below, and ``_fan_out`` no longer
+counts ``segments_cold`` / ``cold_rows`` or keeps ``per_segment``,
+whose fields are gone (it sums its sections and rows from a local
+list); ``_fan_out`` no longer calls ``SegmentSketch.prune_ranges``, the
+per-block bounds prune, which is deleted with the bounds (it changed
+stats only, never a column); and ``MemTable.range_rows``, the
+memtable's row-by-row ε test, is inlined verbatim into ``_fan_out``,
+so a memtable is still tested row by row here.  Nothing under ``src/``
+imports them.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -31,7 +36,7 @@ from repro.index.filtering import (
     statistical_blocks,
     window_blocks,
 )
-from repro.index.kernels import range_refine, window_refine
+from repro.index.kernels import range_refine, squared_distances, window_refine
 from repro.index.options import QueryOptions
 from repro.index.s3 import QueryStats, SearchResult
 from repro.index.segmented.lsm import SegmentedQueryStats
@@ -317,11 +322,6 @@ def _fan_out(
         ranges = seg.layout.block_row_ranges(
             prefixes, selection.depth
         )
-        if sketch is not None and refine is not None and ranges:
-            kept = prune_ranges(sketch, ranges, refine[0], refine[1])
-            if not kept:
-                stats.segments_skipped += 1
-            ranges = kept
         rows = gather_rows(seg.layout, ranges)
         if seg.index is not None:
             store = seg.index.store
@@ -387,9 +387,18 @@ def _fan_out(
             mem_distances = None
         else:
             q, epsilon = refine
-            mem_rows, mem_distances = memtable.range_rows(
-                q, epsilon, limit=limit
-            )
+            n = memtable._bound(limit)
+            if n == 0:
+                mem_rows = np.empty(0, dtype=np.int64)
+                mem_distances = np.empty(0, dtype=np.float64)
+            else:
+                dist_sq = squared_distances(
+                    memtable._builder.fingerprints[:n], q
+                )
+                mem_rows = np.flatnonzero(
+                    dist_sq <= float(epsilon) ** 2
+                ).astype(np.int64)
+                mem_distances = np.sqrt(dist_sq[mem_rows])
         mem_part_store = memtable.take(mem_rows)
         mem_stats = QueryStats(
             blocks_selected=len(selection),
@@ -474,29 +483,3 @@ def prune_prefixes(
     """
     prefixes = np.asarray(prefixes, dtype=np.uint64)
     return prefixes[self.occupancy_mask(prefixes, depth)]
-
-
-def prune_ranges(
-    self: SegmentSketch,
-    ranges: Sequence[tuple[int, int]],
-    query: np.ndarray,
-    epsilon: float,
-) -> list[tuple[int, int]]:
-    """Drop row ranges an ε-ball query provably cannot match in.
-
-    A range survives iff at least one of its overlapping bounds
-    blocks has ``lb² <= ε²``.  Only admissible for range queries —
-    their refinement rejects exactly the rows the bound excludes.
-    """
-    if not ranges:
-        return []
-    bounds = self.ball_lower_bounds_sq(query)
-    eps_sq = float(epsilon) ** 2
-    near = bounds <= eps_sq
-    kept: list[tuple[int, int]] = []
-    for s, e in ranges:
-        b0 = s // self.block_rows
-        b1 = (e - 1) // self.block_rows + 1
-        if bool(near[b0:b1].any()):
-            kept.append((s, e))
-    return kept

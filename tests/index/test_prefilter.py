@@ -8,6 +8,9 @@ WAL crash-recovery.  The sketches only ever skip work the scan would
 have proved empty anyway.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.distortion.model import NormalDistortionModel
 from repro.errors import IndexError_
+from repro.cluster import plan_cluster
 from repro.index.batch import BatchQueryExecutor
 from repro.index.options import QueryOptions
 from repro.index.segmented import (
@@ -23,6 +27,8 @@ from repro.index.segmented import (
     SketchConfig,
     sketch_filename,
 )
+from repro.index.segmented.sketch import _HEADER, SKETCH_FORMAT, SKETCH_MAGIC
+from repro.storage import StorageConfig
 
 from . import reference_query
 
@@ -92,11 +98,8 @@ class TestSketchPersistence:
         seg.sketch.save(path)
         loaded = SegmentSketch.load(path, seg.index.layout.key_bits)
         assert loaded.depth == seg.sketch.depth
-        assert loaded.block_rows == seg.sketch.block_rows
         assert loaded.rows == seg.sketch.rows
         assert np.array_equal(loaded.occupied, seg.sketch.occupied)
-        assert np.array_equal(loaded.mins, seg.sketch.mins)
-        assert np.array_equal(loaded.maxs, seg.sketch.maxs)
         assert not list(tmp_path.glob("*.tmp"))  # atomic write cleaned up
         index.close()
 
@@ -147,7 +150,7 @@ class TestSketchPersistence:
         index = make_index(directory, [], make_records(150))
         meta = index.segments[0]
         assert meta.sketch is not None
-        assert set(meta.sketch) == {"depth", "block_rows"}
+        assert meta.sketch == {"depth": index._segments[0].sketch.depth}
         index.close()
 
     def test_orphan_sketches_are_collected(self, tmp_path):
@@ -205,10 +208,7 @@ class TestPrunePrefixes:
         index = make_index(tmp / "seg", [], make_records(300, seed=seed))
         seg = index._segments[0]
         layout = seg.index.layout
-        sketch = SegmentSketch.build(
-            layout, seg.index.store.fingerprints,
-            SketchConfig(depth=sketch_depth),
-        )
+        sketch = SegmentSketch.build(layout, SketchConfig(depth=sketch_depth))
         depth = min(depth, layout.key_bits)
         rng = np.random.default_rng(seed)
         universe = 1 << min(depth, 30)
@@ -323,3 +323,107 @@ class TestBatchedPrefilter:
         assert skips["off"] == 0
         assert skips["auto"] > 0
         index.close()
+
+
+# ----------------------------------------------------------------------
+def write_bounds_sidecar(path, sketch, fingerprints, block_rows=4096):
+    """Rewrite *path* as sketches were written while they also held
+    per-block bounds: the same header with ``block_rows``, ``ndims`` and
+    ``nblocks`` set, then the bitmap, then every block's component
+    minima and maxima over runs of *block_rows* curve-sorted rows."""
+    fingerprints = np.asarray(fingerprints, dtype=np.uint8)
+    starts = np.arange(0, fingerprints.shape[0], block_rows)
+    bitmap = np.zeros(1 << sketch.depth, dtype=np.uint8)
+    bitmap[sketch.occupied.astype(np.int64)] = 1
+    path.write_bytes(
+        _HEADER.pack(
+            SKETCH_MAGIC, SKETCH_FORMAT, sketch.depth, block_rows,
+            sketch.rows, fingerprints.shape[1], starts.size,
+        )
+        + np.packbits(bitmap).tobytes()
+        + np.minimum.reduceat(fingerprints, starts, axis=0).tobytes()
+        + np.maximum.reduceat(fingerprints, starts, axis=0).tobytes()
+    )
+
+
+def stats_counts(stats):
+    return {
+        k: v for k, v in dataclasses.asdict(stats).items()
+        if not k.endswith("_seconds")
+    }
+
+
+class TestBoundsSidecars:
+    """Directories whose sidecars and manifest carry the per-block
+    bounds of earlier sketches still open — resident, and with a cold
+    segment — answer every query kind as a fresh build does, and plan
+    into the same shard presence."""
+
+    CORPUS = make_records(900, seed=3)
+    CUTS = [300, 600, 800]
+
+    def build_pair(self, tmp_path):
+        fresh = make_index(tmp_path / "fresh", self.CUTS, self.CORPUS, False)
+        old_dir = tmp_path / "old"
+        old = make_index(old_dir, self.CUTS, self.CORPUS, False)
+        for seg in old._segments:
+            write_bounds_sidecar(
+                old_dir / sketch_filename(seg.meta.name), seg.sketch,
+                seg.index.store.fingerprints,
+            )
+        old.close()
+        manifest = json.loads((old_dir / "MANIFEST.json").read_text())
+        for seg in manifest["segments"]:
+            seg["sketch"]["block_rows"] = 4096
+        (old_dir / "MANIFEST.json").write_text(json.dumps(manifest))
+        return fresh, old_dir
+
+    def assert_same_answers(self, fresh, old):
+        fp, _, _ = self.CORPUS
+        for row in (0, 350, 650, 880):
+            q = fp[row].astype(np.float64)
+            pairs = [
+                (fresh.statistical_query(q, 0.8),
+                 old.statistical_query(q, 0.8)),
+                (fresh.window_query(q - 12, q + 12),
+                 old.window_query(q - 12, q + 12)),
+            ]
+            for epsilon in (0.0, 25.0):
+                pairs.append((
+                    fresh.range_query(q, epsilon), old.range_query(q, epsilon)
+                ))
+            for want, got in pairs:
+                assert_bit_identical(got, want)
+                assert stats_counts(got.stats) == stats_counts(want.stats)
+
+    def test_bounds_sidecars_open_and_answer(self, tmp_path):
+        fresh, old_dir = self.build_pair(tmp_path)
+        old = SegmentedS3Index.open(old_dir)
+        # Loaded as they are: opening rewrote neither file.
+        assert old.segments[0].sketch == {"depth": 16, "block_rows": 4096}
+        self.assert_same_answers(fresh, old)
+
+        for index in (fresh, old):
+            index.attach_storage(StorageConfig(cold_dir="cold"))
+            index.storage.demote(index._segments[0])
+            index.close()
+        fresh = SegmentedS3Index.open(tmp_path / "fresh")
+        old = SegmentedS3Index.open(old_dir)
+        cold = old._segments[0]
+        assert cold.meta.tier == "cold"
+        sidecar = (old_dir / sketch_filename(cold.meta.name)).read_bytes()
+        assert _HEADER.unpack_from(sidecar)[3] == 4096
+        self.assert_same_answers(fresh, old)
+        fresh.close()
+        old.close()
+
+        plans = [
+            plan_cluster(tmp_path / d, tmp_path / f"c-{d}", 2, seal=True)
+            for d in ("fresh", "old")
+        ]
+        for want, got in zip(*(p.shards for p in plans)):
+            assert got.presence.depth == want.presence.depth
+            assert np.array_equal(got.presence.occupied, want.presence.occupied)
+        # Replicas copy the sidecars verbatim, and open on them too.
+        replica = tmp_path / "c-old" / plans[1].shards[0].replicas[0]
+        SegmentedS3Index.open(replica).close()

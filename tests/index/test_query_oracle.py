@@ -34,6 +34,12 @@ Two intended differences from the old path:
   empty ``float64`` distances, as every other index does, where the old
   path returned ``None``.
 
+The oracle's ``_fan_out`` also lost its per-block bounds prune
+(``prune_ranges``), deleted with the sketch's bounds, so a range
+query's stats on a segmented index no longer reflect a bounds prune:
+they count the rows and sections of every block the occupancy prune
+kept, as the engine does.  No column ever depended on that prune.
+
 ``PROPERTY_EXAMPLES`` raises the example count (CI's ``property-long`` job).
 """
 
@@ -269,18 +275,11 @@ def test_queries_match_reference(indexes, case):
 
 def check_one_segment(index, query, args, depth, options):
     """A one-segment index with empty memtables against an ``S3Index``
-    over the segment's own store: the stats fields the two share agree,
-    but for the rows and sections of a range query the sketch's bounds
-    prune skipped."""
+    over the segment's own store: every stats field the two share
+    agrees, range queries included."""
     s3 = index._segments[0].index
     call, _ = queries(query, "seg", args, depth, options)
-    stats = MONO_STATS
-    if query == "range" and options.prefilter_enabled:
-        stats = tuple(
-            k for k in MONO_STATS
-            if k not in ("rows_scanned", "sections_scanned")
-        )
-    assert_same(run(index, call), run(s3, call), stats=stats)
+    assert_same(run(index, call), run(s3, call), stats=MONO_STATS)
 
 
 def check_records(mono, index, query, args, depth, options):
@@ -309,8 +308,8 @@ def check_records(mono, index, query, args, depth, options):
 @pytest.mark.parametrize("kind", ["seg", "tiered", "tiered_file"])
 def test_range_prunes_match_reference(indexes, kind):
     """Range queries whose rows come from some segments and both
-    memtables, with segments emptied by occupancy and by the bounds
-    prune, on both prefilter modes."""
+    memtables, with segments emptied by the occupancy prune, on both
+    prefilter modes."""
     index = indexes[kind]
     sealed = sum(s.meta.count for s in index._segments)
     skipped = memtables = 0
